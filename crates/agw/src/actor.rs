@@ -37,7 +37,6 @@ use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket}
 use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::{Guti, Imsi, Teid};
 use rand::RngCore;
-use serde_json::json;
 use std::collections::{BTreeMap, VecDeque};
 
 // Timer tags.
@@ -561,7 +560,7 @@ impl AgwActor {
             // not sampled; inside a traced attach this is a no-op and
             // the round trip records as hops of the attach itself.
             ctx.trace_start("s6a_auth");
-            let req = json!(orc8r_proto::FegAuthRequest { imsi: imsi.0 });
+            let req = orc8r_proto::FegAuthRequest { imsi: imsi.0 };
             let id = self
                 .feg
                 .as_mut()
@@ -760,10 +759,10 @@ impl AgwActor {
             if let Some(s) = self.sessions.get_mut(sid) {
                 s.blocked = true;
             }
-            let req = json!(orc8r_proto::CreditRequest {
+            let req = orc8r_proto::CreditRequest {
                 imsi: imsi.0,
                 session_id: sid,
-            });
+            };
             if let Some(client) = self.orc8r.as_mut() {
                 let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
                 self.calls.insert(id, CallKind::Credit { session: sid });
@@ -877,12 +876,12 @@ impl AgwActor {
             let m = self.metric("sessiond.closed");
             ctx.registry().counter_add(&m, 1.0);
             if let Some(credit) = &s.credit {
-                let report = json!(orc8r_proto::CreditReport {
+                let report = orc8r_proto::CreditReport {
                     imsi: s.imsi.0,
                     session_id: sid,
                     used_bytes: credit.used,
                     released_quota: credit.granted,
-                });
+                };
                 if let Some(client) = self.orc8r.as_mut() {
                     let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REPORT, report);
                     self.calls.insert(id, CallKind::CreditReport);
@@ -1225,10 +1224,10 @@ impl AgwActor {
             {
                 continue;
             }
-            let req = json!(orc8r_proto::CreditRequest {
+            let req = orc8r_proto::CreditRequest {
                 imsi: s.imsi.0,
                 session_id: sid,
-            });
+            };
             if let Some(client) = self.orc8r.as_mut() {
                 let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
                 self.calls.insert(id, CallKind::Credit { session: sid });
@@ -1258,14 +1257,14 @@ impl AgwActor {
             let v = ctx.metrics().counter(&name);
             metrics.insert(key.to_string(), v);
         }
-        let req = json!(orc8r_proto::CheckinRequest {
+        let req = orc8r_proto::CheckinRequest {
             agw_id: self.cfg.id.clone(),
             cert,
             db_version: self.db.version,
             enbs,
             active_sessions: self.sessions.len() as u64,
             metrics,
-        });
+        };
         if let Some(client) = self.orc8r.as_mut() {
             let id = client.call(ctx, &orc8r_proto::flows::CHECKIN, req);
             self.calls.insert(id, CallKind::Checkin);
@@ -1273,10 +1272,10 @@ impl AgwActor {
     }
 
     fn do_bootstrap(&mut self, ctx: &mut Ctx<'_>) {
-        let req = json!(orc8r_proto::BootstrapRequest {
+        let req = orc8r_proto::BootstrapRequest {
             agw_id: self.cfg.id.clone(),
             hw_token: self.cfg.hw_token,
-        });
+        };
         if let Some(client) = self.orc8r.as_mut() {
             let id = client.call(ctx, &orc8r_proto::flows::BOOTSTRAP, req);
             self.calls.insert(id, CallKind::Bootstrap);
@@ -1296,11 +1295,11 @@ impl AgwActor {
         // orchestrator when connected.
         if let Some(client) = self.orc8r.as_mut() {
             if client.is_connected() {
-                let push = json!(orc8r_proto::CheckpointPush {
-                    agw_id: cp.agw_id.clone(),
-                    // lint:allow(A002, reason = "Checkpoint derives Serialize with no map keys or non-string types that can fail; to_value on it is infallible")
-                    state: serde_json::to_value(&cp).expect("checkpoint serializes"),
-                });
+                // Streamed from the checkpoint as it stands; no tree.
+                let push = orc8r_proto::CheckpointPushRef {
+                    agw_id: &cp.agw_id,
+                    state: &cp,
+                };
                 let id = client.call(ctx, &orc8r_proto::flows::CHECKPOINT, push);
                 self.calls.insert(id, CallKind::Checkpoint);
             }

@@ -24,7 +24,6 @@ use magma_net::{Endpoint, SockEvent};
 use magma_orc8r::proto as orc8r_proto;
 use magma_rpc::{RpcClient, RpcClientConfig, RpcClientEvent};
 use magma_sim::{try_downcast, Actor, ActorId, Ctx, Event, HostId, SimDuration};
-use serde_json::json;
 use std::collections::VecDeque;
 
 // Timer tags.
@@ -224,7 +223,7 @@ impl MetricsdActor {
         let (Some(client), Some(front)) = (self.orc8r.as_mut(), self.queue.front()) else {
             return;
         };
-        let id = client.call(ctx, &orc8r_proto::flows::METRICS_PUSH, json!(front));
+        let id = client.call(ctx, &orc8r_proto::flows::METRICS_PUSH, front);
         self.outstanding = Some(id);
     }
 

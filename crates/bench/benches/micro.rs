@@ -1,6 +1,7 @@
 //! Micro-benchmarks on the hot paths the figures depend on: data-plane
 //! packet processing, EPS-AKA vector generation (the attach pipeline's
-//! crypto), wire codecs, the event queue, and the reliable stream.
+//! crypto), wire codecs, the RPC frame + body codec, the event queue, and
+//! the reliable stream.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -95,6 +96,74 @@ fn codecs(c: &mut Criterion) {
     g.finish();
 }
 
+/// The RPC layer as the 1 Hz checkpoint and the check-in use it: typed
+/// body → frame bytes, and stream segments → frame → typed body.
+fn rpc(c: &mut Criterion) {
+    use magma::orc8r::{flows, CheckinRequest, CheckpointPush, CheckpointPushRef};
+    use magma::prelude::*;
+    use magma::rpc::{codec, Framer, RpcKind};
+
+    // Figure 5's typical site, run until all 288 UEs hold a session; the
+    // gateway's own last checkpoint (~210 KB on the wire) is the payload.
+    let cfg = ScenarioConfig::new(42).with_agw(AgwSpec::bare_metal(SiteSpec::typical()));
+    let mut site = magma::deploy(cfg);
+    site.world.run_until(SimTime::from_secs(120));
+    let gw = site.agws.first().expect("one gateway");
+    let cp = gw
+        .handle
+        .borrow()
+        .checkpoint
+        .clone()
+        .expect("checkpoint taken");
+    assert_eq!(cp.sessions.len(), 288);
+
+    let encode_checkpoint = || {
+        let push = CheckpointPushRef {
+            agw_id: &cp.agw_id,
+            state: &cp,
+        };
+        codec::encode(RpcKind::Request, 1, flows::CHECKPOINT.name, &push)
+    };
+    let wire = encode_checkpoint();
+    let mut g = c.benchmark_group("rpc");
+    g.throughput(Throughput::Bytes(wire.len() as u64));
+    g.bench_function("encode_checkpoint_288", |b| {
+        b.iter(|| std::hint::black_box(encode_checkpoint().len()))
+    });
+    g.bench_function("decode_checkpoint_288", |b| {
+        let mut framer = Framer::new();
+        b.iter(|| {
+            // MSS-sized segments, as the stream transport delivers them.
+            let mut frames = Vec::new();
+            for segment in wire.chunks(1400) {
+                frames.extend(framer.push(segment));
+            }
+            let body = frames.pop().expect("one frame").body;
+            std::hint::black_box(serde_json::from_value::<CheckpointPush>(body).unwrap())
+        })
+    });
+    let checkin = CheckinRequest {
+        agw_id: cp.agw_id.clone(),
+        cert: 7,
+        db_version: cp.db.version,
+        enbs: vec![1, 2, 3],
+        active_sessions: 288,
+        metrics: ["attach.start", "attach.accept", "attach.reject"]
+            .map(|k| (k.to_string(), 288.0))
+            .into(),
+    };
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("small_frame_roundtrip", |b| {
+        let mut framer = Framer::new();
+        b.iter(|| {
+            let wire = codec::encode(RpcKind::Request, 7, flows::CHECKIN.name, &checkin);
+            let body = framer.push(&wire).pop().expect("one frame").body;
+            std::hint::black_box(serde_json::from_value::<CheckinRequest>(body).unwrap())
+        })
+    });
+    g.finish();
+}
+
 fn engine(c: &mut Criterion) {
     use magma_sim::{Actor, Ctx, Event, SimDuration};
     /// Self-messaging actor: one event per hop.
@@ -172,5 +241,5 @@ fn registry(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, dataplane, crypto, codecs, engine, registry);
+criterion_group!(benches, dataplane, crypto, codecs, rpc, engine, registry);
 criterion_main!(benches);

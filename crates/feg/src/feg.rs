@@ -12,7 +12,6 @@ use crate::flows;
 use magma_sim::{downcast, Actor, ActorId, Ctx, Event, SimDuration, SimTime};
 use magma_wire::diameter::{DiameterPacket, ResultCode, S6aMessage};
 use magma_wire::Imsi;
-use serde_json::json;
 use std::collections::BTreeMap;
 
 /// A pending proxied request: the AGW-side RPC to answer when the MNO
@@ -174,7 +173,7 @@ impl FegActor {
                             })
                             .collect(),
                     };
-                    self.server.reply(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, json!(resp));
+                    self.server.reply(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, resp);
                 } else {
                     self.server
                         .reply_err(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, "subscriber unknown at MNO");
@@ -190,7 +189,7 @@ impl FegActor {
                     ambr_dl_kbps,
                     ambr_ul_kbps,
                 };
-                self.server.reply(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, json!(resp));
+                self.server.reply(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, resp);
             }
             _ => {
                 self.server.reply_err(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, "unexpected answer");

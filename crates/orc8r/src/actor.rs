@@ -76,7 +76,7 @@ impl Orc8rActor {
                 }
                 ctx.metrics().inc("orc8r.bootstraps", 1.0);
                 self.server
-                    .reply(ctx, conn, id, &flows::ORC8R_REPLY, json!(BootstrapResponse { cert }));
+                    .reply(ctx, conn, id, &flows::ORC8R_REPLY, BootstrapResponse { cert });
             }
             methods::CHECKIN => {
                 let Ok(req) = serde_json::from_value::<CheckinRequest>(body) else {
@@ -115,7 +115,7 @@ impl Orc8rActor {
                 };
                 drop(st);
                 ctx.metrics().inc("orc8r.checkins", 1.0);
-                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, json!(resp));
+                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, resp);
             }
             methods::CHECKPOINT => {
                 let Ok(req) = serde_json::from_value::<CheckpointPush>(body) else {
@@ -150,7 +150,7 @@ impl Orc8rActor {
                     },
                 };
                 ctx.metrics().inc("orc8r.ocs.requests", 1.0);
-                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, json!(resp));
+                self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, resp);
             }
             methods::CREDIT_REPORT => {
                 let Ok(req) = serde_json::from_value::<CreditReport>(body) else {
@@ -193,7 +193,7 @@ impl Orc8rActor {
                 };
                 ctx.metrics().inc("orc8r.metrics_pushes", 1.0);
                 self.server
-                    .reply(ctx, conn, id, &flows::ORC8R_REPLY, json!(MetricsAck { accepted, last_seq }));
+                    .reply(ctx, conn, id, &flows::ORC8R_REPLY, MetricsAck { accepted, last_seq });
             }
             other => {
                 self.server
@@ -205,29 +205,27 @@ impl Orc8rActor {
     /// Push the latest snapshot to any connected gateway whose replica is
     /// stale (desired-state push, complementing the pull at check-in).
     fn push_stale(&mut self, ctx: &mut Ctx<'_>) {
-        let (version, snapshot) = {
-            let st = self.state.borrow();
-            (st.db.version, st.db.snapshot())
-        };
+        let version = self.state.borrow().db.version;
         let stale: Vec<StreamHandle> = self
             .conns
             .iter()
             .filter(|(_, info)| info.agw_id.is_some() && info.last_pushed_version < version)
             .map(|(h, _)| *h)
             .collect();
-        for conn in stale {
-            if self.server.push(
-                ctx,
-                conn,
-                version,
-                &flows::PUSH_SUBSCRIBERS,
-                json!(snapshot),
-            ) {
-                if let Some(info) = self.conns.get_mut(&conn) {
-                    info.last_pushed_version = version;
-                }
-                ctx.metrics().inc("orc8r.pushes", 1.0);
+        if stale.is_empty() {
+            return;
+        }
+        // One snapshot and one encoded frame for the whole stale set: the
+        // stream id is the version, so every gateway gets the same bytes.
+        let snapshot = self.state.borrow().db.snapshot();
+        let pushed = self
+            .server
+            .push(ctx, &stale, version, &flows::PUSH_SUBSCRIBERS, &snapshot);
+        for conn in pushed {
+            if let Some(info) = self.conns.get_mut(&conn) {
+                info.last_pushed_version = version;
             }
+            ctx.metrics().inc("orc8r.pushes", 1.0);
         }
     }
 }

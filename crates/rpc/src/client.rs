@@ -6,10 +6,12 @@
 //! client therefore retries aggressively across connection failures, which
 //! is what keeps the control plane usable over satellite-grade backhaul.
 
-use crate::codec::{encode_frame, Framer};
-use crate::msg::{RpcFrame, RpcKind};
+use crate::codec::{self, Framer};
+use crate::msg::RpcKind;
+use bytes::Bytes;
 use magma_net::{flows, Endpoint, SockCmd, SockEvent, StreamHandle};
 use magma_sim::{ActorId, Ctx, FlowKind, Role, SimDuration, SimTime};
+use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -37,8 +39,10 @@ enum ConnState {
 }
 
 struct Pending {
-    method: String,
-    body: Value,
+    method: &'static str,
+    /// The encoded request. The id is fixed per call, so every attempt
+    /// puts these same bytes on the wire; a retry clones the handle.
+    frame: Bytes,
     deadline: SimTime,
     retries_left: u32,
     per_try: SimDuration,
@@ -140,7 +144,15 @@ impl RpcClient {
     /// unary call must be a `Request`-role kind with a registered retry
     /// timer, which is exactly what the client's deadline/retry machinery
     /// provides (lint rule F004 audits the declaration side).
-    pub fn call(&mut self, ctx: &mut Ctx<'_>, kind: &'static FlowKind, body: Value) -> u64 {
+    ///
+    /// The body is encoded here, once; retries and the reconnect flush
+    /// re-send the held frame.
+    pub fn call(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        kind: &'static FlowKind,
+        body: impl Serialize,
+    ) -> u64 {
         debug_assert!(
             kind.role == Role::Request && kind.retry.is_some(),
             "RPC calls must use a Request-role flow kind with a retry edge, got {}",
@@ -149,11 +161,15 @@ impl RpcClient {
         let id = self.next_id;
         self.next_id += 1;
         let now = ctx.now();
+        let frame = {
+            let _enc = ctx.profile_scope("rpc.encode");
+            codec::encode(RpcKind::Request, id, kind.name, &body)
+        };
         self.outstanding.insert(
             id,
             Pending {
-                method: kind.name.to_string(),
-                body,
+                method: kind.name,
+                frame,
                 deadline: now + self.cfg.total_timeout,
                 retries_left: self.cfg.max_retries,
                 per_try: self.cfg.per_try_timeout,
@@ -173,15 +189,11 @@ impl RpcClient {
         let Some(p) = self.outstanding.get(&id) else {
             return;
         };
-        let frame = RpcFrame::request(id, &p.method, p.body.clone());
         self.calls_sent += 1;
-        let bytes = {
-            let _enc = ctx.profile_scope("rpc.encode");
-            encode_frame(&frame)
-        };
+        let bytes = p.frame.clone();
         // The method is a logical shard cut edge; it rides inside the
-        // stream payload, so shardscope samples it here at encode time.
-        ctx.shard_logical(&p.method, bytes.len());
+        // stream payload, so shardscope samples it here, once per send.
+        ctx.shard_logical(p.method, bytes.len());
         ctx.send_to(
             self.stack,
             &flows::SOCK_CMD,
@@ -211,6 +223,16 @@ impl RpcClient {
                     let _dec = ctx.profile_scope("rpc.decode");
                     self.framer.push(&bytes)
                 };
+                if self.framer.is_poisoned() {
+                    // Framing is lost for good; the close comes back as
+                    // `StreamClosed` and outstanding calls retry on a
+                    // fresh stream.
+                    ctx.send_to(
+                        self.stack,
+                        &flows::SOCK_CMD,
+                        Box::new(SockCmd::StreamClose { handle }),
+                    );
+                }
                 let mut out = Vec::new();
                 for f in frames {
                     match f.kind {

@@ -4,23 +4,59 @@
 //! (MTU-sized segments, possibly coalesced); the [`Framer`] reassembles
 //! complete `[u32 length][json]` frames.
 
-use crate::msg::RpcFrame;
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::msg::{RpcFrame, RpcKind};
+use bytes::Bytes;
+use serde::Serialize;
+
+/// Largest frame body a peer may announce: 16 MiB, 80× the largest
+/// checkpoint any scenario sends. A longer prefix is hostile or corrupt —
+/// four bytes must not make the receiver buffer 4 GiB.
+pub const MAX_FRAME_LEN: usize = 16 << 20;
+
+const PREFIX_LEN: usize = 4;
+
+/// Lay out one frame, length prefix included, streaming the typed body
+/// straight to text. This is the only place frame text is written; it is
+/// byte-for-byte what `serde_json::to_vec(&RpcFrame)` renders (object
+/// keys in string order: body, id, kind, method), so the wire is the same
+/// whichever way a frame was built. [`RpcClient`](crate::RpcClient) and
+/// [`RpcServer`](crate::RpcServer) call it with the bodies they are
+/// given; it is public for benches and tools that frame without a world.
+pub fn encode<B: Serialize + ?Sized>(kind: RpcKind, id: u64, method: &str, body: &B) -> Bytes {
+    // The prefix is reserved as four NULs (valid UTF-8) and filled in
+    // once the length is known.
+    let mut text = String::from("\0\0\0\0{\"body\":");
+    body.write_json(&mut text);
+    text.push_str(",\"id\":");
+    id.write_json(&mut text);
+    text.push_str(",\"kind\":");
+    kind.write_json(&mut text);
+    text.push_str(",\"method\":");
+    method.write_json(&mut text);
+    text.push('}');
+    let mut wire = text.into_bytes();
+    debug_assert!(
+        wire.len() - PREFIX_LEN <= MAX_FRAME_LEN,
+        "peer would refuse this frame"
+    );
+    let len = (wire.len() - PREFIX_LEN) as u32;
+    for (dst, src) in wire.iter_mut().zip(len.to_be_bytes()) {
+        *dst = src;
+    }
+    Bytes::from(wire)
+}
 
 /// Encode one frame with its length prefix.
 pub fn encode_frame(frame: &RpcFrame) -> Bytes {
-    // lint:allow(A002, reason = "RpcFrame is a plain struct of strings/ints/Value; serde_json::to_vec on it is infallible")
-    let body = serde_json::to_vec(frame).expect("RpcFrame serializes");
-    let mut b = BytesMut::with_capacity(4 + body.len());
-    b.put_u32(body.len() as u32);
-    b.put_slice(&body);
-    b.freeze()
+    encode(frame.kind, frame.id, &frame.method, &frame.body)
 }
 
 /// Streaming reassembler for length-prefixed frames.
 #[derive(Debug, Default)]
 pub struct Framer {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    rejected: u64,
+    poisoned: bool,
 }
 
 impl Framer {
@@ -29,22 +65,39 @@ impl Framer {
     }
 
     /// Feed received bytes; returns all complete frames now available.
-    /// Malformed JSON inside a complete frame is skipped (and counted by
-    /// the caller via the returned error count if needed).
+    /// A complete frame that is not a valid `RpcFrame` is skipped and
+    /// counted in [`rejected`](Self::rejected). A length prefix beyond
+    /// [`MAX_FRAME_LEN`] poisons the framer: framing is lost for good, so
+    /// it drops what it holds and ignores further input until the owner
+    /// closes the stream.
     pub fn push(&mut self, bytes: &[u8]) -> Vec<RpcFrame> {
-        self.buf.extend_from_slice(bytes);
         let mut out = Vec::new();
-        while let Some(&[b0, b1, b2, b3]) = self.buf.get(..4) {
-            let len = u32::from_be_bytes([b0, b1, b2, b3]) as usize;
-            if self.buf.len() < 4 + len {
-                break;
-            }
-            let _ = self.buf.split_to(4);
-            let body = self.buf.split_to(len);
-            if let Ok(frame) = serde_json::from_slice::<RpcFrame>(&body) {
-                out.push(frame);
-            }
+        if self.poisoned {
+            return out;
         }
+        self.buf.extend_from_slice(bytes);
+        let mut consumed = 0;
+        while let Some(rest) = self.buf.get(consumed..) {
+            let Some(&[b0, b1, b2, b3]) = rest.get(..PREFIX_LEN) else {
+                break;
+            };
+            let len = u32::from_be_bytes([b0, b1, b2, b3]) as usize;
+            if len > MAX_FRAME_LEN {
+                self.rejected += 1;
+                self.poisoned = true;
+                self.buf = Vec::new();
+                return out;
+            }
+            let Some(body) = rest.get(PREFIX_LEN..PREFIX_LEN + len) else {
+                break;
+            };
+            match serde_json::from_slice::<RpcFrame>(body) {
+                Ok(frame) => out.push(frame),
+                Err(_) => self.rejected += 1,
+            }
+            consumed += PREFIX_LEN + len;
+        }
+        self.buf.drain(..consumed);
         out
     }
 
@@ -52,11 +105,23 @@ impl Framer {
     pub fn buffered(&self) -> usize {
         self.buf.len()
     }
+
+    /// Frames refused so far: unparseable bodies plus the over-long
+    /// prefix that poisoned the framer, if one did.
+    pub fn rejected(&self) -> u64 {
+        self.rejected
+    }
+
+    /// True once an over-long prefix was seen; the stream must be closed.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
     use serde_json::json;
 
     #[test]
@@ -96,14 +161,91 @@ mod tests {
     }
 
     #[test]
-    fn garbage_json_skipped() {
+    fn garbage_json_counted_and_good_frame_after_it_delivered() {
         let mut b = BytesMut::new();
         b.put_u32(3);
         b.put_slice(b"???");
+        // Valid JSON that is not a frame is refused the same way.
+        b.put_u32(2);
+        b.put_slice(b"{}");
         let good = RpcFrame::response(2, json!("ok"));
         b.extend_from_slice(&encode_frame(&good));
         let mut fr = Framer::new();
         let got = fr.push(&b);
         assert_eq!(got, vec![good]);
+        assert_eq!(fr.rejected(), 2);
+        assert!(!fr.is_poisoned());
+        assert_eq!(fr.buffered(), 0);
+    }
+
+    #[test]
+    fn over_long_prefix_poisons_without_buffering() {
+        let good = RpcFrame::response(1, json!("ok"));
+        let mut b = BytesMut::new();
+        b.extend_from_slice(&encode_frame(&good));
+        b.put_u32(MAX_FRAME_LEN as u32 + 1);
+        b.put_slice(b"{\"the rest never");
+        let mut fr = Framer::new();
+        // The frame ahead of the bad prefix is still delivered.
+        assert_eq!(fr.push(&b), vec![good.clone()]);
+        assert!(fr.is_poisoned());
+        assert_eq!(fr.rejected(), 1);
+        assert_eq!(fr.buffered(), 0);
+        // Nothing is buffered or parsed after that, however well-formed.
+        assert!(fr.push(&encode_frame(&good)).is_empty());
+        assert_eq!(fr.buffered(), 0);
+        assert_eq!(fr.rejected(), 1);
+    }
+
+    #[test]
+    fn largest_allowed_prefix_is_not_poison() {
+        let mut b = BytesMut::new();
+        b.put_u32(MAX_FRAME_LEN as u32);
+        let mut fr = Framer::new();
+        assert!(fr.push(&b).is_empty());
+        assert!(!fr.is_poisoned());
+        assert_eq!(fr.buffered(), 4);
+    }
+
+    /// The streaming encoder against the tree path it replaced
+    /// (`to_json().render()` of the derived `RpcFrame`), one frame of
+    /// each kind, and against bytes taken from the parent commit.
+    #[test]
+    fn encoder_matches_the_tree_rendering_and_the_pinned_wire() {
+        let body = json!({"agw_id": "agw-1", "n": [1, 2.0, null], "s": "q\"\\\n\u{1}é"});
+        let cases = [
+            (
+                RpcFrame::request(7, "orc8r.Checkin", body),
+                "000000737b22626f6479223a7b226167775f6964223a226167772d31222c226e223a5b312c322e302c\
+                 6e756c6c5d2c2273223a22715c225c5c5c6e5c7530303031c3a9227d2c226964223a372c226b696e64\
+                 223a2252657175657374222c226d6574686f64223a226f726338722e436865636b696e227d",
+            ),
+            (
+                RpcFrame::response(7, json!({})),
+                "000000307b22626f6479223a7b7d2c226964223a372c226b696e64223a22526573706f6e7365222c22\
+                 6d6574686f64223a22227d",
+            ),
+            (
+                RpcFrame::error(9, "unregistered gateway"),
+                "000000417b22626f6479223a22756e726567697374657265642067617465776179222c226964223a39\
+                 2c226b696e64223a224572726f72222c226d6574686f64223a22227d",
+            ),
+            (
+                RpcFrame::push(3, "sync.Subscribers", json!({"version": 3, "subscribers": []})),
+                "000000587b22626f6479223a7b227375627363726962657273223a5b5d2c2276657273696f6e223a33\
+                 7d2c226964223a332c226b696e64223a2250757368222c226d6574686f64223a2273796e632e537562\
+                 7363726962657273227d",
+            ),
+        ];
+        for (frame, pinned_hex) in cases {
+            let wire = encode_frame(&frame);
+            let mut tree_text = String::new();
+            serde::Serialize::to_json(&frame).render(&mut tree_text);
+            let (prefix, text) = wire.split_at(PREFIX_LEN);
+            assert_eq!(prefix, (tree_text.len() as u32).to_be_bytes());
+            assert_eq!(text, tree_text.as_bytes());
+            let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pinned_hex, "{frame:?}");
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! RPC server: accepts connections on a port, surfaces requests to the
 //! owning actor, and sends responses / push frames back.
 
-use crate::codec::{encode_frame, Framer};
-use crate::msg::{RpcFrame, RpcKind};
+use crate::codec::{self, Framer};
+use crate::msg::RpcKind;
+use bytes::Bytes;
 use magma_net::{flows, SockCmd, SockEvent, StreamHandle};
 use magma_sim::{ActorId, Ctx, FlowKind, Role};
+use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -76,6 +78,7 @@ impl RpcServer {
             }
             SockEvent::StreamRecv { handle, bytes } if self.conns.contains_key(&handle) => {
                 let mut out = Vec::new();
+                let mut poisoned = false;
                 if let Some(framer) = self.conns.get_mut(&handle) {
                     let _dec = ctx.profile_scope("rpc.decode");
                     for f in framer.push(&bytes) {
@@ -88,6 +91,16 @@ impl RpcServer {
                             });
                         }
                     }
+                    poisoned = framer.is_poisoned();
+                }
+                if poisoned {
+                    // Framing is lost for good; the close comes back as
+                    // `StreamClosed`, which drops the connection.
+                    ctx.send_to(
+                        self.stack,
+                        &flows::SOCK_CMD,
+                        Box::new(SockCmd::StreamClose { handle }),
+                    );
                 }
                 self.requests_served += out.len() as u64;
                 Ok(out)
@@ -109,14 +122,15 @@ impl RpcServer {
         conn: StreamHandle,
         id: u64,
         kind: &'static FlowKind,
-        body: Value,
+        body: impl Serialize,
     ) {
         debug_assert!(
             kind.role == Role::Response,
             "RPC replies must use a Response-role flow kind, got {}",
             kind.name
         );
-        self.send_frame(ctx, conn, kind, RpcFrame::response(id, body));
+        let frame = Self::encode(ctx, RpcKind::Response, id, "", &body);
+        self.send_frame(ctx, conn, kind, frame);
     }
 
     /// Send an application error (same `Response` edge as [`reply`](Self::reply)).
@@ -133,25 +147,35 @@ impl RpcServer {
             "RPC replies must use a Response-role flow kind, got {}",
             kind.name
         );
-        self.send_frame(ctx, conn, kind, RpcFrame::error(id, msg));
+        let frame = Self::encode(ctx, RpcKind::Error, id, "", msg);
+        self.send_frame(ctx, conn, kind, frame);
     }
 
-    /// Push an unsolicited frame (desired-state sync) to a connected
-    /// client; the kind's name is the wire method. Returns false if the
-    /// connection is gone.
+    /// Push one unsolicited frame (desired-state sync) to each listed
+    /// client that is still connected; the kind's name is the wire
+    /// method. The frame is encoded once, however many clients take it —
+    /// the stream id is the caller's, so their frames are the same bytes.
+    /// Returns the connections it was sent to.
     pub fn push(
         &mut self,
         ctx: &mut Ctx<'_>,
-        conn: StreamHandle,
+        conns: &[StreamHandle],
         stream_id: u64,
         kind: &'static FlowKind,
-        body: Value,
-    ) -> bool {
-        if !self.conns.contains_key(&conn) {
-            return false;
+        body: impl Serialize,
+    ) -> Vec<StreamHandle> {
+        let live: Vec<StreamHandle> = conns
+            .iter()
+            .copied()
+            .filter(|c| self.conns.contains_key(c))
+            .collect();
+        if !live.is_empty() {
+            let frame = Self::encode(ctx, RpcKind::Push, stream_id, kind.name, &body);
+            for &conn in &live {
+                self.send_frame(ctx, conn, kind, frame.clone());
+            }
         }
-        self.send_frame(ctx, conn, kind, RpcFrame::push(stream_id, kind.name, body));
-        true
+        live
     }
 
     /// Handles of all live client connections.
@@ -159,19 +183,26 @@ impl RpcServer {
         self.conns.keys().copied()
     }
 
+    fn encode<B: Serialize + ?Sized>(
+        ctx: &mut Ctx<'_>,
+        kind: RpcKind,
+        id: u64,
+        method: &str,
+        body: &B,
+    ) -> Bytes {
+        let _enc = ctx.profile_scope("rpc.encode");
+        codec::encode(kind, id, method, body)
+    }
+
     fn send_frame(
         &mut self,
         ctx: &mut Ctx<'_>,
         conn: StreamHandle,
         kind: &'static FlowKind,
-        frame: RpcFrame,
+        bytes: Bytes,
     ) {
-        let bytes = {
-            let _enc = ctx.profile_scope("rpc.encode");
-            encode_frame(&frame)
-        };
         // Reply/push edges are logical shard cut edges; they ride inside
-        // the stream payload, so shardscope samples them at encode time.
+        // the stream payload, so shardscope samples them once per send.
         ctx.shard_logical(kind.name, bytes.len());
         ctx.send_to(
             self.stack,

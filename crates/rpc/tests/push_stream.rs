@@ -53,10 +53,8 @@ impl Actor for Pusher {
             Event::Timer { tag: 1 } => {
                 self.seq += 1;
                 let conns: Vec<_> = self.server.clients().collect();
-                for c in conns {
-                    self.server
-                        .push(ctx, c, 1, &SYNC_TICK, json!({ "seq": self.seq }));
-                }
+                self.server
+                    .push(ctx, &conns, 1, &SYNC_TICK, json!({ "seq": self.seq }));
                 ctx.timer_in(SimDuration::from_millis(100), 1);
             }
             Event::Timer { .. } => {}

@@ -1,0 +1,306 @@
+//! What the RPC layer hands the net stack, seen through a scripted
+//! stand-in that records every `SockCmd` it is given.
+//!
+//! A call is encoded once. The request id is fixed when the call is
+//! made, so the first send, every timed-out retry and the flush after a
+//! reconnect carry the same bytes — the client holds them and re-sends
+//! them. Likewise one push to several connections is one encoding. And a
+//! peer whose length prefix cannot be a frame gets its stream closed.
+
+use bytes::Bytes;
+use magma_net::{flows, Endpoint, NodeAddr, SockCmd, SockEvent, StreamHandle};
+use magma_rpc::{RpcClient, RpcClientConfig, RpcServer, MAX_FRAME_LEN};
+use magma_sim::{
+    downcast, Actor, ActorId, Ctx, DelayClass, Event, FlowKind, Role, SimDuration, SimTime, World,
+};
+use serde::Serialize;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+const REPORT: FlowKind = FlowKind {
+    name: "test.Report",
+    sender: "test.caller",
+    receiver: "test.peer",
+    class: DelayClass::Transport,
+    role: Role::Request,
+    retry: Some("test.caller.tick"),
+    lookahead: None,
+};
+const SYNC: FlowKind = FlowKind {
+    name: "test.Sync",
+    sender: "test.pusher",
+    receiver: "test.peer",
+    class: DelayClass::Transport,
+    role: Role::Data,
+    retry: None,
+    lookahead: None,
+};
+
+#[derive(Serialize)]
+struct Report {
+    gateway: String,
+    readings: Vec<f64>,
+}
+
+#[derive(Default)]
+struct Wire {
+    opens: u32,
+    sends: Vec<(StreamHandle, Bytes)>,
+    closes: Vec<StreamHandle>,
+}
+
+/// Stands where the net stack would: opens succeed at once, sent bytes
+/// go nowhere (a partition), and at `drop_at` the open stream is reset.
+struct ScriptedStack {
+    wire: Rc<RefCell<Wire>>,
+    drop_at: Option<SimDuration>,
+    owner: Option<ActorId>,
+}
+
+impl Actor for ScriptedStack {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        match event {
+            Event::Start => {
+                if let Some(at) = self.drop_at {
+                    ctx.timer_in(at, 1);
+                }
+            }
+            Event::Timer { .. } => {
+                let handle = StreamHandle(u64::from(self.wire.borrow().opens));
+                if let Some(owner) = self.owner {
+                    ctx.send_to(
+                        owner,
+                        &flows::SOCK_EVENT,
+                        Box::new(SockEvent::StreamClosed {
+                            handle,
+                            error: true,
+                        }),
+                    );
+                }
+            }
+            Event::Msg { payload, .. } => match downcast::<SockCmd>(payload, "scripted-stack") {
+                SockCmd::OpenStream { peer, owner, user } => {
+                    self.owner = Some(owner);
+                    let handle = {
+                        let mut wire = self.wire.borrow_mut();
+                        wire.opens += 1;
+                        StreamHandle(u64::from(wire.opens))
+                    };
+                    ctx.send_to(
+                        owner,
+                        &flows::SOCK_EVENT,
+                        Box::new(SockEvent::StreamOpened { handle, user, peer }),
+                    );
+                }
+                SockCmd::StreamSend { handle, bytes } => {
+                    self.wire.borrow_mut().sends.push((handle, bytes));
+                }
+                SockCmd::StreamClose { handle } => self.wire.borrow_mut().closes.push(handle),
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+}
+
+struct Caller {
+    client: RpcClient,
+}
+
+impl Actor for Caller {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        match event {
+            Event::Start => {
+                let report = Report {
+                    gateway: "agw-1".into(),
+                    readings: vec![1.0, 2.5],
+                };
+                self.client.call(ctx, &REPORT, &report);
+                ctx.timer_in(SimDuration::from_millis(250), 1);
+            }
+            Event::Timer { .. } => {
+                self.client.on_tick(ctx);
+                ctx.timer_in(SimDuration::from_millis(250), 1);
+            }
+            Event::Msg { payload, .. } => {
+                let ev = downcast::<SockEvent>(payload, "caller");
+                let _ = self.client.try_handle(ctx, ev);
+            }
+            _ => {}
+        }
+    }
+}
+
+fn encode_scope_count(w: &World) -> u64 {
+    w.profile()
+        .virt
+        .scopes
+        .iter()
+        .find(|s| s.label == "rpc.encode")
+        .map_or(0, |s| s.count)
+}
+
+#[test]
+fn retries_and_the_reconnect_flush_resend_the_bytes_of_the_first_send() {
+    let mut w = World::new(3);
+    w.enable_profiling(true);
+    let wire = Rc::new(RefCell::new(Wire::default()));
+    // Sends at 0 s (first), 1 s and 2 s (timed-out retries) ride the
+    // first stream; it is reset at 2.6 s, so the 3 s retry finds the
+    // client disconnected, reopens, and goes out in the connect flush.
+    let stack = w.add_actor(Box::new(ScriptedStack {
+        wire: wire.clone(),
+        drop_at: Some(SimDuration::from_millis(2600)),
+        owner: None,
+    }));
+    let peer = Endpoint::new(NodeAddr(9), 8443);
+    w.add_actor(Box::new(Caller {
+        client: RpcClient::new(stack, peer, 1).with_config(RpcClientConfig {
+            per_try_timeout: SimDuration::from_secs(1),
+            max_retries: 5,
+            total_timeout: SimDuration::from_secs(30),
+        }),
+    }));
+    w.run_until(SimTime::from_millis(3500));
+
+    let wire = wire.borrow();
+    assert_eq!(wire.opens, 2, "one reconnect");
+    let handles: Vec<u64> = wire.sends.iter().map(|(h, _)| h.0).collect();
+    assert_eq!(
+        handles,
+        [1, 1, 1, 2],
+        "first send, two retries, reconnect flush"
+    );
+    let first = &wire.sends.first().expect("sent at least once").1;
+    for (_, bytes) in &wire.sends {
+        assert_eq!(bytes, first);
+    }
+    let text = String::from_utf8_lossy(first.get(4..).expect("length prefix"));
+    assert_eq!(
+        text,
+        r#"{"body":{"gateway":"agw-1","readings":[1.0,2.5]},"id":1,"kind":"Request","method":"test.Report"}"#
+    );
+    assert_eq!(encode_scope_count(&w), 1, "one call, one encoding");
+}
+
+/// Accepts three connections, then pushes one body to all of them.
+struct Pusher {
+    server: RpcServer,
+}
+
+impl Actor for Pusher {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        if let Event::Start = event {
+            let mut conns = Vec::new();
+            for n in 1..=3 {
+                let handle = StreamHandle(n);
+                let accepted = SockEvent::StreamAccepted {
+                    handle,
+                    local_port: self.server.port(),
+                    peer: Endpoint::new(NodeAddr(n as u32), 40_000),
+                };
+                assert!(self.server.try_handle(ctx, accepted).is_ok());
+                conns.push(handle);
+            }
+            // A connection the server never saw takes nothing.
+            conns.push(StreamHandle(77));
+            let sent = self.server.push(ctx, &conns, 5, &SYNC, vec!["a", "b"]);
+            assert_eq!(sent, [StreamHandle(1), StreamHandle(2), StreamHandle(3)]);
+            assert!(self
+                .server
+                .push(ctx, &[StreamHandle(77)], 5, &SYNC, 0u8)
+                .is_empty());
+        }
+    }
+}
+
+#[test]
+fn push_to_three_connections_encodes_once() {
+    let mut w = World::new(4);
+    w.enable_profiling(true);
+    let wire = Rc::new(RefCell::new(Wire::default()));
+    let stack = w.add_actor(Box::new(ScriptedStack {
+        wire: wire.clone(),
+        drop_at: None,
+        owner: None,
+    }));
+    w.add_actor(Box::new(Pusher {
+        server: RpcServer::new(stack, 8443),
+    }));
+    w.run_until(SimTime::from_secs(1));
+
+    let wire = wire.borrow();
+    let handles: Vec<u64> = wire.sends.iter().map(|(h, _)| h.0).collect();
+    assert_eq!(handles, [1, 2, 3]);
+    let first = &wire.sends.first().expect("pushed").1;
+    assert!(wire.sends.iter().all(|(_, b)| b == first));
+    assert_eq!(
+        String::from_utf8_lossy(first.get(4..).expect("length prefix")),
+        r#"{"body":["a","b"],"id":5,"kind":"Push","method":"test.Sync"}"#
+    );
+    // The push to no live connection was not encoded at all.
+    assert_eq!(encode_scope_count(&w), 1);
+}
+
+/// Feeds its client and its server a length prefix past `MAX_FRAME_LEN`.
+struct Victim {
+    client: RpcClient,
+    server: RpcServer,
+}
+
+impl Actor for Victim {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        if let Event::Start = event {
+            let hostile = Bytes::from((MAX_FRAME_LEN as u32 + 1).to_be_bytes().to_vec());
+
+            let handle = StreamHandle(1);
+            let opened = SockEvent::StreamOpened {
+                handle,
+                user: 1,
+                peer: self.client.server(),
+            };
+            assert!(self.client.try_handle(ctx, opened).is_ok());
+            let recv = SockEvent::StreamRecv {
+                handle,
+                bytes: hostile.clone(),
+            };
+            assert!(self
+                .client
+                .try_handle(ctx, recv)
+                .is_ok_and(|evs| evs.is_empty()));
+
+            let conn = StreamHandle(50);
+            let accepted = SockEvent::StreamAccepted {
+                handle: conn,
+                local_port: self.server.port(),
+                peer: Endpoint::new(NodeAddr(2), 40_000),
+            };
+            assert!(self.server.try_handle(ctx, accepted).is_ok());
+            let recv = SockEvent::StreamRecv {
+                handle: conn,
+                bytes: hostile,
+            };
+            assert!(self
+                .server
+                .try_handle(ctx, recv)
+                .is_ok_and(|evs| evs.is_empty()));
+        }
+    }
+}
+
+#[test]
+fn an_over_long_prefix_gets_the_stream_closed() {
+    let mut w = World::new(5);
+    let wire = Rc::new(RefCell::new(Wire::default()));
+    let stack = w.add_actor(Box::new(ScriptedStack {
+        wire: wire.clone(),
+        drop_at: None,
+        owner: None,
+    }));
+    w.add_actor(Box::new(Victim {
+        client: RpcClient::new(stack, Endpoint::new(NodeAddr(9), 8443), 1),
+        server: RpcServer::new(stack, 8443),
+    }));
+    w.run_until(SimTime::from_secs(1));
+    assert_eq!(wire.borrow().closes, [StreamHandle(1), StreamHandle(50)]);
+}

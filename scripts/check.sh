@@ -9,6 +9,14 @@ cargo build --workspace --release
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> frozen benchmark crate (build + self-tests against these crates)"
+# benchmark/ is a package of its own that a performance PR may not edit;
+# it links a narrow API surface of the workspace (benchmark/README.md).
+# Building both of its binaries and running its self-tests here makes a
+# PR that breaks that surface fail now, not when the benchmark is run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml -q
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1,0 +1,190 @@
+//! Every body that rides the RPC wire, taken from a live deployment,
+//! through both directions of the vendored serde: the streamed text must
+//! be the bytes the `Value` tree renders (so the simulated wire did not
+//! move when `magma-rpc` stopped building trees), and the consuming
+//! reader must return what the borrowing reader returns.
+
+use magma::orc8r::{
+    BootstrapRequest, BootstrapResponse, CheckinRequest, CheckinResponse, CheckpointPush,
+    CheckpointPushRef, CreditReport, CreditRequest, CreditResponse, FegAuthRequest,
+    FegAuthResponse, FegLocationRequest, FegLocationResponse, FegVector, MetricsAck, MetricsPush,
+};
+use magma::prelude::*;
+use magma::rpc::{encode_frame, Framer, RpcFrame};
+use magma::wire::aka::{Autn, Kasme, Rand, Res};
+use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
+
+fn rendered<T: Serialize + ?Sized>(x: &T) -> String {
+    let mut s = String::new();
+    x.to_json().render(&mut s);
+    s
+}
+
+fn streamed<T: Serialize + ?Sized>(x: &T) -> String {
+    let mut s = String::new();
+    x.write_json(&mut s);
+    s
+}
+
+fn check<T: Serialize + Deserialize + PartialEq + Debug>(x: &T) {
+    let name = std::any::type_name::<T>();
+    assert_eq!(
+        streamed(x),
+        rendered(x),
+        "{name}: write_json vs to_json().render()"
+    );
+    let tree = x.to_json();
+    let owned = T::from_json_owned(tree.clone());
+    assert_eq!(
+        owned,
+        T::from_json(&tree),
+        "{name}: from_json_owned vs from_json"
+    );
+    assert_eq!(owned.as_ref(), Ok(x), "{name}: round trip");
+}
+
+#[test]
+fn every_rpc_body_streams_the_bytes_its_tree_renders() {
+    // A site busy enough that the session table, the IP pool and the
+    // subscriber map all hold integer keys of different widths.
+    let site = SiteSpec {
+        enbs: 2,
+        ues_per_enb: 12,
+        attach_rate_per_sec: 4.0,
+        ..SiteSpec::typical()
+    };
+    let cfg = ScenarioConfig::new(17).with_agw(AgwSpec::bare_metal(site));
+    let mut d = magma::deploy(cfg);
+    d.world.run_until(SimTime::from_secs(40));
+
+    let agw = d.agws.first().expect("one gateway");
+    let cp = agw
+        .handle
+        .borrow()
+        .checkpoint
+        .clone()
+        .expect("a checkpoint was taken");
+    assert!(
+        cp.sessions.len() >= 20,
+        "sessions up: {}",
+        cp.sessions.len()
+    );
+    let db = d.orc8r.borrow().db.snapshot();
+    let snapshot = d.world.registry().snapshot_prefixed(&agw.id);
+    assert!(!snapshot.counters.is_empty() && !snapshot.histograms.is_empty());
+    let events = d.world.events().since(&agw.id, 0, 64);
+    assert!(!events.is_empty(), "the gateway logged events");
+
+    check(&cp);
+    check(&cp.sessions);
+    check(&cp.pool);
+    check(&db);
+    check(&snapshot);
+    for e in &events {
+        check(e);
+    }
+
+    // The checkpoint as sent (borrowed view) is the checkpoint as read.
+    let push = CheckpointPush {
+        agw_id: cp.agw_id.clone(),
+        state: serde_json::to_value(&cp).unwrap(),
+    };
+    check(&push);
+    let view = CheckpointPushRef {
+        agw_id: &cp.agw_id,
+        state: &cp,
+    };
+    assert_eq!(streamed(&view), rendered(&push));
+    assert_eq!(rendered(&view), rendered(&push));
+
+    check(&BootstrapRequest {
+        agw_id: agw.id.clone(),
+        hw_token: u64::MAX,
+    });
+    check(&BootstrapResponse { cert: 7 });
+    check(&CheckinRequest {
+        agw_id: agw.id.clone(),
+        cert: 7,
+        db_version: db.version,
+        enbs: vec![1, 2],
+        active_sessions: cp.sessions.len() as u64,
+        metrics: [
+            ("attach.accept".to_string(), 24.0),
+            ("attach.reject".to_string(), 0.0),
+        ]
+        .into(),
+    });
+    check(&CheckinResponse {
+        latest_version: db.version,
+        snapshot: None,
+        checkin_interval_s: 60,
+    });
+    check(&CheckinResponse {
+        latest_version: db.version,
+        snapshot: Some(db.clone()),
+        checkin_interval_s: 60,
+    });
+    check(&CreditRequest {
+        imsi: 310_260_000_000_001,
+        session_id: 9,
+    });
+    check(&CreditResponse {
+        granted: 1 << 20,
+        is_final: false,
+        denied: false,
+    });
+    check(&CreditReport {
+        imsi: 310_260_000_000_001,
+        session_id: 10,
+        used_bytes: 0,
+        released_quota: 5,
+    });
+    check(&FegAuthRequest { imsi: 1 });
+    check(&FegAuthResponse {
+        vectors: vec![FegVector {
+            rand: Rand([9; 16]),
+            autn: Autn([10; 16]),
+            xres: Res([255; 8]),
+            kasme: Kasme([0; 16]),
+        }],
+    });
+    check(&FegLocationRequest {
+        imsi: 1,
+        agw_id: agw.id.clone(),
+    });
+    check(&FegLocationResponse {
+        ok: true,
+        ambr_dl_kbps: 100_000,
+        ambr_ul_kbps: 9,
+    });
+    let metrics = MetricsPush {
+        agw_id: agw.id.clone(),
+        seq: 3,
+        taken_at_us: 40_000_000,
+        snapshot,
+        events,
+    };
+    check(&metrics);
+    check(&MetricsAck {
+        accepted: true,
+        last_seq: 3,
+    });
+
+    // And through the frame layer: a typed body framed by the streaming
+    // encoder is the frame the tree encoder wrote, and reads back whole
+    // when it arrives in segments.
+    let frame = RpcFrame::request(11, "metricsd.Push", serde_json::to_value(&metrics).unwrap());
+    let wire = encode_frame(&frame);
+    let mut framer = Framer::new();
+    let mut got = Vec::new();
+    for chunk in wire.chunks(1400) {
+        got.extend(framer.push(chunk));
+    }
+    assert_eq!(got, vec![frame]);
+    let body = got.pop().expect("one frame").body;
+    assert_eq!(
+        serde_json::from_value::<MetricsPush>(body).unwrap(),
+        metrics
+    );
+}
