@@ -22,7 +22,7 @@ use crate::mobilityd::IpPool;
 use crate::msgs::{AgwHandle, FluidDemand, FluidGrant};
 use crate::pipelined;
 use crate::sessiond::{AccessTech, SessionManager};
-use magma_dataplane::Pipeline;
+use magma_dataplane::{DesiredState, Pipeline};
 use magma_net::{lp_encode, ports, LpFramer, SockCmd, SockEvent, StreamHandle};
 use magma_orc8r::proto as orc8r_proto;
 use magma_rpc::{RpcClient, RpcClientConfig, RpcClientEvent};
@@ -138,6 +138,9 @@ pub struct AgwActor {
     db: SubscriberDb,
     pool: IpPool,
     sessions: SessionManager,
+    /// pipelined's full desired state, kept equal to
+    /// `pipelined::compile(&sessions)` by recompiling touched sessions.
+    desired: DesiredState,
     pipeline: Pipeline,
     // MME/AMF.
     ue_ctxs: BTreeMap<u32, UeCtx>,
@@ -219,6 +222,7 @@ impl AgwActor {
             db,
             pool,
             sessions,
+            desired: DesiredState::default(),
             pipeline: Pipeline::new(),
             ue_ctxs: BTreeMap::new(),
             by_guti: BTreeMap::new(),
@@ -239,6 +243,12 @@ impl AgwActor {
             calls: BTreeMap::new(),
             wifi_sessions: BTreeMap::new(),
         }
+    }
+
+    /// The session table and the live data plane, for tests that hold
+    /// one against the other.
+    pub fn dataplane_view(&mut self) -> (&SessionManager, &mut Pipeline) {
+        (&self.sessions, &mut self.pipeline)
     }
 
     /// Seed the local subscriber replica directly (pre-provisioning, as
@@ -732,6 +742,8 @@ impl AgwActor {
             .map(|p| p.ambr)
             .unwrap_or(magma_policy::Ambr::UNLIMITED);
         let ul_teid = self.sessions.alloc_teid();
+        // A re-attach replaces the IMSI's old session; both are touched.
+        let replaced = self.sessions.by_imsi(imsi).map(|s| s.id);
         let sid = self
             .sessions
             .create(imsi, tech, ue_ip, ul_teid, Teid(0), rule, ctx.now());
@@ -768,7 +780,7 @@ impl AgwActor {
                 self.calls.insert(id, CallKind::Credit { session: sid });
             }
         }
-        self.reprogram_dataplane(ctx);
+        self.reprogram_dataplane(ctx, &[sid, replaced.unwrap_or(sid)]);
 
         let accept = NasMessage::AttachAccept {
             guti: Guti(guti),
@@ -795,7 +807,7 @@ impl AgwActor {
         };
         if let Some(sid) = uectx.session_id {
             self.sessions.set_dl_teid(sid, enb_teid);
-            self.reprogram_dataplane(ctx);
+            self.reprogram_dataplane(ctx, &[sid]);
         }
     }
 
@@ -824,7 +836,7 @@ impl AgwActor {
             self.by_guti.remove(&guti);
             self.send_nas(ctx, ue, NasMessage::DetachAccept);
             self.ue_ctxs.remove(&ue);
-            self.reprogram_dataplane(ctx);
+            self.reprogram_dataplane(ctx, sid.as_slice());
             let m = self.probe("detach");
             ctx.metrics().inc(&m, 1.0);
             let m = self.metric("mme.detach");
@@ -848,7 +860,7 @@ impl AgwActor {
         let sid = uectx.session_id;
         if let Some(sid) = sid {
             self.sessions.set_dl_teid(sid, job.new_enb_teid);
-            self.reprogram_dataplane(ctx);
+            self.reprogram_dataplane(ctx, &[sid]);
         }
         self.send_s1ap(
             ctx,
@@ -898,7 +910,7 @@ impl AgwActor {
             self.pool.release(uectx.imsi);
             if let Some(sid) = uectx.session_id {
                 self.finish_session(ctx, sid);
-                self.reprogram_dataplane(ctx);
+                self.reprogram_dataplane(ctx, &[sid]);
             }
             self.by_guti.remove(&uectx.guti);
         }
@@ -920,9 +932,13 @@ impl AgwActor {
         );
     }
 
-    fn reprogram_dataplane(&mut self, ctx: &mut Ctx<'_>) {
-        let desired = pipelined::compile(&self.sessions);
-        self.pipeline.set_desired(&desired);
+    /// Hand the data plane the full desired state after the `touched`
+    /// sessions were created, changed or removed (naming a session that
+    /// did not change, or one twice, is harmless).
+    fn reprogram_dataplane(&mut self, ctx: &mut Ctx<'_>, touched: &[u64]) {
+        pipelined::recompile(&mut self.desired, &self.sessions, touched);
+        self.pipeline
+            .set_desired_for(&self.desired, touched.iter().copied());
         let m = self.metric("pipelined.reprogram");
         ctx.registry().counter_add(&m, 1.0);
     }
@@ -965,6 +981,7 @@ impl AgwActor {
                     match self.pool.allocate(imsi) {
                         Some(ip) => {
                             let teid = self.sessions.alloc_teid();
+                            let replaced = self.sessions.by_imsi(imsi).map(|s| s.id);
                             let sid = self.sessions.create(
                                 imsi,
                                 AccessTech::Wifi,
@@ -979,7 +996,7 @@ impl AgwActor {
                             } else {
                                 self.wifi_sessions.insert(user.clone(), sid);
                             }
-                            self.reprogram_dataplane(ctx);
+                            self.reprogram_dataplane(ctx, &[sid, replaced.unwrap_or(sid)]);
                             let m = self.probe("wifi.accept");
                             ctx.metrics().inc(&m, 1.0);
                             let teid_val = self
@@ -1022,7 +1039,7 @@ impl AgwActor {
                 if status == acct_status::STOP {
                     if let Some(sid) = self.wifi_sessions.remove(&sess_key) {
                         self.finish_session(ctx, sid);
-                        self.reprogram_dataplane(ctx);
+                        self.reprogram_dataplane(ctx, &[sid]);
                     }
                 }
                 let reply = RadiusPacket::new(RadiusCode::AccountingResponse, pkt.identifier);
@@ -1201,12 +1218,12 @@ impl AgwActor {
             ctx.send_to(ran, &flows::FLUID_GRANT, Box::new(FluidGrant { grants }));
         }
         // Session accounting: tiered policies + online credit.
-        let mut reprogram = false;
+        let mut reprogram = Vec::new();
         let mut credit_requests = Vec::new();
         for (cookie, ul, dl) in batch.session_usage {
             let outcome = self.sessions.on_usage(cookie, now, ul, dl);
             if outcome.limit_changed || outcome.blocked_changed {
-                reprogram = true;
+                reprogram.push(cookie);
             }
             if outcome.wants_credit {
                 credit_requests.push(cookie);
@@ -1233,8 +1250,8 @@ impl AgwActor {
                 self.calls.insert(id, CallKind::Credit { session: sid });
             }
         }
-        if reprogram {
-            self.reprogram_dataplane(ctx);
+        if !reprogram.is_empty() {
+            self.reprogram_dataplane(ctx, &reprogram);
         }
     }
 
@@ -1283,6 +1300,8 @@ impl AgwActor {
     }
 
     fn take_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
+        // Drift guard: a session change that forgot to name its sid.
+        debug_assert_eq!(self.desired, pipelined::compile(&self.sessions));
         let cp = AgwCheckpoint {
             agw_id: self.cfg.id.clone(),
             taken_at_us: ctx.now().as_micros(),
@@ -1347,7 +1366,7 @@ impl AgwActor {
                                     self.sessions
                                         .refill_credit(session, resp.granted, resp.is_final);
                                 }
-                                self.reprogram_dataplane(ctx);
+                                self.reprogram_dataplane(ctx, &[session]);
                             }
                         }
                         CallKind::FegAuth { ue } => {
@@ -1379,7 +1398,7 @@ impl AgwActor {
                                     s.blocked = false;
                                 }
                             }
-                            self.reprogram_dataplane(ctx);
+                            self.reprogram_dataplane(ctx, &[session]);
                             let m = self.probe("ocs.unreachable");
                             ctx.metrics().inc(&m, 1.0);
                         }
@@ -1556,8 +1575,12 @@ impl Actor for AgwActor {
                         ctx.send_self(&flows::AGW_RPC_TICK, SimDuration::from_millis(250), T_RPC);
                     }
                 }
-                // Rebuild the data plane from restored sessions, if any.
-                self.reprogram_dataplane(ctx);
+                // Rebuild the data plane from restored sessions, if any:
+                // the one full compile and full walk.
+                self.desired = pipelined::compile(&self.sessions);
+                self.pipeline.set_desired(&self.desired);
+                let m = self.metric("pipelined.reprogram");
+                ctx.registry().counter_add(&m, 1.0);
                 ctx.timer_in(self.cfg.fluid_tick, T_FLUID);
                 ctx.timer_in(self.cfg.checkpoint_interval, T_CHECKPOINT);
             }

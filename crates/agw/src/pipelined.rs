@@ -1,15 +1,19 @@
 //! pipelined — data-plane configuration.
 //!
 //! Compiles the session table into the data plane's complete desired
-//! state (§3.4's "the set of sessions is now X, Y, Z" model): session
-//! rules, per-session meters from the currently-effective rate limits,
-//! and fluid entries. Recompilation is idempotent; the data plane
-//! preserves counters for unchanged entries.
+//! state (§3.4's "the set of sessions is now X, Y, Z" model), keyed by
+//! session: per session its rules, its meters from the
+//! currently-effective rate limit, and its fluid entry. The AGW keeps
+//! that full desired state and, after a session change, re-derives the
+//! touched sessions' programs ([`recompile`]) and tells the data plane
+//! which keys to look at — a transport of *where* the full state
+//! differs, not *what* to do. Recompilation is idempotent; the data
+//! plane preserves counters for unchanged entries.
 
 use crate::sessiond::{AccessTech, Session, SessionManager};
 use magma_dataplane::{
     session_rules, DesiredState, FluidEntry, FlowAction, FlowMatch, FlowRule, MeterId, MeterSpec,
-    PortId, TABLE_CLASSIFIER,
+    PortId, SessionProgram, TABLE_CLASSIFIER,
 };
 use magma_policy::RateLimit;
 
@@ -25,8 +29,9 @@ fn meter_ids(session_id: u64) -> (MeterId, MeterId) {
     )
 }
 
-/// Compile one session's contribution to the desired state.
-fn compile_session(s: &Session, out: &mut DesiredState) {
+/// Compile one session's program.
+pub fn compile_session(s: &Session) -> SessionProgram {
+    let mut out = SessionProgram::default();
     if s.blocked {
         // Credit exhausted: install an explicit drop for the UE's traffic
         // (higher priority than the session rules).
@@ -45,7 +50,7 @@ fn compile_session(s: &Session, out: &mut DesiredState) {
             cookie: s.id,
         });
         // No fluid entry: fluid traffic gets zero grants.
-        return;
+        return out;
     }
 
     let (ul_meter, dl_meter) = match s.limit {
@@ -68,7 +73,7 @@ fn compile_session(s: &Session, out: &mut DesiredState) {
 
     match s.tech {
         AccessTech::Lte | AccessTech::Nr5g => {
-            out.rules.extend(session_rules(
+            out.rules = session_rules(
                 s.id,
                 s.ue_ip,
                 s.ul_teid,
@@ -76,7 +81,7 @@ fn compile_session(s: &Session, out: &mut DesiredState) {
                 ul_meter,
                 dl_meter,
                 &s.rule.id,
-            ));
+            );
         }
         AccessTech::Wifi => {
             // WiFi data plane: no GTP; plain IP in both directions.
@@ -96,21 +101,31 @@ fn compile_session(s: &Session, out: &mut DesiredState) {
             });
         }
     }
-    out.sessions.push(FluidEntry {
+    out.fluid = Some(FluidEntry {
         cookie: s.id,
         ul_meter,
         dl_meter,
         rule_name: s.rule.id.clone(),
     });
+    out
 }
 
 /// Compile the whole session table into the complete desired state.
 pub fn compile(sessions: &SessionManager) -> DesiredState {
-    let mut out = DesiredState::default();
-    for s in sessions.iter() {
-        compile_session(s, &mut out);
+    DesiredState {
+        programs: sessions.iter().map(|s| (s.id, compile_session(s))).collect(),
     }
-    out
+}
+
+/// Bring `desired` up to date for the sessions named — created, changed
+/// or removed since it was last compiled.
+pub fn recompile(desired: &mut DesiredState, sessions: &SessionManager, touched: &[u64]) {
+    for &sid in touched {
+        match sessions.get(sid) {
+            Some(s) => desired.programs.insert(sid, compile_session(s)),
+            None => desired.programs.remove(&sid),
+        };
+    }
 }
 
 #[cfg(test)]
@@ -139,34 +154,35 @@ mod tests {
     fn unrestricted_session_has_no_meters() {
         let (m, id) = session(PolicyRule::unrestricted("default"));
         let d = compile(&m);
-        assert!(d.meters.is_empty());
-        assert_eq!(d.sessions.len(), 1);
-        assert_eq!(d.sessions[0].cookie, id);
-        assert!(d.rules.len() >= 4);
+        assert_eq!(d.programs.len(), 1);
+        let p = &d.programs[&id];
+        assert!(p.meters.is_empty());
+        assert_eq!(p.fluid.as_ref().map(|e| e.cookie), Some(id));
+        assert!(p.rules.len() >= 4);
     }
 
     #[test]
     fn rate_limited_session_gets_two_meters() {
-        let (m, _) = session(PolicyRule::rate_limited("silver", 5_000, 1_000));
-        let d = compile(&m);
-        assert_eq!(d.meters.len(), 2);
-        let rates: Vec<u64> = d.meters.iter().map(|m| m.rate_bps).collect();
+        let (m, id) = session(PolicyRule::rate_limited("silver", 5_000, 1_000));
+        let p = compile_session(m.get(id).unwrap());
+        assert_eq!(p.meters.len(), 2);
+        let rates: Vec<u64> = p.meters.iter().map(|m| m.rate_bps).collect();
         assert!(rates.contains(&5_000_000));
         assert!(rates.contains(&1_000_000));
-        assert!(d.sessions[0].ul_meter.is_some());
+        assert!(p.fluid.unwrap().ul_meter.is_some());
     }
 
     #[test]
     fn blocked_session_compiles_to_drops() {
         let (mut m, id) = session(PolicyRule::unrestricted("default"));
         m.get_mut(id).unwrap().blocked = true;
-        let d = compile(&m);
-        assert!(d.sessions.is_empty(), "no fluid entry when blocked");
-        assert!(d
+        let p = compile_session(m.get(id).unwrap());
+        assert!(p.fluid.is_none(), "no fluid entry when blocked");
+        assert!(p
             .rules
             .iter()
             .all(|r| r.actions == vec![FlowAction::Drop]));
-        assert_eq!(d.rules.len(), 2);
+        assert_eq!(p.rules.len(), 2);
     }
 
     #[test]
@@ -182,7 +198,7 @@ mod tests {
             SimTime::ZERO,
         );
         let d = compile(&m);
-        assert!(d.rules.iter().all(|r| !r
+        assert!(d.programs.values().flat_map(|p| &p.rules).all(|r| !r
             .actions
             .iter()
             .any(|a| matches!(a, FlowAction::PushGtp(_) | FlowAction::PopGtp))));
@@ -202,5 +218,27 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(compile(&m), compile(&m));
+    }
+
+    #[test]
+    fn recompile_of_touched_sessions_equals_full_compile() {
+        let (mut m, id) = session(PolicyRule::rate_limited("x", 1000, 1000));
+        let mut d = compile(&m);
+        // Re-attach replaces the session: both ids are touched.
+        let ul = m.alloc_teid();
+        let id2 = m.create(
+            Imsi::new(310, 26, 1),
+            AccessTech::Lte,
+            UeIp(11),
+            ul,
+            Teid(0),
+            PolicyRule::unrestricted("default"),
+            SimTime::ZERO,
+        );
+        recompile(&mut d, &m, &[id, id2]);
+        assert_eq!(d, compile(&m));
+        m.get_mut(id2).unwrap().blocked = true;
+        recompile(&mut d, &m, &[id2]);
+        assert_eq!(d, compile(&m));
     }
 }

@@ -5,45 +5,81 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use magma_dataplane::{session_rules, DesiredState, FluidEntry, PacketMeta, Pipeline};
+use magma_dataplane::{
+    session_rules, DesiredState, FluidEntry, PacketMeta, Pipeline, SessionProgram,
+};
 use magma_sim::{SimTime, World};
 use magma_wire::aka;
 use magma_wire::nas::NasMessage;
 use magma_wire::s1ap::{EnbUeId, S1apMessage};
 use magma_wire::{Imsi, Teid, UeIp};
 
-fn dataplane(c: &mut Criterion) {
-    let mut p = Pipeline::new();
+/// `n` unmetered LTE sessions, keyed by cookie.
+fn sessions(n: u64) -> DesiredState {
     let mut desired = DesiredState::default();
-    for i in 0..100u64 {
-        desired.rules.extend(session_rules(
+    for i in 0..n {
+        desired.programs.insert(i, session_program(i, Teid(200 + i as u32)));
+    }
+    desired
+}
+
+fn session_program(i: u64, dl_teid: Teid) -> SessionProgram {
+    SessionProgram {
+        rules: session_rules(
             i,
             UeIp(1000 + i as u32),
             Teid(100 + i as u32),
-            Teid(200 + i as u32),
+            dl_teid,
             None,
             None,
             "default",
-        ));
-        desired.sessions.push(FluidEntry {
+        ),
+        meters: Vec::new(),
+        fluid: Some(FluidEntry {
             cookie: i,
             ul_meter: None,
             dl_meter: None,
             rule_name: "default".to_string(),
-        });
+        }),
     }
-    p.set_desired(&desired);
+}
 
+fn dataplane(c: &mut Criterion) {
     let mut g = c.benchmark_group("dataplane");
     g.throughput(Throughput::Elements(1));
     g.bench_function("uplink_packet_100_sessions", |b| {
+        let mut p = Pipeline::new();
+        p.set_desired(&sessions(100));
         let pkt = PacketMeta::uplink(Teid(150), UeIp(1050), 1400);
         b.iter(|| std::hint::black_box(p.process(pkt, SimTime::ZERO)))
     });
-    g.bench_function("reconcile_same_state", |b| {
+    // What one session change costs an AGW holding 500 sessions (the
+    // `attach_churn` table): recompile the touched session, hand over the
+    // full state with the key named. A path switch flips the dl TEID.
+    g.bench_function("reprogram_one_of_500", |b| {
+        let mut desired = sessions(500);
+        let mut p = Pipeline::new();
+        p.set_desired(&desired);
+        let mut flip = 0u32;
         b.iter(|| {
+            flip ^= 1;
+            desired.programs.insert(250, session_program(250, Teid(9000 + flip)));
+            p.set_desired_for(&desired, [250]);
+            std::hint::black_box(p.reconcile_ops)
+        })
+    });
+    // The same change through the full walk (start/restore, and what the
+    // frozen `dataplane.set_desired_us` probe times).
+    g.bench_function("set_desired_full_500", |b| {
+        let mut desired = sessions(500);
+        let mut p = Pipeline::new();
+        p.set_desired(&desired);
+        let mut flip = 0u32;
+        b.iter(|| {
+            flip ^= 1;
+            desired.programs.insert(250, session_program(250, Teid(9000 + flip)));
             p.set_desired(&desired);
-            std::hint::black_box(p.rule_count())
+            std::hint::black_box(p.reconcile_ops)
         })
     });
     g.finish();

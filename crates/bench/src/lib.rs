@@ -27,7 +27,7 @@ use serde::Serialize;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-/// Bumped whenever the report layout changes; consumers (CI gate, smoke
+/// Bumped whenever the report layout changes; consumers (the smoke
 /// diff) refuse mismatched schemas instead of misreading them.
 /// v3 added the `shard` block to the virtual section (shardscope).
 pub const BENCH_SCHEMA_VERSION: u32 = 3;
@@ -121,7 +121,7 @@ pub const SCENARIOS: [&str; 4] = [
 pub const SCENARIO_DESCRIPTIONS: [(&str, &str); 5] = [
     (
         "smoke",
-        "tiny attach storm for CI: schema check, golden diff, perf gate",
+        "tiny attach storm for CI: schema check, golden diff",
     ),
     (
         "attach_storm",
@@ -149,7 +149,7 @@ pub struct BenchRun {
 }
 
 /// Run a scenario by name; `smoke` is the extra tiny one used by
-/// `scripts/check.sh bench-smoke` and the CI gate.
+/// `scripts/check.sh bench-smoke`.
 pub fn run_scenario(name: &str, seed: u64) -> Option<BenchRun> {
     match name {
         "smoke" => Some(smoke(seed)),
@@ -343,7 +343,7 @@ fn storm_site(rate: f64, n_ues: usize) -> SiteSpec {
     }
 }
 
-/// Tiny variant of the storm for `bench-smoke` and the CI gate: small
+/// Tiny variant of the storm for `bench-smoke`: small
 /// enough to finish in seconds, big enough that the profile has rows.
 pub fn smoke(seed: u64) -> BenchRun {
     let mut acc = RunAccum::new();

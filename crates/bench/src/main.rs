@@ -8,9 +8,6 @@
 //!                               diff of the virtual section (installs the
 //!                               golden on first run)
 //! magma-bench --overhead        assert simprof+trace disabled overhead < 5%
-//! magma-bench --gate            events/sec regression gate vs the checked-in
-//!                               baseline (>10% slower fails; set
-//!                               MAGMA_BENCH_BASELINE_ACCEPT=1 to re-baseline)
 //! magma-bench --list            print the scenario suite with descriptions
 //! magma-bench --out DIR         where BENCH_*.json and TRACE_*.json land
 //!                               (default ".")
@@ -26,7 +23,7 @@
 //!                               on divergence prints the bisected race report
 //! ```
 //!
-//! Exit status is non-zero on any validation/gate failure, so the CI job
+//! Exit status is non-zero on any validation failure, so the CI job
 //! and `scripts/check.sh bench-smoke` can rely on it. See
 //! docs/PROFILING.md for the report format and the determinism contract.
 
@@ -39,8 +36,6 @@ use magma_testbed::{perfetto_string_sharded, render_critical_path, render_shard_
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Regression threshold for `--gate` (fraction of baseline events/sec).
-const GATE_MAX_REGRESSION: f64 = 0.10;
 /// simprof+trace disabled overhead ceiling for `--overhead`, percent.
 const OVERHEAD_MAX_PCT: f64 = 5.0;
 
@@ -48,7 +43,6 @@ struct Args {
     scenario: Option<String>,
     smoke: bool,
     overhead: bool,
-    gate: bool,
     list: bool,
     out: PathBuf,
     shard_report: Option<PathBuf>,
@@ -60,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
         scenario: None,
         smoke: false,
         overhead: false,
-        gate: false,
         list: false,
         out: PathBuf::from("."),
         shard_report: None,
@@ -74,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--smoke" => args.smoke = true,
             "--overhead" => args.overhead = true,
-            "--gate" => args.gate = true,
             "--list" => args.list = true,
             "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a dir")?),
             "--shard-report" => {
@@ -346,48 +338,6 @@ fn smoke_mode(out: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Gate mode: compare the smoke scenario's host events/sec against the
-/// checked-in baseline. Documented override: MAGMA_BENCH_BASELINE_ACCEPT=1
-/// rewrites the baseline instead of failing (use after an intentional
-/// slowdown or a runner change).
-fn gate_mode(out: &Path) -> Result<(), String> {
-    let report = run_and_write("smoke", out)?;
-    validate(&report)?;
-    let eps = report.host.events_per_sec;
-    let baseline_path = Path::new("scripts/golden/bench_baseline.json");
-    let accept = std::env::var("MAGMA_BENCH_BASELINE_ACCEPT").is_ok_and(|v| v == "1");
-    let payload = format!("{{\n  \"events_per_sec\": {eps:.0}\n}}\n");
-    if !baseline_path.exists() || accept {
-        if let Some(dir) = baseline_path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("mkdir baseline: {e}"))?;
-        }
-        std::fs::write(baseline_path, payload).map_err(|e| format!("write baseline: {e}"))?;
-        eprintln!(
-            "bench-gate: baseline set to {eps:.0} events/sec at {}",
-            baseline_path.display()
-        );
-        return Ok(());
-    }
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("read baseline: {e}"))?;
-    let value: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("parse baseline: {e}"))?;
-    let base = value["events_per_sec"].as_f64().unwrap_or(0.0);
-    if base <= 0.0 {
-        return Err("baseline has no events_per_sec".into());
-    }
-    let ratio = eps / base;
-    eprintln!("bench-gate: {eps:.0} events/sec vs baseline {base:.0} ({:.1}%)", ratio * 100.0);
-    if ratio < 1.0 - GATE_MAX_REGRESSION {
-        return Err(format!(
-            "events/sec regressed {:.1}% (> {:.0}% allowed); set MAGMA_BENCH_BASELINE_ACCEPT=1 to re-baseline",
-            (1.0 - ratio) * 100.0,
-            GATE_MAX_REGRESSION * 100.0
-        ));
-    }
-    Ok(())
-}
-
 /// List mode: the scenario suite, one line each (satellite of the
 /// tracing PR; docs/PROFILING.md links here).
 fn list_mode() {
@@ -430,8 +380,6 @@ fn main() -> ExitCode {
         shard_report_mode(&args.out, path)
     } else if args.smoke {
         smoke_mode(&args.out)
-    } else if args.gate {
-        gate_mode(&args.out)
     } else if args.overhead {
         overhead_mode()
     } else if let Some(name) = &args.scenario {

@@ -23,5 +23,5 @@ pub use flow::{
 pub use meter::{MeterTable, TokenBucket};
 pub use pipeline::{
     session_rules, DesiredState, FluidEntry, FluidTickResult, MeterSpec, Pipeline, RuleStats,
-    Usage, TABLE_CLASSIFIER, TABLE_EGRESS, TABLE_ENFORCEMENT,
+    SessionProgram, Usage, TABLE_CLASSIFIER, TABLE_EGRESS, TABLE_ENFORCEMENT,
 };

@@ -7,8 +7,12 @@
 //! - **Table 2 — egress**: GTP encap for downlink, output port selection.
 //!
 //! Programming is **desired-state**: [`Pipeline::set_desired`] is given the
-//! complete intended rule/meter/session set and reconciles, preserving
+//! full desired state, keyed by session cookie, and reconciles, preserving
 //! counters and token-bucket state for unchanged entries (§3.4).
+//! [`Pipeline::set_desired_for`] adds a hint — the keys where that full
+//! state may differ from what is installed. The hinted converge is a
+//! transport of *where*, not *what*: the target is still read from the full
+//! state, so no CRUD operation exists to be lost or reordered.
 
 use crate::flow::{
     Direction, DropReason, FlowAction, FlowMatch, FlowRule, MeterId, PacketMeta, PortId, Verdict,
@@ -17,6 +21,7 @@ use crate::meter::MeterTable;
 use magma_sim::SimTime;
 use magma_wire::Teid;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 pub const TABLE_CLASSIFIER: u8 = 0;
@@ -43,12 +48,21 @@ pub struct FluidEntry {
     pub rule_name: String,
 }
 
-/// The complete desired data-plane state for one AGW.
+/// One session's slice of the desired state. Every rule carries the
+/// program's key as its cookie, and a meter id belongs to one program.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DesiredState {
+pub struct SessionProgram {
     pub rules: Vec<FlowRule>,
     pub meters: Vec<MeterSpec>,
-    pub sessions: Vec<FluidEntry>,
+    /// Absent ⇒ fluid traffic for this cookie gets zero grants.
+    pub fluid: Option<FluidEntry>,
+}
+
+/// The complete desired data-plane state for one AGW, keyed by session
+/// cookie.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct DesiredState {
+    pub programs: BTreeMap<u64, SessionProgram>,
 }
 
 /// Per-rule-name usage accounting (read by sessiond for quota reporting).
@@ -74,11 +88,32 @@ pub struct FluidTickResult {
     pub total_dl: u64,
 }
 
+/// Where one cookie's installed program lives: the `(table, priority)`
+/// slot of each rule in program order, and its meters.
+#[derive(Default)]
+struct Installed {
+    slots: Vec<(u8, u16)>,
+    meters: Vec<MeterSpec>,
+}
+
+/// Position of `(priority, cookie, idx)` in a table's match order.
+fn slot_of(table: &[(u32, FlowRule)], priority: u16, cookie: u64, idx: u32) -> Result<usize, usize> {
+    table.binary_search_by_key(&(Reverse(priority), cookie, idx), |(i, r)| {
+        (Reverse(r.priority), r.cookie, *i)
+    })
+}
+
+fn table_of(r: &FlowRule) -> usize {
+    (r.table as usize).min(MAX_TABLES - 1)
+}
+
 /// The programmable software data plane.
 pub struct Pipeline {
-    tables: Vec<Vec<FlowRule>>,
+    /// Rules by value in match order: priority descending, then cookie,
+    /// then position in the session's program (the `u32`).
+    tables: Vec<Vec<(u32, FlowRule)>>,
+    installed: BTreeMap<u64, Installed>,
     meters: MeterTable,
-    meter_specs: BTreeMap<MeterId, MeterSpec>,
     fluid: BTreeMap<u64, FluidEntry>,
     stats: BTreeMap<u64, RuleStats>,
     usage: BTreeMap<String, Usage>,
@@ -100,8 +135,8 @@ impl Pipeline {
     pub fn new() -> Self {
         Pipeline {
             tables: vec![Vec::new(); MAX_TABLES],
+            installed: BTreeMap::new(),
             meters: MeterTable::new(),
-            meter_specs: BTreeMap::new(),
             fluid: BTreeMap::new(),
             stats: BTreeMap::new(),
             usage: BTreeMap::new(),
@@ -112,56 +147,99 @@ impl Pipeline {
         }
     }
 
-    /// Reconcile toward the given desired state (idempotent).
+    /// Reconcile toward the given desired state (idempotent): converge
+    /// every key that is installed or desired.
     pub fn set_desired(&mut self, desired: &DesiredState) {
-        // Rules: full replace, counting churn.
-        let mut new_tables: Vec<Vec<FlowRule>> = vec![Vec::new(); MAX_TABLES];
-        for r in &desired.rules {
-            let t = (r.table as usize).min(MAX_TABLES - 1);
-            new_tables[t].push(r.clone());
+        let installed = self.installed.keys().copied();
+        let gone: Vec<u64> = installed.filter(|k| !desired.programs.contains_key(k)).collect();
+        self.set_desired_for(desired, gone.into_iter().chain(desired.programs.keys().copied()));
+    }
+
+    /// [`set_desired`](Self::set_desired) when the caller knows where
+    /// `desired` can differ from what is installed: only `keys` are
+    /// converged. Naming a key that did not change is harmless.
+    pub fn set_desired_for(&mut self, desired: &DesiredState, keys: impl IntoIterator<Item = u64>) {
+        // Per table, the slot after the last rule found unchanged: with
+        // ascending keys the next rule usually sits there, so a walk over
+        // an unchanged state never searches.
+        let mut cursor = [0; MAX_TABLES];
+        for k in keys {
+            self.converge_key(k, desired.programs.get(&k), &mut cursor);
         }
-        for t in &mut new_tables {
-            t.sort_by_key(|r| std::cmp::Reverse(r.priority));
-        }
-        for (old, new) in self.tables.iter_mut().zip(new_tables.iter()) {
-            if old != new {
-                let removed = old.iter().filter(|r| !new.contains(r)).count();
-                let added = new.iter().filter(|r| !old.contains(r)).count();
-                self.reconcile_ops += (removed + added) as u64;
-                old.clone_from(new);
+    }
+
+    /// Bring one cookie's installed program to `want` (`None`: remove it).
+    fn converge_key(
+        &mut self,
+        cookie: u64,
+        want: Option<&SessionProgram>,
+        cursor: &mut [usize; MAX_TABLES],
+    ) {
+        let none = SessionProgram::default();
+        let want = want.unwrap_or(&none);
+        debug_assert!(want.rules.iter().all(|r| r.cookie == cookie));
+        let had = self.installed.entry(cookie).or_default();
+
+        // Rules: replace the cookie's bucket if any rule moved or changed,
+        // counting churn as rules present on one side only.
+        let same = had.slots.len() == want.rules.len()
+            && want.rules.iter().enumerate().all(|(i, r)| {
+                let (t, next) = (&self.tables[table_of(r)], &mut cursor[table_of(r)]);
+                let holds = |at: usize| t.get(at).is_some_and(|(j, x)| *j == i as u32 && x == r);
+                if !holds(*next) {
+                    let Ok(at) = slot_of(t, r.priority, cookie, i as u32) else {
+                        return false;
+                    };
+                    *next = at;
+                }
+                *next += 1;
+                holds(*next - 1)
+            });
+        if !same {
+            let mut old = Vec::with_capacity(had.slots.len());
+            for (i, (t, priority)) in had.slots.drain(..).enumerate() {
+                let t = &mut self.tables[t as usize];
+                if let Ok(at) = slot_of(t, priority, cookie, i as u32) {
+                    old.push(t.remove(at).1);
+                }
+            }
+            let removed = old.iter().filter(|r| !want.rules.contains(r)).count();
+            let added = want.rules.iter().filter(|r| !old.contains(r)).count();
+            self.reconcile_ops += (removed + added) as u64;
+            for (i, r) in want.rules.iter().enumerate() {
+                let t = &mut self.tables[table_of(r)];
+                let at = slot_of(t, r.priority, cookie, i as u32).unwrap_or_else(|at| at);
+                t.insert(at, (i as u32, r.clone()));
+                had.slots.push((table_of(r) as u8, r.priority));
             }
         }
 
         // Meters: install new/changed, remove absent; unchanged keep state.
-        let desired_meters: BTreeMap<MeterId, MeterSpec> =
-            desired.meters.iter().map(|m| (m.id, *m)).collect();
-        let stale: Vec<MeterId> = self
-            .meter_specs
-            .keys()
-            .filter(|id| !desired_meters.contains_key(id))
-            .copied()
-            .collect();
-        for id in stale {
-            self.meters.remove(id);
-            self.meter_specs.remove(&id);
-            self.reconcile_ops += 1;
-        }
-        for (id, spec) in &desired_meters {
-            if self.meter_specs.get(id) != Some(spec) {
-                self.meters.install(*id, spec.rate_bps, spec.burst_bytes);
-                self.meter_specs.insert(*id, *spec);
+        if had.meters != want.meters {
+            for m in had.meters.iter().filter(|m| !want.meters.iter().any(|w| w.id == m.id)) {
+                self.meters.remove(m.id);
                 self.reconcile_ops += 1;
             }
+            for w in want.meters.iter().filter(|w| !had.meters.contains(w)) {
+                self.meters.install(w.id, w.rate_bps, w.burst_bytes);
+                self.reconcile_ops += 1;
+            }
+            had.meters.clone_from(&want.meters);
         }
 
-        // Fluid sessions: replace set, prune stats for gone cookies.
-        let new_fluid: BTreeMap<u64, FluidEntry> = desired
-            .sessions
-            .iter()
-            .map(|e| (e.cookie, e.clone()))
-            .collect();
-        self.stats.retain(|cookie, _| new_fluid.contains_key(cookie) || !self.fluid.contains_key(cookie));
-        self.fluid = new_fluid;
+        // Fluid entry; a session that loses it loses its counters too.
+        if let Some(e) = &want.fluid {
+            if self.fluid.get(&cookie) != Some(e) {
+                self.fluid.insert(cookie, e.clone());
+            }
+        } else {
+            if self.fluid.remove(&cookie).is_some() {
+                self.stats.remove(&cookie);
+            }
+            if had.slots.is_empty() && had.meters.is_empty() {
+                self.installed.remove(&cookie);
+            }
+        }
     }
 
     /// Number of installed rules across all tables.
@@ -174,7 +252,7 @@ impl Pipeline {
     }
 
     pub fn meter_count(&self) -> usize {
-        self.meter_specs.len()
+        self.meters.len()
     }
 
     /// Usage accounted against a policy rule name.
@@ -230,11 +308,10 @@ impl Pipeline {
             if hops > MAX_TABLES {
                 return Verdict::Dropped(DropReason::TableLimit);
             }
-            let Some(rule_idx) = self.tables[table].iter().position(|r| r.m.matches(&pkt)) else {
+            let Some((_, rule)) = self.tables[table].iter().find(|(_, r)| r.m.matches(&pkt)) else {
                 self.drops_no_match += 1;
                 return Verdict::Dropped(DropReason::NoMatch);
             };
-            let rule = self.tables[table][rule_idx].clone();
             {
                 let s = self.stats.entry(rule.cookie).or_default();
                 s.packets += 1;
@@ -352,7 +429,7 @@ pub fn session_rules(
     dl_meter: Option<MeterId>,
     rule_name: &str,
 ) -> Vec<FlowRule> {
-    let mut rules = Vec::with_capacity(4);
+    let mut rules = Vec::with_capacity(5);
     // Uplink: GTP from RAN, decap, tag, enforce, out SGi. The match pins
     // the tunnel to the session's UE address (anti-spoofing): a UE
     // injecting another subscriber's source IP inside its own tunnel
@@ -371,7 +448,7 @@ pub fn session_rules(
         ],
         cookie,
     });
-    let mut ul_actions = Vec::new();
+    let mut ul_actions = Vec::with_capacity(2 + ul_meter.is_some() as usize);
     if let Some(m) = ul_meter {
         ul_actions.push(FlowAction::Meter(m));
     }
@@ -399,7 +476,7 @@ pub fn session_rules(
         ],
         cookie,
     });
-    let mut dl_actions = Vec::new();
+    let mut dl_actions = Vec::with_capacity(3 + dl_meter.is_some() as usize);
     if let Some(m) = dl_meter {
         dl_actions.push(FlowAction::Meter(m));
     }
@@ -455,15 +532,18 @@ mod tests {
             ),
             None => (None, None, vec![]),
         };
-        DesiredState {
+        let program = SessionProgram {
             rules: session_rules(cookie, ip, Teid(100 + cookie as u32), Teid(200 + cookie as u32), ulm, dlm, "default"),
             meters,
-            sessions: vec![FluidEntry {
+            fluid: Some(FluidEntry {
                 cookie,
                 ul_meter: ulm,
                 dl_meter: dlm,
                 rule_name: "default".to_string(),
-            }],
+            }),
+        };
+        DesiredState {
+            programs: BTreeMap::from([(cookie, program)]),
         }
     }
 
@@ -592,9 +672,7 @@ mod tests {
         let mut p = Pipeline::new();
         let mut desired = DesiredState::default();
         for i in 0..50u64 {
-            let st = ue_state(i, UeIp(100 + i as u32), None);
-            desired.rules.extend(st.rules);
-            desired.sessions.extend(st.sessions);
+            desired.programs.extend(ue_state(i, UeIp(100 + i as u32), None).programs);
         }
         p.set_desired(&desired);
         assert_eq!(p.session_count(), 50);
@@ -618,7 +696,13 @@ mod tests {
             cookie: 9,
         };
         let mut st = ue_state(1, UeIp(10), None);
-        st.rules.push(block_all);
+        st.programs.insert(
+            9,
+            SessionProgram {
+                rules: vec![block_all],
+                ..Default::default()
+            },
+        );
         p.set_desired(&st);
         assert_eq!(
             p.process(PacketMeta::downlink(UeIp(10), 100), SimTime::ZERO),

@@ -64,8 +64,8 @@ echo "==> bench-smoke (BENCH schema + virtual-column golden diff)"
 # (virtual/host segregation, >=90% vCPU attribution), and byte-diffs the
 # virtual section against scripts/golden/bench_smoke_virtual.json
 # (installed on first run). Host-side numbers are NOT diffed — they are
-# machine-dependent by design; the CI perf gate (magma-bench --gate)
-# covers those with a tolerance instead. See docs/PROFILING.md.
+# machine-dependent by design; `benchmark/ compare` tracks those across
+# commits. See docs/PROFILING.md.
 BENCH_OUT="$(mktemp -d)"
 cargo run --release -p magma-bench -- --smoke --out "$BENCH_OUT"
 

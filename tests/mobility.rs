@@ -3,87 +3,10 @@
 //! performs a path switch, and the AGW repoints the downlink tunnel
 //! without touching the session.
 
+mod common;
+
 use magma::prelude::*;
-use magma::sim::{downcast, Actor, ActorId, Ctx, Event, World};
-use magma_net::{lp_encode, ports, Endpoint, LpFramer, NetStack, SockCmd, SockEvent, StreamHandle};
-use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
-use magma_wire::Teid;
-
-/// A bare-bones target eNodeB: S1-Setup, then a PathSwitchRequest for an
-/// already-attached UE.
-struct TargetEnb {
-    stack: ActorId,
-    agw: Endpoint,
-    conn: Option<StreamHandle>,
-    framer: LpFramer,
-    switch_at: SimTime,
-    target_ue: MmeUeId,
-}
-
-impl Actor for TargetEnb {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-        match event {
-            Event::Start => {
-                let me = ctx.id();
-                ctx.send(
-                    self.stack,
-                    Box::new(SockCmd::OpenStream {
-                        peer: self.agw,
-                        owner: me,
-                        user: 50,
-                    }),
-                );
-            }
-            Event::Timer { tag: 1 } => {
-                if let Some(conn) = self.conn {
-                    let msg = S1apMessage::PathSwitchRequest {
-                        mme_ue_id: self.target_ue,
-                        new_enb_ue_id: EnbUeId(1),
-                        new_enb_teid: Teid(0xBEEF),
-                    };
-                    ctx.send(
-                        self.stack,
-                        Box::new(SockCmd::StreamSend {
-                            handle: conn,
-                            bytes: lp_encode(&msg.encode()),
-                        }),
-                    );
-                }
-            }
-            Event::Msg { payload, .. } => match downcast::<SockEvent>(payload, "target-enb") {
-                SockEvent::StreamOpened { handle, .. } => {
-                    self.conn = Some(handle);
-                    let setup = S1apMessage::S1SetupRequest {
-                        enb_id: 99,
-                        name: "target-enb".into(),
-                    };
-                    ctx.send(
-                        self.stack,
-                        Box::new(SockCmd::StreamSend {
-                            handle,
-                            bytes: lp_encode(&setup.encode()),
-                        }),
-                    );
-                    let delay = self.switch_at.since(ctx.now());
-                    ctx.timer_in(delay, 1);
-                }
-                SockEvent::StreamRecv { bytes, .. } => {
-                    for m in self.framer.push(&bytes) {
-                        if let Ok(S1apMessage::PathSwitchAck { mme_ue_id }) =
-                            S1apMessage::decode(&m)
-                        {
-                            let t = ctx.now();
-                            ctx.metrics()
-                                .record("test.path_switch_ack", t, mme_ue_id.0 as f64);
-                        }
-                    }
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-}
+use magma_wire::s1ap::MmeUeId;
 
 #[test]
 fn path_switch_moves_downlink_tunnel() {
@@ -97,24 +20,9 @@ fn path_switch_moves_downlink_tunnel() {
     let cfg = ScenarioConfig::new(3).with_agw(AgwSpec::bare_metal(site));
     let mut sc = magma::deploy(cfg);
 
-    // A second (target) eNodeB node appears at the same site.
-    let site_domain = sc.net.domain_of(sc.agws[0].node);
-    let target_node = sc.net.add_node(site_domain, "target-enb");
-    sc.net
-        .connect(target_node, sc.agws[0].node, magma_net::LinkProfile::lan());
-    let target_stack = {
-        let w: &mut World = &mut sc.world;
-        w.add_actor(Box::new(NetStack::new(target_node, sc.net.handle_of(target_node))))
-    };
-    sc.net.bind_stack(target_node, target_stack);
-    sc.world.add_actor(Box::new(TargetEnb {
-        stack: target_stack,
-        agw: Endpoint::new(sc.agws[0].node, ports::S1AP),
-        conn: None,
-        framer: LpFramer::new(),
-        switch_at: SimTime::from_secs(20),
-        target_ue: MmeUeId(1), // the first (and only) attached UE
-    }));
+    // A second (target) eNodeB node appears at the same site; the first
+    // (and only) attached UE moves to it.
+    common::add_target_enb(&mut sc, SimTime::from_secs(20), MmeUeId(1));
 
     sc.world.run_until(SimTime::from_secs(40));
     let rec = sc.world.metrics();
@@ -134,5 +42,5 @@ fn path_switch_moves_downlink_tunnel() {
         .clone()
         .expect("checkpointing active");
     let session = cp.sessions.iter().next().expect("one session");
-    assert_eq!(session.dl_teid, Teid(0xBEEF), "downlink repointed");
+    assert_eq!(session.dl_teid, common::TARGET_ENB_TEID, "downlink repointed");
 }
