@@ -15,7 +15,7 @@
 //! parallelism, and user-plane forwarding costs core time proportional to
 //! bytes. These are what saturate in Figures 5–8.
 
-use crate::checkpoint::AgwCheckpoint;
+use crate::checkpoint::{self, AgwCheckpoint};
 use crate::config::AgwConfig;
 use crate::flows;
 use crate::mobilityd::IpPool;
@@ -30,7 +30,7 @@ use magma_sim::eventd::kind as event_kind;
 use magma_sim::{
     downcast, try_downcast, Actor, ActorId, Ctx, Event, Severity, SimDuration, SimTime, Span,
 };
-use magma_subscriber::{DbSnapshot, SubscriberDb};
+use magma_subscriber::{DbSnapshot, DbSync, SubscriberDb};
 use magma_wire::aka::{Kasme, Rand, Res};
 use magma_wire::nas::{EmmCause, NasMessage};
 use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket};
@@ -206,6 +206,21 @@ impl AgwActor {
         let mut db = SubscriberDb::new();
         db.apply_snapshot(cp.db);
         Self::build(cfg, shared, db, cp.pool, cp.sessions, cp.cert)
+    }
+
+    /// Restore a backup instance from the copy the orchestrator stores
+    /// (`Orc8rState::checkpoints`): runtime state only. The replica
+    /// starts empty but for the SQN marks, and the instance's ordinary
+    /// check-in pulls the configuration.
+    pub fn restore_from_wire(
+        cfg: AgwConfig,
+        shared: AgwHandle,
+        stored: serde_json::Value,
+    ) -> Result<Self, serde::Error> {
+        let (cp, sqn) = checkpoint::from_wire(stored)?;
+        let mut agw = Self::restore(cfg, shared, cp);
+        agw.db.seed_sqn_marks(sqn);
+        Ok(agw)
     }
 
     fn build(
@@ -743,8 +758,7 @@ impl AgwActor {
             .unwrap_or(magma_policy::Ambr::UNLIMITED);
         let ul_teid = self.sessions.alloc_teid();
         // A re-attach replaces the IMSI's old session; both are touched.
-        let replaced = self.sessions.by_imsi(imsi).map(|s| s.id);
-        let sid = self
+        let (sid, replaced) = self
             .sessions
             .create(imsi, tech, ue_ip, ul_teid, Teid(0), rule, ctx.now());
 
@@ -981,8 +995,7 @@ impl AgwActor {
                     match self.pool.allocate(imsi) {
                         Some(ip) => {
                             let teid = self.sessions.alloc_teid();
-                            let replaced = self.sessions.by_imsi(imsi).map(|s| s.id);
-                            let sid = self.sessions.create(
+                            let (sid, replaced) = self.sessions.create(
                                 imsi,
                                 AccessTech::Wifi,
                                 ip,
@@ -1310,14 +1323,15 @@ impl AgwActor {
             db: self.db.snapshot(),
             cert: self.cert,
         };
-        // Publish locally (the backup instance's source) and upload to the
-        // orchestrator when connected.
+        // Publish locally (the backup instance's source) and upload the
+        // runtime state to the orchestrator when connected.
         if let Some(client) = self.orc8r.as_mut() {
             if client.is_connected() {
                 // Streamed from the checkpoint as it stands; no tree.
+                let sqn = self.db.sqn_marks();
                 let push = orc8r_proto::CheckpointPushRef {
                     agw_id: &cp.agw_id,
-                    state: &cp,
+                    state: &cp.wire(&sqn),
                 };
                 let id = client.call(ctx, &orc8r_proto::flows::CHECKPOINT, push);
                 self.calls.insert(id, CallKind::Checkpoint);
@@ -1347,8 +1361,7 @@ impl AgwActor {
                             if let Ok(resp) =
                                 serde_json::from_value::<orc8r_proto::CheckinResponse>(body)
                             {
-                                if let Some(snap) = resp.snapshot {
-                                    self.db.apply_snapshot(snap);
+                                if resp.sync.is_some_and(|sync| self.db.apply_sync(sync)) {
                                     let m = self.probe("config.sync");
                                     ctx.metrics().inc(&m, 1.0);
                                 }
@@ -1412,12 +1425,10 @@ impl AgwActor {
                     method, body, ..
                 } => {
                     if method == orc8r_proto::methods::PUSH_SUBSCRIBERS {
-                        if let Ok(snap) = serde_json::from_value::<DbSnapshot>(body) {
-                            if snap.version > self.db.version {
-                                self.db.apply_snapshot(snap);
-                                let m = self.probe("config.push");
-                                ctx.metrics().inc(&m, 1.0);
-                            }
+                        let sync = serde_json::from_value::<DbSync>(body);
+                        if sync.is_ok_and(|sync| self.db.apply_sync(sync)) {
+                            let m = self.probe("config.push");
+                            ctx.metrics().inc(&m, 1.0);
                         }
                     }
                 }

@@ -9,12 +9,84 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Allocation pool for one AGW.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpPool {
     base: u32,
     size: u32,
     allocated: BTreeMap<Imsi, UeIp>,
     free: BTreeSet<u32>,
+}
+
+/// Largest block a received pool may claim (a /12; gateways own a /16).
+const MAX_POOL_SIZE: u32 = 1 << 20;
+
+/// What an [`IpPool`] serialises as: the block and its leases. The free
+/// list is the rest of the block, so it is rebuilt on read, not shipped.
+#[derive(Serialize, Deserialize)]
+struct Leases {
+    base: u32,
+    size: u32,
+    allocated: BTreeMap<Imsi, UeIp>,
+}
+
+impl Serialize for IpPool {
+    fn to_json(&self) -> serde::Value {
+        Leases {
+            base: self.base,
+            size: self.size,
+            allocated: self.allocated.clone(),
+        }
+        .to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"allocated\":");
+        self.allocated.write_json(out);
+        out.push_str(",\"base\":");
+        self.base.write_json(out);
+        out.push_str(",\"size\":");
+        self.size.write_json(out);
+        out.push('}');
+    }
+}
+
+impl Deserialize for IpPool {
+    fn from_json(v: &serde::Value) -> Result<Self, serde::Error> {
+        Leases::from_json(v)?.try_into()
+    }
+
+    fn from_json_owned(v: serde::Value) -> Result<Self, serde::Error> {
+        Leases::from_json_owned(v)?.try_into()
+    }
+}
+
+impl TryFrom<Leases> for IpPool {
+    type Error = serde::Error;
+
+    /// Received leases must lie inside the block, one address each, and
+    /// the block must be one a gateway could own: the free list is built
+    /// address by address, so its size is bounded before it is.
+    fn try_from(l: Leases) -> Result<Self, serde::Error> {
+        if l.size > MAX_POOL_SIZE {
+            return Err(serde::Error::msg(format!("pool of {} addresses", l.size)));
+        }
+        let mut free: BTreeSet<u32> = (0..l.size).collect();
+        for ip in l.allocated.values() {
+            let leased = ip.0.checked_sub(l.base).is_some_and(|idx| free.remove(&idx));
+            if !leased {
+                return Err(serde::Error::msg(format!(
+                    "lease {} outside the pool or held twice",
+                    ip.0
+                )));
+            }
+        }
+        Ok(IpPool {
+            base: l.base,
+            size: l.size,
+            allocated: l.allocated,
+            free,
+        })
+    }
 }
 
 impl IpPool {
@@ -94,6 +166,35 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..100 {
             assert!(seen.insert(p.allocate(imsi(i)).unwrap()));
+        }
+    }
+
+    #[test]
+    fn serialises_leases_only_and_rebuilds_the_free_list() {
+        let mut p = IpPool::new(100, 5);
+        for i in 1..=3 {
+            p.allocate(imsi(i));
+        }
+        p.release(imsi(2));
+        let v = p.to_json();
+        let keys: Vec<&str> = v.as_object().unwrap().keys().map(String::as_str).collect();
+        assert_eq!(keys, ["allocated", "base", "size"]);
+        let mut streamed = String::new();
+        p.write_json(&mut streamed);
+        let mut rendered = String::new();
+        v.render(&mut rendered);
+        assert_eq!(streamed, rendered);
+        assert_eq!(IpPool::from_json(&v).unwrap(), p);
+        assert_eq!(IpPool::from_json_owned(v).unwrap(), p);
+
+        // Leases that cannot be this pool's are refused, not trusted.
+        for bad in [
+            r#"{"allocated":{"1":99},"base":100,"size":5}"#,
+            r#"{"allocated":{"1":105},"base":100,"size":5}"#,
+            r#"{"allocated":{"1":101,"2":101},"base":100,"size":5}"#,
+            r#"{"allocated":{},"base":0,"size":4294967295}"#,
+        ] {
+            assert!(serde_json::from_str::<IpPool>(bad).is_err(), "{bad}");
         }
     }
 

@@ -138,7 +138,7 @@ mod tests {
     fn session(rule: PolicyRule) -> (SessionManager, u64) {
         let mut m = SessionManager::new();
         let ul = m.alloc_teid();
-        let id = m.create(
+        let (id, _) = m.create(
             Imsi::new(310, 26, 1),
             AccessTech::Lte,
             UeIp(10),
@@ -226,7 +226,7 @@ mod tests {
         let mut d = compile(&m);
         // Re-attach replaces the session: both ids are touched.
         let ul = m.alloc_teid();
-        let id2 = m.create(
+        let (id2, replaced) = m.create(
             Imsi::new(310, 26, 1),
             AccessTech::Lte,
             UeIp(11),
@@ -235,6 +235,7 @@ mod tests {
             PolicyRule::unrestricted("default"),
             SimTime::ZERO,
         );
+        assert_eq!(replaced, Some(id));
         recompile(&mut d, &m, &[id, id2]);
         assert_eq!(d, compile(&m));
         m.get_mut(id2).unwrap().blocked = true;

@@ -118,7 +118,9 @@ impl SessionManager {
     }
 
     /// Create a session for an attached UE. `dl_teid` is the RAN-side
-    /// TEID (0 until context setup completes for LTE).
+    /// TEID (0 until context setup completes for LTE). Returns the new
+    /// session's id and the id of the session it replaced, if the IMSI
+    /// already had one.
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         &mut self,
@@ -129,10 +131,11 @@ impl SessionManager {
         dl_teid: Teid,
         rule: PolicyRule,
         now: SimTime,
-    ) -> u64 {
+    ) -> (u64, Option<u64>) {
         // A re-attach replaces the old session (crash-recovery model:
         // the UE reconnecting is the recovery path, §3.4).
-        if let Some(&old) = self.by_imsi.get(&imsi) {
+        let replaced = self.by_imsi.get(&imsi).copied();
+        if let Some(old) = replaced {
             self.remove(old);
         }
         let id = self.next_id;
@@ -159,7 +162,7 @@ impl SessionManager {
         self.by_ul_teid.insert(ul_teid, id);
         self.sessions.insert(id, session);
         self.attaches += 1;
-        id
+        (id, replaced)
     }
 
     /// Set the RAN-side downlink TEID once context setup answers.
@@ -244,7 +247,7 @@ mod tests {
     fn mgr_with_session(rule: PolicyRule) -> (SessionManager, u64) {
         let mut m = SessionManager::new();
         let ul = m.alloc_teid();
-        let id = m.create(
+        let (id, replaced) = m.create(
             imsi(1),
             AccessTech::Lte,
             UeIp(10),
@@ -253,6 +256,7 @@ mod tests {
             rule,
             SimTime::ZERO,
         );
+        assert_eq!(replaced, None);
         (m, id)
     }
 
@@ -264,7 +268,7 @@ mod tests {
         assert_eq!(m.by_ul_teid(ul).unwrap().id, id);
         // Re-attach.
         let ul2 = m.alloc_teid();
-        let id2 = m.create(
+        let (id2, replaced) = m.create(
             imsi(1),
             AccessTech::Lte,
             UeIp(10),
@@ -274,6 +278,7 @@ mod tests {
             SimTime::from_secs(5),
         );
         assert_ne!(id, id2);
+        assert_eq!(replaced, Some(id));
         assert_eq!(m.len(), 1, "old session replaced");
         assert!(m.by_ul_teid(ul).is_none(), "old TEID index cleaned");
     }

@@ -1,7 +1,8 @@
 //! Micro-benchmarks on the hot paths the figures depend on: data-plane
 //! packet processing, EPS-AKA vector generation (the attach pipeline's
-//! crypto), wire codecs, the RPC frame + body codec, the event queue, and
-//! the reliable stream.
+//! crypto), wire codecs, the RPC frame + body codec, subscriber-database
+//! replication (full snapshot vs changes), the event queue, and the
+//! reliable stream.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -138,9 +139,11 @@ fn rpc(c: &mut Criterion) {
     use magma::orc8r::{flows, CheckinRequest, CheckpointPush, CheckpointPushRef};
     use magma::prelude::*;
     use magma::rpc::{codec, Framer, RpcKind};
+    use magma::subscriber::SubscriberDb;
 
     // Figure 5's typical site, run until all 288 UEs hold a session; the
-    // gateway's own last checkpoint (~210 KB on the wire) is the payload.
+    // gateway's own last checkpoint, as uploaded (runtime state only:
+    // sessions, leases, cert, SQN marks), is the payload.
     let cfg = ScenarioConfig::new(42).with_agw(AgwSpec::bare_metal(SiteSpec::typical()));
     let mut site = magma::deploy(cfg);
     site.world.run_until(SimTime::from_secs(120));
@@ -153,10 +156,15 @@ fn rpc(c: &mut Criterion) {
         .expect("checkpoint taken");
     assert_eq!(cp.sessions.len(), 288);
 
+    let sqn = {
+        let mut replica = SubscriberDb::new();
+        replica.apply_snapshot(cp.db.clone());
+        replica.sqn_marks()
+    };
     let encode_checkpoint = || {
         let push = CheckpointPushRef {
             agw_id: &cp.agw_id,
-            state: &cp,
+            state: &cp.wire(&sqn),
         };
         codec::encode(RpcKind::Request, 1, flows::CHECKPOINT.name, &push)
     };
@@ -195,6 +203,52 @@ fn rpc(c: &mut Criterion) {
             let wire = codec::encode(RpcKind::Request, 7, flows::CHECKIN.name, &checkin);
             let body = framer.push(&wire).pop().expect("one frame").body;
             std::hint::black_box(serde_json::from_value::<CheckinRequest>(body).unwrap())
+        })
+    });
+    g.finish();
+}
+
+/// Replicating one northbound write to a gateway, both ways the
+/// orchestrator can send it: `config_push_down`'s database (560 rows),
+/// one row rewritten since the replica's version.
+fn subscriber(c: &mut Criterion) {
+    use magma::subscriber::{DbSync, SubscriberDb, SubscriberProfile};
+
+    let row = |n: u64, ambr: u32| {
+        SubscriberProfile::lte(Imsi::new(310, 26, n), 7, n)
+            .with_ambr(magma::policy::Ambr::new(ambr, 5_000))
+    };
+    let mut db = SubscriberDb::new();
+    for n in 1..=560 {
+        db.upsert(row(n, 20_000));
+    }
+    let mut replica = SubscriberDb::new();
+    replica.apply_snapshot(db.snapshot());
+    db.upsert(row(7, 21_000));
+    let behind = replica.version;
+
+    let mut g = c.benchmark_group("subscriber");
+    g.bench_function("snapshot_560", |b| {
+        b.iter(|| std::hint::black_box(db.snapshot()))
+    });
+    g.bench_function("apply_snapshot_560", |b| {
+        let snap = db.snapshot();
+        b.iter(|| {
+            let mut r = replica.clone();
+            r.apply_snapshot(snap.clone());
+            std::hint::black_box(r.version)
+        })
+    });
+    g.bench_function("changes_since_1_of_560", |b| {
+        b.iter(|| std::hint::black_box(db.changes_since(behind)))
+    });
+    g.bench_function("apply_changes_1_of_560", |b| {
+        let changes = db.changes_since(behind).expect("one version back");
+        // The replica clone is in both apply benches, so they compare.
+        b.iter(|| {
+            let mut r = replica.clone();
+            r.apply_sync(DbSync::Changes(changes.clone()));
+            std::hint::black_box(r.version)
         })
     });
     g.finish();
@@ -277,5 +331,5 @@ fn registry(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, dataplane, crypto, codecs, rpc, engine, registry);
+criterion_group!(benches, dataplane, crypto, codecs, rpc, subscriber, engine, registry);
 criterion_main!(benches);

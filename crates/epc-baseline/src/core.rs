@@ -238,7 +238,7 @@ impl EpcCoreActor {
                             return;
                         };
                         let ul_teid = self.sessions.alloc_teid();
-                        let sid = self.sessions.create(
+                        let (sid, _) = self.sessions.create(
                             imsi,
                             AccessTech::Lte,
                             ip,

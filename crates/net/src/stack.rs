@@ -440,6 +440,15 @@ impl Actor for NetStack {
                 // Bind ourselves into the shared topology.
                 let id = ctx.id();
                 self.net.borrow_mut().bind_stack(self.node, id);
+                // A stack that comes up later (its node was replaced)
+                // starts elsewhere in the ephemeral range, one port per
+                // millisecond since time zero. Were it to reuse its
+                // predecessor's ports, peers that never saw those
+                // connections close would take the new stream's frames
+                // for the old one's and silently drop its data.
+                let range = u64::from(u16::MAX - ports::EPHEMERAL_BASE);
+                let offset = ctx.now().as_micros() / 1_000 % range;
+                self.next_ephemeral = ports::EPHEMERAL_BASE + offset as u16;
             }
             Event::Timer { tag } => self.handle_timer(ctx, tag),
             Event::Msg { payload, .. } => match try_downcast::<SockCmd>(payload) {
@@ -591,6 +600,47 @@ mod tests {
         w.run_until(SimTime::from_secs(5));
         let echoed: f64 = w.metrics().series("client.echo").unwrap().values().sum();
         assert_eq!(echoed, 100.0);
+    }
+
+    /// The client's node is replaced (stack and app restart) while the
+    /// server still holds the first connection, which never closed. The
+    /// replacement's stream must be a new connection to the server, not a
+    /// continuation of that one — whose sequence numbers it would fall
+    /// behind, so its bytes would be acknowledged and discarded.
+    #[test]
+    fn a_replaced_node_does_not_reuse_its_predecessors_connection() {
+        let mut w = World::new(3);
+        let net = new_net();
+        let (a, b) = {
+            let mut t = net.borrow_mut();
+            let a = t.add_node("client");
+            let b = t.add_node("server");
+            t.connect(a, b, LinkProfile::lan());
+            (a, b)
+        };
+        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
+        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        w.add_actor(Box::new(EchoServer {
+            stack: sb,
+            port: 8000,
+        }));
+        let client = || Client {
+            stack: sa,
+            server: Endpoint::new(b, 8000),
+            payload: 100,
+        };
+        let app = w.add_actor(Box::new(client()));
+        w.run_until(SimTime::from_secs(5));
+        let echoed = |w: &World| w.metrics().series("client.echo").unwrap().values().sum::<f64>();
+        assert_eq!(echoed(&w), 100.0);
+
+        w.crash(app);
+        w.crash(sa);
+        w.run_until(SimTime::from_secs(7));
+        w.restart(sa, Box::new(NetStack::new(a, net.clone())));
+        w.restart(app, Box::new(client()));
+        w.run_until(SimTime::from_secs(12));
+        assert_eq!(echoed(&w), 200.0, "the replacement's bytes were echoed too");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The orchestrator actor: serves the southbound RPC interface and pushes
-//! desired state to connected gateways.
+//! desired state to connected gateways — what changed since the version
+//! each is known to hold, or everything when that is not known
+//! ([`SubscriberDb::sync_since`](magma_subscriber::SubscriberDb::sync_since)).
 //!
 //! CPU on the orchestrator is deliberately not modeled: the paper's
 //! evaluation notes "all machines in the orchestrator deployment were
@@ -34,16 +36,13 @@ flow_dispatch! {
     tie_break = Some("sender agw_id / stream handle (per-gateway state is disjoint)"),
 }
 
-struct ConnInfo {
-    agw_id: Option<String>,
-    last_pushed_version: u64,
-}
-
 /// The orchestrator service actor.
 pub struct Orc8rActor {
     state: Orc8rHandle,
     server: RpcServer,
-    conns: BTreeMap<StreamHandle, ConnInfo>,
+    /// Per connection, the config version the gateway on it holds, once
+    /// a check-in has said so: what it reported, then what it was sent.
+    conns: BTreeMap<StreamHandle, Option<u64>>,
 }
 
 impl Orc8rActor {
@@ -71,9 +70,6 @@ impl Orc8rActor {
                     return;
                 };
                 let cert = self.state.borrow_mut().bootstrap(&req.agw_id, req.hw_token);
-                if let Some(info) = self.conns.get_mut(&conn) {
-                    info.agw_id = Some(req.agw_id.clone());
-                }
                 ctx.metrics().inc("orc8r.bootstraps", 1.0);
                 self.server
                     .reply(ctx, conn, id, &flows::ORC8R_REPLY, BootstrapResponse { cert });
@@ -98,21 +94,17 @@ impl Orc8rActor {
                     self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "unregistered gateway");
                     return;
                 }
-                if let Some(info) = self.conns.get_mut(&conn) {
-                    info.agw_id = Some(req.agw_id.clone());
-                    info.last_pushed_version = info.last_pushed_version.max(req.db_version);
-                }
                 let latest = st.db.version;
-                let snapshot = if req.db_version < latest {
-                    Some(st.db.snapshot())
-                } else {
-                    None
-                };
                 let resp = CheckinResponse {
                     latest_version: latest,
-                    snapshot,
+                    sync: st.db.sync_since(req.db_version),
                     checkin_interval_s: st.checkin_interval_s,
                 };
+                // The reply brings the replica to `latest`, so pushes on
+                // this connection start from there.
+                if let Some(held) = self.conns.get_mut(&conn) {
+                    *held = Some(latest.max(req.db_version));
+                }
                 drop(st);
                 ctx.metrics().inc("orc8r.checkins", 1.0);
                 self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, resp);
@@ -202,30 +194,32 @@ impl Orc8rActor {
         }
     }
 
-    /// Push the latest snapshot to any connected gateway whose replica is
-    /// stale (desired-state push, complementing the pull at check-in).
+    /// Push to every connected gateway whose replica is stale what brings
+    /// it current (desired-state push, complementing the pull at
+    /// check-in): one body, encoded once, per version the stale gateways
+    /// hold — normally one, since they were all pushed the last write.
     fn push_stale(&mut self, ctx: &mut Ctx<'_>) {
-        let version = self.state.borrow().db.version;
-        let stale: Vec<StreamHandle> = self
-            .conns
-            .iter()
-            .filter(|(_, info)| info.agw_id.is_some() && info.last_pushed_version < version)
-            .map(|(h, _)| *h)
-            .collect();
-        if stale.is_empty() {
-            return;
-        }
-        // One snapshot and one encoded frame for the whole stale set: the
-        // stream id is the version, so every gateway gets the same bytes.
-        let snapshot = self.state.borrow().db.snapshot();
-        let pushed = self
-            .server
-            .push(ctx, &stale, version, &flows::PUSH_SUBSCRIBERS, &snapshot);
-        for conn in pushed {
-            if let Some(info) = self.conns.get_mut(&conn) {
-                info.last_pushed_version = version;
+        let state = self.state.borrow();
+        let version = state.db.version;
+        let mut by_held: BTreeMap<u64, Vec<StreamHandle>> = BTreeMap::new();
+        for (conn, held) in &self.conns {
+            if let Some(held) = held {
+                by_held.entry(*held).or_default().push(*conn);
             }
-            ctx.metrics().inc("orc8r.pushes", 1.0);
+        }
+        for (held, conns) in by_held {
+            let Some(sync) = state.db.sync_since(held) else {
+                continue;
+            };
+            // The stream id is the version pushed to, so every gateway in
+            // the group gets the same bytes.
+            let pushed = self
+                .server
+                .push(ctx, &conns, version, &flows::PUSH_SUBSCRIBERS, &sync);
+            for conn in pushed {
+                self.conns.insert(conn, Some(version));
+                ctx.metrics().inc("orc8r.pushes", 1.0);
+            }
         }
     }
 }
@@ -261,13 +255,7 @@ impl Actor for Orc8rActor {
                                     body,
                                 } => self.handle_request(ctx, conn, id, method, body),
                                 RpcServerEvent::ClientConnected { conn } => {
-                                    self.conns.insert(
-                                        conn,
-                                        ConnInfo {
-                                            agw_id: None,
-                                            last_pushed_version: 0,
-                                        },
-                                    );
+                                    self.conns.insert(conn, None);
                                 }
                                 RpcServerEvent::ClientGone { conn } => {
                                     self.conns.remove(&conn);

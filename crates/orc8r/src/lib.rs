@@ -3,9 +3,11 @@
 //! The central point of control (§3.2): authoritative configuration state
 //! (subscribers, policies) in a journaled store, a northbound API for
 //! operators, and a southbound gRPC-analog interface that gateways check
-//! in to. Configuration flows to gateways with the desired-state model —
-//! a stale gateway receives the complete intended state, never a delta —
-//! so lost messages and restarts self-heal (§3.4). Also hosts device
+//! in to. Configuration flows to gateways with the desired-state model:
+//! a stale gateway is brought to the intended state, not told what was
+//! done to it — as the rows that changed when its replica's version is
+//! known and in the change log, as the complete state otherwise — so
+//! lost messages and restarts self-heal (§3.4). Also hosts device
 //! management, best-effort telemetry aggregation, gateway bootstrap, the
 //! online charging service, and uploaded runtime checkpoints.
 

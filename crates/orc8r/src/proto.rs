@@ -3,7 +3,7 @@
 //! These are the simulation's "protobuf definitions": serde structs
 //! carried as JSON by `magma-rpc`.
 
-use magma_subscriber::DbSnapshot;
+use magma_subscriber::DbSync;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -104,7 +104,8 @@ pub mod flows {
         lookahead: Some("fiber"),
     };
     /// Server-push frame for subscriber/config sync (desired state flows
-    /// downhill unprompted; delivery is best-effort per connection).
+    /// downhill unprompted; delivery is best-effort per connection). The
+    /// body is a [`DbSync`](magma_subscriber::DbSync).
     pub const PUSH_SUBSCRIBERS: FlowKind = FlowKind {
         name: "sync.Subscribers",
         sender: "orc8r",
@@ -234,9 +235,10 @@ pub struct CheckinRequest {
 pub struct CheckinResponse {
     /// Latest config version at the orchestrator.
     pub latest_version: u64,
-    /// Full snapshot when the gateway's replica is stale (desired-state
-    /// model: the complete intended state, not a delta).
-    pub snapshot: Option<DbSnapshot>,
+    /// What brings a stale replica to `latest_version` (desired-state
+    /// model): the rows that changed when the reported version is still
+    /// in the orchestrator's change log, the complete state otherwise.
+    pub sync: Option<DbSync>,
     /// Seconds until the next expected check-in.
     pub checkin_interval_s: u64,
 }
@@ -245,7 +247,9 @@ pub struct CheckinResponse {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointPush {
     pub agw_id: String,
-    /// Opaque serialized AGW runtime state.
+    /// Opaque serialized AGW runtime state: sessions, IP leases, cert and
+    /// SQN marks (`magma_agw::checkpoint`). Configuration is not in it —
+    /// the orchestrator is that data's source.
     pub state: serde_json::Value,
 }
 

@@ -197,6 +197,34 @@ mod tests {
         assert_eq!(fr.rejected(), 1);
     }
 
+    /// 100 000 `[` fit any frame cap; the parser's depth cap is what
+    /// keeps them from recursing the receiver off its stack.
+    #[test]
+    fn nesting_bomb_is_rejected_like_any_bad_body() {
+        let bomb = "[".repeat(100_000);
+        let framed = |text: &str| {
+            let mut b = BytesMut::new();
+            b.put_u32(text.len() as u32);
+            b.put_slice(text.as_bytes());
+            b
+        };
+        let mut b = framed(&bomb);
+        // The same inside an otherwise well-formed frame.
+        b.extend_from_slice(&framed(&format!(
+            r#"{{"body":{bomb},"id":1,"kind":"Request","method":"m"}}"#
+        )));
+        let good = RpcFrame::response(2, json!("ok"));
+        b.extend_from_slice(&encode_frame(&good));
+        let mut fr = Framer::new();
+        let mut got = Vec::new();
+        for chunk in b.chunks(1400) {
+            got.extend(fr.push(chunk));
+        }
+        assert_eq!(got, vec![good]);
+        assert_eq!(fr.rejected(), 2);
+        assert!(!fr.is_poisoned());
+    }
+
     #[test]
     fn largest_allowed_prefix_is_not_poison() {
         let mut b = BytesMut::new();

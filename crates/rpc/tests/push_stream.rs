@@ -1,5 +1,5 @@
 //! Server-push streams: the mechanism behind desired-state config sync —
-//! the orchestrator pushes full snapshots to connected gateways without
+//! the orchestrator pushes what brings connected gateways current without
 //! being asked.
 
 use magma_net::{new_net, Endpoint, LinkProfile, NetStack, SockEvent};

@@ -4,8 +4,10 @@
 //! A call is encoded once. The request id is fixed when the call is
 //! made, so the first send, every timed-out retry and the flush after a
 //! reconnect carry the same bytes — the client holds them and re-sends
-//! them. Likewise one push to several connections is one encoding. And a
-//! peer whose length prefix cannot be a frame gets its stream closed.
+//! them. Likewise one push to several connections is one encoding — so
+//! a sender whose peers have acked different versions pays one encoding
+//! per version, not per peer. And a peer whose length prefix cannot be a
+//! frame gets its stream closed.
 
 use bytes::Bytes;
 use magma_net::{flows, Endpoint, NodeAddr, SockCmd, SockEvent, StreamHandle};
@@ -240,6 +242,71 @@ fn push_to_three_connections_encodes_once() {
     );
     // The push to no live connection was not encoded at all.
     assert_eq!(encode_scope_count(&w), 1);
+}
+
+/// Accepts four connections whose peers have acked versions 3, 3, 4 and
+/// 3 of some state, then brings them all to version 5: each peer needs
+/// the changes since *its* version, so peers are grouped by version and
+/// each group is one push.
+struct VersionedPusher {
+    server: RpcServer,
+}
+
+impl Actor for VersionedPusher {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        if let Event::Start = event {
+            let mut by_acked = std::collections::BTreeMap::<u64, Vec<StreamHandle>>::new();
+            for (n, acked) in [(1, 3), (2, 3), (3, 4), (4, 3)] {
+                let handle = StreamHandle(n);
+                let accepted = SockEvent::StreamAccepted {
+                    handle,
+                    local_port: self.server.port(),
+                    peer: Endpoint::new(NodeAddr(n as u32), 40_000),
+                };
+                assert!(self.server.try_handle(ctx, accepted).is_ok());
+                by_acked.entry(acked).or_default().push(handle);
+            }
+            for (acked, conns) in by_acked {
+                let changes: Vec<u64> = (acked + 1..=5).collect();
+                assert_eq!(self.server.push(ctx, &conns, 5, &SYNC, &changes), conns);
+            }
+        }
+    }
+}
+
+#[test]
+fn push_to_connections_at_two_acked_versions_encodes_once_per_version() {
+    let mut w = World::new(4);
+    w.enable_profiling(true);
+    let wire = Rc::new(RefCell::new(Wire::default()));
+    let stack = w.add_actor(Box::new(ScriptedStack {
+        wire: wire.clone(),
+        drop_at: None,
+        owner: None,
+    }));
+    w.add_actor(Box::new(VersionedPusher {
+        server: RpcServer::new(stack, 8443),
+    }));
+    w.run_until(SimTime::from_secs(1));
+
+    let wire = wire.borrow();
+    let body = |bytes: &Bytes| {
+        let text = String::from_utf8_lossy(bytes.get(4..).expect("length prefix")).into_owned();
+        let end = text.find(",\"id\"").expect("frame text");
+        text[..end].to_string()
+    };
+    let sent: Vec<(u64, String)> = wire.sends.iter().map(|(h, b)| (h.0, body(b))).collect();
+    let since = |v: &str| format!(r#"{{"body":{v}"#);
+    assert_eq!(
+        sent,
+        [
+            (1, since("[4,5]")),
+            (2, since("[4,5]")),
+            (4, since("[4,5]")),
+            (3, since("[5]")),
+        ]
+    );
+    assert_eq!(encode_scope_count(&w), 2, "four peers, two versions, two encodings");
 }
 
 /// Feeds its client and its server a length prefix past `MAX_FRAME_LEN`.

@@ -8,7 +8,7 @@
 pub mod db;
 pub mod profile;
 
-pub use db::{DbSnapshot, SubscriberDb};
+pub use db::{DbChanges, DbSnapshot, DbSync, SubscriberDb};
 pub use profile::{
     AccessTypes, CellularSubscription, RuleCatalog, SubscriberProfile, WifiSubscription,
 };

@@ -1,8 +1,10 @@
 //! Property tests on the subscriber database: snapshot/replication
-//! fidelity and version monotonicity under arbitrary mutation sequences.
+//! fidelity and version monotonicity under arbitrary mutation sequences,
+//! and the changeset held against the full snapshot it stands in for.
 
 use magma_policy::PolicyRule;
-use magma_subscriber::{SubscriberDb, SubscriberProfile};
+use magma_subscriber::{DbSync, SubscriberDb, SubscriberProfile};
+use magma_wire::aka::Rand;
 use magma_wire::Imsi;
 use proptest::prelude::*;
 
@@ -21,25 +23,150 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One northbound write. `salt` varies what an upsert writes, so a
+/// rewrite of a row or a rule is a real change.
+fn apply(db: &mut SubscriberDb, op: &Op, salt: u32) {
+    match *op {
+        Op::Upsert(n) => db.upsert(
+            SubscriberProfile::lte(Imsi::new(310, 26, n), 7, n)
+                .with_ambr(magma_policy::Ambr::new(20_000 + salt, 5_000)),
+        ),
+        Op::Remove(n) => {
+            db.remove(Imsi::new(310, 26, n));
+        }
+        Op::Rule(r) => db.upsert_rule(PolicyRule::rate_limited(
+            &format!("rule-{r}"),
+            (r as u32 + 1) * 1000 + salt,
+            500,
+        )),
+    }
+}
+
+/// A replica of `db` as it stands, which then served `attaches` attaches
+/// (so it holds SQNs the orchestrator never sees).
+fn replica_of(db: &SubscriberDb, attaches: u64) -> SubscriberDb {
+    let mut replica = SubscriberDb::new();
+    replica.apply_snapshot(db.snapshot());
+    for n in 1..=attaches {
+        replica.generate_auth_vector(Imsi::new(310, 26, n), Rand([n as u8; 16]));
+    }
+    replica
+}
+
+/// `db`'s snapshot with every SQN zeroed, as the orchestrator holds rows.
+fn without_sqn(db: &SubscriberDb) -> magma_subscriber::DbSnapshot {
+    let mut snap = db.snapshot();
+    for p in &mut snap.subscribers {
+        if let Some(cell) = p.cellular.as_mut() {
+            cell.sqn = 0;
+        }
+    }
+    snap
+}
+
 proptest! {
+    /// Any history, a replica taken at any earlier point of it: applying
+    /// `changes_since` lands exactly where applying the full snapshot
+    /// does — rows, rules, version, and the replica's own SQNs — and the
+    /// changes exist exactly when the replica is within the log horizon.
+    /// Repeated, stale and gapped changesets leave a replica untouched;
+    /// one that overlaps what the replica already has still lands right.
+    #[test]
+    fn changes_are_equivalent_to_the_full_snapshot(
+        before in proptest::collection::vec(arb_op(), 0..60),
+        middle in proptest::collection::vec(arb_op(), 1..60),
+        after in proptest::collection::vec(arb_op(), 1..450),
+        attaches in 0u64..40,
+    ) {
+        let mut db = SubscriberDb::new();
+        for (i, op) in before.iter().enumerate() {
+            apply(&mut db, op, i as u32);
+        }
+        let early = replica_of(&db, attaches);
+        for (i, op) in middle.iter().enumerate() {
+            apply(&mut db, op, 1_000 + i as u32);
+        }
+        let late = replica_of(&db, attaches);
+        let early_to_late = db.sync_since(early.version);
+        for (i, op) in after.iter().enumerate() {
+            apply(&mut db, op, 2_000 + i as u32);
+        }
+
+        for start in [&early, &late] {
+            let mut via_snapshot = start.clone();
+            via_snapshot.apply_snapshot(db.snapshot());
+            // Rows, rules and version are the orchestrator's; SQNs are
+            // whatever the replica had reached, so compare with them out.
+            let mut plain = SubscriberDb::new();
+            plain.apply_snapshot(db.snapshot());
+            let mut unsigned = SubscriberDb::new();
+            unsigned.apply_snapshot(without_sqn(&via_snapshot));
+            prop_assert_eq!(&unsigned, &plain);
+            for p in start.iter() {
+                if let (Some(was), Some(is)) = (&p.cellular, via_snapshot.get(p.imsi)) {
+                    prop_assert_eq!(is.cellular.as_ref().map(|c| c.sqn), Some(was.sqn));
+                }
+            }
+
+            let behind = db.version - start.version;
+            let changes = db.changes_since(start.version);
+            prop_assert_eq!(changes.is_some(), behind <= 256, "{} versions behind", behind);
+            let Some(changes) = changes else {
+                prop_assert!(matches!(db.sync_since(start.version), Some(DbSync::Full(_))));
+                continue;
+            };
+            let mut via_changes = start.clone();
+            let moved = via_changes.apply_sync(DbSync::Changes(changes.clone()));
+            prop_assert_eq!(moved, behind > 0);
+            prop_assert_eq!(&via_changes, &via_snapshot);
+            // The same changes again: a duplicate.
+            prop_assert!(!via_changes.apply_sync(DbSync::Changes(changes)));
+            prop_assert_eq!(&via_changes, &via_snapshot);
+        }
+
+        // Out of order: with early→late still in flight, late→now reaches
+        // the early replica first and starts past it — a gap. (Past the
+        // horizon late→now is the full snapshot, which applies anywhere.)
+        let mut replica = early.clone();
+        if let Some(late_to_now @ DbSync::Changes(_)) = db.sync_since(late.version) {
+            if late.version > early.version {
+                prop_assert!(!replica.apply_sync(late_to_now.clone()));
+                prop_assert_eq!(&replica, &early);
+            }
+            if let Some(early_to_late) = early_to_late.clone() {
+                prop_assert!(replica.apply_sync(early_to_late));
+                prop_assert_eq!(replica.version, late.version);
+                prop_assert!(replica.apply_sync(late_to_now));
+                prop_assert_eq!(replica.version, db.version);
+            }
+        }
+        // Stale: something older than the replica holds.
+        if let Some(stale) = early_to_late {
+            let mut current = late.clone();
+            current.apply_snapshot(db.snapshot());
+            let held = current.clone();
+            prop_assert!(!current.apply_sync(stale));
+            prop_assert_eq!(&current, &held);
+        }
+        // Overlap: changes that start before the replica and end after it
+        // carry current rows for more keys than it needs, no wrong ones.
+        if let (Some(overlap), true) = (db.changes_since(early.version), late.version < db.version) {
+            let mut replica = late.clone();
+            let mut reference = late.clone();
+            reference.apply_snapshot(db.snapshot());
+            prop_assert!(replica.apply_sync(DbSync::Changes(overlap)));
+            prop_assert_eq!(&replica, &reference);
+        }
+    }
+
     /// Any mutation sequence: versions are nondecreasing, and a snapshot
     /// applied to a fresh replica reproduces the database exactly.
     #[test]
     fn replication_is_exact(ops in proptest::collection::vec(arb_op(), 1..80)) {
         let mut db = SubscriberDb::new();
         let mut last_version = 0;
-        for op in ops {
-            match op {
-                Op::Upsert(n) => db.upsert(SubscriberProfile::lte(Imsi::new(310, 26, n), 7, n)),
-                Op::Remove(n) => {
-                    db.remove(Imsi::new(310, 26, n));
-                }
-                Op::Rule(r) => db.upsert_rule(PolicyRule::rate_limited(
-                    &format!("rule-{r}"),
-                    (r as u32 + 1) * 1000,
-                    500,
-                )),
-            }
+        for op in &ops {
+            apply(&mut db, op, 0);
             prop_assert!(db.version >= last_version, "version monotonic");
             last_version = db.version;
         }

@@ -1,11 +1,13 @@
 //! **Ablation D** (§3.3): AGW failover via checkpoint/restore.
 //!
-//! The AGW checkpoints its runtime state every second; on failure, a
-//! backup instance is brought up from the checkpoint. Sessions and IP
-//! leases survive; only mid-procedure (volatile) UE contexts are lost.
-//! The experiment crashes the AGW (and its host network stack), restores
-//! from the latest checkpoint after an outage window, and measures how
-//! many sessions survived and how quickly traffic recovers.
+//! The AGW checkpoints its runtime state every second and uploads it to
+//! the orchestrator; on failure, a backup instance is brought up from the
+//! copy the orchestrator holds. Sessions, IP leases and SQN marks
+//! survive; mid-procedure (volatile) UE contexts are lost, and the
+//! configuration replica is not in the copy — the backup's first check-in
+//! pulls it. The experiment crashes the AGW (and its host network stack),
+//! restores from the orchestrator's copy after an outage window, and
+//! measures how many sessions survived and how quickly traffic recovers.
 
 use crate::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
 use magma_agw::AgwActor;
@@ -56,14 +58,16 @@ pub fn run(seed: u64) -> FailoverResult {
         })
         .unwrap_or(0.0);
 
-    // Crash the AGW and its node's network stack (the machine died).
+    // Crash the AGW and its node's network stack (the machine died): the
+    // local checkpoint dies with it, the orchestrator's copy does not.
     let agw = &sc.agws[0];
-    let checkpoint = agw
-        .handle
+    let stored = sc
+        .orc8r
         .borrow()
-        .checkpoint
-        .clone()
-        .expect("checkpoints are taken every second");
+        .checkpoints
+        .get(&agw.id)
+        .cloned()
+        .expect("checkpoints are uploaded every second");
     sc.world.crash(agw.actor);
     sc.world.crash(agw.stack);
 
@@ -71,14 +75,15 @@ pub fn run(seed: u64) -> FailoverResult {
     sc.world
         .run_until(SimTime::from_secs(CRASH_AT_S + OUTAGE_S));
 
-    // Bring up the backup instance from the checkpoint.
+    // Bring up the backup instance from the orchestrator's copy.
     let agw = &sc.agws[0];
     sc.world.restart(
         agw.stack,
         // The node address is stable; the stack rebinds on Start.
         Box::new(NetStack::new(agw.node, sc.net.handle_of(agw.node))),
     );
-    let mut restored = AgwActor::restore(agw.cfg.clone(), agw.handle.clone(), checkpoint);
+    let mut restored = AgwActor::restore_from_wire(agw.cfg.clone(), agw.handle.clone(), stored)
+        .expect("the orchestrator stores what the gateway uploaded");
     restored.set_up_cores(agw.up_cores);
     sc.world.restart(agw.actor, Box::new(restored));
 
@@ -122,7 +127,7 @@ pub fn run(seed: u64) -> FailoverResult {
 
 pub fn render(r: &FailoverResult) -> String {
     format!(
-        "Ablation D: AGW failover via checkpoint/restore (§3.3)\n\
+        "Ablation D: AGW failover via checkpoint/restore from the orchestrator's copy (§3.3)\n\
          sessions: {} before crash, {} restored\n\
          throughput: {:.1} Mbit/s before; recovered to 80% in {:.1}s after restore\n",
         r.sessions_before_crash, r.sessions_restored, r.tp_before_mbps, r.recovery_s
@@ -139,7 +144,7 @@ mod tests {
         assert!(r.sessions_before_crash >= 39, "{r:?}");
         assert_eq!(
             r.sessions_restored, r.sessions_before_crash,
-            "checkpoint carries the whole session table"
+            "the orchestrator's copy carries the whole session table"
         );
         assert!(r.tp_before_mbps > 40.0, "{r:?}");
         assert!(

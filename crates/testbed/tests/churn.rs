@@ -2,12 +2,16 @@
 //! Verifies the full detach path (NAS Detach → sessiond teardown →
 //! data-plane removal → IP release) leaks nothing over many cycles.
 
+use magma_net::{ports, NetStack};
+use magma_orc8r::Orc8rActor;
 use magma_ran::{SectorModel, TrafficModel};
 use magma_sim::{SimDuration, SimTime};
-use magma_testbed::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
+use magma_subscriber::SubscriberProfile;
+use magma_testbed::scenario::{build, AgwSpec, Scenario, ScenarioConfig, SiteSpec, SIM_SEED};
+use magma_wire::Imsi;
 
-#[test]
-fn churn_does_not_leak_sessions_or_ips() {
+/// 12 UEs cycling attach → 10–20 s session → detach → re-attach.
+fn churning_site() -> Scenario {
     let site = SiteSpec {
         enbs: 1,
         ues_per_enb: 12,
@@ -18,8 +22,18 @@ fn churn_does_not_leak_sessions_or_ips() {
         reattach: true,
         session_lifetime_s: Some((10, 20)),
     };
-    let cfg = ScenarioConfig::new(19).with_agw(AgwSpec::bare_metal(site));
-    let mut sc = build(cfg);
+    build(ScenarioConfig::new(19).with_agw(AgwSpec::bare_metal(site)))
+}
+
+/// A subscriber no UE in the scenario uses; `k` varies the row.
+fn unrelated_subscriber(k: u32) -> SubscriberProfile {
+    SubscriberProfile::lte(Imsi::new(310, 26, 9_000_001), SIM_SEED, 9_000_001)
+        .with_ambr(magma_policy::Ambr::new(10_000 + k, 5_000))
+}
+
+#[test]
+fn churn_does_not_leak_sessions_or_ips() {
+    let mut sc = churning_site();
     sc.world.run_until(SimTime::from_secs(300));
 
     let rec = sc.world.metrics();
@@ -70,4 +84,70 @@ fn detach_is_acknowledged_and_ue_goes_idle() {
         .and_then(|s| s.values().last())
         .unwrap_or(0.0);
     assert_eq!(attached_last, 0.0);
+}
+
+/// SQN is the gateway's runtime state: every attach advances it in the
+/// replica, and the orchestrator's rows all say 0. Configuration arriving
+/// from the orchestrator — however it arrives — must not wind it back, or
+/// every UE that re-attaches afterwards sees a sequence number it has
+/// already used and fails AKA until the counter climbs back (74 failed
+/// attaches in this scenario before replication kept the higher SQN).
+#[test]
+fn a_northbound_write_does_not_fail_later_reattaches() {
+    let mut sc = churning_site();
+    // Between two check-ins (every 5 s), so the push carries it.
+    sc.world.run_until(SimTime::from_secs(101));
+    sc.orc8r.borrow_mut().upsert_subscriber(unrelated_subscriber(0));
+    // And a churning UE's own row, which arrives with the orchestrator's
+    // SQN of 0 in it.
+    let own = sc.orc8r.borrow().db.get(sc.imsis[0]).expect("provisioned").clone();
+    sc.orc8r
+        .borrow_mut()
+        .upsert_subscriber(own.with_ambr(magma_policy::Ambr::new(30_000, 5_000)));
+    sc.world.run_until(SimTime::from_secs(300));
+
+    let rec = sc.world.metrics();
+    assert_eq!(rec.counter("agw0.config.push"), 1.0, "both writes, one push");
+    assert_eq!(
+        sc.agws[0].handle.borrow().last_db_version,
+        sc.orc8r.borrow().db.version
+    );
+    assert!(rec.counter("agw0.attach.accept") > 100.0);
+    assert_eq!(sc.world.registry().counter("ran.attach_fail"), 0.0);
+}
+
+/// The same through the fallback: the orchestrator is down while more
+/// writes land than its change log holds, so when the gateway reconnects
+/// its check-in is answered with the full snapshot.
+#[test]
+fn a_checkin_pulled_snapshot_does_not_fail_later_reattaches() {
+    let mut sc = churning_site();
+    sc.world.run_until(SimTime::from_secs(100));
+    let orc8r_stack = sc.net.stack_of(sc.orc8r_node).expect("orc8r stack bound");
+    sc.world.crash(sc.orc8r_actor);
+    sc.world.crash(orc8r_stack);
+    for k in 0..300 {
+        sc.orc8r.borrow_mut().upsert_subscriber(unrelated_subscriber(k));
+    }
+    assert!(sc.orc8r.borrow().db.changes_since(13).is_none(), "past the horizon");
+    sc.world.run_until(SimTime::from_secs(110));
+    sc.world.restart(
+        orc8r_stack,
+        Box::new(NetStack::new(sc.orc8r_node, sc.net.handle_of(sc.orc8r_node))),
+    );
+    sc.world.restart(
+        sc.orc8r_actor,
+        Box::new(Orc8rActor::new(sc.orc8r.clone(), orc8r_stack, ports::ORC8R)),
+    );
+    sc.world.run_until(SimTime::from_secs(300));
+
+    let rec = sc.world.metrics();
+    assert_eq!(rec.counter("agw0.config.sync"), 1.0, "pulled at check-in");
+    assert_eq!(rec.counter("agw0.config.push"), 0.0);
+    assert_eq!(
+        sc.agws[0].handle.borrow().last_db_version,
+        sc.orc8r.borrow().db.version
+    );
+    assert!(rec.counter("agw0.attach.accept") > 100.0);
+    assert_eq!(sc.world.registry().counter("ran.attach_fail"), 0.0);
 }

@@ -17,6 +17,23 @@ echo "==> frozen benchmark crate (build + self-tests against these crates)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml -q
 
+echo "==> benchmark contract command (BENCHMARK.json), end-to-end and traced"
+# The pipeline judges a PR by this command. One short run of each form
+# here — site_sync_up, whose output check reads the checkpoint the
+# orchestrator stores, and the traced form, which is the `layers` binary
+# — so a PR that breaks either fails now. The last stdout line is the
+# result object; it must say the outputs were correct.
+for TRACE in 0 1; do
+    CONTRACT_OUT="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
+        --bin magma-benchmark -- --workload site_sync_up --seed 7 --seconds 2 --trace "$TRACE" \
+        2>/dev/null | tail -n 1)"
+    if [[ "$CONTRACT_OUT" != *'"correct":true'* ]]; then
+        echo "contract command (--trace $TRACE) did not report \"correct\": true:" >&2
+        echo "$CONTRACT_OUT" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

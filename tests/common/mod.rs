@@ -1,5 +1,8 @@
 //! RAN stand-ins shared by the integration tests.
 
+// Each test binary compiles this module for itself and uses part of it.
+#![allow(dead_code)]
+
 use magma::prelude::*;
 use magma::sim::{downcast, Actor, ActorId, Ctx, Event};
 use magma::testbed::Scenario;
@@ -105,4 +108,26 @@ pub fn add_target_enb(sc: &mut Scenario, switch_at: SimTime, target_ue: MmeUeId)
         switch_at,
         target_ue,
     }));
+}
+
+/// Sends one datagram from `stack` when started.
+pub struct SendOnce {
+    pub stack: ActorId,
+    pub dst: Endpoint,
+    pub bytes: bytes::Bytes,
+}
+
+impl Actor for SendOnce {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        if let Event::Start = event {
+            ctx.send(
+                self.stack,
+                Box::new(SockCmd::DgramSend {
+                    src_port: 20001,
+                    dst: self.dst,
+                    bytes: self.bytes.clone(),
+                }),
+            );
+        }
+    }
 }

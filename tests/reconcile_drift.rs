@@ -4,19 +4,20 @@
 //! would leave the data plane behind the session table for good, so
 //! this test drives every kind of session change through one gateway —
 //! attach, detach, handover, OCS block → grant → unblock, a tiered
-//! limit change, WiFi accept/stop, crash + checkpoint restore — and
-//! then holds the live pipeline against a fresh one given
+//! limit change, WiFi accept/stop, crash + restore from the checkpoint
+//! the orchestrator stores — and then holds the live pipeline against a fresh one given
 //! `compile(&sessions)`. (Debug builds also assert the same equality on
 //! every checkpoint, see `AgwActor::take_checkpoint`.)
 
 mod common;
 
-use magma::agw::{pipelined, AgwActor};
+use magma::agw::{checkpoint, pipelined, AgwActor, AgwCheckpoint};
 use magma::dataplane::{PacketMeta, Pipeline};
 use magma::prelude::*;
-use magma::sim::{Actor, ActorId, Ctx, Event};
+use magma::subscriber::SubscriberDb;
+use magma::sim::{Actor, Ctx, Event};
 use magma::testbed::Scenario;
-use magma_net::{ports, Endpoint, LinkProfile, NetStack, SockCmd};
+use magma_net::{ports, Endpoint, LinkProfile, NetStack};
 use magma_policy::{Qci, UsageTracking};
 use magma_ran::{WifiApActor, WifiApConfig};
 use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket};
@@ -35,28 +36,6 @@ impl Actor for Watched {
 
     fn name(&self) -> String {
         self.0.borrow().name()
-    }
-}
-
-/// Sends one datagram when started.
-struct SendOnce {
-    stack: ActorId,
-    dst: Endpoint,
-    bytes: bytes::Bytes,
-}
-
-impl Actor for SendOnce {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-        if let Event::Start = event {
-            ctx.send(
-                self.stack,
-                Box::new(SockCmd::DgramSend {
-                    src_port: 20001,
-                    dst: self.dst,
-                    bytes: self.bytes.clone(),
-                }),
-            );
-        }
     }
 }
 
@@ -183,7 +162,7 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
     let stop = RadiusPacket::new(RadiusCode::AccountingRequest, 9)
         .with_attr(Attribute::u32(attr::ACCT_STATUS_TYPE, acct_status::STOP))
         .with_attr(Attribute::string(attr::ACCT_SESSION_ID, "hotspot-1-session"));
-    sc.world.add_actor(Box::new(SendOnce {
+    sc.world.add_actor(Box::new(common::SendOnce {
         stack: ap_stack,
         dst: Endpoint::new(sc.agws[0].node, ports::RADIUS_ACCT),
         bytes: stop.encode(),
@@ -198,27 +177,63 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
         "Accounting Stop removed the hotspot session"
     );
 
-    // Crash at 30 s; 2 s later a backup instance restores the last
-    // checkpoint (§3.3) and the UEs re-attach onto its restored sessions.
-    let checkpoint = sc.agws[0]
+    // Crash just after 30 s; 2 s later a backup instance comes up from
+    // the copy of the last checkpoint the orchestrator holds (§3.3), and
+    // the UEs re-attach onto its restored sessions. That copy is the
+    // gateway's sessions, leases and SQN marks as of its last acked
+    // checkpoint, and no configuration: the backup's check-in pulls it.
+    sc.world.run_for(SimDuration::from_millis(500));
+    let local = sc.agws[0]
         .handle
         .borrow()
         .checkpoint
         .clone()
         .expect("checkpoints are taken every second");
-    assert!(!checkpoint.sessions.is_empty());
+    assert!(!local.sessions.is_empty());
+    let stored = sc.orc8r.borrow().checkpoints[&sc.agws[0].id].clone();
+    let sqn_marks = {
+        let mut replica = SubscriberDb::new();
+        replica.apply_snapshot(local.db.clone());
+        replica.sqn_marks()
+    };
+    assert!(sqn_marks.len() >= 10, "every UE has authenticated");
+    let runtime_only = AgwCheckpoint {
+        db: Default::default(),
+        ..local
+    };
+    assert_eq!(
+        checkpoint::from_wire(stored.clone()),
+        Ok((runtime_only, sqn_marks))
+    );
     let attached_before_crash = sc.world.metrics().counter("agw0.attach.accept");
     sc.world.crash(sc.agws[0].actor);
     sc.world.crash(sc.agws[0].stack);
     drop(agw);
-    sc.world.run_until(SimTime::from_secs(32));
+    sc.world.run_until(SimTime::from_millis(32_500));
     sc.world.restart(
         sc.agws[0].stack,
         Box::new(NetStack::new(sc.agws[0].node, sc.net.handle_of(sc.agws[0].node))),
     );
-    let restored = AgwActor::restore(sc.agws[0].cfg.clone(), sc.agws[0].handle.clone(), checkpoint);
+    let restored =
+        AgwActor::restore_from_wire(sc.agws[0].cfg.clone(), sc.agws[0].handle.clone(), stored)
+            .expect("the stored checkpoint parses");
     let agw = install(&mut sc, restored);
     run_watching(&mut sc, &agw, 90, &mut seen);
+    assert_eq!(
+        sc.agws[0].handle.borrow().last_db_version,
+        sc.orc8r.borrow().db.version,
+        "the backup's check-in pulled the configuration"
+    );
+    // The backup carried the SQNs on: no UE that re-attached after the
+    // failover was refused for a sequence number it had already seen.
+    let auth_failures = sc
+        .world
+        .events()
+        .iter()
+        .filter(|e| e.at >= SimTime::from_secs(32))
+        .filter(|e| e.fields.get("cause").is_some_and(|c| c == "AuthFailure"))
+        .count();
+    assert_eq!(auth_failures, 0);
 
     // Every kind of change happened …
     let rec = sc.world.metrics();

@@ -3,6 +3,8 @@
 //! the session rides the same data plane. Accounting Stop tears the
 //! session down.
 
+mod common;
+
 use magma::prelude::*;
 use magma::sim::{HostSpec, World};
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
@@ -104,29 +106,10 @@ fn accounting_stop_tears_down_session() {
     // network stack (actor construction order in build(): 0 = agw stack,
     // 1 = ap stack, 2 = agw, 3 = ap).
     use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket};
-    struct SendOnce {
-        stack: magma::sim::ActorId,
-        dst: Endpoint,
-        bytes: bytes::Bytes,
-    }
-    impl magma::sim::Actor for SendOnce {
-        fn handle(&mut self, ctx: &mut magma::sim::Ctx<'_>, event: magma::sim::Event) {
-            if let magma::sim::Event::Start = event {
-                ctx.send(
-                    self.stack,
-                    Box::new(magma_net::SockCmd::DgramSend {
-                        src_port: 20001,
-                        dst: self.dst,
-                        bytes: self.bytes.clone(),
-                    }),
-                );
-            }
-        }
-    }
     let stop = RadiusPacket::new(RadiusCode::AccountingRequest, 9)
         .with_attr(Attribute::u32(attr::ACCT_STATUS_TYPE, acct_status::STOP))
         .with_attr(Attribute::string(attr::ACCT_SESSION_ID, "hotspot-1-session"));
-    rig.world.add_actor(Box::new(SendOnce {
+    rig.world.add_actor(Box::new(common::SendOnce {
         stack: magma::sim::ActorId(1),
         dst: Endpoint::new(magma_net::NodeAddr(0), ports::RADIUS_ACCT),
         bytes: stop.encode(),

@@ -9,8 +9,10 @@ use magma::orc8r::{
     CheckpointPushRef, CreditReport, CreditRequest, CreditResponse, FegAuthRequest,
     FegAuthResponse, FegLocationRequest, FegLocationResponse, FegVector, MetricsAck, MetricsPush,
 };
+use magma::agw::{checkpoint, AgwCheckpoint};
 use magma::prelude::*;
 use magma::rpc::{encode_frame, Framer, RpcFrame};
+use magma::subscriber::{DbSnapshot, DbSync, SubscriberDb};
 use magma::wire::aka::{Autn, Kasme, Rand, Res};
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
@@ -56,7 +58,9 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
     };
     let cfg = ScenarioConfig::new(17).with_agw(AgwSpec::bare_metal(site));
     let mut d = magma::deploy(cfg);
-    d.world.run_until(SimTime::from_secs(40));
+    // Checkpoints are taken on the second; half a second on, the last
+    // one has reached the orchestrator.
+    d.world.run_until(SimTime::from_millis(40_500));
 
     let agw = d.agws.first().expect("one gateway");
     let cp = agw
@@ -85,18 +89,53 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
         check(e);
     }
 
-    // The checkpoint as sent (borrowed view) is the checkpoint as read.
+    // The checkpoint as uploaded: runtime state only, streamed from a
+    // borrowed view. What the orchestrator stores reads back as the
+    // checkpoint without its replica, plus the SQN marks.
+    let sqn = {
+        let mut replica = SubscriberDb::new();
+        replica.apply_snapshot(cp.db.clone());
+        replica.sqn_marks()
+    };
+    assert!(sqn.len() >= 20, "every attach advanced an SQN: {}", sqn.len());
+    let wire = cp.wire(&sqn);
+    assert_eq!(streamed(&wire), rendered(&wire));
     let push = CheckpointPush {
         agw_id: cp.agw_id.clone(),
-        state: serde_json::to_value(&cp).unwrap(),
+        state: wire.to_json(),
     };
     check(&push);
     let view = CheckpointPushRef {
         agw_id: &cp.agw_id,
-        state: &cp,
+        state: &wire,
     };
     assert_eq!(streamed(&view), rendered(&push));
     assert_eq!(rendered(&view), rendered(&push));
+    let stored = d.orc8r.borrow().checkpoints[&agw.id].clone();
+    assert_eq!(
+        stored, push.state,
+        "what the orchestrator stores is the view the gateway streamed"
+    );
+    let without_db = AgwCheckpoint {
+        db: DbSnapshot::default(),
+        ..cp.clone()
+    };
+    assert_eq!(checkpoint::from_wire(stored), Ok((without_db, sqn)));
+
+    // The push / check-in body, both ways it comes: what changed after a
+    // northbound write, and the full state.
+    let before = db.version;
+    d.orc8r
+        .borrow_mut()
+        .upsert_subscriber(SubscriberProfile::lte(Imsi::new(310, 26, 77), 7, 77));
+    d.orc8r.borrow_mut().remove_subscriber(d.imsis[0]);
+    let changes = d.orc8r.borrow().db.sync_since(before).expect("stale");
+    match &changes {
+        DbSync::Changes(ch) => assert_eq!((ch.subscribers.len(), ch.removed.len()), (1, 1)),
+        DbSync::Full(_) => panic!("two versions back is in the log"),
+    }
+    check(&changes);
+    check(&DbSync::Full(db.clone()));
 
     check(&BootstrapRequest {
         agw_id: agw.id.clone(),
@@ -117,12 +156,12 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
     });
     check(&CheckinResponse {
         latest_version: db.version,
-        snapshot: None,
+        sync: None,
         checkin_interval_s: 60,
     });
     check(&CheckinResponse {
         latest_version: db.version,
-        snapshot: Some(db.clone()),
+        sync: Some(changes),
         checkin_interval_s: 60,
     });
     check(&CreditRequest {
