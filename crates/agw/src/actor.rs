@@ -156,7 +156,7 @@ pub struct AgwActor {
     up_cores: u32,
     /// In-flight per-tick forwarding batches, keyed by batch id. The
     /// per-core chunks reference entries here instead of sharing an
-    /// `Rc<RefCell<..>>` (shard-movability, lint S003).
+    /// `Rc<RefCell<..>>`.
     up_batches: BTreeMap<u64, UpBatchState>,
     next_up_batch: u64,
     /// Edge trigger for the dataplane-overload event: set on the first
@@ -182,7 +182,7 @@ struct UpBatch {
 /// One per-core slice of a tick's forwarding work. The batch's grants and
 /// accounting fire when the last chunk finishes; batch state lives in
 /// `AgwActor::up_batches` keyed by id, so the chunk payload is plain
-/// data (shard-movable — lint S003 bans `Rc` in dispatch-path state).
+/// data.
 struct UpChunk {
     bytes: u64,
     batch_id: u64,

@@ -13,30 +13,7 @@
 //! plain `const` with literal fields.
 
 use magma_sim::flow_dispatch;
-use magma_sim::{AliasDecl, AliasScope, Colocate, DelayClass, FlowKind, Role};
-
-/// Shard-alias contract for [`AgwHandle`](crate::msgs::AgwHandle): the
-/// gateway's shared operational snapshot (`AgwShared`) is written by the
-/// AGW control plane and read by co-located sub-actors. All holders sit
-/// in the same zero-delay shard component (the gateway host), so the
-/// alias is shard-safe — lint rule S001 verifies the holders below stay
-/// one component in the generated shard plan.
-pub const AGW_ALIAS: AliasDecl = AliasDecl {
-    handle: "AgwHandle",
-    ctor: "new_agw_handle",
-    holders: &["agw"],
-    scope: AliasScope::SameComponent,
-    reason: "AgwShared snapshot shared only among gateway-host actors (paper: AGW autonomy)",
-};
-
-/// metricsd runs on the gateway host: it scrapes the AGW's registry and
-/// shares its network stack instance, so it must be placed in the
-/// gateway's shard component even though no zero-delay flow edge ties it
-/// there directly (its RPC rides the stack hub kinds).
-pub const GATEWAY_HOST: Colocate = Colocate {
-    actors: &["agw", "agw.metricsd"],
-    reason: "metricsd shares the gateway host and its network stack instance",
-};
+use magma_sim::{DelayClass, FlowKind, Role};
 
 /// S1AP uplink: eNodeB → AGW initial/uplink NAS transport. Attach is
 /// retried from the eNodeB side on a UE attach timeout.
@@ -47,7 +24,6 @@ pub const RAN_S1AP_UL: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Request,
     retry: Some("ran.enb.attach_timeout"),
-    lookahead: Some("lan"),
 };
 
 /// S1AP downlink: AGW → eNodeB NAS transport / attach accept.
@@ -58,7 +34,6 @@ pub const AGW_S1AP_DL: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Response,
     retry: None,
-    lookahead: Some("lan"),
 };
 
 /// RADIUS Access-Request: WiFi AP → AGW AAA. The AP retransmits on its
@@ -70,7 +45,6 @@ pub const WIFI_RADIUS_AUTH: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Request,
     retry: Some("ran.wifi.auth_tick"),
-    lookahead: Some("lan"),
 };
 
 /// RADIUS Accounting (Stop): WiFi AP → AGW, fire-and-forget usage report.
@@ -81,7 +55,6 @@ pub const WIFI_RADIUS_ACCT: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: None,
-    lookahead: Some("lan"),
 };
 
 /// RADIUS reply (Access-Accept/Reject): AGW → WiFi AP.
@@ -92,7 +65,6 @@ pub const AGW_RADIUS_REPLY: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Response,
     retry: None,
-    lookahead: Some("lan"),
 };
 
 /// Fluid uplink demand report: RAN scheduler → AGW, same-host zero-delay
@@ -104,7 +76,6 @@ pub const FLUID_DEMAND: FlowKind = FlowKind {
     class: DelayClass::Zero,
     role: Role::Data,
     retry: None,
-    lookahead: None,
 };
 
 /// Fluid grant: AGW → RAN answer to a demand report (same host,
@@ -116,7 +87,6 @@ pub const FLUID_GRANT: FlowKind = FlowKind {
     class: DelayClass::Zero,
     role: Role::Response,
     retry: None,
-    lookahead: None,
 };
 
 /// GTP-U path-management echo request: EPC baseline → eNodeB. Re-sent on
@@ -128,7 +98,6 @@ pub const EPC_GTPU_ECHO: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Request,
     retry: Some("agw.epc_baseline.echo_tick"),
-    lookahead: Some("lan"),
 };
 
 /// GTP-U echo response: eNodeB → EPC baseline.
@@ -139,7 +108,6 @@ pub const ENB_GTPU_ECHO_REPLY: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Response,
     retry: None,
-    lookahead: Some("lan"),
 };
 
 /// The AGW's northbound RPC retry/deadline tick (drives every
@@ -151,7 +119,6 @@ pub const AGW_RPC_TICK: FlowKind = FlowKind {
     class: DelayClass::Local,
     role: Role::Timer,
     retry: None,
-    lookahead: None,
 };
 
 /// metricsd's RPC retry/deadline tick (its own client, its own cadence).
@@ -162,7 +129,6 @@ pub const METRICSD_RPC_TICK: FlowKind = FlowKind {
     class: DelayClass::Local,
     role: Role::Timer,
     retry: None,
-    lookahead: None,
 };
 
 flow_dispatch! {
@@ -173,7 +139,6 @@ flow_dispatch! {
     /// connections — and fluid demand aggregation folds commutatively
     /// over reporters.
     pub const AGW_DISPATCH: actor = "agw",
-    state = "AgwActor",
     accepts = [
         magma_net::flows::SOCK_EVENT,
         RAN_S1AP_UL,
@@ -194,7 +159,6 @@ flow_dispatch! {
     /// are sequenced by `seq`, so ordering within the connection is the
     /// only constraint.
     pub const METRICSD_DISPATCH: actor = "agw.metricsd",
-    state = "MetricsdActor",
     accepts = [
         magma_net::flows::SOCK_EVENT,
         magma_orc8r::proto::flows::ORC8R_REPLY,

@@ -18,8 +18,8 @@
 
 use magma_ran::{SectorModel, TrafficModel};
 use magma_sim::{
-    HostProfile, HostStopwatch, ProcSummary, ProfileSnapshot, RaceExport, RunSpec,
-    ShardSnapshot, SimDuration, SimTime, TraceSnapshot, TraceStats, VirtualProfile, World,
+    HostProfile, HostStopwatch, ProcSummary, ProfileSnapshot, RaceExport, RunSpec, SimDuration,
+    SimTime, TraceSnapshot, TraceStats, VirtualProfile, World,
 };
 use magma_testbed::measure::{mean_over, overall_csr, throughput_mbps};
 use magma_testbed::scenario::{build, AgwSpec, Scenario, ScenarioConfig, SiteSpec};
@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 
 /// Bumped whenever the report layout changes; consumers (the smoke
 /// diff) refuse mismatched schemas instead of misreading them.
-/// v3 added the `shard` block to the virtual section (shardscope).
-pub const BENCH_SCHEMA_VERSION: u32 = 3;
+/// v4 removed the `shard` block v3 added to the virtual section.
+pub const BENCH_SCHEMA_VERSION: u32 = 4;
 
 /// Default seed for the suite; scenario runs derive from it.
 pub const BENCH_SEED: u64 = 42;
@@ -58,10 +58,6 @@ pub struct VirtSection {
     /// critical-path attribution (deterministic — virtual time only).
     /// The full span trees land in `TRACE_<scenario>.json` instead.
     pub trace: TraceDigest,
-    /// shardscope: per-component load, cut-edge telemetry, and the
-    /// conservative-window speedup prediction (deterministic — virtual
-    /// time only). See docs/PROFILING.md § Shardscope.
-    pub shard: ShardSnapshot,
 }
 
 /// The deterministic slice of a [`TraceSnapshot`] that belongs in a
@@ -230,8 +226,6 @@ struct RunAccum {
     profile: Option<ProfileSnapshot>,
     /// Trace snapshot of the same primary run.
     trace: Option<TraceSnapshot>,
-    /// Shardscope snapshot of the same primary run.
-    shard: Option<ShardSnapshot>,
 }
 
 impl RunAccum {
@@ -242,7 +236,6 @@ impl RunAccum {
             events: 0,
             profile: None,
             trace: None,
-            shard: None,
         }
     }
 
@@ -289,7 +282,6 @@ fn finish(
 ) -> BenchRun {
     let snap = acc.profile.expect("scenario records a primary profile");
     let trace = acc.trace.expect("scenario records a primary trace snapshot");
-    let shard = acc.shard.expect("scenario records a primary shard snapshot");
     let top_table = snap.top_table(12);
     let events_per_sec = if acc.total_wall_s > 0.0 {
         acc.events as f64 / acc.total_wall_s
@@ -308,7 +300,6 @@ fn finish(
             extra,
             profile: snap.virt,
             trace: TraceDigest::from_snapshot(&trace),
-            shard,
         },
         host: HostSection {
             wall_s: acc.total_wall_s,
@@ -350,27 +341,8 @@ pub fn smoke(seed: u64) -> BenchRun {
     let sim_s = 30.0;
     let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(storm_site(2.0, 30)));
     let sc = timed_run(&mut acc, "smoke", cfg, SimTime::from_secs(sim_s as u64));
-    finish_smoke(seed, acc, sim_s, sc)
-}
-
-/// Smoke variant with a custom AGW↔orc8r backhaul profile. Exists for
-/// the slack regression test: shrinking the backhaul latency below a
-/// cut edge's declared lookahead must drive `min_slack_us` negative and
-/// fail [`validate`].
-pub fn smoke_with_backhaul(seed: u64, backhaul: magma_net::LinkProfile) -> BenchRun {
-    let mut acc = RunAccum::new();
-    let sim_s = 30.0;
-    let mut agw = AgwSpec::bare_metal(storm_site(2.0, 30));
-    agw.backhaul = backhaul;
-    let cfg = ScenarioConfig::new(seed).with_agw(agw);
-    let sc = timed_run(&mut acc, "smoke", cfg, SimTime::from_secs(sim_s as u64));
-    finish_smoke(seed, acc, sim_s, sc)
-}
-
-fn finish_smoke(seed: u64, mut acc: RunAccum, sim_s: f64, sc: Scenario) -> BenchRun {
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
-    acc.shard = Some(sc.world.shard_snapshot());
     let csr = overall_csr(sc.world.metrics(), "ran");
     let p99 = attach_p99(&sc);
     finish("smoke", seed, acc, sim_s, csr, p99, BTreeMap::new())
@@ -386,7 +358,6 @@ pub fn attach_storm(seed: u64) -> BenchRun {
     let sc = timed_run(&mut acc, "storm", cfg, SimTime::from_secs(sim_s as u64));
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
-    acc.shard = Some(sc.world.shard_snapshot());
     let csr = overall_csr(sc.world.metrics(), "ran");
     let p99 = attach_p99(&sc);
     finish("attach_storm", seed, acc, sim_s, csr, p99, BTreeMap::new())
@@ -434,7 +405,6 @@ pub fn scaling_ablation(seed: u64) -> BenchRun {
         if n == 4 {
             acc.profile = Some(sc.world.profile());
             acc.trace = Some(sc.world.trace_snapshot());
-            acc.shard = Some(sc.world.shard_snapshot());
             let p99 = attach_p99(&sc);
             extra.insert("attach_p99_n4_s".to_string(), p99);
         }
@@ -470,7 +440,6 @@ pub fn mixed(seed: u64) -> BenchRun {
     let sc = timed_run(&mut acc, "mixed", cfg, SimTime::from_secs(sim_s as u64));
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
-    acc.shard = Some(sc.world.shard_snapshot());
     let rec = sc.world.metrics();
     let csr = overall_csr(rec, "ran");
     let p99 = attach_p99(&sc);
@@ -510,7 +479,6 @@ pub fn partition_recovery(seed: u64) -> BenchRun {
     acc.events += sc.world.events_processed();
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
-    acc.shard = Some(sc.world.shard_snapshot());
     let rec = sc.world.metrics();
     let csr = overall_csr(rec, "ran");
     let p99 = attach_p99(&sc);
@@ -527,12 +495,8 @@ pub fn partition_recovery(seed: u64) -> BenchRun {
 }
 
 /// Structural checks every report must pass: schema version, virtual/host
-/// segregation (no host-only key may appear in the virtual section), a
-/// profile that actually attributed work, and shard-plan soundness — in
-/// particular no physical cut edge may observe negative slack, because a
-/// message arriving before its declared lookahead is exactly the delivery
-/// a conservative window scheduler (and racecheck's permuted schedules)
-/// cannot reproduce.
+/// segregation (no host-only key may appear in the virtual section), and
+/// a profile that actually attributed work.
 pub fn validate(report: &BenchReport) -> Result<(), String> {
     if report.schema != BENCH_SCHEMA_VERSION {
         return Err(format!("schema {} != expected", report.schema));
@@ -560,37 +524,6 @@ pub fn validate(report: &BenchReport) -> Result<(), String> {
             frac * 100.0
         ));
     }
-    // Shardscope: testbed scenarios assign every actor at build time, so
-    // attribution must be exactly total, and every cross-component send
-    // must ride a declared cut edge of the shard plan.
-    let shard = &report.virt.shard;
-    if !shard.enabled {
-        return Err("shardscope was not enabled".into());
-    }
-    if shard.attribution.dispatches_unattributed != 0 {
-        return Err(format!(
-            "{} dispatches escaped shard-component attribution",
-            shard.attribution.dispatches_unattributed
-        ));
-    }
-    if shard.attribution.noncut_cross_messages != 0 {
-        return Err(format!(
-            "{} cross-component sends off the shard plan's cut set",
-            shard.attribution.noncut_cross_messages
-        ));
-    }
-    for e in &shard.edges {
-        if let Some(s) = e.min_slack_us {
-            if s < 0 {
-                return Err(format!(
-                    "cut edge `{}` ({} → {}) observed min slack {s}µs < 0 \
-                     ({} late messages): deliveries beat the declared {}µs \
-                     lookahead, so the conservative window schedule is unsound",
-                    e.kind, e.from, e.to, e.negative_slack, e.lookahead_us
-                ));
-            }
-        }
-    }
     Ok(())
 }
 
@@ -612,7 +545,6 @@ pub fn overhead_measurement(seed: u64) -> (f64, f64, f64) {
     let mut sc = build(cfg);
     sc.world.enable_profiling(false);
     sc.world.enable_tracing(false);
-    sc.world.enable_shardscope(false);
     let sw = HostStopwatch::start();
     sc.world.run_until(SimTime::from_secs(60));
     let disabled_wall = sw.elapsed_s();

@@ -11,15 +11,12 @@
 //! magma-bench --list            print the scenario suite with descriptions
 //! magma-bench --out DIR         where BENCH_*.json and TRACE_*.json land
 //!                               (default ".")
-//! magma-bench --shard-report P  run the fixed-seed attach storm and write
-//!                               the shardscope markdown report to P
-//!                               (docs/SHARD_REPORT.md; golden-diffed by
-//!                               scripts/check.sh)
 //! magma-bench --racecheck K     run attach_storm + scaling_ablation (or the
 //!                               one named with --scenario) under K permuted
 //!                               window schedules; the virtual section and
 //!                               per-window digests must match the canonical
-//!                               order byte for byte. Writes RACE_<name>.json;
+//!                               order byte for byte, and no run may count a
+//!                               window violation. Writes RACE_<name>.json;
 //!                               on divergence prints the bisected race report
 //! ```
 //!
@@ -31,8 +28,9 @@ use magma_bench::{
     overhead_measurement, run_scenario, run_scenario_racecheck, validate, BenchReport, BenchRun,
     BENCH_SEED, SCENARIOS, SCENARIO_DESCRIPTIONS,
 };
+use magma_sim::racecheck::WINDOW_US;
 use magma_sim::{RaceReport, RunSpec};
-use magma_testbed::{perfetto_string_sharded, render_critical_path, render_shard_table, shard_report_md};
+use magma_testbed::{perfetto_string, render_critical_path};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -45,7 +43,6 @@ struct Args {
     overhead: bool,
     list: bool,
     out: PathBuf,
-    shard_report: Option<PathBuf>,
     racecheck: Option<u64>,
 }
 
@@ -56,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
         overhead: false,
         list: false,
         out: PathBuf::from("."),
-        shard_report: None,
         racecheck: None,
     };
     let mut it = std::env::args().skip(1);
@@ -69,10 +65,6 @@ fn parse_args() -> Result<Args, String> {
             "--overhead" => args.overhead = true,
             "--list" => args.list = true,
             "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a dir")?),
-            "--shard-report" => {
-                args.shard_report =
-                    Some(PathBuf::from(it.next().ok_or("--shard-report needs a path")?));
-            }
             "--racecheck" => {
                 let k = it.next().ok_or("--racecheck needs a schedule count")?;
                 let k: u64 = k
@@ -98,14 +90,10 @@ fn write_report(out: &Path, report: &BenchReport) -> std::io::Result<PathBuf> {
 
 /// Write the Perfetto sidecar `TRACE_<scenario>.json` next to the
 /// BENCH report: the full span trees plus critical-path attribution,
-/// grouped into one Perfetto process per shard component, loadable in
-/// ui.perfetto.dev. Byte-deterministic for a given seed.
+/// loadable in ui.perfetto.dev. Byte-deterministic for a given seed.
 fn write_trace(out: &Path, run: &BenchRun) -> std::io::Result<PathBuf> {
     let path = out.join(format!("TRACE_{}.json", run.report.scenario));
-    std::fs::write(
-        &path,
-        perfetto_string_sharded(&run.trace, &run.report.virt.shard),
-    )?;
+    std::fs::write(&path, perfetto_string(&run.trace))?;
     Ok(path)
 }
 
@@ -127,7 +115,6 @@ fn run_and_write(name: &str, out: &Path) -> Result<BenchReport, String> {
     );
     eprintln!("{}", report.host.top_table);
     eprintln!("{}", render_critical_path(&run.trace));
-    eprintln!("{}", render_shard_table(&report.virt.shard));
     Ok(run.report)
 }
 
@@ -155,15 +142,19 @@ struct RaceFile {
     seed: u64,
     window_us: u64,
     schedules: u64,
+    /// Cross-component messages that landed inside their sender's
+    /// window, summed over every run (must be 0).
+    window_violations: u64,
     clean: bool,
     results: Vec<RaceScheduleResult>,
 }
 
 /// Racecheck one scenario under `k` permuted window schedules: the
 /// virtual section and the per-window digest streams must match the
-/// canonical `(time, seq)` order byte for byte. On divergence the
-/// detector auto-bisects to the first divergent window and names the
-/// offending event pair. Writes `RACE_<scenario>.json` either way.
+/// canonical `(time, seq)` order byte for byte, and no run may count a
+/// window violation. On divergence the detector auto-bisects to the
+/// first divergent window and names the offending event pair. Writes
+/// `RACE_<scenario>.json` either way.
 fn racecheck_scenario(out: &Path, name: &str, k: u64) -> Result<bool, String> {
     let canonical = RunSpec {
         schedule: None,
@@ -174,8 +165,11 @@ fn racecheck_scenario(out: &Path, name: &str, k: u64) -> Result<bool, String> {
     validate(&canon_run.report)?;
     let canon_virt = serde_json::to_string_pretty(&canon_run.report.virt)
         .map_err(|e| format!("serialize virtual: {e}"))?;
-    let window_us = canon_exports.first().map(|e| e.window_us).unwrap_or(0);
     let windows_total: u64 = canon_exports.iter().map(|e| e.digests.len() as u64).sum();
+    let violations = |exports: &[magma_sim::RaceExport]| -> u64 {
+        exports.iter().map(|e| e.window_violations).sum()
+    };
+    let mut window_violations = violations(&canon_exports);
 
     let mut results = Vec::new();
     let mut clean = true;
@@ -192,6 +186,7 @@ fn racecheck_scenario(out: &Path, name: &str, k: u64) -> Result<bool, String> {
         let virt = serde_json::to_string_pretty(&run.report.virt)
             .map_err(|e| format!("serialize virtual: {e}"))?;
         let virt_identical = virt == canon_virt;
+        window_violations += violations(&exports);
 
         // The first world (in build order) whose digest stream diverges
         // is the one the detector bisects; sweeps build several.
@@ -203,7 +198,7 @@ fn racecheck_scenario(out: &Path, name: &str, k: u64) -> Result<bool, String> {
             None => RaceReport {
                 label: name.to_string(),
                 schedule_seed: seed,
-                window_us,
+                window_us: WINDOW_US,
                 divergent: false,
                 first_divergent_window: None,
                 canonical: None,
@@ -249,11 +244,20 @@ fn racecheck_scenario(out: &Path, name: &str, k: u64) -> Result<bool, String> {
         });
     }
 
+    if window_violations > 0 {
+        clean = false;
+        eprintln!(
+            "racecheck[{name}]: {window_violations} cross-component messages landed inside \
+             their sender's {WINDOW_US}µs window — the permuted drain cannot reorder those \
+             runs legally (a link faster than one window?)"
+        );
+    }
     let file = RaceFile {
         scenario: name.to_string(),
         seed: BENCH_SEED,
-        window_us,
+        window_us: WINDOW_US,
         schedules: k,
+        window_violations,
         clean,
         results,
     };
@@ -284,28 +288,11 @@ fn racecheck_mode(out: &Path, k: u64, only: Option<&str>) -> Result<(), String> 
     }
     if !dirty.is_empty() {
         return Err(format!(
-            "logical race detected in: {} (see RACE_*.json for the \
-             bisected report)",
+            "logical race or window violation in: {} (see RACE_*.json \
+             for the bisected report)",
             dirty.join(", ")
         ));
     }
-    Ok(())
-}
-
-/// Shard-report mode: run the fixed-seed attach storm and render the
-/// shardscope markdown report (the generated docs/SHARD_REPORT.md that
-/// scripts/check.sh golden-diffs).
-fn shard_report_mode(out: &Path, path: &Path) -> Result<(), String> {
-    let report = run_and_write("attach_storm", out)?;
-    validate(&report)?;
-    let md = shard_report_md(&report.virt.shard, &report.scenario, report.seed);
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("mkdir report dir: {e}"))?;
-        }
-    }
-    std::fs::write(path, md).map_err(|e| format!("write shard report: {e}"))?;
-    eprintln!("shard-report: wrote {}", path.display());
     Ok(())
 }
 
@@ -376,8 +363,6 @@ fn main() -> ExitCode {
     }
     let result = if let Some(k) = args.racecheck {
         racecheck_mode(&args.out, k, args.scenario.as_deref())
-    } else if let Some(path) = &args.shard_report {
-        shard_report_mode(&args.out, path)
     } else if args.smoke {
         smoke_mode(&args.out)
     } else if args.overhead {

@@ -20,7 +20,6 @@ pub const EPC_ECHO_TICK: FlowKind = FlowKind {
     class: DelayClass::Local,
     role: Role::Timer,
     retry: None,
-    lookahead: None,
 };
 
 flow_dispatch! {
@@ -28,7 +27,6 @@ flow_dispatch! {
     /// (S1AP uplink, fluid demands) plus GTP-U echo replies and the echo
     /// cadence tick.
     pub const EPC_DISPATCH: actor = "agw.epc_baseline",
-    state = "EpcCoreActor",
     accepts = [
         magma_net::flows::SOCK_EVENT,
         magma_agw::flows::RAN_S1AP_UL,

@@ -19,7 +19,6 @@ pub const FEG_S6A_REQUEST: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Request,
     retry: Some("feg.s6a_tick"),
-    lookahead: Some("fiber"),
 };
 
 /// S6a answer (AIA/ULA): MNO HSS → FeG, matched by hop-by-hop id.
@@ -30,7 +29,6 @@ pub const MNO_S6A_ANSWER: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Response,
     retry: None,
-    lookahead: Some("fiber"),
 };
 
 /// The FeG's S6a expiry tick: sweeps pending proxies that the MNO never
@@ -42,7 +40,6 @@ pub const FEG_S6A_TICK: FlowKind = FlowKind {
     class: DelayClass::Local,
     role: Role::Timer,
     retry: None,
-    lookahead: None,
 };
 
 flow_dispatch! {
@@ -51,7 +48,6 @@ flow_dispatch! {
     /// answers, and the expiry tick. Per-call state is keyed by
     /// hop-by-hop id / RPC call id, so same-timestamp events commute.
     pub const FEG_DISPATCH: actor = "feg",
-    state = "FegActor",
     accepts = [
         magma_net::flows::SOCK_EVENT,
         magma_orc8r::proto::flows::FEG_AUTH,
@@ -66,7 +62,6 @@ flow_dispatch! {
     /// is stateless per request apart from the location registry, which
     /// is keyed by IMSI.
     pub const MNO_DISPATCH: actor = "feg.mno",
-    state = "MnoCoreActor",
     accepts = [
         magma_net::flows::SOCK_EVENT,
         FEG_S6A_REQUEST,

@@ -10,7 +10,6 @@
 use crate::flow;
 use crate::lexer;
 use crate::rules::{self, FileCtx, Finding, NameUse, ScopeUse};
-use crate::shard;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -63,10 +62,8 @@ pub struct Report {
     pub allows: Vec<Allow>,
     /// Malformed `lint:allow` comments (never suppressible).
     pub malformed: Vec<(String, u32, String)>,
-    /// The extracted message-flow graph (F rules, MESSAGE_FLOW.md).
+    /// The extracted message-flow graph (F rules, S007, MESSAGE_FLOW.md).
     pub flow: flow::FlowGraph,
-    /// The derived shard plan (S rules, SHARD_PLAN.md / shard_plan.json).
-    pub shard: shard::ShardPlan,
     /// Wall-clock self-timing for the run, in milliseconds.
     pub elapsed_ms: Option<f64>,
 }
@@ -138,13 +135,6 @@ impl Report {
             self.flow.kinds.len(),
             self.flow.dispatches.len(),
             self.flow.sent.len(),
-        ));
-        out.push_str(&format!(
-            "  shard plan: {} components, {} cut edges, {} replicated hub{}\n",
-            self.shard.components.len(),
-            self.shard.cut_edges.len(),
-            self.shard.replicated.len(),
-            if self.shard.replicated.len() == 1 { "" } else { "s" },
         ));
         if let Some(ms) = self.elapsed_ms {
             out.push_str(&format!(
@@ -387,6 +377,7 @@ fn lint_files_inner(
         );
         rules::a001_catch_all_dispatch(&ctx, &mut findings);
         rules::a002_hot_path_unwrap(&ctx, &mut findings);
+        rules::s004_raw_sends(&ctx, &mut findings);
         rules::s006_schedule_state_reads(&ctx, &mut findings);
         span_sites.push((sf.rel.clone(), flow::collect_span_sites(&ctx)));
         per_file_flows.push(flow::extract_file(&ctx));
@@ -402,15 +393,13 @@ fn lint_files_inner(
     // file may be finished in another.
     flow::f005_span_pairing(&span_sites, &mut report.findings);
 
-    // Assemble the workspace message-flow graph and run F001–F004 over
-    // it. The graph covers exactly the scanned file set, so fixture runs
-    // get the same rules over their own self-contained mini-graphs.
+    // Assemble the workspace message-flow graph and run F001–F004 and
+    // S007 over it. The graph covers exactly the scanned file set, so
+    // fixture runs get the same rules over their own self-contained
+    // mini-graphs.
     report.flow = flow::build_graph(&sources, per_file_flows);
     flow::graph_rules(&report.flow, &mut report.findings);
-
-    // S rules and the derived shard plan reuse the already-lexed sources
-    // and the assembled graph — no file is read or lexed twice.
-    report.shard = shard::shard_rules(root, &sources, &report.flow, check_drift, &mut report.findings);
+    rules::s007_sender_blind_tie_break(&report.flow, &mut report.findings);
 
     // T004: docs entries that no call site registers (stale docs).
     if check_drift && docs.present {

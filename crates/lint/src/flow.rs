@@ -6,14 +6,14 @@
 //! the kernel's dispatch macro. Both are flat literal blocks, so this
 //! module can extract the full directed graph of
 //! `(sender, kind, receiver, delay class)` edges *lexically* — no type
-//! checker — and prove the properties the sharded DES engine needs:
+//! checker — and prove the properties the schedule relies on:
 //!
 //! - `F001` orphan kinds: declared but never sent, sent but no dispatch
 //!   arm, arm/receiver mismatches, unknown idents in an accepts list,
 //!   and duplicate kind idents/names.
 //! - `F002` zero-delay send cycles: a cycle of `Zero`-class edges
 //!   (excluding demand-bounded `Response` edges and wildcard endpoints)
-//!   can livelock virtual time and pins every participant to one shard.
+//!   can livelock virtual time.
 //! - `F003` same-timestamp commutativity hazards: a dispatch that
 //!   accepts kinds from two or more distinct senders (or a wildcard
 //!   sender) must document its tie-break key.
@@ -53,8 +53,6 @@ pub struct KindDecl {
     pub role: String,
     /// Target kind *name* from `retry: Some("...")`.
     pub retry: Option<String>,
-    /// Link-profile name from `lookahead: Some("...")` (S002).
-    pub lookahead: Option<String>,
     pub file: String,
     pub line: u32,
 }
@@ -64,33 +62,9 @@ pub struct KindDecl {
 pub struct DispatchDecl {
     pub ident: String,
     pub actor: String,
-    /// The actor's state struct name from `state = "..."` (S003).
-    pub state: Option<String>,
     /// Last path segment of each accepts entry.
     pub accepts: Vec<String>,
     pub tie_break: Option<String>,
-    pub file: String,
-    pub line: u32,
-}
-
-/// One parsed shared-handle alias declaration (`AliasDecl` const).
-#[derive(Debug, Clone)]
-pub struct AliasDeclParsed {
-    pub handle: String,
-    pub ctor: String,
-    pub holders: Vec<String>,
-    /// `SameComponent` / `PerComponent` (last path segment, as written).
-    pub scope: String,
-    pub reason: String,
-    pub file: String,
-    pub line: u32,
-}
-
-/// One parsed co-location constraint (`Colocate` const).
-#[derive(Debug, Clone)]
-pub struct ColocateParsed {
-    pub actors: Vec<String>,
-    pub reason: String,
     pub file: String,
     pub line: u32,
 }
@@ -101,8 +75,6 @@ pub struct ColocateParsed {
 pub struct FileFlows {
     pub kinds: Vec<KindDecl>,
     pub dispatches: Vec<DispatchDecl>,
-    pub aliases: Vec<AliasDeclParsed>,
-    pub colocates: Vec<ColocateParsed>,
     pub decl_ranges: Vec<(usize, usize)>,
 }
 
@@ -111,8 +83,6 @@ pub struct FileFlows {
 pub struct FlowGraph {
     pub kinds: Vec<KindDecl>,
     pub dispatches: Vec<DispatchDecl>,
-    pub aliases: Vec<AliasDeclParsed>,
-    pub colocates: Vec<ColocateParsed>,
     /// Kind idents word-referenced outside declarations and dispatches.
     pub sent: BTreeSet<String>,
 }
@@ -248,7 +218,6 @@ pub fn extract_file(ctx: &FileCtx<'_>) -> FileFlows {
             })
         };
         let retry = some_or_none("retry");
-        let lookahead = some_or_none("lookahead");
         out.kinds.push(KindDecl {
             ident,
             name,
@@ -257,15 +226,11 @@ pub fn extract_file(ctx: &FileCtx<'_>) -> FileFlows {
             class,
             role,
             retry,
-            lookahead,
             file: ctx.rel.to_string(),
             line: ctx.masked.line_of(at),
         });
         out.decl_ranges.push((at, end));
     }
-
-    // Shard-alias and co-location consts (consumed by the S rules).
-    extract_alias_consts(ctx, &mut out);
 
     // Dispatch blocks: `<macro>! { const IDENT: actor = "...", ... }`.
     let macro_call = "flow_dispatch!";
@@ -294,10 +259,6 @@ pub fn extract_file(ctx: &FileCtx<'_>) -> FileFlows {
             .and_then(|p| first_string(ctx, p, end))
             .unwrap_or_default()
             .to_string();
-        let state = field_eq(text, open, end, "state")
-            .and_then(|p| first_string(ctx, p, end))
-            .map(str::to_string)
-            .filter(|s| !s.is_empty());
         let accepts = parse_accepts(text, open, end);
         let tie_break = field_eq(text, open, end, "tie_break").and_then(|p| {
             let j = skip_ws(bytes, p);
@@ -311,7 +272,6 @@ pub fn extract_file(ctx: &FileCtx<'_>) -> FileFlows {
             out.dispatches.push(DispatchDecl {
                 ident,
                 actor,
-                state,
                 accepts,
                 tie_break,
                 file: ctx.rel.to_string(),
@@ -321,104 +281,6 @@ pub fn extract_file(ctx: &FileCtx<'_>) -> FileFlows {
         out.decl_ranges.push((at, end));
     }
     out
-}
-
-/// Extract `AliasDecl` / `Colocate` const struct literals from one file.
-/// Same lexical shape as flow-kind consts: `const IDENT: ..Type =
-/// ..Type { ... };` with literal fields only.
-fn extract_alias_consts(ctx: &FileCtx<'_>, out: &mut FileFlows) {
-    let text = &ctx.masked.text;
-    let bytes = text.as_bytes();
-    for at in find_word(text, "const") {
-        if ctx.skipped(at) {
-            continue;
-        }
-        let j = skip_ws(bytes, at + "const".len());
-        let (ident, j) = ident_at(bytes, j);
-        if ident.is_empty() {
-            continue;
-        }
-        let j = skip_ws(bytes, j);
-        if j >= bytes.len() || bytes[j] != b':' {
-            continue;
-        }
-        let mut eq = j + 1;
-        while eq < bytes.len() && !matches!(bytes[eq], b'=' | b';' | b'{' | b'}' | b'(') {
-            eq += 1;
-        }
-        if eq >= bytes.len() || bytes[eq] != b'=' {
-            continue;
-        }
-        let ty = if !find_word(&text[j..eq], "AliasDecl").is_empty() {
-            "AliasDecl"
-        } else if !find_word(&text[j..eq], "Colocate").is_empty() {
-            "Colocate"
-        } else {
-            continue;
-        };
-        let Some(open) = text[eq..].find('{').map(|p| eq + p) else {
-            continue;
-        };
-        if find_word(&text[eq..open], ty).is_empty() {
-            continue;
-        }
-        let end = match_brace(bytes, open);
-        let get = |field: &str| -> Option<String> {
-            let c = field_colon(text, open, end, field)?;
-            first_string(ctx, c, end).map(str::to_string)
-        };
-        let line = ctx.masked.line_of(at);
-        if ty == "AliasDecl" {
-            let (Some(handle), Some(ctor)) = (get("handle"), get("ctor")) else {
-                continue;
-            };
-            let holders = field_colon(text, open, end, "holders")
-                .map(|c| string_list(ctx, c, end))
-                .unwrap_or_default();
-            let scope = field_colon(text, open, end, "scope")
-                .and_then(|c| path_segment(text, c, end))
-                .unwrap_or_default();
-            out.aliases.push(AliasDeclParsed {
-                handle,
-                ctor,
-                holders,
-                scope,
-                reason: get("reason").unwrap_or_default(),
-                file: ctx.rel.to_string(),
-                line,
-            });
-        } else {
-            let actors = field_colon(text, open, end, "actors")
-                .map(|c| string_list(ctx, c, end))
-                .unwrap_or_default();
-            out.colocates.push(ColocateParsed {
-                actors,
-                reason: get("reason").unwrap_or_default(),
-                file: ctx.rel.to_string(),
-                line,
-            });
-        }
-        out.decl_ranges.push((at, end));
-    }
-}
-
-/// Parse the string literals of a `&["a", "b"]` slice literal starting
-/// at the first `[` after `from`.
-fn string_list(ctx: &FileCtx<'_>, from: usize, to: usize) -> Vec<String> {
-    let text = &ctx.masked.text;
-    let Some(open) = text[from..to.min(text.len())].find('[').map(|p| from + p) else {
-        return Vec::new();
-    };
-    let close = text[open..to.min(text.len())]
-        .find(']')
-        .map(|p| open + p)
-        .unwrap_or(to);
-    ctx.masked
-        .strings
-        .iter()
-        .filter(|s| s.start > open && s.start < close)
-        .map(|s| s.value.clone())
-        .collect()
 }
 
 /// Find `field =` inside `text[from..to]`, returning the offset just
@@ -506,8 +368,6 @@ pub fn build_graph(sources: &[SourceFile], per_file: Vec<FileFlows>) -> FlowGrap
     for flows in per_file {
         graph.kinds.extend(flows.kinds);
         graph.dispatches.extend(flows.dispatches);
-        graph.aliases.extend(flows.aliases);
-        graph.colocates.extend(flows.colocates);
     }
     graph.kinds.sort_by(|a, b| {
         (&a.sender, &a.name, &a.file, a.line).cmp(&(&b.sender, &b.name, &b.file, b.line))
@@ -516,18 +376,12 @@ pub fn build_graph(sources: &[SourceFile], per_file: Vec<FileFlows>) -> FlowGrap
         .dispatches
         .sort_by(|a, b| (&a.actor, &a.file, a.line).cmp(&(&b.actor, &b.file, b.line)));
     graph
-        .aliases
-        .sort_by(|a, b| (&a.handle, &a.file, a.line).cmp(&(&b.handle, &b.file, b.line)));
-    graph
-        .colocates
-        .sort_by(|a, b| (&a.actors, &a.file, a.line).cmp(&(&b.actors, &b.file, b.line)));
-    graph
 }
 
 /// Does a kind with `receiver` land on a dispatch declaring `actor`?
 /// Receivers are dotted hierarchies: `agw` matches `agw.epc_baseline`;
 /// `"*"` matches anyone.
-pub(crate) fn receiver_matches(receiver: &str, actor: &str) -> bool {
+fn receiver_matches(receiver: &str, actor: &str) -> bool {
     receiver == "*" || actor == receiver || actor.starts_with(&format!("{receiver}."))
 }
 
@@ -721,7 +575,7 @@ pub fn graph_rules(g: &FlowGraph, out: &mut Vec<Finding>) {
             first.line,
             format!(
                 "zero-delay send cycle: {} — same-instant messages can livelock \
-                 virtual time and pin every participant to one shard",
+                 virtual time",
                 path.join(", ")
             ),
         ));
@@ -1014,40 +868,5 @@ pub fn render(g: &FlowGraph) -> String {
         out.push('\n');
     }
 
-    out.push_str("## Shard-cut candidates (transport edges)\n\n");
-    out.push_str(
-        "Edges that ride a modeled link. A sharded engine can place sender and\n\
-         receiver on different shards and bound the lookahead window by the\n\
-         link's minimum latency.\n\n",
-    );
-    for k in &g.kinds {
-        if k.class == "Transport" {
-            out.push_str(&format!(
-                "- `{}` → `{}` via `{}` [{}]\n",
-                k.sender,
-                k.receiver,
-                k.name,
-                k.role.to_lowercase(),
-            ));
-        }
-    }
-    out.push('\n');
-
-    out.push_str("## Same-shard constraints (zero-delay edges)\n\n");
-    out.push_str(
-        "Edges delivered at the sending instant. Sender and receiver must be\n\
-         co-scheduled; these edges can never cross a shard boundary.\n\n",
-    );
-    for k in &g.kinds {
-        if k.class == "Zero" {
-            out.push_str(&format!(
-                "- `{}` → `{}` via `{}` [{}]\n",
-                k.sender,
-                k.receiver,
-                k.name,
-                k.role.to_lowercase(),
-            ));
-        }
-    }
     out
 }

@@ -9,9 +9,7 @@ pub mod engine;
 pub mod flow;
 pub mod lexer;
 pub mod rules;
-pub mod shard;
 
 pub use engine::{json_report, lint_files, lint_workspace, parse_docs, workspace_files, Report};
 pub use flow::{render as render_flow, FlowGraph};
 pub use rules::{render_rule_list, Finding, ALL_RULES, KNOWN_PREFIXES, RULE_INFO};
-pub use shard::{render_plan, render_plan_json, ShardPlan};

@@ -7,10 +7,8 @@
 //! how the OBSERVABILITY.md inventory table is regenerated. `--json`
 //! emits the findings as machine-readable JSON (stable field order);
 //! `--write-flow` (or `MAGMA_FLOW_ACCEPT=1`) regenerates
-//! `docs/MESSAGE_FLOW.md` from the extracted message-flow graph, and
-//! `--write-shard-plan` (or `MAGMA_SHARD_ACCEPT=1`) regenerates
-//! `docs/SHARD_PLAN.md` + `scripts/golden/shard_plan.json`, instead of
-//! failing on drift. `--list-rules` prints the rule inventory (id,
+//! `docs/MESSAGE_FLOW.md` from the extracted message-flow graph instead
+//! of failing on drift. `--list-rules` prints the rule inventory (id,
 //! summary, fixture) so `lint:allow` reasons can reference something
 //! discoverable.
 
@@ -18,7 +16,6 @@ mod engine;
 mod flow;
 mod lexer;
 mod rules;
-mod shard;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,7 +26,6 @@ fn main() -> ExitCode {
     let mut dump_names = false;
     let mut json = false;
     let mut write_flow = false;
-    let mut write_shard = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -42,7 +38,6 @@ fn main() -> ExitCode {
             "--names" => dump_names = true,
             "--json" => json = true,
             "--write-flow" => write_flow = true,
-            "--write-shard-plan" => write_shard = true,
             "--list-rules" => {
                 print!("{}", rules::render_rule_list());
                 return ExitCode::SUCCESS;
@@ -50,17 +45,14 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: magma-lint [--root DIR] [--names] [--json] [--list-rules] \
-                     [--write-flow] [--write-shard-plan] [FILES...]\n\
+                     [--write-flow] [FILES...]\n\
                      Lints the workspace (or just FILES) for determinism (D),\n\
                      telemetry naming (T), actor hygiene (A), message-flow\n\
-                     graph (F), and shard-safety (S) violations. --json emits\n\
-                     findings as JSON; --write-flow (or MAGMA_FLOW_ACCEPT=1)\n\
-                     regenerates docs/MESSAGE_FLOW.md instead of failing on\n\
-                     F006 drift; --write-shard-plan (or MAGMA_SHARD_ACCEPT=1)\n\
-                     regenerates docs/SHARD_PLAN.md and\n\
-                     scripts/golden/shard_plan.json instead of failing on S005;\n\
-                     --list-rules prints the rule inventory (id, summary,\n\
-                     fixture path) in stable order."
+                     graph (F), and schedule-safety (S) violations. --json\n\
+                     emits findings as JSON; --write-flow (or\n\
+                     MAGMA_FLOW_ACCEPT=1) regenerates docs/MESSAGE_FLOW.md\n\
+                     instead of failing on F006 drift; --list-rules prints the\n\
+                     rule inventory (id, summary, fixture path) in stable order."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -96,24 +88,6 @@ fn main() -> ExitCode {
         }
         eprintln!("magma-lint: wrote docs/MESSAGE_FLOW.md");
         report.findings.retain(|f| f.rule != "F006");
-    }
-
-    // Re-baseline the generated shard plan instead of failing on drift.
-    let accept_shard = write_shard
-        || std::env::var("MAGMA_SHARD_ACCEPT").map(|v| v == "1").unwrap_or(false);
-    if accept_shard {
-        for (rel, rendered) in [
-            ("docs/SHARD_PLAN.md", shard::render_plan(&report.shard)),
-            ("scripts/golden/shard_plan.json", shard::render_plan_json(&report.shard)),
-        ] {
-            let path = root.join(rel);
-            if let Err(e) = std::fs::write(&path, &rendered) {
-                eprintln!("magma-lint: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("magma-lint: wrote {rel}");
-        }
-        report.findings.retain(|f| f.rule != "S005");
     }
 
     if dump_names {

@@ -31,18 +31,20 @@
 //! - `F001`–`F006` message-flow graph rules (see `flow`): orphan kinds,
 //!   zero-delay send cycles, missing tie-break contracts, requests
 //!   without retry edges, span leaks, and `docs/MESSAGE_FLOW.md` drift.
-//! - `S001`–`S005` shard-safety rules (see `shard`): alias scopes,
-//!   lookahead bounds, movable state, dispatch-path hygiene, plan drift.
+//! - `S004` raw-send: `ctx.send(`/`ctx.send_in(` outside the kernel
+//!   bypasses the typed flow layer.
 //! - `S006` schedule-state-read: actor code must not read
 //!   schedule-dependent kernel-global state (heap shape, dispatch
-//!   counter, live traces, the window ledger, cross-prefix registry
+//!   counter, live traces, RPC edge counters, cross-prefix registry
 //!   reads) — those values are artifacts of the window schedule.
-//! - `S007` sender-blind tie-break (see `shard`): a multi-sender
-//!   cut-edge dispatch must name the sender in its tie-break key;
-//!   a constant key passes F003 but cannot order same-window
-//!   deliveries from distinct shards.
+//! - `S007` sender-blind tie-break: a dispatch accepting Transport-class
+//!   kinds from multiple senders must name the sender in its tie-break
+//!   key; a constant key passes F003 but cannot order same-window
+//!   deliveries from distinct racecheck components.
 
+use crate::flow::FlowGraph;
 use crate::lexer::Masked;
+use std::collections::BTreeSet;
 
 /// One rule hit, before suppression.
 #[derive(Debug, Clone)]
@@ -74,8 +76,7 @@ impl Finding {
 /// All rule identifiers, for the summary report.
 pub const ALL_RULES: &[&str] = &[
     "D001", "D002", "T001", "T002", "T003", "T004", "T005", "T006", "T007", "A001", "A002",
-    "F001", "F002", "F003", "F004", "F005", "F006", "S001", "S002", "S003", "S004", "S005",
-    "S006", "S007",
+    "F001", "F002", "F003", "F004", "F005", "F006", "S004", "S006", "S007",
 ];
 
 /// One row per rule for `--list-rules`: (id, one-line summary, fixture
@@ -169,29 +170,9 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
         "crates/lint/tests/fixtures/flowdrift",
     ),
     (
-        "S001",
-        "shared-handle aliasing outside declared AliasDecl scope",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/s001_raw_alias.rs",
-    ),
-    (
-        "S002",
-        "transport kind without a positive link-profile lookahead bound",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/s002_no_lookahead.rs",
-    ),
-    (
-        "S003",
-        "dispatch state struct missing, undefined, or embedding raw Rc/RefCell",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/s003_raw_state.rs",
-    ),
-    (
         "S004",
-        "raw ctx.send / undeclared borrows on dispatch paths",
+        "raw ctx.send / ctx.send_in outside the kernel bypasses the typed flow layer",
         "crates/lint/tests/fixtures/bad/crates/feg/src/s004_raw_send.rs",
-    ),
-    (
-        "S005",
-        "generated shard plan drifted from the analysis",
-        "crates/lint/tests/fixtures/sharddrift",
     ),
     (
         "S006",
@@ -215,8 +196,8 @@ pub fn render_rule_list() -> String {
     out
 }
 
-/// Minimal JSON string escaping shared by the `--json` report and the
-/// generated `shard_plan.json` (the lint stays dependency-free).
+/// Minimal JSON string escaping for the `--json` report (the lint stays
+/// dependency-free).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -247,10 +228,10 @@ pub const KNOWN_PREFIXES: &[&str] = &[
 
 /// Known second-segment families under the kernel's `sim.` prefix —
 /// each one observability subsystem (`sim.cpu.*` queueing, `sim.prof.*`
-/// simprof, `sim.trace.*` magma-trace, `sim.shard.*` shardscope). The
-/// T002 sub-check keeps new kernel instruments from squatting an
-/// unreviewed namespace. Grown only alongside `docs/OBSERVABILITY.md`.
-pub const SIM_FAMILIES: &[&str] = &["cpu", "prof", "trace", "shard"];
+/// simprof, `sim.trace.*` magma-trace). The T002 sub-check keeps new
+/// kernel instruments from squatting an unreviewed namespace. Grown only
+/// alongside `docs/OBSERVABILITY.md`.
+pub const SIM_FAMILIES: &[&str] = &["cpu", "prof", "trace"];
 
 /// A scanned file plus precomputed skip ranges (`#[cfg(test)]` items).
 pub struct FileCtx<'a> {
@@ -991,15 +972,44 @@ pub fn a002_hot_path_unwrap(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
+/// S004: raw `ctx.send(` / `ctx.send_in(` outside the kernel. The typed
+/// `send_to` family carries the edge's declared `FlowKind` — what the
+/// flow graph, tracing and the debug delay-class asserts all rely on.
+pub fn s004_raw_sends(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    if ctx.in_kernel() {
+        return;
+    }
+    let text = &ctx.masked.text;
+    for needle in ["ctx.send(", "ctx.send_in("] {
+        let mut from = 0;
+        while let Some(p) = text[from..].find(needle) {
+            let at = from + p;
+            from = at + 1;
+            if ctx.skipped(at) {
+                continue;
+            }
+            out.push(Finding::new(
+                "S004",
+                ctx.rel,
+                ctx.masked.line_of(at),
+                format!(
+                    "raw `{needle}..)` bypasses the typed flow layer — route through the \
+                     `send_to` family so the edge carries its declared FlowKind"
+                ),
+            ));
+        }
+    }
+}
+
 /// S006: actor code reading schedule-dependent kernel-global state.
 ///
-/// Under the conservative-window engine the component drain order inside
-/// a window is a free parameter (racecheck permutes it), so any value an
-/// actor derives from kernel-global observability state — the event-heap
-/// shape, the global dispatch counter, live trace spans, the shardscope
-/// window ledger, or another component's registry namespace — depends on
-/// the schedule. Folding it into actor state is a logical race even on
-/// the single-threaded engine.
+/// Racecheck's permuted drain makes the component order inside a window
+/// a free parameter, so any value an actor derives from kernel-global
+/// observability state — the event-heap shape, the global dispatch
+/// counter, live trace spans, the RPC edge counters, or another
+/// component's registry namespace — depends on the schedule. Folding it
+/// into actor state is a logical race even on the single-threaded
+/// engine.
 ///
 /// Scope: files that implement a dispatch surface (`impl Actor for`)
 /// outside the kernel; helper fns in the same file count, since the
@@ -1022,7 +1032,7 @@ pub fn s006_schedule_state_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         ("heap_stats(", "the event-heap shape"),
         ("events_processed(", "the global dispatch counter"),
         ("trace_snapshot(", "live trace spans"),
-        ("shard_snapshot(", "the shardscope window ledger"),
+        ("shard_snapshot(", "the RPC edge counters"),
     ];
     for (needle, what) in GLOBALS {
         for at in find_word(text, needle) {
@@ -1112,6 +1122,66 @@ pub fn s006_schedule_state_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                  cross-component registry state depends on which components already \
                  drained this window; actors may only write metrics, or export \
                  their own namespace (`snapshot_prefixed(&self...)`)",
+            ),
+        ));
+    }
+}
+
+/// S007: a dispatch accepting Transport-class kinds — every edge that
+/// rides a modelled link, the only edges that may join two racecheck
+/// components — from multiple senders must name the sender in its
+/// tie-break key. F003 only demands that *a* key exists; a sender-blind
+/// one ("round-robin slot") passes it while still letting the window
+/// schedule pick which component's delivery wins. Multiple senders means
+/// two top-level sender namespaces (`agw.epc_baseline` stands in for
+/// `agw`, `ran.enb` and `ran.wifi` are both `ran`), a wildcard, or a hub
+/// actor with a transport self-edge (`net.stack`): one name, one instance
+/// per node. The check is lexical: the key must mention
+/// sender/src/from/peer/source/origin.
+pub fn s007_sender_blind_tie_break(g: &FlowGraph, out: &mut Vec<Finding>) {
+    const SENDER_TOKENS: &[&str] = &["sender", "src", "from", "peer", "source", "origin"];
+    let transport = || g.kinds.iter().filter(|k| k.class == "Transport");
+    let hubs: BTreeSet<&str> = transport()
+        .filter(|k| k.sender == k.receiver && k.sender != "*")
+        .map(|k| k.sender.as_str())
+        .collect();
+    for d in &g.dispatches {
+        let Some(key) = &d.tie_break else {
+            continue; // no key at all is F003's finding, not S007's.
+        };
+        let mut senders: BTreeSet<&str> = BTreeSet::new();
+        let mut kinds: Vec<&str> = Vec::new();
+        let mut hub = false;
+        for k in transport().filter(|k| d.accepts.contains(&k.ident)) {
+            kinds.push(&k.ident);
+            hub |= hubs.contains(k.sender.as_str());
+            senders.extend(k.sender.split('.').next());
+        }
+        if !hub && senders.len() < 2 && !senders.contains("*") {
+            continue;
+        }
+        let lower = key.to_lowercase();
+        if SENDER_TOKENS
+            .iter()
+            .any(|t| !find_word(&lower, t).is_empty())
+        {
+            continue;
+        }
+        out.push(Finding::new(
+            "S007",
+            &d.file,
+            d.line,
+            format!(
+                "dispatch `{}` (actor {:?}) accepts transport kinds [{}] deliverable \
+                 from multiple senders ([{}]) but its tie-break key {:?} never names \
+                 the sender — same-window deliveries from distinct components need \
+                 sender identity in the commutativity key (mention \
+                 sender/src/from/peer/source/origin)",
+                d.ident,
+                d.actor,
+                kinds.join(", "),
+                senders.into_iter().collect::<Vec<_>>().join(", "),
+                key,
             ),
         ));
     }

@@ -13,7 +13,6 @@ pub const ORPHAN_KIND: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: None,
-    lookahead: Some("fiber"),
 };
 
 pub struct AgwState {
@@ -23,7 +22,6 @@ pub struct AgwState {
 flow_dispatch! {
     /// Accepts an ident no kind declares: a third orphan finding.
     pub const BAD_DISPATCH: actor = "agw",
-    state = "AgwState",
     accepts = [UNKNOWN_KIND],
     tie_break = Some("n/a"),
 }

@@ -12,7 +12,6 @@ pub const PING: FlowKind = FlowKind {
     class: DelayClass::Zero,
     role: Role::Data,
     retry: None,
-    lookahead: None,
 };
 
 pub const PONG: FlowKind = FlowKind {
@@ -22,7 +21,6 @@ pub const PONG: FlowKind = FlowKind {
     class: DelayClass::Zero,
     role: Role::Data,
     retry: None,
-    lookahead: None,
 };
 
 pub struct AgwState {
@@ -35,14 +33,12 @@ pub struct OrcState {
 
 flow_dispatch! {
     pub const AGW_DISPATCH: actor = "agw",
-    state = "AgwState",
     accepts = [PONG],
     tie_break = Some("n/a"),
 }
 
 flow_dispatch! {
     pub const ORC8R_DISPATCH: actor = "orc8r",
-    state = "OrcState",
     accepts = [PING],
     tie_break = Some("n/a"),
 }

@@ -12,7 +12,6 @@ pub const FROM_RAN: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: None,
-    lookahead: Some("fiber"),
 };
 
 pub const FROM_FEG: FlowKind = FlowKind {
@@ -22,7 +21,6 @@ pub const FROM_FEG: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: None,
-    lookahead: Some("fiber"),
 };
 
 pub struct AgwState {
@@ -31,7 +29,6 @@ pub struct AgwState {
 
 flow_dispatch! {
     pub const AGW_DISPATCH: actor = "agw",
-    state = "AgwState",
     accepts = [FROM_RAN, FROM_FEG],
     tie_break = None,
 }

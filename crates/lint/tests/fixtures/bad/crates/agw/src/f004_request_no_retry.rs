@@ -11,7 +11,6 @@ pub const NAKED_REQUEST: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Request,
     retry: None,
-    lookahead: Some("fiber"),
 };
 
 pub const DANGLING_RETRY: FlowKind = FlowKind {
@@ -21,7 +20,6 @@ pub const DANGLING_RETRY: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Request,
     retry: Some("mme.missing_tick"),
-    lookahead: Some("fiber"),
 };
 
 pub struct OrcState {
@@ -30,7 +28,6 @@ pub struct OrcState {
 
 flow_dispatch! {
     pub const ORC8R_DISPATCH: actor = "orc8r",
-    state = "OrcState",
     accepts = [NAKED_REQUEST, DANGLING_RETRY],
     tie_break = Some("rpc call id"),
 }

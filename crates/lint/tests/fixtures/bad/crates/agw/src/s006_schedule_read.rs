@@ -1,6 +1,6 @@
 //! S006: actor state folded from schedule-dependent kernel-global reads
 //! — the event-heap shape, the global dispatch counter, live trace
-//! spans, the shardscope window ledger, and another gateway's registry
+//! spans, the RPC edge counters, and another gateway's registry
 //! namespace are all artifacts of the window schedule.
 
 use magma_sim::{Actor, Ctx, Event, World};
@@ -14,8 +14,8 @@ impl PeekingState {
         let heap = world.heap_stats().peak as u64;
         let dispatched = world.events_processed();
         let spans = world.trace_snapshot().stats.started;
-        let windows = world.shard_snapshot().window_model.occupied_windows;
-        heap + dispatched + spans + windows
+        let rpcs = world.shard_snapshot().edges.len() as u64;
+        heap + dispatched + spans + rpcs
     }
 }
 

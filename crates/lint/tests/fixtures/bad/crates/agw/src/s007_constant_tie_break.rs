@@ -1,7 +1,7 @@
-//! S007: a dispatch accepting cut-edge kinds from two distinct senders
+//! S007: a dispatch accepting transport kinds from two distinct senders
 //! whose tie-break key is a constant — it satisfies F003 (a key exists)
 //! but never names the sender, so same-window deliveries from distinct
-//! shards stay ordered by whatever the window schedule picked.
+//! components stay ordered by whatever the window schedule picked.
 
 use magma_sim::flow_dispatch;
 use magma_sim::{DelayClass, FlowKind, Role};
@@ -13,7 +13,6 @@ pub const FROM_RAN: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: None,
-    lookahead: Some("fiber"),
 };
 
 pub const FROM_FEG: FlowKind = FlowKind {
@@ -23,7 +22,6 @@ pub const FROM_FEG: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: None,
-    lookahead: Some("fiber"),
 };
 
 pub struct AgwState {
@@ -32,7 +30,6 @@ pub struct AgwState {
 
 flow_dispatch! {
     pub const AGW_DISPATCH: actor = "agw",
-    state = "AgwState",
     accepts = [FROM_RAN, FROM_FEG],
     tie_break = Some("round-robin ingress slot"),
 }

@@ -1,20 +1,12 @@
-//! S004: dispatch-path hygiene violations — raw `ctx.send` /
-//! `ctx.send_in` outside the kernel, and a borrow of shared state that
-//! is not a declared handle field inside an actor-implementation file.
+//! S004: raw `ctx.send` / `ctx.send_in` outside the kernel bypass the
+//! typed flow layer.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-pub struct RogueActor {
-    pub shared: Rc<RefCell<u64>>,
-}
+pub struct RogueActor;
 
 impl Actor for RogueActor {
     fn handle(&mut self, ctx: &mut Ctx, ev: Event) {
-        // Raw sends bypass the typed flow layer: two findings.
+        // Raw sends carry no declared FlowKind: two findings.
         ctx.send(ev.target, ev.payload);
         ctx.send_in(ev.delay, ev.target, ev.payload);
-        // Undeclared shared-state borrow on the dispatch path: a third.
-        *self.shared.borrow_mut() += 1;
     }
 }

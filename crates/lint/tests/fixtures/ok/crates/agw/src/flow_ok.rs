@@ -13,7 +13,6 @@ pub const SYNC_REQUEST: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Request,
     retry: Some("mme.sync_tick"),
-    lookahead: Some("fiber"),
 };
 
 pub const SYNC_TICK: FlowKind = FlowKind {
@@ -23,7 +22,6 @@ pub const SYNC_TICK: FlowKind = FlowKind {
     class: DelayClass::Local,
     role: Role::Timer,
     retry: None,
-    lookahead: None,
 };
 
 pub struct OrcState {
@@ -36,7 +34,6 @@ pub struct AgwState {
 
 flow_dispatch! {
     pub const ORC8R_DISPATCH: actor = "orc8r",
-    state = "OrcState",
     accepts = [SYNC_REQUEST],
     tie_break = Some("rpc call id"),
 }
@@ -44,7 +41,6 @@ flow_dispatch! {
 flow_dispatch! {
     /// Single sender (agw's own tick): no tie-break contract needed.
     pub const AGW_DISPATCH: actor = "agw",
-    state = "AgwState",
     accepts = [SYNC_TICK],
     tie_break = None,
 }

@@ -1,5 +1,5 @@
 //! Regression test for the engine's shared lex/mask cache: a workspace
-//! scan runs 24 rules plus the flow-graph and shard-plan extraction, but
+//! scan runs every rule plus the flow-graph extraction, but
 //! each source file must be lexed exactly once — the `SourceFile` set is
 //! built up front and every family reuses it. A second lex of the same
 //! file would roughly double the gate's self-time and, worse, invite
@@ -28,7 +28,7 @@ fn each_file_is_lexed_exactly_once_per_scan() {
     );
 
     // And the sharing really spans all families: the single pass filled
-    // the flow graph, the shard plan, and the rule findings together.
+    // the flow graph and the rule findings together.
     assert!(!report.flow.kinds.is_empty());
-    assert!(!report.shard.components.is_empty());
+    assert!(!report.flow.dispatches.is_empty());
 }

@@ -1,128 +1,57 @@
-//! Per-shard-component topology fabric.
+//! The scenario harness's handle on the physical network.
 //!
-//! [`NetFabric`] partitions the physical network into *domains*: one
-//! [`Topology`](crate::Topology) instance per shard component of the flow graph (see
-//! `docs/SHARD_PLAN.md`). Each node lives in exactly one domain, and a
-//! node's [`NetStack`](crate::NetStack) only ever holds the handle of
-//! its own domain — so no `Rc<RefCell<Topology>>` is aliased across
-//! shard components (lint rule S001). Links between nodes of different
-//! domains are split directionally: the `(a, b)` [`Link`](crate::Link)
-//! lives in `a`'s domain and `(b, a)` in `b`'s, matching how a sharded
-//! kernel would charge serialization on the sending side of a cut edge.
-//!
-//! Stack bindings are replicated into every domain: an `ActorId` is
-//! immutable routing metadata, not mutable state, so replication keeps
-//! `transmit` lookups local without sharing the map. Node addresses come
-//! from a fabric-global allocator so they are byte-identical to the
-//! single-topology world (golden exports depend on this).
+//! [`NetFabric`] owns the one [`Topology`](crate::Topology) of a world
+//! and is the facade the harness builds it through and injects faults
+//! with (partitions, profile swaps). Every node's
+//! [`NetStack`](crate::NetStack) shares the topology through
+//! [`NetFabric::handle`].
 
 use crate::addr::NodeAddr;
 use crate::link::LinkProfile;
 use crate::topology::{new_net, LinkStats, NetHandle};
 use magma_sim::ActorId;
-use std::collections::BTreeMap;
 
-/// Index of one topology domain (shard component) within a fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct DomainId(pub usize);
-
-/// A set of per-component topologies behind one building/fault-injection
-/// facade. Owned (not `Rc`-shared) by the scenario harness.
+/// The world's topology behind a building/fault-injection facade. Owned
+/// (not `Rc`-shared) by the scenario harness.
 pub struct NetFabric {
-    domains: Vec<NetHandle>,
-    node_domain: BTreeMap<NodeAddr, DomainId>,
-    /// Master binding table; replicated into every domain so the sending
-    /// side of a cut edge can resolve the destination stack locally.
-    stacks: BTreeMap<NodeAddr, ActorId>,
-    next_addr: u32,
-    /// World seed forwarded to every domain's per-link RNG derivation.
-    seed: u64,
+    net: NetHandle,
 }
 
 impl NetFabric {
     pub fn new() -> Self {
-        NetFabric {
-            domains: Vec::new(),
-            node_domain: BTreeMap::new(),
-            stacks: BTreeMap::new(),
-            next_addr: 0,
-            seed: 0,
-        }
+        NetFabric { net: new_net() }
     }
 
-    /// Set the world seed every domain's per-link RNG streams derive
-    /// from (see [`crate::Topology::set_seed`]). Existing domains are
-    /// re-seeded; future domains pick the seed up at creation.
+    /// Set the world seed the per-link RNG streams derive from (see
+    /// [`crate::Topology::set_seed`]).
     pub fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
-        for d in &self.domains {
-            d.borrow_mut().set_seed(seed);
-        }
+        self.net.borrow_mut().set_seed(seed);
     }
 
-    /// Create a new empty domain (one per shard component), seeded with
-    /// every binding registered so far.
-    pub fn add_domain(&mut self) -> DomainId {
-        let id = DomainId(self.domains.len());
-        let d = new_net();
-        d.borrow_mut().set_seed(self.seed);
-        for (&node, &stack) in &self.stacks {
-            d.borrow_mut().bind_stack(node, stack);
-        }
-        self.domains.push(d);
-        id
+    /// The shared topology handle — what gets passed to
+    /// [`NetStack::new`](crate::NetStack::new).
+    pub fn handle(&self) -> NetHandle {
+        self.net.clone()
     }
 
-    /// Number of domains in the fabric.
-    pub fn num_domains(&self) -> usize {
-        self.domains.len()
+    /// Allocate a node address.
+    pub fn add_node(&mut self, name: &str) -> NodeAddr {
+        self.net.borrow_mut().add_node(name)
     }
 
-    /// The topology handle of the domain `node` belongs to. This is what
-    /// gets passed to [`NetStack::new`](crate::NetStack::new) — the only
-    /// place a `NetHandle` should escape the fabric.
-    pub fn handle_of(&self, node: NodeAddr) -> NetHandle {
-        self.domains[self.domain_of(node).0].clone()
-    }
-
-    /// Which domain a node was added to.
-    pub fn domain_of(&self, node: NodeAddr) -> DomainId {
-        *self
-            .node_domain
-            .get(&node)
-            .expect("node registered with the fabric")
-    }
-
-    /// Allocate a node in `domain`. Addresses are fabric-global, so the
-    /// allocation order (and thus every `NodeAddr`) is independent of
-    /// the domain partition.
-    pub fn add_node(&mut self, domain: DomainId, name: &str) -> NodeAddr {
-        let addr = NodeAddr(self.next_addr);
-        self.next_addr += 1;
-        self.domains[domain.0].borrow_mut().insert_node(addr, name);
-        self.node_domain.insert(addr, domain);
-        addr
-    }
-
-    /// Bind a node's stack actor. Replicated into every domain so any
-    /// sending side of a cut edge can resolve the destination locally.
-    /// Must be re-invoked when a stack actor is replaced (restart).
+    /// Bind a node's stack actor. Must be re-invoked when a stack actor
+    /// is replaced (restart).
     pub fn bind_stack(&mut self, node: NodeAddr, stack: ActorId) {
-        self.stacks.insert(node, stack);
-        for d in &self.domains {
-            d.borrow_mut().bind_stack(node, stack);
-        }
+        self.net.borrow_mut().bind_stack(node, stack);
     }
 
     pub fn stack_of(&self, node: NodeAddr) -> Option<ActorId> {
-        self.stacks.get(&node).copied()
+        self.net.borrow().stack_of(node)
     }
 
-    /// Connect two nodes symmetrically. The `(a, b)` direction lives in
-    /// `a`'s domain, `(b, a)` in `b`'s (the same domain when the nodes
-    /// are co-located, which also covers the intra-domain case).
+    /// Connect two nodes symmetrically.
     pub fn connect(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
-        self.connect_asym(a, b, profile, profile);
+        self.net.borrow_mut().connect(a, b, profile);
     }
 
     /// Connect two nodes with asymmetric profiles.
@@ -133,49 +62,27 @@ impl NetFabric {
         a_to_b: LinkProfile,
         b_to_a: LinkProfile,
     ) {
-        let da = self.domain_of(a);
-        let db = self.domain_of(b);
-        self.domains[da.0]
-            .borrow_mut()
-            .connect_asym(a, b, a_to_b, b_to_a);
-        if db != da {
-            self.domains[db.0]
-                .borrow_mut()
-                .connect_asym(a, b, a_to_b, b_to_a);
-        }
+        self.net.borrow_mut().connect_asym(a, b, a_to_b, b_to_a);
     }
 
     /// Bring both directions of a link up or down (partition injection).
-    /// Applied to both endpoint domains; `Topology::set_link_up` ignores
-    /// directions a domain does not carry.
     pub fn set_link_up(&mut self, a: NodeAddr, b: NodeAddr, up: bool) {
-        let da = self.domain_of(a);
-        let db = self.domain_of(b);
-        self.domains[da.0].borrow_mut().set_link_up(a, b, up);
-        if db != da {
-            self.domains[db.0].borrow_mut().set_link_up(a, b, up);
-        }
+        self.net.borrow_mut().set_link_up(a, b, up);
     }
 
     /// Replace both directions' profiles (e.g., degrade fiber→satellite).
     pub fn set_profile(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
-        let da = self.domain_of(a);
-        let db = self.domain_of(b);
-        self.domains[da.0].borrow_mut().set_profile(a, b, profile);
-        if db != da {
-            self.domains[db.0].borrow_mut().set_profile(a, b, profile);
-        }
+        self.net.borrow_mut().set_profile(a, b, profile);
     }
 
-    /// Whether the `a → b` direction is up (read from the sending side's
-    /// domain, where that direction's link lives).
+    /// Whether the `a → b` direction is up.
     pub fn link_up(&self, a: NodeAddr, b: NodeAddr) -> bool {
-        self.domains[self.domain_of(a).0].borrow().link_up(a, b)
+        self.net.borrow().link_up(a, b)
     }
 
     /// Delivery statistics for the `a → b` direction.
     pub fn stats(&self, a: NodeAddr, b: NodeAddr) -> LinkStats {
-        self.domains[self.domain_of(a).0].borrow().stats(a, b)
+        self.net.borrow().stats(a, b)
     }
 }
 
@@ -191,47 +98,46 @@ mod tests {
     use magma_sim::SimTime;
 
     #[test]
-    fn addresses_are_global_across_domains() {
+    fn nodes_get_sequential_addresses_and_stack_bindings() {
         let mut f = NetFabric::new();
-        let d0 = f.add_domain();
-        let d1 = f.add_domain();
-        let a = f.add_node(d0, "a");
-        let b = f.add_node(d1, "b");
-        let c = f.add_node(d0, "c");
+        let a = f.add_node("a");
+        let b = f.add_node("b");
+        let c = f.add_node("c");
         assert_eq!((a.0, b.0, c.0), (0, 1, 2));
-        assert_eq!(f.domain_of(b), d1);
+        assert_eq!(f.stack_of(b), None);
+        f.bind_stack(b, ActorId(8));
+        assert_eq!(f.stack_of(b), Some(ActorId(8)));
+        assert_eq!(f.handle().borrow().stack_of(b), Some(ActorId(8)));
     }
 
     #[test]
-    fn cut_link_directions_live_in_sender_domains() {
+    fn fault_injection_reaches_the_shared_topology() {
         let mut f = NetFabric::new();
-        let d0 = f.add_domain();
-        let d1 = f.add_domain();
-        let a = f.add_node(d0, "a");
-        let b = f.add_node(d1, "b");
+        let a = f.add_node("a");
+        let b = f.add_node("b");
         f.connect(a, b, LinkProfile::lan());
         f.bind_stack(a, ActorId(7));
         f.bind_stack(b, ActorId(8));
-        // a→b transmits through a's domain, b→a through b's.
-        let ha = f.handle_of(a);
-        let hb = f.handle_of(b);
-        assert!(ha
+        // Stacks transmit through the handle the fabric hands out.
+        let net = f.handle();
+        assert!(net
             .borrow_mut()
             .transmit(SimTime::ZERO, a, b, 100)
             .is_some());
-        assert!(hb
+        assert!(net
             .borrow_mut()
             .transmit(SimTime::ZERO, b, a, 100)
             .is_some());
-        // Fault injection reaches both directions.
+        // A partition reaches both directions.
         f.set_link_up(a, b, false);
         assert!(!f.link_up(a, b));
         assert!(!f.link_up(b, a));
-        assert!(ha
+        assert!(net
             .borrow_mut()
             .transmit(SimTime::ZERO, a, b, 100)
             .is_none());
         f.set_link_up(a, b, true);
         assert_eq!(f.stats(a, b).dropped, 1);
+        assert_eq!(f.stats(a, b).delivered, 1);
     }
 }

@@ -5,28 +5,13 @@
 //! hands it commands at the sending instant ([`SOCK_CMD`]), it answers
 //! with events at the delivery instant ([`SOCK_EVENT`]), and frames
 //! between stacks ride the modeled link ([`NET_FRAME`]) — the only edge
-//! here that advances virtual time, and therefore the natural shard-cut
-//! point for a partitioned kernel. Protocol payloads (S1AP, RADIUS,
+//! here that advances virtual time, and therefore the only edge that
+//! joins two racecheck components. Protocol payloads (S1AP, RADIUS,
 //! GTP-U, Diameter, RPC methods) declare their own *logical* end-to-end
 //! kinds in their owning crates; the hub kinds describe the physical
 //! legs those payloads ride on.
 
-use magma_sim::{flow_dispatch, AliasDecl, AliasScope, DelayClass, FlowKind, Role};
-
-/// Shard-alias contract for [`NetHandle`](crate::NetHandle): the shared
-/// topology a handle points at must never span shard components. The
-/// scenario builder therefore constructs one topology *per shard
-/// component* (a [`crate::NetFabric`] domain) and only `net.stack`
-/// actors hold the handle; cross-component traffic rides [`NET_FRAME`],
-/// never a shared `RefCell`. Lint rule S001 enforces the per-component
-/// scope by flagging any `new_net` call outside this crate.
-pub const NET_ALIAS: AliasDecl = AliasDecl {
-    handle: "NetHandle",
-    ctor: "new_net",
-    holders: &["net.stack"],
-    scope: AliasScope::PerComponent,
-    reason: "one Topology per shard component; cross-component bytes ride net.frame cut edges",
-};
+use magma_sim::{flow_dispatch, DelayClass, FlowKind, Role};
 
 /// Any actor handing a [`SockCmd`](crate::SockCmd) to its local stack
 /// (listen/open/close and payload sends that carry their own logical
@@ -38,7 +23,6 @@ pub const SOCK_CMD: FlowKind = FlowKind {
     class: DelayClass::Zero,
     role: Role::Data,
     retry: None,
-    lookahead: None,
 };
 
 /// The stack notifying a socket owner ([`SockEvent`](crate::SockEvent)).
@@ -52,7 +36,6 @@ pub const SOCK_EVENT: FlowKind = FlowKind {
     class: DelayClass::Zero,
     role: Role::Response,
     retry: None,
-    lookahead: None,
 };
 
 /// A wire frame between two stacks over a modeled link — positive,
@@ -65,7 +48,6 @@ pub const NET_FRAME: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: Some("net.stack.rto"),
-    lookahead: Some("loopback"),
 };
 
 /// Per-connection retransmission timer (sliding-window ARQ deadline).
@@ -76,7 +58,6 @@ pub const NET_RTO: FlowKind = FlowKind {
     class: DelayClass::Local,
     role: Role::Timer,
     retry: None,
-    lookahead: None,
 };
 
 flow_dispatch! {
@@ -86,7 +67,6 @@ flow_dispatch! {
     /// connections commutes, within one connection kernel schedule
     /// order is FIFO per sender.
     pub const STACK_DISPATCH: actor = "net.stack",
-    state = "NetStack",
     accepts = [SOCK_CMD, NET_FRAME, NET_RTO],
     tie_break = Some("conn key (local/peer addr pair) / listener port (cross-connection commutes)"),
 }

@@ -26,7 +26,7 @@ pub mod topology;
 pub mod util;
 
 pub use addr::{ports, Endpoint, NodeAddr};
-pub use fabric::{DomainId, NetFabric};
+pub use fabric::NetFabric;
 pub use frame::{Frame, FramePayload, FRAME_OVERHEAD, MTU};
 pub use link::{Link, LinkProfile, TxOutcome};
 pub use stack::{NetStack, SockCmd, SockEvent};

@@ -284,4 +284,21 @@ mod tests {
         assert!(LinkProfile::microwave().latency < LinkProfile::satellite().latency);
         assert!(LinkProfile::fiber().loss < LinkProfile::satellite().loss);
     }
+
+    /// Racecheck's permuted drain is only legal while every link takes
+    /// at least one window to cross; a faster preset must fail here, not
+    /// surface later as a phantom race.
+    #[test]
+    fn every_preset_takes_at_least_one_racecheck_window() {
+        let window = SimDuration::from_micros(magma_sim::racecheck::WINDOW_US);
+        for (name, p) in [
+            ("lan", LinkProfile::lan()),
+            ("fiber", LinkProfile::fiber()),
+            ("microwave", LinkProfile::microwave()),
+            ("satellite", LinkProfile::satellite()),
+            ("loopback", LinkProfile::loopback()),
+        ] {
+            assert!(p.latency >= window, "{name}: {:?} < {window:?}", p.latency);
+        }
+    }
 }

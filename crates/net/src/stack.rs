@@ -148,15 +148,11 @@ impl NetStack {
             net.transmit(now, src, dst, size)
         };
         if let Some((arrival, stack)) = outcome {
-            // Sized variant: the frame's wire size feeds shardscope's
-            // cut-edge byte accounting when src and dst stacks live in
-            // different shard components.
-            ctx.send_to_in_sized(
+            ctx.send_to_in(
                 stack,
                 &flows::NET_FRAME,
                 arrival.since(now),
                 Box::new(frame),
-                size,
             );
         }
     }

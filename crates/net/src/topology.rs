@@ -74,17 +74,6 @@ impl Topology {
         addr
     }
 
-    /// Register a node under an externally allocated address. Used by
-    /// [`crate::NetFabric`], whose global allocator keeps `NodeAddr`
-    /// values identical whether the world runs one topology or one per
-    /// shard component.
-    pub fn insert_node(&mut self, addr: NodeAddr, name: &str) {
-        self.names.insert(addr, name.to_string());
-        if addr.0 >= self.next_addr {
-            self.next_addr = addr.0 + 1;
-        }
-    }
-
     /// Associate the node's network-stack actor with its address. Must be
     /// called before frames can be delivered to the node.
     pub fn bind_stack(&mut self, node: NodeAddr, stack: ActorId) {

@@ -23,7 +23,6 @@ flow_dispatch! {
     /// from different gateways commute — all per-gateway state (certs,
     /// check-in records, metric stores) is keyed by `agw_id`/connection.
     pub const ORC8R_DISPATCH: actor = "orc8r",
-    state = "Orc8rActor",
     accepts = [
         magma_net::flows::SOCK_EVENT,
         flows::BOOTSTRAP,

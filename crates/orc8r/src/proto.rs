@@ -36,8 +36,7 @@ pub mod methods {
 /// client-side calls can never drift apart.
 ///
 /// All edges here are `Transport` class: they ride the RPC stream over
-/// the modeled backhaul, which makes them shard-cut candidates for a
-/// partitioned kernel. Request kinds name the client tick timer that
+/// the modeled backhaul. Request kinds name the client tick timer that
 /// drives their deadline/retry machinery (`RpcClient::on_tick`), which
 /// lint rule F004 checks against the declared timer kinds.
 pub mod flows {
@@ -51,7 +50,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Request,
         retry: Some("agw.rpc_tick"),
-        lookahead: Some("fiber"),
     };
     /// Periodic gateway check-in: state report + config pull.
     pub const CHECKIN: FlowKind = FlowKind {
@@ -61,7 +59,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Request,
         retry: Some("agw.rpc_tick"),
-        lookahead: Some("fiber"),
     };
     /// Runtime-state checkpoint upload (backup AGW instance, §3.3).
     pub const CHECKPOINT: FlowKind = FlowKind {
@@ -71,7 +68,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Request,
         retry: Some("agw.rpc_tick"),
-        lookahead: Some("fiber"),
     };
     /// Online charging: request a quota.
     pub const CREDIT_REQUEST: FlowKind = FlowKind {
@@ -81,7 +77,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Request,
         retry: Some("agw.rpc_tick"),
-        lookahead: Some("fiber"),
     };
     /// Online charging: report usage / release reservation.
     pub const CREDIT_REPORT: FlowKind = FlowKind {
@@ -91,7 +86,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Request,
         retry: Some("agw.rpc_tick"),
-        lookahead: Some("fiber"),
     };
     /// Telemetry: a gateway `metricsd` registry snapshot.
     pub const METRICS_PUSH: FlowKind = FlowKind {
@@ -101,7 +95,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Request,
         retry: Some("agw.metricsd.rpc_tick"),
-        lookahead: Some("fiber"),
     };
     /// Server-push frame for subscriber/config sync (desired state flows
     /// downhill unprompted; delivery is best-effort per connection). The
@@ -113,7 +106,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Data,
         retry: None,
-        lookahead: Some("fiber"),
     };
     /// Any unary response from the orchestrator (success or error). One
     /// kind covers all reply bodies: the response edge is demand-bounded
@@ -125,7 +117,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Response,
         retry: None,
-        lookahead: Some("fiber"),
     };
     /// Federation: fetch auth vectors from the MNO HSS via the FeG.
     pub const FEG_AUTH: FlowKind = FlowKind {
@@ -135,7 +126,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Request,
         retry: Some("agw.rpc_tick"),
-        lookahead: Some("fiber"),
     };
     /// Any unary response from the federation gateway.
     pub const FEG_REPLY: FlowKind = FlowKind {
@@ -145,23 +135,6 @@ pub mod flows {
         class: DelayClass::Transport,
         role: Role::Response,
         retry: None,
-        lookahead: Some("fiber"),
-    };
-
-    use magma_sim::{AliasDecl, AliasScope};
-
-    /// Shard-alias contract for
-    /// [`Orc8rHandle`](crate::state::Orc8rHandle): the orchestrator's
-    /// authoritative state is shared between the southbound RPC actor
-    /// and the northbound harness API, both of which live in the
-    /// `orc8r` shard component. Lint rule S001 verifies no other
-    /// component's actor ever holds this handle.
-    pub const ORC8R_ALIAS: AliasDecl = AliasDecl {
-        handle: "Orc8rHandle",
-        ctor: "new_orc8r",
-        holders: &["orc8r"],
-        scope: AliasScope::SameComponent,
-        reason: "orchestrator state shared only between the orc8r actor and the northbound API",
     };
 }
 

@@ -19,7 +19,6 @@ pub const ENB_ATTACH_TIMEOUT: FlowKind = FlowKind {
     class: DelayClass::Local,
     role: Role::Timer,
     retry: None,
-    lookahead: None,
 };
 
 /// WiFi AP auth retry tick: re-sends the RADIUS Access-Request until an
@@ -32,7 +31,6 @@ pub const WIFI_AUTH_TICK: FlowKind = FlowKind {
     class: DelayClass::Local,
     role: Role::Timer,
     retry: None,
-    lookahead: None,
 };
 
 flow_dispatch! {
@@ -40,7 +38,6 @@ flow_dispatch! {
     /// grants, GTP-U echoes from the EPC baseline, and the attach
     /// timeout. Same-timestamp events commute across UE slots.
     pub const ENB_DISPATCH: actor = "ran.enb",
-    state = "EnodebActor",
     accepts = [
         magma_net::flows::SOCK_EVENT,
         magma_agw::flows::AGW_S1AP_DL,
@@ -55,7 +52,6 @@ flow_dispatch! {
     /// WiFi AP ingress: socket events (RADIUS replies arrive as
     /// datagrams), fluid grants, and the auth retry tick.
     pub const WIFI_DISPATCH: actor = "ran.wifi",
-    state = "WifiApActor",
     accepts = [
         magma_net::flows::SOCK_EVENT,
         magma_agw::flows::AGW_RADIUS_REPLY,

@@ -191,9 +191,9 @@ impl RpcClient {
         };
         self.calls_sent += 1;
         let bytes = p.frame.clone();
-        // The method is a logical shard cut edge; it rides inside the
-        // stream payload, so shardscope samples it here, once per send.
-        ctx.shard_logical(p.method, bytes.len());
+        // The method rides inside the stream payload, so it is counted
+        // here, once per send.
+        ctx.count_rpc(p.method, bytes.len());
         ctx.send_to(
             self.stack,
             &flows::SOCK_CMD,

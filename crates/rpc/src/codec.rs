@@ -225,6 +225,23 @@ mod tests {
         assert!(!fr.is_poisoned());
     }
 
+    /// A high surrogate escape followed by a non-surrogate one is a bad
+    /// body like any other: one rejected frame, the stream stays usable.
+    #[test]
+    fn bad_surrogate_pair_is_rejected_like_any_bad_body() {
+        let text = r#"{"body":"\uD800\u0041","id":1,"kind":"Request","method":"m"}"#;
+        let mut b = BytesMut::new();
+        b.put_u32(text.len() as u32);
+        b.put_slice(text.as_bytes());
+        let good = RpcFrame::response(2, json!("ok"));
+        b.extend_from_slice(&encode_frame(&good));
+        let mut fr = Framer::new();
+        assert_eq!(fr.push(&b), vec![good]);
+        assert_eq!(fr.rejected(), 1);
+        assert!(!fr.is_poisoned());
+        assert_eq!(fr.buffered(), 0);
+    }
+
     #[test]
     fn largest_allowed_prefix_is_not_poison() {
         let mut b = BytesMut::new();

@@ -33,7 +33,6 @@ mod tests {
         class: DelayClass::Transport,
         role: Role::Request,
         retry: Some("test.caller.tick"),
-        lookahead: None,
     };
     const ECHO_NO_SUCH: FlowKind = FlowKind {
         name: "echo.NoSuch",
@@ -42,7 +41,6 @@ mod tests {
         class: DelayClass::Transport,
         role: Role::Request,
         retry: Some("test.caller.tick"),
-        lookahead: None,
     };
     const ECHO_REPLY: FlowKind = FlowKind {
         name: "echo.reply",
@@ -51,7 +49,6 @@ mod tests {
         class: DelayClass::Transport,
         role: Role::Response,
         retry: None,
-        lookahead: None,
     };
 
     /// Echo RPC server actor: replies to "echo.Echo" with the request

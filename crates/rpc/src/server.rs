@@ -201,9 +201,9 @@ impl RpcServer {
         kind: &'static FlowKind,
         bytes: Bytes,
     ) {
-        // Reply/push edges are logical shard cut edges; they ride inside
-        // the stream payload, so shardscope samples them once per send.
-        ctx.shard_logical(kind.name, bytes.len());
+        // Replies and pushes ride inside the stream payload, so they
+        // are counted here, once per send.
+        ctx.count_rpc(kind.name, bytes.len());
         ctx.send_to(
             self.stack,
             &flows::SOCK_CMD,

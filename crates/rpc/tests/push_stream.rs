@@ -15,7 +15,6 @@ const HELLO: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Request,
     retry: Some("test.subscriber.tick"),
-    lookahead: None,
 };
 const HELLO_REPLY: FlowKind = FlowKind {
     name: "hello.reply",
@@ -24,7 +23,6 @@ const HELLO_REPLY: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Response,
     retry: None,
-    lookahead: None,
 };
 const SYNC_TICK: FlowKind = FlowKind {
     name: "sync.Tick",
@@ -33,7 +31,6 @@ const SYNC_TICK: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: None,
-    lookahead: None,
 };
 
 /// Server that pushes a sequence number to every connected client each

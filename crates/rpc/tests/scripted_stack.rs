@@ -26,7 +26,6 @@ const REPORT: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Request,
     retry: Some("test.caller.tick"),
-    lookahead: None,
 };
 const SYNC: FlowKind = FlowKind {
     name: "test.Sync",
@@ -35,7 +34,6 @@ const SYNC: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: None,
-    lookahead: None,
 };
 
 #[derive(Serialize)]

@@ -10,12 +10,12 @@ use crate::metrics::Recorder;
 use crate::prof::{self, HeapStats, ProfHandle, Profiler, ProfileSnapshot, ScopeGuard};
 use crate::racecheck::{self, RaceEvent, RaceExport, RaceObserver};
 use crate::registry::Registry;
-use crate::shardscope::{ShardScope, ShardSnapshot};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceCtx, TraceSnapshot, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -65,10 +65,14 @@ pub struct Kernel {
     tracer: Tracer,
     trace_on: bool,
     cur_trace: Option<TraceCtx>,
-    /// shardscope accumulator. `shard_on` mirrors its enabled flag for a
-    /// branch-only fast path on every dispatch and flow-edge send.
-    shard: ShardScope,
-    shard_on: bool,
+    /// Racecheck component of each actor (index into
+    /// `component_labels`, plus one; 0 = unlabelled). Set by
+    /// [`World::set_component`] and inherited by spawned children.
+    components: Vec<u16>,
+    component_labels: Vec<String>,
+    /// Per-RPC-method `(messages, wire bytes)`, counted at the encode
+    /// sites by [`Ctx::count_rpc`].
+    rpc_edges: BTreeMap<&'static str, (u64, u64)>,
     /// magma-racecheck digest observer, armed by
     /// [`World::enable_racecheck`]; `None` costs one branch per step.
     race: Option<RaceObserver>,
@@ -87,6 +91,56 @@ impl Kernel {
         let cur = self.cur_trace?;
         self.tracer.child(cur, kind, src, dst, self.time)
     }
+
+    fn component_of(&self, actor: ActorId) -> u16 {
+        self.components.get(actor.0 as usize).copied().unwrap_or(0)
+    }
+
+    fn put_component(&mut self, actor: ActorId, c: u16) {
+        let idx = actor.0 as usize;
+        if self.components.len() <= idx {
+            self.components.resize(idx + 1, 0);
+        }
+        self.components[idx] = c;
+    }
+
+    /// Queue a message, checking racecheck's precondition on the way:
+    /// while armed, a message to another component must not land
+    /// inside the sender's current window.
+    fn push_msg(
+        &mut self,
+        from: ActorId,
+        dst: ActorId,
+        delay: SimDuration,
+        payload: Payload,
+        trace: Option<TraceCtx>,
+    ) {
+        let at = self.time + delay;
+        if self.race.is_some() && self.component_of(from) != self.component_of(dst) {
+            if let Some(ob) = self.race.as_mut() {
+                ob.check_send(self.time.as_micros(), at.as_micros());
+            }
+        }
+        let g = self.gens[dst.0 as usize];
+        self.queue
+            .push(at, dst, g, Event::Msg { from, payload }, trace);
+    }
+}
+
+/// Messages and wire bytes of one RPC method, as counted at its encode
+/// sites (requests, replies and pushes alike).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RpcEdge {
+    pub kind: String,
+    pub messages: u64,
+    pub bytes: u64,
+}
+
+/// Per-RPC-method traffic of a run, in method-name order (see
+/// [`World::shard_snapshot`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RpcEdgeSnapshot {
+    pub edges: Vec<RpcEdge>,
 }
 
 /// The simulation world: a set of actors, hosts, and a deterministic event
@@ -121,8 +175,9 @@ impl World {
                 tracer: Tracer::new(seed),
                 trace_on: false,
                 cur_trace: None,
-                shard: ShardScope::default(),
-                shard_on: false,
+                components: Vec::new(),
+                component_labels: Vec::new(),
+                rpc_edges: BTreeMap::new(),
                 race: None,
             },
         }
@@ -166,64 +221,55 @@ impl World {
         self.kernel.tracer.enabled()
     }
 
-    /// Switch shardscope on or off (off by default). Enabled, every
-    /// dispatch and vCPU charge is attributed to the shard-component
-    /// instance of the target actor (see
-    /// [`World::shard_assign`]) and cross-component flow-edge sends are
-    /// recorded against the plan's cut edges; disabled, every hook
-    /// costs one boolean branch. Shardscope only observes — it never
-    /// feeds virtual time or the RNG, so it cannot perturb a seeded
-    /// run.
-    pub fn enable_shardscope(&mut self, on: bool) {
-        self.kernel.shard.set_enabled(on);
-        self.kernel.shard_on = on;
+    /// Does nothing. The observer this switched (shardscope) is gone;
+    /// the method stays so existing callers keep compiling.
+    pub fn enable_shardscope(&mut self, _on: bool) {}
+
+    /// Label an actor's racecheck component. Within one window the
+    /// permuted drain runs components in a shuffled order; actors with
+    /// no label share one pseudo-component (`"unassigned"`). Children
+    /// an actor spawns inherit its label.
+    pub fn set_component(&mut self, id: ActorId, label: &str) {
+        let labels = &mut self.kernel.component_labels;
+        let c = match labels.iter().position(|l| l == label) {
+            Some(i) => i + 1,
+            None => {
+                labels.push(label.to_string());
+                labels.len()
+            }
+        };
+        self.kernel.put_component(id, c as u16);
     }
 
-    pub fn shardscope_enabled(&self) -> bool {
-        self.kernel.shard_on
-    }
-
-    /// Assign an actor to instance `instance` of the shard-plan
-    /// component owning flow-graph member `member` (dotted-ancestor
-    /// resolution, same rules as the lint). Panics on a replicated hub
-    /// (use [`shard_assign_hub`](World::shard_assign_hub)) or an
-    /// unknown member: both are scenario wiring bugs.
-    pub fn shard_assign(&mut self, id: ActorId, member: &str, instance: u32) {
-        if let Err(e) = self.kernel.shard.assign(id, member, instance) {
-            panic!("shard_assign: {e}");
+    /// Per-RPC-method messages and wire bytes so far (the name is kept
+    /// for the callers that read checkpoint traffic from it).
+    pub fn shard_snapshot(&self) -> RpcEdgeSnapshot {
+        RpcEdgeSnapshot {
+            edges: self
+                .kernel
+                .rpc_edges
+                .iter()
+                .map(|(&kind, &(messages, bytes))| RpcEdge {
+                    kind: kind.to_string(),
+                    messages,
+                    bytes,
+                })
+                .collect(),
         }
-    }
-
-    /// Assign a replicated-hub actor (e.g. a `net.stack`) to the
-    /// component instance hosting it. Panics if `hub` is not in the
-    /// plan's replicated list or `host_member` is unknown.
-    pub fn shard_assign_hub(&mut self, id: ActorId, hub: &str, host_member: &str, instance: u32) {
-        if let Err(e) = self.kernel.shard.assign_hub(id, hub, host_member, instance) {
-            panic!("shard_assign_hub: {e}");
-        }
-    }
-
-    /// Snapshot shardscope: per-component load, cut-edge telemetry,
-    /// and the conservative-window model. Deterministic for a given
-    /// `(scenario, seed)` — see `docs/PROFILING.md` § Shardscope.
-    pub fn shard_snapshot(&self) -> ShardSnapshot {
-        let names: Vec<&str> = self.actors.iter().map(|s| s.name.as_str()).collect();
-        self.kernel.shard.snapshot(&names)
     }
 
     /// Arm magma-racecheck: fold a per-window state digest as the run
-    /// executes (window = the shard plan's conservative lookahead,
-    /// `scripts/golden/shard_plan.json`). `schedule = None` digests the
-    /// canonical `(time, seq)` order; `Some(seed)` makes `run_until`
-    /// drain each window's component sub-queues in a seed-permuted
-    /// order instead. Heap peak-depth tracking switches to
-    /// window-boundary sampling, which is schedule-independent. Arm
-    /// before running; drive the full detector with
-    /// [`racecheck::detect`] and [`World::race_export`].
+    /// executes (window = [`racecheck::WINDOW_US`]). `schedule = None`
+    /// digests the canonical `(time, seq)` order; `Some(seed)` makes
+    /// `run_until` drain each window's component sub-queues (see
+    /// [`World::set_component`]) in a seed-permuted order instead.
+    /// Either way, a message to another component that lands inside
+    /// the sender's window is counted as a window violation. Heap
+    /// peak-depth tracking switches to window-boundary sampling, which
+    /// is schedule-independent. Arm before running; drive the full
+    /// detector with [`racecheck::detect`] and [`World::race_export`].
     pub fn enable_racecheck(&mut self, schedule: Option<u64>) {
-        self.kernel.shard.ensure_plan();
-        let window_us = self.kernel.shard.window_us();
-        self.kernel.race = Some(RaceObserver::new(window_us, schedule));
+        self.kernel.race = Some(RaceObserver::new(schedule));
         self.kernel.queue.set_windowed_peak(true);
     }
 
@@ -241,8 +287,9 @@ impl World {
 
     /// Seal the trailing digest window, fold the final state digest
     /// (live resident-event multiset + registry snapshot hash + event
-    /// count), and export the digest stream plus any detail records.
-    /// Finalization is idempotent; panics if racecheck was never armed.
+    /// count), and export the digest stream, the window-violation count
+    /// and any detail records. Finalization is idempotent; panics if
+    /// racecheck was never armed.
     pub fn race_export(&mut self) -> RaceExport {
         let pending = self.kernel.queue.len() as u64;
         let muts = self.kernel.registry.mutation_count();
@@ -254,18 +301,16 @@ impl World {
         let ob = self.kernel.race.as_mut().expect("racecheck not enabled");
         ob.finalize(pending, muts, resident, events, rhash);
         let schedule_seed = ob.schedule_seed;
-        let window_us = ob.window_us;
+        let window_violations = ob.window_violations;
         let digests = ob.digests().to_vec();
         let records = ob.detail_records().to_vec();
         let detail = records
             .iter()
             .map(|r| RaceEvent {
-                component: self
-                    .kernel
-                    .shard
-                    .instance_of(r.target as usize)
-                    .map(|i| self.kernel.shard.label(i))
-                    .unwrap_or_else(|| "unassigned".to_string()),
+                component: match self.kernel.component_of(ActorId(r.target)) {
+                    0 => "unassigned".to_string(),
+                    c => self.kernel.component_labels[c as usize - 1].clone(),
+                },
                 actor: self
                     .actors
                     .get(r.target as usize)
@@ -280,7 +325,7 @@ impl World {
             .collect();
         RaceExport {
             schedule_seed,
-            window_us,
+            window_violations,
             digests,
             detail,
         }
@@ -472,18 +517,21 @@ impl World {
     }
 
     /// Racecheck's permuted window schedule: drain events window by
-    /// window (window = the shard plan's conservative lookahead),
-    /// visiting shard-component sub-queues in a per-window permuted
-    /// order instead of global `(time, seq)` order. Virtual time may
-    /// regress *within* a window, never across windows; cut-edge
-    /// lookahead guarantees cross-component effects land in strictly
-    /// later windows, so a race-free scenario folds the exact digests
-    /// the canonical schedule does.
+    /// window ([`racecheck::WINDOW_US`]), visiting component
+    /// sub-queues in a per-window permuted order instead of global
+    /// `(time, seq)` order. Virtual time may regress *within* a window,
+    /// never across windows; a cross-component message lands in a
+    /// strictly later window (the observer counts any that does not),
+    /// so a race-free scenario folds the exact digests the canonical
+    /// schedule does.
     fn run_until_permuted(&mut self, deadline: SimTime) {
-        let (window_us, seed) = {
-            let ob = self.kernel.race.as_ref().expect("permuted run without observer");
-            (ob.window_us, ob.schedule_seed.unwrap_or(0))
-        };
+        let window_us = racecheck::WINDOW_US;
+        let seed = self
+            .kernel
+            .race
+            .as_ref()
+            .and_then(|o| o.schedule_seed)
+            .expect("permuted run without observer");
         let deadline_us = deadline.as_micros();
         let mut deferred: Vec<Scheduled> = Vec::new();
         while let Some(t0) = self.kernel.queue.peek_time() {
@@ -504,10 +552,9 @@ impl World {
             // Exclusive end of the window, clipped so events exactly at
             // the deadline still run.
             let wend_us = ((w + 1) * window_us).min(deadline_us + 1);
-            // Component 0 is the unassigned pseudo-component; shard
-            // instance `i` drains as component `i + 1`.
-            let ninst = self.kernel.shard.instance_count() + 1;
-            let perm = racecheck::permutation(ninst, seed, w);
+            // Component 0 is the unassigned pseudo-component.
+            let ncomp = self.kernel.component_labels.len() + 1;
+            let perm = racecheck::permutation(ncomp, seed, w);
             // Multi-pass sweep: a dispatch may schedule same-window
             // work for a component earlier in the permutation (e.g.
             // zero-delay sends through unassigned actors), so keep
@@ -521,13 +568,7 @@ impl World {
                             _ => break,
                         }
                         let sched = self.kernel.queue.pop().expect("peeked event vanished");
-                        let c = self
-                            .kernel
-                            .shard
-                            .instance_of(sched.target.0 as usize)
-                            .map(|i| i as usize + 1)
-                            .unwrap_or(0);
-                        if c == ci {
+                        if self.kernel.component_of(sched.target) as usize == ci {
                             dispatched += 1;
                             self.dispatch(sched, true);
                         } else {
@@ -680,13 +721,6 @@ impl World {
         } else {
             None
         };
-        // shardscope attribution: the dispatch (and its vCPU charges)
-        // belong to the target actor's shard-component instance.
-        if self.kernel.shard_on {
-            self.kernel
-                .shard
-                .dispatch_begin(idx, sched.time.as_micros());
-        }
         {
             let mut ctx = Ctx {
                 kernel: &mut self.kernel,
@@ -697,9 +731,6 @@ impl World {
         if let Some((kind, t0)) = prof_t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             self.kernel.prof.borrow_mut().dispatch_end(idx, kind, ns);
-        }
-        if self.kernel.shard_on {
-            self.kernel.shard.dispatch_end();
         }
         // The actor may have been replaced/killed by itself (rare) — only
         // put it back if the slot is still empty.
@@ -770,53 +801,24 @@ impl<'a> Ctx<'a> {
 
     /// Send a message after a delay.
     pub fn send_in(&mut self, dst: ActorId, delay: SimDuration, payload: Payload) {
-        let from = self.self_id;
-        let g = self.kernel.gens[dst.0 as usize];
-        self.kernel.queue.push(
-            self.kernel.time + delay,
-            dst,
-            g,
-            Event::Msg { from, payload },
-            None,
-        );
+        self.kernel.push_msg(self.self_id, dst, delay, payload, None);
     }
 
     /// Schedule a flow-edge message carrying the dispatch's trace
-    /// context (if tracing is on and a trace is active). `wire_bytes`
-    /// is the on-the-wire size for shardscope cut-edge accounting
-    /// (0 for edges with no physical wire representation).
+    /// context (if tracing is on and a trace is active).
     fn send_traced(
         &mut self,
         dst: ActorId,
         kind: &'static FlowKind,
         delay: SimDuration,
         payload: Payload,
-        wire_bytes: usize,
     ) {
         let trace = if self.kernel.trace_on {
             self.kernel.trace_child(kind.name, self.self_id, dst)
         } else {
             None
         };
-        if self.kernel.shard_on {
-            self.kernel.shard.record_send(
-                self.self_id,
-                dst,
-                kind.name,
-                self.kernel.time.as_micros(),
-                delay.as_micros(),
-                wire_bytes,
-            );
-        }
-        let from = self.self_id;
-        let g = self.kernel.gens[dst.0 as usize];
-        self.kernel.queue.push(
-            self.kernel.time + delay,
-            dst,
-            g,
-            Event::Msg { from, payload },
-            trace,
-        );
+        self.kernel.push_msg(self.self_id, dst, delay, payload, trace);
     }
 
     /// Send on a declared flow edge, delivered at the current instant.
@@ -834,7 +836,7 @@ impl<'a> Ctx<'a> {
             kind.name,
             kind.class,
         );
-        self.send_traced(dst, kind, SimDuration::ZERO, payload, 0);
+        self.send_traced(dst, kind, SimDuration::ZERO, payload);
     }
 
     /// Send on a declared flow edge after a positive delay (the
@@ -853,41 +855,16 @@ impl<'a> Ctx<'a> {
             "send_to_in({}) needs a Transport-class kind and a positive delay",
             kind.name,
         );
-        self.send_traced(dst, kind, delay, payload, 0);
+        self.send_traced(dst, kind, delay, payload);
     }
 
-    /// [`send_to_in`](Ctx::send_to_in) with a declared on-the-wire
-    /// byte size, so shardscope can account cut-edge bytes (net stacks
-    /// know the frame's wire size; plain `send_to_in` records 0).
-    pub fn send_to_in_sized(
-        &mut self,
-        dst: ActorId,
-        kind: &'static FlowKind,
-        delay: SimDuration,
-        payload: Payload,
-        wire_bytes: usize,
-    ) {
-        debug_assert!(
-            kind.class == DelayClass::Transport && delay > SimDuration::ZERO,
-            "send_to_in_sized({}) needs a Transport-class kind and a positive delay",
-            kind.name,
-        );
-        self.send_traced(dst, kind, delay, payload, wire_bytes);
-    }
-
-    /// Record a logical shard cut-edge occurrence: an RPC method
-    /// (request, reply, or push) being encoded into a stream payload.
-    /// Logical methods never cross shard components at the kernel —
-    /// the carrying `net.frame`s do — so their counts/bytes are
-    /// sampled here at the encode site instead. `method` must match a
-    /// cut-edge kind in `scripts/golden/shard_plan.json`; unknown
-    /// methods are ignored. One branch when shardscope is disabled.
-    pub fn shard_logical(&mut self, method: &str, wire_bytes: usize) {
-        if self.kernel.shard_on {
-            self.kernel
-                .shard
-                .record_logical(method, self.kernel.time.as_micros(), wire_bytes);
-        }
+    /// Count one RPC message (request, reply or push) of `method` and
+    /// its encoded size, once per send. Read back through
+    /// [`World::shard_snapshot`].
+    pub fn count_rpc(&mut self, method: &'static str, wire_bytes: usize) {
+        let e = self.kernel.rpc_edges.entry(method).or_default();
+        e.0 += 1;
+        e.1 += wire_bytes as u64;
     }
 
     /// Arm a declared self-edge timer: a `Local`-class, `Timer`-role
@@ -1074,9 +1051,6 @@ impl<'a> Ctx<'a> {
             // the job, once, at submission.
             self.kernel.prof.borrow_mut().charge_vcpu(service);
         }
-        if self.kernel.shard_on {
-            self.kernel.shard.charge_vcpu(service);
-        }
         let gen = self.kernel.gens[self.self_id.0 as usize];
         // The CPU model is a causal hop: queue wait + service time of a
         // traced submission shows up as a `"cpu"` span.
@@ -1209,15 +1183,14 @@ impl<'a> Ctx<'a> {
     }
 
     /// Spawn a new actor; `Start` is delivered at the current instant.
-    /// Under shardscope the child inherits its spawner's shard
-    /// component (the wildcard-receiver rule: dynamically created
-    /// receivers live in their creator's shard).
+    /// The child inherits its spawner's racecheck component.
     pub fn spawn(&mut self, actor: Box<dyn Actor>) -> ActorId {
         let id = ActorId(self.kernel.next_actor_id);
         self.kernel.next_actor_id += 1;
         self.kernel.gens.push(0);
-        if self.kernel.shard_on {
-            self.kernel.shard.inherit(self.self_id, id);
+        let c = self.kernel.component_of(self.self_id);
+        if c != 0 {
+            self.kernel.put_component(id, c);
         }
         self.kernel.pending.push(PendingOp::Spawn(id, actor));
         id

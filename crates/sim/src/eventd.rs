@@ -12,7 +12,7 @@
 //! event is stamped with a *per-gateway* monotonically increasing id,
 //! the sim time, and the emitting gateway's namespace prefix (`agw0`,
 //! `ran`). Ids are deliberately not kernel-global: a global counter
-//! would interleave across shard components in kernel dispatch order,
+//! would interleave across racecheck components in kernel dispatch order,
 //! which is a window-schedule artifact — magma-racecheck flags exactly
 //! that kind of leak, and the northbound export carries the ids. A
 //! gateway's `metricsd` drains *its own* events by cursor
@@ -73,7 +73,7 @@ pub enum Severity {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StructuredEvent {
     /// Per-gateway monotonic id; the ship-by-cursor key. Scoped to the
-    /// emitting gateway so two gateways in different shard components
+    /// emitting gateway so two gateways in different racecheck components
     /// never race for the next id (the assignment order would depend on
     /// the kernel schedule, not the scenario).
     pub id: u64,

@@ -8,12 +8,11 @@
 //! [`flow_dispatch!`] macro. Because both are plain const items,
 //! `magma-lint` can extract the full directed graph of
 //! `(sender, kind, receiver, delay class)` edges *lexically*, without a
-//! type checker, and prove properties the sharded DES engine will rely
-//! on: which edges are zero-delay (must stay on one shard), which cross
-//! a modeled link (candidate shard cuts), which requests carry a retry
-//! edge, and which receivers document their same-timestamp tie-break.
-//! See `docs/MESSAGE_FLOW.md` (generated) and `docs/DETERMINISM.md`
-//! (rules F001–F006).
+//! type checker, and prove properties the schedule relies on: no cycle of
+//! zero-delay edges, every request carries a retry edge, and every
+//! multi-sender receiver documents its same-timestamp tie-break. See
+//! `docs/MESSAGE_FLOW.md` (generated) and `docs/DETERMINISM.md` (rules
+//! F001–F006, S004, S006, S007).
 //!
 //! The runtime side is deliberately thin: [`Ctx::send_to`],
 //! [`Ctx::send_to_in`], and [`Ctx::send_self`](crate::Ctx::send_self)
@@ -25,16 +24,15 @@
 //! [`Ctx::send_to_in`]: crate::Ctx::send_to_in
 //! [`flow_dispatch!`]: crate::flow_dispatch
 
-/// Delay class of a flow edge — what the sharded engine needs to know
-/// about an edge's relationship to virtual time.
+/// Delay class of a flow edge — its relationship to virtual time.
 ///
-/// - `Zero` edges deliver at the sending instant. They can never cross a
-///   conservative shard time-window, so sender and receiver must live on
-///   the same shard.
+/// - `Zero` edges deliver at the sending instant; a cycle of them could
+///   livelock virtual time (lint F002).
 /// - `Local` edges are positive-delay self-edges (timers driving
 ///   retries/timeouts); they never leave the actor.
 /// - `Transport` edges cross a modeled network link with positive,
-///   link-dependent latency — the candidate shard-cut edges.
+///   link-dependent latency — the only edges that may join two racecheck
+///   components (lint S007).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DelayClass {
     /// Same-instant delivery (virtual time does not advance).
@@ -99,7 +97,6 @@ impl Role {
 ///     class: DelayClass::Zero,
 ///     role: Role::Data,
 ///     retry: None,
-///     lookahead: None,
 /// };
 /// ```
 ///
@@ -123,104 +120,22 @@ pub struct FlowKind {
     /// For `Request` kinds: the `name` of the `Timer`-role kind (same
     /// sender) whose firing drives this request's timeout/retry path.
     pub retry: Option<&'static str>,
-    /// For `Transport` kinds: the `magma_net::LinkProfile` preset whose
-    /// static one-way latency lower-bounds this edge (`"lan"`, `"fiber"`,
-    /// `"loopback"`, …). This is the edge's conservative *lookahead*
-    /// bound — the window a sharded engine may advance a downstream
-    /// shard without waiting for the upstream one. `None` for `Zero` and
-    /// `Local` kinds; lint rule S002 cross-checks the named profile
-    /// against `crates/net/src/link.rs` and requires positive latency.
-    pub lookahead: Option<&'static str>,
 }
 
 /// An actor's declared dispatch surface: which kinds it handles, and the
 /// key by which same-timestamp deliveries from distinct senders commute
-/// (or an explicit statement that kernel FIFO order is relied upon — in
-/// which case the inbound edges are un-shardable and `MESSAGE_FLOW.md`
-/// marks them as same-shard constraints). Produced by
-/// [`flow_dispatch!`](crate::flow_dispatch).
+/// (or an explicit statement that kernel FIFO order is relied upon).
+/// Produced by [`flow_dispatch!`](crate::flow_dispatch).
 #[derive(Debug)]
 pub struct Dispatch {
     /// Logical actor name (dotted hierarchy).
     pub actor: &'static str,
-    /// The Rust struct implementing this actor's state (`"AgwActor"`,
-    /// `"NetStack"`, …). Lint rules S003/S004 use the binding to audit
-    /// the struct's fields for shard-movability: an `Rc`/`RefCell`
-    /// handle in actor state is only legal when its declared alias set
-    /// ([`AliasDecl`]) keeps every holder on one shard component.
-    pub state: &'static str,
     /// Every kind this actor has a handling arm for.
     pub accepts: &'static [&'static FlowKind],
     /// Deterministic tie-break contract for same-timestamp deliveries
     /// from two or more distinct senders (lint F003). `None` is only
     /// acceptable while at most one sender can target the actor.
     pub tie_break: Option<&'static str>,
-}
-
-/// How an [`AliasDecl`]'s holders relate to shard components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AliasScope {
-    /// One shared instance; every declared holder must land in the same
-    /// shard component (zero-delay union), or the handle would be
-    /// mutated from two shards (lint S001).
-    SameComponent,
-    /// One instance *per* shard component: every holder must be a
-    /// per-component replicated actor, and the constructor must not be
-    /// called outside the declaring crate — construction is scoped
-    /// through a component-aware facade (e.g. `magma_net::NetFabric`).
-    PerComponent,
-}
-
-impl AliasScope {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AliasScope::SameComponent => "same-component",
-            AliasScope::PerComponent => "per-component",
-        }
-    }
-}
-
-/// A declared shared-mutable-state alias set: which logical actors may
-/// hold a given `Rc<RefCell<..>>` handle type, and how the sharded
-/// engine must scope its instances. Declare as a `pub const` struct
-/// literal next to the handle's `pub type` alias so `magma-lint` can
-/// read every field lexically (rules S001/S003):
-///
-/// ```
-/// use magma_sim::{AliasDecl, AliasScope};
-///
-/// pub const TOPOLOGY_ALIAS: AliasDecl = AliasDecl {
-///     handle: "NetHandle",
-///     ctor: "new_net",
-///     holders: &["net.stack"],
-///     scope: AliasScope::PerComponent,
-///     reason: "per-site topology domain; stacks of one site share it",
-/// };
-/// ```
-#[derive(Debug)]
-pub struct AliasDecl {
-    /// The `pub type` handle alias this declaration covers.
-    pub handle: &'static str,
-    /// The constructor fn returning a fresh handle.
-    pub ctor: &'static str,
-    /// Logical actor names (dotted hierarchy) permitted to hold the
-    /// handle in their state struct.
-    pub holders: &'static [&'static str],
-    pub scope: AliasScope,
-    /// Why the sharing is sound — surfaced in `docs/SHARD_PLAN.md`.
-    pub reason: &'static str,
-}
-
-/// A declared co-location constraint: actors that must share a shard
-/// even though no zero-delay edge connects them (e.g. daemons sharing
-/// one host's network-stack instance). Feeds the shard-component
-/// union-find alongside the zero-delay edges (lint S001/S005).
-#[derive(Debug)]
-pub struct Colocate {
-    /// Logical actor names pinned to one shard component.
-    pub actors: &'static [&'static str],
-    /// Why they are inseparable — surfaced in `docs/SHARD_PLAN.md`.
-    pub reason: &'static str,
 }
 
 /// Declare an actor's dispatch surface as a `pub const` [`Dispatch`].
@@ -236,12 +151,10 @@ pub struct Colocate {
 /// #     pub const FLUID_DEMAND: FlowKind = FlowKind {
 /// #         name: "ran.fluid_demand", sender: "ran", receiver: "agw",
 /// #         class: DelayClass::Zero, role: Role::Data, retry: None,
-/// #         lookahead: None,
 /// #     };
 /// # }
 /// flow_dispatch! {
 ///     pub const AGW_DISPATCH: actor = "agw",
-///     state = "AgwActor",
 ///     accepts = [flows::FLUID_DEMAND],
 ///     tie_break = Some("teid (per-tunnel state; cross-tunnel commutes)"),
 /// }
@@ -251,14 +164,12 @@ macro_rules! flow_dispatch {
     (
         $(#[$meta:meta])*
         $vis:vis const $name:ident: actor = $actor:literal,
-        state = $state:literal,
         accepts = [ $($kind:path),* $(,)? ],
         tie_break = $tb:expr $(,)?
     ) => {
         $(#[$meta])*
         $vis const $name: $crate::flow::Dispatch = $crate::flow::Dispatch {
             actor: $actor,
-            state: $state,
             accepts: &[ $( & $kind ),* ],
             tie_break: $tb,
         };
@@ -276,48 +187,23 @@ mod tests {
         class: DelayClass::Zero,
         role: Role::Data,
         retry: None,
-        lookahead: None,
     };
 
     flow_dispatch! {
         const B_DISPATCH: actor = "b",
-        state = "BActor",
         accepts = [PING],
         tie_break = None,
     }
 
-    const B_ALIAS: AliasDecl = AliasDecl {
-        handle: "BHandle",
-        ctor: "new_b",
-        holders: &["b"],
-        scope: AliasScope::SameComponent,
-        reason: "test alias",
-    };
-
-    const B_COLOCATE: Colocate = Colocate {
-        actors: &["a", "b"],
-        reason: "test colocation",
-    };
-
     #[test]
     fn dispatch_macro_expands_to_const_literals() {
         assert_eq!(B_DISPATCH.actor, "b");
-        assert_eq!(B_DISPATCH.state, "BActor");
         assert_eq!(B_DISPATCH.accepts.len(), 1);
         assert_eq!(B_DISPATCH.accepts[0].name, "test.ping");
         assert_eq!(B_DISPATCH.accepts[0].class, DelayClass::Zero);
-        assert!(B_DISPATCH.accepts[0].lookahead.is_none());
+        assert!(B_DISPATCH.accepts[0].retry.is_none());
         assert!(B_DISPATCH.tie_break.is_none());
         assert_eq!(PING.class.as_str(), "zero");
         assert_eq!(PING.role.as_str(), "data");
-    }
-
-    #[test]
-    fn alias_and_colocate_are_plain_literals() {
-        assert_eq!(B_ALIAS.handle, "BHandle");
-        assert_eq!(B_ALIAS.scope.as_str(), "same-component");
-        assert_eq!(AliasScope::PerComponent.as_str(), "per-component");
-        assert_eq!(B_COLOCATE.actors, &["a", "b"]);
-        assert!(!B_ALIAS.reason.is_empty() && !B_COLOCATE.reason.is_empty());
     }
 }

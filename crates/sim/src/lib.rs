@@ -24,15 +24,14 @@ pub mod metrics;
 pub mod prof;
 pub mod racecheck;
 pub mod registry;
-pub mod shardscope;
 pub mod time;
 pub mod trace;
 
 pub use actor::{downcast, try_downcast, Actor, ActorId, Event, Payload};
 pub use cpu::{CoreGroupSpec, HostId, HostSpec, UtilizationReport};
-pub use engine::{Ctx, ExecError, World};
+pub use engine::{Ctx, ExecError, RpcEdge, RpcEdgeSnapshot, World};
 pub use event::EventHandle;
-pub use flow::{AliasDecl, AliasScope, Colocate, DelayClass, Dispatch, FlowKind, Role};
+pub use flow::{DelayClass, Dispatch, FlowKind, Role};
 pub use prof::{
     HeapStats, HostProfile, HostStopwatch, ProfileSnapshot, ScopeGuard, VirtualProfile,
 };
@@ -45,10 +44,6 @@ pub use metrics::{Histogram, Recorder, Series};
 pub use registry::{
     BucketHistogram, Registry, RegistrySnapshot, Span, DEFAULT_MAX_INSTRUMENTS_PER_PREFIX,
     DEFAULT_SECONDS_BOUNDS, OVERFLOW_COUNTER,
-};
-pub use shardscope::{
-    PlanComponent, PlanCutEdge, ShardAssignmentRow, ShardAttribution, ShardComponentRow,
-    ShardCrossingRow, ShardEdgeRow, ShardPlan, ShardSnapshot, WindowModel, SHARD_PLAN_JSON,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{
@@ -381,5 +376,103 @@ mod tests {
             .values()
             .collect();
         assert_eq!(vals, vec![1.0, 3.0]);
+    }
+
+    #[test]
+    fn rpc_edges_count_messages_and_bytes_per_method() {
+        struct Rpc;
+        impl Actor for Rpc {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+                if let Event::Start = event {
+                    ctx.count_rpc("orc8r.Checkpoint", 500);
+                    ctx.count_rpc("orc8r.Checkin", 64);
+                    ctx.count_rpc("orc8r.Checkpoint", 700);
+                }
+            }
+        }
+        let mut w = World::new(1);
+        assert!(w.shard_snapshot().edges.is_empty());
+        w.add_actor(Box::new(Rpc));
+        // The counter does not depend on the retired observer switch.
+        w.enable_shardscope(false);
+        w.run_until(SimTime::from_millis(1));
+        let edges = w.shard_snapshot().edges;
+        let row = |kind: &str, messages: u64, bytes: u64| RpcEdge {
+            kind: kind.to_string(),
+            messages,
+            bytes,
+        };
+        assert_eq!(
+            edges,
+            vec![
+                row("orc8r.Checkin", 1, 64),
+                row("orc8r.Checkpoint", 2, 1_200)
+            ]
+        );
+    }
+
+    /// Sends one message to `dst` after `delay`, at t = 1000 µs: the
+    /// first instant of racecheck window 100.
+    struct Poke {
+        dst: ActorId,
+        delay: SimDuration,
+    }
+
+    impl Actor for Poke {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+            match event {
+                Event::Start => {
+                    ctx.timer_in(SimDuration::from_micros(1_000), 0);
+                }
+                Event::Timer { .. } => ctx.send_in(self.dst, self.delay, Box::new(())),
+                _ => {}
+            }
+        }
+    }
+
+    fn window_violations(delay_us: u64) -> u64 {
+        let mut w = World::new(1);
+        let dst = w.add_actor(Box::new(Once { got: "poked" }));
+        let src = w.add_actor(Box::new(Poke {
+            dst,
+            delay: SimDuration::from_micros(delay_us),
+        }));
+        w.set_component(src, "a[0]");
+        w.set_component(dst, "b[0]");
+        w.enable_racecheck(None);
+        w.run_until(SimTime::from_millis(5));
+        assert!(w.metrics().series("poked").is_some(), "message delivered");
+        w.race_export().window_violations
+    }
+
+    #[test]
+    fn racecheck_counts_cross_component_sends_inside_the_senders_window() {
+        let window = racecheck::WINDOW_US;
+        // Sent at the start of a window: any shorter delay lands in it.
+        assert!(window_violations(2) >= 1);
+        assert_eq!(window_violations(window - 1), 1);
+        // A full window of delay always lands in a later window.
+        assert_eq!(window_violations(window), 0);
+        assert_eq!(window_violations(2_000), 0);
+    }
+
+    #[test]
+    fn same_component_and_spawned_sends_are_never_window_violations() {
+        struct Parent;
+        impl Actor for Parent {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+                if let Event::Start = event {
+                    let child = ctx.spawn(Box::new(Once { got: "child" }));
+                    ctx.send(child, Box::new(()));
+                }
+            }
+        }
+        let mut w = World::new(1);
+        let p = w.add_actor(Box::new(Parent));
+        w.set_component(p, "a[0]");
+        w.enable_racecheck(Some(3));
+        w.run_until(SimTime::from_millis(1));
+        assert!(w.metrics().series("child").is_some(), "child got the message");
+        assert_eq!(w.race_export().window_violations, 0);
     }
 }

@@ -1,15 +1,14 @@
 //! # magma-racecheck — logical-race detection via permuted window schedules
 //!
-//! The shard plan (`scripts/golden/shard_plan.json`) promises that the
-//! flow graph can be partitioned into components synchronized only at
-//! conservative-time-window boundaries (window = the minimum cut-edge
-//! lookahead, TANSIV-style). That promise is only sound if executing
-//! the components of a window in a *different order* yields the same
-//! state — the commutativity Magma's control plane leans on when
-//! gateways act on eventually-consistent orchestrator state.
-//!
-//! Racecheck tests the promise on today's single-threaded engine,
-//! before any threads exist:
+//! Virtual time is cut into fixed windows of [`WINDOW_US`], and every
+//! actor belongs to a *component* (`World::set_component`; the testbed
+//! labels the orchestrator and each gateway site). A message from one
+//! component to another always lands in a strictly later window, so
+//! executing the components of one window in a *different order* must
+//! yield the same state — the commutativity Magma's control plane leans
+//! on when gateways act on eventually-consistent orchestrator state. Code
+//! whose output depends on that order is a logical race: deterministic
+//! under the canonical event order, yet reading an artifact of it.
 //!
 //! 1. **Canonical run** — the normal `(time, seq)` event order, with a
 //!    kernel-armed observer folding one order-invariant digest per
@@ -32,9 +31,14 @@
 //! divergence is a genuine schedule dependence, bisected for free by
 //! the per-window granularity.
 //!
+//! The permuted drain is only a legal reordering if no cross-component
+//! message lands inside its sender's window. The observer checks that
+//! on every send while armed and counts offenders as
+//! [`RaceExport::window_violations`]; a run with any is not a witness.
+//!
 //! The static half of the gate lives in magma-lint: rule S006 bans
 //! actor code from reading schedule-dependent kernel-global state, and
-//! S007 requires multi-sender cut-edge tie-break keys to incorporate
+//! S007 requires multi-sender transport tie-break keys to incorporate
 //! sender identity. See `docs/DETERMINISM.md` § "Logical races and the
 //! window schedule".
 
@@ -50,6 +54,13 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
+
+/// Length of one racecheck window: 10 µs, the latency of
+/// `LinkProfile::loopback()`, the fastest link preset. Every
+/// cross-component message rides a link, so it arrives at least one
+/// window after it was sent (`crates/net` pins every preset at or above
+/// this bound).
+pub const WINDOW_US: u64 = 10;
 
 /// FNV-1a over a slice of u64 words (little-endian bytes).
 pub fn fnv(words: &[u64]) -> u64 {
@@ -102,7 +113,8 @@ pub(crate) fn event_hash(target: ActorId, time_us: u64, ev: &Event) -> u64 {
 
 /// The per-window component visit order: a Fisher–Yates permutation of
 /// `0..n` driven by `splitmix64(seed ^ window)`. Component index 0 is
-/// the unassigned pseudo-component; shard instances follow at `i + 1`.
+/// the unassigned pseudo-component; labelled components follow in the
+/// order their labels were first set.
 pub fn permutation(n: usize, seed: u64, window: u64) -> Vec<usize> {
     let mut v: Vec<usize> = (0..n).collect();
     let mut s = splitmix64(seed ^ window.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -117,7 +129,7 @@ pub fn permutation(n: usize, seed: u64, window: u64) -> Vec<usize> {
 /// One sealed window's order-invariant state digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WindowDigest {
-    /// Window index (`time_us / window_us`); `u64::MAX` marks the
+    /// Window index (`time_us / WINDOW_US`); `u64::MAX` marks the
     /// synthetic final digest (resident heap fold + registry hash).
     pub window: u64,
     /// Events dispatched in the window (final digest: whole run).
@@ -149,9 +161,10 @@ pub(crate) struct EventRecord {
 /// depends on intra-window dispatch order.
 #[derive(Debug)]
 pub(crate) struct RaceObserver {
-    pub window_us: u64,
     pub schedule_seed: Option<u64>,
     pub detail_window: Option<u64>,
+    /// Cross-component sends that landed inside the sender's window.
+    pub window_violations: u64,
     cur_window: Option<u64>,
     acc_events: u64,
     acc_sum: u64,
@@ -162,11 +175,11 @@ pub(crate) struct RaceObserver {
 }
 
 impl RaceObserver {
-    pub fn new(window_us: u64, schedule_seed: Option<u64>) -> Self {
+    pub fn new(schedule_seed: Option<u64>) -> Self {
         RaceObserver {
-            window_us: window_us.max(1),
             schedule_seed,
             detail_window: None,
+            window_violations: 0,
             cur_window: None,
             acc_events: 0,
             acc_sum: 0,
@@ -206,7 +219,7 @@ impl RaceObserver {
         pending: u64,
         registry_mutations: u64,
     ) -> bool {
-        let w = next_time_us / self.window_us;
+        let w = next_time_us / WINDOW_US;
         match self.cur_window {
             Some(cw) if cw != w => {
                 self.seal(pending, registry_mutations);
@@ -220,7 +233,7 @@ impl RaceObserver {
     /// the `(time, seq)` queue sequence the recording schedule used —
     /// captured in detail records (to name the race) but never hashed.
     pub fn record(&mut self, target: ActorId, time_us: u64, ev: &Event, tie_break: u64) {
-        let w = time_us / self.window_us;
+        let w = time_us / WINDOW_US;
         if self.cur_window.is_none() {
             self.cur_window = Some(w);
         }
@@ -237,6 +250,14 @@ impl RaceObserver {
                 detail,
                 seq: tie_break,
             });
+        }
+    }
+
+    /// Check one cross-component send, made at `now_us` and delivered
+    /// at `at_us`, against the precondition of the permuted drain.
+    pub fn check_send(&mut self, now_us: u64, at_us: u64) {
+        if at_us / WINDOW_US == now_us / WINDOW_US {
+            self.window_violations += 1;
         }
     }
 
@@ -278,7 +299,8 @@ impl RaceObserver {
 /// One side of the offending event pair, fully resolved for the report.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RaceEvent {
-    /// Shard-component instance label (`agw[0]`), or `"unassigned"`.
+    /// Component label (`agw[0]`, see `World::set_component`), or
+    /// `"unassigned"`.
     pub component: String,
     /// Actor name at dispatch time.
     pub actor: String,
@@ -299,13 +321,16 @@ impl RaceEvent {
     }
 }
 
-/// Everything one instrumented run exports: the digest stream plus the
-/// detail records of the requested window (empty unless a detail
-/// window was set).
+/// Everything one instrumented run exports: the digest stream, the
+/// window-violation count, and the detail records of the requested
+/// window (empty unless a detail window was set).
 #[derive(Debug, Clone, Serialize)]
 pub struct RaceExport {
     pub schedule_seed: Option<u64>,
-    pub window_us: u64,
+    /// Cross-component messages that landed inside their sender's
+    /// window: deliveries the permuted drain cannot reorder legally.
+    /// Non-zero means the run proves nothing about races.
+    pub window_violations: u64,
     pub digests: Vec<WindowDigest>,
     pub detail: Vec<RaceEvent>,
 }
@@ -417,7 +442,7 @@ where
         return RaceReport {
             label: label.to_string(),
             schedule_seed,
-            window_us: canon.window_us,
+            window_us: WINDOW_US,
             divergent: false,
             first_divergent_window: None,
             canonical: None,
@@ -468,7 +493,7 @@ where
     RaceReport {
         label: label.to_string(),
         schedule_seed,
-        window_us: canon.window_us,
+        window_us: WINDOW_US,
         divergent: true,
         first_divergent_window: Some(w),
         canonical,
@@ -512,7 +537,7 @@ mod tests {
     #[test]
     fn observer_folds_windows_order_invariantly() {
         let run = |order: &[(u32, u64, u64)]| {
-            let mut ob = RaceObserver::new(10, None);
+            let mut ob = RaceObserver::new(None);
             for (i, &(actor, t, tag)) in order.iter().enumerate() {
                 ob.maybe_seal(t, 5, 100);
                 ob.record(ActorId(actor), t, &Event::Timer { tag }, i as u64);
@@ -541,7 +566,7 @@ mod tests {
         // timer tag (7 canonically, 8 permuted); everything else agrees.
         let run = |spec: RunSpec| {
             let permuted = spec.schedule.is_some();
-            let mut ob = RaceObserver::new(10, spec.schedule);
+            let mut ob = RaceObserver::new(spec.schedule);
             ob.detail_window = spec.detail_window;
             for w in 0u64..6 {
                 let t = w * 10 + 1;
@@ -553,7 +578,7 @@ mod tests {
             ob.finalize(3, 50, (0, 0, 0), 12, 9);
             RaceExport {
                 schedule_seed: spec.schedule,
-                window_us: 10,
+                window_violations: 0,
                 digests: ob.digests().to_vec(),
                 detail: ob
                     .detail_records()
@@ -585,7 +610,7 @@ mod tests {
     #[test]
     fn detect_reports_clean_when_streams_match() {
         let run = |spec: RunSpec| {
-            let mut ob = RaceObserver::new(10, spec.schedule);
+            let mut ob = RaceObserver::new(spec.schedule);
             for w in 0u64..3 {
                 ob.maybe_seal(w * 10, 1, 2);
                 ob.record(ActorId(0), w * 10, &Event::Start, w);
@@ -593,7 +618,7 @@ mod tests {
             ob.finalize(1, 2, (0, 0, 0), 3, 4);
             RaceExport {
                 schedule_seed: spec.schedule,
-                window_us: 10,
+                window_violations: 0,
                 digests: ob.digests().to_vec(),
                 detail: Vec::new(),
             }

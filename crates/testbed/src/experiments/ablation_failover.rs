@@ -80,7 +80,7 @@ pub fn run(seed: u64) -> FailoverResult {
     sc.world.restart(
         agw.stack,
         // The node address is stable; the stack rebinds on Start.
-        Box::new(NetStack::new(agw.node, sc.net.handle_of(agw.node))),
+        Box::new(NetStack::new(agw.node, sc.net.handle())),
     );
     let mut restored = AgwActor::restore_from_wire(agw.cfg.clone(), agw.handle.clone(), stored)
         .expect("the orchestrator stores what the gateway uploaded");

@@ -57,18 +57,16 @@ fn backhaul(loss: f64) -> LinkProfile {
 pub fn run_magma(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
     let mut w = World::new(seed);
     let mut net = NetFabric::new();
-    let site_domain = net.add_domain();
-    let core_domain = net.add_domain();
-    let site = net.add_node(site_domain, "site");
-    let enb_node = net.add_node(site_domain, "enb");
+    let site = net.add_node("site");
+    let enb_node = net.add_node("enb");
     net.connect(enb_node, site, LinkProfile::lan());
     // The lossy backhaul exists (to the Internet) but carries no
     // radio-specific protocol in the Magma architecture.
-    let inet = net.add_node(core_domain, "inet");
+    let inet = net.add_node("inet");
     net.connect(site, inet, backhaul(loss));
-    let site_stack = w.add_actor(Box::new(NetStack::new(site, net.handle_of(site))));
+    let site_stack = w.add_actor(Box::new(NetStack::new(site, net.handle())));
     net.bind_stack(site, site_stack);
-    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle_of(enb_node))));
+    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle())));
     net.bind_stack(enb_node, enb_stack);
     let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
     let cfg = AgwConfig::new("agw0", host, site_stack);
@@ -101,14 +99,12 @@ pub fn run_magma(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
 pub fn run_baseline(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
     let mut w = World::new(seed);
     let mut net = NetFabric::new();
-    let core_domain = net.add_domain();
-    let site_domain = net.add_domain();
-    let core = net.add_node(core_domain, "core");
-    let enb_node = net.add_node(site_domain, "enb");
+    let core = net.add_node("core");
+    let enb_node = net.add_node("enb");
     net.connect(enb_node, core, backhaul(loss));
-    let core_stack = w.add_actor(Box::new(NetStack::new(core, net.handle_of(core))));
+    let core_stack = w.add_actor(Box::new(NetStack::new(core, net.handle())));
     net.bind_stack(core, core_stack);
-    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle_of(enb_node))));
+    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle())));
     net.bind_stack(enb_node, enb_stack);
     let epc = EpcCoreActor::new(core_stack, provision_db(), loss).with_path_mgmt(PathMgmt {
         // Rural gear commonly probes aggressively to fail over between

@@ -11,7 +11,6 @@ pub mod export;
 pub mod measure;
 pub mod perfetto;
 pub mod scenario;
-pub mod shardview;
 pub mod trace;
 
 pub use export::{
@@ -19,9 +18,5 @@ pub use export::{
     render_orc8r_alerts, render_orc8r_events, render_orc8r_metrics, ATTACH_STAGES,
 };
 pub use measure::{cpu_percent, csr_bins, mean_attach_latency, mean_over, median_csr, overall_csr, throughput_mbps, CsrBin};
-pub use perfetto::{
-    critical_path_json, perfetto_json, perfetto_json_sharded, perfetto_string,
-    perfetto_string_sharded, render_critical_path,
-};
+pub use perfetto::{critical_path_json, perfetto_json, perfetto_string, render_critical_path};
 pub use scenario::{build, AgwInstance, AgwSpec, CoreLayout, Scenario, ScenarioConfig, SiteSpec, SIM_SEED};
-pub use shardview::{render_shard_table, shard_report_md};

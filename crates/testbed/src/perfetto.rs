@@ -17,91 +17,38 @@
 //! export with `dur: 0` and `"open": true` in `args` rather than
 //! inventing an end time.
 
-use magma_sim::{ProcSummary, ShardSnapshot, TraceSnapshot};
+use magma_sim::{ProcSummary, TraceSnapshot};
 use serde_json::{json, Map, Value};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Synthetic process id for trace lanes with no shard-component
-/// attribution (and for the whole export when none is supplied).
+/// The synthetic process every trace lane lives under.
 const TRACE_PID: u64 = 1;
-
-/// First pid used for shard-component processes (pid 1 is the
-/// unattributed fallback).
-const SHARD_PID_BASE: u64 = 2;
 
 /// Export a snapshot as a Chrome trace-event JSON object
 /// (`{"traceEvents": [...], ...}`). Deterministic: virtual time only,
 /// stable ordering (traces in retirement order, spans in creation
 /// order), no host clocks.
 pub fn perfetto_json(snap: &TraceSnapshot) -> Value {
-    perfetto_json_inner(snap, None)
-}
-
-/// [`perfetto_json`], with one Perfetto *process* (track group) per
-/// shard-plan component instance: each span lands in the process of its
-/// destination actor's component (per the shard snapshot's assignment
-/// table), so the Perfetto timeline shows exactly which work a sharded
-/// engine would run where — and cross-component procedures visibly hop
-/// tracks. Spans whose destination has no assignment fall back to the
-/// `magma-trace` process.
-pub fn perfetto_json_sharded(snap: &TraceSnapshot, shard: &ShardSnapshot) -> Value {
-    perfetto_json_inner(snap, Some(shard))
-}
-
-fn perfetto_json_inner(snap: &TraceSnapshot, shard: Option<&ShardSnapshot>) -> Value {
-    let mut events: Vec<Value> = Vec::new();
-
-    // Shard mode: pid per component label, in label order; actor → pid
-    // via the snapshot's assignment table.
-    let mut label_pid: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut actor_pid: BTreeMap<&str, u64> = BTreeMap::new();
-    if let Some(sh) = shard {
-        let labels: BTreeSet<&str> = sh.assignments.iter().map(|a| a.label.as_str()).collect();
-        for (i, label) in labels.into_iter().enumerate() {
-            label_pid.insert(label, SHARD_PID_BASE + i as u64);
-        }
-        for a in &sh.assignments {
-            actor_pid.insert(a.actor.as_str(), label_pid[a.label.as_str()]);
-        }
-    }
-
-    // Name the fallback process, then one process per component.
-    events.push(json!({
+    let mut events: Vec<Value> = vec![json!({
         "name": "process_name",
         "ph": "M",
         "pid": TRACE_PID,
         "tid": 0,
         "args": { "name": "magma-trace" },
-    }));
-    for (label, pid) in &label_pid {
-        events.push(json!({
-            "name": "process_name",
-            "ph": "M",
-            "pid": *pid,
-            "tid": 0,
-            "args": { "name": format!("shard {label}") },
-        }));
-    }
-
-    let mut named_lanes: BTreeSet<(u64, u64)> = BTreeSet::new();
+    })];
     for (lane, tr) in snap.traces.iter().enumerate() {
         let tid = lane as u64;
-        // Lane metadata and span events for this trace; under sharding a
-        // trace's lane exists in every process its spans touch, so the
-        // thread_name metadata is emitted per (pid, tid) on first use.
-        let mut lane_events: Vec<Value> = Vec::new();
+        if tr.spans.is_empty() {
+            continue;
+        }
+        events.push(json!({
+            "name": "thread_name",
+            "ph": "M",
+            "pid": TRACE_PID,
+            "tid": tid,
+            "args": { "name": format!("{} #{}", tr.label, tr.id) },
+        }));
         for (idx, sp) in tr.spans.iter().enumerate() {
-            let pid = *actor_pid.get(sp.dst.as_str()).unwrap_or(&TRACE_PID);
-            if named_lanes.insert((pid, tid)) {
-                events.push(json!({
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": { "name": format!("{} #{}", tr.label, tr.id) },
-                }));
-            }
             let mut args = Map::new();
             args.insert("trace".into(), json!(tr.id));
             args.insert("span".into(), json!(idx));
@@ -117,18 +64,17 @@ fn perfetto_json_inner(snap: &TraceSnapshot, shard: Option<&ShardSnapshot>) -> V
                     0
                 }
             };
-            lane_events.push(json!({
+            events.push(json!({
                 "name": sp.kind,
                 "cat": tr.label,
                 "ph": "X",
                 "ts": sp.start_us,
                 "dur": dur,
-                "pid": pid,
+                "pid": TRACE_PID,
                 "tid": tid,
                 "args": Value::Object(args),
             }));
         }
-        events.append(&mut lane_events);
     }
 
     let mut procs = Map::new();
@@ -225,16 +171,6 @@ pub fn render_critical_path(snap: &TraceSnapshot) -> String {
 /// form `scripts/check.sh` golden-diffs for the attach-storm scenario.
 pub fn perfetto_string(snap: &TraceSnapshot) -> String {
     let mut s = serde_json::to_string_pretty(&perfetto_json(snap))
-        .unwrap_or_else(|_| "{}".to_string());
-    s.push('\n');
-    s
-}
-
-/// Serialize [`perfetto_json_sharded`] with a trailing newline — what
-/// `magma-bench` writes as `TRACE_<scenario>.json` so the Perfetto
-/// timeline carries one track group per shard component.
-pub fn perfetto_string_sharded(snap: &TraceSnapshot, shard: &ShardSnapshot) -> String {
-    let mut s = serde_json::to_string_pretty(&perfetto_json_sharded(snap, shard))
         .unwrap_or_else(|_| "{}".to_string());
     s.push('\n');
     s

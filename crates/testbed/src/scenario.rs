@@ -168,9 +168,7 @@ pub struct AgwInstance {
 /// A fully built scenario.
 pub struct Scenario {
     pub world: World,
-    /// The physical network, partitioned into one topology domain per
-    /// shard component (core + one per gateway site) so no `NetHandle`
-    /// is aliased across shard components (docs/SHARD_PLAN.md, S001).
+    /// The physical network.
     pub net: NetFabric,
     pub orc8r: Orc8rHandle,
     pub orc8r_node: NodeAddr,
@@ -195,39 +193,29 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
     // trees so experiments can export Perfetto timelines and the
     // critical-path report (see docs/OBSERVABILITY.md § Tracing).
     world.enable_tracing(true);
-    // And shardscope: every actor below is assigned to its shard-plan
-    // component instance, so experiments can export per-component load,
-    // cut-edge slack, and the predicted conservative-window speedup
-    // (see docs/PROFILING.md § Shardscope).
-    world.enable_shardscope(true);
-    // One topology domain per shard component: the orchestration core
-    // plus one per gateway site (shard components per docs/SHARD_PLAN.md).
-    // Node addresses are fabric-global, so the partition is invisible to
-    // address-sensitive golden exports.
+    // Every actor below gets a racecheck component: `orc8r[0]` for the
+    // orchestrator, `agw[i]` for gateway site i (docs/DETERMINISM.md
+    // § Logical races).
     let mut net = NetFabric::new();
     // Per-link RNG streams derive from (seed, src, dst): loss/jitter
     // draws are schedule-independent under racecheck's permuted runs.
     net.set_seed(cfg.seed);
-    let core_domain = net.add_domain();
     let orc8r = new_orc8r(cfg.quota_bytes);
     orc8r.borrow_mut().checkin_interval_s =
         cfg.checkin_interval.as_secs_f64().max(1.0) as u64;
     orc8r.borrow_mut().alert_rules = cfg.alert_rules.clone();
 
     // Orchestrator node.
-    let orc8r_node = net.add_node(core_domain, "orc8r");
-    let orc8r_stack = world.add_actor(Box::new(NetStack::new(
-        orc8r_node,
-        net.handle_of(orc8r_node),
-    )));
+    let orc8r_node = net.add_node("orc8r");
+    let orc8r_stack = world.add_actor(Box::new(NetStack::new(orc8r_node, net.handle())));
     net.bind_stack(orc8r_node, orc8r_stack);
-    world.shard_assign_hub(orc8r_stack, "net.stack", "orc8r", 0);
+    world.set_component(orc8r_stack, "orc8r[0]");
     let orc8r_actor = world.add_actor(Box::new(Orc8rActor::new(
         orc8r.clone(),
         orc8r_stack,
         ports::ORC8R,
     )));
-    world.shard_assign(orc8r_actor, "orc8r", 0);
+    world.set_component(orc8r_actor, "orc8r[0]");
 
     // Define policies before computing the snapshot.
     for p in &cfg.policies {
@@ -264,12 +252,12 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
             CoreLayout::Pinned { cp, up } => HostSpec::pinned(&id, cp, up, spec.speed),
         };
         let host = world.add_host(host_spec);
-        let site_domain = net.add_domain();
-        let node = net.add_node(site_domain, &id);
+        let site = format!("agw[{a}]");
+        let node = net.add_node(&id);
         net.connect(node, orc8r_node, spec.backhaul);
-        let stack = world.add_actor(Box::new(NetStack::new(node, net.handle_of(node))));
+        let stack = world.add_actor(Box::new(NetStack::new(node, net.handle())));
         net.bind_stack(node, stack);
-        world.shard_assign_hub(stack, "net.stack", "agw", a as u32);
+        world.set_component(stack, &site);
 
         let mut agw_cfg = AgwConfig::new(&id, host, stack)
             .with_orc8r(Endpoint::new(orc8r_node, ports::ORC8R))
@@ -288,7 +276,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
         };
         actor.set_up_cores(up_cores);
         let agw_actor = world.add_actor(Box::new(actor));
-        world.shard_assign(agw_actor, "agw", a as u32);
+        world.set_component(agw_actor, &site);
 
         // Telemetry daemon: samples the gateway's registry namespace and
         // pushes it to the orchestrator over the same backhaul (its own
@@ -296,20 +284,17 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
         let mut md_cfg = MetricsdConfig::for_agw(&agw_cfg);
         md_cfg.interval = cfg.metrics_interval;
         let metricsd = world.add_actor(Box::new(MetricsdActor::new(md_cfg)));
-        world.shard_assign(metricsd, "agw.metricsd", a as u32);
+        world.set_component(metricsd, &site);
 
         // Per-eNB attach rate splits the site's aggregate rate.
         let per_enb_rate = spec.site.attach_rate_per_sec / spec.site.enbs.max(1) as f64;
         let mut enbs = Vec::new();
         for e in 0..spec.site.enbs {
-            let enb_node = net.add_node(site_domain, &format!("{id}-enb{e}"));
+            let enb_node = net.add_node(&format!("{id}-enb{e}"));
             net.connect(enb_node, node, LinkProfile::lan());
-            let enb_stack = world.add_actor(Box::new(NetStack::new(
-                enb_node,
-                net.handle_of(enb_node),
-            )));
+            let enb_stack = world.add_actor(Box::new(NetStack::new(enb_node, net.handle())));
             net.bind_stack(enb_node, enb_stack);
-            world.shard_assign_hub(enb_stack, "net.stack", "agw", a as u32);
+            world.set_component(enb_stack, &site);
             let ues: Vec<UeSim> = ue_fleet(
                 SIM_SEED,
                 msin_for(a, e, 0),
@@ -329,7 +314,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
             enb_cfg.session_lifetime_s = spec.site.session_lifetime_s;
             enb_cfg.metrics_prefix = "ran".to_string();
             let enb = world.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));
-            world.shard_assign(enb, "ran.enb", a as u32);
+            world.set_component(enb, &site);
             enbs.push(enb);
         }
 

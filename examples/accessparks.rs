@@ -17,20 +17,18 @@ use magma_wire::Imsi;
 
 fn main() {
     let mut w = World::new(2022);
-    // The whole site is one shard component — a single topology domain.
     let mut net = NetFabric::new();
-    let site_domain = net.add_domain();
 
     // One site AGW; four WiFi APs (CBRS fixed-wireless modems) behind it.
-    let agw_node = net.add_node(site_domain, "agw");
+    let agw_node = net.add_node("agw");
     let ap_nodes: Vec<_> = (0..4)
         .map(|i| {
-            let n = net.add_node(site_domain, &format!("ap{i}"));
+            let n = net.add_node(&format!("ap{i}"));
             net.connect(n, agw_node, LinkProfile::lan());
             n
         })
         .collect();
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.handle_of(agw_node))));
+    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.handle())));
     net.bind_stack(agw_node, agw_stack);
     let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
 
@@ -52,7 +50,7 @@ fn main() {
     let agw = w.add_actor(Box::new(agw));
 
     for (i, node) in ap_nodes.iter().enumerate() {
-        let stack = w.add_actor(Box::new(NetStack::new(*node, net.handle_of(*node))));
+        let stack = w.add_actor(Box::new(NetStack::new(*node, net.handle())));
         net.bind_stack(*node, stack);
         w.add_actor(Box::new(WifiApActor::new(WifiApConfig {
             name: format!("ap-{i}"),

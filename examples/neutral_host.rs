@@ -20,26 +20,22 @@ use magma_wire::Imsi;
 
 fn main() {
     let mut w = World::new(33);
-    // One topology domain per shard component: the micro-operator site,
-    // the FeG, and the incumbent MNO core (see docs/SHARD_PLAN.md).
+    // The micro-operator site, the FeG, and the incumbent MNO core.
     let mut net = NetFabric::new();
-    let site_domain = net.add_domain();
-    let feg_domain = net.add_domain();
-    let mno_domain = net.add_domain();
-    let agw_node = net.add_node(site_domain, "micro-operator-agw");
-    let feg_node = net.add_node(feg_domain, "feg");
-    let mno_node = net.add_node(mno_domain, "incumbent-mno");
-    let enb_node = net.add_node(site_domain, "enb");
+    let agw_node = net.add_node("micro-operator-agw");
+    let feg_node = net.add_node("feg");
+    let mno_node = net.add_node("incumbent-mno");
+    let enb_node = net.add_node("enb");
     net.connect(agw_node, feg_node, LinkProfile::fiber());
     net.connect(feg_node, mno_node, LinkProfile::fiber());
     net.connect(enb_node, agw_node, LinkProfile::lan());
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.handle_of(agw_node))));
+    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.handle())));
     net.bind_stack(agw_node, agw_stack);
-    let feg_stack = w.add_actor(Box::new(NetStack::new(feg_node, net.handle_of(feg_node))));
+    let feg_stack = w.add_actor(Box::new(NetStack::new(feg_node, net.handle())));
     net.bind_stack(feg_node, feg_stack);
-    let mno_stack = w.add_actor(Box::new(NetStack::new(mno_node, net.handle_of(mno_node))));
+    let mno_stack = w.add_actor(Box::new(NetStack::new(mno_node, net.handle())));
     net.bind_stack(mno_node, mno_stack);
-    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle_of(enb_node))));
+    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle())));
     net.bind_stack(enb_node, enb_stack);
 
     // Ten incumbent-MNO subscribers, known only to the MNO's HSS.

@@ -37,14 +37,12 @@ done
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> magma-lint (determinism / telemetry / actor hygiene / message-flow graph / shard safety)"
+echo "==> magma-lint (determinism / telemetry / actor hygiene / message-flow graph / schedule safety)"
 # Capture the report so its summary can be replayed at the very end.
 # Fails on any F- or S-rule hit, including drift of the generated
-# docs/MESSAGE_FLOW.md (F006) and of docs/SHARD_PLAN.md +
-# scripts/golden/shard_plan.json (S005); after an intentional graph
-# change, re-baseline with MAGMA_FLOW_ACCEPT=1 and/or
-# MAGMA_SHARD_ACCEPT=1 (the lint then regenerates the files — commit
-# them).
+# docs/MESSAGE_FLOW.md (F006); after an intentional graph change,
+# re-baseline with MAGMA_FLOW_ACCEPT=1 (the lint then regenerates the
+# file — commit it).
 LINT_OUT="$(mktemp)"
 if ! cargo run --release -p magma-lint >"$LINT_OUT" 2>&1; then
     cat "$LINT_OUT"
@@ -105,26 +103,6 @@ else
     mkdir -p "$(dirname "$TRACE_GOLDEN")"
     cp "$BENCH_OUT/TRACE_attach_storm.json" "$TRACE_GOLDEN"
     echo "installed new trace golden at $TRACE_GOLDEN"
-fi
-echo "==> attach-storm shard report golden diff"
-# Shardscope renders per-component load, cut-edge slack, and the
-# predicted conservative-window speedup for the fixed bench seed into
-# docs/SHARD_REPORT.md (see docs/PROFILING.md § Shardscope). The report
-# is a pure function of (scenario, seed), so drift means the workload,
-# the shard plan, or the window model changed. After an intentional
-# change, re-baseline with MAGMA_SHARDSCOPE_ACCEPT=1 and commit the
-# regenerated file.
-SHARD_REPORT="docs/SHARD_REPORT.md"
-cargo run --release -p magma-bench -- --shard-report "$BENCH_OUT/SHARD_REPORT.md" --out "$BENCH_OUT"
-if [[ "${MAGMA_SHARDSCOPE_ACCEPT:-0}" == "1" || ! -f "$SHARD_REPORT" ]]; then
-    cp "$BENCH_OUT/SHARD_REPORT.md" "$SHARD_REPORT"
-    echo "installed shard report at $SHARD_REPORT (commit it)"
-else
-    diff -u "$SHARD_REPORT" "$BENCH_OUT/SHARD_REPORT.md" || {
-        echo "shard report drifted from $SHARD_REPORT (MAGMA_SHARDSCOPE_ACCEPT=1 re-baselines)" >&2
-        exit 1
-    }
-    echo "shard report matches golden"
 fi
 rm -rf "$BENCH_OUT"
 

@@ -92,13 +92,12 @@ impl Actor for TargetEnb {
 /// Put a [`TargetEnb`] on a new node at gateway 0's site; at `switch_at`
 /// it asks for `target_ue`'s path.
 pub fn add_target_enb(sc: &mut Scenario, switch_at: SimTime, target_ue: MmeUeId) {
-    let site_domain = sc.net.domain_of(sc.agws[0].node);
-    let target_node = sc.net.add_node(site_domain, "target-enb");
+    let target_node = sc.net.add_node("target-enb");
     sc.net
         .connect(target_node, sc.agws[0].node, magma_net::LinkProfile::lan());
     let target_stack = sc
         .world
-        .add_actor(Box::new(NetStack::new(target_node, sc.net.handle_of(target_node))));
+        .add_actor(Box::new(NetStack::new(target_node, sc.net.handle())));
     sc.net.bind_stack(target_node, target_stack);
     sc.world.add_actor(Box::new(TargetEnb {
         stack: target_stack,

@@ -179,7 +179,7 @@ fn a_fresh_gateway_and_a_restored_backup_pull_the_full_snapshot() {
     for (gw, mut actor) in sc.agws.iter().zip([fresh, backup]) {
         sc.world.restart(
             gw.stack,
-            Box::new(NetStack::new(gw.node, sc.net.handle_of(gw.node))),
+            Box::new(NetStack::new(gw.node, sc.net.handle())),
         );
         actor.set_up_cores(gw.up_cores);
         sc.world.restart(gw.actor, Box::new(actor));
@@ -208,7 +208,6 @@ const REPLY: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Response,
     retry: None,
-    lookahead: None,
 };
 const PUSH: FlowKind = FlowKind {
     name: methods::PUSH_SUBSCRIBERS,
@@ -217,7 +216,6 @@ const PUSH: FlowKind = FlowKind {
     class: DelayClass::Transport,
     role: Role::Data,
     retry: None,
-    lookahead: None,
 };
 
 /// An orchestrator that answers bootstrap and check-in from `db`. At 2 s

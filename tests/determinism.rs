@@ -8,6 +8,7 @@
 //! dataplane rule stats/usage and meters under live traffic, RPC client
 //! retry state, and the orchestrator's connection table.
 
+use magma::net::LinkProfile;
 use magma::prelude::*;
 use magma::sim::{
     detect, downcast, first_divergence, Actor, ActorId, Ctx, Event, RaceExport, RunSpec,
@@ -83,6 +84,10 @@ fn run_scheduled(seed: u64, schedule: Option<u64>) -> (String, String, Vec<Windo
     d.world.run_until(SimTime::from_secs(40));
 
     let export = d.world.race_export();
+    assert_eq!(
+        export.window_violations, 0,
+        "a link beat the racecheck window"
+    );
     let st = d.orc8r.borrow();
     let northbound = serde_json::to_string(&orc8r_telemetry_json(&st)).unwrap();
     let registry = serde_json::to_string(&d.world.registry().snapshot()).unwrap();
@@ -119,7 +124,7 @@ fn mixed_scenario_is_invariant_under_permuted_window_schedules() {
 
 /// A deliberately racy actor pair for the divergence fixture below: each
 /// racer fires one message at the arbiter, timed to land in the same
-/// 10µs window from two different shard components.
+/// 10µs window from two different racecheck components.
 struct Racer {
     to: ActorId,
     tag: u64,
@@ -165,11 +170,11 @@ fn racy_world_run(spec: RunSpec) -> RaceExport {
     let arbiter = w.add_actor(Box::new(Arbiter::default()));
     let a = w.add_actor(Box::new(Racer { to: arbiter, tag: 1 }));
     let b = w.add_actor(Box::new(Racer { to: arbiter, tag: 2 }));
-    // The racers live in different shard components, so a permuted
-    // schedule can flip which one's Start (and hence whose message
-    // enqueues first) runs first; the arbiter stays unassigned.
-    w.shard_assign(a, "feg", 0);
-    w.shard_assign(b, "orc8r", 0);
+    // The racers live in different components, so a permuted schedule
+    // can flip which one's Start (and hence whose message enqueues
+    // first) runs first; the arbiter stays unassigned.
+    w.set_component(a, "feg[0]");
+    w.set_component(b, "orc8r[0]");
     w.enable_racecheck(spec.schedule);
     w.set_race_detail_window(spec.detail_window);
     w.run_until(SimTime::from_millis(2));
@@ -218,4 +223,27 @@ fn racecheck_localizes_a_seeded_divergence_to_window_and_event_pair() {
         "render must name the bisected window:\n{}",
         report.render()
     );
+}
+
+/// Racecheck's precondition end to end: a backhaul faster than one
+/// racecheck window lets orchestrator traffic land inside its sender's
+/// window, which the permuted drain cannot reorder legally — the run
+/// must say so instead of passing as race-free.
+#[test]
+fn shrunken_latency_backhaul_reports_window_violations() {
+    let run = |backhaul: LinkProfile| {
+        let mut agw = AgwSpec::bare_metal(mixed_site());
+        agw.backhaul = backhaul;
+        let mut d = magma::deploy(ScenarioConfig::new(42).with_agw(agw));
+        d.world.enable_racecheck(None);
+        d.world.run_until(SimTime::from_secs(10));
+        d.world.race_export().window_violations
+    };
+    assert_eq!(run(LinkProfile::fiber()), 0);
+    let shrunken = LinkProfile {
+        latency: SimDuration::from_micros(2),
+        jitter: SimDuration::ZERO,
+        ..LinkProfile::fiber()
+    };
+    assert!(run(shrunken) > 0, "a 2µs backhaul must trip the window check");
 }

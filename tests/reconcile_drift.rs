@@ -133,12 +133,11 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
     common::add_target_enb(&mut sc, SimTime::from_secs(6), MmeUeId(1));
 
     // WiFi: a hotspot authenticates at 3 s …
-    let site_domain = sc.net.domain_of(sc.agws[0].node);
-    let ap_node = sc.net.add_node(site_domain, "ap");
+    let ap_node = sc.net.add_node("ap");
     sc.net.connect(ap_node, sc.agws[0].node, LinkProfile::lan());
     let ap_stack = sc
         .world
-        .add_actor(Box::new(NetStack::new(ap_node, sc.net.handle_of(ap_node))));
+        .add_actor(Box::new(NetStack::new(ap_node, sc.net.handle())));
     sc.net.bind_stack(ap_node, ap_stack);
     sc.world.add_actor(Box::new(WifiApActor::new(WifiApConfig {
         name: "hotspot-1-session".to_string(),
@@ -212,7 +211,7 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
     sc.world.run_until(SimTime::from_millis(32_500));
     sc.world.restart(
         sc.agws[0].stack,
-        Box::new(NetStack::new(sc.agws[0].node, sc.net.handle_of(sc.agws[0].node))),
+        Box::new(NetStack::new(sc.agws[0].node, sc.net.handle())),
     );
     let restored =
         AgwActor::restore_from_wire(sc.agws[0].cfg.clone(), sc.agws[0].handle.clone(), stored)

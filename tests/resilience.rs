@@ -40,7 +40,7 @@ fn orc8r_crash_and_restart_preserves_state_and_resyncs() {
     let stack_actor = sc.net.stack_of(sc.orc8r_node).unwrap();
     sc.world.restart(
         stack_actor,
-        Box::new(NetStack::new(sc.orc8r_node, sc.net.handle_of(sc.orc8r_node))),
+        Box::new(NetStack::new(sc.orc8r_node, sc.net.handle())),
     );
     sc.world.restart(
         sc.orc8r_actor,
@@ -119,7 +119,7 @@ fn metricsd_queues_pushes_across_orc8r_crash_window() {
     let stack_actor = sc.net.stack_of(sc.orc8r_node).unwrap();
     sc.world.restart(
         stack_actor,
-        Box::new(NetStack::new(sc.orc8r_node, sc.net.handle_of(sc.orc8r_node))),
+        Box::new(NetStack::new(sc.orc8r_node, sc.net.handle())),
     );
     sc.world.restart(
         sc.orc8r_actor,
@@ -175,7 +175,7 @@ fn agw_restart_without_checkpoint_forces_reattach() {
     sc.world.run_until(SimTime::from_secs(25));
     let agw = &sc.agws[0];
     sc.world
-        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.handle_of(agw.node))));
+        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.handle())));
     let mut fresh = magma_agw::AgwActor::new(agw.cfg.clone(), agw.handle.clone());
     fresh.preprovision(sc.orc8r.borrow().db.snapshot());
     fresh.set_up_cores(agw.up_cores);
