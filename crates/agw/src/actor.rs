@@ -1315,6 +1315,9 @@ impl AgwActor {
     fn take_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
         // Drift guard: a session change that forgot to name its sid.
         debug_assert_eq!(self.desired, pipelined::compile(&self.sessions));
+        // Nothing below reads the previous checkpoint; dropping it first
+        // keeps one full copy alive, not two, while this one is built.
+        drop(self.shared.borrow_mut().checkpoint.take());
         let cp = AgwCheckpoint {
             agw_id: self.cfg.id.clone(),
             taken_at_us: ctx.now().as_micros(),

@@ -12,7 +12,7 @@ use crate::state::Orc8rHandle;
 use magma_net::{SockEvent, StreamHandle};
 use magma_rpc::{RpcServer, RpcServerEvent};
 use magma_sim::{downcast, flow_dispatch, Actor, ActorId, Ctx, Event, SimDuration};
-use serde_json::json;
+use serde_json::{json, Map, Value};
 use std::collections::BTreeMap;
 
 const TICK: SimDuration = SimDuration(500_000); // 500ms push cadence
@@ -113,9 +113,19 @@ impl Orc8rActor {
                     self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad checkpoint");
                     return;
                 };
-                self.state
+                let displaced = self
+                    .state
                     .borrow_mut()
                     .store_checkpoint(&req.agw_id, req.state);
+                if let Some(state) = displaced {
+                    // The next upload is parsed into the tree it displaces.
+                    let body = Map::from([
+                        ("agw_id".to_string(), Value::String(req.agw_id)),
+                        ("state".to_string(), state),
+                    ]);
+                    self.server
+                        .recycle(methods::CHECKPOINT, Value::Object(body));
+                }
                 self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, json!({}));
             }
             methods::CREDIT_REQUEST => {

@@ -14,6 +14,7 @@ use magma_sim::{Severity, SimTime};
 use magma_subscriber::{SubscriberDb, SubscriberProfile};
 use magma_wire::Imsi;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -357,8 +358,9 @@ impl Orc8rState {
         true
     }
 
-    pub fn store_checkpoint(&mut self, agw_id: &str, state: serde_json::Value) {
-        self.checkpoints.insert(agw_id.to_string(), state);
+    /// Store a gateway's latest checkpoint; returns the one it displaces.
+    pub fn store_checkpoint(&mut self, agw_id: &str, state: Value) -> Option<Value> {
+        self.checkpoints.insert(agw_id.to_string(), state)
     }
 
     fn log(&mut self, what: String) {

@@ -219,10 +219,8 @@ impl RpcClient {
             SockEvent::StreamRecv { handle, bytes }
                 if self.conn == ConnState::Open(handle) =>
             {
-                let frames = {
-                    let _dec = ctx.profile_scope("rpc.decode");
-                    self.framer.push(&bytes)
-                };
+                let decode = || ctx.profile_scope("rpc.decode");
+                let frames = self.framer.push_with(&bytes, &mut None, decode);
                 if self.framer.is_poisoned() {
                     // Framing is lost for good; the close comes back as
                     // `StreamClosed` and outstanding calls retry on a

@@ -7,6 +7,7 @@
 use crate::msg::{RpcFrame, RpcKind};
 use bytes::Bytes;
 use serde::Serialize;
+use serde_json::{Map, Value};
 
 /// Largest frame body a peer may announce: 16 MiB, 80× the largest
 /// checkpoint any scenario sends. A longer prefix is hostile or corrupt —
@@ -51,6 +52,13 @@ pub fn encode_frame(frame: &RpcFrame) -> Bytes {
     encode(frame.kind, frame.id, &frame.method, &frame.body)
 }
 
+/// A spent body tree, for the next frame of `method` to be parsed into.
+#[derive(Debug)]
+pub struct Spare {
+    pub method: &'static str,
+    pub body: Value,
+}
+
 /// Streaming reassembler for length-prefixed frames.
 #[derive(Debug, Default)]
 pub struct Framer {
@@ -71,6 +79,18 @@ impl Framer {
     /// it drops what it holds and ignores further input until the owner
     /// closes the stream.
     pub fn push(&mut self, bytes: &[u8]) -> Vec<RpcFrame> {
+        self.push_with(bytes, &mut None, || ())
+    }
+
+    /// [`push`](Self::push), holding `scope` around each frame's parse. A
+    /// frame ending `,"method":<spare's method>}` (as [`encode`] ends it)
+    /// takes the spare and is parsed into its tree: the same frame, reused.
+    pub fn push_with<G>(
+        &mut self,
+        bytes: &[u8],
+        spare: &mut Option<Spare>,
+        mut scope: impl FnMut() -> G,
+    ) -> Vec<RpcFrame> {
         let mut out = Vec::new();
         if self.poisoned {
             return out;
@@ -88,10 +108,22 @@ impl Framer {
                 self.buf = Vec::new();
                 return out;
             }
-            let Some(body) = rest.get(PREFIX_LEN..PREFIX_LEN + len) else {
+            let Some(text) = rest.get(PREFIX_LEN..PREFIX_LEN + len) else {
                 break;
             };
-            match serde_json::from_slice::<RpcFrame>(body) {
+            let _scope = scope();
+            let names = |s: &mut Spare| {
+                let t = text
+                    .strip_suffix(b"\"}")
+                    .and_then(|t| t.strip_suffix(s.method.as_bytes()));
+                t.is_some_and(|t| t.ends_with(b",\"method\":\""))
+            };
+            let mut tree = spare.take_if(names).map_or(Value::Null, |s| {
+                Value::Object(Map::from([("body".to_string(), s.body)]))
+            });
+            match serde_json::from_slice_into(&mut tree, text)
+                .and_then(|()| serde_json::from_value::<RpcFrame>(tree))
+            {
                 Ok(frame) => out.push(frame),
                 Err(_) => self.rejected += 1,
             }
@@ -144,6 +176,28 @@ mod tests {
             got.extend(fr.push(chunk));
         }
         assert_eq!(got, vec![f]);
+    }
+
+    /// The owner's scope (`rpc.decode`) is held once per completed frame,
+    /// not once per pushed segment, refused frames included.
+    #[test]
+    fn scope_is_entered_once_per_completed_frame() {
+        let mut wire = BytesMut::new();
+        for f in [
+            RpcFrame::request(1, "a", json!({"payload": "x".repeat(50)})),
+            RpcFrame::response(1, json!([1, 2, 3])),
+        ] {
+            wire.extend_from_slice(&encode_frame(&f));
+        }
+        wire.put_u32(3);
+        wire.put_slice(b"???");
+        let mut fr = Framer::new();
+        let (mut entered, mut got) = (0, 0);
+        for chunk in wire.chunks(7) {
+            got += fr.push_with(chunk, &mut None, || entered += 1).len();
+        }
+        assert!(wire.len() / 7 > 3, "more segments than frames");
+        assert_eq!((got, fr.rejected(), entered), (2, 1, 3));
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub mod msg;
 pub mod server;
 
 pub use client::{RpcClient, RpcClientConfig, RpcClientEvent};
-pub use codec::{encode_frame, Framer, MAX_FRAME_LEN};
+pub use codec::{encode_frame, Framer, Spare, MAX_FRAME_LEN};
 pub use msg::{RpcFrame, RpcKind};
 pub use server::{RpcServer, RpcServerEvent};
 

@@ -1,7 +1,7 @@
 //! RPC server: accepts connections on a port, surfaces requests to the
 //! owning actor, and sends responses / push frames back.
 
-use crate::codec::{self, Framer};
+use crate::codec::{self, Framer, Spare};
 use crate::msg::RpcKind;
 use bytes::Bytes;
 use magma_net::{flows, SockCmd, SockEvent, StreamHandle};
@@ -33,6 +33,8 @@ pub struct RpcServer {
     stack: ActorId,
     port: u16,
     conns: BTreeMap<StreamHandle, Framer>,
+    /// One body tree, for the next request whose method it names.
+    spare: Option<Spare>,
     pub requests_served: u64,
 }
 
@@ -42,6 +44,7 @@ impl RpcServer {
             stack,
             port,
             conns: BTreeMap::new(),
+            spare: None,
             requests_served: 0,
         }
     }
@@ -80,8 +83,8 @@ impl RpcServer {
                 let mut out = Vec::new();
                 let mut poisoned = false;
                 if let Some(framer) = self.conns.get_mut(&handle) {
-                    let _dec = ctx.profile_scope("rpc.decode");
-                    for f in framer.push(&bytes) {
+                    let decode = || ctx.profile_scope("rpc.decode");
+                    for f in framer.push_with(&bytes, &mut self.spare, decode) {
                         if f.kind == RpcKind::Request {
                             out.push(RpcServerEvent::Request {
                                 conn: handle,
@@ -176,6 +179,12 @@ impl RpcServer {
             }
         }
         live
+    }
+
+    /// Hand back a spent `method` request body: the next such request is
+    /// parsed into its tree. Only the latest one handed back is kept.
+    pub fn recycle(&mut self, method: &'static str, body: Value) {
+        self.spare = Some(Spare { method, body });
     }
 
     /// Handles of all live client connections.

@@ -18,17 +18,20 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml -q
 
 echo "==> benchmark contract command (BENCHMARK.json), end-to-end and traced"
-# The pipeline judges a PR by this command. One short run of each form
-# here — site_sync_up, whose output check reads the checkpoint the
-# orchestrator stores, and the traced form, which is the `layers` binary
-# — so a PR that breaks either fails now. The last stdout line is the
-# result object; it must say the outputs were correct.
-for TRACE in 0 1; do
+# The pipeline judges a PR by this command. One short end-to-end run per
+# workload, each of which checks its own outputs (site_sync_up's reads
+# the checkpoint the orchestrator stores), plus the traced form on
+# site_sync_up, which is the `layers` binary — so a PR that breaks any of
+# them fails now. The last stdout line is the result object; it must say
+# the outputs were correct.
+for RUN in "attach_churn 0" "site_sync_up 0" "config_push_down 0" "fleet_partition 0" \
+    "site_sync_up 1"; do
+    read -r WORKLOAD TRACE <<<"$RUN"
     CONTRACT_OUT="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
-        --bin magma-benchmark -- --workload site_sync_up --seed 7 --seconds 2 --trace "$TRACE" \
+        --bin magma-benchmark -- --workload "$WORKLOAD" --seed 7 --seconds 2 --trace "$TRACE" \
         2>/dev/null | tail -n 1)"
     if [[ "$CONTRACT_OUT" != *'"correct":true'* ]]; then
-        echo "contract command (--trace $TRACE) did not report \"correct\": true:" >&2
+        echo "contract command ($WORKLOAD, --trace $TRACE) did not report \"correct\": true:" >&2
         echo "$CONTRACT_OUT" >&2
         exit 1
     fi

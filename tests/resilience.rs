@@ -194,3 +194,43 @@ fn agw_restart_without_checkpoint_forces_reattach() {
         sc.agws[0].handle.borrow().active_sessions
     );
 }
+
+/// Attaches advance the HSS SQN in the gateway's replica without moving
+/// its config version (`SubscriberDb::generate_auth_vector`), so the
+/// local checkpoint's copy of the replica must be taken from the replica
+/// as it is, not reused while the version stands still: an instance
+/// restored from a copy with stale SQNs fails AKA for every UE that
+/// re-attaches. The SQNs the same checkpoint uploads are read from the
+/// live replica, so the two must agree.
+#[test]
+fn local_checkpoint_carries_the_sqn_attaches_advanced() {
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 10,
+        attach_rate_per_sec: 2.0,
+        reattach: true,
+        session_lifetime_s: Some((3, 6)),
+        ..SiteSpec::typical()
+    };
+    let mut sc = magma::deploy(ScenarioConfig::new(21).with_agw(AgwSpec::bare_metal(site)));
+    let gw = sc.agws[0].id.clone();
+    let mut taken = Vec::new();
+    for at_ms in [8_500, 20_500] {
+        sc.world.run_until(SimTime::from_millis(at_ms));
+        let local = sc.agws[0].handle.borrow().checkpoint.clone().expect("checkpointed");
+        let stored = sc.orc8r.borrow().checkpoints[&gw].clone();
+        let (uploaded, live_sqn) = magma_agw::checkpoint::from_wire(stored).expect("wire form");
+        assert_eq!(uploaded.taken_at_us, local.taken_at_us, "the same second's checkpoint");
+        let mut replica = magma::subscriber::SubscriberDb::new();
+        replica.apply_snapshot(local.db.clone());
+        assert_eq!(replica.sqn_marks(), live_sqn, "replica rows carry the live SQN");
+        taken.push((local.db.version, live_sqn));
+    }
+    let [(v1, sqn1), (v2, sqn2)] = &taken[..] else { unreachable!() };
+    assert_eq!(v1, v2, "no configuration change in between");
+    assert_eq!(sqn1.len(), 10, "every UE has attached");
+    assert!(
+        sqn2.iter().any(|(imsi, s)| sqn1.get(imsi).is_some_and(|s1| s > s1)),
+        "re-attaches moved SQNs while the version stood still"
+    );
+}
