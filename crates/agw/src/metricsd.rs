@@ -299,8 +299,7 @@ impl Actor for MetricsdActor {
                         C_SNAPSHOT,
                         Box::new(()),
                     );
-                    if let Err(err) = submitted {
-                        ctx.log(|| format!("metricsd: {err}"));
+                    if submitted.is_err() {
                         let m = self.metric("metricsd.exec_err");
                         ctx.registry().counter_add(&m, 1.0);
                         self.take_snapshot(ctx);

@@ -1,19 +1,16 @@
-//! Micro-benchmarks on the hot paths the figures depend on: data-plane
-//! packet processing, EPS-AKA vector generation (the attach pipeline's
-//! crypto), wire codecs, the RPC frame + body codec, subscriber-database
-//! replication (full snapshot vs changes), the event queue, and the
-//! reliable stream.
+//! Micro-benchmarks for the hot-path kernels the repo benchmark's
+//! `layers` probes do not time: the hinted dataplane reprogram, the
+//! UE side of EPS-AKA, the checkpoint RPC both ways, subscriber
+//! replication (full snapshot vs changes), and registry emission. The
+//! rest (kernel ns/event, packet processing, the full `set_desired`
+//! walk, AKA vector generation, the wire codecs, the small RPC frame,
+//! the registry snapshot) are `layers` rows; see `benchmark/`.
 
-use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use magma_dataplane::{
-    session_rules, DesiredState, FluidEntry, PacketMeta, Pipeline, SessionProgram,
-};
-use magma_sim::{SimTime, World};
-use magma_wire::aka;
-use magma_wire::nas::NasMessage;
-use magma_wire::s1ap::{EnbUeId, S1apMessage};
-use magma_wire::{Imsi, Teid, UeIp};
+use magma::dataplane::{session_rules, DesiredState, FluidEntry, Pipeline, SessionProgram};
+use magma::prelude::*;
+use magma::wire::aka;
+use magma::wire::{Teid, UeIp};
 
 /// `n` unmetered LTE sessions, keyed by cookie.
 fn sessions(n: u64) -> DesiredState {
@@ -47,13 +44,6 @@ fn session_program(i: u64, dl_teid: Teid) -> SessionProgram {
 
 fn dataplane(c: &mut Criterion) {
     let mut g = c.benchmark_group("dataplane");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("uplink_packet_100_sessions", |b| {
-        let mut p = Pipeline::new();
-        p.set_desired(&sessions(100));
-        let pkt = PacketMeta::uplink(Teid(150), UeIp(1050), 1400);
-        b.iter(|| std::hint::black_box(p.process(pkt, SimTime::ZERO)))
-    });
     // What one session change costs an AGW holding 500 sessions (the
     // `attach_churn` table): recompile the touched session, hand over the
     // full state with the key named. A path switch flips the dl TEID.
@@ -69,33 +59,12 @@ fn dataplane(c: &mut Criterion) {
             std::hint::black_box(p.reconcile_ops)
         })
     });
-    // The same change through the full walk (start/restore, and what the
-    // frozen `dataplane.set_desired_us` probe times).
-    g.bench_function("set_desired_full_500", |b| {
-        let mut desired = sessions(500);
-        let mut p = Pipeline::new();
-        p.set_desired(&desired);
-        let mut flip = 0u32;
-        b.iter(|| {
-            flip ^= 1;
-            desired.programs.insert(250, session_program(250, Teid(9000 + flip)));
-            p.set_desired(&desired);
-            std::hint::black_box(p.reconcile_ops)
-        })
-    });
     g.finish();
 }
 
 fn crypto(c: &mut Criterion) {
     let (k, opc) = aka::provision(1, 1);
     let mut g = c.benchmark_group("aka");
-    g.bench_function("generate_vector", |b| {
-        let mut sqn = 0;
-        b.iter(|| {
-            sqn += 1;
-            std::hint::black_box(aka::generate_vector(&k, &opc, sqn, aka::Rand([7; 16])))
-        })
-    });
     g.bench_function("ue_verify", |b| {
         let v = aka::generate_vector(&k, &opc, 1, aka::Rand([7; 16]));
         b.iter(|| std::hint::black_box(aka::ue_verify(&k, &opc, &v.rand, &v.autn, 0)))
@@ -103,42 +72,12 @@ fn crypto(c: &mut Criterion) {
     g.finish();
 }
 
-fn codecs(c: &mut Criterion) {
-    let nas = NasMessage::AttachRequest {
-        imsi: Imsi::new(310, 26, 42),
-        capabilities: 3,
-    };
-    let s1ap = S1apMessage::InitialUeMessage {
-        enb_ue_id: EnbUeId(5),
-        nas: nas.encode(),
-    };
-    let enc = s1ap.encode();
-    let mut g = c.benchmark_group("codecs");
-    g.throughput(Throughput::Bytes(enc.len() as u64));
-    g.bench_function("s1ap_encode", |b| {
-        b.iter(|| std::hint::black_box(s1ap.encode().len()))
-    });
-    g.bench_function("s1ap_decode", |b| {
-        b.iter(|| std::hint::black_box(S1apMessage::decode(&enc).unwrap()))
-    });
-    let gtpu = magma_wire::gtp::GtpUPacket::gpdu(Teid(9), Bytes::from(vec![0u8; 1400]));
-    let gtpu_enc = gtpu.encode();
-    g.throughput(Throughput::Bytes(gtpu_enc.len() as u64));
-    g.bench_function("gtpu_roundtrip_1400B", |b| {
-        b.iter(|| {
-            let e = gtpu.encode();
-            std::hint::black_box(magma_wire::gtp::GtpUPacket::decode(&e).unwrap())
-        })
-    });
-    g.finish();
-}
-
-/// The RPC layer as the 1 Hz checkpoint and the check-in use it: typed
-/// body → frame bytes, and stream segments → frame → typed body.
+/// The checkpoint RPC as the 1 Hz upload uses it: typed body → frame
+/// bytes on the gateway, and stream segments → frame on the
+/// orchestrator, parsed into the tree the previous upload left behind.
 fn rpc(c: &mut Criterion) {
-    use magma::orc8r::{flows, CheckinRequest, CheckpointPush, CheckpointPushRef};
-    use magma::prelude::*;
-    use magma::rpc::{codec, Framer, RpcKind};
+    use magma::orc8r::{flows, CheckpointPushRef};
+    use magma::rpc::{codec, Framer, RpcKind, Spare};
     use magma::subscriber::SubscriberDb;
 
     // Figure 5's typical site, run until all 288 UEs hold a session; the
@@ -174,35 +113,21 @@ fn rpc(c: &mut Criterion) {
     g.bench_function("encode_checkpoint_288", |b| {
         b.iter(|| std::hint::black_box(encode_checkpoint().len()))
     });
+    // What `RpcServer` does with an upload: MSS-sized segments, as the
+    // stream transport delivers them, into the recycled spare tree.
     g.bench_function("decode_checkpoint_288", |b| {
         let mut framer = Framer::new();
+        let mut spare = None;
         b.iter(|| {
-            // MSS-sized segments, as the stream transport delivers them.
             let mut frames = Vec::new();
             for segment in wire.chunks(1400) {
-                frames.extend(framer.push(segment));
+                frames.extend(framer.push_with(segment, &mut spare, || ()));
             }
             let body = frames.pop().expect("one frame").body;
-            std::hint::black_box(serde_json::from_value::<CheckpointPush>(body).unwrap())
-        })
-    });
-    let checkin = CheckinRequest {
-        agw_id: cp.agw_id.clone(),
-        cert: 7,
-        db_version: cp.db.version,
-        enbs: vec![1, 2, 3],
-        active_sessions: 288,
-        metrics: ["attach.start", "attach.accept", "attach.reject"]
-            .map(|k| (k.to_string(), 288.0))
-            .into(),
-    };
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("small_frame_roundtrip", |b| {
-        let mut framer = Framer::new();
-        b.iter(|| {
-            let wire = codec::encode(RpcKind::Request, 7, flows::CHECKIN.name, &checkin);
-            let body = framer.push(&wire).pop().expect("one frame").body;
-            std::hint::black_box(serde_json::from_value::<CheckinRequest>(body).unwrap())
+            spare = Some(Spare {
+                method: flows::CHECKPOINT.name,
+                body,
+            });
         })
     });
     g.finish();
@@ -254,35 +179,8 @@ fn subscriber(c: &mut Criterion) {
     g.finish();
 }
 
-fn engine(c: &mut Criterion) {
-    use magma_sim::{Actor, Ctx, Event, SimDuration};
-    /// Self-messaging actor: one event per hop.
-    struct Looper {
-        hops: u32,
-    }
-    impl Actor for Looper {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-            if let Event::Msg { payload, .. } = event {
-                let v = magma_sim::downcast::<u32>(payload, "looper");
-                if v < self.hops {
-                    let me = ctx.id();
-                    ctx.send_in(me, SimDuration::from_micros(1), Box::new(v + 1));
-                }
-            }
-        }
-    }
-    c.bench_function("engine/100k_events", |b| {
-        b.iter(|| {
-            let mut w = World::new(1);
-            let a = w.add_actor(Box::new(Looper { hops: 100_000 }));
-            w.inject(a, Box::new(0u32));
-            std::hint::black_box(w.run_to_quiescence(300_000))
-        })
-    });
-}
-
 fn registry(c: &mut Criterion) {
-    use magma_sim::{Registry, Span};
+    use magma::sim::{Registry, Span};
     let mut g = c.benchmark_group("registry");
     g.throughput(Throughput::Elements(1));
     g.bench_function("counter_add_hot", |b| {
@@ -309,17 +207,6 @@ fn registry(c: &mut Criterion) {
             s.finish(&mut reg);
         })
     });
-    g.bench_function("snapshot_200_instruments", |b| {
-        let mut reg = Registry::new();
-        for i in 0..100 {
-            reg.counter_add(&format!("agw0.svc.c{i}"), i as f64);
-            reg.gauge_set(&format!("agw0.svc.g{i}"), i as f64);
-        }
-        for i in 0..1000 {
-            reg.observe("agw0.mme.attach.total_s", (i as f64) * 0.003);
-        }
-        b.iter(|| std::hint::black_box(reg.snapshot_prefixed("agw0")))
-    });
     g.bench_function("quantile_p99", |b| {
         let mut reg = Registry::new();
         for i in 0..10_000 {
@@ -331,5 +218,5 @@ fn registry(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, dataplane, crypto, codecs, rpc, subscriber, engine, registry);
+criterion_group!(benches, dataplane, crypto, rpc, subscriber, registry);
 criterion_main!(benches);

@@ -1,25 +1,23 @@
-//! # magma-bench — benchmark harness
+//! # magma-bench — the determinism harness
 //!
-//! Two halves:
+//! A fixed set of simulator workloads — an attach storm at the
+//! bare-metal knee, a scaling ablation sweep, a mixed attach+traffic
+//! site, and a partition/recovery drill — each emitting a
+//! `BENCH_<scenario>.json` report whose `virtual` section is
+//! byte-identical across same-seed runs (CSR, attach p99, events
+//! simulated, the simprof attribution profile, the trace digest), plus
+//! a `TRACE_<scenario>.json` Perfetto sidecar. The `magma-bench` binary
+//! pins them: a golden diff of the smoke scenario and racecheck's
+//! permuted window schedules. Host time is measured by the repo
+//! benchmark (`benchmark/`), not here. See docs/PROFILING.md.
 //!
-//! - **The scenario suite** (this library + the `magma-bench` binary): a
-//!   fixed set of simulator workloads — an attach storm at the bare-metal
-//!   knee, a scaling ablation sweep, a mixed attach+traffic site, and a
-//!   partition/recovery drill — each emitting a `BENCH_<scenario>.json`
-//!   report. Reports split into a `virtual` section (deterministic:
-//!   byte-identical across same-seed runs — CSR, attach p99, events
-//!   simulated, the simprof attribution profile) and a `host` section
-//!   (machine-dependent: wall-clock, events/sec, peak RSS, host-time
-//!   profile, top-N table). See docs/PROFILING.md.
-//!
-//! - **Criterion benches** (`benches/`): one per paper table/figure. Each
-//!   first *regenerates* its figure and then times a scaled-down kernel so
-//!   `cargo bench` also tracks simulator performance.
+//! `benches/micro.rs` times the kernels the benchmark's `layers` probes
+//! do not.
 
 use magma_ran::{SectorModel, TrafficModel};
 use magma_sim::{
-    HostProfile, HostStopwatch, ProcSummary, ProfileSnapshot, RaceExport, RunSpec, SimDuration,
-    SimTime, TraceSnapshot, TraceStats, VirtualProfile, World,
+    ProcSummary, ProfileSnapshot, RaceExport, RunSpec, SimDuration, SimTime, TraceSnapshot,
+    TraceStats, VirtualProfile, World,
 };
 use magma_testbed::measure::{mean_over, overall_csr, throughput_mbps};
 use magma_testbed::scenario::{build, AgwSpec, Scenario, ScenarioConfig, SiteSpec};
@@ -29,8 +27,9 @@ use std::collections::BTreeMap;
 
 /// Bumped whenever the report layout changes; consumers (the smoke
 /// diff) refuse mismatched schemas instead of misreading them.
-/// v4 removed the `shard` block v3 added to the virtual section.
-pub const BENCH_SCHEMA_VERSION: u32 = 4;
+/// v4 removed the `shard` block v3 added to the virtual section; v5
+/// removed the `host` section.
+pub const BENCH_SCHEMA_VERSION: u32 = 5;
 
 /// Default seed for the suite; scenario runs derive from it.
 pub const BENCH_SEED: u64 = 42;
@@ -77,22 +76,6 @@ impl TraceDigest {
     }
 }
 
-/// Host-dependent half: wall-clock and memory. Excluded from the
-/// byte-identity contract by construction — nothing in here feeds the
-/// `virtual` section.
-#[derive(Debug, Clone, Serialize)]
-pub struct HostSection {
-    pub wall_s: f64,
-    pub events_per_sec: f64,
-    pub peak_rss_bytes: u64,
-    /// Per-phase wall-clock (build, run, per-sweep-point, ...).
-    pub phase_wall_s: BTreeMap<String, f64>,
-    /// simprof host columns: per-(actor, event-kind) wall time + scopes.
-    pub profile: HostProfile,
-    /// Rendered top-N self/total table (also printed to stderr).
-    pub top_table: String,
-}
-
 /// One scenario's full report, as serialized to `BENCH_<scenario>.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchReport {
@@ -101,7 +84,6 @@ pub struct BenchReport {
     pub seed: u64,
     #[serde(rename = "virtual")]
     pub virt: VirtSection,
-    pub host: HostSection,
 }
 
 /// Names of the full scenario suite, in run order.
@@ -215,11 +197,10 @@ pub fn run_scenario_racecheck(
     run.map(|r| (r, st.exports))
 }
 
-/// Accumulates phase timings and world totals across a scenario's runs
-/// (sweeps run several worlds; the report merges them).
+/// Accumulates world totals across a scenario's runs (sweeps run
+/// several worlds; the report merges them).
+#[derive(Default)]
 struct RunAccum {
-    phase_wall_s: BTreeMap<String, f64>,
-    total_wall_s: f64,
     events: u64,
     /// Profile of the designated primary run (the one the report's
     /// attribution columns describe).
@@ -228,33 +209,11 @@ struct RunAccum {
     trace: Option<TraceSnapshot>,
 }
 
-impl RunAccum {
-    fn new() -> Self {
-        RunAccum {
-            phase_wall_s: BTreeMap::new(),
-            total_wall_s: 0.0,
-            events: 0,
-            profile: None,
-            trace: None,
-        }
-    }
-
-    fn phase(&mut self, name: &str, secs: f64) {
-        *self.phase_wall_s.entry(name.to_string()).or_insert(0.0) += secs;
-        self.total_wall_s += secs;
-    }
-}
-
-/// Build + run one world to `until`, recording phase wall-clock under
-/// `label.build` / `label.run`.
-fn timed_run(acc: &mut RunAccum, label: &str, cfg: ScenarioConfig, until: SimTime) -> Scenario {
-    let sw = HostStopwatch::start();
+/// Build + run one world to `until`.
+fn run_world(acc: &mut RunAccum, cfg: ScenarioConfig, until: SimTime) -> Scenario {
     let mut sc = build(cfg);
     rc_arm(&mut sc.world);
-    acc.phase(&format!("{label}.build"), sw.elapsed_s());
-    let sw = HostStopwatch::start();
     sc.world.run_until(until);
-    acc.phase(&format!("{label}.run"), sw.elapsed_s());
     rc_collect(&mut sc.world);
     acc.events += sc.world.events_processed();
     sc
@@ -282,12 +241,6 @@ fn finish(
 ) -> BenchRun {
     let snap = acc.profile.expect("scenario records a primary profile");
     let trace = acc.trace.expect("scenario records a primary trace snapshot");
-    let top_table = snap.top_table(12);
-    let events_per_sec = if acc.total_wall_s > 0.0 {
-        acc.events as f64 / acc.total_wall_s
-    } else {
-        0.0
-    };
     let report = BenchReport {
         schema: BENCH_SCHEMA_VERSION,
         scenario: name.to_string(),
@@ -300,14 +253,6 @@ fn finish(
             extra,
             profile: snap.virt,
             trace: TraceDigest::from_snapshot(&trace),
-        },
-        host: HostSection {
-            wall_s: acc.total_wall_s,
-            events_per_sec,
-            peak_rss_bytes: magma_sim::prof::peak_rss_bytes(),
-            phase_wall_s: acc.phase_wall_s,
-            profile: snap.host,
-            top_table,
         },
     };
     BenchRun { report, trace }
@@ -337,10 +282,10 @@ fn storm_site(rate: f64, n_ues: usize) -> SiteSpec {
 /// Tiny variant of the storm for `bench-smoke`: small
 /// enough to finish in seconds, big enough that the profile has rows.
 pub fn smoke(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::new();
+    let mut acc = RunAccum::default();
     let sim_s = 30.0;
     let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(storm_site(2.0, 30)));
-    let sc = timed_run(&mut acc, "smoke", cfg, SimTime::from_secs(sim_s as u64));
+    let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
     let csr = overall_csr(sc.world.metrics(), "ran");
@@ -352,10 +297,10 @@ pub fn smoke(seed: u64) -> BenchRun {
 /// worst-case control-plane workload, long enough for the surge plus a
 /// saturated steady state.
 pub fn attach_storm(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::new();
+    let mut acc = RunAccum::default();
     let sim_s = 90.0;
     let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(storm_site(2.0, 120)));
-    let sc = timed_run(&mut acc, "storm", cfg, SimTime::from_secs(sim_s as u64));
+    let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
     let csr = overall_csr(sc.world.metrics(), "ran");
@@ -367,7 +312,7 @@ pub fn attach_storm(seed: u64) -> BenchRun {
 /// N ∈ {1, 2, 4} identical sites; the report's profile describes the
 /// largest point, the sweep lands in `virtual.extra`.
 pub fn scaling_ablation(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::new();
+    let mut acc = RunAccum::default();
     let sim_s = 60.0;
     let mut extra = BTreeMap::new();
     let mut last_csr = 1.0;
@@ -383,12 +328,7 @@ pub fn scaling_ablation(seed: u64) -> BenchRun {
         for _ in 0..n {
             cfg = cfg.with_agw(AgwSpec::bare_metal(site.clone()));
         }
-        let sc = timed_run(
-            &mut acc,
-            &format!("n{n}"),
-            cfg,
-            SimTime::from_secs(sim_s as u64),
-        );
+        let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
         let rec = sc.world.metrics();
         let mut aggregate = 0.0;
         for a in 0..n {
@@ -425,7 +365,7 @@ pub fn scaling_ablation(seed: u64) -> BenchRun {
 /// Mixed attach + traffic on a typical site with session churn: the
 /// steady-state workload most deployments actually run.
 pub fn mixed(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::new();
+    let mut acc = RunAccum::default();
     let sim_s = 120.0;
     let site = SiteSpec {
         enbs: 2,
@@ -437,7 +377,7 @@ pub fn mixed(seed: u64) -> BenchRun {
         ..SiteSpec::typical()
     };
     let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(site));
-    let sc = timed_run(&mut acc, "mixed", cfg, SimTime::from_secs(sim_s as u64));
+    let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
     let rec = sc.world.metrics();
@@ -452,7 +392,7 @@ pub fn mixed(seed: u64) -> BenchRun {
 /// while attaches continue (headless operation, §3.2), then telemetry
 /// drains after the link returns.
 pub fn partition_recovery(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::new();
+    let mut acc = RunAccum::default();
     let sim_s = 120.0;
     let site = SiteSpec {
         enbs: 1,
@@ -462,19 +402,15 @@ pub fn partition_recovery(seed: u64) -> BenchRun {
         ..SiteSpec::typical()
     };
     let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(site));
-    let sw = HostStopwatch::start();
     let mut sc = build(cfg);
     rc_arm(&mut sc.world);
-    acc.phase("partition.build", sw.elapsed_s());
     let agw_node = sc.agws[0].node;
     let orc8r_node = sc.orc8r_node;
-    let sw = HostStopwatch::start();
     sc.world.run_until(SimTime::from_secs(20));
     sc.net.set_link_up(agw_node, orc8r_node, false);
     sc.world.run_until(SimTime::from_secs(70));
     sc.net.set_link_up(agw_node, orc8r_node, true);
     sc.world.run_until(SimTime::from_secs(sim_s as u64));
-    acc.phase("partition.run", sw.elapsed_s());
     rc_collect(&mut sc.world);
     acc.events += sc.world.events_processed();
     acc.profile = Some(sc.world.profile());
@@ -494,9 +430,10 @@ pub fn partition_recovery(seed: u64) -> BenchRun {
     finish("partition_recovery", seed, acc, sim_s, csr, p99, extra)
 }
 
-/// Structural checks every report must pass: schema version, virtual/host
-/// segregation (no host-only key may appear in the virtual section), and
-/// a profile that actually attributed work.
+/// Structural checks every report must pass: schema version, no host-only
+/// key in the virtual section (simprof's `VirtualProfile` sits beside a
+/// host half in `ProfileSnapshot`), and a profile that actually
+/// attributed work.
 pub fn validate(report: &BenchReport) -> Result<(), String> {
     if report.schema != BENCH_SCHEMA_VERSION {
         return Err(format!("schema {} != expected", report.schema));
@@ -525,69 +462,4 @@ pub fn validate(report: &BenchReport) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// simprof- and magma-trace-disabled overhead measurement (the library
-/// default is both OFF; testbed/bench turn them on). Returns
-/// `(disabled_eps, enabled_eps, disabled_overhead_pct)`.
-///
-/// The disabled machinery is exactly: one branch on a cached bool per
-/// dispatch for simprof, one per CPU submission, three integer ops per
-/// heap push, and for tracing one branch on `trace_on` per checked send
-/// plus one per delivery (the `Option<TraceCtx>` rides the event either
-/// way). We measure the storm's ns-per-event with both off, then
-/// microbenchmark a mirror of that fast path and express its per-event
-/// cost as a percentage — this bounds the overhead without needing a
-/// build that lacks the machinery entirely.
-pub fn overhead_measurement(seed: u64) -> (f64, f64, f64) {
-    // Disabled run: library-default world, profiling and tracing off.
-    let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(storm_site(2.0, 60)));
-    let mut sc = build(cfg);
-    sc.world.enable_profiling(false);
-    sc.world.enable_tracing(false);
-    let sw = HostStopwatch::start();
-    sc.world.run_until(SimTime::from_secs(60));
-    let disabled_wall = sw.elapsed_s();
-    let disabled_events = sc.world.events_processed();
-    let disabled_eps = disabled_events as f64 / disabled_wall.max(1e-9);
-
-    // Enabled run, same seed.
-    let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(storm_site(2.0, 60)));
-    let mut sc = build(cfg);
-    let sw = HostStopwatch::start();
-    sc.world.run_until(SimTime::from_secs(60));
-    let enabled_eps = sc.world.events_processed() as f64 / sw.elapsed_s().max(1e-9);
-
-    // Microbenchmark the disabled fast path: branch + untaken block per
-    // dispatch, branch per exec, heap-stat integer ops per push, plus
-    // the two `trace_on` branches (checked send, delivery).
-    let iters: u64 = 20_000_000;
-    let mut peak = 0u64;
-    let mut scheduled = 0u64;
-    let sw = HostStopwatch::start();
-    for i in 0..iters {
-        // Mirror of the two `if prof_on` checks on the dispatch path.
-        if std::hint::black_box(false) {
-            peak += i;
-        }
-        if std::hint::black_box(false) {
-            scheduled += i;
-        }
-        // Mirror of the `if trace_on` checks: one on the checked-send
-        // path, one on delivery (magma-trace's whole disabled cost).
-        if std::hint::black_box(false) {
-            peak += i;
-        }
-        if std::hint::black_box(false) {
-            scheduled += i;
-        }
-        // Mirror of EventQueue::push's always-on heap stats.
-        scheduled += 1;
-        peak = peak.max(std::hint::black_box(scheduled));
-    }
-    std::hint::black_box((peak, scheduled));
-    let guard_ns_per_event = sw.elapsed_ns() as f64 / iters as f64;
-    let event_ns = 1e9 / disabled_eps.max(1e-9);
-    let disabled_overhead_pct = guard_ns_per_event / event_ns * 100.0;
-    (disabled_eps, enabled_eps, disabled_overhead_pct)
 }

@@ -1,4 +1,4 @@
-//! `magma-bench`: the fixed scenario suite with simprof reports.
+//! `magma-bench`: the fixed scenario suite, pinned by its virtual bytes.
 //!
 //! ```text
 //! magma-bench                   run the full suite, write BENCH_<name>.json
@@ -7,7 +7,6 @@
 //! magma-bench --smoke           smoke scenario + schema validation + golden
 //!                               diff of the virtual section (installs the
 //!                               golden on first run)
-//! magma-bench --overhead        assert simprof+trace disabled overhead < 5%
 //! magma-bench --list            print the scenario suite with descriptions
 //! magma-bench --out DIR         where BENCH_*.json and TRACE_*.json land
 //!                               (default ".")
@@ -23,10 +22,11 @@
 //! Exit status is non-zero on any validation failure, so the CI job
 //! and `scripts/check.sh bench-smoke` can rely on it. See
 //! docs/PROFILING.md for the report format and the determinism contract.
+//! Host time is the repo benchmark's job (`benchmark/`), not this one's.
 
 use magma_bench::{
-    overhead_measurement, run_scenario, run_scenario_racecheck, validate, BenchReport, BenchRun,
-    BENCH_SEED, SCENARIOS, SCENARIO_DESCRIPTIONS,
+    run_scenario, run_scenario_racecheck, validate, BenchReport, BenchRun, BENCH_SEED, SCENARIOS,
+    SCENARIO_DESCRIPTIONS,
 };
 use magma_sim::racecheck::WINDOW_US;
 use magma_sim::{RaceReport, RunSpec};
@@ -34,13 +34,9 @@ use magma_testbed::{perfetto_string, render_critical_path};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// simprof+trace disabled overhead ceiling for `--overhead`, percent.
-const OVERHEAD_MAX_PCT: f64 = 5.0;
-
 struct Args {
     scenario: Option<String>,
     smoke: bool,
-    overhead: bool,
     list: bool,
     out: PathBuf,
     racecheck: Option<u64>,
@@ -50,7 +46,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scenario: None,
         smoke: false,
-        overhead: false,
         list: false,
         out: PathBuf::from("."),
         racecheck: None,
@@ -62,7 +57,6 @@ fn parse_args() -> Result<Args, String> {
                 args.scenario = Some(it.next().ok_or("--scenario needs a name")?);
             }
             "--smoke" => args.smoke = true,
-            "--overhead" => args.overhead = true,
             "--list" => args.list = true,
             "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a dir")?),
             "--racecheck" => {
@@ -104,16 +98,14 @@ fn run_and_write(name: &str, out: &Path) -> Result<BenchReport, String> {
     let path = write_report(out, report).map_err(|e| format!("write BENCH json: {e}"))?;
     let trace_path = write_trace(out, &run).map_err(|e| format!("write TRACE json: {e}"))?;
     eprintln!(
-        "[{}] csr={:.3} attach_p99={:.2}s events={} ({:.0}/s host) -> {} (+ {})",
+        "[{}] csr={:.3} attach_p99={:.2}s events={} -> {} (+ {})",
         report.scenario,
         report.virt.csr,
         report.virt.attach_p99_s,
         report.virt.events_simulated,
-        report.host.events_per_sec,
         path.display(),
         trace_path.display()
     );
-    eprintln!("{}", report.host.top_table);
     eprintln!("{}", render_critical_path(&run.trace));
     Ok(run.report)
 }
@@ -333,22 +325,6 @@ fn list_mode() {
     }
 }
 
-fn overhead_mode() -> Result<(), String> {
-    let (disabled_eps, enabled_eps, disabled_pct) = overhead_measurement(BENCH_SEED);
-    eprintln!(
-        "overhead: disabled {disabled_eps:.0} events/sec, enabled {enabled_eps:.0} events/sec \
-         ({:.1}% enabled cost), disabled fast-path {disabled_pct:.3}% per event",
-        (1.0 - enabled_eps / disabled_eps.max(1e-9)) * 100.0
-    );
-    if disabled_pct >= OVERHEAD_MAX_PCT {
-        return Err(format!(
-            "instrumentation-disabled overhead {disabled_pct:.2}% >= {OVERHEAD_MAX_PCT}% ceiling"
-        ));
-    }
-    eprintln!("overhead: disabled path is a near-no-op (< {OVERHEAD_MAX_PCT}%)");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -365,8 +341,6 @@ fn main() -> ExitCode {
         racecheck_mode(&args.out, k, args.scenario.as_deref())
     } else if args.smoke {
         smoke_mode(&args.out)
-    } else if args.overhead {
-        overhead_mode()
     } else if let Some(name) = &args.scenario {
         run_and_write(name, &args.out).and_then(|r| validate(&r))
     } else {

@@ -2,22 +2,11 @@
 //!
 //! - the `virtual` section is a pure function of (scenario, seed) —
 //!   same-seed runs serialize to byte-identical JSON;
-//! - host-dependent values live only in the `host` section, which is
-//!   excluded from that contract *by construction*: no host field name
-//!   can appear in the virtual bytes.
+//! - a report carries nothing else: host-dependent values are measured
+//!   by the repo benchmark (`benchmark/`), so no host section exists to
+//!   leak into the virtual bytes.
 
 use magma_bench::smoke;
-
-/// Field names that exist only in the host section (or inside
-/// `HostProfile` rows). None may leak into the virtual bytes.
-const HOST_ONLY_KEYS: [&str; 6] = [
-    "wall_s",
-    "events_per_sec",
-    "peak_rss_bytes",
-    "phase_wall_s",
-    "host_ns",
-    "top_table",
-];
 
 #[test]
 fn same_seed_virtual_sections_are_byte_identical() {
@@ -48,16 +37,13 @@ fn different_seeds_produce_different_virtual_sections() {
 #[test]
 fn host_fields_are_segregated_from_virtual_bytes() {
     let report = smoke(7).report;
-    let virt = serde_json::to_string_pretty(&report.virt).unwrap();
-    for key in HOST_ONLY_KEYS {
-        assert!(
-            !virt.contains(&format!("\"{key}\"")),
-            "host-only key `{key}` leaked into the virtual section"
-        );
-    }
-    // And the full report does carry them, under `host`.
-    let full = serde_json::to_string(&report).unwrap();
-    assert!(full.contains("\"virtual\""));
-    assert!(full.contains("\"host\""));
-    assert!(full.contains("\"wall_s\""));
+    let full = serde_json::to_value(&report).unwrap();
+    let keys: Vec<&str> = full
+        .as_object()
+        .expect("a report serializes to an object")
+        .keys()
+        .map(String::as_str)
+        .collect();
+    // Object keys render in sorted order.
+    assert_eq!(keys, ["scenario", "schema", "seed", "virtual"]);
 }

@@ -51,16 +51,14 @@ pub struct Kernel {
     gens: Vec<u32>,
     next_actor_id: u32,
     pending: Vec<PendingOp>,
-    log: Vec<(SimTime, String)>,
-    verbose: bool,
     events_processed: u64,
     /// simprof accumulator, behind an `Rc` so scope guards can record on
     /// drop without borrowing the kernel. `prof_on` mirrors its enabled
     /// flag for a branch-only fast path on every dispatch.
     prof: ProfHandle,
     prof_on: bool,
-    /// magma-trace accumulator. `trace_on` mirrors its enabled flag for
-    /// a branch-only fast path on every scheduling call; `cur_trace` is
+    /// magma-trace accumulator. `trace_on` switches it, one branch on
+    /// every scheduling call; `cur_trace` is
     /// the causal context of the dispatch currently being handled.
     tracer: Tracer,
     trace_on: bool,
@@ -167,8 +165,6 @@ impl World {
                 gens: Vec::new(),
                 next_actor_id: 0,
                 pending: Vec::new(),
-                log: Vec::new(),
-                verbose: false,
                 events_processed: 0,
                 prof: Rc::new(RefCell::new(Profiler::default())),
                 prof_on: false,
@@ -183,11 +179,6 @@ impl World {
         }
     }
 
-    /// Enable in-memory event logging (debugging aid; off by default).
-    pub fn set_verbose(&mut self, v: bool) {
-        self.kernel.verbose = v;
-    }
-
     /// Switch simprof on or off (off by default). Enabled, every
     /// dispatch is attributed to its `(actor, event-kind)` pair and
     /// `Ctx::profile_scope` guards record; disabled, both cost one
@@ -198,10 +189,6 @@ impl World {
         self.kernel.prof_on = on;
     }
 
-    pub fn profiling_enabled(&self) -> bool {
-        self.kernel.prof_on
-    }
-
     /// Switch magma-trace on or off (off by default). Enabled, every
     /// procedure rooted by [`Ctx::trace_start`] is recorded as a causal
     /// span tree across flow edges, the CPU model, and opted-in timers;
@@ -209,16 +196,10 @@ impl World {
     /// observes — it never feeds virtual time or the RNG, so it cannot
     /// perturb a seeded run.
     pub fn enable_tracing(&mut self, on: bool) {
-        self.kernel.tracer.set_enabled(on);
         self.kernel.trace_on = on;
         if !on {
             self.kernel.cur_trace = None;
         }
-    }
-
-    pub fn tracing_enabled(&self) -> bool {
-        debug_assert_eq!(self.kernel.trace_on, self.kernel.tracer.enabled());
-        self.kernel.tracer.enabled()
     }
 
     /// Does nothing. The observer this switched (shardscope) is gone;
@@ -271,10 +252,6 @@ impl World {
     pub fn enable_racecheck(&mut self, schedule: Option<u64>) {
         self.kernel.race = Some(RaceObserver::new(schedule));
         self.kernel.queue.set_windowed_peak(true);
-    }
-
-    pub fn racecheck_enabled(&self) -> bool {
-        self.kernel.race.is_some()
     }
 
     /// Record per-event detail for one digest window — the bisection
@@ -483,11 +460,6 @@ impl World {
         let h = self.kernel.hosts.get(host.0 as usize)?;
         let idx = h.group_index(group)? as usize;
         Some(cpu::build_report(h, idx, self.kernel.time))
-    }
-
-    /// Drain the debug log (only populated when verbose).
-    pub fn take_log(&mut self) -> Vec<(SimTime, String)> {
-        std::mem::take(&mut self.kernel.log)
     }
 
     /// Run until the event queue is exhausted or `deadline` is reached.
@@ -1172,14 +1144,6 @@ impl<'a> Ctx<'a> {
                     .collect()
             })
             .unwrap_or_default()
-    }
-
-    /// Append a debug log line (kept only in verbose mode).
-    pub fn log(&mut self, msg: impl FnOnce() -> String) {
-        if self.kernel.verbose {
-            let m = msg();
-            self.kernel.log.push((self.kernel.time, m));
-        }
     }
 
     /// Spawn a new actor; `Start` is delivered at the current instant.

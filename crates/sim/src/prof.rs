@@ -32,8 +32,8 @@
 //! Profiling is **off by default** for library users; the testbed
 //! scenario builder and `magma-bench` switch it on via
 //! `World::enable_profiling`. Disabled, the kernel pays one boolean
-//! branch per dispatch and per guard (see `BENCH` overhead mode in
-//! `magma-bench`).
+//! branch per dispatch and per guard. The host columns are read by
+//! the repo benchmark's `layers` pass (`benchmark/`).
 
 use crate::actor::Event;
 use crate::registry::Registry;
@@ -437,53 +437,6 @@ impl ProfileSnapshot {
             self.virt.heap.cancelled_total as f64,
         );
     }
-
-    /// Render the top-`n` rows by host self time as a fixed-width table:
-    /// dispatch rows as `actor/kind`, scope rows as `scope:label`.
-    pub fn top_table(&self, n: usize) -> String {
-        struct Line {
-            name: String,
-            self_s: f64,
-            total_s: f64,
-            count: u64,
-            vcpu_s: f64,
-        }
-        let mut lines: Vec<Line> = Vec::new();
-        for (h, v) in self.host.rows.iter().zip(&self.virt.rows) {
-            lines.push(Line {
-                name: format!("{}/{}", h.actor, h.kind),
-                self_s: h.self_wall_s,
-                total_s: h.wall_s,
-                count: v.dispatches,
-                vcpu_s: v.vcpu_s,
-            });
-        }
-        for (h, v) in self.host.scopes.iter().zip(&self.virt.scopes) {
-            lines.push(Line {
-                name: format!("scope:{}", h.label),
-                self_s: h.wall_s,
-                total_s: h.wall_s,
-                count: v.count,
-                vcpu_s: 0.0,
-            });
-        }
-        lines.sort_by(|a, b| {
-            b.self_s
-                .partial_cmp(&a.self_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        let mut out = String::from(
-            "row                                     self_s   total_s      count    vcpu_s\n",
-        );
-        for l in lines.iter().take(n) {
-            out.push_str(&format!(
-                "{:<38} {:>8.3} {:>9.3} {:>10} {:>9.3}\n",
-                l.name, l.self_s, l.total_s, l.count, l.vcpu_s
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -551,9 +504,6 @@ mod tests {
         let row = &snap.host.rows[0];
         assert!((row.wall_s - 1e-6).abs() < 1e-15);
         assert!((row.self_wall_s - 0.6e-6).abs() < 1e-15);
-        let table = snap.top_table(10);
-        assert!(table.contains("agw/timer"));
-        assert!(table.contains("scope:dataplane.fluid_tick"));
     }
 
     #[test]

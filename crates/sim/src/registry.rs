@@ -189,8 +189,8 @@ pub struct RegistrySnapshot {
     pub histograms: BTreeMap<String, BucketHistogram>,
 }
 
-/// Default cap on instruments per namespace prefix — see
-/// [`Registry::set_max_instruments_per_prefix`].
+/// Cap on the distinct instruments each namespace prefix (the first
+/// dotted segment: `agw0`, `ran`) may create.
 pub const DEFAULT_MAX_INSTRUMENTS_PER_PREFIX: usize = 256;
 
 /// Name (under each prefix) of the counter recording registrations the
@@ -203,17 +203,16 @@ pub const OVERFLOW_COUNTER: &str = "registry_overflow_total";
 /// the world the way Magma services share a host's metric namespace —
 /// name prefixes (`agw0.`, `ran.`) keep services apart.
 ///
-/// Each prefix may create at most a bounded number of distinct
-/// instruments (default [`DEFAULT_MAX_INSTRUMENTS_PER_PREFIX`]); excess
+/// Each prefix may create at most [`DEFAULT_MAX_INSTRUMENTS_PER_PREFIX`]
+/// distinct instruments; existing ones are never evicted, and excess
 /// registrations are dropped and tallied in
 /// `<prefix>.registry_overflow_total`, so a service that interpolates
 /// unbounded labels into metric names cannot bloat `metricsd` pushes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Registry {
     counters: BTreeMap<String, f64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, BucketHistogram>,
-    max_per_prefix: usize,
     prefix_counts: BTreeMap<String, usize>,
     /// Total mutation operations (counter adds, gauge sets, histogram
     /// observations). An order-invariant progress measure folded into
@@ -221,34 +220,9 @@ pub struct Registry {
     mutations: u64,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Registry {
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            max_per_prefix: DEFAULT_MAX_INSTRUMENTS_PER_PREFIX,
-            prefix_counts: BTreeMap::new(),
-            mutations: 0,
-        }
-    }
-}
-
 impl Registry {
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// Cap the number of distinct instruments each namespace prefix
-    /// (the first dotted segment: `agw0`, `ran`) may create. Existing
-    /// instruments are never evicted; lowering the cap only affects
-    /// future registrations.
-    pub fn set_max_instruments_per_prefix(&mut self, cap: usize) {
-        self.max_per_prefix = cap.max(1);
-    }
-
-    pub fn max_instruments_per_prefix(&self) -> usize {
-        self.max_per_prefix
     }
 
     /// Admit a *new* instrument name, charging it against its prefix's
@@ -263,7 +237,7 @@ impl Registry {
             return true;
         }
         let n = self.prefix_counts.entry(prefix.to_string()).or_insert(0);
-        if *n < self.max_per_prefix {
+        if *n < DEFAULT_MAX_INSTRUMENTS_PER_PREFIX {
             *n += 1;
             return true;
         }
@@ -549,9 +523,12 @@ mod tests {
     #[test]
     fn cardinality_guard_drops_excess_and_counts_overflow() {
         let mut r = Registry::new();
-        r.set_max_instruments_per_prefix(2);
         r.counter_add("agw0.mme.a", 1.0);
         r.gauge_set("agw0.mme.b", 2.0);
+        for i in 2..DEFAULT_MAX_INSTRUMENTS_PER_PREFIX {
+            r.counter_add(&format!("agw0.mme.n{i}"), 1.0);
+        }
+        assert_eq!(r.counter("agw0.registry_overflow_total"), 0.0);
         // Budget exhausted: new instruments of any type are dropped.
         r.counter_add("agw0.mme.c", 5.0);
         r.observe("agw0.mme.d_s", 0.1);

@@ -32,8 +32,7 @@
 //! in dispatch order, and every container is a `Vec`/`BTreeMap`, so
 //! same-seed runs export byte-identical trace JSON. Disabled, the whole
 //! machinery is one cached-bool branch per scheduling call (the same
-//! contract as simprof, and covered by the same <5% overhead gate in
-//! `magma-bench --overhead`).
+//! contract as simprof).
 
 use crate::actor::ActorId;
 use crate::registry::Registry;
@@ -135,7 +134,6 @@ struct ProcAgg {
 /// call with a cached bool).
 #[derive(Debug)]
 pub(crate) struct Tracer {
-    enabled: bool,
     sample_rate: f64,
     seed: u64,
     next_id: u64,
@@ -159,7 +157,6 @@ pub(crate) struct Tracer {
 impl Tracer {
     pub fn new(seed: u64) -> Self {
         Tracer {
-            enabled: false,
             sample_rate: 1.0,
             seed,
             next_id: 0,
@@ -178,16 +175,6 @@ impl Tracer {
             crit: BTreeMap::new(),
             procs: BTreeMap::new(),
         }
-    }
-
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether tracing is recording (mirrors the kernel's cached flag;
-    /// kept authoritative here so a snapshot can report it).
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     pub fn set_sample_rate(&mut self, rate: f64) {
@@ -578,12 +565,6 @@ mod tests {
         SimTime(us)
     }
 
-    fn enabled_tracer() -> Tracer {
-        let mut tr = Tracer::new(7);
-        tr.set_enabled(true);
-        tr
-    }
-
     #[test]
     fn sampling_is_deterministic_and_rate_shaped() {
         let hits: Vec<bool> = (0..1000).map(|id| sampled(id, 42, 0.25)).collect();
@@ -600,7 +581,7 @@ mod tests {
 
     #[test]
     fn span_tree_records_hops_and_critical_path() {
-        let mut tr = enabled_tracer();
+        let mut tr = Tracer::new(7);
         let root = tr.start("attach", A, t(0)).unwrap();
         // Hop A→B taking 100µs, then a CPU hop of 50µs, then finish.
         let hop1 = tr.child(root, "s1ap.ul", A, B, t(0)).unwrap();
@@ -633,7 +614,7 @@ mod tests {
 
     #[test]
     fn span_budget_bounds_the_tree() {
-        let mut tr = enabled_tracer();
+        let mut tr = Tracer::new(7);
         tr.span_budget = 4;
         let root = tr.start("attach", A, t(0)).unwrap();
         let mut cur = root;
@@ -656,7 +637,7 @@ mod tests {
 
     #[test]
     fn live_cap_evicts_oldest_unfinished() {
-        let mut tr = enabled_tracer();
+        let mut tr = Tracer::new(7);
         tr.live_cap = 2;
         let t1 = tr.start("attach", A, t(0)).unwrap();
         let _t2 = tr.start("attach", A, t(1)).unwrap();
@@ -672,7 +653,7 @@ mod tests {
 
     #[test]
     fn observe_into_emits_inventory_rows() {
-        let mut tr = enabled_tracer();
+        let mut tr = Tracer::new(7);
         let root = tr.start("attach", A, t(0)).unwrap();
         let hop = tr.child(root, "net.frame", A, B, t(0)).unwrap();
         let cur = tr.deliver(hop, t(250));
@@ -692,7 +673,7 @@ mod tests {
     #[test]
     fn snapshot_is_deterministic() {
         let run = || {
-            let mut tr = enabled_tracer();
+            let mut tr = Tracer::new(7);
             for i in 0..50 {
                 if let Some(root) = tr.start("attach", A, t(i)) {
                     if let Some(hop) = tr.child(root, "hop", A, B, t(i)) {

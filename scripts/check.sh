@@ -79,11 +79,11 @@ fi
 
 echo "==> bench-smoke (BENCH schema + virtual-column golden diff)"
 # Runs the smallest magma-bench scenario, validates the report schema
-# (virtual/host segregation, >=90% vCPU attribution), and byte-diffs the
-# virtual section against scripts/golden/bench_smoke_virtual.json
-# (installed on first run). Host-side numbers are NOT diffed — they are
-# machine-dependent by design; `benchmark/ compare` tracks those across
-# commits. See docs/PROFILING.md.
+# (no host field in the virtual section, >=90% vCPU attribution), and
+# byte-diffs the virtual section against
+# scripts/golden/bench_smoke_virtual.json (installed on first run).
+# Host time is not magma-bench's job; `benchmark/ compare` tracks it
+# across commits. See docs/PROFILING.md.
 BENCH_OUT="$(mktemp -d)"
 cargo run --release -p magma-bench -- --smoke --out "$BENCH_OUT"
 
@@ -108,6 +108,11 @@ else
     echo "installed new trace golden at $TRACE_GOLDEN"
 fi
 rm -rf "$BENCH_OUT"
+
+echo "==> paper figures (every figure's and ablation's shape assertions)"
+# Regenerates the paper's evaluation and the DESIGN.md ablations at their
+# committed parameters; a shape that no longer holds panics, failing here.
+cargo run --release --example paper_figures >/dev/null
 
 # Replay the lint summary last so the allow/violation counts are the
 # final thing on screen.
