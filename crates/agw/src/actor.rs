@@ -27,9 +27,7 @@ use magma_net::{lp_encode, ports, LpFramer, SockCmd, SockEvent, StreamHandle};
 use magma_orc8r::proto as orc8r_proto;
 use magma_rpc::{RpcClient, RpcClientConfig, RpcClientEvent};
 use magma_sim::eventd::kind as event_kind;
-use magma_sim::{
-    downcast, try_downcast, Actor, ActorId, Ctx, Event, Severity, SimDuration, SimTime, Span,
-};
+use magma_sim::{downcast, try_downcast, Actor, ActorId, Ctx, Event, Severity, SimDuration, Span};
 use magma_subscriber::{DbSnapshot, DbSync, SubscriberDb};
 use magma_wire::aka::{Kasme, Rand, Res};
 use magma_wire::nas::{EmmCause, NasMessage};
@@ -93,7 +91,6 @@ struct UeCtx {
     secured: bool,
     guti: u64,
     session_id: Option<u64>,
-    started: SimTime,
     /// Stage timing for the attach procedure (S1AP → NAS auth → session
     /// setup → bearer install); dropped unrecorded if the attach fails.
     span: Option<Span>,
@@ -272,16 +269,11 @@ impl AgwActor {
         self.db.apply_snapshot(snapshot);
     }
 
-    /// Name of a gateway-prefixed `Registry` instrument (in-band
-    /// telemetry, shipped to orc8r). Names here are audited by
-    /// `magma-lint` against the docs/OBSERVABILITY.md inventory.
+    /// Name of a gateway-prefixed `Registry` instrument: counters,
+    /// gauges and histograms ship to orc8r, series stay local. Names
+    /// here are audited by `magma-lint` against the docs/OBSERVABILITY.md
+    /// inventory.
     fn metric(&self, suffix: &str) -> String {
-        format!("{}.{}", self.cfg.id, suffix)
-    }
-
-    /// Name of a gateway-prefixed `Recorder` series (the experimenter's
-    /// out-of-band probe — harness-local, never ships over the wire).
-    fn probe(&self, suffix: &str) -> String {
         format!("{}.{}", self.cfg.id, suffix)
     }
 
@@ -357,8 +349,6 @@ impl AgwActor {
                 }
                 let name = self.cfg.id.clone();
                 self.send_s1ap(ctx, conn, &S1apMessage::S1SetupResponse { mme_name: name });
-                let m = self.probe("enb.connected");
-                ctx.metrics().inc(&m, 1.0);
             }
             S1apMessage::InitialUeMessage { enb_ue_id, nas } => {
                 self.charge_misc(ctx);
@@ -369,10 +359,7 @@ impl AgwActor {
                     Ok(NasMessage::ServiceRequest { guti }) => {
                         self.handle_service_request(ctx, conn, enb_ue_id, guti);
                     }
-                    _ => {
-                        let m = self.probe("nas.bad_initial");
-                        ctx.metrics().inc(&m, 1.0);
-                    }
+                    _ => {}
                 }
             }
             S1apMessage::UplinkNasTransport {
@@ -432,8 +419,6 @@ impl AgwActor {
         enb_ue_id: EnbUeId,
         imsi: Imsi,
     ) {
-        let m = self.probe("attach.start");
-        ctx.metrics().inc(&m, 1.0);
         let m = self.metric("mme.attach_start");
         ctx.registry().counter_add(&m, 1.0);
         let tech = self
@@ -464,8 +449,8 @@ impl AgwActor {
                 nas: NasMessage::AttachReject { cause }.encode(),
             };
             self.send_s1ap(ctx, conn, &msg);
-            let m = self.probe("attach.reject");
-            ctx.metrics().inc(&m, 1.0);
+            let m = self.metric("mme.attach_reject");
+            ctx.registry().counter_add(&m, 1.0);
             let gw = self.cfg.id.clone();
             ctx.emit_event(
                 &gw,
@@ -495,7 +480,6 @@ impl AgwActor {
                 secured: false,
                 guti: 0,
                 session_id: None,
-                started: ctx.now(),
                 // 4G attaches record under the MME's span; 5G registrations
                 // mirror the same stages under the AMF's (§ROADMAP "span
                 // taxonomy growth"). Stage sets differ only in the first
@@ -656,18 +640,12 @@ impl AgwActor {
             (Some(kasme), msg @ NasMessage::Secured { .. }) => {
                 match msg.unsecure(kasme) {
                     Some(inner) => inner,
-                    None => {
-                        let m = self.probe("nas.bad_mac");
-                        ctx.metrics().inc(&m, 1.0);
-                        return;
-                    }
+                    None => return,
                 }
             }
             (None, NasMessage::Secured { .. }) => return,
             (_, msg) => {
                 if self.ue_ctxs.get(&ue).map(|u| u.secured).unwrap_or(false) {
-                    let m = self.probe("nas.unprotected_rejected");
-                    ctx.metrics().inc(&m, 1.0);
                     return;
                 }
                 msg
@@ -702,7 +680,6 @@ impl AgwActor {
             (UeState::AwaitCtxSetup, NasMessage::AttachComplete) => {
                 uectx.state = UeState::Active;
                 let now = ctx.now();
-                let latency = now.since(uectx.started).as_secs_f64();
                 // Bearer install stage ends: the eNodeB confirmed the GTP
                 // tunnel and the UE completed the attach.
                 let span = uectx.span.take();
@@ -710,10 +687,6 @@ impl AgwActor {
                     span.mark("bearer_install", now);
                     span.finish(ctx.registry());
                 }
-                let m = self.probe("attach.accept");
-                ctx.metrics().inc(&m, 1.0);
-                let m = self.probe("attach.latency_s");
-                ctx.metrics().observe(&m, latency);
                 let m = self.metric("mme.attach_accept");
                 ctx.registry().counter_add(&m, 1.0);
             }
@@ -851,8 +824,6 @@ impl AgwActor {
             self.send_nas(ctx, ue, NasMessage::DetachAccept);
             self.ue_ctxs.remove(&ue);
             self.reprogram_dataplane(ctx, sid.as_slice());
-            let m = self.probe("detach");
-            ctx.metrics().inc(&m, 1.0);
             let m = self.metric("mme.detach");
             ctx.registry().counter_add(&m, 1.0);
             let now = ctx.now();
@@ -883,8 +854,6 @@ impl AgwActor {
                 mme_ue_id: MmeUeId(ue),
             },
         );
-        let m = self.probe("handover");
-        ctx.metrics().inc(&m, 1.0);
         let m = self.metric("mme.handover_ok");
         ctx.registry().counter_add(&m, 1.0);
         let now = ctx.now();
@@ -928,8 +897,6 @@ impl AgwActor {
             }
             self.by_guti.remove(&uectx.guti);
         }
-        let m = self.probe("attach.reject");
-        ctx.metrics().inc(&m, 1.0);
         let m = self.metric("mme.attach_reject");
         ctx.registry().counter_add(&m, 1.0);
         let gw = self.cfg.id.clone();
@@ -1010,8 +977,9 @@ impl AgwActor {
                                 self.wifi_sessions.insert(user.clone(), sid);
                             }
                             self.reprogram_dataplane(ctx, &[sid, replaced.unwrap_or(sid)]);
-                            let m = self.probe("wifi.accept");
-                            ctx.metrics().inc(&m, 1.0);
+                            let m = self.metric("wifi.accept");
+                            let now = ctx.now();
+                            ctx.registry().record(&m, now, 1.0);
                             let teid_val = self
                                 .sessions
                                 .get(sid)
@@ -1026,8 +994,9 @@ impl AgwActor {
                         None => RadiusPacket::new(RadiusCode::AccessReject, pkt.identifier),
                     }
                 } else {
-                    let m = self.probe("wifi.reject");
-                    ctx.metrics().inc(&m, 1.0);
+                    let m = self.metric("wifi.reject");
+                    let now = ctx.now();
+                    ctx.registry().record(&m, now, 1.0);
                     RadiusPacket::new(RadiusCode::AccessReject, pkt.identifier)
                 };
                 ctx.send_to(
@@ -1110,8 +1079,6 @@ impl AgwActor {
             if self.up_inflight_bytes + total > backlog_cap && total > 0 {
                 let room = backlog_cap.saturating_sub(self.up_inflight_bytes);
                 scale = room as f64 / total as f64;
-                let m = self.probe("up.dropped_bytes");
-                ctx.metrics().inc(&m, (total - room) as f64);
                 let m = self.metric("dataplane.dropped_bytes");
                 ctx.registry().counter_add(&m, (total - room) as f64);
                 if !self.up_overloaded {
@@ -1188,11 +1155,6 @@ impl AgwActor {
         }
 
         // Telemetry samples.
-        let m = self.probe("sessions");
-        ctx.metrics().record(&m, now, self.sessions.len() as f64);
-        let m = self.probe("cp_queue");
-        ctx.metrics()
-            .record(&m, now, self.mme_queue.len() as f64);
         let m = self.metric("sessiond.sessions");
         ctx.registry().gauge_set(&m, self.sessions.len() as f64);
         let m = self.metric("mme.cp_queue");
@@ -1212,8 +1174,8 @@ impl AgwActor {
     fn up_chunk_done(&mut self, ctx: &mut Ctx<'_>, chunk: UpChunk) {
         self.up_inflight_bytes = self.up_inflight_bytes.saturating_sub(chunk.bytes);
         let now = ctx.now();
-        let m = self.probe("tp_bytes");
-        ctx.metrics().record(&m, now, chunk.bytes as f64);
+        let m = self.metric("dataplane.tp_bytes");
+        ctx.registry().record(&m, now, chunk.bytes as f64);
         let done = match self.up_batches.get_mut(&chunk.batch_id) {
             Some(st) => {
                 st.remaining = st.remaining.saturating_sub(1);
@@ -1282,9 +1244,12 @@ impl AgwActor {
             .filter_map(|c| c.enb_id)
             .collect();
         let mut metrics = std::collections::BTreeMap::new();
-        for key in ["attach.start", "attach.accept", "attach.reject"] {
-            let name = self.probe(key);
-            let v = ctx.metrics().counter(&name);
+        for (key, counter) in [
+            ("attach.start", "mme.attach_start"),
+            ("attach.accept", "mme.attach_accept"),
+            ("attach.reject", "mme.attach_reject"),
+        ] {
+            let v = ctx.registry().counter(&self.metric(counter));
             metrics.insert(key.to_string(), v);
         }
         let req = orc8r_proto::CheckinRequest {
@@ -1365,8 +1330,9 @@ impl AgwActor {
                                 serde_json::from_value::<orc8r_proto::CheckinResponse>(body)
                             {
                                 if resp.sync.is_some_and(|sync| self.db.apply_sync(sync)) {
-                                    let m = self.probe("config.sync");
-                                    ctx.metrics().inc(&m, 1.0);
+                                    let m = self.metric("config.sync");
+                                    let now = ctx.now();
+                                    ctx.registry().record(&m, now, 1.0);
                                 }
                             }
                         }
@@ -1401,10 +1367,7 @@ impl AgwActor {
                     match kind {
                         // Headless operation: config sync failures are
                         // tolerated; we keep serving from the replica.
-                        CallKind::Checkin | CallKind::Bootstrap => {
-                            let m = self.probe("orc8r.unreachable");
-                            ctx.metrics().inc(&m, 1.0);
-                        }
+                        CallKind::Checkin | CallKind::Bootstrap => {}
                         CallKind::Credit { session } => {
                             // CAP trade-off (§3.2): allow the session to
                             // run on stale credit rather than blocking on
@@ -1415,8 +1378,6 @@ impl AgwActor {
                                 }
                             }
                             self.reprogram_dataplane(ctx, &[session]);
-                            let m = self.probe("ocs.unreachable");
-                            ctx.metrics().inc(&m, 1.0);
                         }
                         CallKind::FegAuth { ue } => {
                             self.fail_attach(ctx, ue, EmmCause::NetworkFailure)
@@ -1430,8 +1391,9 @@ impl AgwActor {
                     if method == orc8r_proto::methods::PUSH_SUBSCRIBERS {
                         let sync = serde_json::from_value::<DbSync>(body);
                         if sync.is_ok_and(|sync| self.db.apply_sync(sync)) {
-                            let m = self.probe("config.push");
-                            ctx.metrics().inc(&m, 1.0);
+                            let m = self.metric("config.push");
+                            let now = ctx.now();
+                            ctx.registry().record(&m, now, 1.0);
                         }
                     }
                 }
@@ -1620,8 +1582,6 @@ impl Actor for AgwActor {
                     let ue = (t - T_UE_BASE) as u32;
                     if let Some(uectx) = self.ue_ctxs.get(&ue) {
                         if uectx.state != UeState::Active {
-                            let m = self.probe("attach.timeout");
-                            ctx.metrics().inc(&m, 1.0);
                             let m = self.metric("mme.attach_timeout");
                             ctx.registry().counter_add(&m, 1.0);
                             self.fail_attach(ctx, ue, EmmCause::Congestion);

@@ -288,7 +288,7 @@ pub fn smoke(seed: u64) -> BenchRun {
     let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
-    let csr = overall_csr(sc.world.metrics(), "ran");
+    let csr = overall_csr(sc.world.registry(), "ran");
     let p99 = attach_p99(&sc);
     finish("smoke", seed, acc, sim_s, csr, p99, BTreeMap::new())
 }
@@ -303,7 +303,7 @@ pub fn attach_storm(seed: u64) -> BenchRun {
     let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
-    let csr = overall_csr(sc.world.metrics(), "ran");
+    let csr = overall_csr(sc.world.registry(), "ran");
     let p99 = attach_p99(&sc);
     finish("attach_storm", seed, acc, sim_s, csr, p99, BTreeMap::new())
 }
@@ -329,12 +329,12 @@ pub fn scaling_ablation(seed: u64) -> BenchRun {
             cfg = cfg.with_agw(AgwSpec::bare_metal(site.clone()));
         }
         let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
-        let rec = sc.world.metrics();
+        let rec = sc.world.registry();
         let mut aggregate = 0.0;
         for a in 0..n {
             let tp = throughput_mbps(
                 rec,
-                &format!("agw{a}.tp_bytes"),
+                &format!("agw{a}.dataplane.tp_bytes"),
                 SimDuration::from_secs(1),
             );
             aggregate += mean_over(&tp, SimTime::from_secs(30), SimTime::from_secs(55));
@@ -380,11 +380,11 @@ pub fn mixed(seed: u64) -> BenchRun {
     let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     let csr = overall_csr(rec, "ran");
     let p99 = attach_p99(&sc);
     let mut extra = BTreeMap::new();
-    extra.insert("detaches".to_string(), rec.counter("agw0.detach"));
+    extra.insert("detaches".to_string(), rec.counter("agw0.mme.detach"));
     finish("mixed", seed, acc, sim_s, csr, p99, extra)
 }
 
@@ -415,7 +415,7 @@ pub fn partition_recovery(seed: u64) -> BenchRun {
     acc.events += sc.world.events_processed();
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     let csr = overall_csr(rec, "ran");
     let p99 = attach_p99(&sc);
     let mut extra = BTreeMap::new();

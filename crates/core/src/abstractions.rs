@@ -89,7 +89,7 @@ pub fn table1() -> Vec<AbstractionRow> {
             lte: "no equivalent defined",
             nr5g: "no equivalent defined",
             wifi: "no equivalent defined",
-            implemented_by: "magma-orc8r metrics + magma-sim::Recorder",
+            implemented_by: "magma-orc8r metrics + magma-sim::Registry",
         },
     ]
 }

@@ -25,7 +25,7 @@
 //! let mut deployment = magma::deploy(cfg);
 //! deployment.world.run_until(SimTime::from_secs(30));
 //!
-//! let csr = magma::testbed::overall_csr(deployment.world.metrics(), "ran");
+//! let csr = magma::testbed::overall_csr(deployment.world.registry(), "ran");
 //! assert_eq!(csr, 1.0);
 //! ```
 
@@ -79,7 +79,7 @@ mod tests {
         let mut deployment = crate::deploy(cfg);
         deployment.world.run_until(SimTime::from_secs(30));
         assert_eq!(
-            magma_testbed::overall_csr(deployment.world.metrics(), "ran"),
+            magma_testbed::overall_csr(deployment.world.registry(), "ran"),
             1.0
         );
         assert_eq!(deployment.orc8r.borrow().fleet_summary().0, 1);

@@ -271,7 +271,7 @@ impl WholeTableDiff {
 /// Packets over the id space sessions and arbitrary rules share. They are
 /// empty so that a `Meter` action draws no tokens: the oracle's buckets see
 /// fluid ticks only.
-fn probe_set() -> Vec<PacketMeta> {
+fn packet_probes() -> Vec<PacketMeta> {
     let mut probes = Vec::new();
     for id in 0..SESSIONS as u32 {
         probes.push(PacketMeta::uplink(Teid(id), UeIp(id), 0));
@@ -465,7 +465,7 @@ proptest! {
             prop_assert_eq!(hinted.reconcile_ops, old.reconcile_ops, "step {}", step);
 
             let now = SimTime::from_millis(step as u64 * 40);
-            for pkt in probe_set() {
+            for pkt in packet_probes() {
                 prop_assert_eq!(hinted.process(pkt, now), full.process(pkt, now));
             }
             // Token buckets: a meter the step did not touch keeps its

@@ -164,7 +164,6 @@ impl EpcCoreActor {
             }
             S1apMessage::InitialUeMessage { enb_ue_id, nas } => {
                 if let Ok(NasMessage::AttachRequest { imsi, .. }) = NasMessage::decode(&nas) {
-                    ctx.metrics().inc("epc.attach.start", 1.0);
                     let mut rand = [0u8; 16];
                     ctx.rng().fill_bytes(&mut rand);
                     match self.db.generate_auth_vector(imsi, Rand(rand)) {
@@ -269,7 +268,6 @@ impl EpcCoreActor {
                     }
                     (UeState::AwaitCtx, NasMessage::AttachComplete) => {
                         u.state = UeState::Active;
-                        ctx.metrics().inc("epc.attach.accept", 1.0);
                     }
                     _ => {}
                 }
@@ -310,7 +308,6 @@ impl EpcCoreActor {
     /// 23.007 behavior). UEs see an unexpected context release.
     fn fail_path(&mut self, ctx: &mut Ctx<'_>, conn: StreamHandle) {
         self.path_failures += 1;
-        ctx.metrics().inc("epc.path_failures", 1.0);
         let ues: Vec<u32> = self
             .ues
             .iter()
@@ -323,7 +320,7 @@ impl EpcCoreActor {
                     self.sessions.remove(sid);
                     self.pool.release(u.imsi);
                     self.sessions_released += 1;
-                    ctx.metrics().inc("epc.sessions_released", 1.0);
+                    ctx.registry().counter_add("epc.sessions_released", 1.0);
                 }
                 let msg = S1apMessage::UeContextReleaseCommand {
                     mme_ue_id: MmeUeId(ue),
@@ -366,25 +363,21 @@ impl EpcCoreActor {
 
     fn fluid_tick(&mut self, ctx: &mut Ctx<'_>) {
         let demands = std::mem::take(&mut self.pending_demands);
-        let now = ctx.now();
         // GTP-U goodput across the backhaul: tunneled frames are lost at
         // the link's loss rate in each direction and GTP does not
         // retransmit (the inner end-to-end transport must).
         let good = (1.0 - self.backhaul_loss).clamp(0.0, 1.0);
         for d in demands {
             let mut grants = Vec::with_capacity(d.demands.len());
-            let mut total = 0u64;
             for (teid, ul, dl) in d.demands {
                 if self.sessions.by_ul_teid(teid).is_some() {
                     let ul = (ul as f64 * good) as u64;
                     let dl = (dl as f64 * good) as u64;
-                    total += ul + dl;
                     grants.push((teid, ul, dl));
                 } else {
                     grants.push((teid, 0, 0));
                 }
             }
-            ctx.metrics().record("epc.tp_bytes", now, total as f64);
             ctx.send_to(d.from_ran, &magma_agw::flows::FLUID_GRANT, Box::new(FluidGrant { grants }));
         }
         ctx.timer_in(SimDuration::from_millis(100), T_FLUID);

@@ -220,10 +220,12 @@ pub fn json_escape(s: &str) -> String {
 pub const KNOWN_PREFIXES: &[&str] = &[
     // Gateway services (prefixed with the gateway id at runtime).
     "mme", "amf", "sessiond", "mobilityd", "pipelined", "dataplane", "metricsd", "cpu",
-    // Orchestrator-side (reserved for a future orc8r-local registry).
+    "config", "wifi",
+    // Orchestrator-side, kept local.
     "orc8r",
-    // RAN-side (emulator-local) and the kernel's own instruments.
-    "ran", "sim",
+    // RAN-side (emulator-local), the traditional-EPC baseline, and the
+    // kernel's own instruments.
+    "ran", "epc", "sim",
 ];
 
 /// Known second-segment families under the kernel's `sim.` prefix —
@@ -438,15 +440,14 @@ pub fn d002_ambient_entropy(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 /// Method-call tokens whose first string argument names a `Registry`
-/// instrument. The T rules deliberately do not cover the `Recorder`
-/// (`ctx.metrics()`): it is the experimenter's out-of-band probe and
-/// never ships over the wire. Event kinds are consts checked by T005.
+/// instrument or series. Event kinds are consts checked by T005.
 const METRIC_CALLS: &[&str] = &[
     ".metric(",      // gateway/enb helper: returns a prefixed name
     ".counter_add(", // Registry
     ".gauge_set(",   // Registry
     ".observe(",     // Registry
     ".observe_with(",
+    ".record(", // Registry series
     "Span::begin(",
 ];
 
@@ -1014,9 +1015,10 @@ pub fn s004_raw_sends(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// Scope: files that implement a dispatch surface (`impl Actor for`)
 /// outside the kernel; helper fns in the same file count, since the
 /// dispatch path can reach them. Registry *writes* (`counter_add`,
-/// `gauge_set`, `observe`) stay legal — they are commutative folds — and
-/// so does exporting the actor's own namespace
-/// (`snapshot_prefixed(&self...)`, the metricsd pattern).
+/// `gauge_set`, `observe`, `record`) stay legal — they are commutative
+/// folds — and so do reads of the actor's own namespace: exporting it
+/// (`snapshot_prefixed(&self...)`, the metricsd pattern) or reading one
+/// of its counters (`counter(&self...)`, the check-in body).
 pub fn s006_schedule_state_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if ctx.in_kernel() {
         return;
@@ -1061,6 +1063,7 @@ pub fn s006_schedule_state_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         "counter",
         "gauge",
         "histogram",
+        "series",
         "snapshot",
         "snapshot_prefixed",
         "counter_names",
@@ -1091,9 +1094,9 @@ pub fn s006_schedule_state_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         if !READS.contains(&method) {
             continue;
         }
-        if method == "snapshot_prefixed" && bytes.get(j) == Some(&b'(') {
-            // Own-namespace export: the prefix is the actor's own id
-            // field, so the argument list mentions `self`.
+        if matches!(method, "snapshot_prefixed" | "counter") && bytes.get(j) == Some(&b'(') {
+            // Own-namespace read: the prefix or name derives from the
+            // actor's own id field, so the argument list mentions `self`.
             let mut depth = 0i32;
             let mut k = j;
             while k < bytes.len() {
@@ -1120,8 +1123,8 @@ pub fn s006_schedule_state_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             format!(
                 "actor code reads the metric registry (`registry().{method}(..)`) — \
                  cross-component registry state depends on which components already \
-                 drained this window; actors may only write metrics, or export \
-                 their own namespace (`snapshot_prefixed(&self...)`)",
+                 drained this window; actors may only write metrics, or read \
+                 their own namespace (`snapshot_prefixed(&self...)`, `counter(&self...)`)",
             ),
         ));
     }

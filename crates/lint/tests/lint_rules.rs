@@ -80,6 +80,20 @@ fn t003_fires_on_undocumented_metric() {
 }
 
 #[test]
+fn t003_fires_on_undocumented_series() {
+    let (report, _) = lint_fixture("bad", "crates/agw/src/t003_undocumented_series.rs");
+    // `record` names are audited like instrument names.
+    assert_eq!(rules_fired(&report), vec!["T003"], "{}", report.summary());
+    assert!(
+        report.violations()[0]
+            .msg
+            .contains("mme.totally_new_series"),
+        "{}",
+        report.summary()
+    );
+}
+
+#[test]
 fn t005_fires_on_undocumented_event_kind() {
     let (report, _) = lint_fixture("bad", "crates/sim/src/eventd.rs");
     assert_eq!(rules_fired(&report), vec!["T005"], "{}", report.summary());
@@ -377,6 +391,12 @@ fn s006_exempts_own_namespace_export() {
         "{}",
         report.summary()
     );
+}
+
+#[test]
+fn s006_exempts_own_namespace_counter_read() {
+    let (report, _) = lint_fixture("ok", "crates/agw/src/s006_own_counter.rs");
+    assert!(report.is_clean(), "{}", report.summary());
 }
 
 #[test]

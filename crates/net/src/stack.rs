@@ -422,7 +422,6 @@ impl NetStack {
                     &flows::SOCK_EVENT,
                     Box::new(SockEvent::StreamClosed { handle, error: true }),
                 );
-                ctx.metrics().inc("net.stream.dead", 1.0);
             }
             RtoOutcome::Idle => {}
         }
@@ -500,12 +499,12 @@ mod tests {
                     match downcast::<SockEvent>(payload, "echo") {
                         SockEvent::StreamRecv { handle, bytes } => {
                             let t = ctx.now();
-                            ctx.metrics().record("server.rx", t, bytes.len() as f64);
+                            ctx.registry().record("server.rx", t, bytes.len() as f64);
                             ctx.send(self.stack, Box::new(SockCmd::StreamSend { handle, bytes }));
                         }
                         SockEvent::DgramRecv { bytes, .. } => {
                             let t = ctx.now();
-                            ctx.metrics().record("server.dgram", t, bytes.len() as f64);
+                            ctx.registry().record("server.dgram", t, bytes.len() as f64);
                         }
                         _ => {}
                     }
@@ -549,11 +548,12 @@ mod tests {
                     }
                     SockEvent::StreamRecv { bytes, .. } => {
                         let t = ctx.now();
-                        ctx.metrics().record("client.echo", t, bytes.len() as f64);
+                        ctx.registry().record("client.echo", t, bytes.len() as f64);
                     }
                     SockEvent::StreamClosed { error, .. } => {
                         let t = ctx.now();
-                        ctx.metrics().record("client.closed", t, error as u8 as f64);
+                        ctx.registry()
+                            .record("client.closed", t, error as u8 as f64);
                     }
                     _ => {}
                 },
@@ -594,7 +594,7 @@ mod tests {
     fn stream_echo_over_clean_link() {
         let (mut w, _) = build(LinkProfile::lan(), 100);
         w.run_until(SimTime::from_secs(5));
-        let echoed: f64 = w.metrics().series("client.echo").unwrap().values().sum();
+        let echoed: f64 = w.registry().series("client.echo").unwrap().values().sum();
         assert_eq!(echoed, 100.0);
     }
 
@@ -627,7 +627,13 @@ mod tests {
         };
         let app = w.add_actor(Box::new(client()));
         w.run_until(SimTime::from_secs(5));
-        let echoed = |w: &World| w.metrics().series("client.echo").unwrap().values().sum::<f64>();
+        let echoed = |w: &World| {
+            w.registry()
+                .series("client.echo")
+                .unwrap()
+                .values()
+                .sum::<f64>()
+        };
         assert_eq!(echoed(&w), 100.0);
 
         w.crash(app);
@@ -645,7 +651,7 @@ mod tests {
         // stream layer must recover everything.
         let (mut w, _) = build(LinkProfile::satellite(), 50_000);
         w.run_until(SimTime::from_secs(120));
-        let echoed: f64 = w.metrics().series("client.echo").unwrap().values().sum();
+        let echoed: f64 = w.registry().series("client.echo").unwrap().values().sum();
         assert_eq!(echoed, 50_000.0, "all bytes echoed despite loss");
     }
 
@@ -668,7 +674,7 @@ mod tests {
             payload: 10,
         }));
         w.run_until(SimTime::from_secs(5));
-        let closed = w.metrics().series("client.closed").unwrap();
+        let closed = w.registry().series("client.closed").unwrap();
         assert_eq!(closed.values().last(), Some(1.0), "error close");
     }
 
@@ -715,7 +721,7 @@ mod tests {
             dst: Endpoint::new(b, 9000),
         }));
         w.run_until(SimTime::from_secs(2));
-        let got = w.metrics().series("server.dgram").map(|s| s.len()).unwrap_or(0);
+        let got = w.registry().series("server.dgram").map(|s| s.len()).unwrap_or(0);
         assert!(got > 50 && got < 150, "~50% datagram loss, got {got}/200");
     }
 
@@ -775,7 +781,7 @@ mod tests {
                         }
                         SockEvent::StreamClosed { error, .. } => {
                             let t = ctx.now();
-                            ctx.metrics().record("chatty.dead", t, error as u8 as f64);
+                            ctx.registry().record("chatty.dead", t, error as u8 as f64);
                             self.handle = None;
                         }
                         _ => {}
@@ -797,7 +803,7 @@ mod tests {
             false,
         );
         w.run_until(SimTime::from_secs(200));
-        let dead = w.metrics().series("chatty.dead");
+        let dead = w.registry().series("chatty.dead");
         assert!(dead.is_some(), "stream should die after partition");
     }
 }

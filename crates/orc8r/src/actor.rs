@@ -69,7 +69,6 @@ impl Orc8rActor {
                     return;
                 };
                 let cert = self.state.borrow_mut().bootstrap(&req.agw_id, req.hw_token);
-                ctx.metrics().inc("orc8r.bootstraps", 1.0);
                 self.server
                     .reply(ctx, conn, id, &flows::ORC8R_REPLY, BootstrapResponse { cert });
             }
@@ -105,7 +104,7 @@ impl Orc8rActor {
                     *held = Some(latest.max(req.db_version));
                 }
                 drop(st);
-                ctx.metrics().inc("orc8r.checkins", 1.0);
+                ctx.registry().counter_add("orc8r.checkins", 1.0);
                 self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, resp);
             }
             methods::CHECKPOINT => {
@@ -150,7 +149,6 @@ impl Orc8rActor {
                         denied: true,
                     },
                 };
-                ctx.metrics().inc("orc8r.ocs.requests", 1.0);
                 self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, resp);
             }
             methods::CREDIT_REPORT => {
@@ -192,7 +190,6 @@ impl Orc8rActor {
                         .unwrap_or(0);
                     (accepted, last_seq)
                 };
-                ctx.metrics().inc("orc8r.metrics_pushes", 1.0);
                 self.server
                     .reply(ctx, conn, id, &flows::ORC8R_REPLY, MetricsAck { accepted, last_seq });
             }
@@ -227,7 +224,7 @@ impl Orc8rActor {
                 .push(ctx, &conns, version, &flows::PUSH_SUBSCRIBERS, &sync);
             for conn in pushed {
                 self.conns.insert(conn, Some(version));
-                ctx.metrics().inc("orc8r.pushes", 1.0);
+                ctx.registry().counter_add("orc8r.pushes", 1.0);
             }
         }
     }

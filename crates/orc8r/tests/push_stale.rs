@@ -174,7 +174,7 @@ fn a_push_is_encoded_once_per_version_the_stale_gateways_hold() {
     let sent = rig.sent.borrow().len();
     rig.w.run_until(SimTime::from_millis(1_100));
     assert_eq!(rig.sent.borrow().len(), sent);
-    assert_eq!(rig.w.metrics().counter("orc8r.pushes"), 3.0);
+    assert_eq!(rig.w.registry().counter("orc8r.pushes"), 3.0);
 }
 
 #[test]

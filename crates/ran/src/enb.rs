@@ -32,6 +32,11 @@ const T_HEARTBEAT: u64 = 4;
 /// attached UE declares radio-link failure ("no service").
 const NO_SERVICE_TICKS: u32 = 100;
 
+/// Namespace of the RAN's metrics and events, shared by every eNodeB so
+/// the harness can aggregate. The RAN is the emulator, not a managed
+/// gateway: nothing under it ships to the orchestrator.
+const NAMESPACE: &str = "ran";
+
 /// Configuration for one eNodeB (or gNB, by pointing `agw_ctrl` at the
 /// AGW's NGAP port).
 #[derive(Debug, Clone)]
@@ -54,9 +59,6 @@ pub struct EnbConfig {
     pub ue_attach_timeout: SimDuration,
     /// Uniform radio-leg delay bounds for NAS messages, milliseconds.
     pub radio_delay_ms: (u64, u64),
-    /// Metric prefix shared across RAN elements so the harness can
-    /// aggregate (default `"ran"`).
-    pub metrics_prefix: String,
     /// Re-attach automatically after failures / unexpected loss.
     pub reattach: bool,
     /// Session churn: once attached, a UE detaches after a uniform-random
@@ -79,7 +81,6 @@ impl EnbConfig {
             attach_start: SimDuration::from_millis(500),
             ue_attach_timeout: SimDuration::from_secs(10),
             radio_delay_ms: (5, 25),
-            metrics_prefix: "ran".to_string(),
             reattach: false,
             session_lifetime_s: None,
         }
@@ -138,13 +139,7 @@ impl EnodebActor {
     /// Name of a RAN-prefixed `Registry` instrument (audited by
     /// `magma-lint` against the docs/OBSERVABILITY.md inventory).
     fn metric(&self, suffix: &str) -> String {
-        format!("{}.{}", self.cfg.metrics_prefix, suffix)
-    }
-
-    /// Name of a RAN-prefixed `Recorder` series (out-of-band probe,
-    /// harness-local — exempt from the telemetry naming audit).
-    fn probe(&self, suffix: &str) -> String {
-        format!("{}.{}", self.cfg.metrics_prefix, suffix)
+        format!("{NAMESPACE}.{suffix}")
     }
 
     fn send_s1ap(&mut self, ctx: &mut Ctx<'_>, msg: &S1apMessage) {
@@ -215,8 +210,6 @@ impl EnodebActor {
         slot.attempt_started = Some(now);
         slot.attempt_epoch = slot.ue.attach_attempts;
         slot.ul_teid = None;
-        let m = self.probe("attach_attempt");
-        ctx.metrics().record(&m, now, 1.0);
         let msg = S1apMessage::InitialUeMessage {
             enb_ue_id: EnbUeId(idx as u32 + 1),
             nas: attach.encode(),
@@ -323,12 +316,11 @@ impl EnodebActor {
                 {
                     self.slots[idx].ue.on_unexpected_loss();
                     self.slots[idx].ul_teid = None;
-                    let m = self.probe("session_lost");
-                    ctx.metrics().inc(&m, 1.0);
-                    let gw = self.cfg.metrics_prefix.clone();
+                    let m = self.metric("session_lost");
+                    ctx.registry().counter_add(&m, 1.0);
                     let imsi = self.slots[idx].ue.imsi.0.to_string();
                     ctx.emit_event(
-                        &gw,
+                        NAMESPACE,
                         event_kind::SESSION_LOST,
                         Severity::Warning,
                         &[("imsi", imsi), ("enb", self.cfg.enb_id.to_string())],
@@ -364,8 +356,8 @@ impl EnodebActor {
             // radio-delayed Attach Accept reached the UE.
             ctx.trace_finish();
             if let Some(start) = self.slots[idx].attempt_started.take() {
-                let m = self.probe("attach_ok_at");
-                ctx.metrics().record(&m, start, now.since(start).as_secs_f64());
+                let m = self.metric("attach_ok_at");
+                ctx.registry().record(&m, start, now.since(start).as_secs_f64());
                 let m = self.metric("attach_ok");
                 ctx.registry().counter_add(&m, 1.0);
                 let m = self.metric("attach.latency_s");
@@ -383,18 +375,17 @@ impl EnodebActor {
         }
         if phase == UePhase::Failed {
             if let Some(start) = self.slots[idx].attempt_started.take() {
-                let m = self.probe("attach_fail_at");
-                ctx.metrics().record(&m, start, 1.0);
+                let m = self.metric("attach_fail_at");
+                ctx.registry().record(&m, start, 1.0);
                 let m = self.metric("attach_fail");
                 ctx.registry().counter_add(&m, 1.0);
             }
-            let gw = self.cfg.metrics_prefix.clone();
             let imsi = self.slots[idx].ue.imsi.0.to_string();
             let cause = reject_cause
                 .map(|c| format!("{c:?}"))
                 .unwrap_or_else(|| "rejected".to_string());
             ctx.emit_event(
-                &gw,
+                NAMESPACE,
                 event_kind::ATTACH_FAILURE,
                 Severity::Warning,
                 &[("imsi", imsi), ("cause", cause)],
@@ -443,10 +434,6 @@ impl EnodebActor {
                     d.2 = (d.2 as f64 * scale) as u64;
                 }
             }
-            let now = ctx.now();
-            let offered: u64 = demands.iter().map(|d| d.1 + d.2).sum();
-            let m = self.probe("offered_bytes");
-            ctx.metrics().record(&m, now, offered as f64);
             let me = ctx.id();
             ctx.send_to(
                 self.cfg.agw_actor,
@@ -465,15 +452,15 @@ impl EnodebActor {
             .iter()
             .filter(|s| s.ue.phase == UePhase::Stuck)
             .count();
-        let m = self.probe("attached");
-        ctx.metrics().record(&m, now, attached as f64);
+        let m = self.metric("attached");
+        ctx.registry().record(&m, now, attached as f64);
         // Gauges are last-writer-wins, so they get a per-eNB namespace
         // (counters and histograms above are shared and accumulate).
         let m = self.metric(&format!("enb{}.attached_ues", self.cfg.enb_id));
         ctx.registry().gauge_set(&m, attached as f64);
         if stuck > 0 {
-            let m = self.probe("stuck");
-            ctx.metrics().record(&m, now, stuck as f64);
+            let m = self.metric("stuck");
+            ctx.registry().record(&m, now, stuck as f64);
         }
         ctx.timer_in(self.cfg.tick, T_FLUID);
     }
@@ -532,8 +519,6 @@ impl Actor for EnodebActor {
                     if idx < self.slots.len() {
                         if let Some(req) = self.slots[idx].ue.start_detach() {
                             ctx.trace_start("detach");
-                            let m = self.probe("detach_start");
-                            ctx.metrics().inc(&m, 1.0);
                             self.slots[idx].ul_teid = None;
                             let msg = S1apMessage::UplinkNasTransport {
                                 enb_ue_id: EnbUeId(idx as u32 + 1),
@@ -563,15 +548,14 @@ impl Actor for EnodebActor {
                     {
                         self.slots[idx].ue.on_attach_timeout();
                         if let Some(start) = self.slots[idx].attempt_started.take() {
-                            let m = self.probe("attach_fail_at");
-                            ctx.metrics().record(&m, start, 1.0);
+                            let m = self.metric("attach_fail_at");
+                            ctx.registry().record(&m, start, 1.0);
                             let m = self.metric("attach_fail");
                             ctx.registry().counter_add(&m, 1.0);
                         }
-                        let gw = self.cfg.metrics_prefix.clone();
                         let imsi = self.slots[idx].ue.imsi.0.to_string();
                         ctx.emit_event(
-                            &gw,
+                            NAMESPACE,
                             event_kind::ATTACH_FAILURE,
                             Severity::Warning,
                             &[("imsi", imsi), ("cause", "timeout".to_string())],
@@ -639,10 +623,6 @@ impl Actor for EnodebActor {
                 },
                 Err(payload) => {
                     if let Ok(grant) = try_downcast::<FluidGrant>(payload) {
-                        let now = ctx.now();
-                        let total: u64 = grant.grants.iter().map(|g| g.1 + g.2).sum();
-                        let m = self.probe("achieved_bytes");
-                        ctx.metrics().record(&m, now, total as f64);
                         // Per-UE no-service detection: a session whose
                         // demands keep being granted zero bytes has lost
                         // its bearer (e.g., the AGW cold-restarted).
@@ -660,8 +640,6 @@ impl Actor for EnodebActor {
                                         self.slots[idx].ue.on_unexpected_loss();
                                         self.slots[idx].ul_teid = None;
                                         self.slots[idx].starved_ticks = 0;
-                                        let m = self.probe("no_service");
-                                        ctx.metrics().inc(&m, 1.0);
                                         if self.cfg.reattach
                                             && self.slots[idx].ue.phase == UePhase::Detached
                                         {

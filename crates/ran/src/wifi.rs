@@ -5,7 +5,7 @@
 
 use crate::flows;
 use crate::radio::SectorModel;
-use magma_agw::{FluidDemand, FluidGrant};
+use magma_agw::FluidDemand;
 use magma_net::{ports, Endpoint, SockCmd, SockEvent};
 use magma_sim::{try_downcast, Actor, ActorId, Ctx, Event, SimDuration};
 use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket};
@@ -141,40 +141,28 @@ impl Actor for WifiApActor {
                 ctx.timer_in(self.cfg.tick, T_FLUID);
             }
             Event::Timer { .. } => {}
-            Event::Msg { payload, .. } => match try_downcast::<SockEvent>(payload) {
-                Ok(SockEvent::DgramRecv { bytes, .. }) => {
-                    if let Ok(pkt) = RadiusPacket::decode(&bytes) {
-                        match pkt.code {
-                            RadiusCode::AccessAccept => {
-                                self.authed = true;
-                                self.ip = pkt
-                                    .get(attr::FRAMED_IP_ADDRESS)
-                                    .and_then(|a| a.as_u32())
-                                    .map(UeIp);
-                                self.teid = pkt
-                                    .get(ATTR_TUNNEL_ID)
-                                    .and_then(|a| a.as_u32())
-                                    .map(Teid);
-                                let t = ctx.now();
-                                ctx.metrics().record("wifi.ap_authed", t, 1.0);
-                            }
-                            RadiusCode::AccessReject => {
-                                let t = ctx.now();
-                                ctx.metrics().record("wifi.ap_rejected", t, 1.0);
-                            }
-                            _ => {}
-                        }
+            Event::Msg { payload, .. } => {
+                // RADIUS replies arrive as datagrams. Fluid grants need no
+                // AP-side bookkeeping: the AGW counts what it forwards.
+                if let Ok(SockEvent::DgramRecv { bytes, .. }) = try_downcast::<SockEvent>(payload) {
+                    let accept = RadiusPacket::decode(&bytes)
+                        .ok()
+                        .filter(|pkt| matches!(pkt.code, RadiusCode::AccessAccept));
+                    if let Some(pkt) = accept {
+                        self.authed = true;
+                        self.ip = pkt
+                            .get(attr::FRAMED_IP_ADDRESS)
+                            .and_then(|a| a.as_u32())
+                            .map(UeIp);
+                        self.teid = pkt
+                            .get(ATTR_TUNNEL_ID)
+                            .and_then(|a| a.as_u32())
+                            .map(Teid);
+                        let t = ctx.now();
+                        ctx.registry().record("ran.wifi.ap_authed", t, 1.0);
                     }
                 }
-                Ok(_) => {}
-                Err(payload) => {
-                    if let Ok(grant) = try_downcast::<FluidGrant>(payload) {
-                        let now = ctx.now();
-                        let total: u64 = grant.grants.iter().map(|g| g.1 + g.2).sum();
-                        ctx.metrics().record("wifi.achieved_bytes", now, total as f64);
-                    }
-                }
-            },
+            }
             Event::CpuDone { .. } => {}
         }
     }

@@ -108,11 +108,11 @@ mod tests {
                     RpcClientEvent::Response { body, .. } => {
                         let t = ctx.now();
                         let v = body.get("v").and_then(Value::as_f64).unwrap_or(-1.0);
-                        ctx.metrics().record("rpc.ok", t, v);
+                        ctx.registry().record("rpc.ok", t, v);
                     }
                     RpcClientEvent::Failed { .. } => {
                         let t = ctx.now();
-                        ctx.metrics().record("rpc.fail", t, 1.0);
+                        ctx.registry().record("rpc.fail", t, 1.0);
                     }
                     _ => {}
                 }
@@ -180,9 +180,9 @@ mod tests {
     fn calls_complete_over_clean_link() {
         let mut w = build(LinkProfile::fiber(), 20);
         w.run_until(SimTime::from_secs(30));
-        let ok = w.metrics().series("rpc.ok").map(|s| s.len()).unwrap_or(0);
+        let ok = w.registry().series("rpc.ok").map(|s| s.len()).unwrap_or(0);
         assert_eq!(ok, 20);
-        assert!(w.metrics().series("rpc.fail").is_none());
+        assert!(w.registry().series("rpc.fail").is_none());
     }
 
     #[test]
@@ -191,7 +191,7 @@ mod tests {
         // survives satellite backhaul (300ms, 2% loss).
         let mut w = build(LinkProfile::satellite(), 30);
         w.run_until(SimTime::from_secs(120));
-        let ok = w.metrics().series("rpc.ok").map(|s| s.len()).unwrap_or(0);
+        let ok = w.registry().series("rpc.ok").map(|s| s.len()).unwrap_or(0);
         assert_eq!(ok, 30, "all calls should eventually succeed");
     }
 
@@ -212,7 +212,7 @@ mod tests {
                             for e in evs {
                                 if let RpcClientEvent::Failed { reason, .. } = e {
                                     let t = ctx.now();
-                                    ctx.metrics().record("bad.fail", t, 1.0);
+                                    ctx.registry().record("bad.fail", t, 1.0);
                                     assert!(reason.contains("no such method"));
                                 }
                             }
@@ -241,7 +241,10 @@ mod tests {
         }));
         w.run_until(SimTime::from_secs(5));
         assert_eq!(
-            w.metrics().series("bad.fail").map(|s| s.len()).unwrap_or(0),
+            w.registry()
+                .series("bad.fail")
+                .map(|s| s.len())
+                .unwrap_or(0),
             1
         );
     }
@@ -268,7 +271,11 @@ mod tests {
             sent: 0,
         }));
         w.run_until(SimTime::from_secs(60));
-        let fails = w.metrics().series("rpc.fail").map(|s| s.len()).unwrap_or(0);
+        let fails = w
+            .registry()
+            .series("rpc.fail")
+            .map(|s| s.len())
+            .unwrap_or(0);
         assert_eq!(fails, 1, "partitioned call must fail by deadline");
     }
 
@@ -305,7 +312,7 @@ mod tests {
         net.borrow_mut()
             .set_link_up(magma_net::NodeAddr(0), magma_net::NodeAddr(1), true);
         w.run_until(SimTime::from_secs(140));
-        let ok = w.metrics().series("rpc.ok").map(|s| s.len()).unwrap_or(0);
+        let ok = w.registry().series("rpc.ok").map(|s| s.len()).unwrap_or(0);
         assert!(ok >= 35, "most calls complete after heal, got {ok}");
     }
 }

@@ -105,7 +105,7 @@ impl Subscriber {
                 assert_eq!(method, "sync.Tick");
                 let t = ctx.now();
                 let seq = body["seq"].as_f64().unwrap();
-                ctx.metrics().record("push.seq", t, seq);
+                ctx.registry().record("push.seq", t, seq);
             }
         }
     }
@@ -134,7 +134,7 @@ fn pushes_arrive_in_order_over_lossy_link() {
     w.run_until(SimTime::from_secs(30));
 
     let seqs: Vec<f64> = w
-        .metrics()
+        .registry()
         .series("push.seq")
         .map(|s| s.values().collect())
         .unwrap_or_default();

@@ -6,7 +6,6 @@ use crate::cpu::{self, HostId, HostSpec, HostState, Job, UtilizationReport};
 use crate::event::{EventHandle, EventQueue, Scheduled};
 use crate::eventd::{self, EventLog, Severity};
 use crate::flow::{DelayClass, FlowKind, Role};
-use crate::metrics::Recorder;
 use crate::prof::{self, HeapStats, ProfHandle, Profiler, ProfileSnapshot, ScopeGuard};
 use crate::racecheck::{self, RaceEvent, RaceExport, RaceObserver};
 use crate::registry::Registry;
@@ -41,7 +40,6 @@ pub struct Kernel {
     /// never on the order actors happen to be dispatched in.
     rng_seed: u64,
     rngs: Vec<SmallRng>,
-    metrics: Recorder,
     registry: Registry,
     events: EventLog,
     hosts: Vec<HostState>,
@@ -158,7 +156,6 @@ impl World {
                 queue: EventQueue::new(),
                 rng_seed: seed,
                 rngs: Vec::new(),
-                metrics: Recorder::new(),
                 registry: Registry::new(),
                 events: EventLog::default(),
                 hosts: Vec::new(),
@@ -423,16 +420,15 @@ impl World {
         self.kernel.time
     }
 
-    pub fn metrics(&self) -> &Recorder {
-        &self.kernel.metrics
-    }
-
-    pub fn metrics_mut(&mut self) -> &mut Recorder {
-        &mut self.kernel.metrics
+    /// The same [`Registry`] as [`registry`](World::registry), kept only
+    /// because the `benchmark/` package calls it; new code uses
+    /// `registry()`.
+    pub fn metrics(&self) -> &Registry {
+        &self.kernel.registry
     }
 
     /// The world-wide instrument registry ([`Registry`]): typed counters,
-    /// gauges, and histograms, namespaced by service prefix.
+    /// gauges, histograms and local series, namespaced by service prefix.
     pub fn registry(&self) -> &Registry {
         &self.kernel.registry
     }
@@ -660,7 +656,7 @@ impl World {
                 );
             }
             self.kernel
-                .metrics
+                .registry
                 .observe("sim.cpu.queue_delay_s", queued.as_secs_f64());
         }
 
@@ -1091,12 +1087,7 @@ impl<'a> Ctx<'a> {
         &mut self.kernel.rngs[idx]
     }
 
-    /// Measurement sink.
-    pub fn metrics(&mut self) -> &mut Recorder {
-        &mut self.kernel.metrics
-    }
-
-    /// Typed instrument registry (counters / gauges / histograms).
+    /// Instrument registry (counters / gauges / histograms / series).
     pub fn registry(&mut self) -> &mut Registry {
         &mut self.kernel.registry
     }

@@ -40,7 +40,7 @@ pub use racecheck::{
     WindowDigest,
 };
 pub use eventd::{EventLog, Severity, StructuredEvent, DEFAULT_EVENT_CAP};
-pub use metrics::{Histogram, Recorder, Series};
+pub use metrics::Series;
 pub use registry::{
     BucketHistogram, Registry, RegistrySnapshot, Span, DEFAULT_MAX_INSTRUMENTS_PER_PREFIX,
     DEFAULT_SECONDS_BOUNDS, OVERFLOW_COUNTER,
@@ -141,7 +141,7 @@ mod tests {
                 Event::CpuDone { tag, .. } => {
                     self.done += 1;
                     let t = ctx.now();
-                    ctx.metrics().record("done", t, tag as f64);
+                    ctx.registry().record("done", t, tag as f64);
                 }
                 _ => {}
             }
@@ -154,7 +154,7 @@ mod tests {
         let host = w.add_host(HostSpec::uniform("h", 1, 1.0));
         w.add_actor(Box::new(Worker { host, done: 0 }));
         w.run_until(SimTime::from_secs(1));
-        let s = w.metrics().series("done").unwrap();
+        let s = w.registry().series("done").unwrap();
         let times: Vec<u64> = s.points.iter().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![100_000, 200_000, 300_000, 400_000]);
         let rep = w.utilization(host, "all").unwrap();
@@ -169,7 +169,7 @@ mod tests {
         let host = w.add_host(HostSpec::uniform("h", 2, 1.0));
         w.add_actor(Box::new(Worker { host, done: 0 }));
         w.run_until(SimTime::from_secs(1));
-        let s = w.metrics().series("done").unwrap();
+        let s = w.registry().series("done").unwrap();
         let times: Vec<u64> = s.points.iter().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![100_000, 100_000, 200_000, 200_000]);
     }
@@ -184,7 +184,7 @@ mod tests {
             if let Event::Msg { .. } = event {
                 let t = ctx.now();
                 let tag = self.got;
-                ctx.metrics().record(tag, t, 1.0);
+                ctx.registry().record(tag, t, 1.0);
             }
         }
     }
@@ -212,8 +212,8 @@ mod tests {
         w.crash(dst);
         w.restart(dst, Box::new(Once { got: "new" }));
         w.run_until(SimTime::from_secs(2));
-        assert!(w.metrics().series("old").is_none());
-        assert!(w.metrics().series("new").is_none());
+        assert!(w.registry().series("old").is_none());
+        assert!(w.registry().series("new").is_none());
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
         w.add_actor(Box::new(Sender { dst }));
         w.crash(dst);
         w.run_until(SimTime::from_secs(2));
-        assert!(w.metrics().series("x").is_none());
+        assert!(w.registry().series("x").is_none());
         assert!(!w.is_alive(dst));
     }
 
@@ -360,7 +360,7 @@ mod tests {
                     Event::Timer { tag } => {
                         self.fired.push(tag);
                         let t = ctx.now();
-                        ctx.metrics().record("fired", t, tag as f64);
+                        ctx.registry().record("fired", t, tag as f64);
                     }
                     _ => {}
                 }
@@ -370,7 +370,7 @@ mod tests {
         w.add_actor(Box::new(T { fired: vec![] }));
         w.run_until(SimTime::from_secs(1));
         let vals: Vec<f64> = w
-            .metrics()
+            .registry()
             .series("fired")
             .unwrap()
             .values()
@@ -441,7 +441,7 @@ mod tests {
         w.set_component(dst, "b[0]");
         w.enable_racecheck(None);
         w.run_until(SimTime::from_millis(5));
-        assert!(w.metrics().series("poked").is_some(), "message delivered");
+        assert!(w.registry().series("poked").is_some(), "message delivered");
         w.race_export().window_violations
     }
 
@@ -472,7 +472,7 @@ mod tests {
         w.set_component(p, "a[0]");
         w.enable_racecheck(Some(3));
         w.run_until(SimTime::from_millis(1));
-        assert!(w.metrics().series("child").is_some(), "child got the message");
+        assert!(w.registry().series("child").is_some(), "child got the message");
         assert_eq!(w.race_export().window_violations, 0);
     }
 }

@@ -1,13 +1,13 @@
-//! Measurement recording for experiments.
+//! Time series for experiments.
 //!
 //! The testbed (our Spirent Landslide analog) measures connection success
 //! rate in 5-second bins, achieved throughput over time, and CPU
-//! utilization. The [`Recorder`] collects raw observations during a run;
-//! binning and summary statistics are computed afterwards.
+//! utilization. [`Registry::record`](crate::Registry::record) collects
+//! raw observations into a [`Series`] during a run; binning and summary
+//! statistics are computed afterwards.
 
 use crate::time::{SimDuration, SimTime};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// A named time series of `(time, value)` samples.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -87,96 +87,6 @@ impl Series {
     }
 }
 
-/// A distribution of observations with percentile queries.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct Histogram {
-    pub samples: Vec<f64>,
-}
-
-impl Histogram {
-    pub fn observe(&mut self, v: f64) {
-        self.samples.push(v);
-    }
-
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// p in [0, 100]. Returns 0 for an empty histogram.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut s = self.samples.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = (p / 100.0 * (s.len() - 1) as f64).round() as usize;
-        s[rank.min(s.len() - 1)]
-    }
-
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-}
-
-/// Central sink for all measurements taken during a simulation run.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    series: BTreeMap<String, Series>,
-    counters: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Recorder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a sample to the named time series.
-    pub fn record(&mut self, name: &str, t: SimTime, v: f64) {
-        self.series.entry(name.to_string()).or_default().push(t, v);
-    }
-
-    /// Increment a monotonic counter.
-    pub fn inc(&mut self, name: &str, by: f64) {
-        *self.counters.entry(name.to_string()).or_insert(0.0) += by;
-    }
-
-    /// Record one observation into a distribution.
-    pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(v);
-    }
-
-    pub fn series(&self, name: &str) -> Option<&Series> {
-        self.series.get(name)
-    }
-
-    pub fn counter(&self, name: &str) -> f64 {
-        self.counters.get(name).copied().unwrap_or(0.0)
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(|s| s.as_str())
-    }
-
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(|s| s.as_str())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,31 +116,6 @@ mod tests {
         assert_eq!(means[0].1, 10.0);
         assert_eq!(means[1].1, 0.0);
         assert_eq!(means[2].1, 20.0);
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::default();
-        for i in 1..=100 {
-            h.observe(i as f64);
-        }
-        assert_eq!(h.percentile(0.0), 1.0);
-        assert_eq!(h.percentile(100.0), 100.0);
-        assert!((h.median() - 50.0).abs() <= 1.0);
-        assert_eq!(Histogram::default().percentile(50.0), 0.0);
-    }
-
-    #[test]
-    fn recorder_counters_and_series() {
-        let mut r = Recorder::new();
-        r.inc("attach.success", 1.0);
-        r.inc("attach.success", 1.0);
-        assert_eq!(r.counter("attach.success"), 2.0);
-        assert_eq!(r.counter("missing"), 0.0);
-        r.record("tp", SimTime::ZERO, 5.0);
-        assert_eq!(r.series("tp").unwrap().len(), 1);
-        r.observe("lat", 3.0);
-        assert_eq!(r.histogram("lat").unwrap().count(), 1);
     }
 
     #[test]

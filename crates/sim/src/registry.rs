@@ -1,14 +1,14 @@
 //! Typed metric instruments: counters, gauges, fixed-bucket histograms,
 //! and procedure spans — the substrate Magma's per-service `metricsd`
-//! samples on every gateway.
+//! samples on every gateway — plus raw `(time, value)` series for
+//! figure extraction.
 //!
-//! The older [`Recorder`](crate::Recorder) keeps raw `(time, value)`
-//! series for figure extraction; the [`Registry`] here is the
-//! operational view: cheap to snapshot, cheap to ship over the modeled
-//! network, and mergeable on the orchestrator side. Instruments are
-//! created on first use and addressed by dotted name following the
-//! `<service>.<object>[_<unit>]` convention documented in
-//! `docs/OBSERVABILITY.md` (e.g. `agw0.mme.attach.s1ap_s`,
+//! Counters, gauges and histograms are the operational view: cheap to
+//! snapshot, cheap to ship over the modeled network, and mergeable on
+//! the orchestrator side. [`Series`] stay local: no snapshot carries
+//! them. Instruments are created on first use and addressed by dotted
+//! name following the `<service>.<object>[_<unit>]` convention
+//! documented in `docs/OBSERVABILITY.md` (e.g. `agw0.mme.attach.s1ap_s`,
 //! `ran.attach_ok`).
 //!
 //! Everything is deterministic: no wall-clock, no randomness, and all
@@ -17,6 +17,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+use crate::metrics::Series;
 use crate::time::{SimDuration, SimTime};
 
 /// Order-independent `f64` accumulation: both operands are quantized to
@@ -208,11 +209,14 @@ pub const OVERFLOW_COUNTER: &str = "registry_overflow_total";
 /// registrations are dropped and tallied in
 /// `<prefix>.registry_overflow_total`, so a service that interpolates
 /// unbounded labels into metric names cannot bloat `metricsd` pushes.
+/// Series are outside all of this: never snapshotted, never capped,
+/// never counted as mutations.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: BTreeMap<String, f64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, BucketHistogram>,
+    series: BTreeMap<String, Series>,
     prefix_counts: BTreeMap<String, usize>,
     /// Total mutation operations (counter adds, gauge sets, histogram
     /// observations). An order-invariant progress measure folded into
@@ -293,6 +297,15 @@ impl Registry {
         }
     }
 
+    /// Append a point to a local time series (created on first use).
+    /// Allocates only when the series is new.
+    pub fn record(&mut self, name: &str, t: SimTime, v: f64) {
+        match self.series.get_mut(name) {
+            Some(s) => s.push(t, v),
+            None => self.series.entry(name.to_string()).or_default().push(t, v),
+        }
+    }
+
     /// Total mutation operations performed on this registry since
     /// construction (order-invariant; see the field doc).
     pub fn mutation_count(&self) -> u64 {
@@ -311,6 +324,10 @@ impl Registry {
         self.histograms.get(name)
     }
 
+    pub fn series(&self, name: &str) -> Option<&Series> {
+        self.series.get(name)
+    }
+
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
         self.counters.keys().map(|s| s.as_str())
     }
@@ -323,7 +340,7 @@ impl Registry {
         self.histograms.keys().map(|s| s.as_str())
     }
 
-    /// Copy every instrument.
+    /// Copy every counter, gauge and histogram (series stay local).
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
             counters: self.counters.clone(),
@@ -547,6 +564,56 @@ mod tests {
         // The overflow counter ships like any instrument, prefix-stripped.
         let snap = r.snapshot_prefixed("agw0");
         assert_eq!(snap.counters.get(OVERFLOW_COUNTER), Some(&2.0));
+    }
+
+    #[test]
+    fn series_record_appends_and_reads_back() {
+        let mut r = Registry::new();
+        r.record("agw0.tp_bytes", SimTime::ZERO, 5.0);
+        r.record("agw0.tp_bytes", SimTime::from_secs(1), 7.0);
+        let s = r.series("agw0.tp_bytes").unwrap();
+        assert_eq!(s.points, vec![(0, 5.0), (1_000_000, 7.0)]);
+        assert!(r.series("missing").is_none());
+    }
+
+    #[test]
+    fn series_never_enter_a_snapshot() {
+        let mut r = Registry::new();
+        r.counter_add("agw0.mme.attach_accept", 1.0);
+        r.record("agw0.config.push", SimTime::ZERO, 1.0);
+        for (snap, name) in [
+            (r.snapshot_prefixed("agw0"), "mme.attach_accept"),
+            (r.snapshot(), "agw0.mme.attach_accept"),
+        ] {
+            assert_eq!(snap.counters.keys().collect::<Vec<_>>(), [name]);
+            assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
+        }
+    }
+
+    #[test]
+    fn series_are_not_mutations() {
+        let mut r = Registry::new();
+        r.counter_add("agw0.mme.attach_accept", 1.0);
+        let before = r.mutation_count();
+        r.record("agw0.config.push", SimTime::ZERO, 1.0);
+        r.record("agw0.config.push", SimTime::from_secs(1), 1.0);
+        assert_eq!(r.mutation_count(), before);
+    }
+
+    #[test]
+    fn series_do_not_use_up_the_prefix_cap() {
+        let mut r = Registry::new();
+        for i in 0..2 * DEFAULT_MAX_INSTRUMENTS_PER_PREFIX {
+            r.record(&format!("agw0.wifi.s{i}"), SimTime::ZERO, 1.0);
+        }
+        for i in 0..DEFAULT_MAX_INSTRUMENTS_PER_PREFIX {
+            r.counter_add(&format!("agw0.mme.n{i}"), 1.0);
+        }
+        assert_eq!(r.counter("agw0.registry_overflow_total"), 0.0);
+        assert_eq!(
+            r.snapshot_prefixed("agw0").counters.len(),
+            DEFAULT_MAX_INSTRUMENTS_PER_PREFIX
+        );
     }
 
     #[test]

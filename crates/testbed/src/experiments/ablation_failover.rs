@@ -43,9 +43,9 @@ pub fn run(seed: u64) -> FailoverResult {
 
     sc.world.run_until(SimTime::from_secs(CRASH_AT_S));
     let sessions_before = sc.agws[0].handle.borrow().active_sessions;
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     let tp_before: f64 = rec
-        .series("agw0.tp_bytes")
+        .series("agw0.dataplane.tp_bytes")
         .map(|s| {
             s.points
                 .iter()
@@ -95,8 +95,8 @@ pub fn run(seed: u64) -> FailoverResult {
         let now = sc.world.now();
         let tp_now: f64 = sc
             .world
-            .metrics()
-            .series("agw0.tp_bytes")
+            .registry()
+            .series("agw0.dataplane.tp_bytes")
             .map(|s| {
                 s.points
                     .iter()

@@ -82,7 +82,7 @@ pub fn run_magma(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
     w.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));
 
     w.run_until(duration);
-    let rec = w.metrics();
+    let rec = w.registry();
     GtpPoint {
         loss,
         sessions_released: rec.counter("ran.session_lost"),
@@ -122,7 +122,7 @@ pub fn run_baseline(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
     w.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));
 
     w.run_until(duration);
-    let rec = w.metrics();
+    let rec = w.registry();
     GtpPoint {
         loss,
         sessions_released: rec.counter("epc.sessions_released"),

@@ -43,7 +43,7 @@ pub fn run(seed: u64) -> HeadlessResult {
     sc.world.run_until(SimTime::from_secs(PARTITION.0));
     let attached_before = sc
         .world
-        .metrics()
+        .registry()
         .series("ran.attach_ok_at")
         .map(|s| s.len())
         .unwrap_or(0);
@@ -68,7 +68,7 @@ pub fn run(seed: u64) -> HeadlessResult {
     sc.world.run_until(SimTime::from_secs(PARTITION.1));
     let attached_during = sc
         .world
-        .metrics()
+        .registry()
         .series("ran.attach_ok_at")
         .map(|s| s.len())
         .unwrap_or(0)
@@ -88,7 +88,7 @@ pub fn run(seed: u64) -> HeadlessResult {
     }
 
     HeadlessResult {
-        csr: overall_csr(sc.world.metrics(), "ran"),
+        csr: overall_csr(sc.world.registry(), "ran"),
         attaches_during_partition: attached_during,
         version_at_change,
         agw_version_before_heal,

@@ -108,14 +108,14 @@ pub fn run_prepaid(seed: u64, balance: u64, quota: u64) -> PrepaidResult {
     let mut sc = build(cfg);
     sc.world.run_until(SimTime::from_secs(120));
 
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     let consumed: f64 = rec
-        .series("agw0.tp_bytes")
+        .series("agw0.dataplane.tp_bytes")
         .map(|s| s.values().sum())
         .unwrap_or(0.0);
     // Blocked = traffic stopped well before the end of the run.
     let late_traffic: f64 = rec
-        .series("agw0.tp_bytes")
+        .series("agw0.dataplane.tp_bytes")
         .map(|s| {
             s.points
                 .iter()

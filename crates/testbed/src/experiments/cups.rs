@@ -62,8 +62,8 @@ pub fn run_point(seed: u64, layout: CoreLayout) -> CupsPoint {
     let mut sc = build(cfg);
     sc.world.run_until(SimTime::from_secs(120));
 
-    let rec = sc.world.metrics();
-    let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(1));
+    let rec = sc.world.registry();
+    let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(1));
     let steady = mean_over(&tp, SimTime::from_secs(60), SimTime::from_secs(115));
     let (up_cores, flexible) = match layout {
         CoreLayout::Shared { .. } => (0, true),

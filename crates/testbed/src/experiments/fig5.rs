@@ -51,8 +51,8 @@ pub fn run(seed: u64, duration: SimDuration) -> Fig5Result {
 
     let host = sc.agws[0].host;
     let cpu = cpu_percent(&sc.world, host, "all");
-    let rec = sc.world.metrics();
-    let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(1));
+    let rec = sc.world.registry();
+    let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(1));
 
     // Attach window: last successful attach completion.
     let attach_window_s = rec
@@ -138,9 +138,9 @@ mod tests {
         let cfg = ScenarioConfig::new(5).with_agw(AgwSpec::bare_metal(site));
         let mut sc = build(cfg);
         sc.world.run_until(SimTime::from_secs(90));
-        let rec = sc.world.metrics();
-        assert_eq!(rec.counter("agw0.attach.accept"), 30.0);
-        let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(1));
+        let rec = sc.world.registry();
+        assert_eq!(rec.counter("agw0.mme.attach_accept"), 30.0);
+        let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(1));
         let steady = mean_over(&tp, SimTime::from_secs(50), SimTime::from_secs(85));
         assert!((steady - 45.0).abs() < 5.0, "steady={steady}");
     }

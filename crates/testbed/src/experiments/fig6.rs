@@ -55,7 +55,7 @@ pub fn run_point(seed: u64, rate: f64) -> Fig6Point {
     let duration = 60.0 + 30.0;
     sc.world
         .run_until(SimTime::from_secs(duration as u64));
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     Fig6Point {
         attach_rate: rate,
         csr: overall_csr(rec, "ran"),

@@ -33,10 +33,14 @@ pub fn run_point(seed: u64, n_agws: usize) -> ScalingPoint {
     }
     let mut sc = build(cfg);
     sc.world.run_until(SimTime::from_secs(60));
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     let mut aggregate = 0.0;
     for a in 0..n_agws {
-        let tp = throughput_mbps(rec, &format!("agw{a}.tp_bytes"), SimDuration::from_secs(1));
+        let tp = throughput_mbps(
+            rec,
+            &format!("agw{a}.dataplane.tp_bytes"),
+            SimDuration::from_secs(1),
+        );
         aggregate += mean_over(&tp, SimTime::from_secs(30), SimTime::from_secs(55));
     }
     ScalingPoint {

@@ -24,9 +24,9 @@ fn run_site(seed: u64, name: &str, site: SiteSpec, duration_s: u64) -> WorkloadP
     let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(site));
     let mut sc = build(cfg);
     sc.world.run_until(SimTime::from_secs(duration_s));
-    let rec = sc.world.metrics();
-    let attaches = rec.counter("agw0.attach.accept");
-    let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(1));
+    let rec = sc.world.registry();
+    let attaches = rec.counter("agw0.mme.attach_accept");
+    let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(1));
     let mean_mbps = if tp.is_empty() {
         0.0
     } else {

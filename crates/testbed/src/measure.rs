@@ -2,7 +2,7 @@
 //! throughput series, and CPU utilization — the metrics the paper's
 //! figures plot.
 
-use magma_sim::{Recorder, SimDuration, SimTime, World};
+use magma_sim::{Registry, SimDuration, SimTime, World};
 
 /// The paper's CSR definition (§4.2): connection attempts that succeed
 /// over total attempts made, per five-second bin, binned by *attempt*
@@ -27,47 +27,38 @@ impl CsrBin {
     }
 }
 
-/// Compute CSR bins from the RAN metrics (prefix `"ran"` by default).
-pub fn csr_bins(rec: &Recorder, prefix: &str) -> Vec<CsrBin> {
-    let ok = rec.series(&format!("{prefix}.attach_ok_at"));
-    let fail = rec.series(&format!("{prefix}.attach_fail_at"));
-    let ok_bins = ok.map(|s| s.bin_sum(CSR_BIN)).unwrap_or_default();
-    let fail_bins = fail.map(|s| s.bin_sum(CSR_BIN)).unwrap_or_default();
-    let n = ok_bins.len().max(fail_bins.len());
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        // `attach_ok_at` stores latency values; count points per bin
-        // instead of summing. Recount from the raw series.
-        let start = SimTime(i as u64 * CSR_BIN.as_micros());
-        let end = SimTime((i as u64 + 1) * CSR_BIN.as_micros());
-        let count_in = |name: &str| -> usize {
-            rec.series(name)
-                .map(|s| {
-                    s.points
-                        .iter()
-                        .filter(|(t, _)| *t >= start.as_micros() && *t < end.as_micros())
-                        .count()
-                })
-                .unwrap_or(0)
+/// Compute CSR bins from the RAN series (prefix `"ran"` by default),
+/// counting each series' points into their attempt-time bins in one pass.
+pub fn csr_bins(reg: &Registry, prefix: &str) -> Vec<CsrBin> {
+    let w = CSR_BIN.as_micros();
+    let mut out: Vec<CsrBin> = Vec::new();
+    for (suffix, success) in [("attach_ok_at", 1), ("attach_fail_at", 0)] {
+        let Some(s) = reg.series(&format!("{prefix}.{suffix}")) else {
+            continue;
         };
-        let successes = count_in(&format!("{prefix}.attach_ok_at"));
-        let failures = count_in(&format!("{prefix}.attach_fail_at"));
-        out.push(CsrBin {
-            start,
-            attempts: successes + failures,
-            successes,
-        });
+        for &(t, _) in &s.points {
+            let i = (t / w) as usize;
+            while out.len() <= i {
+                out.push(CsrBin {
+                    start: SimTime(out.len() as u64 * w),
+                    attempts: 0,
+                    successes: 0,
+                });
+            }
+            out[i].attempts += 1;
+            out[i].successes += success;
+        }
     }
     out
 }
 
 /// Overall CSR across the run.
-pub fn overall_csr(rec: &Recorder, prefix: &str) -> f64 {
-    let ok = rec
+pub fn overall_csr(reg: &Registry, prefix: &str) -> f64 {
+    let ok = reg
         .series(&format!("{prefix}.attach_ok_at"))
         .map(|s| s.len())
         .unwrap_or(0);
-    let fail = rec
+    let fail = reg
         .series(&format!("{prefix}.attach_fail_at"))
         .map(|s| s.len())
         .unwrap_or(0);
@@ -79,8 +70,8 @@ pub fn overall_csr(rec: &Recorder, prefix: &str) -> f64 {
 }
 
 /// Median CSR over non-empty bins (Figure 8's metric).
-pub fn median_csr(rec: &Recorder, prefix: &str) -> f64 {
-    let mut rates: Vec<f64> = csr_bins(rec, prefix)
+pub fn median_csr(reg: &Registry, prefix: &str) -> f64 {
+    let mut rates: Vec<f64> = csr_bins(reg, prefix)
         .into_iter()
         .filter(|b| b.attempts > 0)
         .map(|b| b.rate())
@@ -93,8 +84,8 @@ pub fn median_csr(rec: &Recorder, prefix: &str) -> f64 {
 }
 
 /// Throughput series in Mbit/s from a bytes-forwarded series.
-pub fn throughput_mbps(rec: &Recorder, series: &str, bin: SimDuration) -> Vec<(SimTime, f64)> {
-    rec.series(series)
+pub fn throughput_mbps(reg: &Registry, series: &str, bin: SimDuration) -> Vec<(SimTime, f64)> {
+    reg.series(series)
         .map(|s| {
             s.bin_rate_per_sec(bin)
                 .into_iter()
@@ -131,8 +122,8 @@ pub fn cpu_percent(world: &World, host: magma_sim::HostId, group: &str) -> Vec<(
 }
 
 /// Mean attach latency in seconds.
-pub fn mean_attach_latency(rec: &Recorder, prefix: &str) -> f64 {
-    rec.series(&format!("{prefix}.attach_ok_at"))
+pub fn mean_attach_latency(reg: &Registry, prefix: &str) -> f64 {
+    reg.series(&format!("{prefix}.attach_ok_at"))
         .map(|s| s.mean())
         .unwrap_or(0.0)
 }
@@ -143,7 +134,7 @@ mod tests {
 
     #[test]
     fn csr_bins_count_by_attempt_time() {
-        let mut rec = Recorder::new();
+        let mut rec = Registry::new();
         // Two successes in bin 0, one failure in bin 0, one failure bin 1.
         rec.record("ran.attach_ok_at", SimTime::from_secs(1), 0.5);
         rec.record("ran.attach_ok_at", SimTime::from_secs(2), 0.7);
@@ -159,8 +150,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_recorder_is_perfect_csr() {
-        let rec = Recorder::new();
+    fn empty_registry_is_perfect_csr() {
+        let rec = Registry::new();
         assert_eq!(overall_csr(&rec, "ran"), 1.0);
         assert_eq!(median_csr(&rec, "ran"), 1.0);
         assert!(csr_bins(&rec, "ran").is_empty());
@@ -168,7 +159,7 @@ mod tests {
 
     #[test]
     fn throughput_conversion() {
-        let mut rec = Recorder::new();
+        let mut rec = Registry::new();
         // 1.25 MB in one second = 10 Mbit/s.
         rec.record("tp", SimTime::from_millis(100), 625_000.0);
         rec.record("tp", SimTime::from_millis(600), 625_000.0);

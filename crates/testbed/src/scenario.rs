@@ -312,7 +312,6 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
             enb_cfg.ue_attach_timeout = spec.site.ue_attach_timeout;
             enb_cfg.reattach = spec.site.reattach;
             enb_cfg.session_lifetime_s = spec.site.session_lifetime_s;
-            enb_cfg.metrics_prefix = "ran".to_string();
             let enb = world.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));
             world.set_component(enb, &site);
             enbs.push(enb);

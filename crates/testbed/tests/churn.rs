@@ -36,9 +36,9 @@ fn churn_does_not_leak_sessions_or_ips() {
     let mut sc = churning_site();
     sc.world.run_until(SimTime::from_secs(300));
 
-    let rec = sc.world.metrics();
-    let attaches = rec.counter("agw0.attach.accept");
-    let detaches = rec.counter("agw0.detach");
+    let rec = sc.world.registry();
+    let attaches = rec.counter("agw0.mme.attach_accept");
+    let detaches = rec.counter("agw0.mme.detach");
     // ~12 UEs cycling every ~15s+backoff over 300s ⇒ many full cycles.
     assert!(attaches > 100.0, "many attach cycles: {attaches}");
     assert!(detaches > 90.0, "matching detaches: {detaches}");
@@ -74,9 +74,9 @@ fn detach_is_acknowledged_and_ue_goes_idle() {
     let cfg = ScenarioConfig::new(20).with_agw(AgwSpec::bare_metal(site));
     let mut sc = build(cfg);
     sc.world.run_until(SimTime::from_secs(60));
-    let rec = sc.world.metrics();
-    assert_eq!(rec.counter("agw0.attach.accept"), 3.0);
-    assert_eq!(rec.counter("agw0.detach"), 3.0);
+    let rec = sc.world.registry();
+    assert_eq!(rec.counter("agw0.mme.attach_accept"), 3.0);
+    assert_eq!(rec.counter("agw0.mme.detach"), 3.0);
     assert_eq!(sc.agws[0].handle.borrow().active_sessions, 0);
     // Attached gauge returned to zero.
     let attached_last = rec
@@ -106,13 +106,14 @@ fn a_northbound_write_does_not_fail_later_reattaches() {
         .upsert_subscriber(own.with_ambr(magma_policy::Ambr::new(30_000, 5_000)));
     sc.world.run_until(SimTime::from_secs(300));
 
-    let rec = sc.world.metrics();
-    assert_eq!(rec.counter("agw0.config.push"), 1.0, "both writes, one push");
+    let rec = sc.world.registry();
+    let pushes = rec.series("agw0.config.push").map(|s| s.len()).unwrap_or(0);
+    assert_eq!(pushes, 1, "both writes, one push");
     assert_eq!(
         sc.agws[0].handle.borrow().last_db_version,
         sc.orc8r.borrow().db.version
     );
-    assert!(rec.counter("agw0.attach.accept") > 100.0);
+    assert!(rec.counter("agw0.mme.attach_accept") > 100.0);
     assert_eq!(sc.world.registry().counter("ran.attach_fail"), 0.0);
 }
 
@@ -141,13 +142,17 @@ fn a_checkin_pulled_snapshot_does_not_fail_later_reattaches() {
     );
     sc.world.run_until(SimTime::from_secs(300));
 
-    let rec = sc.world.metrics();
-    assert_eq!(rec.counter("agw0.config.sync"), 1.0, "pulled at check-in");
-    assert_eq!(rec.counter("agw0.config.push"), 0.0);
+    let rec = sc.world.registry();
+    let syncs = rec.series("agw0.config.sync").map(|s| s.len()).unwrap_or(0);
+    assert_eq!(syncs, 1, "pulled at check-in");
+    assert_eq!(
+        rec.series("agw0.config.push").map(|s| s.len()).unwrap_or(0),
+        0
+    );
     assert_eq!(
         sc.agws[0].handle.borrow().last_db_version,
         sc.orc8r.borrow().db.version
     );
-    assert!(rec.counter("agw0.attach.accept") > 100.0);
+    assert!(rec.counter("agw0.mme.attach_accept") > 100.0);
     assert_eq!(sc.world.registry().counter("ran.attach_fail"), 0.0);
 }

@@ -25,7 +25,7 @@ fn five_ues_attach_and_push_traffic() {
     let mut sc = build(cfg);
     sc.world.run_until(SimTime::from_secs(60));
 
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     // All five attach attempts succeed.
     let ok = rec
         .series("ran.attach_ok_at")
@@ -35,10 +35,10 @@ fn five_ues_attach_and_push_traffic() {
     assert_eq!(overall_csr(rec, "ran"), 1.0);
 
     // The AGW served the attaches.
-    assert_eq!(rec.counter("agw0.attach.accept"), 5.0);
+    assert_eq!(rec.counter("agw0.mme.attach_accept"), 5.0);
 
     // Traffic flows: 5 UEs × 1.575 Mbit/s ≈ 7.9 Mbit/s steady state.
-    let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(1));
+    let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(1));
     let late: Vec<f64> = tp
         .iter()
         .filter(|(t, _)| *t >= SimTime::from_secs(30) && *t < SimTime::from_secs(55))
@@ -76,9 +76,12 @@ fn unknown_subscriber_rejected() {
     // first check-in/push, which precedes the first attach at ~500ms only
     // if the push wins the race — run and verify rejects dominate.
     sc.world.run_until(SimTime::from_secs(40));
-    let rec = sc.world.metrics();
-    let rejects = rec.counter("agw0.attach.reject");
+    let rec = sc.world.registry();
+    let rejects = rec.counter("agw0.mme.attach_reject");
     assert!(rejects >= 2.0, "rejects={rejects}");
+    // The shipped counter includes admission rejects: it equals the
+    // rejects the UEs saw.
+    assert_eq!(rejects, rec.counter("ran.attach_fail"));
 }
 
 #[test]
@@ -89,7 +92,7 @@ fn deterministic_across_runs() {
         sc.world.run_until(SimTime::from_secs(30));
         (
             sc.world.events_processed(),
-            sc.world.metrics().counter("agw0.attach.accept"),
+            sc.world.registry().counter("agw0.mme.attach_accept"),
         )
     };
     assert_eq!(run(), run());

@@ -61,14 +61,14 @@ fn federated_attach_via_mno_hss() {
     w.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));
 
     w.run_until(SimTime::from_secs(40));
-    let rec = w.metrics();
+    let rec = w.registry();
     let ok = rec.series("ran.attach_ok_at").map(|s| s.len()).unwrap_or(0);
     assert_eq!(ok, 4, "all roaming UEs attach via the FeG");
-    assert_eq!(rec.counter("agw0.attach.accept"), 4.0);
+    assert_eq!(rec.counter("agw0.mme.attach_accept"), 4.0);
 
     // Local breakout: traffic flows through the AGW's own data plane.
     let tp: f64 = rec
-        .series("agw0.tp_bytes")
+        .series("agw0.dataplane.tp_bytes")
         .map(|s| s.values().sum())
         .unwrap_or(0.0);
     assert!(tp > 1_000_000.0, "user plane stays local, got {tp}");
@@ -111,12 +111,12 @@ fn federated_attach_fails_for_unknown_roamer() {
     w.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));
 
     w.run_until(SimTime::from_secs(40));
-    let rec = w.metrics();
+    let rec = w.registry();
     assert_eq!(
         rec.series("ran.attach_ok_at").map(|s| s.len()).unwrap_or(0),
         0
     );
-    assert!(rec.counter("agw0.attach.reject") >= 2.0);
+    assert!(rec.counter("agw0.mme.attach_reject") >= 2.0);
 }
 
 #[test]

@@ -70,15 +70,18 @@ fn main() {
     println!("AccessParks-style site: 4 WiFi APs backhauled by one AGW\n");
     w.run_until(SimTime::from_secs(60));
 
-    let rec = w.metrics();
-    let authed = rec.series("wifi.ap_authed").map(|s| s.len()).unwrap_or(0);
+    let rec = w.registry();
+    let authed = rec
+        .series("ran.wifi.ap_authed")
+        .map(|s| s.len())
+        .unwrap_or(0);
     println!("APs authenticated via RADIUS : {authed}/4");
     println!(
-        "AGW wifi.accept counter      : {}",
-        rec.counter("agw0.wifi.accept")
+        "AGW wifi.accept count        : {}",
+        rec.series("agw0.wifi.accept").map(|s| s.len()).unwrap_or(0)
     );
     let total_bytes: f64 = rec
-        .series("agw0.tp_bytes")
+        .series("agw0.dataplane.tp_bytes")
         .map(|s| s.values().sum())
         .unwrap_or(0.0);
     println!(

@@ -61,13 +61,13 @@ fn main() {
 
     println!("neutral host: micro-operator AGW ↔ FeG ↔ incumbent MNO HSS\n");
     w.run_until(SimTime::from_secs(45));
-    let rec = w.metrics();
+    let rec = w.registry();
     println!(
         "roaming attaches accepted (auth proxied over S6a): {}",
-        rec.counter("agw0.attach.accept")
+        rec.counter("agw0.mme.attach_accept")
     );
     let mb: f64 = rec
-        .series("agw0.tp_bytes")
+        .series("agw0.dataplane.tp_bytes")
         .map(|s| s.values().sum::<f64>() / 1e6)
         .unwrap_or(0.0);
     println!("user traffic broken out locally at the AGW: {mb:.1} MB\n");

@@ -23,14 +23,14 @@ fn main() {
     println!("deploying: 1 orchestrator, 1 AGW, 1 eNodeB, 8 UEs…");
     d.world.run_until(SimTime::from_secs(60));
 
-    let rec = d.world.metrics();
+    let rec = d.world.registry();
     println!("\n== results after 60 simulated seconds ==");
     println!("connection success rate : {:.3}", overall_csr(rec, "ran"));
     println!(
         "attaches accepted       : {}",
-        rec.counter("agw0.attach.accept")
+        rec.counter("agw0.mme.attach_accept")
     );
-    let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(1));
+    let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(1));
     let steady: f64 =
         tp.iter().rev().take(20).map(|(_, v)| *v).sum::<f64>() / 20.0;
     println!("steady throughput       : {steady:.1} Mbit/s");

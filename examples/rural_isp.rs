@@ -56,7 +56,7 @@ fn main() {
 
     println!("rural site: 1 eNodeB + AGW, satellite backhaul to orc8r");
     d.world.run_until(SimTime::from_secs(90));
-    let csr_1 = overall_csr(d.world.metrics(), "ran");
+    let csr_1 = overall_csr(d.world.registry(), "ran");
     println!("phase 1 (satellite backhaul): CSR = {csr_1:.3}");
 
     // Storm knocks the backhaul out entirely for three minutes.
@@ -65,19 +65,19 @@ fn main() {
     let orc8r_node = d.orc8r_node;
     d.net.set_link_up(agw_node, orc8r_node, false);
     d.world.run_until(SimTime::from_secs(90 + 180));
-    let csr_2 = overall_csr(d.world.metrics(), "ran");
+    let csr_2 = overall_csr(d.world.registry(), "ran");
     println!("phase 2 (headless): CSR = {csr_2:.3} — attaches continued");
 
     d.net.set_link_up(agw_node, orc8r_node, true);
     d.world.run_until(SimTime::from_secs(90 + 180 + 60));
 
-    let rec = d.world.metrics();
+    let rec = d.world.registry();
     println!(
         "\nattaches accepted: {} / rejects: {}",
-        rec.counter("agw0.attach.accept"),
-        rec.counter("agw0.attach.reject")
+        rec.counter("agw0.mme.attach_accept"),
+        rec.counter("agw0.mme.attach_reject")
     );
-    let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(10));
+    let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(10));
     println!("\nsite throughput over time (tiered policy in action):");
     println!("t(s)  Mbit/s");
     for (t, v) in tp.iter().step_by(3) {

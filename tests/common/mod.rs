@@ -77,7 +77,7 @@ impl Actor for TargetEnb {
                             S1apMessage::decode(&m)
                         {
                             let t = ctx.now();
-                            ctx.metrics()
+                            ctx.registry()
                                 .record("test.path_switch_ack", t, mme_ue_id.0 as f64);
                         }
                     }

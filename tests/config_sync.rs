@@ -131,10 +131,13 @@ fn writes_under_loss_and_partition_leave_every_replica_equal_to_the_orchestrator
     assert!(sc.orc8r.borrow().db.version > 400);
 
     assert_replicas_equal_orc8r(&sc);
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     for gw in &sc.agws {
         assert!(
-            rec.counter(&format!("{}.config.push", gw.id)) > 50.0,
+            rec.series(&format!("{}.config.push", gw.id))
+                .map(|s| s.len())
+                .unwrap_or(0)
+                > 50,
             "{}: most writes arrive as pushes",
             gw.id
         );
@@ -189,10 +192,13 @@ fn a_fresh_gateway_and_a_restored_backup_pull_the_full_snapshot() {
     assert_replicas_equal_orc8r(&sc);
     assert_eq!(sc.agws[0].handle.borrow().active_sessions, 0);
     assert_eq!(sc.agws[1].handle.borrow().active_sessions, sessions_before);
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     for gw in &sc.agws {
         assert!(
-            rec.counter(&format!("{}.config.sync", gw.id)) >= 1.0,
+            rec.series(&format!("{}.config.sync", gw.id))
+                .map(|s| s.len())
+                .unwrap_or(0)
+                >= 1,
             "{}: pulled at check-in",
             gw.id
         );
@@ -332,6 +338,7 @@ fn a_gapped_push_is_ignored_and_the_next_checkin_pulls_the_state() {
     assert_eq!(*reported.borrow(), [3, 3]);
     assert_eq!(handle.borrow().last_db_version, 303);
     assert_eq!(replica().subscribers.len(), 10);
-    assert_eq!(w.metrics().counter("agw0.config.push"), 0.0);
-    assert_eq!(w.metrics().counter("agw0.config.sync"), 1.0);
+    let events = |name: &str| w.registry().series(name).map(|s| s.len()).unwrap_or(0);
+    assert_eq!(events("agw0.config.push"), 0);
+    assert_eq!(events("agw0.config.sync"), 1);
 }

@@ -44,8 +44,8 @@ fn gnb_attach_over_ngap_creates_5g_session() {
     w.add_actor(Box::new(EnodebActor::new(cfg, ues)));
 
     w.run_until(SimTime::from_secs(30));
-    let rec = w.metrics();
-    assert_eq!(rec.counter("agw0.attach.accept"), 3.0, "5G attaches accepted");
+    let rec = w.registry();
+    assert_eq!(rec.counter("agw0.mme.attach_accept"), 3.0, "5G attaches accepted");
 
     // Registrations record under the AMF's span, stage-for-stage
     // comparable with the 4G attach span (docs/OBSERVABILITY.md): the
@@ -73,7 +73,7 @@ fn gnb_attach_over_ngap_creates_5g_session() {
 
     // Traffic flows through the same data plane.
     let bytes: f64 = rec
-        .series("agw0.tp_bytes")
+        .series("agw0.dataplane.tp_bytes")
         .map(|s| s.values().sum())
         .unwrap_or(0.0);
     assert!(bytes > 5_000_000.0, "5G user plane active: {bytes}");
@@ -107,7 +107,7 @@ fn lte_only_subscriber_rejected_on_5g() {
     w.add_actor(Box::new(EnodebActor::new(cfg, ues)));
 
     w.run_until(SimTime::from_secs(20));
-    let rec = w.metrics();
-    assert_eq!(rec.counter("agw0.attach.accept"), 0.0);
-    assert!(rec.counter("agw0.attach.reject") >= 1.0);
+    let rec = w.registry();
+    assert_eq!(rec.counter("agw0.mme.attach_accept"), 0.0);
+    assert!(rec.counter("agw0.mme.attach_reject") >= 1.0);
 }

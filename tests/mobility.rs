@@ -25,9 +25,17 @@ fn path_switch_moves_downlink_tunnel() {
     common::add_target_enb(&mut sc, SimTime::from_secs(20), MmeUeId(1));
 
     sc.world.run_until(SimTime::from_secs(40));
-    let rec = sc.world.metrics();
-    assert_eq!(rec.counter("agw0.attach.accept"), 1.0, "UE attached first");
-    assert_eq!(rec.counter("agw0.handover"), 1.0, "path switch handled");
+    let rec = sc.world.registry();
+    assert_eq!(
+        rec.counter("agw0.mme.attach_accept"),
+        1.0,
+        "UE attached first"
+    );
+    assert_eq!(
+        rec.counter("agw0.mme.handover_ok"),
+        1.0,
+        "path switch handled"
+    );
     assert_eq!(
         rec.series("test.path_switch_ack").map(|s| s.len()),
         Some(1),

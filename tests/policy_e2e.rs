@@ -42,8 +42,8 @@ fn tiered_policy_throttles_after_cap() {
     let mut sc = magma::deploy(cfg);
     sc.world.run_until(SimTime::from_secs(120));
 
-    let rec = sc.world.metrics();
-    let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(1));
+    let rec = sc.world.registry();
+    let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(1));
 
     // Phase 1: both UEs at ~8 Mbit/s each (meter-limited, not offered).
     let early = mean_over(&tp, SimTime::from_secs(5), SimTime::from_secs(15));
@@ -79,8 +79,8 @@ fn flat_rate_limit_enforced_per_subscriber() {
         .with_policies(vec![silver], vec!["silver".to_string()]);
     let mut sc = magma::deploy(cfg);
     sc.world.run_until(SimTime::from_secs(60));
-    let rec = sc.world.metrics();
-    let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(1));
+    let rec = sc.world.registry();
+    let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(1));
     let steady = mean_over(&tp, SimTime::from_secs(20), SimTime::from_secs(55));
     // 4 UEs × 2 Mbit/s.
     assert!((steady - 8.0).abs() < 1.5, "metered to plan: {steady:.1}");
@@ -115,8 +115,8 @@ fn policy_update_propagates_and_applies_to_new_sessions() {
         .upsert_policy(PolicyRule::rate_limited("plan", 1_000, 500));
     sc.world.run_until(SimTime::from_secs(120));
 
-    let rec = sc.world.metrics();
-    let tp = throughput_mbps(rec, "agw0.tp_bytes", SimDuration::from_secs(1));
+    let rec = sc.world.registry();
+    let tp = throughput_mbps(rec, "agw0.dataplane.tp_bytes", SimDuration::from_secs(1));
     // First UE (old limit) ~30 Mbit/s early.
     let early = mean_over(&tp, SimTime::from_secs(5), SimTime::from_secs(15));
     assert!(early > 20.0, "first UE unthrottled early: {early:.1}");
@@ -128,5 +128,5 @@ fn policy_update_propagates_and_applies_to_new_sessions() {
         late < 33.0 && late > 28.0,
         "old session at 30, new session at 1: {late:.1}"
     );
-    assert_eq!(rec.counter("agw0.attach.accept"), 2.0);
+    assert_eq!(rec.counter("agw0.mme.attach_accept"), 2.0);
 }

@@ -204,7 +204,7 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
         checkpoint::from_wire(stored.clone()),
         Ok((runtime_only, sqn_marks))
     );
-    let attached_before_crash = sc.world.metrics().counter("agw0.attach.accept");
+    let attached_before_crash = sc.world.registry().counter("agw0.mme.attach_accept");
     sc.world.crash(sc.agws[0].actor);
     sc.world.crash(sc.agws[0].stack);
     drop(agw);
@@ -235,15 +235,22 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
     assert_eq!(auth_failures, 0);
 
     // Every kind of change happened …
-    let rec = sc.world.metrics();
+    let rec = sc.world.registry();
     assert!(attached_before_crash > 10.0, "attach churn");
     assert!(
-        rec.counter("agw0.attach.accept") > attached_before_crash + 10.0,
+        rec.counter("agw0.mme.attach_accept") > attached_before_crash + 10.0,
         "UEs re-attached onto the restored instance"
     );
-    assert!(rec.counter("agw0.detach") > 5.0, "detach churn");
-    assert_eq!(rec.counter("agw0.handover"), 1.0, "path switch handled");
-    assert_eq!(rec.counter("agw0.wifi.accept"), 1.0);
+    assert!(rec.counter("agw0.mme.detach") > 5.0, "detach churn");
+    assert_eq!(
+        rec.counter("agw0.mme.handover_ok"),
+        1.0,
+        "path switch handled"
+    );
+    assert_eq!(
+        rec.series("agw0.wifi.accept").map(|s| s.len()).unwrap_or(0),
+        1
+    );
     assert!(seen.handed_over && seen.blocked && seen.throttled);
     {
         let orc8r = sc.orc8r.borrow();

@@ -63,7 +63,7 @@ fn orc8r_crash_and_restart_preserves_state_and_resyncs() {
     assert!(sc.orc8r.borrow().journal.len() > journal_before);
 
     // Attaches were never disturbed (they are AGW-local).
-    assert_eq!(overall_csr(sc.world.metrics(), "ran"), 1.0);
+    assert_eq!(overall_csr(sc.world.registry(), "ran"), 1.0);
 
     // The AGW resynced to the post-restart config.
     assert!(

@@ -67,11 +67,14 @@ fn build(password_ok: bool) -> Rig {
 fn ap_authenticates_and_traffic_flows() {
     let mut rig = build(true);
     rig.world.run_until(SimTime::from_secs(30));
-    let rec = rig.world.metrics();
-    assert_eq!(rec.counter("agw0.wifi.accept"), 1.0);
+    let rec = rig.world.registry();
+    assert_eq!(
+        rec.series("agw0.wifi.accept").map(|s| s.len()).unwrap_or(0),
+        1
+    );
     assert_eq!(rig.handle.borrow().active_sessions, 1);
     let bytes: f64 = rec
-        .series("agw0.tp_bytes")
+        .series("agw0.dataplane.tp_bytes")
         .map(|s| s.values().sum())
         .unwrap_or(0.0);
     // ~12 Mbit/s for ~29 s.
@@ -89,9 +92,12 @@ fn ap_authenticates_and_traffic_flows() {
 fn wrong_password_rejected() {
     let mut rig = build(false);
     rig.world.run_until(SimTime::from_secs(10));
-    let rec = rig.world.metrics();
-    assert_eq!(rec.counter("agw0.wifi.accept"), 0.0);
-    assert!(rec.counter("agw0.wifi.reject") >= 1.0);
+    let rec = rig.world.registry();
+    assert_eq!(
+        rec.series("agw0.wifi.accept").map(|s| s.len()).unwrap_or(0),
+        0
+    );
+    assert!(rec.series("agw0.wifi.reject").map(|s| s.len()).unwrap_or(0) >= 1);
     assert_eq!(rig.handle.borrow().active_sessions, 0);
 }
 
