@@ -1280,15 +1280,20 @@ impl AgwActor {
     fn take_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
         // Drift guard: a session change that forgot to name its sid.
         debug_assert_eq!(self.desired, pipelined::compile(&self.sessions));
-        // Nothing below reads the previous checkpoint; dropping it first
-        // keeps one full copy alive, not two, while this one is built.
-        drop(self.shared.borrow_mut().checkpoint.take());
+        // The previous checkpoint's replica copy is refreshed in place (rows
+        // compared, not versions: attaches move SQNs); the rest of it is
+        // dropped first, so one copy of the sessions is alive, not two. No
+        // previous checkpoint, or one a reader took, means a full copy.
+        let previous = self.shared.borrow_mut().checkpoint.take();
+        let mut db = previous.map(|cp| cp.db).unwrap_or_default();
+        self.db.snapshot_into(&mut db);
+        debug_assert_eq!(db, self.db.snapshot());
         let cp = AgwCheckpoint {
             agw_id: self.cfg.id.clone(),
             taken_at_us: ctx.now().as_micros(),
             sessions: self.sessions.clone(),
             pool: self.pool.clone(),
-            db: self.db.snapshot(),
+            db,
             cert: self.cert,
         };
         // Publish locally (the backup instance's source) and upload the

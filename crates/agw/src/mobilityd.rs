@@ -8,13 +8,27 @@ use magma_wire::{Imsi, UeIp};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Allocation pool for one AGW.
-#[derive(Debug, Clone, PartialEq)]
+/// Allocation pool for one AGW. The free list is implicit: every index
+/// from `next` up, plus the `released` ones below it, so the pool costs
+/// what its leases do, not what its block does (it is cloned into the
+/// checkpoint every second).
+#[derive(Debug, Clone)]
 pub struct IpPool {
     base: u32,
     size: u32,
     allocated: BTreeMap<Imsi, UeIp>,
-    free: BTreeSet<u32>,
+    /// High-water mark: no index at or above it was ever leased.
+    next: u32,
+    /// Indices below `next` that are free again.
+    released: BTreeSet<u32>,
+}
+
+/// Two pools are equal when they hold the same block and leases: the free
+/// list is the rest of the block however it is represented.
+impl PartialEq for IpPool {
+    fn eq(&self, other: &Self) -> bool {
+        (self.base, self.size) == (other.base, other.size) && self.allocated == other.allocated
+    }
 }
 
 /// Largest block a received pool may claim (a /12; gateways own a /16).
@@ -64,27 +78,30 @@ impl TryFrom<Leases> for IpPool {
     type Error = serde::Error;
 
     /// Received leases must lie inside the block, one address each, and
-    /// the block must be one a gateway could own: the free list is built
-    /// address by address, so its size is bounded before it is.
+    /// the block must be one a gateway could own, inside the address
+    /// space: the free indices below the highest lease are built index by
+    /// index, so the block's size is bounded before they are.
     fn try_from(l: Leases) -> Result<Self, serde::Error> {
-        if l.size > MAX_POOL_SIZE {
-            return Err(serde::Error::msg(format!("pool of {} addresses", l.size)));
+        if l.size > MAX_POOL_SIZE || l.base.checked_add(l.size).is_none() {
+            return Err(serde::Error::msg(format!("pool of {} addresses at {}", l.size, l.base)));
         }
-        let mut free: BTreeSet<u32> = (0..l.size).collect();
+        let mut held = BTreeSet::new();
         for ip in l.allocated.values() {
-            let leased = ip.0.checked_sub(l.base).is_some_and(|idx| free.remove(&idx));
-            if !leased {
+            let leased = ip.0.checked_sub(l.base).filter(|&idx| idx < l.size);
+            if !leased.is_some_and(|idx| held.insert(idx)) {
                 return Err(serde::Error::msg(format!(
                     "lease {} outside the pool or held twice",
                     ip.0
                 )));
             }
         }
+        let next = held.last().map_or(0, |&idx| idx + 1);
         Ok(IpPool {
             base: l.base,
             size: l.size,
             allocated: l.allocated,
-            free,
+            next,
+            released: (0..next).filter(|idx| !held.contains(idx)).collect(),
         })
     }
 }
@@ -97,17 +114,25 @@ impl IpPool {
             base,
             size,
             allocated: BTreeMap::new(),
-            free: (0..size).collect(),
+            next: 0,
+            released: BTreeSet::new(),
         }
     }
 
-    /// Allocate (or return the existing lease for) `imsi`.
+    /// Allocate (or return the existing lease for) `imsi`: the lowest free
+    /// address.
     pub fn allocate(&mut self, imsi: Imsi) -> Option<UeIp> {
         if let Some(ip) = self.allocated.get(&imsi) {
             return Some(*ip);
         }
-        let idx = *self.free.iter().next()?;
-        self.free.remove(&idx);
+        let idx = match self.released.pop_first() {
+            Some(idx) => idx,
+            None if self.next < self.size => {
+                self.next += 1;
+                self.next - 1
+            }
+            None => return None,
+        };
         let ip = UeIp(self.base + idx);
         self.allocated.insert(imsi, ip);
         Some(ip)
@@ -115,7 +140,7 @@ impl IpPool {
 
     pub fn release(&mut self, imsi: Imsi) {
         if let Some(ip) = self.allocated.remove(&imsi) {
-            self.free.insert(ip.0 - self.base);
+            self.released.insert(ip.0 - self.base);
         }
     }
 
@@ -128,7 +153,7 @@ impl IpPool {
     }
 
     pub fn available(&self) -> usize {
-        self.free.len()
+        self.released.len() + (self.size - self.next) as usize
     }
 }
 

@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the hot-path kernels the repo benchmark's
 //! `layers` probes do not time: the hinted dataplane reprogram, the
 //! UE side of EPS-AKA, the checkpoint RPC both ways, subscriber
-//! replication (full snapshot vs changes), and registry emission. The
+//! replication (full snapshot vs changes), the local checkpoint's
+//! in-place replica copy, and registry emission. The
 //! rest (kernel ns/event, packet processing, the full `set_desired`
 //! walk, AKA vector generation, the wire codecs, the small RPC frame,
 //! the registry snapshot) are `layers` rows; see `benchmark/`.
@@ -155,6 +156,19 @@ fn subscriber(c: &mut Criterion) {
     let mut g = c.benchmark_group("subscriber");
     g.bench_function("snapshot_560", |b| {
         b.iter(|| std::hint::black_box(db.snapshot()))
+    });
+    // The local checkpoint's copy each second: the held snapshot is
+    // refreshed in place, and one attach moved one row's SQN since.
+    g.bench_function("snapshot_into_560_one_moved", |b| {
+        let mut db = db.clone();
+        let mut held = db.snapshot();
+        let mut sqn = 0;
+        b.iter(|| {
+            sqn += 1;
+            db.seed_sqn_marks([(Imsi::new(310, 26, 280), sqn)].into());
+            db.snapshot_into(&mut held);
+            std::hint::black_box(held.version)
+        })
     });
     g.bench_function("apply_snapshot_560", |b| {
         let snap = db.snapshot();

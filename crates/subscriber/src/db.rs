@@ -198,6 +198,16 @@ impl SubscriberDb {
         }
     }
 
+    /// Make `held` equal to [`snapshot`](Self::snapshot), re-cloning only
+    /// the rows and rules that differ from what it holds: a copy refreshed
+    /// every second mostly finds its rows as they were. Rows are compared,
+    /// not versions — an attach moves a row's SQN and not the version.
+    pub fn snapshot_into(&self, held: &mut DbSnapshot) {
+        held.version = self.version;
+        refresh(&mut held.subscribers, self.subscribers.values());
+        refresh(&mut held.rules, self.catalog.rules.iter());
+    }
+
     /// What changed after version `v`, or `None` when that cannot be said:
     /// `v` is older than the log reaches, or ahead of this database.
     pub fn changes_since(&self, v: u64) -> Option<DbChanges> {
@@ -336,6 +346,23 @@ impl SubscriberDb {
                     self.sqn_marks.insert(imsi, sqn);
                 }
             }
+        }
+    }
+}
+
+/// Make `held` equal to `current`, element by element, cloning only where
+/// they differ.
+fn refresh<'a, T: Clone + PartialEq + 'a>(
+    held: &mut Vec<T>,
+    current: impl ExactSizeIterator<Item = &'a T>,
+) {
+    held.truncate(current.len());
+    held.reserve_exact(current.len() - held.len());
+    for (i, row) in current.enumerate() {
+        match held.get_mut(i) {
+            Some(h) if h == row => {}
+            Some(h) => *h = row.clone(),
+            None => held.push(row.clone()),
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests on the subscriber database: snapshot/replication
 //! fidelity and version monotonicity under arbitrary mutation sequences,
-//! and the changeset held against the full snapshot it stands in for.
+//! the changeset held against the full snapshot it stands in for, and a
+//! snapshot refreshed in place held against a fresh one.
 
 use magma_policy::PolicyRule;
-use magma_subscriber::{DbSync, SubscriberDb, SubscriberProfile};
+use magma_subscriber::{DbSnapshot, DbSync, SubscriberDb, SubscriberProfile};
 use magma_wire::aka::Rand;
 use magma_wire::Imsi;
 use proptest::prelude::*;
@@ -39,6 +40,65 @@ fn apply(db: &mut SubscriberDb, op: &Op, salt: u32) {
             (r as u32 + 1) * 1000 + salt,
             500,
         )),
+    }
+}
+
+/// One step in the life of a gateway's replica `db`, fed by `orc8r`.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A northbound write at the orchestrator.
+    Orc8r(Op),
+    /// A write straight into the replica.
+    Local(Op),
+    /// What the orchestrator sends the replica: changes or full.
+    Sync,
+    /// The full snapshot, however close the log reaches.
+    SyncFull,
+    Attach(u64),
+    Seed(u64, u64),
+    /// Refresh the held snapshots.
+    Refresh,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        arb_op().prop_map(Step::Orc8r),
+        arb_op().prop_map(Step::Orc8r),
+        arb_op().prop_map(Step::Local),
+        Just(Step::Sync),
+        Just(Step::SyncFull),
+        (1u64..40).prop_map(Step::Attach),
+        (1u64..40).prop_map(Step::Attach),
+        ((1u64..60), (1u64..20)).prop_map(|(n, sqn)| Step::Seed(n, sqn)),
+        Just(Step::Refresh),
+    ]
+}
+
+fn take(orc8r: &mut SubscriberDb, db: &mut SubscriberDb, step: &Step, salt: u32) {
+    match step {
+        Step::Orc8r(op) => apply(orc8r, op, salt),
+        Step::Local(op) => apply(db, op, salt),
+        Step::Sync => {
+            if let Some(sync) = orc8r.sync_since(db.version) {
+                db.apply_sync(sync);
+            }
+        }
+        Step::SyncFull => {
+            db.apply_sync(DbSync::Full(orc8r.snapshot()));
+        }
+        Step::Attach(n) => {
+            db.generate_auth_vector(Imsi::new(310, 26, *n), Rand([*n as u8; 16]));
+        }
+        Step::Seed(n, sqn) => db.seed_sqn_marks([(Imsi::new(310, 26, *n), *sqn)].into()),
+        Step::Refresh => {}
+    }
+}
+
+/// Refresh each held snapshot in place; each must then be `db`'s own.
+fn refresh_all(db: &SubscriberDb, held: &mut [DbSnapshot]) {
+    for snap in held {
+        db.snapshot_into(snap);
+        assert_eq!(*snap, db.snapshot());
     }
 }
 
@@ -179,6 +239,48 @@ proptest! {
         let mut replica2 = SubscriberDb::new();
         replica2.apply_snapshot(back);
         prop_assert_eq!(&replica2, &db);
+    }
+
+    /// Any history of writes, syncs, attaches and seeded marks: refreshing a
+    /// held snapshot in place yields exactly `snapshot()`, whether it starts
+    /// empty, as an earlier snapshot of the same database, or as one of an
+    /// unrelated database — including when only SQNs moved since it was
+    /// taken, which leaves the version where it was.
+    #[test]
+    fn snapshot_into_is_the_snapshot(
+        unrelated in proptest::collection::vec(arb_op(), 0..40),
+        before in proptest::collection::vec(arb_step(), 0..40),
+        steps in proptest::collection::vec(arb_step(), 1..120),
+        attaches in proptest::collection::vec(1u64..40, 1..20),
+    ) {
+        let mut other = SubscriberDb::new();
+        for (i, op) in unrelated.iter().enumerate() {
+            apply(&mut other, op, 7_000 + i as u32);
+        }
+        let mut orc8r = SubscriberDb::new();
+        let mut db = SubscriberDb::new();
+        for (i, step) in before.iter().enumerate() {
+            take(&mut orc8r, &mut db, step, i as u32);
+        }
+        let mut held = [DbSnapshot::default(), db.snapshot(), other.snapshot()];
+        for (i, step) in steps.iter().enumerate() {
+            take(&mut orc8r, &mut db, step, 1_000 + i as u32);
+            if matches!(step, Step::Refresh) {
+                refresh_all(&db, &mut held);
+            }
+        }
+        refresh_all(&db, &mut held);
+
+        // Only SQNs move: the version stands, the rows do not.
+        let version = db.version;
+        let mut moved = false;
+        for &n in &attaches {
+            let imsi = Imsi::new(310, 26, n);
+            moved |= db.generate_auth_vector(imsi, Rand([n as u8; 16])).is_some();
+        }
+        prop_assert_eq!(db.version, version);
+        prop_assert_eq!(held[1] != db.snapshot(), moved);
+        refresh_all(&db, &mut held);
     }
 
     /// Auth vectors from a replica verify against UE credentials with the

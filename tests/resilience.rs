@@ -5,6 +5,7 @@
 
 use magma::prelude::*;
 use magma::testbed::overall_csr;
+use magma_agw::AgwActor;
 use magma_orc8r::Orc8rActor;
 use magma_net::{ports, NetStack};
 
@@ -233,4 +234,89 @@ fn local_checkpoint_carries_the_sqn_attaches_advanced() {
         sqn2.iter().any(|(imsi, s)| sqn1.get(imsi).is_some_and(|s1| s > s1)),
         "re-attaches moved SQNs while the version stood still"
     );
+}
+
+/// Headless restart from the checkpoint the gateway published locally
+/// (§3.2, §3.3): with the backhaul down, re-attaches move SQNs while the
+/// configuration version stands still; then the gateway dies and a backup
+/// comes up from its local checkpoint, replica and all, still headless.
+/// The backup keeps the sessions, and every UE that re-attaches to it
+/// passes AKA. A replica copy reused because the version had not moved
+/// would hand the backup stale SQNs, and those UEs would refuse its
+/// challenges.
+#[test]
+fn headless_restart_from_the_local_checkpoint_keeps_sessions_and_sqns() {
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 10,
+        attach_rate_per_sec: 2.0,
+        reattach: true,
+        session_lifetime_s: Some((3, 6)),
+        ..SiteSpec::typical()
+    };
+    let mut sc = magma::deploy(ScenarioConfig::new(21).with_agw(AgwSpec::bare_metal(site)));
+    let accepted =
+        |sc: &magma::testbed::Scenario| sc.world.registry().counter("agw0.mme.attach_accept");
+    sc.world.run_until(SimTime::from_secs(8));
+    let version = sc.agws[0].handle.borrow().last_db_version;
+    assert_eq!(version, sc.orc8r.borrow().db.version, "the replica holds the configuration");
+    sc.net.set_link_up(sc.agws[0].node, sc.orc8r_node, false);
+    let accepted_connected = accepted(&sc);
+
+    sc.world.run_until(SimTime::from_secs(20));
+    // Crash within a millisecond of a checkpoint: a UE challenged between
+    // the copy and the crash holds an SQN no checkpoint saw, and would
+    // refuse the backup's first challenge whatever the copy.
+    let last = sc.agws[0].handle.borrow().checkpoint.as_ref().map(|cp| cp.taken_at_us);
+    let local = loop {
+        sc.world.run_for(SimDuration::from_millis(1));
+        let cp = sc.agws[0].handle.borrow().checkpoint.clone().expect("checkpointed");
+        if Some(cp.taken_at_us) != last {
+            break cp;
+        }
+    };
+    assert_eq!(local.db.version, version, "no configuration arrives headless");
+    assert!(
+        accepted(&sc) > accepted_connected + 5.0,
+        "headless re-attaches moved SQNs while the version stood still"
+    );
+    assert!(!local.sessions.is_empty());
+
+    // The machine dies; 2 s later the backup comes up from the local
+    // checkpoint, with the backhaul still down.
+    let agw = &sc.agws[0];
+    sc.world.crash(agw.actor);
+    sc.world.crash(agw.stack);
+    sc.world.run_for(SimDuration::from_secs(2));
+    let agw = &sc.agws[0];
+    sc.world
+        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.handle())));
+    let sessions = local.sessions.len();
+    let mut backup = AgwActor::restore(agw.cfg.clone(), agw.handle.clone(), local);
+    backup.set_up_cores(agw.up_cores);
+    sc.world.restart(agw.actor, Box::new(backup));
+    let restored_at = sc.world.now();
+    sc.world.run_for(SimDuration::from_millis(100));
+    assert_eq!(
+        sc.agws[0].handle.borrow().active_sessions,
+        sessions,
+        "the backup holds the checkpoint's sessions"
+    );
+
+    // The eNodeB finds the dead association and reconnects; its UEs then
+    // re-attach to the backup, every one of them passing AKA.
+    let accepted_restored = accepted(&sc);
+    sc.world.run_until(SimTime::from_secs(120));
+    assert!(
+        accepted(&sc) > accepted_restored + 10.0,
+        "UEs re-attached headless to the backup"
+    );
+    let auth_failures = sc
+        .world
+        .events()
+        .iter()
+        .filter(|e| e.at >= restored_at)
+        .filter(|e| e.fields.get("cause").is_some_and(|c| c == "AuthFailure"))
+        .count();
+    assert_eq!(auth_failures, 0, "no re-attach was refused for its SQN");
 }
