@@ -35,7 +35,7 @@ use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket}
 use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::{Guti, Imsi, Teid};
 use rand::RngCore;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 // Timer tags.
 const T_FLUID: u64 = 1;
@@ -149,6 +149,10 @@ pub struct AgwActor {
     mme_queue: VecDeque<MmeWork>,
     // User plane.
     pending_demands: Vec<FluidDemand>,
+    /// Per RAN element, each TEID it last demanded for with its session
+    /// cookie (`u64::MAX`: none). Cleared on every change to the TEID →
+    /// session index, so a plan whose TEIDs match a demand resolves it.
+    up_plans: BTreeMap<ActorId, Vec<(Teid, u64)>>,
     up_inflight_bytes: u64,
     up_cores: u32,
     /// In-flight per-tick forwarding batches, keyed by batch id. The
@@ -164,6 +168,8 @@ pub struct AgwActor {
     feg: Option<RpcClient>,
     cert: Option<u64>,
     calls: BTreeMap<u64, CallKind>,
+    /// Sessions with a `CallKind::Credit` call in `calls`.
+    credit_inflight: BTreeSet<u64>,
     // WiFi accounting: session id by RADIUS Acct-Session-Id.
     wifi_sessions: BTreeMap<String, u64>,
 }
@@ -244,6 +250,7 @@ impl AgwActor {
             mme_inflight: 0,
             mme_queue: VecDeque::new(),
             pending_demands: Vec::new(),
+            up_plans: BTreeMap::new(),
             up_inflight_bytes: 0,
             up_cores: 1,
             up_batches: BTreeMap::new(),
@@ -253,6 +260,7 @@ impl AgwActor {
             feg: None,
             cert,
             calls: BTreeMap::new(),
+            credit_inflight: BTreeSet::new(),
             wifi_sessions: BTreeMap::new(),
         }
     }
@@ -734,6 +742,7 @@ impl AgwActor {
         let (sid, replaced) = self
             .sessions
             .create(imsi, tech, ue_ip, ul_teid, Teid(0), rule, ctx.now());
+        self.up_plans.clear();
 
         let m = self.metric("sessiond.attach");
         ctx.registry().counter_add(&m, 1.0);
@@ -765,6 +774,7 @@ impl AgwActor {
             if let Some(client) = self.orc8r.as_mut() {
                 let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
                 self.calls.insert(id, CallKind::Credit { session: sid });
+                self.credit_inflight.insert(sid);
             }
         }
         self.reprogram_dataplane(ctx, &[sid, replaced.unwrap_or(sid)]);
@@ -868,6 +878,7 @@ impl AgwActor {
     /// Remove a session, reporting any outstanding online credit.
     fn finish_session(&mut self, ctx: &mut Ctx<'_>, sid: u64) {
         if let Some(s) = self.sessions.remove(sid) {
+            self.up_plans.clear();
             let m = self.metric("sessiond.closed");
             ctx.registry().counter_add(&m, 1.0);
             if let Some(credit) = &s.credit {
@@ -971,6 +982,7 @@ impl AgwActor {
                                 rule,
                                 ctx.now(),
                             );
+                            self.up_plans.clear();
                             if let Some(sess_id) = pkt.get(attr::ACCT_SESSION_ID) {
                                 self.wifi_sessions.insert(sess_id.as_str(), sid);
                             } else {
@@ -1048,19 +1060,20 @@ impl AgwActor {
         let now = ctx.now();
         let demands = std::mem::take(&mut self.pending_demands);
         if !demands.is_empty() {
-            // Map TEIDs to session cookies.
+            // Map TEIDs to session cookies: a RAN's plan holds while it
+            // demands for the same TEIDs and no session came or went.
             let mut by_cookie: Vec<(u64, u64, u64)> = Vec::new();
-            let mut cookie_to_ran: Vec<(u64, usize, usize, Teid)> = Vec::new();
-            for (di, d) in demands.iter().enumerate() {
-                for (ti, &(teid, ul, dl)) in d.demands.iter().enumerate() {
-                    let cookie = self
-                        .sessions
-                        .by_ul_teid(teid)
-                        .map(|s| s.id)
-                        .unwrap_or(u64::MAX);
-                    by_cookie.push((cookie, ul, dl));
-                    cookie_to_ran.push((cookie, di, ti, teid));
+            for d in &demands {
+                let resolve = |&(t, ..): &(Teid, u64, u64)| {
+                    (t, self.sessions.by_ul_teid(t).map_or(u64::MAX, |s| s.id))
+                };
+                let plan = self.up_plans.entry(d.from_ran).or_default();
+                if !plan.iter().map(|p| p.0).eq(d.demands.iter().map(|x| x.0)) {
+                    *plan = d.demands.iter().map(resolve).collect();
                 }
+                debug_assert_eq!(*plan, d.demands.iter().map(resolve).collect::<Vec<_>>());
+                let plan = plan.iter().zip(&d.demands);
+                by_cookie.extend(plan.map(|(&(_, c), &(_, ul, dl))| (c, ul, dl)));
             }
             let result = self.pipeline.fluid_tick(now, &by_cookie);
             let m = self.metric("dataplane.ul_bytes");
@@ -1096,25 +1109,25 @@ impl AgwActor {
                 self.up_overloaded = false;
             }
             if total > 0 || !result.grants.is_empty() {
-                // Build per-RAN grant lists and session usage.
-                let mut grants_by_ran: RanGrants = demands
-                    .iter()
-                    .map(|d| (d.from_ran, Vec::new()))
-                    .collect();
+                // Build per-RAN grant lists and session usage; grants come
+                // back in demand order.
+                let mut grants = result.grants.iter();
                 let mut session_usage = Vec::new();
-                for (&(cookie, ul, dl), &(c2, di, _ti, teid)) in
-                    result.grants.iter().zip(&cookie_to_ran)
-                {
-                    debug_assert_eq!(cookie, c2);
-                    let ul = (ul as f64 * scale) as u64;
-                    let dl = (dl as f64 * scale) as u64;
-                    if let Some((_, lst)) = grants_by_ran.get_mut(di) {
-                        lst.push((teid, ul, dl));
-                    }
-                    if cookie != u64::MAX && (ul > 0 || dl > 0) {
-                        session_usage.push((cookie, ul, dl));
-                    }
-                }
+                let grants_by_ran: RanGrants = demands
+                    .iter()
+                    .map(|d| {
+                        let lst = d.demands.iter().zip(grants.by_ref());
+                        let lst = lst.map(|(&(teid, ..), &(cookie, ul, dl))| {
+                            let ul = (ul as f64 * scale) as u64;
+                            let dl = (dl as f64 * scale) as u64;
+                            if cookie != u64::MAX && (ul > 0 || dl > 0) {
+                                session_usage.push((cookie, ul, dl));
+                            }
+                            (teid, ul, dl)
+                        });
+                        (d.from_ran, lst.collect())
+                    })
+                    .collect();
                 let batch = UpBatch {
                     grants_by_ran,
                     session_usage,
@@ -1204,16 +1217,17 @@ impl AgwActor {
                 credit_requests.push(cookie);
             }
         }
+        let credit = self.calls.values().filter_map(|k| match k {
+            CallKind::Credit { session } => Some(*session),
+            _ => None,
+        });
+        debug_assert_eq!(self.credit_inflight, credit.collect());
         for sid in credit_requests {
             let Some(s) = self.sessions.get(sid) else {
                 continue;
             };
             // Only one outstanding credit call per session.
-            if self
-                .calls
-                .values()
-                .any(|k| matches!(k, CallKind::Credit { session } if *session == sid))
-            {
+            if self.credit_inflight.contains(&sid) {
                 continue;
             }
             let req = orc8r_proto::CreditRequest {
@@ -1223,6 +1237,7 @@ impl AgwActor {
             if let Some(client) = self.orc8r.as_mut() {
                 let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
                 self.calls.insert(id, CallKind::Credit { session: sid });
+                self.credit_inflight.insert(sid);
             }
         }
         if !reprogram.is_empty() {
@@ -1342,6 +1357,7 @@ impl AgwActor {
                             }
                         }
                         CallKind::Credit { session } => {
+                            self.credit_inflight.remove(&session);
                             if let Ok(resp) =
                                 serde_json::from_value::<orc8r_proto::CreditResponse>(body)
                             {
@@ -1374,6 +1390,7 @@ impl AgwActor {
                         // tolerated; we keep serving from the replica.
                         CallKind::Checkin | CallKind::Bootstrap => {}
                         CallKind::Credit { session } => {
+                            self.credit_inflight.remove(&session);
                             // CAP trade-off (§3.2): allow the session to
                             // run on stale credit rather than blocking on
                             // an unreachable OCS.

@@ -21,7 +21,8 @@ pub struct FluidDemand {
 }
 
 /// Bytes actually forwarded for each tunnel this tick (after meters,
-/// credit blocks, and CPU capacity).
+/// credit blocks, and CPU capacity). One grant per entry of the
+/// [`FluidDemand`] it answers, in that demand's order.
 #[derive(Debug, Clone)]
 pub struct FluidGrant {
     pub grants: Vec<(Teid, u64, u64)>,

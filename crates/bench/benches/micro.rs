@@ -1,5 +1,6 @@
 //! Micro-benchmarks for the hot-path kernels the repo benchmark's
 //! `layers` probes do not time: the hinted dataplane reprogram, the
+//! fluid tick with its demand resolution memoised and rebuilt, the
 //! UE side of EPS-AKA, the checkpoint RPC both ways, subscriber
 //! replication (full snapshot vs changes), the local checkpoint's
 //! in-place replica copy, and registry emission. The
@@ -58,6 +59,38 @@ fn dataplane(c: &mut Criterion) {
             desired.programs.insert(250, session_program(250, Teid(9000 + flip)));
             p.set_desired_for(&desired, [250]);
             std::hint::black_box(p.reconcile_ops)
+        })
+    });
+    // One AGW tick of Figure 5's site: 288 sessions at 1.5 Mbit/s down.
+    // `steady` is the usual tick, whose cookie → slot resolution is the
+    // last tick's; `after_change` installs or removes a fluid-only
+    // session (no rules, no meters) before each tick, so every tick
+    // re-resolves its demands. The difference is the rebuild.
+    let demands: Vec<(u64, u64, u64)> = (0..288).map(|i| (i, 937, 18_750)).collect();
+    let mut now = SimTime::ZERO;
+    g.bench_function("fluid_tick_288_steady", |b| {
+        let mut p = Pipeline::new();
+        p.set_desired(&sessions(288));
+        b.iter(|| {
+            now += SimDuration::from_millis(100);
+            std::hint::black_box(p.fluid_tick(now, &demands).total_dl)
+        })
+    });
+    g.bench_function("fluid_tick_288_after_change", |b| {
+        let mut desired = sessions(288);
+        let mut p = Pipeline::new();
+        p.set_desired(&desired);
+        let extra = SessionProgram {
+            fluid: session_program(288, Teid(0)).fluid,
+            ..SessionProgram::default()
+        };
+        b.iter(|| {
+            if desired.programs.remove(&288).is_none() {
+                desired.programs.insert(288, extra.clone());
+            }
+            p.set_desired_for(&desired, [288]);
+            now += SimDuration::from_millis(100);
+            std::hint::black_box(p.fluid_tick(now, &demands).total_dl)
         })
     });
     g.finish();

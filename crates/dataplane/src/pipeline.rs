@@ -107,6 +107,15 @@ fn table_of(r: &FlowRule) -> usize {
     (r.table as usize).min(MAX_TABLES - 1)
 }
 
+/// One installed fluid entry with what its tick touches.
+struct FluidSlot {
+    entry: FluidEntry,
+    /// Bytes granted to the entry: the fluid share of its cookie's stats.
+    bytes: u64,
+    /// `entry.rule_name`'s index in `Pipeline::usage`.
+    usage: usize,
+}
+
 /// The programmable software data plane.
 pub struct Pipeline {
     /// Rules by value in match order: priority descending, then cookie,
@@ -114,9 +123,18 @@ pub struct Pipeline {
     tables: Vec<Vec<(u32, FlowRule)>>,
     installed: BTreeMap<u64, Installed>,
     meters: MeterTable,
-    fluid: BTreeMap<u64, FluidEntry>,
+    /// Fluid entries by cookie, as indices into the dense `slots`.
+    fluid: BTreeMap<u64, usize>,
+    slots: Vec<Option<FluidSlot>>,
+    free_slots: Vec<usize>,
+    /// The last demand vector's cookies, each with its slot. Cleared
+    /// whenever a slot is allocated or freed.
+    memo: Vec<(u64, Option<usize>)>,
+    /// Packet-path counters; the fluid bytes live in the slots.
     stats: BTreeMap<u64, RuleStats>,
-    usage: BTreeMap<String, Usage>,
+    /// Rule names, interned into indices of `usage`.
+    usage_ix: BTreeMap<String, usize>,
+    usage: Vec<Usage>,
     pub drops_no_match: u64,
     pub drops_metered: u64,
     pub drops_explicit: u64,
@@ -138,8 +156,12 @@ impl Pipeline {
             installed: BTreeMap::new(),
             meters: MeterTable::new(),
             fluid: BTreeMap::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            memo: Vec::new(),
             stats: BTreeMap::new(),
-            usage: BTreeMap::new(),
+            usage_ix: BTreeMap::new(),
+            usage: Vec::new(),
             drops_no_match: 0,
             drops_metered: 0,
             drops_explicit: 0,
@@ -229,11 +251,30 @@ impl Pipeline {
 
         // Fluid entry; a session that loses it loses its counters too.
         if let Some(e) = &want.fluid {
-            if self.fluid.get(&cookie) != Some(e) {
-                self.fluid.insert(cookie, e.clone());
+            match self.fluid.get(&cookie) {
+                Some(&i) => {
+                    let slot = self.slots[i].as_mut().expect("indexed slot is live");
+                    if slot.entry != *e {
+                        slot.usage = usage_index(&mut self.usage_ix, &mut self.usage, &e.rule_name);
+                        slot.entry.clone_from(e);
+                    }
+                }
+                None => {
+                    let usage = usage_index(&mut self.usage_ix, &mut self.usage, &e.rule_name);
+                    let i = self.free_slots.pop().unwrap_or_else(|| {
+                        self.slots.push(None);
+                        self.slots.len() - 1
+                    });
+                    self.slots[i] = Some(FluidSlot { entry: e.clone(), bytes: 0, usage });
+                    self.fluid.insert(cookie, i);
+                    self.memo.clear();
+                }
             }
         } else {
-            if self.fluid.remove(&cookie).is_some() {
+            if let Some(i) = self.fluid.remove(&cookie) {
+                self.slots[i] = None;
+                self.free_slots.push(i);
+                self.memo.clear();
                 self.stats.remove(&cookie);
             }
             if had.slots.is_empty() && had.meters.is_empty() {
@@ -257,16 +298,22 @@ impl Pipeline {
 
     /// Usage accounted against a policy rule name.
     pub fn usage(&self, rule: &str) -> Usage {
-        self.usage.get(rule).copied().unwrap_or_default()
+        self.usage_ix.get(rule).map_or_else(Usage::default, |&i| self.usage[i])
     }
 
     /// Reset usage for a rule (after reporting to the quota manager).
     pub fn take_usage(&mut self, rule: &str) -> Usage {
-        self.usage.remove(rule).unwrap_or_default()
+        self.usage_ix
+            .get(rule)
+            .map_or_else(Usage::default, |&i| std::mem::take(&mut self.usage[i]))
     }
 
     pub fn stats(&self, cookie: u64) -> RuleStats {
-        self.stats.get(&cookie).copied().unwrap_or_default()
+        let mut s = self.stats.get(&cookie).copied().unwrap_or_default();
+        if let Some(slot) = self.fluid.get(&cookie).and_then(|&i| self.slots[i].as_ref()) {
+            s.bytes += slot.bytes;
+        }
+        s
     }
 
     /// Export the pipeline's operational state into a metric registry
@@ -336,7 +383,8 @@ impl Pipeline {
                         }
                     }
                     FlowAction::CountUsage { rule: name } => {
-                        let u = self.usage.entry(name.clone()).or_default();
+                        let i = usage_index(&mut self.usage_ix, &mut self.usage, name);
+                        let u = &mut self.usage[i];
                         match pkt.direction {
                             Some(Direction::Downlink) => u.dl_bytes += pkt.size as u64,
                             _ => u.ul_bytes += pkt.size as u64,
@@ -371,48 +419,57 @@ impl Pipeline {
     /// Fluid-mode processing: apply each session's demanded bytes through
     /// its meters and account usage. Sessions not in the desired state get
     /// nothing (no session ⇒ no bearer).
+    ///
+    /// A RAN's demand vector changes only when a session comes or goes,
+    /// so the cookie → slot resolution is memoised: it is reused while the
+    /// cookies are the last call's and no fluid entry came or went.
     pub fn fluid_tick(
         &mut self,
         now: SimTime,
         demands: &[(u64, u64, u64)],
     ) -> FluidTickResult {
-        let mut out = FluidTickResult::default();
-        for &(cookie, ul_want, dl_want) in demands {
-            let Some(entry) = self.fluid.get(&cookie) else {
+        let resolve = |d: &(u64, u64, u64)| (d.0, self.fluid.get(&d.0).copied());
+        if !self.memo.iter().map(|m| m.0).eq(demands.iter().map(|d| d.0)) {
+            self.memo = demands.iter().map(resolve).collect();
+        }
+        debug_assert!(self.memo.iter().copied().eq(demands.iter().map(resolve)));
+        let mut out = FluidTickResult {
+            grants: Vec::with_capacity(demands.len()),
+            ..Default::default()
+        };
+        for (&(cookie, ul_want, dl_want), &(_, slot)) in demands.iter().zip(&self.memo) {
+            let Some(slot) = slot.and_then(|i| self.slots[i].as_mut()) else {
                 out.grants.push((cookie, 0, 0));
                 continue;
             };
-            let ul = match entry.ul_meter {
+            let ul = match slot.entry.ul_meter {
                 Some(m) => self.meters.grant(m, now, ul_want),
                 None => ul_want,
             };
-            let dl = match entry.dl_meter {
+            let dl = match slot.entry.dl_meter {
                 Some(m) => self.meters.grant(m, now, dl_want),
                 None => dl_want,
             };
-            // Look up by reference first: the rule-name String is cloned
-            // only the first time a name is seen, not once per session per
-            // tick (this was the dominant allocation in the attach-storm
-            // profile; see docs/PROFILING.md).
-            match self.usage.get_mut(&entry.rule_name) {
-                Some(u) => {
-                    u.ul_bytes += ul;
-                    u.dl_bytes += dl;
-                }
-                None => {
-                    let u = self.usage.entry(entry.rule_name.clone()).or_default();
-                    u.ul_bytes += ul;
-                    u.dl_bytes += dl;
-                }
-            }
-            let s = self.stats.entry(cookie).or_default();
-            s.bytes += ul + dl;
+            let u = &mut self.usage[slot.usage];
+            u.ul_bytes += ul;
+            u.dl_bytes += dl;
+            slot.bytes += ul + dl;
             out.grants.push((cookie, ul, dl));
             out.total_ul += ul;
             out.total_dl += dl;
         }
         out
     }
+}
+
+/// `name`'s index in `usage`, interning it on first sight.
+fn usage_index(ix: &mut BTreeMap<String, usize>, usage: &mut Vec<Usage>, name: &str) -> usize {
+    if let Some(&i) = ix.get(name) {
+        return i;
+    }
+    usage.push(Usage::default());
+    ix.insert(name.to_string(), usage.len() - 1);
+    usage.len() - 1
 }
 
 /// Build the standard rule set for one attached UE session.

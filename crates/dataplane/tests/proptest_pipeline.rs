@@ -1,11 +1,12 @@
 //! Property tests on the data-plane pipeline: no panics on arbitrary
-//! rules/packets, desired-state idempotence, meter conservation, and the
-//! hinted apply ≡ the full apply ≡ the whole-table diff it replaced.
+//! rules/packets, desired-state idempotence, meter conservation, the
+//! hinted apply ≡ the full apply ≡ the whole-table diff it replaced, and
+//! the memoised fluid slots ≡ the per-tick map lookups they replaced.
 
 use magma_dataplane::{
-    session_rules, DesiredState, Direction, FlowAction, FlowMatch, FlowRule, FluidEntry, MeterId,
-    MeterSpec, MeterTable, PacketMeta, Pipeline, PortId, SessionProgram, Verdict,
-    TABLE_CLASSIFIER,
+    session_rules, DesiredState, Direction, DropReason, FlowAction, FlowMatch, FlowRule,
+    FluidEntry, FluidTickResult, MeterId, MeterSpec, MeterTable, PacketMeta, Pipeline, PortId,
+    RuleStats, SessionProgram, Usage, Verdict, TABLE_CLASSIFIER,
 };
 use magma_sim::SimTime;
 use magma_wire::{Teid, UeIp};
@@ -190,15 +191,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// The reconciliation `Pipeline::set_desired` performed before the state
 /// was keyed, kept as the oracle for `reconcile_ops` and for which token
 /// buckets survive: flat vectors, whole-table `contains` diff both ways,
-/// meters by id.
+/// meters by id. It also keeps the fluid, stats and usage state as
+/// `Pipeline` kept it before the dense fluid slots: one `BTreeMap` lookup
+/// of each per demand per tick, usage keyed by rule name.
 #[derive(Default)]
 struct WholeTableDiff {
+    /// Per table, in match order (a stable sort by priority keeps the
+    /// cookie-then-position order of the walk over the programs).
     tables: Vec<Vec<FlowRule>>,
     meter_specs: BTreeMap<MeterId, MeterSpec>,
     meters: MeterTable,
     fluid: BTreeMap<u64, FluidEntry>,
-    /// Fluid bytes per cookie (`RuleStats::bytes`; the probes are empty).
-    stat_bytes: BTreeMap<u64, u64>,
+    stats: BTreeMap<u64, RuleStats>,
+    usage: BTreeMap<String, Usage>,
     reconcile_ops: u64,
 }
 
@@ -209,8 +214,8 @@ impl WholeTableDiff {
             new_tables[(r.table as usize).min(7)].push(r.clone());
         }
         self.tables.resize(8, Vec::new());
-        for (old, new) in self.tables.iter_mut().zip(new_tables) {
-            // (The sort by priority is left out: `contains` ignores order.)
+        for (old, mut new) in self.tables.iter_mut().zip(new_tables) {
+            new.sort_by_key(|r| std::cmp::Reverse(r.priority));
             let removed = old.iter().filter(|r| !new.contains(r)).count();
             let added = new.iter().filter(|r| !old.contains(r)).count();
             self.reconcile_ops += (removed + added) as u64;
@@ -246,25 +251,71 @@ impl WholeTableDiff {
             .filter_map(|p| p.fluid.clone())
             .map(|e| (e.cookie, e))
             .collect();
-        self.stat_bytes
+        self.stats
             .retain(|cookie, _| new_fluid.contains_key(cookie) || !self.fluid.contains_key(cookie));
         self.fluid = new_fluid;
     }
 
-    /// The grants `Pipeline::fluid_tick` owes for `demands`.
-    fn grants(&mut self, now: SimTime, demands: &[(u64, u64, u64)]) -> Vec<(u64, u64, u64)> {
-        let mut out = Vec::new();
+    /// What `Pipeline::fluid_tick` owes for `demands`.
+    fn fluid_tick(&mut self, now: SimTime, demands: &[(u64, u64, u64)]) -> FluidTickResult {
+        let mut out = FluidTickResult::default();
         for &(cookie, ul, dl) in demands {
             let Some(e) = self.fluid.get(&cookie) else {
-                out.push((cookie, 0, 0));
+                out.grants.push((cookie, 0, 0));
                 continue;
             };
             let ul = e.ul_meter.map_or(ul, |m| self.meters.grant(m, now, ul));
             let dl = e.dl_meter.map_or(dl, |m| self.meters.grant(m, now, dl));
-            *self.stat_bytes.entry(cookie).or_default() += ul + dl;
-            out.push((cookie, ul, dl));
+            let u = self.usage.entry(e.rule_name.clone()).or_default();
+            u.ul_bytes += ul;
+            u.dl_bytes += dl;
+            self.stats.entry(cookie).or_default().bytes += ul + dl;
+            out.grants.push((cookie, ul, dl));
+            out.total_ul += ul;
+            out.total_dl += dl;
         }
         out
+    }
+
+    /// `Pipeline::process`'s walk over the flat tables (the session
+    /// programs it is given never loop, so the hop limit is left out).
+    fn process(&mut self, mut pkt: PacketMeta, now: SimTime) -> Verdict {
+        let (mut table, mut tunnel) = (0, None);
+        loop {
+            let Some(rule) = self.tables.get(table).and_then(|t| t.iter().find(|r| r.m.matches(&pkt))) else {
+                return Verdict::Dropped(DropReason::NoMatch);
+            };
+            let s = self.stats.entry(rule.cookie).or_default();
+            s.packets += 1;
+            s.bytes += pkt.size as u64;
+            let mut next = None;
+            for action in &rule.actions {
+                match action {
+                    FlowAction::PopGtp => pkt.tun_id = None,
+                    FlowAction::PushGtp(t) => tunnel = Some(*t),
+                    FlowAction::SetDirection(d) => pkt.direction = Some(*d),
+                    FlowAction::Meter(id) => {
+                        if !self.meters.conform(*id, now, pkt.size) {
+                            return Verdict::Dropped(DropReason::Metered);
+                        }
+                    }
+                    FlowAction::CountUsage { rule } => {
+                        let u = self.usage.entry(rule.clone()).or_default();
+                        match pkt.direction {
+                            Some(Direction::Downlink) => u.dl_bytes += pkt.size as u64,
+                            _ => u.ul_bytes += pkt.size as u64,
+                        }
+                    }
+                    FlowAction::GotoTable(t) => next = Some(*t as usize),
+                    FlowAction::Output(port) => return Verdict::Out { port: *port, tunnel },
+                    FlowAction::Drop => return Verdict::Dropped(DropReason::ExplicitDrop),
+                }
+            }
+            match next {
+                Some(t) => table = t,
+                None => return Verdict::Dropped(DropReason::NoMatch),
+            }
+        }
     }
 }
 
@@ -474,11 +525,149 @@ proptest! {
             // a wrongly re-installed meter grants its whole burst.
             let granted = hinted.fluid_tick(now, &demands);
             prop_assert_eq!(&granted, &full.fluid_tick(now, &demands));
-            prop_assert_eq!(granted.grants, old.grants(now, &demands), "step {}", step);
+            prop_assert_eq!(granted.grants, old.fluid_tick(now, &demands).grants, "step {}", step);
             for id in 0..SESSIONS + 1 {
                 prop_assert_eq!(hinted.stats(id), full.stats(id));
-                prop_assert_eq!(hinted.stats(id).bytes, old.stat_bytes.get(&id).copied().unwrap_or(0));
+                prop_assert_eq!(hinted.stats(id).bytes, old.stats.get(&id).map_or(0, |s| s.bytes));
                 prop_assert_eq!(hinted.stats(id + 100), full.stats(id + 100));
+            }
+        }
+    }
+}
+
+// ---- fluid slots ≡ the per-tick map lookups they replaced ----
+
+const NAMES: [&str; 3] = ["default", "gold", "r"];
+
+/// One session's program as the fluid test installs it: metered or not
+/// (two meter id sets, so an install can move its meters), accounted
+/// against one of `NAMES`, or blocked (drop rules, no fluid entry).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Install {
+    meters: Option<(u32, u64)>,
+    name: usize,
+    blocked: bool,
+}
+
+fn fluid_program(id: u64, at: Install) -> SessionProgram {
+    if at.blocked {
+        return program_of(id, &Sess { dl_teid: 0, limit_kbps: None, blocked: true });
+    }
+    let name = NAMES[at.name];
+    let ids = at.meters.map(|(set, kbps)| {
+        let base = id as u32 * 4 + set * 2;
+        ((MeterId(base), MeterId(base + 1)), kbps)
+    });
+    let (ulm, dlm) = (ids.map(|((u, _), _)| u), ids.map(|((_, d), _)| d));
+    SessionProgram {
+        rules: session_rules(id, ip_of(id), Teid(id as u32), Teid(100 + id as u32), ulm, dlm, name),
+        meters: ids
+            .iter()
+            .flat_map(|&((u, d), k)| [u, d].map(|id| MeterSpec { id, rate_bps: k * 1000, burst_bytes: k * 10 }))
+            .collect(),
+        fluid: Some(FluidEntry { cookie: id, ul_meter: ulm, dl_meter: dlm, rule_name: name.to_string() }),
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Demands {
+    Repeat,
+    Reverse,
+    Rotate(usize),
+    /// Cookies up to `SESSIONS + 2`: some never installed.
+    New(Vec<(u64, u64, u64)>),
+}
+
+#[derive(Debug, Clone)]
+enum FluidOp {
+    Install(u64, Install),
+    Remove(u64),
+    Tick(Demands),
+    Packet(PacketMeta),
+    TakeUsage(usize),
+}
+
+fn arb_fluid_op() -> impl Strategy<Value = FluidOp> {
+    let install = (
+        proptest::option::of((0u32..2, prop_oneof![Just(64u64), Just(512), Just(4096)])),
+        0..NAMES.len(),
+        (0u8..7).prop_map(|b| b == 0),
+    )
+        .prop_map(|(meters, name, blocked)| Install { meters, name, blocked });
+    let demand = (0..SESSIONS + 3, 0u64..30_000, 0u64..60_000);
+    let packet = (0..SESSIONS as u32, any::<bool>(), 0usize..2000).prop_map(|(id, up, size)| {
+        if up {
+            PacketMeta::uplink(Teid(id), UeIp(id), size)
+        } else {
+            PacketMeta::downlink(UeIp(id), size)
+        }
+    });
+    prop_oneof![
+        (0..SESSIONS, install).prop_map(|(id, at)| FluidOp::Install(id, at)),
+        (0..SESSIONS).prop_map(FluidOp::Remove),
+        Just(FluidOp::Tick(Demands::Repeat)),
+        Just(FluidOp::Tick(Demands::Repeat)),
+        Just(FluidOp::Tick(Demands::Reverse)),
+        (1usize..5).prop_map(|k| FluidOp::Tick(Demands::Rotate(k))),
+        proptest::collection::vec(demand, 0..16).prop_map(|d| FluidOp::Tick(Demands::New(d))),
+        packet.prop_map(FluidOp::Packet),
+        (0..NAMES.len()).prop_map(FluidOp::TakeUsage),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense fluid slots, their memoised demand resolution and the
+    /// interned usage counters grant, count and report exactly what the
+    /// per-tick `BTreeMap` lookups did, over installs, changes (meters,
+    /// rule name) and removals, repeated, reordered and changed demand
+    /// vectors with unknown cookies, packets and usage reports.
+    #[test]
+    fn fluid_slots_equal_the_map_lookups(ops in proptest::collection::vec(arb_fluid_op(), 1..60)) {
+        let (mut p, mut old) = (Pipeline::new(), WholeTableDiff::default());
+        let mut desired = DesiredState::default();
+        let mut demands: Vec<(u64, u64, u64)> = Vec::new();
+        for (step, op) in ops.into_iter().enumerate() {
+            let now = SimTime::from_millis(step as u64 * 100);
+            match op {
+                FluidOp::Install(id, at) => {
+                    desired.programs.insert(id, fluid_program(id, at));
+                    p.set_desired_for(&desired, [id]);
+                    old.set_desired(&desired);
+                }
+                FluidOp::Remove(id) => {
+                    desired.programs.remove(&id);
+                    p.set_desired_for(&desired, [id]);
+                    old.set_desired(&desired);
+                }
+                FluidOp::Tick(shape) => {
+                    match shape {
+                        Demands::Repeat => {}
+                        Demands::Reverse => demands.reverse(),
+                        Demands::Rotate(k) => {
+                            let k = k % demands.len().max(1);
+                            demands.rotate_left(k);
+                        }
+                        Demands::New(d) => demands = d,
+                    }
+                    prop_assert_eq!(p.fluid_tick(now, &demands), old.fluid_tick(now, &demands), "step {}", step);
+                }
+                FluidOp::Packet(pkt) => {
+                    prop_assert_eq!(p.process(pkt, now), old.process(pkt, now), "step {}", step);
+                }
+                FluidOp::TakeUsage(n) => {
+                    let taken = old.usage.remove(NAMES[n]).unwrap_or_default();
+                    prop_assert_eq!(p.take_usage(NAMES[n]), taken, "step {}", step);
+                }
+            }
+            prop_assert_eq!(p.session_count(), old.fluid.len(), "step {}", step);
+            prop_assert_eq!(p.reconcile_ops, old.reconcile_ops, "step {}", step);
+            for id in 0..SESSIONS + 3 {
+                prop_assert_eq!(p.stats(id), old.stats.get(&id).copied().unwrap_or_default(), "step {}", step);
+            }
+            for name in NAMES {
+                prop_assert_eq!(p.usage(name), old.usage.get(name).copied().unwrap_or_default(), "step {}", step);
             }
         }
     }

@@ -102,6 +102,21 @@ struct UeSlot {
     attempt_epoch: u32,
 }
 
+/// The slot holding `teid`, searched forward from `cursor` and then, on
+/// a miss, over all slots; `cursor` moves past the slot found. Grants come
+/// back in demand order, which is slot order, so one message's grants
+/// cost one pass. With one eNB's TEIDs unique the slot is the one a full
+/// scan finds.
+fn slot_of(slots: &[UeSlot], cursor: &mut usize, teid: Teid) -> Option<usize> {
+    let holds = |s: &UeSlot| s.ul_teid == Some(teid);
+    let idx = match slots[*cursor..].iter().position(holds) {
+        Some(k) => *cursor + k,
+        None => slots.iter().position(holds)?,
+    };
+    *cursor = idx + 1;
+    Some(idx)
+}
+
 /// The eNodeB actor.
 pub struct EnodebActor {
     cfg: EnbConfig,
@@ -626,12 +641,9 @@ impl Actor for EnodebActor {
                         // Per-UE no-service detection: a session whose
                         // demands keep being granted zero bytes has lost
                         // its bearer (e.g., the AGW cold-restarted).
+                        let mut cursor = 0;
                         for &(teid, ul, dl) in &grant.grants {
-                            if let Some(idx) = self
-                                .slots
-                                .iter()
-                                .position(|s| s.ul_teid == Some(teid))
-                            {
+                            if let Some(idx) = slot_of(&self.slots, &mut cursor, teid) {
                                 if ul + dl == 0 {
                                     self.slots[idx].starved_ticks += 1;
                                     if self.slots[idx].starved_ticks >= NO_SERVICE_TICKS
@@ -663,5 +675,81 @@ impl Actor for EnodebActor {
 
     fn name(&self) -> String {
         self.cfg.name.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use magma_wire::Imsi;
+
+    /// Slots holding `teids` (`None`: no bearer yet, or lost).
+    fn slots(teids: &[Option<u32>]) -> Vec<UeSlot> {
+        let slot = |(i, t): (usize, &Option<u32>)| UeSlot {
+            ue: UeSim::new(Imsi::new(1, 1, i as u64), 7, i as u64),
+            starved_ticks: 0,
+            mme_ue_id: 0,
+            ul_teid: t.map(Teid),
+            pending_nas: VecDeque::new(),
+            attempt_started: None,
+            attempt_epoch: 0,
+        };
+        teids.iter().enumerate().map(slot).collect()
+    }
+
+    /// Each grant's slot, found by the forward pass or by the `position`
+    /// scan it replaced. A zero grant drops the slot's bearer on the spot,
+    /// as the handler does once a slot has starved long enough, so later
+    /// grants in the same message see the cleared TEID.
+    fn route(slots: &mut [UeSlot], grants: &[(u32, u64)], forward: bool) -> Vec<Option<usize>> {
+        let mut cursor = 0;
+        let mut pick = |slots: &[UeSlot], t: Teid| match forward {
+            true => slot_of(slots, &mut cursor, t),
+            false => slots.iter().position(|s| s.ul_teid == Some(t)),
+        };
+        grants
+            .iter()
+            .map(|&(t, bytes)| {
+                let idx = pick(slots, Teid(t));
+                if let (Some(i), 0) = (idx, bytes) {
+                    slots[i].ul_teid = None;
+                }
+                idx
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forward_pass_picks_the_slot_the_scan_picks() {
+        let teids = [Some(10), None, Some(11), Some(12), None, Some(13), Some(14)];
+        let cases: [&[(u32, u64)]; 5] = [
+            // In demand order, which is slot order.
+            &[(10, 5), (11, 5), (12, 5), (13, 5), (14, 5)],
+            // Interleaved with zero grants, and a TEID asked for again
+            // after its bearer was dropped.
+            &[(10, 0), (11, 5), (12, 0), (12, 5), (13, 0), (14, 5)],
+            // Missing entries and a TEID this eNB never held.
+            &[(10, 5), (99, 5), (13, 5), (14, 0)],
+            // Out of order: the cursor misses and the full scan answers.
+            &[(14, 5), (10, 5), (13, 5), (11, 0), (12, 5), (11, 5)],
+            &[],
+        ];
+        for grants in cases {
+            let scan = route(&mut slots(&teids), grants, false);
+            assert_eq!(route(&mut slots(&teids), grants, true), scan, "{grants:?}");
+        }
+    }
+
+    #[test]
+    fn a_duplicate_teid_is_routed_in_demand_order() {
+        // Slot 2 still holds TEID 10 from before an AGW cold restart, and
+        // the restarted AGW issued 10 again to slot 0. Both demand, in
+        // slot order, so the grant message answers slot 0, then 1, then 2.
+        // The scan gave both TEID-10 grants to slot 0; the forward pass
+        // gives each to the slot whose demand it answers.
+        let teids = [Some(10), Some(11), Some(10)];
+        let grants = [(10, 5), (11, 5), (10, 5)];
+        assert_eq!(route(&mut slots(&teids), &grants, false), [Some(0), Some(1), Some(0)]);
+        assert_eq!(route(&mut slots(&teids), &grants, true), [Some(0), Some(1), Some(2)]);
     }
 }

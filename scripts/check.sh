@@ -22,11 +22,14 @@ echo "==> benchmark contract command (BENCHMARK.json), end-to-end and traced"
 # workload, each of which checks its own outputs (site_sync_up's reads
 # the checkpoint the orchestrator stores), plus the traced form — the
 # `layers` binary, whose probes clone the local checkpoint and its pool
-# and snapshot the replica — on site_sync_up and on the 12-gateway
-# fleet_partition, so a PR that breaks any of them fails now. The last
-# stdout line is the result object; it must say the outputs were correct.
+# and snapshot the replica — on site_sync_up, on the 12-gateway
+# fleet_partition, and on attach_churn, whose session churn rebuilds the
+# fluid tick's demand resolution most often and whose table the
+# `fluid_tick_us` / `set_desired_us` probes then run against, so a PR
+# that breaks any of them fails now. The last stdout line is the result
+# object; it must say the outputs were correct.
 for RUN in "attach_churn 0" "site_sync_up 0" "config_push_down 0" "fleet_partition 0" \
-    "site_sync_up 1" "fleet_partition 1"; do
+    "site_sync_up 1" "fleet_partition 1" "attach_churn 1"; do
     read -r WORKLOAD TRACE <<<"$RUN"
     CONTRACT_OUT="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml \
         --bin magma-benchmark -- --workload "$WORKLOAD" --seed 7 --seconds 2 --trace "$TRACE" \

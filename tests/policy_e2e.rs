@@ -6,6 +6,8 @@
 
 use magma::prelude::*;
 use magma::testbed::{mean_over, throughput_mbps};
+use magma_net::LinkProfile;
+use magma_policy::UsageTracking;
 
 #[test]
 fn tiered_policy_throttles_after_cap() {
@@ -129,4 +131,47 @@ fn policy_update_propagates_and_applies_to_new_sessions() {
         "old session at 30, new session at 1: {late:.1}"
     );
     assert_eq!(rec.counter("agw0.mme.attach_accept"), 2.0);
+}
+
+#[test]
+fn online_credit_refills_keep_prepaid_sessions_served_over_satellite() {
+    // Prepaid over a satellite backhaul: a refill request is in flight
+    // for about six 100 ms ticks, and each of those ticks finds the
+    // session below its refill threshold again. The gateway keeps one
+    // request per session in flight (debug builds check its index of
+    // in-flight credit calls against the calls on every forwarding
+    // batch), and every answer lands before the credit runs out.
+    let mut prepaid = PolicyRule::unrestricted("prepaid");
+    prepaid.tracking = UsageTracking::Online;
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 3,
+        attach_rate_per_sec: 2.0,
+        traffic: TrafficModel {
+            dl_bps: 2_000_000,
+            ul_bps: 0,
+        },
+        ..SiteSpec::typical()
+    };
+    let quota = 200_000;
+    let mut agw = AgwSpec::bare_metal(site);
+    agw.backhaul = LinkProfile::satellite();
+    let mut cfg = ScenarioConfig::new(14)
+        .with_agw(agw)
+        .with_policies(vec![prepaid], vec!["prepaid".to_string()]);
+    cfg.quota_bytes = quota;
+    cfg.prepaid_balance = Some(1_000_000_000);
+    let mut sc = magma::deploy(cfg);
+    sc.world.run_until(SimTime::from_secs(40));
+
+    let cp = sc.agws[0].handle.borrow().checkpoint.clone().expect("checkpoint taken");
+    assert_eq!(cp.sessions.len(), 3);
+    let orc8r = sc.orc8r.borrow();
+    for s in cp.sessions.iter() {
+        let credit = s.credit.as_ref().expect("online session holds credit");
+        assert!(credit.used > 20 * quota, "traffic drew many refills: {}", credit.used);
+        assert!(!s.blocked, "a refill landed before the credit ran out");
+        let reserved = orc8r.ocs.balance(s.imsi).expect("provisioned").reserved_bytes;
+        assert!(reserved >= credit.granted, "every grant the gateway holds was reserved");
+    }
 }
