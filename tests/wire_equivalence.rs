@@ -1,8 +1,10 @@
-//! Every body that rides the RPC wire, taken from a live deployment,
-//! through both directions of the vendored serde: the streamed text must
-//! be the bytes the `Value` tree renders (so the simulated wire did not
-//! move when `magma-rpc` stopped building trees), and the consuming
-//! reader must return what the borrowing reader returns.
+//! Every body that rides the RPC wire, taken from a live deployment: its
+//! streamed text is pinned by length and FNV-1a digest in
+//! `scripts/golden/rpc_bodies.txt`, so the simulated wire cannot move
+//! unnoticed, and the text reads back as the value it was written from.
+//!
+//! To re-baseline after an intentional wire change, delete the golden and
+//! re-run this test: it installs what it computed.
 
 use magma::orc8r::{
     BootstrapRequest, BootstrapResponse, CheckinRequest, CheckinResponse, CheckpointPush,
@@ -12,42 +14,60 @@ use magma::orc8r::{
 use magma::agw::{checkpoint, AgwCheckpoint};
 use magma::prelude::*;
 use magma::rpc::{encode_frame, Framer, RpcFrame};
+use magma::sim::racecheck::fnv_bytes;
 use magma::subscriber::{DbSnapshot, DbSync, SubscriberDb};
 use magma::wire::aka::{Autn, Kasme, Rand, Res};
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
+use std::path::PathBuf;
 
-fn rendered<T: Serialize + ?Sized>(x: &T) -> String {
-    let mut s = String::new();
-    x.to_json().render(&mut s);
-    s
-}
+/// One line per checked body, in the order the test checks them.
+#[derive(Default)]
+struct Pins(Vec<String>);
 
-fn streamed<T: Serialize + ?Sized>(x: &T) -> String {
-    let mut s = String::new();
-    x.write_json(&mut s);
-    s
-}
+impl Pins {
+    /// Pin `x`'s streamed text and read it back; returns the text.
+    fn check<T: Serialize + Deserialize + PartialEq + Debug>(&mut self, x: &T) -> String {
+        let name = std::any::type_name::<T>();
+        let text = serde_json::to_string(x).expect("serializes");
+        self.0.push(format!(
+            "{name} {} {:016x}",
+            text.len(),
+            fnv_bytes(text.as_bytes())
+        ));
+        assert_eq!(
+            serde_json::from_str::<T>(&text).as_ref(),
+            Ok(x),
+            "{name}: round trip"
+        );
+        text
+    }
 
-fn check<T: Serialize + Deserialize + PartialEq + Debug>(x: &T) {
-    let name = std::any::type_name::<T>();
-    assert_eq!(
-        streamed(x),
-        rendered(x),
-        "{name}: write_json vs to_json().render()"
-    );
-    let tree = x.to_json();
-    let owned = T::from_json_owned(tree.clone());
-    assert_eq!(
-        owned,
-        T::from_json(&tree),
-        "{name}: from_json_owned vs from_json"
-    );
-    assert_eq!(owned.as_ref(), Ok(x), "{name}: round trip");
+    /// Compare with the committed golden, or install it when there is none.
+    fn assert_golden(&self) {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../scripts/golden/rpc_bodies.txt");
+        let got = self.0.join("\n") + "\n";
+        match std::fs::read_to_string(&path) {
+            Ok(golden) => {
+                for (i, (want, have)) in golden.lines().zip(got.lines()).enumerate() {
+                    assert_eq!(have, want, "body {i} drifted from {}", path.display());
+                }
+                assert_eq!(
+                    got.lines().count(),
+                    golden.lines().count(),
+                    "number of pinned bodies changed ({})",
+                    path.display()
+                );
+            }
+            Err(_) => std::fs::write(&path, got).expect("install the golden"),
+        }
+    }
 }
 
 #[test]
-fn every_rpc_body_streams_the_bytes_its_tree_renders() {
+fn every_rpc_body_streams_its_pinned_bytes_and_reads_back() {
+    let mut pins = Pins::default();
     // A site busy enough that the session table, the IP pool and the
     // subscriber map all hold integer keys of different widths.
     let site = SiteSpec {
@@ -80,13 +100,13 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
     let events = d.world.events().since(&agw.id, 0, 64);
     assert!(!events.is_empty(), "the gateway logged events");
 
-    check(&cp);
-    check(&cp.sessions);
-    check(&cp.pool);
-    check(&db);
-    check(&snapshot);
+    pins.check(&cp);
+    pins.check(&cp.sessions);
+    pins.check(&cp.pool);
+    pins.check(&db);
+    pins.check(&snapshot);
     for e in &events {
-        check(e);
+        pins.check(e);
     }
 
     // The checkpoint as uploaded: runtime state only, streamed from a
@@ -99,18 +119,16 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
     };
     assert!(sqn.len() >= 20, "every attach advanced an SQN: {}", sqn.len());
     let wire = cp.wire(&sqn);
-    assert_eq!(streamed(&wire), rendered(&wire));
     let push = CheckpointPush {
         agw_id: cp.agw_id.clone(),
-        state: wire.to_json(),
+        state: serde_json::from_str(&serde_json::to_string(&wire).unwrap()).unwrap(),
     };
-    check(&push);
+    let pushed = pins.check(&push);
     let view = CheckpointPushRef {
         agw_id: &cp.agw_id,
         state: &wire,
     };
-    assert_eq!(streamed(&view), rendered(&push));
-    assert_eq!(rendered(&view), rendered(&push));
+    assert_eq!(serde_json::to_string(&view).unwrap(), pushed);
     let stored = d.orc8r.borrow().checkpoints[&agw.id].clone();
     assert_eq!(
         stored, push.state,
@@ -134,15 +152,15 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
         DbSync::Changes(ch) => assert_eq!((ch.subscribers.len(), ch.removed.len()), (1, 1)),
         DbSync::Full(_) => panic!("two versions back is in the log"),
     }
-    check(&changes);
-    check(&DbSync::Full(db.clone()));
+    pins.check(&changes);
+    pins.check(&DbSync::Full(db.clone()));
 
-    check(&BootstrapRequest {
+    pins.check(&BootstrapRequest {
         agw_id: agw.id.clone(),
         hw_token: u64::MAX,
     });
-    check(&BootstrapResponse { cert: 7 });
-    check(&CheckinRequest {
+    pins.check(&BootstrapResponse { cert: 7 });
+    pins.check(&CheckinRequest {
         agw_id: agw.id.clone(),
         cert: 7,
         db_version: db.version,
@@ -154,33 +172,33 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
         ]
         .into(),
     });
-    check(&CheckinResponse {
+    pins.check(&CheckinResponse {
         latest_version: db.version,
         sync: None,
         checkin_interval_s: 60,
     });
-    check(&CheckinResponse {
+    pins.check(&CheckinResponse {
         latest_version: db.version,
         sync: Some(changes),
         checkin_interval_s: 60,
     });
-    check(&CreditRequest {
+    pins.check(&CreditRequest {
         imsi: 310_260_000_000_001,
         session_id: 9,
     });
-    check(&CreditResponse {
+    pins.check(&CreditResponse {
         granted: 1 << 20,
         is_final: false,
         denied: false,
     });
-    check(&CreditReport {
+    pins.check(&CreditReport {
         imsi: 310_260_000_000_001,
         session_id: 10,
         used_bytes: 0,
         released_quota: 5,
     });
-    check(&FegAuthRequest { imsi: 1 });
-    check(&FegAuthResponse {
+    pins.check(&FegAuthRequest { imsi: 1 });
+    pins.check(&FegAuthResponse {
         vectors: vec![FegVector {
             rand: Rand([9; 16]),
             autn: Autn([10; 16]),
@@ -188,11 +206,11 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
             kasme: Kasme([0; 16]),
         }],
     });
-    check(&FegLocationRequest {
+    pins.check(&FegLocationRequest {
         imsi: 1,
         agw_id: agw.id.clone(),
     });
-    check(&FegLocationResponse {
+    pins.check(&FegLocationResponse {
         ok: true,
         ambr_dl_kbps: 100_000,
         ambr_ul_kbps: 9,
@@ -204,16 +222,16 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
         snapshot,
         events,
     };
-    check(&metrics);
-    check(&MetricsAck {
+    pins.check(&metrics);
+    pins.check(&MetricsAck {
         accepted: true,
         last_seq: 3,
     });
 
     // And through the frame layer: a typed body framed by the streaming
-    // encoder is the frame the tree encoder wrote, and reads back whole
-    // when it arrives in segments.
+    // encoder reads back whole when it arrives in segments.
     let frame = RpcFrame::request(11, "metricsd.Push", serde_json::to_value(&metrics).unwrap());
+    pins.check(&frame);
     let wire = encode_frame(&frame);
     let mut framer = Framer::new();
     let mut got = Vec::new();
@@ -226,4 +244,5 @@ fn every_rpc_body_streams_the_bytes_its_tree_renders() {
         serde_json::from_value::<MetricsPush>(body).unwrap(),
         metrics
     );
+    pins.assert_golden();
 }
