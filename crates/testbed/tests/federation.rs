@@ -4,6 +4,7 @@
 
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
 use magma_feg::{FegActor, MnoCoreActor};
+use magma_orc8r::{new_orc8r, Orc8rActor};
 use magma_net::{new_net, Endpoint, LinkProfile, NetStack, ports};
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor, TrafficModel};
 use magma_sim::{HostSpec, SimDuration, SimTime, World};
@@ -125,4 +126,77 @@ fn idle_traffic_model_generates_nothing() {
     let t = TrafficModel::idle();
     assert_eq!(t.demand(1.0), (0, 0));
     let _ = SimDuration::from_secs(1);
+}
+
+/// A federated gateway talks to two peers whose RPC clients number their
+/// calls independently, both from 1. With the orchestrator behind a slow
+/// backhaul, its bootstrap call (id 1) is still in flight when the first
+/// roamer's S6a call to the FeG (also id 1) is made; each answer must
+/// reach the call it answers.
+#[test]
+fn orc8r_and_feg_calls_with_equal_ids_each_get_their_own_answer() {
+    let mut w = World::new(19);
+    let net = new_net();
+    let (agw_node, orc8r_node, feg_node, mno_node, enb_node) = {
+        let mut t = net.borrow_mut();
+        let a = t.add_node("agw");
+        let o = t.add_node("orc8r");
+        let f = t.add_node("feg");
+        let m = t.add_node("mno");
+        let e = t.add_node("enb");
+        let slow = LinkProfile::fiber().with_latency(SimDuration::from_millis(600));
+        t.connect(a, o, slow);
+        t.connect(a, f, LinkProfile::fiber());
+        t.connect(f, m, LinkProfile::fiber());
+        t.connect(e, a, LinkProfile::lan());
+        (a, o, f, m, e)
+    };
+    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
+    let orc8r_stack = w.add_actor(Box::new(NetStack::new(orc8r_node, net.clone())));
+    let feg_stack = w.add_actor(Box::new(NetStack::new(feg_node, net.clone())));
+    let mno_stack = w.add_actor(Box::new(NetStack::new(mno_node, net.clone())));
+    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.clone())));
+
+    let orc8r = new_orc8r(1 << 30);
+    w.add_actor(Box::new(Orc8rActor::new(orc8r.clone(), orc8r_stack, ports::ORC8R)));
+    let mut mno_db = SubscriberDb::new();
+    for i in 1..=4u64 {
+        mno_db.upsert(SubscriberProfile::lte(Imsi::new(310, 26, i), 7, i));
+    }
+    w.add_actor(Box::new(MnoCoreActor::new(mno_stack, mno_db)));
+    w.add_actor(Box::new(FegActor::new(
+        feg_stack,
+        Endpoint::new(mno_node, ports::DIAMETER),
+    )));
+
+    let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
+    let cfg = AgwConfig::new("agw0", host, agw_stack)
+        .with_orc8r(Endpoint::new(orc8r_node, ports::ORC8R))
+        .with_feg(Endpoint::new(feg_node, ports::FEG));
+    let agw = w.add_actor(Box::new(AgwActor::new(cfg, new_agw_handle())));
+
+    let ues = ue_fleet(7, 1, 4, TrafficModel::idle());
+    let mut enb_cfg = EnbConfig::new(1, enb_stack, Endpoint::new(agw_node, ports::S1AP), agw);
+    enb_cfg.attach_rate_per_sec = 4.0;
+    w.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));
+
+    // Connecting and bootstrapping take two round trips (2.4 s), and the
+    // check-in the bootstrap answer starts is received 0.6 s later; the
+    // gateway's own retry would not come before its 5 s check-in timer.
+    w.run_until(SimTime::from_millis(4_500));
+    let rec = w.registry();
+    assert_eq!(
+        rec.counter("agw0.mme.attach_accept"),
+        4.0,
+        "the FeG answers reached the attaches"
+    );
+    assert_eq!(rec.counter("agw0.mme.attach_reject"), 0.0);
+    // The bootstrap answer reached the bootstrap call, so the gateway
+    // holds its cert and has checked in. Had the FeG call displaced the
+    // bootstrap call under their shared id, that answer would have been
+    // dropped and the gateway silent until its next retry.
+    let st = orc8r.borrow();
+    let dev = &st.devices["agw0"];
+    assert!(dev.registered);
+    assert!(dev.checkins >= 1, "no check-in after bootstrap: {dev:?}");
 }
