@@ -52,6 +52,14 @@ const C_MISC: u64 = 4;
 const C_DETACH: u64 = 5;
 const C_HANDOVER: u64 = 6;
 
+/// The peer an RPC client talks to. Each client numbers its calls from 1,
+/// so a call is known by its peer and its id together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Peer {
+    Orc8r,
+    Feg,
+}
+
 /// Which RPC call an outstanding client request belongs to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum CallKind {
@@ -167,8 +175,8 @@ pub struct AgwActor {
     orc8r: Option<RpcClient>,
     feg: Option<RpcClient>,
     cert: Option<u64>,
-    calls: BTreeMap<u64, CallKind>,
-    /// Sessions with a `CallKind::Credit` call in `calls`.
+    calls: BTreeMap<(Peer, u64), CallKind>,
+    /// Sessions with a `CallKind::Credit` call in `calls` (an orc8r call).
     credit_inflight: BTreeSet<u64>,
     // WiFi accounting: session id by RADIUS Acct-Session-Id.
     wifi_sessions: BTreeMap<String, u64>,
@@ -584,7 +592,7 @@ impl AgwActor {
                 // lint:allow(A002, reason = "guarded by cfg.feg.is_some() above; the client is constructed whenever cfg.feg is set")
                 .expect("feg client in federated mode")
                 .call(ctx, &orc8r_proto::flows::FEG_AUTH, req);
-            self.calls.insert(id, CallKind::FegAuth { ue });
+            self.calls.insert((Peer::Feg, id), CallKind::FegAuth { ue });
             return;
         }
         let mut rand = [0u8; 16];
@@ -773,7 +781,7 @@ impl AgwActor {
             };
             if let Some(client) = self.orc8r.as_mut() {
                 let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
-                self.calls.insert(id, CallKind::Credit { session: sid });
+                self.calls.insert((Peer::Orc8r, id), CallKind::Credit { session: sid });
                 self.credit_inflight.insert(sid);
             }
         }
@@ -890,7 +898,7 @@ impl AgwActor {
                 };
                 if let Some(client) = self.orc8r.as_mut() {
                     let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REPORT, report);
-                    self.calls.insert(id, CallKind::CreditReport);
+                    self.calls.insert((Peer::Orc8r, id), CallKind::CreditReport);
                 }
             }
         }
@@ -1217,8 +1225,8 @@ impl AgwActor {
                 credit_requests.push(cookie);
             }
         }
-        let credit = self.calls.values().filter_map(|k| match k {
-            CallKind::Credit { session } => Some(*session),
+        let credit = self.calls.iter().filter_map(|(call, kind)| match (call, kind) {
+            ((Peer::Orc8r, _), CallKind::Credit { session }) => Some(*session),
             _ => None,
         });
         debug_assert_eq!(self.credit_inflight, credit.collect());
@@ -1236,7 +1244,7 @@ impl AgwActor {
             };
             if let Some(client) = self.orc8r.as_mut() {
                 let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
-                self.calls.insert(id, CallKind::Credit { session: sid });
+                self.calls.insert((Peer::Orc8r, id), CallKind::Credit { session: sid });
                 self.credit_inflight.insert(sid);
             }
         }
@@ -1277,7 +1285,7 @@ impl AgwActor {
         };
         if let Some(client) = self.orc8r.as_mut() {
             let id = client.call(ctx, &orc8r_proto::flows::CHECKIN, req);
-            self.calls.insert(id, CallKind::Checkin);
+            self.calls.insert((Peer::Orc8r, id), CallKind::Checkin);
         }
     }
 
@@ -1288,7 +1296,7 @@ impl AgwActor {
         };
         if let Some(client) = self.orc8r.as_mut() {
             let id = client.call(ctx, &orc8r_proto::flows::BOOTSTRAP, req);
-            self.calls.insert(id, CallKind::Bootstrap);
+            self.calls.insert((Peer::Orc8r, id), CallKind::Bootstrap);
         }
     }
 
@@ -1322,18 +1330,18 @@ impl AgwActor {
                     state: &cp.wire(&sqn),
                 };
                 let id = client.call(ctx, &orc8r_proto::flows::CHECKPOINT, push);
-                self.calls.insert(id, CallKind::Checkpoint);
+                self.calls.insert((Peer::Orc8r, id), CallKind::Checkpoint);
             }
         }
         self.shared.borrow_mut().checkpoint = Some(cp);
         ctx.timer_in(self.cfg.checkpoint_interval, T_CHECKPOINT);
     }
 
-    fn handle_rpc_events(&mut self, ctx: &mut Ctx<'_>, peer: &str, events: Vec<RpcClientEvent>) {
+    fn handle_rpc_events(&mut self, ctx: &mut Ctx<'_>, peer: Peer, events: Vec<RpcClientEvent>) {
         for e in events {
             match e {
                 RpcClientEvent::Response { id, body } => {
-                    let Some(kind) = self.calls.remove(&id) else {
+                    let Some(kind) = self.calls.remove(&(peer, id)) else {
                         continue;
                     };
                     match kind {
@@ -1382,7 +1390,7 @@ impl AgwActor {
                     }
                 }
                 RpcClientEvent::Failed { id, .. } => {
-                    let Some(kind) = self.calls.remove(&id) else {
+                    let Some(kind) = self.calls.remove(&(peer, id)) else {
                         continue;
                     };
                     match kind {
@@ -1420,13 +1428,13 @@ impl AgwActor {
                     }
                 }
                 RpcClientEvent::Connected => {
-                    if peer == "orc8r" {
+                    if peer == Peer::Orc8r {
                         let gw = self.cfg.id.clone();
                         ctx.emit_event(&gw, event_kind::ORC8R_CONNECTED, Severity::Info, &[]);
                     }
                 }
                 RpcClientEvent::Disconnected => {
-                    if peer == "orc8r" {
+                    if peer == Peer::Orc8r {
                         let gw = self.cfg.id.clone();
                         ctx.emit_event(&gw, event_kind::ORC8R_DISCONNECTED, Severity::Warning, &[]);
                     }
@@ -1440,7 +1448,7 @@ impl AgwActor {
         let ev = if let Some(client) = self.orc8r.as_mut() {
             match client.try_handle(ctx, ev) {
                 Ok(events) => {
-                    self.handle_rpc_events(ctx, "orc8r", events);
+                    self.handle_rpc_events(ctx, Peer::Orc8r, events);
                     return;
                 }
                 Err(ev) => ev,
@@ -1451,7 +1459,7 @@ impl AgwActor {
         let ev = if let Some(client) = self.feg.as_mut() {
             match client.try_handle(ctx, ev) {
                 Ok(events) => {
-                    self.handle_rpc_events(ctx, "feg", events);
+                    self.handle_rpc_events(ctx, Peer::Feg, events);
                     return;
                 }
                 Err(ev) => ev,
@@ -1591,11 +1599,11 @@ impl Actor for AgwActor {
                 T_RPC => {
                     if let Some(client) = self.orc8r.as_mut() {
                         let evs = client.on_tick(ctx);
-                        self.handle_rpc_events(ctx, "orc8r", evs);
+                        self.handle_rpc_events(ctx, Peer::Orc8r, evs);
                     }
                     if let Some(client) = self.feg.as_mut() {
                         let evs = client.on_tick(ctx);
-                        self.handle_rpc_events(ctx, "feg", evs);
+                        self.handle_rpc_events(ctx, Peer::Feg, evs);
                     }
                     ctx.send_self(&flows::AGW_RPC_TICK, SimDuration::from_millis(250), T_RPC);
                 }
