@@ -227,8 +227,8 @@ pub struct CheckpointPush {
 }
 
 /// A [`CheckpointPush`] the sender streams from state it only borrows:
-/// the same JSON, without cloning the id or rendering the state to a tree
-/// first. Written by hand because the derive takes no lifetimes or type
+/// the same JSON, without cloning the id or building the state's tree.
+/// Written by hand because the derive takes no lifetimes or type
 /// parameters; the orchestrator reads it back as a `CheckpointPush`.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointPushRef<'a, S> {
@@ -237,14 +237,6 @@ pub struct CheckpointPushRef<'a, S> {
 }
 
 impl<S: Serialize> Serialize for CheckpointPushRef<'_, S> {
-    fn to_json(&self) -> serde_json::Value {
-        CheckpointPush {
-            agw_id: self.agw_id.to_string(),
-            state: self.state.to_json(),
-        }
-        .to_json()
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"agw_id\":");
         self.agw_id.write_json(out);
