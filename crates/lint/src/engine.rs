@@ -9,7 +9,7 @@
 
 use crate::flow;
 use crate::lexer;
-use crate::rules::{self, FileCtx, Finding, NameUse, ScopeUse};
+use crate::rules::{self, DocRow, FileCtx, Finding, NameUse, RowType};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -62,6 +62,10 @@ pub struct Report {
     pub allows: Vec<Allow>,
     /// Malformed `lint:allow` comments (never suppressible).
     pub malformed: Vec<(String, u32, String)>,
+    /// Every telemetry name captured at a call site (`--names` prints them).
+    pub uses: Vec<NameUse>,
+    /// Whether `docs/OBSERVABILITY.md` was found (T003 needs it).
+    pub docs_present: bool,
     /// The extracted message-flow graph (F rules, S007, MESSAGE_FLOW.md).
     pub flow: flow::FlowGraph,
     /// Wall-clock self-timing for the run, in milliseconds.
@@ -145,20 +149,6 @@ impl Report {
     }
 }
 
-/// The docs-side metric inventory parsed from `docs/OBSERVABILITY.md`.
-#[derive(Debug, Default)]
-pub struct DocsInventory {
-    /// Normalized entries (`<gw>`/`<stage>` holes become `*`).
-    pub metrics: Vec<(String, u32)>, // (name, docs line)
-    /// `profile_scope` labels: rows whose Type cell is `scope` (T006).
-    pub scopes: Vec<(String, u32)>,
-    /// magma-trace procedure labels: rows whose Type cell is `trace` (T007).
-    pub traces: Vec<(String, u32)>,
-    /// The whole docs text (for event-kind membership checks).
-    pub text: String,
-    pub present: bool,
-}
-
 /// Normalize a docs entry: `<...>` holes become `*`.
 fn normalize_docs_entry(e: &str) -> String {
     let mut out = String::new();
@@ -178,15 +168,11 @@ fn normalize_docs_entry(e: &str) -> String {
     out
 }
 
-/// Parse the inventory table between the `lint:metric-inventory` markers.
-pub fn parse_docs(root: &Path) -> DocsInventory {
-    let path = root.join("docs/OBSERVABILITY.md");
-    let Ok(text) = fs::read_to_string(&path) else {
-        return DocsInventory::default();
-    };
-    let mut metrics = Vec::new();
-    let mut scopes = Vec::new();
-    let mut traces = Vec::new();
+/// Parse the inventory table between the `lint:metric-inventory` markers
+/// into rows (None when the docs file is missing).
+pub fn parse_docs(root: &Path) -> Option<Vec<DocRow>> {
+    let text = fs::read_to_string(root.join("docs/OBSERVABILITY.md")).ok()?;
+    let mut rows = Vec::new();
     let mut inside = false;
     for (idx, line) in text.lines().enumerate() {
         if line.contains("lint:metric-inventory:begin") {
@@ -209,27 +195,15 @@ pub fn parse_docs(root: &Path) -> DocsInventory {
         if name.is_empty() {
             continue;
         }
-        // The Type cell (second `|` column) routes the row: `scope` rows
-        // feed the T006 inventory, `trace` rows the T007 inventory, and
-        // everything else is a metric.
-        let type_cell = line
-            .split('|')
-            .nth(2)
-            .map(str::trim)
-            .unwrap_or("");
-        match type_cell {
-            "scope" => scopes.push((name, idx as u32 + 1)),
-            "trace" => traces.push((name, idx as u32 + 1)),
-            _ => metrics.push((name, idx as u32 + 1)),
-        }
+        // The Type cell (second `|` column) gives the row type.
+        let cell = line.split('|').nth(2).map(str::trim).unwrap_or("");
+        rows.push(DocRow {
+            name,
+            row: RowType::of_cell(cell),
+            line: idx as u32 + 1,
+        });
     }
-    DocsInventory {
-        metrics,
-        scopes,
-        traces,
-        text,
-        present: true,
-    }
+    Some(rows)
 }
 
 /// Recursively collect `.rs` files under `dir`.
@@ -318,80 +292,53 @@ fn parse_allows(
     }
 }
 
-/// Lint a set of files (paths must be under `root` for clean rel paths).
-/// Docs-drift (T004) is not checked here — only a whole-workspace scan
-/// can tell that a documented name has no call site anywhere.
-pub fn lint_files(root: &Path, files: &[PathBuf], docs: &DocsInventory) -> Report {
+/// Lint a set of files (paths must be under `root` for clean rel paths)
+/// against the docs inventory (None = docs missing). Stale inventory rows
+/// (T003's docs direction) and F006 are not checked here — only a
+/// whole-workspace scan can tell that a documented name has no use.
+pub fn lint_files(root: &Path, files: &[PathBuf], docs: Option<&[DocRow]>) -> Report {
     lint_files_inner(root, files, docs, false)
 }
 
 fn lint_files_inner(
     root: &Path,
     files: &[PathBuf],
-    docs: &DocsInventory,
+    docs: Option<&[DocRow]>,
     check_drift: bool,
 ) -> Report {
     #[allow(clippy::disallowed_methods)]
     // lint:allow(D002, reason = "self-timing of the lint tool on the host — not simulation state")
     let t0 = std::time::Instant::now();
-    let mut report = Report::default();
-    let mut all_uses: Vec<NameUse> = Vec::new();
-    let mut all_scope_uses: Vec<ScopeUse> = Vec::new();
-    let mut all_trace_uses: Vec<ScopeUse> = Vec::new();
-    let mut span_sites: Vec<(String, flow::SpanSites)> = Vec::new();
-    let inventory: Option<Vec<String>> = if docs.present {
-        Some(docs.metrics.iter().map(|(n, _)| n.clone()).collect())
-    } else {
-        None
-    };
-    let scope_inventory: Option<Vec<String>> = if docs.present {
-        Some(docs.scopes.iter().map(|(n, _)| n.clone()).collect())
-    } else {
-        None
-    };
-    let trace_inventory: Option<Vec<String>> = if docs.present {
-        Some(docs.traces.iter().map(|(n, _)| n.clone()).collect())
-    } else {
-        None
+    let mut report = Report {
+        docs_present: docs.is_some(),
+        ..Report::default()
     };
 
     let sources = load_sources(root, files);
     report.files_scanned = sources.len();
     let mut per_file_flows: Vec<flow::FileFlows> = Vec::new();
     for sf in &sources {
-        let ctx = FileCtx::with_skips(&sf.rel, &sf.masked, sf.skips.clone());
+        let ctx = FileCtx {
+            rel: &sf.rel,
+            masked: &sf.masked,
+            skips: &sf.skips,
+        };
 
         let mut findings = Vec::new();
         rules::d001_hash_collections(&ctx, &mut findings);
         rules::d002_ambient_entropy(&ctx, &mut findings);
         let uses = rules::collect_name_uses(&ctx);
-        rules::t_rules(&uses, inventory.as_deref(), &mut findings);
-        let scope_uses = rules::collect_scope_uses(&ctx);
-        rules::t006_scope_labels(&scope_uses, scope_inventory.as_deref(), &mut findings);
-        let trace_uses = rules::collect_trace_uses(&ctx);
-        rules::t007_trace_labels(&trace_uses, trace_inventory.as_deref(), &mut findings);
-        rules::t005_event_kinds(
-            &ctx,
-            if docs.present { Some(&docs.text) } else { None },
-            &mut findings,
-        );
+        rules::t_rules(&uses, docs, &mut findings);
         rules::a001_catch_all_dispatch(&ctx, &mut findings);
         rules::a002_hot_path_unwrap(&ctx, &mut findings);
         rules::s004_raw_sends(&ctx, &mut findings);
         rules::s006_schedule_state_reads(&ctx, &mut findings);
-        span_sites.push((sf.rel.clone(), flow::collect_span_sites(&ctx)));
         per_file_flows.push(flow::extract_file(&ctx));
 
         parse_allows(&sf.rel, &sf.masked, &mut report.allows, &mut report.malformed);
-        all_uses.extend(uses);
-        all_scope_uses.extend(scope_uses);
-        all_trace_uses.extend(trace_uses);
+        report.uses.extend(uses);
         report.findings.extend(findings);
     }
-
-    // F005 pairing runs over the whole scanned set: a span begun in one
-    // file may be finished in another.
-    flow::f005_span_pairing(&span_sites, &mut report.findings);
 
     // Assemble the workspace message-flow graph and run F001–F004 and
     // S007 over it. The graph covers exactly the scanned file set, so
@@ -401,63 +348,14 @@ fn lint_files_inner(
     flow::graph_rules(&report.flow, &mut report.findings);
     rules::s007_sender_blind_tie_break(&report.flow, &mut report.findings);
 
-    // T004: docs entries that no call site registers (stale docs).
-    if check_drift && docs.present {
-        for (entry, docs_line) in &docs.metrics {
-            let used = all_uses.iter().any(|u| {
-                &u.name == entry || (u.via_helper && entry.ends_with(&format!(".{}", u.name)))
-            });
-            if !used {
-                report.findings.push(Finding {
-                    rule: "T004",
-                    file: "docs/OBSERVABILITY.md".to_string(),
-                    line: *docs_line,
-                    msg: format!(
-                        "documented metric {entry:?} matches no call site — stale docs entry"
-                    ),
-                    allowed: false,
-                    reason: None,
-                });
-            }
-        }
-        // T006 reverse direction: documented scopes with no guard left.
-        for (entry, docs_line) in &docs.scopes {
-            if !all_scope_uses.iter().any(|u| &u.name == entry) {
-                report.findings.push(Finding {
-                    rule: "T006",
-                    file: "docs/OBSERVABILITY.md".to_string(),
-                    line: *docs_line,
-                    msg: format!(
-                        "documented scope {entry:?} matches no profile_scope call site \
-                         — stale docs entry"
-                    ),
-                    allowed: false,
-                    reason: None,
-                });
-            }
-        }
-        // T007 reverse direction: documented trace labels nothing starts.
-        for (entry, docs_line) in &docs.traces {
-            if !all_trace_uses.iter().any(|u| &u.name == entry) {
-                report.findings.push(Finding {
-                    rule: "T007",
-                    file: "docs/OBSERVABILITY.md".to_string(),
-                    line: *docs_line,
-                    msg: format!(
-                        "documented trace label {entry:?} matches no trace_start / \
-                         trace_finish_as call site — stale docs entry"
-                    ),
-                    allowed: false,
-                    reason: None,
-                });
-            }
-        }
-    }
-
-    // F006: docs/MESSAGE_FLOW.md must match the extracted graph byte-
-    // for-byte (workspace scans only — partial file sets would render a
-    // partial graph and flag spurious drift).
+    // Docs drift, workspace scans only: a partial file set would flag
+    // every row it does not use and render a partial graph.
     if check_drift {
+        if let Some(docs) = docs {
+            rules::t003_stale_rows(&report.uses, docs, &mut report.findings);
+        }
+        // F006: docs/MESSAGE_FLOW.md must match the extracted graph
+        // byte-for-byte.
         let rendered = flow::render(&report.flow);
         let path = root.join("docs/MESSAGE_FLOW.md");
         let stale = match fs::read_to_string(&path) {
@@ -470,7 +368,7 @@ fn lint_files_inner(
                 "docs/MESSAGE_FLOW.md",
                 1,
                 "generated message-flow graph is stale (or missing) — regenerate with \
-                 `cargo run -p magma-lint -- --write-flow` or MAGMA_FLOW_ACCEPT=1"
+                 `cargo run -p magma-lint -- --write-flow`"
                     .to_string(),
             ));
         }
@@ -497,21 +395,20 @@ fn apply_allows(report: &mut Report) {
 /// Lint the whole workspace rooted at `root`, including docs drift.
 pub fn lint_workspace(root: &Path) -> Report {
     let docs = parse_docs(root);
-    let files = workspace_files(root);
-    lint_files_inner(root, &files, &docs, true)
+    lint_files_inner(root, &workspace_files(root), docs.as_deref(), true)
 }
 
 /// Render the report as JSON with a stable field order, so downstream
 /// tooling (CI annotations, dashboards) can diff runs byte-for-byte.
 /// Hand-rolled: the lint stays dependency-free. `schema_version` leads
 /// and is bumped whenever a field is added, removed, or reordered.
-pub fn json_report(report: &Report, docs_present: bool) -> String {
+pub fn json_report(report: &Report) -> String {
     let esc = rules::json_escape;
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema_version\": 1,\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    out.push_str(&format!("  \"docs_present\": {docs_present},\n"));
+    out.push_str(&format!("  \"docs_present\": {},\n", report.docs_present));
     out.push_str(&format!(
         "  \"violations\": {},\n",
         report.violations().len() + report.malformed.len()

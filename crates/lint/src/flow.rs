@@ -21,14 +21,9 @@
 //!   need `retry: Some(t)` where `t` is a declared `Timer`-role kind
 //!   with the same sender (any kind naming a retry gets the same
 //!   target validation).
-//! - `F005` span leaks: every `Span::begin` needs a `.finish(` call on
-//!   the binding it lands in, indexed across the whole scanned set —
-//!   a span begun in one file may be finished in another, and an
-//!   unrelated same-file `.finish(` does not vouch for it.
 //! - `F006` graph drift: `docs/MESSAGE_FLOW.md` is generated from the
 //!   extracted graph and must match it byte-for-byte (both directions —
-//!   any difference is drift). Regenerate with `--write-flow` or
-//!   `MAGMA_FLOW_ACCEPT=1`.
+//!   any difference is drift). Regenerate with `--write-flow`.
 //!
 //! Send-site detection is a word-reference heuristic: a kind counts as
 //! "sent" iff its const ident is referenced outside its own declaration
@@ -636,121 +631,10 @@ fn find_cycle<'a>(
     None
 }
 
-/// Span-pairing sites extracted from one file for F005.
-#[derive(Debug, Clone, Default)]
-pub struct SpanSites {
-    /// `Span::begin` call sites: (line, binding identifier). The binding
-    /// is the `let` name or struct-field name the span lands in, when
-    /// the site has one of those shapes.
-    pub begins: Vec<(u32, Option<String>)>,
-    /// Receiver identifiers of `.finish(` calls — the last path segment
-    /// before the dot (`job.span.finish(` records `span`).
-    pub finishes: Vec<String>,
-}
-
-/// Trailing identifier of `s`, if it ends in one.
-fn trailing_ident(s: &str) -> Option<String> {
-    let bytes = s.as_bytes();
-    let mut i = bytes.len();
-    while i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_') {
-        i -= 1;
-    }
-    if i == bytes.len() {
-        None
-    } else {
-        Some(s[i..].to_string())
-    }
-}
-
-/// The binding a `Span::begin(` at `at` is assigned to:
-/// `let [mut] NAME = [Some(]Span::begin` or `NAME: [Some(]Span::begin`.
-fn begin_binding(text: &str, at: usize) -> Option<String> {
-    let window_start = at.saturating_sub(96);
-    let mut before = text[window_start..at].trim_end();
-    if let Some(stripped) = before.strip_suffix("Some(") {
-        before = stripped.trim_end();
-    }
-    if let Some(stripped) = before.strip_suffix('=') {
-        return trailing_ident(stripped.trim_end());
-    }
-    if let Some(stripped) = before.strip_suffix(':') {
-        return trailing_ident(stripped.trim_end());
-    }
-    None
-}
-
-/// Collect one file's `Span::begin` / `.finish(` sites for the
-/// workspace-wide F005 pairing pass. The span type's own implementation
-/// file is exempt (it constructs spans generically on behalf of callers).
-pub fn collect_span_sites(ctx: &FileCtx<'_>) -> SpanSites {
-    let mut sites = SpanSites::default();
-    if ctx.rel.ends_with("sim/src/registry.rs") {
-        return sites;
-    }
-    let text = &ctx.masked.text;
-    for at in find_word(text, "Span::begin(") {
-        if ctx.skipped(at) {
-            continue;
-        }
-        sites
-            .begins
-            .push((ctx.masked.line_of(at), begin_binding(text, at)));
-    }
-    // Plain substring scan: `.finish(` is always preceded by the span
-    // binding's identifier, which a word-boundary search would reject.
-    let mut from = 0;
-    while let Some(p) = text[from..].find(".finish(") {
-        let at = from + p;
-        from = at + 1;
-        if ctx.skipped(at) {
-            continue;
-        }
-        if let Some(recv) = trailing_ident(&text[at.saturating_sub(96)..at]) {
-            sites.finishes.push(recv);
-        }
-    }
-    sites
-}
-
-/// F005: every `Span::begin` must have a matching `.finish(` call —
-/// *anywhere in the scanned set*, keyed by the binding identifier the
-/// span lands in. The cross-file index catches spans begun in one file
-/// and finished in another (no false positive), and an unrelated
-/// `.finish(` in the same file no longer vouches for a leaked span
-/// (the old same-file check's false negative). Sites with no
-/// recognizable binding fall back to the same-file check.
-pub fn f005_span_pairing(per_file: &[(String, SpanSites)], out: &mut Vec<Finding>) {
-    let finished: BTreeSet<&str> = per_file
-        .iter()
-        .flat_map(|(_, s)| s.finishes.iter().map(String::as_str))
-        .collect();
-    for (file, sites) in per_file {
-        for (line, binding) in &sites.begins {
-            let ok = match binding {
-                Some(name) => finished.contains(name.as_str()),
-                None => !sites.finishes.is_empty(),
-            };
-            if !ok {
-                let what = match binding {
-                    Some(name) => format!("`{name}`"),
-                    None => "it".to_string(),
-                };
-                out.push(Finding::new(
-                    "F005",
-                    file,
-                    *line,
-                    format!(
-                        "span opened with `Span::begin` but no scanned file ever calls \
-                         `.finish(` on {what} — the span's stages can never close"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Render the graph as `docs/MESSAGE_FLOW.md`. Byte-deterministic:
-/// every section iterates sorted structures.
+/// Render the graph as `docs/MESSAGE_FLOW.md`: one section per actor
+/// listing its dispatch surfaces and in/out/self edges, with the retry
+/// edge (what F004 validates) on the edge that names one.
+/// Byte-deterministic: every section iterates sorted structures.
 pub fn render(g: &FlowGraph) -> String {
     let mut out = String::new();
     out.push_str("# Message-flow graph\n\n");
@@ -758,36 +642,23 @@ pub fn render(g: &FlowGraph) -> String {
         "<!-- GENERATED by magma-lint from FlowKind / flow_dispatch! declarations.\n\
          \x20    Do not edit by hand. Regenerate with:\n\
          \x20        cargo run -p magma-lint -- --write-flow\n\
-         \x20    or MAGMA_FLOW_ACCEPT=1 scripts/check.sh. Drift fails lint rule F006. -->\n\n",
+         \x20    Drift fails lint rule F006. -->\n\n",
     );
     out.push_str(
         "Every production actor-to-actor edge, extracted lexically from the\n\
          workspace's flow-kind declarations. Delay classes:\n\n\
-         - **zero** — delivered at the sending instant; sender and receiver must\n\
-         \x20 share a shard in a sharded (conservative-window) DES engine.\n\
+         - **zero** — delivered at the sending instant.\n\
          - **local** — positive-delay self-edge (timer); never leaves the actor.\n\
-         - **transport** — rides a modeled link with positive latency; candidate\n\
-         \x20 shard-cut edge.\n\n",
+         - **transport** — rides a modeled link with positive latency.\n\n",
     );
-
-    out.push_str("## Edges\n\n");
-    out.push_str("| kind | sender | receiver | class | role | retry edge |\n");
-    out.push_str("|---|---|---|---|---|---|\n");
-    for k in &g.kinds {
-        out.push_str(&format!(
-            "| `{}` | `{}` | `{}` | {} | {} | {} |\n",
-            k.name,
-            k.sender,
-            k.receiver,
-            k.class.to_lowercase(),
-            k.role.to_lowercase(),
-            k.retry
-                .as_ref()
-                .map(|t| format!("`{t}`"))
-                .unwrap_or_else(|| "—".to_string()),
-        ));
-    }
-    out.push('\n');
+    // `[class/role]`, plus the retry edge for the sender's lines.
+    let tag = |k: &KindDecl, with_retry: bool| {
+        let retry = match (&k.retry, with_retry) {
+            (Some(t), true) => format!(", retry `{t}`"),
+            _ => String::new(),
+        };
+        format!("[{}/{}{retry}]", k.class.to_lowercase(), k.role.to_lowercase())
+    };
 
     out.push_str("## Actors\n\n");
     let mut actors: BTreeSet<&str> = BTreeSet::new();
@@ -835,34 +706,17 @@ pub fn render(g: &FlowGraph) -> String {
                     && kind_by_ident.get(k.ident.as_str()).is_some_and(|k2| k2.name == k.name)
             };
             if inbound && k.sender != *actor {
-                out.push_str(&format!(
-                    "- in: `{}` ← `{}` [{}/{}]\n",
-                    k.name,
-                    k.sender,
-                    k.class.to_lowercase(),
-                    k.role.to_lowercase(),
-                ));
+                out.push_str(&format!("- in: `{}` ← `{}` {}\n", k.name, k.sender, tag(k, false)));
             }
         }
         for k in &g.kinds {
             if k.sender == actor && k.receiver != *actor {
-                out.push_str(&format!(
-                    "- out: `{}` → `{}` [{}/{}]\n",
-                    k.name,
-                    k.receiver,
-                    k.class.to_lowercase(),
-                    k.role.to_lowercase(),
-                ));
+                out.push_str(&format!("- out: `{}` → `{}` {}\n", k.name, k.receiver, tag(k, true)));
             }
         }
         for k in &g.kinds {
             if k.sender == actor && k.receiver == *actor {
-                out.push_str(&format!(
-                    "- self: `{}` [{}/{}]\n",
-                    k.name,
-                    k.class.to_lowercase(),
-                    k.role.to_lowercase(),
-                ));
+                out.push_str(&format!("- self: `{}` {}\n", k.name, tag(k, true)));
             }
         }
         out.push('\n');

@@ -3,12 +3,11 @@
 //! With no file arguments, lints the whole workspace (crates/*/src and
 //! examples/) against the docs inventory. With explicit files, lints just
 //! those (used by the fixture tests). Exit code 0 iff no unjustified
-//! violations. `--names` dumps the captured metric-name audit, which is
-//! how the OBSERVABILITY.md inventory table is regenerated. `--json`
-//! emits the findings as machine-readable JSON (stable field order);
-//! `--write-flow` (or `MAGMA_FLOW_ACCEPT=1`) regenerates
-//! `docs/MESSAGE_FLOW.md` from the extracted message-flow graph instead
-//! of failing on drift. `--list-rules` prints the rule inventory (id,
+//! violations. `--names` dumps the telemetry names the run captured,
+//! which is how the OBSERVABILITY.md inventory table is regenerated.
+//! `--json` emits the findings as machine-readable JSON (stable field
+//! order); `--write-flow` regenerates `docs/MESSAGE_FLOW.md` from the
+//! extracted message-flow graph instead of failing on drift. `--list-rules` prints the rule inventory (id,
 //! summary, fixture) so `lint:allow` reasons can reference something
 //! discoverable.
 
@@ -49,10 +48,10 @@ fn main() -> ExitCode {
                      Lints the workspace (or just FILES) for determinism (D),\n\
                      telemetry naming (T), actor hygiene (A), message-flow\n\
                      graph (F), and schedule-safety (S) violations. --json\n\
-                     emits findings as JSON; --write-flow (or\n\
-                     MAGMA_FLOW_ACCEPT=1) regenerates docs/MESSAGE_FLOW.md\n\
-                     instead of failing on F006 drift; --list-rules prints the\n\
-                     rule inventory (id, summary, fixture path) in stable order."
+                     emits findings as JSON; --write-flow regenerates\n\
+                     docs/MESSAGE_FLOW.md instead of failing on F006 drift;\n\
+                     --names prints the captured telemetry names; --list-rules\n\
+                     prints the rule inventory (id, summary, fixture path)."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -65,7 +64,6 @@ fn main() -> ExitCode {
     // to the first Cargo.toml with a [workspace] table.
     let root = find_workspace_root(&root);
 
-    let docs = engine::parse_docs(&root);
     let mut report = if files.is_empty() {
         engine::lint_workspace(&root)
     } else {
@@ -73,13 +71,11 @@ fn main() -> ExitCode {
             .into_iter()
             .map(|f| if f.is_absolute() { f } else { root.join(f) })
             .collect();
-        engine::lint_files(&root, &files, &docs)
+        engine::lint_files(&root, &files, engine::parse_docs(&root).as_deref())
     };
 
     // Re-baseline the generated graph doc instead of failing on drift.
-    let accept_flow = write_flow
-        || std::env::var("MAGMA_FLOW_ACCEPT").map(|v| v == "1").unwrap_or(false);
-    if accept_flow {
+    if write_flow {
         let rendered = flow::render(&report.flow);
         let path = root.join("docs/MESSAGE_FLOW.md");
         if let Err(e) = std::fs::write(&path, &rendered) {
@@ -91,23 +87,15 @@ fn main() -> ExitCode {
     }
 
     if dump_names {
-        // Re-scan for the audit dump (names only, sorted, deduped).
-        let mut names: Vec<String> = Vec::new();
-        for path in engine::workspace_files(&root) {
-            if let Ok(src) = std::fs::read_to_string(&path) {
-                let rel = path
-                    .strip_prefix(&root)
-                    .unwrap_or(&path)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                let masked = lexer::mask(&src);
-                let ctx = rules::FileCtx::new(&rel, &masked);
-                for u in rules::collect_name_uses(&ctx) {
-                    let tag = if u.via_helper { " (helper)" } else { "" };
-                    names.push(format!("{}{}  [{}:{}]", u.name, tag, u.file, u.line));
-                }
-            }
-        }
+        // The audit dump: names only, sorted, deduped.
+        let mut names: Vec<String> = report
+            .uses
+            .iter()
+            .map(|u| {
+                let tag = if u.via_helper { " (helper)" } else { "" };
+                format!("{}{tag} {:?}  [{}:{}]", u.name, u.row, u.file, u.line)
+            })
+            .collect();
         names.sort();
         names.dedup();
         for n in names {
@@ -117,8 +105,8 @@ fn main() -> ExitCode {
     }
 
     if json {
-        print!("{}", engine::json_report(&report, docs.present));
-        return if report.is_clean() && docs.present {
+        print!("{}", engine::json_report(&report));
+        return if report.is_clean() && report.docs_present {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
@@ -131,12 +119,12 @@ fn main() -> ExitCode {
     for (file, line, msg) in &report.malformed {
         println!("LINT {file}:{line} {msg}");
     }
-    if !docs.present {
-        println!("LINT docs/OBSERVABILITY.md missing — T doc rules cannot run");
+    if !report.docs_present {
+        println!("LINT docs/OBSERVABILITY.md missing — T003 cannot run");
     }
     print!("{}", report.summary());
 
-    if report.is_clean() && docs.present {
+    if report.is_clean() && report.docs_present {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -7,30 +7,20 @@
 //! - `D001` hash-collections: `HashMap`/`HashSet` in scanned source.
 //! - `D002` ambient-entropy: `Instant::now`/`SystemTime::now`/
 //!   `thread_rng`/`rand::random` outside the DES kernel (`crates/sim`).
-//! - `T001` metric-name-grammar: metric/event name literals must be
-//!   dotted snake_case.
-//! - `T002` metric-prefix: names must fall under a known cardinality
-//!   prefix (service namespace).
-//! - `T003` undocumented-metric: name not listed in the
-//!   `docs/OBSERVABILITY.md` inventory.
-//! - `T004` stale-doc-metric: inventory entry matching no call site
-//!   (checked workspace-wide by the engine, not per file).
-//! - `T005` undocumented-event-kind: eventd kind const missing from
-//!   `docs/OBSERVABILITY.md`.
-//! - `T006` scope-label: `profile_scope` label literals must follow the
-//!   metric-name grammar and appear in the docs inventory as `scope`
-//!   rows; stale scope rows are the reverse direction of the same rule.
-//! - `T007` trace-label: `trace_start`/`trace_finish_as` procedure
-//!   labels must follow the metric-name grammar and appear in the docs
-//!   inventory as `trace` rows; stale trace rows are the reverse
-//!   direction of the same rule.
+//! - `T001` name-grammar: every captured telemetry name (metric,
+//!   series, scope, trace or event) must be dotted snake_case.
+//! - `T002` metric-prefix: instrument and series names must fall under a
+//!   known cardinality prefix (service namespace).
+//! - `T003` inventory: every captured name needs a row of its type in
+//!   the `docs/OBSERVABILITY.md` inventory, and (workspace mode only)
+//!   every row needs a captured use.
 //! - `A001` catch-all-dispatch: `_ =>` arm in an actor's top-level
 //!   `match event`.
 //! - `A002` hot-path-unwrap: `.unwrap()`/`.expect(`/direct `ident[..]`
 //!   indexing in agw/orc8r/rpc.
-//! - `F001`–`F006` message-flow graph rules (see `flow`): orphan kinds,
-//!   zero-delay send cycles, missing tie-break contracts, requests
-//!   without retry edges, span leaks, and `docs/MESSAGE_FLOW.md` drift.
+//! - `F001`–`F004`, `F006` message-flow graph rules (see `flow`): orphan
+//!   kinds, zero-delay send cycles, missing tie-break contracts, requests
+//!   without retry edges, and `docs/MESSAGE_FLOW.md` drift.
 //! - `S004` raw-send: `ctx.send(`/`ctx.send_in(` outside the kernel
 //!   bypasses the typed flow layer.
 //! - `S006` schedule-state-read: actor code must not read
@@ -75,8 +65,8 @@ impl Finding {
 
 /// All rule identifiers, for the summary report.
 pub const ALL_RULES: &[&str] = &[
-    "D001", "D002", "T001", "T002", "T003", "T004", "T005", "T006", "T007", "A001", "A002",
-    "F001", "F002", "F003", "F004", "F005", "F006", "S004", "S006", "S007",
+    "D001", "D002", "T001", "T002", "T003", "A001", "A002", "F001", "F002", "F003", "F004",
+    "F006", "S004", "S006", "S007",
 ];
 
 /// One row per rule for `--list-rules`: (id, one-line summary, fixture
@@ -96,7 +86,7 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
     ),
     (
         "T001",
-        "metric/event name literals must be dotted snake_case",
+        "telemetry names (metric, series, scope, trace, event) must be dotted snake_case",
         "crates/lint/tests/fixtures/bad/crates/agw/src/t001_bad_grammar.rs",
     ),
     (
@@ -106,28 +96,8 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
     ),
     (
         "T003",
-        "metric name missing from the docs/OBSERVABILITY.md inventory",
+        "telemetry name without a docs/OBSERVABILITY.md inventory row, or a row without a use",
         "crates/lint/tests/fixtures/bad/crates/agw/src/t003_undocumented.rs",
-    ),
-    (
-        "T004",
-        "stale inventory entry matching no call site (workspace mode)",
-        "crates/lint/tests/fixtures/drift",
-    ),
-    (
-        "T005",
-        "eventd kind const missing from docs/OBSERVABILITY.md",
-        "crates/lint/tests/fixtures/bad/crates/sim/src/eventd.rs",
-    ),
-    (
-        "T006",
-        "profile_scope labels must follow the grammar and appear as scope rows",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/t006_bad_scope.rs",
-    ),
-    (
-        "T007",
-        "trace_start/trace_finish_as labels must follow the grammar and appear as trace rows",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/t007_bad_trace.rs",
     ),
     (
         "A001",
@@ -158,11 +128,6 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
         "F004",
         "request kind without a valid Timer-role retry self-edge",
         "crates/lint/tests/fixtures/bad/crates/agw/src/f004_request_no_retry.rs",
-    ),
-    (
-        "F005",
-        "Span::begin without a matching .finish anywhere in the workspace",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/f005_span_leak.rs",
     ),
     (
         "F006",
@@ -236,24 +201,15 @@ pub const KNOWN_PREFIXES: &[&str] = &[
 pub const SIM_FAMILIES: &[&str] = &["cpu", "prof", "trace"];
 
 /// A scanned file plus precomputed skip ranges (`#[cfg(test)]` items).
+/// The engine lexes and scans each file exactly once and shares the
+/// results across rules.
 pub struct FileCtx<'a> {
     pub rel: &'a str,
     pub masked: &'a Masked,
-    pub skips: Vec<(usize, usize)>,
+    pub skips: &'a [(usize, usize)],
 }
 
 impl<'a> FileCtx<'a> {
-    pub fn new(rel: &'a str, masked: &'a Masked) -> Self {
-        let skips = cfg_test_ranges(&masked.text);
-        FileCtx { rel, masked, skips }
-    }
-
-    /// Build from precomputed skip ranges (the engine lexes and scans
-    /// each file exactly once and shares the results across rules).
-    pub fn with_skips(rel: &'a str, masked: &'a Masked, skips: Vec<(usize, usize)>) -> Self {
-        FileCtx { rel, masked, skips }
-    }
-
     pub(crate) fn skipped(&self, offset: usize) -> bool {
         self.skips.iter().any(|&(a, b)| offset >= a && offset < b)
     }
@@ -436,22 +392,60 @@ pub fn d002_ambient_entropy(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// T rules — telemetry naming
+// T rules — the telemetry-name inventory
 // ---------------------------------------------------------------------------
 
-/// Method-call tokens whose first string argument names a `Registry`
-/// instrument or series. Event kinds are consts checked by T005.
-const METRIC_CALLS: &[&str] = &[
-    ".metric(",      // gateway/enb helper: returns a prefixed name
-    ".counter_add(", // Registry
-    ".gauge_set(",   // Registry
-    ".observe(",     // Registry
-    ".observe_with(",
-    ".record(", // Registry series
-    "Span::begin(",
+/// The inventory row type a captured name must be documented under.
+/// Instruments and series share one type: the docs Type cell (`counter`,
+/// `span`, `series`, ...) describes them but does not gate the match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowType {
+    Metric,
+    /// `Ctx::profile_scope` labels of the simprof layer.
+    Scope,
+    /// magma-trace procedure labels (`trace_start` / `trace_finish_as`).
+    Trace,
+    /// `&str` kind consts of the kernel's eventd module.
+    Event,
+}
+
+impl RowType {
+    /// Route a docs Type cell to the row type it documents.
+    pub fn of_cell(cell: &str) -> RowType {
+        match cell {
+            "scope" => RowType::Scope,
+            "trace" => RowType::Trace,
+            "event" => RowType::Event,
+            _ => RowType::Metric,
+        }
+    }
+
+    fn noun(self) -> &'static str {
+        match self {
+            RowType::Metric => "metric name",
+            RowType::Scope => "scope label",
+            RowType::Trace => "trace label",
+            RowType::Event => "event kind",
+        }
+    }
+}
+
+/// Call tokens whose first string argument is a telemetry name, with the
+/// row type that documents it.
+const NAME_CALLS: &[(&str, RowType)] = &[
+    (".metric(", RowType::Metric), // gateway/enb helper: returns a prefixed name
+    (".counter_add(", RowType::Metric), // Registry
+    (".gauge_set(", RowType::Metric),
+    (".observe(", RowType::Metric),
+    (".observe_with(", RowType::Metric),
+    (".record(", RowType::Metric), // Registry series
+    ("Span::begin(", RowType::Metric),
+    (".profile_scope(", RowType::Scope),
+    (".trace_start(", RowType::Trace),
+    (".trace_finish_as(", RowType::Trace),
 ];
 
-/// A metric name literal captured at a call site.
+/// A telemetry name captured at a call site (or an eventd kind const).
 #[derive(Debug, Clone)]
 pub struct NameUse {
     pub file: String,
@@ -461,6 +455,27 @@ pub struct NameUse {
     /// Captured from the `.metric(` prefixing helper: the registered
     /// name is `<prefix>.<name>`, so docs matching is suffix-based.
     pub via_helper: bool,
+    pub row: RowType,
+}
+
+impl NameUse {
+    /// Does inventory row `r` document this use? Same row type, and the
+    /// same name — or, for helper-prefixed names, a row ending `.<name>`.
+    fn documented_by(&self, r: &DocRow) -> bool {
+        r.row == self.row
+            && (r.name == self.name
+                || (self.via_helper && r.name.ends_with(&format!(".{}", self.name))))
+    }
+}
+
+/// One row of the `docs/OBSERVABILITY.md` inventory table.
+#[derive(Debug, Clone)]
+pub struct DocRow {
+    /// Normalized name (`<gw>`/`<stage>` holes become `*`).
+    pub name: String,
+    pub row: RowType,
+    /// Line in the docs file.
+    pub line: u32,
 }
 
 /// Normalize a format-string literal: each `{...}` hole becomes `*`.
@@ -496,7 +511,9 @@ pub fn grammar_ok(name: &str) -> bool {
     })
 }
 
-/// Collect metric-name literals at curated call sites.
+/// Collect every telemetry name in one file: first string literals at
+/// the [`NAME_CALLS`] sites, plus the `&str` kind consts when the file
+/// is the kernel's eventd module.
 pub fn collect_name_uses(ctx: &FileCtx<'_>) -> Vec<NameUse> {
     // The registry implementation itself derives instrument names from
     // caller-provided bases (`<span>.<stage>_s`); those format strings
@@ -507,12 +524,12 @@ pub fn collect_name_uses(ctx: &FileCtx<'_>) -> Vec<NameUse> {
     }
     let text = &ctx.masked.text;
     let bytes = text.as_bytes();
-    // (literal offset) -> (call-token offset, via_helper); when the same
-    // literal is reachable from nested calls (`.record(&self.metric("x"))`)
-    // the innermost call site wins — it is the one that determines how
-    // the name is registered.
-    let mut captures: Vec<(usize, usize, bool)> = Vec::new();
-    for call in METRIC_CALLS {
+    // (literal offset, call-token offset, call); when the same literal is
+    // reachable from nested calls (`.record(&self.metric("x"))`) the
+    // innermost call site wins — it determines how the name registers.
+    let mut captures: Vec<(usize, usize, &(&str, RowType))> = Vec::new();
+    for entry in NAME_CALLS {
+        let call = entry.0;
         let mut from = 0;
         while let Some(pos) = text[from..].find(call) {
             let at = from + pos;
@@ -536,17 +553,29 @@ pub fn collect_name_uses(ctx: &FileCtx<'_>) -> Vec<NameUse> {
             }
             let Some(open) = lit_at else { continue };
             match captures.iter_mut().find(|(lit, _, _)| *lit == open) {
-                Some(entry) if entry.1 < at => {
-                    entry.1 = at;
-                    entry.2 = *call == ".metric(";
-                }
+                Some(c) if c.1 < at => *c = (open, at, entry),
                 Some(_) => {}
-                None => captures.push((open, at, *call == ".metric(")),
+                None => captures.push((open, at, entry)),
+            }
+        }
+    }
+    let mut lits: Vec<(usize, bool, RowType)> = captures
+        .into_iter()
+        .map(|(open, _, &(call, row))| (open, call == ".metric(", row))
+        .collect();
+    if ctx.rel.ends_with("sim/src/eventd.rs") {
+        for at in find_word(text, "const") {
+            let line_end = text[at..].find('\n').map(|p| at + p).unwrap_or(text.len());
+            if ctx.skipped(at) || !text[at..line_end].contains("&str") {
+                continue;
+            }
+            if let Some(lit) = ctx.masked.strings.iter().find(|s| s.start > at && s.start < line_end) {
+                lits.push((lit.start, false, RowType::Event));
             }
         }
     }
     let mut uses: Vec<NameUse> = Vec::new();
-    for (open, _, via_helper) in captures {
+    for (open, via_helper, row) in lits {
         let Some(lit) = ctx.masked.strings.iter().find(|s| s.start == open) else {
             continue;
         };
@@ -555,292 +584,105 @@ pub fn collect_name_uses(ctx: &FileCtx<'_>) -> Vec<NameUse> {
             line: lit.line,
             name: normalize_name(&lit.value),
             via_helper,
+            row,
         });
     }
     uses.sort_by_key(|u| u.line);
     uses
 }
 
-/// T001 + T002 + T003 for one file's captured names, against the docs
-/// inventory (None = docs missing; every name is then undocumented).
-pub fn t_rules(
-    uses: &[NameUse],
-    inventory: Option<&[String]>,
-    out: &mut Vec<Finding>,
-) {
+/// T001–T003 for one file's captured names against the docs inventory
+/// (None = docs missing; every name is then undocumented). T002 applies
+/// to instrument and series names only: scope, trace and event labels
+/// are never gateway-prefixed at registration.
+pub fn t_rules(uses: &[NameUse], inventory: Option<&[DocRow]>, out: &mut Vec<Finding>) {
     for u in uses {
         if !grammar_ok(&u.name) {
-            out.push(Finding {
-                rule: "T001",
-                file: u.file.clone(),
-                line: u.line,
-                msg: format!(
-                    "metric name {:?} is not dotted snake_case ([a-z0-9_*] segments)",
+            out.push(Finding::new(
+                "T001",
+                &u.file,
+                u.line,
+                format!(
+                    "{} {:?} is not dotted snake_case ([a-z0-9_*] segments)",
+                    u.row.noun(),
                     u.name
                 ),
-                allowed: false,
-                reason: None,
-            });
+            ));
             continue;
         }
-        // Docs match: exact, or inventory entry ending in `.<name>` for
-        // helper-prefixed call sites.
-        let matched: Option<&String> = inventory.and_then(|inv| {
-            inv.iter().find(|e| {
-                *e == &u.name || (u.via_helper && e.ends_with(&format!(".{}", u.name)))
-            })
-        });
-        // Prefix check on the full registered form when known, else on
-        // the literal itself.
-        let full = matched.map(|s| s.as_str()).unwrap_or(&u.name);
-        let mut segs = full.split('.');
-        let first = segs.next().unwrap_or("");
-        let prefix_ok = KNOWN_PREFIXES.contains(&first)
-            || (first == "*"
-                && segs
-                    .next()
-                    .map(|s| KNOWN_PREFIXES.contains(&s))
-                    .unwrap_or(false));
-        if !prefix_ok {
-            out.push(Finding {
-                rule: "T002",
-                file: u.file.clone(),
-                line: u.line,
-                msg: format!(
-                    "metric name {:?} is not under a known cardinality prefix ({})",
-                    full,
-                    KNOWN_PREFIXES.join(", ")
-                ),
-                allowed: false,
-                reason: None,
-            });
-        }
-        // Second tier: kernel instruments must sit in a registered
-        // `sim.<family>` namespace (wildcard family literals are
-        // resolved through the docs inventory like the first tier).
-        if prefix_ok && first == "sim" {
-            let family = full.split('.').nth(1).unwrap_or("");
-            if family != "*" && !SIM_FAMILIES.contains(&family) {
-                out.push(Finding {
-                    rule: "T002",
-                    file: u.file.clone(),
-                    line: u.line,
-                    msg: format!(
-                        "metric name {:?} is not under a known sim.<family> namespace ({})",
-                        full,
-                        SIM_FAMILIES.join(", ")
-                    ),
-                    allowed: false,
-                    reason: None,
-                });
-            }
+        let matched = inventory.and_then(|inv| inv.iter().find(|r| u.documented_by(r)));
+        if u.row == RowType::Metric {
+            // Prefix check on the full registered form when known, else
+            // on the literal itself.
+            t002_prefix(u, matched.map_or(&u.name, |r| &r.name), out);
         }
         if matched.is_none() {
-            out.push(Finding {
-                rule: "T003",
-                file: u.file.clone(),
-                line: u.line,
-                msg: format!(
-                    "metric name {:?} is missing from the docs/OBSERVABILITY.md inventory",
-                    u.name
-                ),
-                allowed: false,
-                reason: None,
-            });
-        }
-    }
-}
-
-/// A `profile_scope` label literal captured at a call site.
-#[derive(Debug, Clone)]
-pub struct ScopeUse {
-    pub file: String,
-    pub line: u32,
-    /// Literal with `{...}` interpolations normalized to `*` (labels are
-    /// `&'static str`, so holes never appear in practice).
-    pub name: String,
-}
-
-/// Collect the first string-literal argument of every `call` site into
-/// label uses (shared by the T006 scope and T007 trace collectors).
-fn collect_label_uses(ctx: &FileCtx<'_>, call: &str, uses: &mut Vec<ScopeUse>) {
-    let text = &ctx.masked.text;
-    let bytes = text.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(call) {
-        let at = from + pos;
-        from = at + call.len();
-        if ctx.skipped(at) {
-            continue;
-        }
-        let mut depth = 1usize;
-        let mut j = at + call.len();
-        let mut lit_at = None;
-        while j < bytes.len() && depth > 0 {
-            match bytes[j] {
-                b'(' => depth += 1,
-                b')' => depth -= 1,
-                b'"' if lit_at.is_none() => lit_at = Some(j),
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = lit_at else { continue };
-        let Some(lit) = ctx.masked.strings.iter().find(|s| s.start == open) else {
-            continue;
-        };
-        uses.push(ScopeUse {
-            file: ctx.rel.to_string(),
-            line: lit.line,
-            name: normalize_name(&lit.value),
-        });
-    }
-}
-
-/// Collect `Ctx::profile_scope(...)` label literals. The guard's
-/// definition takes no literal, so only call sites are captured.
-pub fn collect_scope_uses(ctx: &FileCtx<'_>) -> Vec<ScopeUse> {
-    let mut uses = Vec::new();
-    collect_label_uses(ctx, ".profile_scope(", &mut uses);
-    uses
-}
-
-/// Collect `Ctx::trace_start(...)` / `Ctx::trace_finish_as(...)`
-/// procedure-label literals (T007). The methods' definitions take no
-/// literal, so only call sites are captured.
-pub fn collect_trace_uses(ctx: &FileCtx<'_>) -> Vec<ScopeUse> {
-    let mut uses = Vec::new();
-    collect_label_uses(ctx, ".trace_start(", &mut uses);
-    collect_label_uses(ctx, ".trace_finish_as(", &mut uses);
-    uses
-}
-
-/// T006 (use direction): scope labels must parse under the metric-name
-/// grammar and appear in the docs inventory as `scope` rows. Labels are
-/// subsystem-local (never gateway-prefixed at registration), so the
-/// T002 prefix check deliberately does not apply. The reverse direction
-/// — a documented scope with no call site — is checked workspace-wide
-/// by the engine under the same rule id.
-pub fn t006_scope_labels(
-    uses: &[ScopeUse],
-    scope_inventory: Option<&[String]>,
-    out: &mut Vec<Finding>,
-) {
-    for u in uses {
-        if !grammar_ok(&u.name) {
-            out.push(Finding {
-                rule: "T006",
-                file: u.file.clone(),
-                line: u.line,
-                msg: format!(
-                    "scope label {:?} is not dotted snake_case ([a-z0-9_*] segments)",
-                    u.name
-                ),
-                allowed: false,
-                reason: None,
-            });
-            continue;
-        }
-        let documented = scope_inventory
-            .map(|inv| inv.iter().any(|e| e == &u.name))
-            .unwrap_or(false);
-        if !documented {
-            out.push(Finding {
-                rule: "T006",
-                file: u.file.clone(),
-                line: u.line,
-                msg: format!(
-                    "scope label {:?} has no `scope` row in the docs/OBSERVABILITY.md \
-                     inventory",
-                    u.name
-                ),
-                allowed: false,
-                reason: None,
-            });
-        }
-    }
-}
-
-/// T007 (use direction): magma-trace procedure labels must parse under
-/// the metric-name grammar and appear in the docs inventory as `trace`
-/// rows. Labels are single snake_case tokens (`attach`, `path_switch`)
-/// keying the `sim.trace.<label>.*` metric family, so the T002 prefix
-/// check does not apply. The reverse direction — a documented trace
-/// label with no call site — is checked workspace-wide by the engine
-/// under the same rule id.
-pub fn t007_trace_labels(
-    uses: &[ScopeUse],
-    trace_inventory: Option<&[String]>,
-    out: &mut Vec<Finding>,
-) {
-    for u in uses {
-        if !grammar_ok(&u.name) {
-            out.push(Finding {
-                rule: "T007",
-                file: u.file.clone(),
-                line: u.line,
-                msg: format!(
-                    "trace label {:?} is not dotted snake_case ([a-z0-9_*] segments)",
-                    u.name
-                ),
-                allowed: false,
-                reason: None,
-            });
-            continue;
-        }
-        let documented = trace_inventory
-            .map(|inv| inv.iter().any(|e| e == &u.name))
-            .unwrap_or(false);
-        if !documented {
-            out.push(Finding {
-                rule: "T007",
-                file: u.file.clone(),
-                line: u.line,
-                msg: format!(
-                    "trace label {:?} has no `trace` row in the docs/OBSERVABILITY.md \
-                     inventory",
-                    u.name
-                ),
-                allowed: false,
-                reason: None,
-            });
-        }
-    }
-}
-
-/// T005: event-kind consts in the kernel's eventd module must appear in
-/// the docs (taxonomy table or prose, as `` `kind` ``).
-pub fn t005_event_kinds(ctx: &FileCtx<'_>, docs_text: Option<&str>, out: &mut Vec<Finding>) {
-    if !ctx.rel.ends_with("sim/src/eventd.rs") {
-        return;
-    }
-    let text = &ctx.masked.text;
-    for at in find_word(text, "const") {
-        // Only `&str` consts are event kinds.
-        let line_end = text[at..].find('\n').map(|p| at + p).unwrap_or(text.len());
-        let decl = &text[at..line_end];
-        if !decl.contains("&str") {
-            continue;
-        }
-        let Some(lit) = ctx
-            .masked
-            .strings
-            .iter()
-            .find(|s| s.start > at && s.start < line_end)
-        else {
-            continue;
-        };
-        let documented = docs_text
-            .map(|d| d.contains(&format!("`{}`", lit.value)))
-            .unwrap_or(false);
-        if !documented {
             out.push(Finding::new(
-                "T005",
-                ctx.rel,
-                lit.line,
+                "T003",
+                &u.file,
+                u.line,
                 format!(
-                    "event kind {:?} is not documented in docs/OBSERVABILITY.md",
-                    lit.value
+                    "{} {:?} is missing from the docs/OBSERVABILITY.md inventory",
+                    u.row.noun(),
+                    u.name
+                ),
+            ));
+        }
+    }
+}
+
+/// T002: `full` (the registered form of `u`) must sit under a known
+/// service prefix and, for kernel instruments, a known `sim.<family>`.
+fn t002_prefix(u: &NameUse, full: &str, out: &mut Vec<Finding>) {
+    let mut segs = full.split('.');
+    let first = segs.next().unwrap_or("");
+    let prefix_ok = KNOWN_PREFIXES.contains(&first)
+        || (first == "*" && segs.next().is_some_and(|s| KNOWN_PREFIXES.contains(&s)));
+    if !prefix_ok {
+        out.push(Finding::new(
+            "T002",
+            &u.file,
+            u.line,
+            format!(
+                "metric name {:?} is not under a known cardinality prefix ({})",
+                full,
+                KNOWN_PREFIXES.join(", ")
+            ),
+        ));
+    }
+    // Second tier: kernel instruments must sit in a registered
+    // `sim.<family>` namespace (wildcard family literals are resolved
+    // through the docs inventory like the first tier).
+    if prefix_ok && first == "sim" {
+        let family = full.split('.').nth(1).unwrap_or("");
+        if family != "*" && !SIM_FAMILIES.contains(&family) {
+            out.push(Finding::new(
+                "T002",
+                &u.file,
+                u.line,
+                format!(
+                    "metric name {:?} is not under a known sim.<family> namespace ({})",
+                    full,
+                    SIM_FAMILIES.join(", ")
+                ),
+            ));
+        }
+    }
+}
+
+/// T003's workspace direction: inventory rows that no captured use
+/// matches (stale docs). Only a whole-workspace scan can tell.
+pub fn t003_stale_rows(uses: &[NameUse], inventory: &[DocRow], out: &mut Vec<Finding>) {
+    for r in inventory {
+        if !uses.iter().any(|u| u.documented_by(r)) {
+            out.push(Finding::new(
+                "T003",
+                "docs/OBSERVABILITY.md",
+                r.line,
+                format!(
+                    "documented {} {:?} matches no call site — stale docs entry",
+                    r.row.noun(),
+                    r.name
                 ),
             ));
         }

@@ -200,7 +200,7 @@ impl EnodebActor {
 
     /// Root the attach procedure's trace: the control endpoint decides
     /// whether this cell speaks S1AP (4G attach) or NGAP (5G
-    /// registration). Labels are audited by lint rule T007, which reads
+    /// registration). Labels are audited by lint rule T003, which reads
     /// the literal at each `trace_start` call site.
     fn start_attach_trace(&self, ctx: &mut Ctx<'_>) {
         if self.cfg.agw_ctrl.port == magma_net::ports::NGAP {

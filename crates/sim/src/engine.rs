@@ -910,7 +910,7 @@ impl<'a> Ctx<'a> {
     /// Root a new causal trace at this dispatch, labelled with the
     /// procedure name (`&'static str`, snake_case, listed as a
     /// `trace`-typed row in the `docs/OBSERVABILITY.md` inventory —
-    /// magma-lint rule T007). Everything this dispatch subsequently
+    /// magma-lint rule T003). Everything this dispatch subsequently
     /// schedules through flow edges, the CPU model, or
     /// [`trace_timer_in`](Ctx::trace_timer_in) joins the trace, hop by
     /// hop, until [`trace_finish`](Ctx::trace_finish). If a trace is
@@ -1059,7 +1059,7 @@ impl<'a> Ctx<'a> {
     /// Open a simprof scope covering a sub-actor hot path (pipeline
     /// walk, RPC encode/decode, registry snapshot). The label must be a
     /// `&'static str` in dotted snake_case, listed in the
-    /// `docs/OBSERVABILITY.md` inventory (magma-lint rule T006), and
+    /// `docs/OBSERVABILITY.md` inventory (magma-lint rule T003), and
     /// scopes must not nest. Returns an inert guard (one branch) when
     /// profiling is disabled.
     pub fn profile_scope(&mut self, label: &'static str) -> ScopeGuard {
