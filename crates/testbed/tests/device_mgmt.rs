@@ -2,8 +2,11 @@
 //! equivalent" rows): the orchestrator tracks the gateway fleet, samples
 //! its health, and alerts when a gateway goes dark.
 
+use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
+use magma_net::{new_net, ports, Endpoint, LinkProfile, NetStack};
+use magma_orc8r::{new_orc8r, Orc8rActor};
 use magma_ran::TrafficModel;
-use magma_sim::{SimDuration, SimTime};
+use magma_sim::{HostSpec, SimDuration, SimTime, World};
 use magma_testbed::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
 
 fn site() -> SiteSpec {
@@ -65,4 +68,38 @@ fn partitioned_gateway_raises_offline_alert_then_recovers() {
         assert_eq!(orc8r.alerts.len(), 1, "no duplicate alerts after recovery");
         assert_eq!(orc8r.history.last().unwrap().online, 1);
     }
+}
+
+/// A gateway behind a backhaul whose round trip (3 s) reaches the RPC
+/// client's per-try timeout: the bootstrap call is retried while the
+/// first try's answer is still in flight. Every try must be answered
+/// with the same cert, so whichever answer lands is the cert the
+/// orchestrator holds and the first check-in is accepted.
+#[test]
+fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
+    let mut w = World::new(25);
+    let net = new_net();
+    let (agw_node, orc8r_node) = {
+        let mut t = net.borrow_mut();
+        let a = t.add_node("agw");
+        let o = t.add_node("orc8r");
+        t.connect(a, o, LinkProfile::fiber().with_latency(SimDuration::from_millis(1_500)));
+        (a, o)
+    };
+    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
+    let orc8r_stack = w.add_actor(Box::new(NetStack::new(orc8r_node, net.clone())));
+    let orc8r = new_orc8r(1 << 30);
+    w.add_actor(Box::new(Orc8rActor::new(orc8r.clone(), orc8r_stack, ports::ORC8R)));
+    let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
+    let cfg = AgwConfig::new("agw0", host, agw_stack)
+        .with_orc8r(Endpoint::new(orc8r_node, ports::ORC8R));
+    w.add_actor(Box::new(AgwActor::new(cfg, new_agw_handle())));
+
+    w.run_until(SimTime::from_secs(20));
+    let st = orc8r.borrow();
+    let dev = &st.devices["agw0"];
+    assert!(dev.checkins >= 1, "no check-in within 20 s: {dev:?}");
+    // The orchestrator mints certs from 1000 upward and each mint
+    // replaces the device's cert: 1000 means exactly one was issued.
+    assert_eq!(dev.cert, 1000, "a retried bootstrap minted a new cert: {dev:?}");
 }
