@@ -30,6 +30,8 @@ pub fn new_orc8r(quota_bytes: u64) -> Orc8rHandle {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DeviceRecord {
     pub registered: bool,
+    /// Hardware token the current cert was issued against.
+    pub hw_token: u64,
     pub cert: u64,
     pub last_checkin: Option<SimTime>,
     pub reported_version: u64,
@@ -321,13 +323,19 @@ impl Orc8rState {
 
     // ---- Southbound operations (called by the actor) ----
 
-    pub fn bootstrap(&mut self, agw_id: &str, _hw_token: u64) -> u64 {
-        let cert = self.next_cert;
-        self.next_cert += 1;
+    /// Register a gateway and return its cert. A retry from the same
+    /// gateway with the same hardware token gets the cert already issued,
+    /// since an earlier try's answer may still be in flight and must stay
+    /// valid; a different token mints a fresh cert.
+    pub fn bootstrap(&mut self, agw_id: &str, hw_token: u64) -> u64 {
         let rec = self.devices.entry(agw_id.to_string()).or_default();
-        rec.registered = true;
-        rec.cert = cert;
-        cert
+        if !rec.registered || rec.hw_token != hw_token {
+            rec.registered = true;
+            rec.hw_token = hw_token;
+            rec.cert = self.next_cert;
+            self.next_cert += 1;
+        }
+        rec.cert
     }
 
     /// Record a check-in; returns whether the gateway's cert is valid.
@@ -425,6 +433,16 @@ mod tests {
         ));
         let (gws, enbs, sessions) = s.fleet_summary();
         assert_eq!((gws, enbs, sessions), (1, 1, 12));
+    }
+
+    #[test]
+    fn bootstrap_retry_keeps_the_cert_and_a_new_token_mints_one() {
+        let mut s = Orc8rState::new(1);
+        let cert = s.bootstrap("agw-1", 7);
+        assert_eq!(s.bootstrap("agw-1", 7), cert, "a retry gets the issued cert");
+        let fresh = s.bootstrap("agw-1", 8);
+        assert_ne!(fresh, cert, "a different hardware token mints a fresh cert");
+        assert_ne!(s.bootstrap("agw-2", 7), fresh, "certs are per gateway");
     }
 
     #[test]
