@@ -165,7 +165,7 @@ impl World {
                 events_processed: 0,
                 prof: Rc::new(RefCell::new(Profiler::default())),
                 prof_on: false,
-                tracer: Tracer::new(seed),
+                tracer: Tracer::new(),
                 trace_on: false,
                 cur_trace: None,
                 components: Vec::new(),
@@ -303,12 +303,6 @@ impl World {
             digests,
             detail,
         }
-    }
-
-    /// Head-sampling rate in [0, 1]: the deterministic seeded-hash
-    /// fraction of rooted traces that record spans (default 1.0).
-    pub fn set_trace_sample_rate(&mut self, rate: f64) {
-        self.kernel.tracer.set_sample_rate(rate);
     }
 
     /// Snapshot every finished trace tree, the per-procedure
@@ -920,9 +914,7 @@ impl<'a> Ctx<'a> {
     pub fn trace_start(&mut self, label: &'static str) {
         if self.kernel.trace_on && self.kernel.cur_trace.is_none() {
             self.kernel.cur_trace =
-                self.kernel
-                    .tracer
-                    .start(label, self.self_id, self.kernel.time);
+                Some(self.kernel.tracer.start(label, self.self_id, self.kernel.time));
         }
     }
 

@@ -27,8 +27,8 @@
 //! fires) stay off the path automatically.
 //!
 //! Determinism: tracing only observes — it never feeds virtual time or
-//! the RNG, so it cannot perturb a seeded run. Head sampling is a
-//! seeded hash of the trace id ([`sampled`]), trace ids are allocated
+//! the RNG, so it cannot perturb a seeded run. Every rooted trace is
+//! recorded, trace ids are allocated
 //! in dispatch order, and every container is a `Vec`/`BTreeMap`, so
 //! same-seed runs export byte-identical trace JSON. Disabled, the whole
 //! machinery is one cached-bool branch per scheduling call (the same
@@ -98,22 +98,6 @@ struct TraceBuf {
     overflow: u64,
 }
 
-/// Deterministic head-sampling decision for a trace id: a seeded
-/// splitmix64 hash mapped to [0, 1) and compared against the rate.
-pub fn sampled(trace_id: u64, seed: u64, rate: f64) -> bool {
-    if rate >= 1.0 {
-        return true;
-    }
-    if rate <= 0.0 {
-        return false;
-    }
-    let mut z = trace_id ^ seed ^ 0x9e37_79b9_7f4a_7c15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    ((z >> 11) as f64 / (1u64 << 53) as f64) < rate
-}
-
 /// Per-(procedure, hop-kind) critical-path aggregate.
 #[derive(Debug, Default, Clone, Copy)]
 struct HopAgg {
@@ -134,8 +118,6 @@ struct ProcAgg {
 /// call with a cached bool).
 #[derive(Debug)]
 pub(crate) struct Tracer {
-    sample_rate: f64,
-    seed: u64,
     next_id: u64,
     span_budget: usize,
     live_cap: usize,
@@ -143,7 +125,6 @@ pub(crate) struct Tracer {
     live: BTreeMap<u64, TraceBuf>,
     retained: VecDeque<TraceBuf>,
     started_total: u64,
-    sampled_total: u64,
     finished_total: u64,
     spans_total: u64,
     overflow_total: u64,
@@ -155,10 +136,8 @@ pub(crate) struct Tracer {
 }
 
 impl Tracer {
-    pub fn new(seed: u64) -> Self {
+    pub fn new() -> Self {
         Tracer {
-            sample_rate: 1.0,
-            seed,
             next_id: 0,
             span_budget: DEFAULT_SPAN_BUDGET,
             live_cap: DEFAULT_LIVE_TRACE_CAP,
@@ -166,7 +145,6 @@ impl Tracer {
             live: BTreeMap::new(),
             retained: VecDeque::new(),
             started_total: 0,
-            sampled_total: 0,
             finished_total: 0,
             spans_total: 0,
             overflow_total: 0,
@@ -177,25 +155,12 @@ impl Tracer {
         }
     }
 
-    pub fn set_sample_rate(&mut self, rate: f64) {
-        self.sample_rate = rate.clamp(0.0, 1.0);
-    }
-
     /// Root a new trace at `actor`. Returns the context the rest of the
-    /// dispatch should propagate, or `None` if head sampling skipped it.
-    pub fn start(
-        &mut self,
-        label: &'static str,
-        actor: ActorId,
-        now: SimTime,
-    ) -> Option<TraceCtx> {
+    /// dispatch should propagate.
+    pub fn start(&mut self, label: &'static str, actor: ActorId, now: SimTime) -> TraceCtx {
         self.next_id += 1;
         let id = self.next_id;
         self.started_total += 1;
-        if !sampled(id, self.seed, self.sample_rate) {
-            return None;
-        }
-        self.sampled_total += 1;
         while self.live.len() >= self.live_cap {
             // Evict the oldest live trace: it will never finish.
             let oldest = *self.live.keys().next().unwrap();
@@ -223,11 +188,11 @@ impl Tracer {
             },
         );
         self.spans_total += 1;
-        Some(TraceCtx {
+        TraceCtx {
             trace_id: id,
             parent_span: 0,
             depth: 0,
-        })
+        }
     }
 
     /// Open a span for a hop scheduled under `cur` (a flow-edge send, a
@@ -424,7 +389,7 @@ impl Tracer {
         TraceSnapshot {
             stats: TraceStats {
                 started_total: self.started_total,
-                sampled_total: self.sampled_total,
+                sampled_total: self.started_total,
                 finished_total: self.finished_total,
                 spans_total: self.spans_total,
                 span_overflow_total: self.overflow_total,
@@ -566,23 +531,9 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_deterministic_and_rate_shaped() {
-        let hits: Vec<bool> = (0..1000).map(|id| sampled(id, 42, 0.25)).collect();
-        let hits2: Vec<bool> = (0..1000).map(|id| sampled(id, 42, 0.25)).collect();
-        assert_eq!(hits, hits2);
-        let n = hits.iter().filter(|h| **h).count();
-        assert!((150..350).contains(&n), "0.25 rate sampled {n}/1000");
-        assert!((0..1000).all(|id| sampled(id, 42, 1.0)));
-        assert!(!(0..1000).any(|id| sampled(id, 42, 0.0)));
-        // Different seeds select different subsets.
-        let other: Vec<bool> = (0..1000).map(|id| sampled(id, 43, 0.25)).collect();
-        assert_ne!(hits, other);
-    }
-
-    #[test]
     fn span_tree_records_hops_and_critical_path() {
-        let mut tr = Tracer::new(7);
-        let root = tr.start("attach", A, t(0)).unwrap();
+        let mut tr = Tracer::new();
+        let root = tr.start("attach", A, t(0));
         // Hop A→B taking 100µs, then a CPU hop of 50µs, then finish.
         let hop1 = tr.child(root, "s1ap.ul", A, B, t(0)).unwrap();
         let cur = tr.deliver(hop1, t(100));
@@ -614,9 +565,9 @@ mod tests {
 
     #[test]
     fn span_budget_bounds_the_tree() {
-        let mut tr = Tracer::new(7);
+        let mut tr = Tracer::new();
         tr.span_budget = 4;
-        let root = tr.start("attach", A, t(0)).unwrap();
+        let root = tr.start("attach", A, t(0));
         let mut cur = root;
         let mut created = 0;
         for i in 0..10 {
@@ -637,11 +588,11 @@ mod tests {
 
     #[test]
     fn live_cap_evicts_oldest_unfinished() {
-        let mut tr = Tracer::new(7);
+        let mut tr = Tracer::new();
         tr.live_cap = 2;
-        let t1 = tr.start("attach", A, t(0)).unwrap();
-        let _t2 = tr.start("attach", A, t(1)).unwrap();
-        let _t3 = tr.start("attach", A, t(2)).unwrap();
+        let t1 = tr.start("attach", A, t(0));
+        let _t2 = tr.start("attach", A, t(1));
+        let _t3 = tr.start("attach", A, t(2));
         assert_eq!(tr.evicted_total, 1);
         // The evicted trace's spans become orphans, not panics.
         assert!(tr.child(t1, "hop", A, B, t(3)).is_none());
@@ -653,8 +604,8 @@ mod tests {
 
     #[test]
     fn observe_into_emits_inventory_rows() {
-        let mut tr = Tracer::new(7);
-        let root = tr.start("attach", A, t(0)).unwrap();
+        let mut tr = Tracer::new();
+        let root = tr.start("attach", A, t(0));
         let hop = tr.child(root, "net.frame", A, B, t(0)).unwrap();
         let cur = tr.deliver(hop, t(250));
         tr.finish(cur, t(250));
@@ -673,13 +624,12 @@ mod tests {
     #[test]
     fn snapshot_is_deterministic() {
         let run = || {
-            let mut tr = Tracer::new(7);
+            let mut tr = Tracer::new();
             for i in 0..50 {
-                if let Some(root) = tr.start("attach", A, t(i)) {
-                    if let Some(hop) = tr.child(root, "hop", A, B, t(i)) {
-                        let cur = tr.deliver(hop, t(i + 10));
-                        tr.finish(cur, t(i + 10));
-                    }
+                let root = tr.start("attach", A, t(i));
+                if let Some(hop) = tr.child(root, "hop", A, B, t(i)) {
+                    let cur = tr.deliver(hop, t(i + 10));
+                    tr.finish(cur, t(i + 10));
                 }
             }
             serde_json::to_string(&tr.snapshot(&["a", "b"])).unwrap()
