@@ -91,11 +91,6 @@ impl LinkProfile {
         self.latency = latency;
         self
     }
-
-    pub fn with_bandwidth(mut self, bps: u64) -> Self {
-        self.bandwidth_bps = bps;
-        self
-    }
 }
 
 /// Runtime state of a unidirectional link.

@@ -315,12 +315,6 @@ impl Orc8rState {
         self.metrics_store.cpu_percent_by_gateway()
     }
 
-    /// Northbound: fleet-merged quantiles of a pushed histogram, e.g.
-    /// `("mme.attach.total_s", &[0.5, 0.95, 0.99])` for attach p99.
-    pub fn metric_quantiles(&self, name: &str, qs: &[f64]) -> Option<Vec<f64>> {
-        self.metrics_store.quantiles(name, qs)
-    }
-
     // ---- Southbound operations (called by the actor) ----
 
     /// Register a gateway and return its cert. A retry from the same

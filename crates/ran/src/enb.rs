@@ -479,11 +479,6 @@ impl EnodebActor {
         }
         ctx.timer_in(self.cfg.tick, T_FLUID);
     }
-
-    /// Number of UEs currently attached (test helper).
-    pub fn attached_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.ue.is_attached()).count()
-    }
 }
 
 impl Actor for EnodebActor {

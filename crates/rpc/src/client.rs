@@ -313,9 +313,4 @@ impl RpcClient {
         }
         out
     }
-
-    /// Whether any calls are in flight (owner can stop ticking when idle).
-    pub fn has_outstanding(&self) -> bool {
-        !self.outstanding.is_empty()
-    }
 }

@@ -32,13 +32,14 @@ pub struct CoreGroupSpec {
     pub speed: f64,
 }
 
+/// Width of utilization-accounting buckets.
+const UTIL_BUCKET: SimDuration = SimDuration::from_secs(1);
+
 /// Description of a host: a named machine with one or more core groups.
 #[derive(Debug, Clone)]
 pub struct HostSpec {
     pub name: String,
     pub groups: Vec<CoreGroupSpec>,
-    /// Width of utilization-accounting buckets.
-    pub util_bucket: SimDuration,
 }
 
 impl HostSpec {
@@ -51,7 +52,6 @@ impl HostSpec {
                 cores,
                 speed,
             }],
-            util_bucket: SimDuration::from_secs(1),
         }
     }
 
@@ -72,13 +72,7 @@ impl HostSpec {
                     speed,
                 },
             ],
-            util_bucket: SimDuration::from_secs(1),
         }
-    }
-
-    pub fn with_util_bucket(mut self, bucket: SimDuration) -> Self {
-        self.util_bucket = bucket;
-        self
     }
 }
 
@@ -123,12 +117,12 @@ impl GroupState {
     }
 
     /// Integrate busy time from `last_change` to `now` into buckets.
-    fn account(&mut self, now: SimTime, bucket: SimDuration) {
+    fn account(&mut self, now: SimTime) {
         if now <= self.last_change || self.busy == 0 {
             self.last_change = now;
             return;
         }
-        let bw = bucket.as_micros().max(1);
+        let bw = UTIL_BUCKET.as_micros();
         let mut t = self.last_change.as_micros();
         let end = now.as_micros();
         let busy = self.busy as f64;
@@ -201,7 +195,7 @@ pub(crate) fn build_report(
     until: SimTime,
 ) -> UtilizationReport {
     let g = &host.groups[group_idx];
-    let bw = host.spec.util_bucket.as_micros().max(1);
+    let bw = UTIL_BUCKET.as_micros();
     let denom = bw as f64 * g.spec.cores.max(1) as f64;
     let n_buckets = (until.as_micros() / bw) as usize + 1;
     let mut series = Vec::with_capacity(n_buckets);
@@ -229,9 +223,8 @@ mod accounting {
     /// job starts immediately and is handed back with its completion time;
     /// otherwise it is queued inside the group.
     pub fn submit(host: &mut HostState, group: u32, now: SimTime, job: Job) -> Option<(Job, SimTime)> {
-        let bucket = host.spec.util_bucket;
         let g = &mut host.groups[group as usize];
-        g.account(now, bucket);
+        g.account(now);
         if g.busy < g.spec.cores {
             g.busy += 1;
             let done = now + job_service(&job);
@@ -246,9 +239,8 @@ mod accounting {
     /// Called by the kernel when a running job completes. Returns the next
     /// job to start (with its completion time), if any were queued.
     pub fn complete(host: &mut HostState, group: u32, now: SimTime) -> Option<(Job, SimTime)> {
-        let bucket = host.spec.util_bucket;
         let g = &mut host.groups[group as usize];
-        g.account(now, bucket);
+        g.account(now);
         g.jobs_completed += 1;
         if let Some(job) = g.queue.pop_front() {
             // The freed core immediately picks up the next queued job;

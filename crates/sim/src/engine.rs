@@ -427,18 +427,10 @@ impl World {
         &self.kernel.registry
     }
 
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.kernel.registry
-    }
-
     /// The world-wide structured-event log ([`EventLog`]): what the
     /// gateways' `eventd` ships alongside metric snapshots.
     pub fn events(&self) -> &EventLog {
         &self.kernel.events
-    }
-
-    pub fn events_mut(&mut self) -> &mut EventLog {
-        &mut self.kernel.events
     }
 
     pub fn events_processed(&self) -> u64 {
@@ -731,11 +723,6 @@ impl World {
             }
         }
     }
-
-    /// Name of an actor (for diagnostics).
-    pub fn actor_name(&self, id: ActorId) -> &str {
-        &self.actors[id.0 as usize].name
-    }
 }
 
 /// Handle through which an actor affects the world while processing an
@@ -945,11 +932,6 @@ impl<'a> Ctx<'a> {
                 }
             }
         }
-    }
-
-    /// Whether the current dispatch is part of a sampled trace.
-    pub fn trace_active(&self) -> bool {
-        self.kernel.cur_trace.is_some()
     }
 
     /// Cancel a previously armed timer (or a pending send).

@@ -60,7 +60,7 @@ impl SimTime {
 impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * MICROS_PER_SEC)
     }
 
