@@ -46,6 +46,12 @@ fn churn_does_not_leak_sessions_or_ips() {
         attaches - detaches <= 13.0,
         "every cycle tears down: attaches={attaches} detaches={detaches}"
     );
+    // Every completed detach closes its span: one total_s sample each.
+    assert_eq!(
+        rec.histogram("agw0.mme.detach.total_s").map(|h| h.count as f64),
+        Some(detaches),
+        "detach span finished once per detach"
+    );
 
     // No leaks: active sessions and IP leases bounded by the fleet size.
     let cp = sc.agws[0].handle.borrow().checkpoint.clone().unwrap();

@@ -36,6 +36,12 @@ fn path_switch_moves_downlink_tunnel() {
         1.0,
         "path switch handled"
     );
+    // Every completed handover closes its span: one total_s sample each.
+    assert_eq!(
+        rec.histogram("agw0.mme.handover.total_s").map(|h| h.count as f64),
+        Some(rec.counter("agw0.mme.handover_ok")),
+        "handover span finished once per handover"
+    );
     assert_eq!(
         rec.series("test.path_switch_ack").map(|s| s.len()),
         Some(1),
