@@ -48,8 +48,8 @@ echo "==> magma-lint (determinism / telemetry / actor hygiene / message-flow gra
 # Capture the report so its summary can be replayed at the very end.
 # Fails on any F- or S-rule hit, including drift of the generated
 # docs/MESSAGE_FLOW.md (F006); after an intentional graph change,
-# re-baseline with MAGMA_FLOW_ACCEPT=1 (the lint then regenerates the
-# file — commit it).
+# re-baseline with `cargo run --release -p magma-lint -- --write-flow`
+# (the lint then regenerates the file — commit it).
 LINT_OUT="$(mktemp)"
 if ! cargo run --release -p magma-lint >"$LINT_OUT" 2>&1; then
     cat "$LINT_OUT"
