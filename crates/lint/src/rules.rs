@@ -512,7 +512,7 @@ pub fn grammar_ok(name: &str) -> bool {
 }
 
 /// Collect every telemetry name in one file: first string literals at
-/// the [`NAME_CALLS`] sites, plus the `&str` kind consts when the file
+/// the `NAME_CALLS` sites, plus the `&str` kind consts when the file
 /// is the kernel's eventd module.
 pub fn collect_name_uses(ctx: &FileCtx<'_>) -> Vec<NameUse> {
     // The registry implementation itself derives instrument names from
