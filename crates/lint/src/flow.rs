@@ -657,7 +657,11 @@ pub fn render(g: &FlowGraph) -> String {
             (Some(t), true) => format!(", retry `{t}`"),
             _ => String::new(),
         };
-        format!("[{}/{}{retry}]", k.class.to_lowercase(), k.role.to_lowercase())
+        format!(
+            "[{}/{}{retry}]",
+            k.class.to_lowercase(),
+            k.role.to_lowercase()
+        )
     };
 
     out.push_str("## Actors\n\n");
@@ -706,12 +710,22 @@ pub fn render(g: &FlowGraph) -> String {
                     && kind_by_ident.get(k.ident.as_str()).is_some_and(|k2| k2.name == k.name)
             };
             if inbound && k.sender != *actor {
-                out.push_str(&format!("- in: `{}` ← `{}` {}\n", k.name, k.sender, tag(k, false)));
+                out.push_str(&format!(
+                    "- in: `{}` ← `{}` {}\n",
+                    k.name,
+                    k.sender,
+                    tag(k, false)
+                ));
             }
         }
         for k in &g.kinds {
             if k.sender == actor && k.receiver != *actor {
-                out.push_str(&format!("- out: `{}` → `{}` {}\n", k.name, k.receiver, tag(k, true)));
+                out.push_str(&format!(
+                    "- out: `{}` → `{}` {}\n",
+                    k.name,
+                    k.receiver,
+                    tag(k, true)
+                ));
             }
         }
         for k in &g.kinds {

@@ -65,8 +65,8 @@ impl Finding {
 
 /// All rule identifiers, for the summary report.
 pub const ALL_RULES: &[&str] = &[
-    "D001", "D002", "T001", "T002", "T003", "A001", "A002", "F001", "F002", "F003", "F004",
-    "F006", "S004", "S006", "S007",
+    "D001", "D002", "T001", "T002", "T003", "A001", "A002", "F001", "F002", "F003", "F004", "F006",
+    "S004", "S006", "S007",
 ];
 
 /// One row per rule for `--list-rules`: (id, one-line summary, fixture
@@ -569,7 +569,12 @@ pub fn collect_name_uses(ctx: &FileCtx<'_>) -> Vec<NameUse> {
             if ctx.skipped(at) || !text[at..line_end].contains("&str") {
                 continue;
             }
-            if let Some(lit) = ctx.masked.strings.iter().find(|s| s.start > at && s.start < line_end) {
+            if let Some(lit) = ctx
+                .masked
+                .strings
+                .iter()
+                .find(|s| s.start > at && s.start < line_end)
+            {
                 lits.push((lit.start, false, RowType::Event));
             }
         }

@@ -433,7 +433,11 @@ mod tests {
     fn bootstrap_retry_keeps_the_cert_and_a_new_token_mints_one() {
         let mut s = Orc8rState::new(1);
         let cert = s.bootstrap("agw-1", 7);
-        assert_eq!(s.bootstrap("agw-1", 7), cert, "a retry gets the issued cert");
+        assert_eq!(
+            s.bootstrap("agw-1", 7),
+            cert,
+            "a retry gets the issued cert"
+        );
         let fresh = s.bootstrap("agw-1", 8);
         assert_ne!(fresh, cert, "a different hardware token mints a fresh cert");
         assert_ne!(s.bootstrap("agw-2", 7), fresh, "certs are per gateway");

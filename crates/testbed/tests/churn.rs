@@ -48,7 +48,8 @@ fn churn_does_not_leak_sessions_or_ips() {
     );
     // Every completed detach closes its span: one total_s sample each.
     assert_eq!(
-        rec.histogram("agw0.mme.detach.total_s").map(|h| h.count as f64),
+        rec.histogram("agw0.mme.detach.total_s")
+            .map(|h| h.count as f64),
         Some(detaches),
         "detach span finished once per detach"
     );

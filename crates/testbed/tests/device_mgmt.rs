@@ -83,16 +83,24 @@ fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
         let mut t = net.borrow_mut();
         let a = t.add_node("agw");
         let o = t.add_node("orc8r");
-        t.connect(a, o, LinkProfile::fiber().with_latency(SimDuration::from_millis(1_500)));
+        t.connect(
+            a,
+            o,
+            LinkProfile::fiber().with_latency(SimDuration::from_millis(1_500)),
+        );
         (a, o)
     };
     let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
     let orc8r_stack = w.add_actor(Box::new(NetStack::new(orc8r_node, net.clone())));
     let orc8r = new_orc8r(1 << 30);
-    w.add_actor(Box::new(Orc8rActor::new(orc8r.clone(), orc8r_stack, ports::ORC8R)));
+    w.add_actor(Box::new(Orc8rActor::new(
+        orc8r.clone(),
+        orc8r_stack,
+        ports::ORC8R,
+    )));
     let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
-    let cfg = AgwConfig::new("agw0", host, agw_stack)
-        .with_orc8r(Endpoint::new(orc8r_node, ports::ORC8R));
+    let cfg =
+        AgwConfig::new("agw0", host, agw_stack).with_orc8r(Endpoint::new(orc8r_node, ports::ORC8R));
     w.add_actor(Box::new(AgwActor::new(cfg, new_agw_handle())));
 
     w.run_until(SimTime::from_secs(20));
@@ -101,5 +109,8 @@ fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
     assert!(dev.checkins >= 1, "no check-in within 20 s: {dev:?}");
     // The orchestrator mints certs from 1000 upward and each mint
     // replaces the device's cert: 1000 means exactly one was issued.
-    assert_eq!(dev.cert, 1000, "a retried bootstrap minted a new cert: {dev:?}");
+    assert_eq!(
+        dev.cert, 1000,
+        "a retried bootstrap minted a new cert: {dev:?}"
+    );
 }

@@ -38,7 +38,8 @@ fn path_switch_moves_downlink_tunnel() {
     );
     // Every completed handover closes its span: one total_s sample each.
     assert_eq!(
-        rec.histogram("agw0.mme.handover.total_s").map(|h| h.count as f64),
+        rec.histogram("agw0.mme.handover.total_s")
+            .map(|h| h.count as f64),
         Some(rec.counter("agw0.mme.handover_ok")),
         "handover span finished once per handover"
     );
