@@ -7,9 +7,9 @@
 //! which is how the OBSERVABILITY.md inventory table is regenerated.
 //! `--json` emits the findings as machine-readable JSON (stable field
 //! order); `--write-flow` regenerates `docs/MESSAGE_FLOW.md` from the
-//! extracted message-flow graph instead of failing on drift. `--list-rules` prints the rule inventory (id,
-//! summary, fixture) so `lint:allow` reasons can reference something
-//! discoverable.
+//! extracted message-flow graph instead of failing on drift.
+//! `--list-rules` prints the rule inventory (id, summary, fixture) so
+//! `lint:allow` reasons can reference something discoverable.
 
 mod engine;
 mod flow;

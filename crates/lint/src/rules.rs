@@ -411,7 +411,7 @@ pub enum RowType {
 
 impl RowType {
     /// Route a docs Type cell to the row type it documents.
-    pub fn of_cell(cell: &str) -> RowType {
+    pub(crate) fn of_cell(cell: &str) -> RowType {
         match cell {
             "scope" => RowType::Scope,
             "trace" => RowType::Trace,
@@ -524,12 +524,13 @@ pub fn collect_name_uses(ctx: &FileCtx<'_>) -> Vec<NameUse> {
     }
     let text = &ctx.masked.text;
     let bytes = text.as_bytes();
-    // (literal offset, call-token offset, call); when the same literal is
-    // reachable from nested calls (`.record(&self.metric("x"))`) the
-    // innermost call site wins — it determines how the name registers.
-    let mut captures: Vec<(usize, usize, &(&str, RowType))> = Vec::new();
-    for entry in NAME_CALLS {
-        let call = entry.0;
+    // (literal offset, call-token offset, via_helper, row type); when the
+    // same literal is reachable from nested calls
+    // (`.record(&self.metric("x"))`) the innermost call site wins — it
+    // determines how the name registers.
+    let mut captures: Vec<(usize, usize, bool, RowType)> = Vec::new();
+    for &(call, row) in NAME_CALLS {
+        let capture = (call == ".metric(", row);
         let mut from = 0;
         while let Some(pos) = text[from..].find(call) {
             let at = from + pos;
@@ -552,17 +553,16 @@ pub fn collect_name_uses(ctx: &FileCtx<'_>) -> Vec<NameUse> {
                 j += 1;
             }
             let Some(open) = lit_at else { continue };
-            match captures.iter_mut().find(|(lit, _, _)| *lit == open) {
-                Some(c) if c.1 < at => *c = (open, at, entry),
+            let c = (open, at, capture.0, capture.1);
+            match captures.iter_mut().find(|(lit, ..)| *lit == open) {
+                Some(prev) if prev.1 < at => *prev = c,
                 Some(_) => {}
-                None => captures.push((open, at, entry)),
+                None => captures.push(c),
             }
         }
     }
-    let mut lits: Vec<(usize, bool, RowType)> = captures
-        .into_iter()
-        .map(|(open, _, &(call, row))| (open, call == ".metric(", row))
-        .collect();
+    let mut lits: Vec<(usize, bool, RowType)> =
+        captures.into_iter().map(|(open, _, helper, row)| (open, helper, row)).collect();
     if ctx.rel.ends_with("sim/src/eventd.rs") {
         for at in find_word(text, "const") {
             let line_end = text[at..].find('\n').map(|p| at + p).unwrap_or(text.len());
