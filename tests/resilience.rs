@@ -4,10 +4,10 @@
 //! reconnect and keep syncing.
 
 use magma::prelude::*;
-use magma::testbed::overall_csr;
+use magma::testbed::{overall_csr, Scenario};
 use magma_agw::AgwActor;
 use magma_orc8r::Orc8rActor;
-use magma_net::{ports, NetStack};
+use magma_net::{ports, LinkProfile, NetStack};
 
 #[test]
 fn orc8r_crash_and_restart_preserves_state_and_resyncs() {
@@ -319,4 +319,56 @@ fn headless_restart_from_the_local_checkpoint_keeps_sessions_and_sqns() {
         .filter(|e| e.fields.get("cause").is_some_and(|c| c == "AuthFailure"))
         .count();
     assert_eq!(auth_failures, 0, "no re-attach was refused for its SQN");
+}
+
+/// A backhaul partition short enough that the gateway's stream survives
+/// it queues checkpoint uploads behind one another; the heal drains
+/// them. Whatever order the copies arrive in, the checkpoint the
+/// orchestrator stores must never go back in time: it is what a standby
+/// restores from.
+#[test]
+fn a_drain_after_a_partition_never_stores_an_older_checkpoint() {
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 10,
+        attach_rate_per_sec: 2.0,
+        traffic: TrafficModel::http_download(),
+        ..SiteSpec::typical()
+    };
+    let mut agw = AgwSpec::bare_metal(site);
+    agw.backhaul = LinkProfile::satellite();
+    let mut sc = magma::deploy(ScenarioConfig::new(42).with_agw(agw));
+    let stored_at = |sc: &Scenario| {
+        sc.orc8r.borrow().checkpoints.get("agw0").map(|cp| {
+            cp.get("taken_at_us")
+                .and_then(serde_json::Value::as_u64)
+                .expect("a stored checkpoint carries taken_at_us")
+        })
+    };
+
+    let (a, o) = (sc.agws[0].node, sc.orc8r_node);
+    let mut last = 0;
+    let mut regressions = Vec::new();
+    let mut step = |sc: &mut Scenario, until: u64| {
+        while sc.world.now() < SimTime::from_secs(until) {
+            sc.world.run_for(SimDuration::from_millis(50));
+            if let Some(at) = stored_at(sc) {
+                if at < last {
+                    regressions.push((sc.world.now(), last, at));
+                }
+                last = at;
+            }
+        }
+    };
+    step(&mut sc, 20);
+    sc.net.set_link_up(a, o, false);
+    step(&mut sc, 40);
+    sc.net.set_link_up(a, o, true);
+    step(&mut sc, 80);
+
+    assert!(last >= 70_000_000, "uploads resumed after the heal: {last}");
+    assert!(
+        regressions.is_empty(),
+        "stored checkpoint went back in time (at, held, stored): {regressions:?}"
+    );
 }
