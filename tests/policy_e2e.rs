@@ -175,3 +175,48 @@ fn online_credit_refills_keep_prepaid_sessions_served_over_satellite() {
         assert!(reserved >= credit.granted, "every grant the gateway holds was reserved");
     }
 }
+
+/// The satellite prepaid site above, with its backhaul partitioned for
+/// 5 s while refills are in flight: the stream survives, and the credit
+/// calls it held reach the OCS after the heal. Each must be answered
+/// once. Once the balance has run out, every byte the OCS holds
+/// reserved for a session is then a byte the gateway was granted.
+#[test]
+fn a_credit_call_held_up_by_a_partition_is_answered_once() {
+    let mut prepaid = PolicyRule::unrestricted("prepaid");
+    prepaid.tracking = UsageTracking::Online;
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 3,
+        attach_rate_per_sec: 2.0,
+        traffic: TrafficModel {
+            dl_bps: 2_000_000,
+            ul_bps: 0,
+        },
+        ..SiteSpec::typical()
+    };
+    let mut agw = AgwSpec::bare_metal(site);
+    agw.backhaul = LinkProfile::satellite();
+    let mut cfg = ScenarioConfig::new(14)
+        .with_agw(agw)
+        .with_policies(vec![prepaid], vec!["prepaid".to_string()]);
+    cfg.quota_bytes = 200_000;
+    cfg.prepaid_balance = Some(6_000_000);
+    let mut sc = magma::deploy(cfg);
+    let (a, o) = (sc.agws[0].node, sc.orc8r_node);
+    sc.world.run_until(SimTime::from_secs(15));
+    sc.net.set_link_up(a, o, false);
+    sc.world.run_until(SimTime::from_secs(20));
+    sc.net.set_link_up(a, o, true);
+    sc.world.run_until(SimTime::from_secs(60));
+
+    let cp = sc.agws[0].handle.borrow().checkpoint.clone().expect("checkpoint taken");
+    assert_eq!(cp.sessions.len(), 3);
+    let orc8r = sc.orc8r.borrow();
+    for s in cp.sessions.iter() {
+        let credit = s.credit.as_ref().expect("online session holds credit");
+        assert!(credit.is_final, "the balance ran out: {credit:?}");
+        let reserved = orc8r.ocs.balance(s.imsi).expect("provisioned").reserved_bytes;
+        assert_eq!(reserved, credit.granted, "{:?}: reserved, granted", s.imsi);
+    }
+}
