@@ -25,7 +25,7 @@ use crate::sessiond::{AccessTech, SessionManager};
 use magma_dataplane::{DesiredState, Pipeline};
 use magma_net::{lp_encode, ports, LpFramer, SockCmd, SockEvent, StreamHandle};
 use magma_orc8r::proto as orc8r_proto;
-use magma_rpc::{RpcClient, RpcClientConfig, RpcClientEvent};
+use magma_rpc::{RpcClient, RpcClientEvent};
 use magma_sim::eventd::kind as event_kind;
 use magma_sim::{downcast, try_downcast, Actor, ActorId, Ctx, Event, Severity, SimDuration, Span};
 use magma_subscriber::{DbSnapshot, DbSync, SubscriberDb};
@@ -36,6 +36,10 @@ use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::{Guti, Imsi, Teid};
 use rand::RngCore;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// How long a call to the orchestrator (this actor's and metricsd's)
+/// waits for its answer. FeG calls keep the client's default.
+pub(crate) const ORC8R_DEADLINE: SimDuration = SimDuration::from_secs(12);
 
 // Timer tags.
 const T_FLUID: u64 = 1;
@@ -1257,8 +1261,11 @@ impl AgwActor {
 
     fn do_checkin(&mut self, ctx: &mut Ctx<'_>) {
         let Some(cert) = self.cert else {
-            // Not bootstrapped yet; try again.
-            self.do_bootstrap(ctx);
+            // Not bootstrapped yet: ask again, unless a bootstrap is still
+            // waiting for its answer.
+            if !self.calls.values().any(|k| matches!(k, CallKind::Bootstrap)) {
+                self.do_bootstrap(ctx);
+            }
             return;
         };
         let enbs: Vec<u32> = self
@@ -1320,9 +1327,13 @@ impl AgwActor {
             cert: self.cert,
         };
         // Publish locally (the backup instance's source) and upload the
-        // runtime state to the orchestrator when connected.
+        // runtime state to the orchestrator when connected. One upload is
+        // in flight at a time: each carries the full runtime state, so one
+        // skipped behind an unanswered upload loses nothing, and a drain
+        // after a partition carries one checkpoint, not a backlog.
+        let uploading = self.calls.values().any(|k| matches!(k, CallKind::Checkpoint));
         if let Some(client) = self.orc8r.as_mut() {
-            if client.is_connected() {
+            if client.is_connected() && !uploading {
                 // Streamed from the checkpoint as it stands; no tree.
                 let sqn = self.db.sqn_marks();
                 let push = orc8r_proto::CheckpointPushRef {
@@ -1565,11 +1576,7 @@ impl Actor for AgwActor {
                 }
                 if let Some(ep) = self.cfg.orc8r {
                     self.orc8r = Some(
-                        RpcClient::new(self.cfg.stack, ep, 1).with_config(RpcClientConfig {
-                            per_try_timeout: SimDuration::from_secs(3),
-                            max_retries: 3,
-                            total_timeout: SimDuration::from_secs(15),
-                        }),
+                        RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE),
                     );
                     self.do_bootstrap(ctx);
                     ctx.timer_in(self.cfg.checkin_interval, T_CHECKIN);

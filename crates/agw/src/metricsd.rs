@@ -19,10 +19,11 @@
 //!   `max_queue`, dropping oldest) and drain in order after
 //!   reconnection — no telemetry gap across a crash window.
 
+use crate::actor::ORC8R_DEADLINE;
 use crate::config::AgwConfig;
 use magma_net::{Endpoint, SockEvent};
 use magma_orc8r::proto as orc8r_proto;
-use magma_rpc::{RpcClient, RpcClientConfig, RpcClientEvent};
+use magma_rpc::{RpcClient, RpcClientEvent};
 use magma_sim::{try_downcast, Actor, ActorId, Ctx, Event, HostId, SimDuration};
 use std::collections::VecDeque;
 
@@ -214,8 +215,8 @@ impl MetricsdActor {
     }
 
     /// Push the queue front if nothing is in flight. One outstanding
-    /// call keeps delivery in order; the RPC client retries it across
-    /// reconnects within its total timeout.
+    /// call keeps delivery in order; the RPC client re-sends it after a
+    /// reconnect, until its deadline.
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
         if self.outstanding.is_some() {
             return;
@@ -265,11 +266,7 @@ impl Actor for MetricsdActor {
             Event::Start => {
                 if let Some(ep) = self.cfg.orc8r {
                     self.orc8r = Some(
-                        RpcClient::new(self.cfg.stack, ep, 1).with_config(RpcClientConfig {
-                            per_try_timeout: SimDuration::from_secs(3),
-                            max_retries: 3,
-                            total_timeout: SimDuration::from_secs(15),
-                        }),
+                        RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE),
                     );
                     ctx.send_self(&crate::flows::METRICSD_RPC_TICK, SimDuration::from_millis(250), T_RPC);
                 }

@@ -81,8 +81,8 @@ impl MetricsStore {
 
     /// Store a pushed snapshot and its event batch. Returns `false`
     /// (and changes nothing but the duplicate counter) when `seq` is
-    /// not newer than what is already stored — an RPC retry redelivered
-    /// an old push. Dedupe covers the events too: a dropped push never
+    /// not newer than what is already stored — the RPC client's reconnect
+    /// flush redelivered an old push. Dedupe covers the events too: a dropped push never
     /// double-delivers its events.
     pub fn ingest(
         &mut self,
@@ -311,7 +311,7 @@ mod tests {
             vec![ev(1, "attach_failure")]
         ));
         assert!(s.ingest("agw0", 2, SimTime(10_000_000), snap(3.0, 20.0, 0.2), vec![]));
-        // RPC retry redelivers seq 2: dropped, events included.
+        // The reconnect flush redelivers seq 2: dropped, events included.
         assert!(!s.ingest(
             "agw0",
             2,

@@ -37,8 +37,8 @@ pub mod methods {
 ///
 /// All edges here are `Transport` class: they ride the RPC stream over
 /// the modeled backhaul. Request kinds name the client tick timer that
-/// drives their deadline/retry machinery (`RpcClient::on_tick`), which
-/// lint rule F004 checks against the declared timer kinds.
+/// expires their deadlines and reconnects for them (`RpcClient::on_tick`),
+/// which lint rule F004 checks against the declared timer kinds.
 pub mod flows {
     use magma_sim::{DelayClass, FlowKind, Role};
 
@@ -276,14 +276,14 @@ pub struct CreditReport {
 pub struct MetricsPush {
     pub agw_id: String,
     /// Monotonic per-gateway sequence number, starting at 1; lets the
-    /// orchestrator drop redelivered snapshots after an RPC retry.
+    /// orchestrator drop snapshots the reconnect flush redelivers.
     pub seq: u64,
     /// Sim time (µs) the snapshot was taken on the gateway.
     pub taken_at_us: u64,
     pub snapshot: magma_sim::RegistrySnapshot,
     /// Structured events (`eventd`) emitted on the gateway since the
     /// previous push — shipped in-band with the snapshot and deduped by
-    /// the same `seq`, so a retried push never double-delivers events.
+    /// the same `seq`, so a re-sent push never double-delivers events.
     #[serde(default)]
     pub events: Vec<magma_sim::StructuredEvent>,
 }

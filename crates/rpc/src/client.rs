@@ -1,10 +1,22 @@
-//! RPC client: unary calls with deadlines, retries, and transparent
-//! reconnection.
+//! RPC client: unary calls with deadlines and transparent reconnection.
 //!
-//! Retrying is safe because Magma's interfaces use desired-state semantics
-//! (§3.4): re-sending "the set of sessions is X, Y, Z" is idempotent. The
-//! client therefore retries aggressively across connection failures, which
-//! is what keeps the control plane usable over satellite-grade backhaul.
+//! The stream under the client is the one loss-recovery layer: it
+//! retransmits on its own RTO and closes after its retry budget. So the
+//! client never re-sends on an open stream — a second copy there could
+//! reach nothing the first could not. A call is re-sent only when a new
+//! stream opens after the old one closed; the flush then re-sends every
+//! outstanding call in id order, because the server may or may not have
+//! seen the original before the old stream died. A call that is not
+//! answered by its deadline fails.
+//!
+//! A re-sent call can therefore reach the server twice, so each
+//! receiver must make a repeat harmless. Desired-state calls are
+//! harmless by construction (§3.4): a check-in re-asks for the changes
+//! since a version, a bootstrap with the same hardware token gets the
+//! cert already issued, and the orchestrator keeps a checkpoint only if
+//! it is not older than the one it holds. Metrics pushes carry a
+//! per-gateway sequence number the store dedupes on, and credit calls a
+//! per-session request number the OCS answers once (RFC 4006 §8.2).
 
 use crate::codec::{self, Framer};
 use crate::msg::RpcKind;
@@ -15,17 +27,21 @@ use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
 
+/// How long a call waits for its answer unless the client is built
+/// [`with_deadline`](RpcClient::with_deadline).
+pub const DEFAULT_DEADLINE: SimDuration = SimDuration::from_secs(18);
+
 /// Events the client surfaces to its owning actor.
 #[derive(Debug)]
 pub enum RpcClientEvent {
     /// A call completed successfully.
     Response { id: u64, body: Value },
-    /// A call failed permanently (deadline + retries exhausted, or an
-    /// application error from the server).
+    /// A call failed permanently (deadline passed, or an application
+    /// error from the server).
     Failed { id: u64, reason: String },
     /// A server-push frame arrived (desired-state sync stream).
     Push { stream_id: u64, method: String, body: Value },
-    /// Transport (re)connected; queued calls were flushed.
+    /// Transport (re)connected; outstanding calls were flushed.
     Connected,
     /// Transport dropped; client will reconnect on next call/tick.
     Disconnected,
@@ -40,34 +56,10 @@ enum ConnState {
 
 struct Pending {
     method: &'static str,
-    /// The encoded request. The id is fixed per call, so every attempt
-    /// puts these same bytes on the wire; a retry clones the handle.
+    /// The encoded request. The id is fixed per call, so the reconnect
+    /// flush puts these same bytes on the wire; it clones the handle.
     frame: Bytes,
     deadline: SimTime,
-    retries_left: u32,
-    per_try: SimDuration,
-    next_retry: SimTime,
-}
-
-/// Client configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct RpcClientConfig {
-    /// Per-attempt timeout before a retry.
-    pub per_try_timeout: SimDuration,
-    /// Total retries after the first attempt.
-    pub max_retries: u32,
-    /// Overall deadline per call.
-    pub total_timeout: SimDuration,
-}
-
-impl Default for RpcClientConfig {
-    fn default() -> Self {
-        RpcClientConfig {
-            per_try_timeout: SimDuration::from_secs(3),
-            max_retries: 5,
-            total_timeout: SimDuration::from_secs(30),
-        }
-    }
 }
 
 /// An RPC client bound to one server endpoint. Embed in an actor; forward
@@ -77,15 +69,12 @@ pub struct RpcClient {
     stack: ActorId,
     server: Endpoint,
     cookie: u64,
-    cfg: RpcClientConfig,
+    /// How long after `call` an unanswered call fails.
+    deadline: SimDuration,
     conn: ConnState,
     framer: Framer,
     next_id: u64,
     outstanding: BTreeMap<u64, Pending>,
-    /// Calls issued while disconnected, flushed on connect (ids).
-    unsent: Vec<u64>,
-    pub calls_sent: u64,
-    pub retries: u64,
 }
 
 impl RpcClient {
@@ -96,19 +85,17 @@ impl RpcClient {
             stack,
             server,
             cookie,
-            cfg: RpcClientConfig::default(),
+            deadline: DEFAULT_DEADLINE,
             conn: ConnState::Idle,
             framer: Framer::new(),
             next_id: 1,
             outstanding: BTreeMap::new(),
-            unsent: Vec::new(),
-            calls_sent: 0,
-            retries: 0,
         }
     }
 
-    pub fn with_config(mut self, cfg: RpcClientConfig) -> Self {
-        self.cfg = cfg;
+    /// Fail each call that is not answered within `deadline` of `call`.
+    pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
+        self.deadline = deadline;
         self
     }
 
@@ -142,11 +129,11 @@ impl RpcClient {
     /// The flow kind carries the wire method name and declares the edge's
     /// place in the message-flow graph (`docs/MESSAGE_FLOW.md`); every
     /// unary call must be a `Request`-role kind with a registered retry
-    /// timer, which is exactly what the client's deadline/retry machinery
-    /// provides (lint rule F004 audits the declaration side).
+    /// timer — the owner's tick, which expires the call's deadline and
+    /// reconnects for it (lint rule F004 audits the declaration side).
     ///
-    /// The body is encoded here, once; retries and the reconnect flush
-    /// re-send the held frame.
+    /// The body is encoded here, once; the reconnect flush re-sends the
+    /// held frame.
     pub fn call(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -160,45 +147,22 @@ impl RpcClient {
         );
         let id = self.next_id;
         self.next_id += 1;
-        let now = ctx.now();
         let frame = {
             let _enc = ctx.profile_scope("rpc.encode");
             codec::encode(RpcKind::Request, id, kind.name, &body)
         };
-        self.outstanding.insert(
-            id,
-            Pending {
-                method: kind.name,
-                frame,
-                deadline: now + self.cfg.total_timeout,
-                retries_left: self.cfg.max_retries,
-                per_try: self.cfg.per_try_timeout,
-                next_retry: now + self.cfg.per_try_timeout,
-            },
-        );
-        self.ensure_conn(ctx);
-        if let ConnState::Open(h) = self.conn {
-            self.transmit(ctx, h, id);
-        } else {
-            self.unsent.push(id);
-        }
-        id
-    }
-
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, handle: StreamHandle, id: u64) {
-        let Some(p) = self.outstanding.get(&id) else {
-            return;
+        let pending = Pending {
+            method: kind.name,
+            frame,
+            deadline: ctx.now() + self.deadline,
         };
-        self.calls_sent += 1;
-        let bytes = p.frame.clone();
-        // The method rides inside the stream payload, so it is counted
-        // here, once per send.
-        ctx.count_rpc(p.method, bytes.len());
-        ctx.send_to(
-            self.stack,
-            &flows::SOCK_CMD,
-            Box::new(SockCmd::StreamSend { handle, bytes }),
-        );
+        match self.conn {
+            ConnState::Open(h) => send(ctx, self.stack, h, &pending),
+            // The `StreamOpened` flush sends it.
+            _ => self.ensure_conn(ctx),
+        }
+        self.outstanding.insert(id, pending);
+        id
     }
 
     /// Offer a `SockEvent`; `Err` hands it back if it isn't ours.
@@ -210,9 +174,10 @@ impl RpcClient {
         match ev {
             SockEvent::StreamOpened { handle, user, .. } if user == self.cookie => {
                 self.conn = ConnState::Open(handle);
-                let ids = std::mem::take(&mut self.unsent);
-                for id in ids {
-                    self.transmit(ctx, handle, id);
+                // The one re-send path: whatever the old stream carried
+                // may never have reached the server.
+                for p in self.outstanding.values() {
+                    send(ctx, self.stack, handle, p);
                 }
                 Ok(vec![RpcClientEvent::Connected])
             }
@@ -223,8 +188,8 @@ impl RpcClient {
                 let frames = self.framer.push_with(&bytes, &mut None, decode);
                 if self.framer.is_poisoned() {
                     // Framing is lost for good; the close comes back as
-                    // `StreamClosed` and outstanding calls retry on a
-                    // fresh stream.
+                    // `StreamClosed` and outstanding calls are re-sent on
+                    // a fresh stream.
                     ctx.send_to(
                         self.stack,
                         &flows::SOCK_CMD,
@@ -265,52 +230,45 @@ impl RpcClient {
             {
                 self.conn = ConnState::Idle;
                 self.framer = Framer::new();
-                // Outstanding calls will be re-sent on reconnect via tick.
+                // The next tick reconnects if calls are outstanding.
                 Ok(vec![RpcClientEvent::Disconnected])
             }
             other => Err(other),
         }
     }
 
-    /// Periodic maintenance: expire deadlines, retry slow calls, reconnect.
-    /// The owner should call this every few hundred milliseconds while
-    /// calls are outstanding.
+    /// Periodic maintenance: fail calls past their deadline, and reconnect
+    /// while calls are outstanding. The owner should call this every few
+    /// hundred milliseconds.
     pub fn on_tick(&mut self, ctx: &mut Ctx<'_>) -> Vec<RpcClientEvent> {
         let now = ctx.now();
         let mut out = Vec::new();
-        let mut to_retry = Vec::new();
-        let mut to_fail = Vec::new();
-        for (&id, p) in self.outstanding.iter_mut() {
-            if now >= p.deadline || (now >= p.next_retry && p.retries_left == 0) {
-                to_fail.push(id);
-            } else if now >= p.next_retry {
-                p.retries_left -= 1;
-                p.next_retry = now + p.per_try;
-                to_retry.push(id);
+        self.outstanding.retain(|&id, p| {
+            let live = now < p.deadline;
+            if !live {
+                out.push(RpcClientEvent::Failed {
+                    id,
+                    reason: "deadline exceeded".to_string(),
+                });
             }
-        }
-        for id in to_fail {
-            self.outstanding.remove(&id);
-            out.push(RpcClientEvent::Failed {
-                id,
-                reason: "deadline exceeded".to_string(),
-            });
-        }
-        if !to_retry.is_empty() {
-            self.retries += to_retry.len() as u64;
+            live
+        });
+        if !self.outstanding.is_empty() {
             self.ensure_conn(ctx);
-            if let ConnState::Open(h) = self.conn {
-                for id in to_retry {
-                    self.transmit(ctx, h, id);
-                }
-            } else {
-                for id in to_retry {
-                    if !self.unsent.contains(&id) {
-                        self.unsent.push(id);
-                    }
-                }
-            }
         }
         out
     }
+}
+
+/// Hand one call's held frame to the stream.
+fn send(ctx: &mut Ctx<'_>, stack: ActorId, handle: StreamHandle, p: &Pending) {
+    // The method rides inside the stream payload, so it is counted here,
+    // once per send.
+    ctx.count_rpc(p.method, p.frame.len());
+    let bytes = p.frame.clone();
+    ctx.send_to(
+        stack,
+        &flows::SOCK_CMD,
+        Box::new(SockCmd::StreamSend { handle, bytes }),
+    );
 }

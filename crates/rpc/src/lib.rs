@@ -4,15 +4,16 @@
 //! generic AGW functions, and AGWs to the orchestrator — uses this layer
 //! (§3.1). Because it runs over the loss-recovering stream transport, it
 //! inherits TCP's tolerance to loss and delay; combined with client-side
-//! deadlines and idempotent retries it keeps the control plane functional
-//! over satellite-grade backhaul, in contrast to raw 3GPP protocols.
+//! deadlines and a re-send of outstanding calls after a reconnect, it keeps
+//! the control plane functional over satellite-grade backhaul, in contrast
+//! to raw 3GPP protocols.
 
 pub mod client;
 pub mod codec;
 pub mod msg;
 pub mod server;
 
-pub use client::{RpcClient, RpcClientConfig, RpcClientEvent};
+pub use client::{RpcClient, RpcClientEvent};
 pub use codec::{encode_frame, Framer, Spare, MAX_FRAME_LEN};
 pub use msg::{RpcFrame, RpcKind};
 pub use server::{RpcServer, RpcServerEvent};
@@ -296,11 +297,8 @@ mod tests {
             server: RpcServer::new(sb, 8443),
         }));
         w.add_actor(Box::new(Caller {
-            client: RpcClient::new(sa, Endpoint::new(b, 8443), 1).with_config(RpcClientConfig {
-                per_try_timeout: SimDuration::from_secs(2),
-                max_retries: 30,
-                total_timeout: SimDuration::from_secs(120),
-            }),
+            client: RpcClient::new(sa, Endpoint::new(b, 8443), 1)
+                .with_deadline(SimDuration::from_secs(62)),
             n: 40,
             interval: SimDuration::from_millis(100),
             sent: 0,

@@ -2,16 +2,17 @@
 //! stand-in that records every `SockCmd` it is given.
 //!
 //! A call is encoded once. The request id is fixed when the call is
-//! made, so the first send, every timed-out retry and the flush after a
-//! reconnect carry the same bytes — the client holds them and re-sends
-//! them. Likewise one push to several connections is one encoding — so
+//! made, so the first send and the flush after a reconnect carry the
+//! same bytes — the client holds them and re-sends them. On a stream
+//! that stays open the client sends a call once and leaves recovery to
+//! the stream; an unanswered call fails at its deadline. Likewise one push to several connections is one encoding — so
 //! a sender whose peers have acked different versions pays one encoding
 //! per version, not per peer. And a peer whose length prefix cannot be a
 //! frame gets its stream closed.
 
 use bytes::Bytes;
 use magma_net::{flows, Endpoint, NodeAddr, SockCmd, SockEvent, StreamHandle};
-use magma_rpc::{RpcClient, RpcClientConfig, RpcServer, MAX_FRAME_LEN};
+use magma_rpc::{RpcClient, RpcClientEvent, RpcServer, MAX_FRAME_LEN};
 use magma_sim::{
     downcast, Actor, ActorId, Ctx, DelayClass, Event, FlowKind, Role, SimDuration, SimTime, World,
 };
@@ -105,6 +106,18 @@ impl Actor for ScriptedStack {
 
 struct Caller {
     client: RpcClient,
+    /// When each failed call failed.
+    failed_at: Rc<RefCell<Vec<SimTime>>>,
+}
+
+impl Caller {
+    fn note(&self, now: SimTime, evs: Vec<RpcClientEvent>) {
+        for e in evs {
+            if let RpcClientEvent::Failed { .. } = e {
+                self.failed_at.borrow_mut().push(now);
+            }
+        }
+    }
 }
 
 impl Actor for Caller {
@@ -119,12 +132,15 @@ impl Actor for Caller {
                 ctx.timer_in(SimDuration::from_millis(250), 1);
             }
             Event::Timer { .. } => {
-                self.client.on_tick(ctx);
+                let evs = self.client.on_tick(ctx);
+                self.note(ctx.now(), evs);
                 ctx.timer_in(SimDuration::from_millis(250), 1);
             }
             Event::Msg { payload, .. } => {
                 let ev = downcast::<SockEvent>(payload, "caller");
-                let _ = self.client.try_handle(ctx, ev);
+                if let Ok(evs) = self.client.try_handle(ctx, ev) {
+                    self.note(ctx.now(), evs);
+                }
             }
             _ => {}
         }
@@ -141,13 +157,13 @@ fn encode_scope_count(w: &World) -> u64 {
 }
 
 #[test]
-fn retries_and_the_reconnect_flush_resend_the_bytes_of_the_first_send() {
+fn first_send_and_the_reconnect_flush_carry_one_encoding() {
     let mut w = World::new(3);
     w.enable_profiling(true);
     let wire = Rc::new(RefCell::new(Wire::default()));
-    // Sends at 0 s (first), 1 s and 2 s (timed-out retries) ride the
-    // first stream; it is reset at 2.6 s, so the 3 s retry finds the
-    // client disconnected, reopens, and goes out in the connect flush.
+    // The call goes out at 0 s on the first stream and is not re-sent
+    // while that stream is open; the stream is reset at 2.6 s, so the
+    // next tick reopens and the connect flush re-sends it.
     let stack = w.add_actor(Box::new(ScriptedStack {
         wire: wire.clone(),
         drop_at: Some(SimDuration::from_millis(2600)),
@@ -155,22 +171,15 @@ fn retries_and_the_reconnect_flush_resend_the_bytes_of_the_first_send() {
     }));
     let peer = Endpoint::new(NodeAddr(9), 8443);
     w.add_actor(Box::new(Caller {
-        client: RpcClient::new(stack, peer, 1).with_config(RpcClientConfig {
-            per_try_timeout: SimDuration::from_secs(1),
-            max_retries: 5,
-            total_timeout: SimDuration::from_secs(30),
-        }),
+        client: RpcClient::new(stack, peer, 1),
+        failed_at: Rc::default(),
     }));
     w.run_until(SimTime::from_millis(3500));
 
     let wire = wire.borrow();
     assert_eq!(wire.opens, 2, "one reconnect");
     let handles: Vec<u64> = wire.sends.iter().map(|(h, _)| h.0).collect();
-    assert_eq!(
-        handles,
-        [1, 1, 1, 2],
-        "first send, two retries, reconnect flush"
-    );
+    assert_eq!(handles, [1, 2], "first send, reconnect flush");
     let first = &wire.sends.first().expect("sent at least once").1;
     for (_, bytes) in &wire.sends {
         assert_eq!(bytes, first);
@@ -181,6 +190,31 @@ fn retries_and_the_reconnect_flush_resend_the_bytes_of_the_first_send() {
         r#"{"body":{"gateway":"agw-1","readings":[1.0,2.5]},"id":1,"kind":"Request","method":"test.Report"}"#
     );
     assert_eq!(encode_scope_count(&w), 1, "one call, one encoding");
+}
+
+#[test]
+fn an_unanswered_call_on_an_open_stream_is_sent_once_and_fails_at_its_deadline() {
+    let mut w = World::new(3);
+    let wire = Rc::new(RefCell::new(Wire::default()));
+    let stack = w.add_actor(Box::new(ScriptedStack {
+        wire: wire.clone(),
+        drop_at: None,
+        owner: None,
+    }));
+    let failed_at = Rc::new(RefCell::new(Vec::new()));
+    w.add_actor(Box::new(Caller {
+        client: RpcClient::new(stack, Endpoint::new(NodeAddr(9), 8443), 1)
+            .with_deadline(SimDuration::from_secs(12)),
+        failed_at: failed_at.clone(),
+    }));
+    w.run_until(SimTime::from_secs(30));
+
+    let wire = wire.borrow();
+    assert_eq!(wire.opens, 1);
+    assert_eq!(wire.sends.len(), 1, "no re-send while the stream is open");
+    // Made at 0 s; the 250 ms tick at 12 s is the first at or past the
+    // deadline.
+    assert_eq!(*failed_at.borrow(), [SimTime::from_secs(12)]);
 }
 
 /// Accepts three connections, then pushes one body to all of them.

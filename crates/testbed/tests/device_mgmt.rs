@@ -70,10 +70,12 @@ fn partitioned_gateway_raises_offline_alert_then_recovers() {
     }
 }
 
-/// A gateway behind a backhaul whose round trip (3 s) reaches the RPC
-/// client's per-try timeout: the bootstrap call is retried while the
-/// first try's answer is still in flight. Every try must be answered
-/// with the same cert, so whichever answer lands is the cert the
+/// A gateway behind a backhaul whose round trip is 3 s. The stream is
+/// the one loss-recovery layer, so the bootstrap call goes out once and
+/// waits for its answer however slow the link; the check-in timer does
+/// not ask again while it waits. A bootstrap repeated by
+/// the reconnect flush (the only re-send) is answered with the cert
+/// already issued, so whichever answer lands is the cert the
 /// orchestrator holds and the first check-in is accepted.
 #[test]
 fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
@@ -104,7 +106,10 @@ fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
     w.add_actor(Box::new(AgwActor::new(cfg, new_agw_handle())));
 
     w.run_until(SimTime::from_secs(20));
-    let st = orc8r.borrow();
+    let rpc = w.shard_snapshot();
+    let bootstraps = rpc.edges.iter().find(|e| e.kind == "orc8r.Bootstrap");
+    assert_eq!(bootstraps.map(|e| e.messages), Some(1), "one bootstrap sent");
+    let mut st = orc8r.borrow_mut();
     let dev = &st.devices["agw0"];
     assert!(dev.checkins >= 1, "no check-in within 20 s: {dev:?}");
     // The orchestrator mints certs from 1000 upward and each mint
@@ -113,4 +118,7 @@ fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
         dev.cert, 1000,
         "a retried bootstrap minted a new cert: {dev:?}"
     );
+    // What the orchestrator does with the same bootstrap delivered again.
+    let token = dev.hw_token;
+    assert_eq!(st.bootstrap("agw0", token), 1000, "a repeat keeps the cert");
 }
