@@ -317,10 +317,11 @@ impl Orc8rState {
 
     // ---- Southbound operations (called by the actor) ----
 
-    /// Register a gateway and return its cert. A retry from the same
-    /// gateway with the same hardware token gets the cert already issued,
-    /// since an earlier try's answer may still be in flight and must stay
-    /// valid; a different token mints a fresh cert.
+    /// Register a gateway and return its cert. A repeat from the same
+    /// gateway with the same hardware token (the reconnect flush, or the
+    /// gateway asking again after a deadline) gets the cert already
+    /// issued, since an earlier answer may still be in flight and must
+    /// stay valid; a different token mints a fresh cert.
     pub fn bootstrap(&mut self, agw_id: &str, hw_token: u64) -> u64 {
         let rec = self.devices.entry(agw_id.to_string()).or_default();
         if !rec.registered || rec.hw_token != hw_token {
@@ -360,9 +361,18 @@ impl Orc8rState {
         true
     }
 
-    /// Store a gateway's latest checkpoint; returns the one it displaces.
+    /// Store a gateway's checkpoint unless the one held was taken later;
+    /// returns the tree not kept (the displaced one, or `state` itself).
+    /// A re-sent upload can arrive after a newer one, and the stored
+    /// checkpoint is what a standby restores from, so it never goes back
+    /// in time. An equal `taken_at_us` replaces.
     pub fn store_checkpoint(&mut self, agw_id: &str, state: Value) -> Option<Value> {
-        self.checkpoints.insert(agw_id.to_string(), state)
+        let taken_at = |cp: &Value| cp.get("taken_at_us").and_then(Value::as_u64);
+        match self.checkpoints.get_mut(agw_id) {
+            Some(held) if taken_at(held) > taken_at(&state) => Some(state),
+            Some(held) => Some(std::mem::replace(held, state)),
+            None => self.checkpoints.insert(agw_id.to_string(), state),
+        }
     }
 
     fn log(&mut self, what: String) {
@@ -458,5 +468,16 @@ mod tests {
         let mut s = Orc8rState::new(1);
         s.store_checkpoint("agw-1", serde_json::json!({"sessions": 3}));
         assert!(s.checkpoints.contains_key("agw-1"));
+    }
+
+    #[test]
+    fn an_older_checkpoint_is_refused_and_an_equal_one_replaces() {
+        let mut s = Orc8rState::new(1);
+        let cp = |at: u64, n: u64| serde_json::json!({"taken_at_us": at, "sessions": n});
+        assert_eq!(s.store_checkpoint("agw-1", cp(5, 1)), None);
+        assert_eq!(s.store_checkpoint("agw-1", cp(4, 2)), Some(cp(4, 2)), "older: refused");
+        assert_eq!(s.store_checkpoint("agw-1", cp(5, 3)), Some(cp(5, 1)), "equal: replaces");
+        assert_eq!(s.store_checkpoint("agw-1", cp(6, 4)), Some(cp(5, 3)), "newer: replaces");
+        assert_eq!(s.checkpoints["agw-1"], cp(6, 4));
     }
 }

@@ -113,7 +113,8 @@ fn every_stored_checkpoint_equals_a_fresh_parse_of_its_upload() {
         assert_eq!(rig.stored(n), push.state, "upload {i} from agw{n}");
     }
     // A body that is not a checkpoint is refused and stores nothing; a
-    // good upload after it is stored as sent.
+    // good upload after it is stored as sent, and an upload taken earlier
+    // than the one stored is refused.
     let bad = codec::encode(
         RpcKind::Request,
         99,
@@ -122,8 +123,10 @@ fn every_stored_checkpoint_equals_a_fresh_parse_of_its_upload() {
     );
     rig.upload(1, &bad);
     assert_eq!(rig.stored(1), state(22));
-    rig.upload(1, &frame(100, 1, state(5)));
-    assert_eq!(rig.stored(1), state(5));
+    rig.upload(1, &frame(100, 1, state(26)));
+    assert_eq!(rig.stored(1), state(26));
+    rig.upload(1, &frame(101, 1, state(5)));
+    assert_eq!(rig.stored(1), state(26));
 }
 
 /// The displaced tree really is what the next upload is parsed into: a
