@@ -782,6 +782,8 @@ impl AgwActor {
             let req = orc8r_proto::CreditRequest {
                 imsi: imsi.0,
                 session_id: sid,
+                // The session's first credit request.
+                request_number: 0,
             };
             if let Some(client) = self.orc8r.as_mut() {
                 let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
@@ -897,6 +899,8 @@ impl AgwActor {
                 let report = orc8r_proto::CreditReport {
                     imsi: s.imsi.0,
                     session_id: sid,
+                    // Above a refill request that may still be in flight.
+                    request_number: credit.request_number + 1,
                     used_bytes: credit.used,
                     released_quota: credit.granted,
                 };
@@ -1245,6 +1249,7 @@ impl AgwActor {
             let req = orc8r_proto::CreditRequest {
                 imsi: s.imsi.0,
                 session_id: sid,
+                request_number: s.credit.as_ref().map_or(0, |c| c.request_number),
             };
             if let Some(client) = self.orc8r.as_mut() {
                 let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);

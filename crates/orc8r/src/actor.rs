@@ -132,11 +132,11 @@ impl Orc8rActor {
                     self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad credit request");
                     return;
                 };
-                let answer = self
-                    .state
-                    .borrow_mut()
-                    .ocs
-                    .request_credit(magma_wire::Imsi(req.imsi));
+                let answer = self.state.borrow_mut().ocs.request_credit_once(
+                    magma_wire::Imsi(req.imsi),
+                    req.session_id,
+                    req.request_number,
+                );
                 let resp = match answer {
                     magma_policy::CreditAnswer::Granted { bytes, is_final } => CreditResponse {
                         granted: bytes,
@@ -156,8 +156,10 @@ impl Orc8rActor {
                     self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad credit report");
                     return;
                 };
-                self.state.borrow_mut().ocs.report_usage(
+                self.state.borrow_mut().ocs.report_usage_once(
                     magma_wire::Imsi(req.imsi),
+                    req.session_id,
+                    req.request_number,
                     req.used_bytes,
                     req.released_quota,
                 );

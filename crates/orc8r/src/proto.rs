@@ -251,6 +251,9 @@ impl<S: Serialize> Serialize for CheckpointPushRef<'_, S> {
 pub struct CreditRequest {
     pub imsi: u64,
     pub session_id: u64,
+    /// The session's CC-Request-Number (RFC 4006 §8.2): a repeat carries
+    /// the number of the request it repeats and gets that answer.
+    pub request_number: u64,
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -265,6 +268,8 @@ pub struct CreditResponse {
 pub struct CreditReport {
     pub imsi: u64,
     pub session_id: u64,
+    /// Numbered after the session's requests, so a repeat is debited once.
+    pub request_number: u64,
     pub used_bytes: u64,
     pub released_quota: u64,
 }

@@ -29,6 +29,14 @@ pub enum CreditAnswer {
     Denied,
 }
 
+/// The last numbered credit call the OCS applied for one session.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct Applied {
+    number: u64,
+    /// What a repeat of the last request is answered.
+    answer: CreditAnswer,
+}
+
 /// The online charging server: tracks balances, grants quotas, reconciles
 /// actual usage reported by AGWs.
 #[derive(Debug, Default, Serialize, Deserialize)]
@@ -38,6 +46,10 @@ pub struct OcsServer {
     pub quota_bytes: u64,
     pub grants_issued: u64,
     pub denials: u64,
+    /// Per subscriber and gateway session id, the last numbered call
+    /// applied. Kept after the session's report, so a repeat of that
+    /// report is still recognised.
+    applied: BTreeMap<Imsi, BTreeMap<u64, Applied>>,
 }
 
 impl OcsServer {
@@ -47,6 +59,7 @@ impl OcsServer {
             quota_bytes,
             grants_issued: 0,
             denials: 0,
+            applied: BTreeMap::new(),
         }
     }
 
@@ -94,6 +107,46 @@ impl OcsServer {
         }
     }
 
+    /// A session's numbered credit request. Each credit call a gateway
+    /// makes for a session carries a request number, as Diameter Gy's
+    /// CC-Request-Number does (RFC 4006 §8.2). A number not above the last
+    /// one applied is a repeat (the RPC reconnect flush, or the gateway
+    /// asking again after a deadline): it gets the stored answer and
+    /// reserves nothing.
+    pub fn request_credit_once(&mut self, imsi: Imsi, session: u64, number: u64) -> CreditAnswer {
+        if let Some(last) = self.applied.get(&imsi).and_then(|s| s.get(&session)) {
+            if number <= last.number {
+                return last.answer;
+            }
+        }
+        let answer = self.request_credit(imsi);
+        self.applied
+            .entry(imsi)
+            .or_default()
+            .insert(session, Applied { number, answer });
+        answer
+    }
+
+    /// A session's numbered usage report: debited once, however often it
+    /// arrives. The report ends the session, so a request repeated after
+    /// it is denied.
+    pub fn report_usage_once(
+        &mut self,
+        imsi: Imsi,
+        session: u64,
+        number: u64,
+        used_bytes: u64,
+        released_quota: u64,
+    ) {
+        let sessions = self.applied.entry(imsi).or_default();
+        if sessions.get(&session).is_some_and(|last| number <= last.number) {
+            return;
+        }
+        let answer = CreditAnswer::Denied;
+        sessions.insert(session, Applied { number, answer });
+        self.report_usage(imsi, used_bytes, released_quota);
+    }
+
     /// Upper bound on bytes an adversary could consume beyond their
     /// balance by racing quota grants across `n_agws` AGWs (§3.4: "the
     /// maximum amount of double-spend permitted is capped as a business
@@ -112,6 +165,12 @@ pub struct SessionCredit {
     pub refill_fraction: f64,
     /// No more quota will be granted (balance exhausted).
     pub is_final: bool,
+    /// The request number (RFC 4006 §8.2) of the session's next credit
+    /// request: one per answer absorbed, the first request (number 0)
+    /// being answered by this credit's creation. A request that got no
+    /// answer is asked again under its own number. Checkpointed with the
+    /// session, so a restored standby continues the sequence.
+    pub request_number: u64,
 }
 
 impl SessionCredit {
@@ -121,6 +180,7 @@ impl SessionCredit {
             used: 0,
             refill_fraction: 0.2,
             is_final,
+            request_number: 1,
         }
     }
 
@@ -147,10 +207,11 @@ impl SessionCredit {
         self.remaining() == 0
     }
 
-    /// Absorb a refill grant.
+    /// Absorb a refill grant: the answer to request `request_number`.
     pub fn refill(&mut self, bytes: u64, is_final: bool) {
         self.granted += bytes;
         self.is_final = is_final;
+        self.request_number += 1;
     }
 }
 
@@ -210,6 +271,40 @@ mod tests {
         let acct = ocs.balance(imsi()).unwrap();
         assert_eq!(acct.balance_bytes, 1_700_000);
         assert_eq!(acct.reserved_bytes, 0);
+    }
+
+    #[test]
+    fn a_repeated_request_is_answered_from_the_store() {
+        let mut ocs = OcsServer::new(1_000_000);
+        ocs.provision(imsi(), 2_500_000);
+        let first = ocs.request_credit_once(imsi(), 7, 0);
+        assert_eq!(ocs.request_credit_once(imsi(), 7, 0), first, "repeat");
+        assert_eq!(ocs.balance(imsi()).unwrap().reserved_bytes, 1_000_000);
+        // Another session of the same subscriber numbers its own calls.
+        ocs.request_credit_once(imsi(), 8, 0);
+        ocs.request_credit_once(imsi(), 7, 1);
+        assert_eq!(ocs.balance(imsi()).unwrap().reserved_bytes, 2_500_000);
+        let last = CreditAnswer::Granted {
+            bytes: 500_000,
+            is_final: true,
+        };
+        assert_eq!(ocs.request_credit_once(imsi(), 7, 1), last);
+        assert_eq!(ocs.request_credit_once(imsi(), 7, 0), last, "an older number");
+        assert_eq!(ocs.grants_issued, 3);
+    }
+
+    #[test]
+    fn a_repeated_report_is_debited_once_and_ends_the_session() {
+        let mut ocs = OcsServer::new(1_000_000);
+        ocs.provision(imsi(), 2_000_000);
+        ocs.request_credit_once(imsi(), 7, 0);
+        for _ in 0..2 {
+            ocs.report_usage_once(imsi(), 7, 1, 300_000, 1_000_000);
+        }
+        let acct = ocs.balance(imsi()).unwrap();
+        assert_eq!((acct.balance_bytes, acct.reserved_bytes), (1_700_000, 0));
+        assert_eq!(ocs.request_credit_once(imsi(), 7, 1), CreditAnswer::Denied);
+        assert_eq!(ocs.balance(imsi()).unwrap().reserved_bytes, 0);
     }
 
     #[test]
