@@ -24,17 +24,26 @@ pub struct SourceFile {
 }
 
 /// Read and mask `files` (paths must be under `root` for clean rel paths).
-fn load_sources(root: &Path, files: &[PathBuf]) -> Vec<SourceFile> {
+/// A file that cannot be read goes to `unreadable` with its error.
+fn load_sources(
+    root: &Path,
+    files: &[PathBuf],
+    unreadable: &mut Vec<(String, String)>,
+) -> Vec<SourceFile> {
     let mut out = Vec::new();
     for path in files {
-        let Ok(src) = fs::read_to_string(path) else {
-            continue;
-        };
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
+        let src = match fs::read_to_string(path) {
+            Ok(src) => src,
+            Err(e) => {
+                unreadable.push((rel, e.to_string()));
+                continue;
+            }
+        };
         let masked = lexer::mask(&src);
         let skips = rules::cfg_test_ranges(&masked.text);
         out.push(SourceFile { rel, masked, skips });
@@ -62,6 +71,9 @@ pub struct Report {
     pub allows: Vec<Allow>,
     /// Malformed `lint:allow` comments (never suppressible).
     pub malformed: Vec<(String, u32, String)>,
+    /// Files to scan that could not be read, with the error: each fails
+    /// the run, since a file never read can hide any violation.
+    pub unreadable: Vec<(String, String)>,
     /// Every telemetry name captured at a call site (`--names` prints them).
     pub uses: Vec<NameUse>,
     /// Whether `docs/OBSERVABILITY.md` was found (T003 needs it).
@@ -79,7 +91,9 @@ impl Report {
     }
 
     pub fn is_clean(&self) -> bool {
-        self.findings.iter().all(|f| f.allowed) && self.malformed.is_empty()
+        self.findings.iter().all(|f| f.allowed)
+            && self.malformed.is_empty()
+            && self.unreadable.is_empty()
     }
 
     /// Rule -> violation count, for the summary (only rules that fired).
@@ -105,7 +119,8 @@ impl Report {
     /// Render the human summary printed at the end of `scripts/check.sh`.
     pub fn summary(&self) -> String {
         let mut out = String::new();
-        let violations = self.violations().len() + self.malformed.len();
+        let violations =
+            self.violations().len() + self.malformed.len() + self.unreadable.len();
         let allowed = self.findings.iter().filter(|f| f.allowed).count();
         out.push_str(&format!(
             "magma-lint: {} files scanned, {} rules ({})\n",
@@ -121,6 +136,9 @@ impl Report {
                     if allow == 1 { "" } else { "s" },
                 ));
             }
+        }
+        for (file, _) in &self.unreadable {
+            out.push_str(&format!("  unreadable: {file}\n"));
         }
         let unused: Vec<&Allow> = self.allows.iter().filter(|a| !a.used).collect();
         for a in &unused {
@@ -314,7 +332,7 @@ fn lint_files_inner(
         ..Report::default()
     };
 
-    let sources = load_sources(root, files);
+    let sources = load_sources(root, files, &mut report.unreadable);
     report.files_scanned = sources.len();
     let mut per_file_flows: Vec<flow::FileFlows> = Vec::new();
     for sf in &sources {
@@ -411,7 +429,7 @@ pub fn json_report(report: &Report) -> String {
     out.push_str(&format!("  \"docs_present\": {},\n", report.docs_present));
     out.push_str(&format!(
         "  \"violations\": {},\n",
-        report.violations().len() + report.malformed.len()
+        report.violations().len() + report.malformed.len() + report.unreadable.len()
     ));
     out.push_str(&format!(
         "  \"allowed\": {},\n",

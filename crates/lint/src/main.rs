@@ -119,6 +119,9 @@ fn main() -> ExitCode {
     for (file, line, msg) in &report.malformed {
         println!("LINT {file}:{line} {msg}");
     }
+    for (file, err) in &report.unreadable {
+        println!("LINT {file} cannot be read: {err}");
+    }
     if !report.docs_present {
         println!("LINT docs/OBSERVABILITY.md missing — T003 cannot run");
     }

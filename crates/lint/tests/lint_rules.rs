@@ -462,3 +462,23 @@ fn workspace_lints_clean() {
         report.flow.dispatches.len()
     );
 }
+
+#[test]
+fn a_named_file_that_cannot_be_read_fails_the_run() {
+    let root = fixtures().join("bad");
+    let report = lint_files(&root, &[root.join("no/such/file.rs")], Some(&real_docs()));
+    assert_eq!(report.files_scanned, 0);
+    assert!(!report.is_clean(), "{}", report.summary());
+    assert_eq!(report.unreadable.len(), 1);
+    assert_eq!(report.unreadable[0].0, "no/such/file.rs");
+    assert!(report.summary().contains("total: 1 violation"), "{}", report.summary());
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_magma-lint"))
+        .arg("no/such/file.rs")
+        .current_dir(repo_root())
+        .output()
+        .expect("magma-lint runs");
+    assert!(!out.status.success(), "a missing file passed the lint");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("no/such/file.rs cannot be read"), "{stdout}");
+}
