@@ -9,7 +9,7 @@
 //!                               golden on first run)
 //! magma-bench --list            print the scenario suite with descriptions
 //! magma-bench --out DIR         where BENCH_*.json and TRACE_*.json land
-//!                               (default ".")
+//!                               (default "."; created if missing)
 //! magma-bench --racecheck K     run attach_storm + scaling_ablation (or the
 //!                               one named with --scenario) under K permuted
 //!                               window schedules; the virtual section and
@@ -336,6 +336,12 @@ fn main() -> ExitCode {
     if args.list {
         list_mode();
         return ExitCode::SUCCESS;
+    }
+    // Every mode writes its reports after its runs: give them somewhere
+    // to land before spending the runs.
+    if let Err(e) = std::fs::create_dir_all(&args.out) {
+        eprintln!("magma-bench: --out {}: {e}", args.out.display());
+        return ExitCode::FAILURE;
     }
     let result = if let Some(k) = args.racecheck {
         racecheck_mode(&args.out, k, args.scenario.as_deref())
