@@ -1264,11 +1264,16 @@ impl AgwActor {
 
     // ---- Orchestrator sync (magmad) ----
 
+    /// Whether a call of this kind is still waiting for its answer.
+    fn awaiting(&self, kind: CallKind) -> bool {
+        self.calls.values().any(|k| *k == kind)
+    }
+
     fn do_checkin(&mut self, ctx: &mut Ctx<'_>) {
         let Some(cert) = self.cert else {
             // Not bootstrapped yet: ask again, unless a bootstrap is still
             // waiting for its answer.
-            if !self.calls.values().any(|k| matches!(k, CallKind::Bootstrap)) {
+            if !self.awaiting(CallKind::Bootstrap) {
                 self.do_bootstrap(ctx);
             }
             return;
@@ -1336,7 +1341,7 @@ impl AgwActor {
         // in flight at a time: each carries the full runtime state, so one
         // skipped behind an unanswered upload loses nothing, and a drain
         // after a partition carries one checkpoint, not a backlog.
-        let uploading = self.calls.values().any(|k| matches!(k, CallKind::Checkpoint));
+        let uploading = self.awaiting(CallKind::Checkpoint);
         if let Some(client) = self.orc8r.as_mut() {
             if client.is_connected() && !uploading {
                 // Streamed from the checkpoint as it stands; no tree.
@@ -1580,9 +1585,8 @@ impl Actor for AgwActor {
                     );
                 }
                 if let Some(ep) = self.cfg.orc8r {
-                    self.orc8r = Some(
-                        RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE),
-                    );
+                    self.orc8r =
+                        Some(RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE));
                     self.do_bootstrap(ctx);
                     ctx.timer_in(self.cfg.checkin_interval, T_CHECKIN);
                     ctx.send_self(&flows::AGW_RPC_TICK, SimDuration::from_millis(250), T_RPC);

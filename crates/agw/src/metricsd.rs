@@ -265,9 +265,8 @@ impl Actor for MetricsdActor {
         match event {
             Event::Start => {
                 if let Some(ep) = self.cfg.orc8r {
-                    self.orc8r = Some(
-                        RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE),
-                    );
+                    self.orc8r =
+                        Some(RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE));
                     ctx.send_self(&crate::flows::METRICSD_RPC_TICK, SimDuration::from_millis(250), T_RPC);
                 }
                 ctx.timer_in(self.cfg.interval, T_SAMPLE);

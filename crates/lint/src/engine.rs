@@ -119,8 +119,7 @@ impl Report {
     /// Render the human summary printed at the end of `scripts/check.sh`.
     pub fn summary(&self) -> String {
         let mut out = String::new();
-        let violations =
-            self.violations().len() + self.malformed.len() + self.unreadable.len();
+        let violations = self.violations().len() + self.malformed.len() + self.unreadable.len();
         let allowed = self.findings.iter().filter(|f| f.allowed).count();
         out.push_str(&format!(
             "magma-lint: {} files scanned, {} rules ({})\n",

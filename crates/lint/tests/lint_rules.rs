@@ -471,7 +471,11 @@ fn a_named_file_that_cannot_be_read_fails_the_run() {
     assert!(!report.is_clean(), "{}", report.summary());
     assert_eq!(report.unreadable.len(), 1);
     assert_eq!(report.unreadable[0].0, "no/such/file.rs");
-    assert!(report.summary().contains("total: 1 violation"), "{}", report.summary());
+    assert!(
+        report.summary().contains("total: 1 violation"),
+        "{}",
+        report.summary()
+    );
 
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_magma-lint"))
         .arg("no/such/file.rs")
@@ -480,5 +484,8 @@ fn a_named_file_that_cannot_be_read_fails_the_run() {
         .expect("magma-lint runs");
     assert!(!out.status.success(), "a missing file passed the lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("no/such/file.rs cannot be read"), "{stdout}");
+    assert!(
+        stdout.contains("no/such/file.rs cannot be read"),
+        "{stdout}"
+    );
 }

@@ -475,9 +475,21 @@ mod tests {
         let mut s = Orc8rState::new(1);
         let cp = |at: u64, n: u64| serde_json::json!({"taken_at_us": at, "sessions": n});
         assert_eq!(s.store_checkpoint("agw-1", cp(5, 1)), None);
-        assert_eq!(s.store_checkpoint("agw-1", cp(4, 2)), Some(cp(4, 2)), "older: refused");
-        assert_eq!(s.store_checkpoint("agw-1", cp(5, 3)), Some(cp(5, 1)), "equal: replaces");
-        assert_eq!(s.store_checkpoint("agw-1", cp(6, 4)), Some(cp(5, 3)), "newer: replaces");
+        assert_eq!(
+            s.store_checkpoint("agw-1", cp(4, 2)),
+            Some(cp(4, 2)),
+            "older: refused"
+        );
+        assert_eq!(
+            s.store_checkpoint("agw-1", cp(5, 3)),
+            Some(cp(5, 1)),
+            "equal: replaces"
+        );
+        assert_eq!(
+            s.store_checkpoint("agw-1", cp(6, 4)),
+            Some(cp(5, 3)),
+            "newer: replaces"
+        );
         assert_eq!(s.checkpoints["agw-1"], cp(6, 4));
     }
 }

@@ -139,7 +139,10 @@ impl OcsServer {
         released_quota: u64,
     ) {
         let sessions = self.applied.entry(imsi).or_default();
-        if sessions.get(&session).is_some_and(|last| number <= last.number) {
+        if sessions
+            .get(&session)
+            .is_some_and(|last| number <= last.number)
+        {
             return;
         }
         let answer = CreditAnswer::Denied;
@@ -289,7 +292,11 @@ mod tests {
             is_final: true,
         };
         assert_eq!(ocs.request_credit_once(imsi(), 7, 1), last);
-        assert_eq!(ocs.request_credit_once(imsi(), 7, 0), last, "an older number");
+        assert_eq!(
+            ocs.request_credit_once(imsi(), 7, 0),
+            last,
+            "an older number"
+        );
         assert_eq!(ocs.grants_issued, 3);
     }
 

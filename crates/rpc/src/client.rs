@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 /// How long a call waits for its answer unless the client is built
 /// [`with_deadline`](RpcClient::with_deadline).
-pub const DEFAULT_DEADLINE: SimDuration = SimDuration::from_secs(18);
+const DEFAULT_DEADLINE: SimDuration = SimDuration::from_secs(18);
 
 /// Events the client surfaces to its owning actor.
 #[derive(Debug)]

@@ -108,7 +108,11 @@ fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
     w.run_until(SimTime::from_secs(20));
     let rpc = w.shard_snapshot();
     let bootstraps = rpc.edges.iter().find(|e| e.kind == "orc8r.Bootstrap");
-    assert_eq!(bootstraps.map(|e| e.messages), Some(1), "one bootstrap sent");
+    assert_eq!(
+        bootstraps.map(|e| e.messages),
+        Some(1),
+        "one bootstrap sent"
+    );
     let mut st = orc8r.borrow_mut();
     let dev = &st.devices["agw0"];
     assert!(dev.checkins >= 1, "no check-in within 20 s: {dev:?}");
