@@ -82,8 +82,8 @@ impl MetricsStore {
     /// Store a pushed snapshot and its event batch. Returns `false`
     /// (and changes nothing but the duplicate counter) when `seq` is
     /// not newer than what is already stored — the RPC client's reconnect
-    /// flush redelivered an old push. Dedupe covers the events too: a dropped push never
-    /// double-delivers its events.
+    /// flush redelivered an old push. Dedupe covers the events too: a
+    /// dropped push never double-delivers its events.
     pub fn ingest(
         &mut self,
         agw_id: &str,

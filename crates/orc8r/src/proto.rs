@@ -251,8 +251,9 @@ impl<S: Serialize> Serialize for CheckpointPushRef<'_, S> {
 pub struct CreditRequest {
     pub imsi: u64,
     pub session_id: u64,
-    /// The session's CC-Request-Number (RFC 4006 §8.2): a repeat carries
-    /// the number of the request it repeats and gets that answer.
+    /// The session's CC-Request-Number (RFC 4006 §8.2): a request whose
+    /// number is not above the last one applied is a repeat, answered
+    /// from what the OCS stored.
     pub request_number: u64,
 }
 
