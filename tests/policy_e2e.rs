@@ -6,8 +6,8 @@
 
 use magma::prelude::*;
 use magma::testbed::{mean_over, throughput_mbps};
-use magma_net::LinkProfile;
-use magma_policy::UsageTracking;
+use magma_net::{LinkProfile, NetStack};
+use magma_policy::{SessionCredit, UsageTracking};
 
 #[test]
 fn tiered_policy_throttles_after_cap() {
@@ -176,13 +176,11 @@ fn online_credit_refills_keep_prepaid_sessions_served_over_satellite() {
     }
 }
 
-/// The satellite prepaid site above, with its backhaul partitioned for
-/// 5 s while refills are in flight: the stream survives, and the credit
-/// calls it held reach the OCS after the heal. Each must be answered
-/// once. Once the balance has run out, every byte the OCS holds
-/// reserved for a session is then a byte the gateway was granted.
-#[test]
-fn a_credit_call_held_up_by_a_partition_is_answered_once() {
+/// The satellite prepaid site above, with a 6 MB balance per subscriber
+/// and its backhaul down from 15 s for `partition_s`. Returns, at 60 s,
+/// each session's credit as the gateway holds it and the bytes the OCS
+/// holds reserved for its subscriber.
+fn credit_after_partition(partition_s: u64) -> Vec<(SessionCredit, u64)> {
     let mut prepaid = PolicyRule::unrestricted("prepaid");
     prepaid.tracking = UsageTracking::Online;
     let site = SiteSpec {
@@ -206,17 +204,112 @@ fn a_credit_call_held_up_by_a_partition_is_answered_once() {
     let (a, o) = (sc.agws[0].node, sc.orc8r_node);
     sc.world.run_until(SimTime::from_secs(15));
     sc.net.set_link_up(a, o, false);
-    sc.world.run_until(SimTime::from_secs(20));
+    sc.world.run_until(SimTime::from_secs(15 + partition_s));
     sc.net.set_link_up(a, o, true);
     sc.world.run_until(SimTime::from_secs(60));
 
     let cp = sc.agws[0].handle.borrow().checkpoint.clone().expect("checkpoint taken");
     assert_eq!(cp.sessions.len(), 3);
     let orc8r = sc.orc8r.borrow();
-    for s in cp.sessions.iter() {
-        let credit = s.credit.as_ref().expect("online session holds credit");
+    cp.sessions
+        .iter()
+        .map(|s| {
+            let credit = s.credit.clone().expect("online session holds credit");
+            let reserved = orc8r.ocs.balance(s.imsi).expect("provisioned").reserved_bytes;
+            (credit, reserved)
+        })
+        .collect()
+}
+
+/// A 5 s partition while refills are in flight: the calls wait on the
+/// stream and reach the OCS after the heal. Each must be answered once.
+/// Once the balance has run out, every byte the OCS holds reserved for a
+/// session is then a byte the gateway was granted.
+#[test]
+fn a_credit_call_held_up_by_a_partition_is_answered_once() {
+    for (credit, reserved) in credit_after_partition(5) {
         assert!(credit.is_final, "the balance ran out: {credit:?}");
-        let reserved = orc8r.ocs.balance(s.imsi).expect("provisioned").reserved_bytes;
-        assert_eq!(reserved, credit.granted, "{:?}: reserved, granted", s.imsi);
+        assert_eq!(reserved, credit.granted, "reserved, granted: {credit:?}");
+    }
+}
+
+/// A 12 s partition: the refill calls pass their deadline at the
+/// gateway, and the stream still carries them to the OCS after the heal.
+/// The gateway asks again under the same request number, so it takes up
+/// what the OCS reserved for the call it gave up on.
+#[test]
+fn a_credit_call_past_its_deadline_is_taken_up_after_the_heal() {
+    for (credit, reserved) in credit_after_partition(12) {
+        assert_eq!(reserved, credit.granted, "reserved, granted: {credit:?}");
+    }
+}
+
+/// A gateway restarted cold numbers its sessions from 1 again, so a UE
+/// that re-attaches can get the session id its subscriber had before the
+/// crash. The OCS must still see a new session: it grants and reserves
+/// anew, and denies nothing while the balance lasts.
+#[test]
+fn a_cold_restarted_gateway_is_granted_anew_for_every_reattach() {
+    let mut prepaid = PolicyRule::unrestricted("prepaid");
+    prepaid.tracking = UsageTracking::Online;
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 3,
+        attach_rate_per_sec: 2.0,
+        // 1 kB/s: one 200 kB grant lasts the whole run.
+        traffic: TrafficModel {
+            dl_bps: 8_000,
+            ul_bps: 0,
+        },
+        reattach: true,
+        ..SiteSpec::typical()
+    };
+    let mut cfg = ScenarioConfig::new(1)
+        .with_agw(AgwSpec::bare_metal(site))
+        .with_policies(vec![prepaid], vec!["prepaid".to_string()]);
+    cfg.quota_bytes = 200_000;
+    cfg.prepaid_balance = Some(1_000_000_000);
+    let mut sc = magma::deploy(cfg);
+    sc.world.run_until(SimTime::from_secs(20));
+    let cp = sc.agws[0].handle.borrow().checkpoint.clone().expect("checkpoint taken");
+    assert_eq!(cp.sessions.len(), 3);
+    let reserved = |sc: &magma::testbed::Scenario, imsi| {
+        sc.orc8r.borrow().ocs.balance(imsi).expect("provisioned").reserved_bytes
+    };
+    let before: Vec<_> = cp
+        .sessions
+        .iter()
+        .map(|s| (s.imsi, s.id, reserved(&sc, s.imsi)))
+        .collect();
+
+    let agw = &sc.agws[0];
+    sc.world.crash(agw.actor);
+    sc.world.crash(agw.stack);
+    sc.world.run_until(SimTime::from_secs(25));
+    let agw = &sc.agws[0];
+    sc.world
+        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.handle())));
+    let mut fresh = magma_agw::AgwActor::new(agw.cfg.clone(), agw.handle.clone());
+    fresh.preprovision(sc.orc8r.borrow().db.snapshot());
+    fresh.set_up_cores(agw.up_cores);
+    sc.world.restart(agw.actor, Box::new(fresh));
+    sc.world.run_until(SimTime::from_secs(120));
+
+    let cp = sc.agws[0].handle.borrow().checkpoint.clone().expect("checkpoint taken");
+    assert_eq!(cp.sessions.len(), 3, "every UE re-attached");
+    let reused = before
+        .iter()
+        .filter(|(imsi, id, _)| cp.sessions.by_imsi(*imsi).is_some_and(|s| s.id == *id))
+        .count();
+    assert!(reused > 0, "some subscriber got its old session id back");
+    assert_eq!(sc.orc8r.borrow().ocs.denials, 0);
+    for (imsi, _, reserved_before) in before {
+        let s = cp.sessions.by_imsi(imsi).expect("re-attached");
+        let credit = s.credit.as_ref().expect("granted after the restart");
+        assert_eq!(
+            reserved(&sc, imsi) - reserved_before,
+            credit.granted,
+            "{imsi:?}: reserved since the crash, granted"
+        );
     }
 }
