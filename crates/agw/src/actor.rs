@@ -182,6 +182,9 @@ pub struct AgwActor {
     calls: BTreeMap<(Peer, u64), CallKind>,
     /// Sessions with a `CallKind::Credit` call in `calls` (an orc8r call).
     credit_inflight: BTreeSet<u64>,
+    /// Sessions whose last credit call failed, to ask again under the
+    /// same request number once the orchestrator answers a call.
+    credit_unanswered: BTreeSet<u64>,
     // WiFi accounting: session id by RADIUS Acct-Session-Id.
     wifi_sessions: BTreeMap<String, u64>,
 }
@@ -273,6 +276,7 @@ impl AgwActor {
             cert,
             calls: BTreeMap::new(),
             credit_inflight: BTreeSet::new(),
+            credit_unanswered: BTreeSet::new(),
             wifi_sessions: BTreeMap::new(),
         }
     }
@@ -779,17 +783,7 @@ impl AgwActor {
             if let Some(s) = self.sessions.get_mut(sid) {
                 s.blocked = true;
             }
-            let req = orc8r_proto::CreditRequest {
-                imsi: imsi.0,
-                session_id: sid,
-                // The session's first credit request.
-                request_number: 0,
-            };
-            if let Some(client) = self.orc8r.as_mut() {
-                let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
-                self.calls.insert((Peer::Orc8r, id), CallKind::Credit { session: sid });
-                self.credit_inflight.insert(sid);
-            }
+            self.ask_credit(ctx, sid);
         }
         self.reprogram_dataplane(ctx, &[sid, replaced.unwrap_or(sid)]);
 
@@ -899,10 +893,8 @@ impl AgwActor {
                 let report = orc8r_proto::CreditReport {
                     imsi: s.imsi.0,
                     session_id: sid,
-                    // Above a refill request that may still be in flight.
-                    request_number: credit.request_number + 1,
+                    session_started_us: s.started.as_micros(),
                     used_bytes: credit.used,
-                    released_quota: credit.granted,
                 };
                 if let Some(client) = self.orc8r.as_mut() {
                     let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REPORT, report);
@@ -1239,26 +1231,33 @@ impl AgwActor {
         });
         debug_assert_eq!(self.credit_inflight, credit.collect());
         for sid in credit_requests {
-            let Some(s) = self.sessions.get(sid) else {
-                continue;
-            };
-            // Only one outstanding credit call per session.
-            if self.credit_inflight.contains(&sid) {
-                continue;
-            }
-            let req = orc8r_proto::CreditRequest {
-                imsi: s.imsi.0,
-                session_id: sid,
-                request_number: s.credit.as_ref().map_or(0, |c| c.request_number),
-            };
-            if let Some(client) = self.orc8r.as_mut() {
-                let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
-                self.calls.insert((Peer::Orc8r, id), CallKind::Credit { session: sid });
-                self.credit_inflight.insert(sid);
-            }
+            self.ask_credit(ctx, sid);
         }
         if !reprogram.is_empty() {
             self.reprogram_dataplane(ctx, &reprogram);
+        }
+    }
+
+    /// Ask the OCS for a session's next quota under the session's request
+    /// number, unless a credit call for it is outstanding (one per
+    /// session).
+    fn ask_credit(&mut self, ctx: &mut Ctx<'_>, sid: u64) {
+        let Some(s) = self.sessions.get(sid) else {
+            return;
+        };
+        if self.credit_inflight.contains(&sid) {
+            return;
+        }
+        let req = orc8r_proto::CreditRequest {
+            imsi: s.imsi.0,
+            session_id: sid,
+            session_started_us: s.started.as_micros(),
+            request_number: s.credit.as_ref().map_or(0, |c| c.request_number),
+        };
+        if let Some(client) = self.orc8r.as_mut() {
+            let id = client.call(ctx, &orc8r_proto::flows::CREDIT_REQUEST, req);
+            self.calls.insert((Peer::Orc8r, id), CallKind::Credit { session: sid });
+            self.credit_inflight.insert(sid);
         }
     }
 
@@ -1365,6 +1364,15 @@ impl AgwActor {
                     let Some(kind) = self.calls.remove(&(peer, id)) else {
                         continue;
                     };
+                    if peer == Peer::Orc8r {
+                        // The orchestrator answers again: ask once more
+                        // for the credit calls that passed their deadline.
+                        // The OCS may have granted them anyway, and then
+                        // answers the same number from its store.
+                        for sid in std::mem::take(&mut self.credit_unanswered) {
+                            self.ask_credit(ctx, sid);
+                        }
+                    }
                     match kind {
                         CallKind::Bootstrap => {
                             if let Ok(resp) =
@@ -1387,6 +1395,7 @@ impl AgwActor {
                         }
                         CallKind::Credit { session } => {
                             self.credit_inflight.remove(&session);
+                            self.credit_unanswered.remove(&session);
                             if let Ok(resp) =
                                 serde_json::from_value::<orc8r_proto::CreditResponse>(body)
                             {
@@ -1420,6 +1429,7 @@ impl AgwActor {
                         CallKind::Checkin | CallKind::Bootstrap => {}
                         CallKind::Credit { session } => {
                             self.credit_inflight.remove(&session);
+                            self.credit_unanswered.insert(session);
                             // CAP trade-off (§3.2): allow the session to
                             // run on stale credit rather than blocking on
                             // an unreachable OCS.

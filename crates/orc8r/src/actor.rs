@@ -132,9 +132,13 @@ impl Orc8rActor {
                     self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad credit request");
                     return;
                 };
+                let session = magma_policy::CreditSession {
+                    started_us: req.session_started_us,
+                    id: req.session_id,
+                };
                 let answer = self.state.borrow_mut().ocs.request_credit_once(
                     magma_wire::Imsi(req.imsi),
-                    req.session_id,
+                    session,
                     req.request_number,
                 );
                 let resp = match answer {
@@ -156,12 +160,14 @@ impl Orc8rActor {
                     self.server.reply_err(ctx, conn, id, &flows::ORC8R_REPLY, "bad credit report");
                     return;
                 };
+                let session = magma_policy::CreditSession {
+                    started_us: req.session_started_us,
+                    id: req.session_id,
+                };
                 self.state.borrow_mut().ocs.report_usage_once(
                     magma_wire::Imsi(req.imsi),
-                    req.session_id,
-                    req.request_number,
+                    session,
                     req.used_bytes,
-                    req.released_quota,
                 );
                 self.server.reply(ctx, conn, id, &flows::ORC8R_REPLY, json!({}));
             }

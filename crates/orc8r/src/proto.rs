@@ -251,6 +251,9 @@ impl<S: Serialize> Serialize for CheckpointPushRef<'_, S> {
 pub struct CreditRequest {
     pub imsi: u64,
     pub session_id: u64,
+    /// When the gateway created the session: with `session_id`, names
+    /// the session for life (`magma_policy::CreditSession`).
+    pub session_started_us: u64,
     /// The session's CC-Request-Number (RFC 4006 §8.2): a request whose
     /// number is not above the last one applied is a repeat, answered
     /// from what the OCS stored.
@@ -269,10 +272,10 @@ pub struct CreditResponse {
 pub struct CreditReport {
     pub imsi: u64,
     pub session_id: u64,
-    /// Numbered after the session's requests, so a repeat is debited once.
-    pub request_number: u64,
+    pub session_started_us: u64,
+    /// The report ends the session: the OCS debits it once and releases
+    /// every byte it granted the session.
     pub used_bytes: u64,
-    pub released_quota: u64,
 }
 
 /// Telemetry push: one registry snapshot sampled by a gateway's

@@ -11,6 +11,6 @@ pub mod ocs;
 pub mod qos;
 pub mod rules;
 
-pub use ocs::{Account, CreditAnswer, OcsServer, SessionCredit};
+pub use ocs::{Account, CreditAnswer, CreditSession, OcsServer, SessionCredit};
 pub use qos::{Ambr, Qci, QosCaps};
 pub use rules::{select_rule, PolicyRule, RateLimit, TieredPolicy, TieredState, UsageTracking};

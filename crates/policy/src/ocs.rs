@@ -29,12 +29,39 @@ pub enum CreditAnswer {
     Denied,
 }
 
-/// The last numbered credit call the OCS applied for one session.
+/// One credit session as the OCS tells it apart: when its gateway
+/// created it (µs of simulated time) and the gateway's id for it. The id
+/// alone does not name a session for life, since a gateway restarted cold
+/// numbers its sessions from 1 again and one restored from an older
+/// checkpoint reuses the ids handed out after it. With the start time it
+/// does: a subscriber starts no two sessions in the same microsecond.
+/// Ordered by start time first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct CreditSession {
+    pub started_us: u64,
+    pub id: u64,
+}
+
+/// What the OCS applied for one credit session.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct Applied {
+    /// The last request number applied.
     number: u64,
-    /// What a repeat of the last request is answered.
+    /// What a repeat of that request is answered.
     answer: CreditAnswer,
+    /// Every byte granted to the session: what its report releases.
+    granted: u64,
+    /// The session's report was applied.
+    ended: bool,
+}
+
+/// One subscriber's credit sessions.
+#[derive(Debug, Default, Serialize, Deserialize)]
+struct Ledger {
+    sessions: BTreeMap<CreditSession, Applied>,
+    /// The latest ended session dropped from `sessions`: a call from a
+    /// session not held and started no later than this one is a repeat.
+    forgotten_through: Option<CreditSession>,
 }
 
 /// The online charging server: tracks balances, grants quotas, reconciles
@@ -46,10 +73,11 @@ pub struct OcsServer {
     pub quota_bytes: u64,
     pub grants_issued: u64,
     pub denials: u64,
-    /// Per subscriber and gateway session id, the last numbered call
-    /// applied. Kept after the session's report, so a repeat of that
-    /// report is still recognised.
-    applied: BTreeMap<Imsi, BTreeMap<u64, Applied>>,
+    /// Per subscriber, what was applied for each credit session. An ended
+    /// session is kept until a later session of its subscriber first asks
+    /// for credit, so a subscriber holds its open sessions and at most the
+    /// ended ones that started after its newest.
+    ledgers: BTreeMap<Imsi, Ledger>,
 }
 
 impl OcsServer {
@@ -59,7 +87,7 @@ impl OcsServer {
             quota_bytes,
             grants_issued: 0,
             denials: 0,
-            applied: BTreeMap::new(),
+            ledgers: BTreeMap::new(),
         }
     }
 
@@ -107,47 +135,72 @@ impl OcsServer {
         }
     }
 
-    /// A session's numbered credit request. Each credit call a gateway
+    /// A session's numbered credit request. Each credit request a gateway
     /// makes for a session carries a request number, as Diameter Gy's
     /// CC-Request-Number does (RFC 4006 §8.2). A number not above the last
     /// one applied is a repeat (the RPC reconnect flush, or the gateway
     /// asking again after a deadline): it gets the stored answer and
-    /// reserves nothing.
-    pub fn request_credit_once(&mut self, imsi: Imsi, session: u64, number: u64) -> CreditAnswer {
-        if let Some(last) = self.applied.get(&imsi).and_then(|s| s.get(&session)) {
-            if number <= last.number {
-                return last.answer;
+    /// reserves nothing. An ended session, or one older than a session its
+    /// subscriber already ended and the OCS forgot, is denied.
+    pub fn request_credit_once(
+        &mut self,
+        imsi: Imsi,
+        session: CreditSession,
+        number: u64,
+    ) -> CreditAnswer {
+        let ledger = self.ledgers.entry(imsi).or_default();
+        match ledger.sessions.get(&session) {
+            Some(last) if last.ended || number <= last.number => return last.answer,
+            Some(_) => {}
+            None if ledger.forgotten_through >= Some(session) => return CreditAnswer::Denied,
+            None => {
+                // A new session: its subscriber's older ended ones are done.
+                let older: Vec<_> = ledger
+                    .sessions
+                    .range(..session)
+                    .filter(|(_, a)| a.ended)
+                    .map(|(k, _)| *k)
+                    .collect();
+                for k in older {
+                    ledger.sessions.remove(&k);
+                    ledger.forgotten_through = ledger.forgotten_through.max(Some(k));
+                }
             }
         }
         let answer = self.request_credit(imsi);
-        self.applied
-            .entry(imsi)
-            .or_default()
-            .insert(session, Applied { number, answer });
+        let granted = match answer {
+            CreditAnswer::Granted { bytes, .. } => bytes,
+            CreditAnswer::Denied => 0,
+        };
+        let applied = self.ledgers.entry(imsi).or_default().sessions.entry(session);
+        let applied = applied.or_insert(Applied {
+            number,
+            answer,
+            granted: 0,
+            ended: false,
+        });
+        applied.number = number;
+        applied.answer = answer;
+        applied.granted += granted;
         answer
     }
 
-    /// A session's numbered usage report: debited once, however often it
-    /// arrives. The report ends the session, so a request repeated after
-    /// it is denied.
-    pub fn report_usage_once(
-        &mut self,
-        imsi: Imsi,
-        session: u64,
-        number: u64,
-        used_bytes: u64,
-        released_quota: u64,
-    ) {
-        let sessions = self.applied.entry(imsi).or_default();
-        if sessions
-            .get(&session)
-            .is_some_and(|last| number <= last.number)
-        {
+    /// A session's usage report, which ends it: debited once, however
+    /// often it arrives, and it releases every byte the OCS granted the
+    /// session, a grant still on its way to the gateway included. A
+    /// session the OCS granted nothing holds nothing to settle.
+    pub fn report_usage_once(&mut self, imsi: Imsi, session: CreditSession, used_bytes: u64) {
+        let last = self
+            .ledgers
+            .get_mut(&imsi)
+            .and_then(|l| l.sessions.get_mut(&session));
+        let Some(last) = last.filter(|last| !last.ended) else {
             return;
-        }
-        let answer = CreditAnswer::Denied;
-        sessions.insert(session, Applied { number, answer });
-        self.report_usage(imsi, used_bytes, released_quota);
+        };
+        last.ended = true;
+        last.answer = CreditAnswer::Denied;
+        let granted = last.granted;
+        self.report_usage(imsi, used_bytes, granted);
     }
 
     /// Upper bound on bytes an adversary could consume beyond their
@@ -276,24 +329,28 @@ mod tests {
         assert_eq!(acct.reserved_bytes, 0);
     }
 
+    fn session(started_us: u64, id: u64) -> CreditSession {
+        CreditSession { started_us, id }
+    }
+
     #[test]
     fn a_repeated_request_is_answered_from_the_store() {
         let mut ocs = OcsServer::new(1_000_000);
         ocs.provision(imsi(), 2_500_000);
-        let first = ocs.request_credit_once(imsi(), 7, 0);
-        assert_eq!(ocs.request_credit_once(imsi(), 7, 0), first, "repeat");
+        let first = ocs.request_credit_once(imsi(), session(5, 7), 0);
+        assert_eq!(ocs.request_credit_once(imsi(), session(5, 7), 0), first, "repeat");
         assert_eq!(ocs.balance(imsi()).unwrap().reserved_bytes, 1_000_000);
         // Another session of the same subscriber numbers its own calls.
-        ocs.request_credit_once(imsi(), 8, 0);
-        ocs.request_credit_once(imsi(), 7, 1);
+        ocs.request_credit_once(imsi(), session(6, 8), 0);
+        ocs.request_credit_once(imsi(), session(5, 7), 1);
         assert_eq!(ocs.balance(imsi()).unwrap().reserved_bytes, 2_500_000);
         let last = CreditAnswer::Granted {
             bytes: 500_000,
             is_final: true,
         };
-        assert_eq!(ocs.request_credit_once(imsi(), 7, 1), last);
+        assert_eq!(ocs.request_credit_once(imsi(), session(5, 7), 1), last);
         assert_eq!(
-            ocs.request_credit_once(imsi(), 7, 0),
+            ocs.request_credit_once(imsi(), session(5, 7), 0),
             last,
             "an older number"
         );
@@ -304,14 +361,58 @@ mod tests {
     fn a_repeated_report_is_debited_once_and_ends_the_session() {
         let mut ocs = OcsServer::new(1_000_000);
         ocs.provision(imsi(), 2_000_000);
-        ocs.request_credit_once(imsi(), 7, 0);
+        ocs.request_credit_once(imsi(), session(5, 7), 0);
         for _ in 0..2 {
-            ocs.report_usage_once(imsi(), 7, 1, 300_000, 1_000_000);
+            ocs.report_usage_once(imsi(), session(5, 7), 300_000);
         }
         let acct = ocs.balance(imsi()).unwrap();
         assert_eq!((acct.balance_bytes, acct.reserved_bytes), (1_700_000, 0));
-        assert_eq!(ocs.request_credit_once(imsi(), 7, 1), CreditAnswer::Denied);
+        let after = ocs.request_credit_once(imsi(), session(5, 7), 1);
+        assert_eq!(after, CreditAnswer::Denied);
         assert_eq!(ocs.balance(imsi()).unwrap().reserved_bytes, 0);
+    }
+
+    #[test]
+    fn a_report_releases_a_grant_the_gateway_has_not_taken_up() {
+        let mut ocs = OcsServer::new(1_000_000);
+        ocs.provision(imsi(), 5_000_000);
+        ocs.request_credit_once(imsi(), session(5, 7), 0);
+        // Request 1 is answered, but the session ends before the answer
+        // reaches the gateway.
+        ocs.request_credit_once(imsi(), session(5, 7), 1);
+        ocs.report_usage_once(imsi(), session(5, 7), 900_000);
+        let acct = ocs.balance(imsi()).unwrap();
+        assert_eq!((acct.balance_bytes, acct.reserved_bytes), (4_100_000, 0));
+    }
+
+    #[test]
+    fn a_reused_session_id_is_a_new_session() {
+        let mut ocs = OcsServer::new(1_000_000);
+        ocs.provision(imsi(), 5_000_000);
+        ocs.request_credit_once(imsi(), session(5, 1), 0);
+        ocs.report_usage_once(imsi(), session(5, 1), 0);
+        // The gateway restarted cold and gave the subscriber id 1 again.
+        let answer = ocs.request_credit_once(imsi(), session(90, 1), 0);
+        assert!(matches!(answer, CreditAnswer::Granted { .. }));
+        assert_eq!(ocs.balance(imsi()).unwrap().reserved_bytes, 1_000_000);
+    }
+
+    #[test]
+    fn an_ended_session_is_forgotten_once_a_later_one_asks() {
+        let mut ocs = OcsServer::new(1_000_000);
+        ocs.provision(imsi(), 5_000_000);
+        ocs.request_credit_once(imsi(), session(5, 1), 0);
+        ocs.report_usage_once(imsi(), session(5, 1), 100_000);
+        ocs.request_credit_once(imsi(), session(9, 2), 0);
+        assert_eq!(ocs.ledgers[&imsi()].sessions.len(), 1);
+        // Repeats of the forgotten session still change nothing.
+        assert_eq!(
+            ocs.request_credit_once(imsi(), session(5, 1), 0),
+            CreditAnswer::Denied
+        );
+        ocs.report_usage_once(imsi(), session(5, 1), 100_000);
+        let acct = ocs.balance(imsi()).unwrap();
+        assert_eq!((acct.balance_bytes, acct.reserved_bytes), (4_900_000, 1_000_000));
     }
 
     #[test]

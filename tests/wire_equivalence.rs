@@ -185,6 +185,7 @@ fn every_rpc_body_streams_its_pinned_bytes_and_reads_back() {
     pins.check(&CreditRequest {
         imsi: 310_260_000_000_001,
         session_id: 9,
+        session_started_us: 12_500_000,
         request_number: 3,
     });
     pins.check(&CreditResponse {
@@ -195,9 +196,8 @@ fn every_rpc_body_streams_its_pinned_bytes_and_reads_back() {
     pins.check(&CreditReport {
         imsi: 310_260_000_000_001,
         session_id: 10,
-        request_number: 4,
-        used_bytes: 0,
-        released_quota: 5,
+        session_started_us: 14_000_000,
+        used_bytes: 5,
     });
     pins.check(&FegAuthRequest { imsi: 1 });
     pins.check(&FegAuthResponse {
