@@ -372,3 +372,39 @@ fn a_drain_after_a_partition_never_stores_an_older_checkpoint() {
         "stored checkpoint went back in time (at, held, stored): {regressions:?}"
     );
 }
+
+/// With no per-call re-sends, the stream's own retransmissions are what
+/// find a healed backhaul, and its backoff ceiling keeps that prompt. A
+/// 30 s partition outlasts the stream's retry budget, so the gateway's
+/// orchestrator stream closes and reopens inside it; the gateway still
+/// checks in within 2 s of the heal.
+#[test]
+fn a_gateway_checks_in_within_two_seconds_of_a_heal() {
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 4,
+        attach_rate_per_sec: 1.0,
+        ..SiteSpec::typical()
+    };
+    let mut agw = AgwSpec::bare_metal(site);
+    agw.backhaul = LinkProfile::satellite();
+    let mut sc = magma::deploy(ScenarioConfig::new(42).with_agw(agw));
+    let (a, o) = (sc.agws[0].node, sc.orc8r_node);
+    sc.world.run_until(SimTime::from_secs(30));
+    sc.net.set_link_up(a, o, false);
+    sc.world.run_until(SimTime::from_secs(60));
+    sc.net.set_link_up(a, o, true);
+    let heal = sc.world.now();
+    let checked_in = |sc: &Scenario| {
+        let last = sc.orc8r.borrow().devices["agw0"].last_checkin;
+        last.is_some_and(|t| t > heal)
+    };
+    while !checked_in(&sc) && sc.world.now() < SimTime::from_secs(70) {
+        sc.world.run_for(SimDuration::from_millis(50));
+    }
+    let back = sc.world.now().since(heal);
+    assert!(
+        checked_in(&sc) && back <= SimDuration::from_secs(2),
+        "first check-in {back:?} after the heal"
+    );
+}
