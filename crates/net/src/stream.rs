@@ -112,7 +112,13 @@ impl Default for StreamConfig {
             window: 64,
             initial_rto: SimDuration::from_millis(1000),
             min_rto: SimDuration::from_millis(40),
-            max_rto: SimDuration::from_secs(8),
+            // The backoff ceiling bounds how long a healed path goes
+            // unused: with data or a Syn outstanding, the stream sends a
+            // copy at least this often (the RPC client above it never
+            // re-sends on an open stream). So a control stream is back
+            // within about a second of a heal; an outage past `max_retx`
+            // tries (about 8 s) closes it, and the RPC client reopens it.
+            max_rto: SimDuration::from_secs(1),
             max_retx: 8,
         }
     }
