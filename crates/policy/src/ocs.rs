@@ -74,9 +74,9 @@ pub struct OcsServer {
     pub grants_issued: u64,
     pub denials: u64,
     /// Per subscriber, what was applied for each credit session. An ended
-    /// session is kept until a later session of its subscriber first asks
-    /// for credit, so a subscriber holds its open sessions and at most the
-    /// ended ones that started after its newest.
+    /// session is dropped once a later session of its subscriber asks for
+    /// credit, so a subscriber with one session at a time holds one entry,
+    /// plus one per session a gateway lost before reporting it.
     ledgers: BTreeMap<Imsi, Ledger>,
 }
 
@@ -172,16 +172,15 @@ impl OcsServer {
             CreditAnswer::Granted { bytes, .. } => bytes,
             CreditAnswer::Denied => 0,
         };
-        let applied = self.ledgers.entry(imsi).or_default().sessions.entry(session);
-        let applied = applied.or_insert(Applied {
+        let sessions = &mut self.ledgers.entry(imsi).or_default().sessions;
+        let before = sessions.get(&session).map_or(0, |a| a.granted);
+        let applied = Applied {
             number,
             answer,
-            granted: 0,
+            granted: before + granted,
             ended: false,
-        });
-        applied.number = number;
-        applied.answer = answer;
-        applied.granted += granted;
+        };
+        sessions.insert(session, applied);
         answer
     }
 
