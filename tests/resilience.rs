@@ -408,3 +408,48 @@ fn a_gateway_checks_in_within_two_seconds_of_a_heal() {
         "first check-in {back:?} after the heal"
     );
 }
+
+/// `orc8r_connected` means the orchestrator answered, not that the
+/// local stack opened a stream. Inside a partition the gateway's stream
+/// closes and reopens, but nothing reaches the orchestrator, so no
+/// connected event may fall inside it; the first one after the heal
+/// marks the first answer.
+#[test]
+fn a_partitioned_gateway_records_no_orc8r_connected_inside_the_partition() {
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 4,
+        attach_rate_per_sec: 1.0,
+        ..SiteSpec::typical()
+    };
+    let mut agw = AgwSpec::bare_metal(site);
+    agw.backhaul = LinkProfile::satellite();
+    let mut sc = magma::deploy(ScenarioConfig::new(42).with_agw(agw));
+    let (a, o) = (sc.agws[0].node, sc.orc8r_node);
+    sc.world.run_until(SimTime::from_secs(30));
+    sc.net.set_link_up(a, o, false);
+    sc.world.run_until(SimTime::from_secs(60));
+    sc.net.set_link_up(a, o, true);
+    sc.world.run_until(SimTime::from_secs(70));
+    let at = |kind: &str| -> Vec<SimTime> {
+        sc.world
+            .events()
+            .iter()
+            .filter(|e| e.gateway == "agw0" && e.kind == kind)
+            .map(|e| e.at)
+            .collect()
+    };
+    let (start, heal) = (SimTime::from_secs(30), SimTime::from_secs(60));
+    let inside = |t: &SimTime| *t > start && *t <= heal;
+    let connected = at("orc8r_connected");
+    // Non-vacuity: the partition outlasts the stream, which closes inside it.
+    assert!(at("orc8r_disconnected").iter().any(inside), "no close inside the partition");
+    assert!(
+        !connected.iter().any(inside),
+        "orc8r_connected inside the 30-60 s partition: {connected:?}"
+    );
+    assert!(
+        connected.iter().any(|t| *t > heal),
+        "no orc8r_connected after the heal: {connected:?}"
+    );
+}
