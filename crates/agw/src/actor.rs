@@ -185,6 +185,10 @@ pub struct AgwActor {
     /// Sessions whose last credit call failed, to ask again under the
     /// same request number once the orchestrator answers a call.
     credit_unanswered: BTreeSet<u64>,
+    /// The orchestrator stream (re)opened and nothing has come back on
+    /// it yet. Its first answer emits `orc8r_connected`: the stack opens
+    /// a stream locally, before any frame crosses the backhaul.
+    orc8r_unheard: bool,
     // WiFi accounting: session id by RADIUS Acct-Session-Id.
     wifi_sessions: BTreeMap<String, u64>,
 }
@@ -276,6 +280,7 @@ impl AgwActor {
             cert,
             calls: BTreeMap::new(),
             credit_inflight: BTreeSet::new(),
+            orc8r_unheard: false,
             credit_unanswered: BTreeSet::new(),
             wifi_sessions: BTreeMap::new(),
         }
@@ -1359,6 +1364,12 @@ impl AgwActor {
 
     fn handle_rpc_events(&mut self, ctx: &mut Ctx<'_>, peer: Peer, events: Vec<RpcClientEvent>) {
         for e in events {
+            let answered = matches!(e, RpcClientEvent::Response { .. } | RpcClientEvent::Push { .. });
+            if peer == Peer::Orc8r && answered && self.orc8r_unheard {
+                self.orc8r_unheard = false;
+                let gw = self.cfg.id.clone();
+                ctx.emit_event(&gw, event_kind::ORC8R_CONNECTED, Severity::Info, &[]);
+            }
             match e {
                 RpcClientEvent::Response { id, body } => {
                     let Some(kind) = self.calls.remove(&(peer, id)) else {
@@ -1460,8 +1471,7 @@ impl AgwActor {
                 }
                 RpcClientEvent::Connected => {
                     if peer == Peer::Orc8r {
-                        let gw = self.cfg.id.clone();
-                        ctx.emit_event(&gw, event_kind::ORC8R_CONNECTED, Severity::Info, &[]);
+                        self.orc8r_unheard = true;
                     }
                 }
                 RpcClientEvent::Disconnected => {
