@@ -30,6 +30,9 @@ pub mod msgs;
 pub mod pipelined;
 pub mod sessiond;
 
+/// The dispatch surfaces this crate declares (see `magma_sim::flow`).
+pub const DISPATCHES: &[&magma_sim::Dispatch] = &[&flows::AGW_DISPATCH, &flows::METRICSD_DISPATCH];
+
 pub use actor::AgwActor;
 pub use checkpoint::AgwCheckpoint;
 pub use config::{AgwConfig, CpuProfile};

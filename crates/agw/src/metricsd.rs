@@ -261,6 +261,10 @@ impl MetricsdActor {
 }
 
 impl Actor for MetricsdActor {
+    fn dispatch(&self) -> Option<&'static magma_sim::Dispatch> {
+        Some(&crate::flows::METRICSD_DISPATCH)
+    }
+
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {

@@ -48,6 +48,20 @@ pub use magma_subscriber as subscriber;
 pub use magma_testbed as testbed;
 pub use magma_wire as wire;
 
+/// Every production dispatch surface: the message-flow graph is the
+/// union of their accepts lists (see [`sim::flow`]).
+pub fn dispatches() -> Vec<&'static sim::Dispatch> {
+    [
+        net::DISPATCHES,
+        agw::DISPATCHES,
+        orc8r::DISPATCHES,
+        feg::DISPATCHES,
+        ran::DISPATCHES,
+        magma_epc_baseline::DISPATCHES,
+    ]
+    .concat()
+}
+
 /// Build a deployment (orchestrator + AGWs + RAN + UE fleets) from a
 /// scenario configuration. Alias for [`testbed::scenario::build`].
 pub fn deploy(cfg: magma_testbed::ScenarioConfig) -> magma_testbed::Scenario {

@@ -385,6 +385,10 @@ impl EpcCoreActor {
 }
 
 impl Actor for EpcCoreActor {
+    fn dispatch(&self) -> Option<&'static magma_sim::Dispatch> {
+        Some(&crate::flows::EPC_DISPATCH)
+    }
+
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {

@@ -12,6 +12,9 @@ pub mod flows;
 pub mod gtpa;
 pub mod mno;
 
+/// The dispatch surfaces this crate declares (see `magma_sim::flow`).
+pub const DISPATCHES: &[&magma_sim::Dispatch] = &[&flows::FEG_DISPATCH, &flows::MNO_DISPATCH];
+
 pub use feg::FegActor;
 pub use gtpa::{scaling_comparison, GtpAggregator, GtpaParams, GtpaTick};
 pub use mno::MnoCoreActor;

@@ -115,6 +115,10 @@ impl MnoCoreActor {
 }
 
 impl Actor for MnoCoreActor {
+    fn dispatch(&self) -> Option<&'static magma_sim::Dispatch> {
+        Some(&crate::flows::MNO_DISPATCH)
+    }
+
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {

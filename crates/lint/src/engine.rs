@@ -7,16 +7,14 @@
 //! guard instead (see `clippy.toml`), and `#[cfg(test)]` items inside
 //! scanned files are skipped by the rules themselves.
 
-use crate::flow;
 use crate::lexer;
 use crate::rules::{self, DocRow, FileCtx, Finding, NameUse, RowType};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// A loaded, masked source file with precomputed `#[cfg(test)]` skip
-/// ranges. Each file is read and lexed exactly once per run; every rule,
-/// the flow extraction, and the send-site reference scan share this
-/// buffer instead of re-lexing per rule.
+/// ranges. Each file is read and lexed exactly once per run; every rule
+/// shares this buffer instead of re-lexing per rule.
 pub struct SourceFile {
     pub rel: String,
     pub masked: lexer::Masked,
@@ -78,8 +76,6 @@ pub struct Report {
     pub uses: Vec<NameUse>,
     /// Whether `docs/OBSERVABILITY.md` was found (T003 needs it).
     pub docs_present: bool,
-    /// The extracted message-flow graph (F rules, S007, MESSAGE_FLOW.md).
-    pub flow: flow::FlowGraph,
     /// Wall-clock self-timing for the run, in milliseconds.
     pub elapsed_ms: Option<f64>,
 }
@@ -150,12 +146,6 @@ impl Report {
             "  total: {violations} violation{}, {allowed} justified allow{}\n",
             if violations == 1 { "" } else { "s" },
             if allowed == 1 { "" } else { "s" },
-        ));
-        out.push_str(&format!(
-            "  flow graph: {} kinds, {} dispatch surfaces, {} sent\n",
-            self.flow.kinds.len(),
-            self.flow.dispatches.len(),
-            self.flow.sent.len(),
         ));
         if let Some(ms) = self.elapsed_ms {
             out.push_str(&format!(
@@ -311,8 +301,8 @@ fn parse_allows(
 
 /// Lint a set of files (paths must be under `root` for clean rel paths)
 /// against the docs inventory (None = docs missing). Stale inventory rows
-/// (T003's docs direction) and F006 are not checked here — only a
-/// whole-workspace scan can tell that a documented name has no use.
+/// (T003's docs direction) are not checked here — only a whole-workspace
+/// scan can tell that a documented name has no use.
 pub fn lint_files(root: &Path, files: &[PathBuf], docs: Option<&[DocRow]>) -> Report {
     lint_files_inner(root, files, docs, false)
 }
@@ -333,7 +323,6 @@ fn lint_files_inner(
 
     let sources = load_sources(root, files, &mut report.unreadable);
     report.files_scanned = sources.len();
-    let mut per_file_flows: Vec<flow::FileFlows> = Vec::new();
     for sf in &sources {
         let ctx = FileCtx {
             rel: &sf.rel,
@@ -350,44 +339,17 @@ fn lint_files_inner(
         rules::a002_hot_path_unwrap(&ctx, &mut findings);
         rules::s004_raw_sends(&ctx, &mut findings);
         rules::s006_schedule_state_reads(&ctx, &mut findings);
-        per_file_flows.push(flow::extract_file(&ctx));
 
         parse_allows(&sf.rel, &sf.masked, &mut report.allows, &mut report.malformed);
         report.uses.extend(uses);
         report.findings.extend(findings);
     }
 
-    // Assemble the workspace message-flow graph and run F001–F004 and
-    // S007 over it. The graph covers exactly the scanned file set, so
-    // fixture runs get the same rules over their own self-contained
-    // mini-graphs.
-    report.flow = flow::build_graph(&sources, per_file_flows);
-    flow::graph_rules(&report.flow, &mut report.findings);
-    rules::s007_sender_blind_tie_break(&report.flow, &mut report.findings);
-
     // Docs drift, workspace scans only: a partial file set would flag
-    // every row it does not use and render a partial graph.
+    // every row it does not use.
     if check_drift {
         if let Some(docs) = docs {
             rules::t003_stale_rows(&report.uses, docs, &mut report.findings);
-        }
-        // F006: docs/MESSAGE_FLOW.md must match the extracted graph
-        // byte-for-byte.
-        let rendered = flow::render(&report.flow);
-        let path = root.join("docs/MESSAGE_FLOW.md");
-        let stale = match fs::read_to_string(&path) {
-            Ok(existing) => existing != rendered,
-            Err(_) => true,
-        };
-        if stale {
-            report.findings.push(Finding::new(
-                "F006",
-                "docs/MESSAGE_FLOW.md",
-                1,
-                "generated message-flow graph is stale (or missing) — regenerate with \
-                 `cargo run -p magma-lint -- --write-flow`"
-                    .to_string(),
-            ));
         }
     }
 

@@ -6,10 +6,8 @@
 //! (`rustc --edition 2021 crates/lint/src/main.rs` works in a pinch).
 
 pub mod engine;
-pub mod flow;
 pub mod lexer;
 pub mod rules;
 
 pub use engine::{json_report, lint_files, lint_workspace, parse_docs, workspace_files, Report};
-pub use flow::{render as render_flow, FlowGraph};
 pub use rules::{render_rule_list, Finding, ALL_RULES, KNOWN_PREFIXES, RULE_INFO};

@@ -6,13 +6,11 @@
 //! violations. `--names` dumps the telemetry names the run captured,
 //! which is how the OBSERVABILITY.md inventory table is regenerated.
 //! `--json` emits the findings as machine-readable JSON (stable field
-//! order); `--write-flow` regenerates `docs/MESSAGE_FLOW.md` from the
-//! extracted message-flow graph instead of failing on drift.
+//! order).
 //! `--list-rules` prints the rule inventory (id, summary, fixture) so
 //! `lint:allow` reasons can reference something discoverable.
 
 mod engine;
-mod flow;
 mod lexer;
 mod rules;
 
@@ -24,7 +22,6 @@ fn main() -> ExitCode {
     let mut files: Vec<PathBuf> = Vec::new();
     let mut dump_names = false;
     let mut json = false;
-    let mut write_flow = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -36,7 +33,6 @@ fn main() -> ExitCode {
             }
             "--names" => dump_names = true,
             "--json" => json = true,
-            "--write-flow" => write_flow = true,
             "--list-rules" => {
                 print!("{}", rules::render_rule_list());
                 return ExitCode::SUCCESS;
@@ -44,14 +40,13 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: magma-lint [--root DIR] [--names] [--json] [--list-rules] \
-                     [--write-flow] [FILES...]\n\
+                     [FILES...]\n\
                      Lints the workspace (or just FILES) for determinism (D),\n\
-                     telemetry naming (T), actor hygiene (A), message-flow\n\
-                     graph (F), and schedule-safety (S) violations. --json\n\
-                     emits findings as JSON; --write-flow regenerates\n\
-                     docs/MESSAGE_FLOW.md instead of failing on F006 drift;\n\
-                     --names prints the captured telemetry names; --list-rules\n\
-                     prints the rule inventory (id, summary, fixture path)."
+                     telemetry naming (T), actor hygiene (A), and\n\
+                     schedule-safety (S) violations. --json emits findings\n\
+                     as JSON; --names prints the captured telemetry names;\n\
+                     --list-rules prints the rule inventory (id, summary,\n\
+                     fixture path)."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -64,7 +59,7 @@ fn main() -> ExitCode {
     // to the first Cargo.toml with a [workspace] table.
     let root = find_workspace_root(&root);
 
-    let mut report = if files.is_empty() {
+    let report = if files.is_empty() {
         engine::lint_workspace(&root)
     } else {
         let files: Vec<PathBuf> = files
@@ -73,18 +68,6 @@ fn main() -> ExitCode {
             .collect();
         engine::lint_files(&root, &files, engine::parse_docs(&root).as_deref())
     };
-
-    // Re-baseline the generated graph doc instead of failing on drift.
-    if write_flow {
-        let rendered = flow::render(&report.flow);
-        let path = root.join("docs/MESSAGE_FLOW.md");
-        if let Err(e) = std::fs::write(&path, &rendered) {
-            eprintln!("magma-lint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("magma-lint: wrote docs/MESSAGE_FLOW.md");
-        report.findings.retain(|f| f.rule != "F006");
-    }
 
     if dump_names {
         // The audit dump: names only, sorted, deduped.

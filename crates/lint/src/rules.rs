@@ -18,23 +18,17 @@
 //!   `match event`.
 //! - `A002` hot-path-unwrap: `.unwrap()`/`.expect(`/direct `ident[..]`
 //!   indexing in agw/orc8r/rpc.
-//! - `F001`–`F004`, `F006` message-flow graph rules (see `flow`): orphan
-//!   kinds, zero-delay send cycles, missing tie-break contracts, requests
-//!   without retry edges, and `docs/MESSAGE_FLOW.md` drift.
 //! - `S004` raw-send: `ctx.send(`/`ctx.send_in(` outside the kernel
 //!   bypasses the typed flow layer.
 //! - `S006` schedule-state-read: actor code must not read
 //!   schedule-dependent kernel-global state (heap shape, dispatch
 //!   counter, live traces, RPC edge counters, cross-prefix registry
 //!   reads) — those values are artifacts of the window schedule.
-//! - `S007` sender-blind tie-break: a dispatch accepting Transport-class
-//!   kinds from multiple senders must name the sender in its tie-break
-//!   key; a constant key passes F003 but cannot order same-window
-//!   deliveries from distinct racecheck components.
+//!
+//! The message-flow graph rules (F001–F004, S007) are typed checks over
+//! the dispatch consts, in `magma_sim::flow`, not lexical rules here.
 
-use crate::flow::FlowGraph;
 use crate::lexer::Masked;
-use std::collections::BTreeSet;
 
 /// One rule hit, before suppression.
 #[derive(Debug, Clone)]
@@ -65,8 +59,7 @@ impl Finding {
 
 /// All rule identifiers, for the summary report.
 pub const ALL_RULES: &[&str] = &[
-    "D001", "D002", "T001", "T002", "T003", "A001", "A002", "F001", "F002", "F003", "F004", "F006",
-    "S004", "S006", "S007",
+    "D001", "D002", "T001", "T002", "T003", "A001", "A002", "S004", "S006",
 ];
 
 /// One row per rule for `--list-rules`: (id, one-line summary, fixture
@@ -110,31 +103,6 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
         "crates/lint/tests/fixtures/bad/crates/rpc/src/a002_hot_unwrap.rs",
     ),
     (
-        "F001",
-        "orphan flow kinds: never sent, never accepted, or unknown in accepts",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/f001_orphan.rs",
-    ),
-    (
-        "F002",
-        "zero-delay send cycle — same-timestamp livelock",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/f002_zero_cycle.rs",
-    ),
-    (
-        "F003",
-        "multi-sender dispatch without a tie-break contract",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/f003_no_tie_break.rs",
-    ),
-    (
-        "F004",
-        "request kind without a valid Timer-role retry self-edge",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/f004_request_no_retry.rs",
-    ),
-    (
-        "F006",
-        "docs/MESSAGE_FLOW.md drifted from the extracted flow graph",
-        "crates/lint/tests/fixtures/flowdrift",
-    ),
-    (
         "S004",
         "raw ctx.send / ctx.send_in outside the kernel bypasses the typed flow layer",
         "crates/lint/tests/fixtures/bad/crates/feg/src/s004_raw_send.rs",
@@ -143,11 +111,6 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
         "S006",
         "actor code reads schedule-dependent kernel-global state",
         "crates/lint/tests/fixtures/bad/crates/agw/src/s006_schedule_read.rs",
-    ),
-    (
-        "S007",
-        "multi-sender cut-edge tie-break key never names the sender",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/s007_constant_tie_break.rs",
     ),
 ];
 
@@ -210,7 +173,7 @@ pub struct FileCtx<'a> {
 }
 
 impl<'a> FileCtx<'a> {
-    pub(crate) fn skipped(&self, offset: usize) -> bool {
+    fn skipped(&self, offset: usize) -> bool {
         self.skips.iter().any(|&(a, b)| offset >= a && offset < b)
     }
 
@@ -235,7 +198,7 @@ fn is_ident_byte(b: u8) -> bool {
 }
 
 /// Find word-boundary occurrences of `needle` in `text`.
-pub(crate) fn find_word(text: &str, needle: &str) -> Vec<usize> {
+fn find_word(text: &str, needle: &str) -> Vec<usize> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
     let mut from = 0;
@@ -314,7 +277,7 @@ pub(crate) fn cfg_test_ranges(text: &str) -> Vec<(usize, usize)> {
 /// Given `bytes[open] == b'{'`, return the index just past the matching
 /// closing brace (or `bytes.len()` if unbalanced). Operates on masked
 /// text, so braces inside strings/comments are already blanked.
-pub(crate) fn match_brace(bytes: &[u8], open: usize) -> usize {
+fn match_brace(bytes: &[u8], open: usize) -> usize {
     let mut depth = 0usize;
     let mut j = open;
     while j < bytes.len() {
@@ -972,66 +935,6 @@ pub fn s006_schedule_state_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                  cross-component registry state depends on which components already \
                  drained this window; actors may only write metrics, or read \
                  their own namespace (`snapshot_prefixed(&self...)`, `counter(&self...)`)",
-            ),
-        ));
-    }
-}
-
-/// S007: a dispatch accepting Transport-class kinds — every edge that
-/// rides a modelled link, the only edges that may join two racecheck
-/// components — from multiple senders must name the sender in its
-/// tie-break key. F003 only demands that *a* key exists; a sender-blind
-/// one ("round-robin slot") passes it while still letting the window
-/// schedule pick which component's delivery wins. Multiple senders means
-/// two top-level sender namespaces (`agw.epc_baseline` stands in for
-/// `agw`, `ran.enb` and `ran.wifi` are both `ran`), a wildcard, or a hub
-/// actor with a transport self-edge (`net.stack`): one name, one instance
-/// per node. The check is lexical: the key must mention
-/// sender/src/from/peer/source/origin.
-pub fn s007_sender_blind_tie_break(g: &FlowGraph, out: &mut Vec<Finding>) {
-    const SENDER_TOKENS: &[&str] = &["sender", "src", "from", "peer", "source", "origin"];
-    let transport = || g.kinds.iter().filter(|k| k.class == "Transport");
-    let hubs: BTreeSet<&str> = transport()
-        .filter(|k| k.sender == k.receiver && k.sender != "*")
-        .map(|k| k.sender.as_str())
-        .collect();
-    for d in &g.dispatches {
-        let Some(key) = &d.tie_break else {
-            continue; // no key at all is F003's finding, not S007's.
-        };
-        let mut senders: BTreeSet<&str> = BTreeSet::new();
-        let mut kinds: Vec<&str> = Vec::new();
-        let mut hub = false;
-        for k in transport().filter(|k| d.accepts.contains(&k.ident)) {
-            kinds.push(&k.ident);
-            hub |= hubs.contains(k.sender.as_str());
-            senders.extend(k.sender.split('.').next());
-        }
-        if !hub && senders.len() < 2 && !senders.contains("*") {
-            continue;
-        }
-        let lower = key.to_lowercase();
-        if SENDER_TOKENS
-            .iter()
-            .any(|t| !find_word(&lower, t).is_empty())
-        {
-            continue;
-        }
-        out.push(Finding::new(
-            "S007",
-            &d.file,
-            d.line,
-            format!(
-                "dispatch `{}` (actor {:?}) accepts transport kinds [{}] deliverable \
-                 from multiple senders ([{}]) but its tie-break key {:?} never names \
-                 the sender — same-window deliveries from distinct components need \
-                 sender identity in the commutativity key (mention \
-                 sender/src/from/peer/source/origin)",
-                d.ident,
-                d.actor,
-                kinds.join(", "),
-                senders.into_iter().collect::<Vec<_>>().join(", "),
-                key,
             ),
         ));
     }

@@ -25,6 +25,9 @@ pub mod stream;
 pub mod topology;
 pub mod util;
 
+/// The dispatch surfaces this crate declares (see `magma_sim::flow`).
+pub const DISPATCHES: &[&magma_sim::Dispatch] = &[&flows::STACK_DISPATCH];
+
 pub use addr::{ports, Endpoint, NodeAddr};
 pub use fabric::NetFabric;
 pub use frame::{Frame, FramePayload, FRAME_OVERHEAD, MTU};

@@ -429,6 +429,10 @@ impl NetStack {
 }
 
 impl Actor for NetStack {
+    fn dispatch(&self) -> Option<&'static magma_sim::Dispatch> {
+        Some(&crate::flows::STACK_DISPATCH)
+    }
+
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {

@@ -239,6 +239,10 @@ impl Orc8rActor {
 }
 
 impl Actor for Orc8rActor {
+    fn dispatch(&self) -> Option<&'static magma_sim::Dispatch> {
+        Some(&ORC8R_DISPATCH)
+    }
+
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {

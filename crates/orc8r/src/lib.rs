@@ -17,6 +17,9 @@ pub mod metrics;
 pub mod proto;
 pub mod state;
 
+/// The dispatch surfaces this crate declares (see `magma_sim::flow`).
+pub const DISPATCHES: &[&magma_sim::Dispatch] = &[&actor::ORC8R_DISPATCH];
+
 pub use actor::Orc8rActor;
 pub use alerting::{AlertEngine, AlertMetric, AlertRule, AlertTransition};
 pub use metrics::{

@@ -482,6 +482,10 @@ impl EnodebActor {
 }
 
 impl Actor for EnodebActor {
+    fn dispatch(&self) -> Option<&'static magma_sim::Dispatch> {
+        Some(&crate::flows::ENB_DISPATCH)
+    }
+
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {

@@ -19,6 +19,10 @@ const T_AUTH: u64 = 2;
 pub const ATTR_TUNNEL_ID: u8 = 200;
 const LOCAL_PORT: u16 = 20000;
 
+/// The station logged out (a captive portal ended the session): the AP
+/// sends Accounting Stop. A harness delivers it with `World::inject`.
+pub struct Logout;
+
 /// Configuration for one WiFi AP (or CBRS backhaul modem).
 #[derive(Debug, Clone)]
 pub struct WifiApConfig {
@@ -78,7 +82,7 @@ impl WifiApActor {
     }
 
     /// Tear down (sends Accounting Stop).
-    pub fn stop_session(&mut self, ctx: &mut Ctx<'_>) {
+    fn stop_session(&mut self, ctx: &mut Ctx<'_>) {
         let pkt = RadiusPacket::new(RadiusCode::AccountingRequest, self.ident)
             .with_attr(Attribute::u32(attr::ACCT_STATUS_TYPE, acct_status::STOP))
             .with_attr(Attribute::string(attr::ACCT_SESSION_ID, &self.cfg.name));
@@ -96,6 +100,10 @@ impl WifiApActor {
 }
 
 impl Actor for WifiApActor {
+    fn dispatch(&self) -> Option<&'static magma_sim::Dispatch> {
+        Some(&crate::flows::WIFI_DISPATCH)
+    }
+
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {
@@ -142,6 +150,10 @@ impl Actor for WifiApActor {
             }
             Event::Timer { .. } => {}
             Event::Msg { payload, .. } => {
+                let payload = match try_downcast::<Logout>(payload) {
+                    Ok(Logout) => return self.stop_session(ctx),
+                    Err(payload) => payload,
+                };
                 // RADIUS replies arrive as datagrams. Fluid grants need no
                 // AP-side bookkeeping: the AGW counts what it forwards.
                 if let Ok(SockEvent::DgramRecv { bytes, .. }) = try_downcast::<SockEvent>(payload) {

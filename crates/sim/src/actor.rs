@@ -73,6 +73,13 @@ pub trait Actor {
     fn name(&self) -> String {
         "actor".to_string()
     }
+
+    /// The actor's declared dispatch surface. Debug builds check every
+    /// typed send to and from the actor against it. `None` is for test
+    /// actors, which declare none.
+    fn dispatch(&self) -> Option<&'static crate::flow::Dispatch> {
+        None
+    }
 }
 
 /// Convenience: downcast a payload to a concrete message type, panicking

@@ -5,7 +5,7 @@ use crate::actor::{Actor, ActorId, Event, Payload};
 use crate::cpu::{self, HostId, HostSpec, HostState, Job, UtilizationReport};
 use crate::event::{EventHandle, EventQueue, Scheduled};
 use crate::eventd::{self, EventLog, Severity};
-use crate::flow::{DelayClass, FlowKind, Role};
+use crate::flow::{under, DelayClass, Dispatch, FlowKind, Role};
 use crate::prof::{self, HeapStats, ProfHandle, Profiler, ProfileSnapshot, ScopeGuard};
 use crate::racecheck::{self, RaceEvent, RaceExport, RaceObserver};
 use crate::registry::Registry;
@@ -14,7 +14,7 @@ use crate::trace::{TraceCtx, TraceSnapshot, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -47,6 +47,12 @@ pub struct Kernel {
     /// dropped at dispatch. Bumped on crash/replace so a restarted service
     /// never sees stale in-flight messages.
     gens: Vec<u32>,
+    /// Per-actor dispatch surface ([`Actor::dispatch`]), beside `gens`:
+    /// what debug builds check every typed send against.
+    surfaces: Vec<Option<&'static Dispatch>>,
+    /// Names of the kinds handed to typed sends, recorded in debug
+    /// builds only (see [`World::kinds_sent`]).
+    sent: BTreeSet<&'static str>,
     next_actor_id: u32,
     pending: Vec<PendingOp>,
     events_processed: u64,
@@ -86,6 +92,26 @@ impl Kernel {
     ) -> Option<TraceCtx> {
         let cur = self.cur_trace?;
         self.tracer.child(cur, kind, src, dst, self.time)
+    }
+
+    /// Debug-build check of one typed send: the target's surface takes
+    /// `kind` and the sender's surface falls under `kind.sender`. An
+    /// actor with no surface (a test actor) is not checked.
+    fn check_send(&mut self, from: ActorId, dst: ActorId, kind: &'static FlowKind) {
+        self.sent.insert(kind.name);
+        if let Some(d) = self.surfaces[dst.0 as usize] {
+            assert!(d.takes(kind), "{} sent to `{}`, which does not accept it", kind.name, d.ident);
+        }
+        if let Some(d) = self.surfaces[from.0 as usize] {
+            assert!(
+                under(kind.sender, d.actor),
+                "{} (sender {:?}) sent by `{}` (actor {:?})",
+                kind.name,
+                kind.sender,
+                d.ident,
+                d.actor
+            );
+        }
     }
 
     fn component_of(&self, actor: ActorId) -> u16 {
@@ -160,6 +186,8 @@ impl World {
                 events: EventLog::default(),
                 hosts: Vec::new(),
                 gens: Vec::new(),
+                surfaces: Vec::new(),
+                sent: BTreeSet::new(),
                 next_actor_id: 0,
                 pending: Vec::new(),
                 events_processed: 0,
@@ -234,6 +262,25 @@ impl World {
                 })
                 .collect(),
         }
+    }
+
+    /// The dispatch surface the actor declared, if any.
+    pub fn dispatch_of(&self, id: ActorId) -> Option<&'static Dispatch> {
+        self.kernel.surfaces.get(id.0 as usize).copied().flatten()
+    }
+
+    /// Every actor id allocated so far, crashed ones included.
+    pub fn actor_ids(&self) -> impl Iterator<Item = ActorId> {
+        (0..self.kernel.next_actor_id).map(ActorId)
+    }
+
+    /// Names of the flow kinds this run sent: the kinds handed to typed
+    /// sends (recorded in debug builds only) and the RPC methods counted
+    /// at their encode sites, whose frames ride `net.sock_cmd` to the
+    /// stack. [`flow::coverage`](crate::flow::coverage) reads it.
+    pub fn kinds_sent(&self) -> BTreeSet<&'static str> {
+        let rpc = self.kernel.rpc_edges.keys().copied();
+        self.kernel.sent.iter().copied().chain(rpc).collect()
     }
 
     /// Arm magma-racecheck: fold a per-window state digest as the run
@@ -344,6 +391,7 @@ impl World {
         let id = ActorId(self.kernel.next_actor_id);
         self.kernel.next_actor_id += 1;
         self.kernel.gens.push(0);
+        self.kernel.surfaces.push(actor.dispatch());
         let name = actor.name();
         self.actors.push(Slot {
             actor: Some(actor),
@@ -386,6 +434,7 @@ impl World {
     /// from a checkpoint). Delivers `Start` at the current time.
     pub fn restart(&mut self, id: ActorId, actor: Box<dyn Actor>) {
         self.kernel.gens[id.0 as usize] += 1;
+        self.kernel.surfaces[id.0 as usize] = actor.dispatch();
         let name = actor.name();
         self.actors[id.0 as usize] = Slot {
             actor: Some(actor),
@@ -708,6 +757,7 @@ impl World {
                 }
                 PendingOp::Replace(id, actor) => {
                     self.kernel.gens[id.0 as usize] += 1;
+                    self.kernel.surfaces[id.0 as usize] = actor.dispatch();
                     let name = actor.name();
                     self.actors[id.0 as usize] = Slot {
                         actor: Some(actor),
@@ -762,6 +812,9 @@ impl<'a> Ctx<'a> {
         delay: SimDuration,
         payload: Payload,
     ) {
+        if cfg!(debug_assertions) {
+            self.kernel.check_send(self.self_id, dst, kind);
+        }
         let trace = if self.kernel.trace_on {
             self.kernel.trace_child(kind.name, self.self_id, dst)
         } else {
@@ -772,12 +825,14 @@ impl<'a> Ctx<'a> {
 
     /// Send on a declared flow edge, delivered at the current instant.
     ///
-    /// The thin statically-analyzable wrapper over [`send`](Ctx::send):
-    /// `kind` must be a [`FlowKind`] const (see `docs/MESSAGE_FLOW.md`)
-    /// whose class is `Zero` (a direct same-instant edge) or `Transport`
-    /// (an end-to-end link edge whose first hop hands the payload to the
-    /// local network stack at the same instant). A `Local` class here
-    /// would misdeclare the edge — use [`send_self`](Ctx::send_self).
+    /// The typed wrapper over [`send`](Ctx::send): `kind` must be a
+    /// [`FlowKind`] const (see `docs/MESSAGE_FLOW.md`) whose class is
+    /// `Zero` (a direct same-instant edge) or `Transport` (an end-to-end
+    /// link edge whose first hop hands the payload to the local network
+    /// stack at the same instant). A `Local` class here would misdeclare
+    /// the edge — use [`send_self`](Ctx::send_self). Debug builds also
+    /// assert that the target's surface takes the kind
+    /// ([`Dispatch::takes`]) and the sender's falls under its sender.
     pub fn send_to(&mut self, dst: ActorId, kind: &'static FlowKind, payload: Payload) {
         debug_assert!(
             matches!(kind.class, DelayClass::Zero | DelayClass::Transport),
@@ -791,7 +846,7 @@ impl<'a> Ctx<'a> {
     /// Send on a declared flow edge after a positive delay (the
     /// link-latency leg of a `Transport` edge, e.g. stack-to-stack frame
     /// delivery). Zero-class kinds must use [`send_to`](Ctx::send_to) so
-    /// the static zero-delay cycle analysis (lint F002) stays sound.
+    /// the zero-delay cycle check (rule F002) stays sound.
     pub fn send_to_in(
         &mut self,
         dst: ActorId,
@@ -835,6 +890,9 @@ impl<'a> Ctx<'a> {
             "send_self({}) must be a positive-delay Local/Timer self-edge",
             kind.name,
         );
+        if cfg!(debug_assertions) {
+            self.kernel.check_send(self.self_id, self.self_id, kind);
+        }
         let trace = if self.kernel.trace_on {
             self.kernel.trace_child(kind.name, self.self_id, self.self_id)
         } else {
@@ -1117,6 +1175,7 @@ impl<'a> Ctx<'a> {
         let id = ActorId(self.kernel.next_actor_id);
         self.kernel.next_actor_id += 1;
         self.kernel.gens.push(0);
+        self.kernel.surfaces.push(actor.dispatch());
         let c = self.kernel.component_of(self.self_id);
         if c != 0 {
             self.kernel.put_component(id, c);
