@@ -8,9 +8,9 @@
 //! `ran`/`epc-baseline` *to* `agw`, and the contract must be visible to
 //! both ends of each edge.
 //!
-//! `magma-lint` parses these declarations to build the workspace
-//! message-flow graph (docs/MESSAGE_FLOW.md); keep each `FlowKind` a
-//! plain `const` with literal fields.
+//! The surfaces here join the workspace message-flow graph through
+//! [`crate::DISPATCHES`] (see `magma_sim::flow` and
+//! docs/MESSAGE_FLOW.md).
 
 use magma_sim::flow_dispatch;
 use magma_sim::{DelayClass, FlowKind, Role};
@@ -110,8 +110,9 @@ pub const ENB_GTPU_ECHO_REPLY: FlowKind = FlowKind {
     retry: None,
 };
 
-/// The AGW's northbound RPC retry/deadline tick (drives every
-/// orchestrator/FeG client in [`crate::actor::AgwActor`]).
+/// The AGW's northbound RPC deadline/reconnect tick (drives every
+/// orchestrator/FeG client in [`crate::actor::AgwActor`]; it never
+/// re-sends a call on an open stream).
 pub const AGW_RPC_TICK: FlowKind = FlowKind {
     name: "agw.rpc_tick",
     sender: "agw",
@@ -121,7 +122,7 @@ pub const AGW_RPC_TICK: FlowKind = FlowKind {
     retry: None,
 };
 
-/// metricsd's RPC retry/deadline tick (its own client, its own cadence).
+/// metricsd's RPC deadline/reconnect tick (its own client, its own cadence).
 pub const METRICSD_RPC_TICK: FlowKind = FlowKind {
     name: "agw.metricsd.rpc_tick",
     sender: "agw.metricsd",

@@ -28,7 +28,7 @@ pub const SOCK_CMD: FlowKind = FlowKind {
 /// The stack notifying a socket owner ([`SockEvent`](crate::SockEvent)).
 /// `Response` role: every event is a bounded consequence of one command
 /// or one inbound frame, so this edge cannot amplify into a
-/// same-timestamp loop (lint F002 relies on this).
+/// same-timestamp loop (rule F002 relies on this).
 pub const SOCK_EVENT: FlowKind = FlowKind {
     name: "net.sock_event",
     sender: "net.stack",

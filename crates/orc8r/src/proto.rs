@@ -38,7 +38,8 @@ pub mod methods {
 /// All edges here are `Transport` class: they ride the RPC stream over
 /// the modeled backhaul. Request kinds name the client tick timer that
 /// expires their deadlines and reconnects for them (`RpcClient::on_tick`),
-/// which lint rule F004 checks against the declared timer kinds.
+/// which rule F004 (`magma_sim::flow::check`) checks against the
+/// declared timer kinds.
 pub mod flows {
     use magma_sim::{DelayClass, FlowKind, Role};
 

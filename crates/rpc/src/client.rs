@@ -128,9 +128,10 @@ impl RpcClient {
     ///
     /// The flow kind carries the wire method name and declares the edge's
     /// place in the message-flow graph (`docs/MESSAGE_FLOW.md`); every
-    /// unary call must be a `Request`-role kind with a registered retry
-    /// timer — the owner's tick, which expires the call's deadline and
-    /// reconnects for it (lint rule F004 audits the declaration side).
+    /// unary call must be a `Request`-role kind naming its timer in
+    /// `retry` — the owner's tick, which expires the call's deadline and
+    /// reconnects for it, and never re-sends (`magma_sim::flow::check`,
+    /// rule F004, audits the declaration side).
     ///
     /// The body is encoded here, once; the reconnect flush re-sends the
     /// held frame.
@@ -142,7 +143,7 @@ impl RpcClient {
     ) -> u64 {
         debug_assert!(
             kind.role == Role::Request && kind.retry.is_some(),
-            "RPC calls must use a Request-role flow kind with a retry edge, got {}",
+            "RPC calls must use a Request-role flow kind naming the timer that drives its deadline and reconnect, got {}",
             kind.name
         );
         let id = self.next_id;

@@ -505,9 +505,9 @@ mod tests {
         findings.iter().map(|f| f.rule).collect()
     }
 
-    // The planted graphs below rebuild, from consts, each bad graph the
-    // lexical linter's fixtures held; `check` must report each finding.
-    // An accepts entry that names no declared kind is a compile error.
+    // Planted bad graphs, one per finding each rule exists for; `check`
+    // (or `coverage`) must report each. An accepts entry that names no
+    // declared kind cannot be planted: it is a compile error.
 
     const ORPHAN: FlowKind = kind("mme.orphan", "agw", "orc8r", Transport, Data, None);
     flow_dispatch! {
