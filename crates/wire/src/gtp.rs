@@ -325,6 +325,13 @@ impl GtpcPacket {
         }
         let msg_type = buf[1];
         let length = u16::from_be_bytes([buf[2], buf[3]]) as usize;
+        // The length counts the TEID, sequence and spare bytes too.
+        if length < 8 {
+            return Err(WireError::BadValue {
+                field: "gtpc.length",
+                value: length as u64,
+            });
+        }
         need(buf, 4 + length)?;
         let teid = Teid(u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]));
         let seq = u32::from_be_bytes([0, buf[8], buf[9], buf[10]]);
@@ -414,6 +421,26 @@ mod tests {
         let dec = GtpUPacket::decode(&p.encode()).unwrap();
         assert_eq!(dec.seq, Some(77));
         assert_eq!(dec.msg_type, gtpu_type::ECHO_REQUEST);
+    }
+
+    /// Shrunk case of `mutated_gtpc_frames_never_panic`: a Delete
+    /// Session Response whose length field's low byte is zeroed claims
+    /// a body shorter than the 8 header bytes it must count.
+    #[test]
+    fn gtpc_length_shorter_than_its_header_is_an_error() {
+        let p = GtpcPacket {
+            teid: Teid(1),
+            seq: 42,
+            message: GtpcMessage::DeleteSessionResponse {
+                cause: GtpcCause::ContextNotFound,
+            },
+        };
+        let mut frame = p.encode().to_vec();
+        frame[3] = 0;
+        assert!(matches!(
+            GtpcPacket::decode(&frame),
+            Err(WireError::BadValue { field: "gtpc.length", value: 0 })
+        ));
     }
 
     #[test]
