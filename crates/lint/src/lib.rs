@@ -1,6 +1,8 @@
-//! `magma-lint`: the workspace's determinism / telemetry / actor-hygiene
-//! static-analysis pass. See `docs/DETERMINISM.md` for the invariants and
-//! the full rule list, and `scripts/check.sh` for how it gates CI.
+//! `magma-lint`: the workspace's determinism / telemetry / actor-hygiene /
+//! schedule-safety static-analysis pass. See `docs/DETERMINISM.md` for the
+//! invariants and the full rule list, and `scripts/check.sh` for how it
+//! gates CI. The message-flow graph is not lexed here: its rules are typed
+//! checks over the dispatch consts (`magma_sim::flow`).
 //!
 //! Deliberately dependency-free: the gate must always build, even offline
 //! (`rustc --edition 2021 crates/lint/src/main.rs` works in a pinch).
