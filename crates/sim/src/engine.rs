@@ -264,14 +264,10 @@ impl World {
         }
     }
 
-    /// The dispatch surface the actor declared, if any.
-    pub fn dispatch_of(&self, id: ActorId) -> Option<&'static Dispatch> {
-        self.kernel.surfaces.get(id.0 as usize).copied().flatten()
-    }
-
-    /// Every actor id allocated so far, crashed ones included.
-    pub fn actor_ids(&self) -> impl Iterator<Item = ActorId> {
-        (0..self.kernel.next_actor_id).map(ActorId)
+    /// Each actor's declared dispatch surface, indexed by actor id
+    /// (crashed actors included).
+    pub fn surfaces(&self) -> &[Option<&'static Dispatch>] {
+        &self.kernel.surfaces
     }
 
     /// Names of the flow kinds this run sent: the kinds handed to typed

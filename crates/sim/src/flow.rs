@@ -159,7 +159,7 @@ impl Dispatch {
 
 /// Whether `actor` falls under the dotted name `name`: the name itself,
 /// a descendant (`agw` covers `agw.epc_baseline`), or anyone for `"*"`.
-pub fn under(name: &str, actor: &str) -> bool {
+pub(crate) fn under(name: &str, actor: &str) -> bool {
     name == "*"
         || actor
             .strip_prefix(name)
@@ -221,7 +221,7 @@ pub fn kinds(dispatches: &[&Dispatch]) -> Vec<&'static FlowKind> {
     let mut kinds: Vec<&'static FlowKind> =
         dispatches.iter().flat_map(|d| d.accepts.iter().copied()).collect();
     kinds.sort_by_key(|k| (k.sender, k.name));
-    kinds.dedup_by(|a, b| a == b);
+    kinds.dedup();
     kinds
 }
 
@@ -692,7 +692,7 @@ mod tests {
         w.add_actor(Box::new(OnlyPing));
         w.add_actor(Box::new(SendsTo(&PING)));
         w.run_until(crate::SimTime::from_secs(1));
-        assert!(w.dispatch_of(ActorId(0)).is_some() && w.dispatch_of(ActorId(1)).is_none());
+        assert!(matches!(w.surfaces(), [Some(_), None]));
     }
 
     #[cfg(debug_assertions)]

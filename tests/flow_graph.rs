@@ -167,10 +167,9 @@ fn every_actor_declares_its_surface_and_every_kind_is_sent() {
     let sc = every_actor();
     let graph = magma::dispatches();
     let mut seen = BTreeSet::new();
-    for id in sc.world.actor_ids() {
-        let surface = sc.world.dispatch_of(id);
-        assert!(surface.is_some(), "{id} declares no dispatch surface");
-        seen.extend(surface.map(|d| d.ident));
+    for (id, surface) in sc.world.surfaces().iter().enumerate() {
+        let surface = surface.unwrap_or_else(|| panic!("actor#{id} declares no dispatch surface"));
+        seen.insert(surface.ident);
     }
     let all: BTreeSet<&str> = graph.iter().map(|d| d.ident).collect();
     assert_eq!(seen, all);
