@@ -280,8 +280,8 @@ impl AgwActor {
             cert,
             calls: BTreeMap::new(),
             credit_inflight: BTreeSet::new(),
-            orc8r_unheard: false,
             credit_unanswered: BTreeSet::new(),
+            orc8r_unheard: false,
             wifi_sessions: BTreeMap::new(),
         }
     }
