@@ -592,21 +592,18 @@ impl AgwActor {
             span.mark(ran_stage, now);
         }
         let imsi = uectx.imsi;
-        if self.cfg.feg.is_some() && self.db.get(imsi).is_none() {
-            // Federated subscriber: fetch vectors from the MNO HSS.
-            // Roots a standalone S6a trace when the enclosing attach was
-            // not sampled; inside a traced attach this is a no-op and
-            // the round trip records as hops of the attach itself.
-            ctx.trace_start("s6a_auth");
-            let req = orc8r_proto::FegAuthRequest { imsi: imsi.0 };
-            let id = self
-                .feg
-                .as_mut()
-                // lint:allow(A002, reason = "guarded by cfg.feg.is_some() above; the client is constructed whenever cfg.feg is set")
-                .expect("feg client in federated mode")
-                .call(ctx, &orc8r_proto::flows::FEG_AUTH, req);
-            self.calls.insert((Peer::Feg, id), CallKind::FegAuth { ue });
-            return;
+        if let Some(feg) = self.feg.as_mut() {
+            if self.db.get(imsi).is_none() {
+                // Federated subscriber: fetch vectors from the MNO HSS.
+                // Roots a standalone S6a trace when the enclosing attach
+                // was not sampled; inside a traced attach this is a no-op
+                // and the round trip records as hops of the attach itself.
+                ctx.trace_start("s6a_auth");
+                let req = orc8r_proto::FegAuthRequest { imsi: imsi.0 };
+                let id = feg.call(ctx, &orc8r_proto::flows::FEG_AUTH, req);
+                self.calls.insert((Peer::Feg, id), CallKind::FegAuth { ue });
+                return;
+            }
         }
         let mut rand = [0u8; 16];
         ctx.rng().fill_bytes(&mut rand);

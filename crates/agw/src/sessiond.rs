@@ -121,7 +121,10 @@ impl SessionManager {
     /// TEID (0 until context setup completes for LTE). Returns the new
     /// session's id and the id of the session it replaced, if the IMSI
     /// already had one.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per field the attach procedure fixes for the session"
+    )]
     pub fn create(
         &mut self,
         imsi: Imsi,

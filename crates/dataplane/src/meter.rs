@@ -3,8 +3,10 @@
 
 use crate::flow::MeterId;
 use magma_sim::SimTime;
-#[allow(clippy::disallowed_types)]
-// lint:allow(D001, reason = "per-packet point lookups only (get_mut/contains_key/remove); the table is never iterated, so hash order cannot leak into exports")
+#[expect(
+    clippy::disallowed_types,
+    reason = "per-packet point lookups only (get_mut/contains_key/remove); the table is never iterated, so hash order cannot leak into exports"
+)]
 use std::collections::HashMap;
 
 /// One token bucket: sustained rate plus burst allowance.
@@ -62,9 +64,11 @@ impl TokenBucket {
 
 /// The data plane's meter table.
 #[derive(Debug, Default)]
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "point lookups on the per-packet hot path; never iterated"
+)]
 pub struct MeterTable {
-    // lint:allow(D001, reason = "point lookups on the per-packet hot path; never iterated")
     meters: HashMap<MeterId, TokenBucket>,
     pub dropped_bytes: u64,
     pub dropped_packets: u64,

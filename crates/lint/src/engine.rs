@@ -1,11 +1,10 @@
-//! The lint engine: walks the workspace, runs every rule, applies
-//! `lint:allow` suppressions, and assembles the report.
+//! The lint engine: walks the workspace, runs every rule, and assembles
+//! the report.
 //!
 //! Scan scope: `crates/*/src/**/*.rs` and `examples/*.rs` — the code
-//! that can reach an export. Integration tests and benches are covered
-//! by the clippy `disallowed_types`/`disallowed_methods` first-line
-//! guard instead (see `clippy.toml`), and `#[cfg(test)]` items inside
-//! scanned files are skipped by the rules themselves.
+//! that can reach an export. `#[cfg(test)]` items inside scanned files
+//! are skipped by the rules themselves. The determinism bans are
+//! clippy's, over every target (see `clippy.toml`).
 
 use crate::lexer;
 use crate::rules::{self, DocRow, FileCtx, Finding, NameUse, RowType};
@@ -49,26 +48,12 @@ fn load_sources(
     out
 }
 
-/// An inline suppression: `// lint:allow(RULE, reason = "...")`.
-/// Covers findings of `rule` on its own line and the line below.
-#[derive(Debug, Clone)]
-pub struct Allow {
-    pub rule: String,
-    pub reason: String,
-    pub file: String,
-    pub line: u32,
-    pub used: bool,
-}
-
 /// Full lint results for a run.
 #[derive(Debug, Default)]
 pub struct Report {
     pub files_scanned: usize,
-    /// Every rule hit, including suppressed ones (`allowed == true`).
+    /// Every rule hit: each one fails the build.
     pub findings: Vec<Finding>,
-    pub allows: Vec<Allow>,
-    /// Malformed `lint:allow` comments (never suppressible).
-    pub malformed: Vec<(String, u32, String)>,
     /// Files to scan that could not be read, with the error: each fails
     /// the run, since a file never read can hide any violation.
     pub unreadable: Vec<(String, String)>,
@@ -81,72 +66,35 @@ pub struct Report {
 }
 
 impl Report {
-    /// Unsuppressed findings — what fails the build.
-    pub fn violations(&self) -> Vec<&Finding> {
-        self.findings.iter().filter(|f| !f.allowed).collect()
+    /// Findings plus unreadable files: what fails the build.
+    pub fn violations(&self) -> usize {
+        self.findings.len() + self.unreadable.len()
     }
 
     pub fn is_clean(&self) -> bool {
-        self.findings.iter().all(|f| f.allowed)
-            && self.malformed.is_empty()
-            && self.unreadable.is_empty()
-    }
-
-    /// Rule -> violation count, for the summary (only rules that fired).
-    pub fn counts(&self) -> Vec<(&'static str, usize, usize)> {
-        rules::ALL_RULES
-            .iter()
-            .map(|r| {
-                let viol = self
-                    .findings
-                    .iter()
-                    .filter(|f| f.rule == *r && !f.allowed)
-                    .count();
-                let allowed = self
-                    .findings
-                    .iter()
-                    .filter(|f| f.rule == *r && f.allowed)
-                    .count();
-                (*r, viol, allowed)
-            })
-            .collect()
+        self.violations() == 0
     }
 
     /// Render the human summary printed at the end of `scripts/check.sh`.
     pub fn summary(&self) -> String {
         let mut out = String::new();
-        let violations = self.violations().len() + self.malformed.len() + self.unreadable.len();
-        let allowed = self.findings.iter().filter(|f| f.allowed).count();
         out.push_str(&format!(
             "magma-lint: {} files scanned, {} rules ({})\n",
             self.files_scanned,
             rules::ALL_RULES.len(),
             rules::ALL_RULES.join(" "),
         ));
-        for (rule, viol, allow) in self.counts() {
-            if viol > 0 || allow > 0 {
-                out.push_str(&format!(
-                    "  {rule}: {viol} violation{}, {allow} justified allow{}\n",
-                    if viol == 1 { "" } else { "s" },
-                    if allow == 1 { "" } else { "s" },
-                ));
+        for rule in rules::ALL_RULES {
+            let n = self.findings.iter().filter(|f| f.rule == *rule).count();
+            if n > 0 {
+                out.push_str(&format!("  {rule}: {n} violation{}\n", plural(n)));
             }
         }
         for (file, _) in &self.unreadable {
             out.push_str(&format!("  unreadable: {file}\n"));
         }
-        let unused: Vec<&Allow> = self.allows.iter().filter(|a| !a.used).collect();
-        for a in &unused {
-            out.push_str(&format!(
-                "  note: unused lint:allow({}) at {}:{}\n",
-                a.rule, a.file, a.line
-            ));
-        }
-        out.push_str(&format!(
-            "  total: {violations} violation{}, {allowed} justified allow{}\n",
-            if violations == 1 { "" } else { "s" },
-            if allowed == 1 { "" } else { "s" },
-        ));
+        let n = self.violations();
+        out.push_str(&format!("  total: {n} violation{}\n", plural(n)));
         if let Some(ms) = self.elapsed_ms {
             out.push_str(&format!(
                 "  self-time: {ms:.1} ms (each file lexed once, shared across rules)\n"
@@ -242,63 +190,6 @@ pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Parse `lint:allow(RULE, reason = "...")` comments in one file.
-fn parse_allows(
-    rel: &str,
-    masked: &lexer::Masked,
-    allows: &mut Vec<Allow>,
-    malformed: &mut Vec<(String, u32, String)>,
-) {
-    for c in &masked.comments {
-        // Doc comments (`///`, `//!`) describe the syntax; only plain
-        // `//` comments can carry a live suppression.
-        if c.text.starts_with('/') || c.text.starts_with('!') {
-            continue;
-        }
-        let Some(at) = c.text.find("lint:allow(") else {
-            continue;
-        };
-        let rest = &c.text[at + "lint:allow(".len()..];
-        let Some(close) = rest.find(')') else {
-            malformed.push((
-                rel.to_string(),
-                c.line,
-                "unclosed lint:allow(...)".to_string(),
-            ));
-            continue;
-        };
-        let inner = &rest[..close];
-        let (rule, reason) = match inner.split_once(',') {
-            Some((r, tail)) => (r.trim(), tail.trim()),
-            None => (inner.trim(), ""),
-        };
-        let reason_text = reason
-            .strip_prefix("reason")
-            .map(|t| t.trim_start().trim_start_matches('='))
-            .map(|t| t.trim().trim_matches('"').to_string());
-        let rule_ok = rules::ALL_RULES.contains(&rule);
-        match (rule_ok, reason_text) {
-            (true, Some(reason)) if !reason.is_empty() => allows.push(Allow {
-                rule: rule.to_string(),
-                reason,
-                file: rel.to_string(),
-                line: c.line,
-                used: false,
-            }),
-            (false, _) => malformed.push((
-                rel.to_string(),
-                c.line,
-                format!("unknown rule {rule:?} in lint:allow"),
-            )),
-            (true, _) => malformed.push((
-                rel.to_string(),
-                c.line,
-                format!("lint:allow({rule}) needs a reason = \"...\" justification"),
-            )),
-        }
-    }
-}
-
 /// Lint a set of files (paths must be under `root` for clean rel paths)
 /// against the docs inventory (None = docs missing). Stale inventory rows
 /// (T003's docs direction) are not checked here — only a whole-workspace
@@ -313,8 +204,10 @@ fn lint_files_inner(
     docs: Option<&[DocRow]>,
     check_drift: bool,
 ) -> Report {
-    #[allow(clippy::disallowed_methods)]
-    // lint:allow(D002, reason = "self-timing of the lint tool on the host — not simulation state")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "self-timing of the lint tool on the host — not simulation state"
+    )]
     let t0 = std::time::Instant::now();
     let mut report = Report {
         docs_present: docs.is_some(),
@@ -330,19 +223,12 @@ fn lint_files_inner(
             skips: &sf.skips,
         };
 
-        let mut findings = Vec::new();
-        rules::d001_hash_collections(&ctx, &mut findings);
-        rules::d002_ambient_entropy(&ctx, &mut findings);
         let uses = rules::collect_name_uses(&ctx);
-        rules::t_rules(&uses, docs, &mut findings);
-        rules::a001_catch_all_dispatch(&ctx, &mut findings);
-        rules::a002_hot_path_unwrap(&ctx, &mut findings);
-        rules::s004_raw_sends(&ctx, &mut findings);
-        rules::s006_schedule_state_reads(&ctx, &mut findings);
-
-        parse_allows(&sf.rel, &sf.masked, &mut report.allows, &mut report.malformed);
+        rules::t_rules(&uses, docs, &mut report.findings);
+        rules::a001_catch_all_dispatch(&ctx, &mut report.findings);
+        rules::a002_hot_path_unwrap(&ctx, &mut report.findings);
+        rules::s006_registry_reads(&ctx, &mut report.findings);
         report.uses.extend(uses);
-        report.findings.extend(findings);
     }
 
     // Docs drift, workspace scans only: a partial file set would flag
@@ -353,22 +239,8 @@ fn lint_files_inner(
         }
     }
 
-    apply_allows(&mut report);
     report.elapsed_ms = Some(t0.elapsed().as_secs_f64() * 1e3);
     report
-}
-
-/// Mark findings covered by an allow on the same or preceding line.
-fn apply_allows(report: &mut Report) {
-    for f in &mut report.findings {
-        if let Some(a) = report.allows.iter_mut().find(|a| {
-            a.rule == f.rule && a.file == f.file && (a.line == f.line || a.line + 1 == f.line)
-        }) {
-            a.used = true;
-            f.allowed = true;
-            f.reason = Some(a.reason.clone());
-        }
-    }
 }
 
 /// Lint the whole workspace rooted at `root`, including docs drift.
@@ -385,56 +257,29 @@ pub fn json_report(report: &Report) -> String {
     let esc = rules::json_escape;
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema_version\": 1,\n");
+    out.push_str("  \"schema_version\": 2,\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
     out.push_str(&format!("  \"docs_present\": {},\n", report.docs_present));
-    out.push_str(&format!(
-        "  \"violations\": {},\n",
-        report.violations().len() + report.malformed.len() + report.unreadable.len()
-    ));
-    out.push_str(&format!(
-        "  \"allowed\": {},\n",
-        report.findings.iter().filter(|f| f.allowed).count()
-    ));
+    out.push_str(&format!("  \"violations\": {},\n", report.violations()));
     out.push_str("  \"findings\": [");
     for (i, f) in report.findings.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"msg\": \"{}\", \
-             \"allowed\": {}, \"reason\": {}}}",
+            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"msg\": \"{}\"}}",
             f.rule,
             esc(&f.file),
             f.line,
             esc(&f.msg),
-            f.allowed,
-            f.reason
-                .as_ref()
-                .map(|r| format!("\"{}\"", esc(r)))
-                .unwrap_or_else(|| "null".to_string()),
-        ));
-    }
-    out.push_str("\n  ],\n");
-    out.push_str("  \"malformed\": [");
-    for (i, (file, line, msg)) in report.malformed.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {line}, \"msg\": \"{}\"}}",
-            esc(file),
-            esc(msg),
-        ));
-    }
-    out.push_str("\n  ],\n");
-    out.push_str("  \"unused_allows\": [");
-    let unused: Vec<_> = report.allows.iter().filter(|a| !a.used).collect();
-    for (i, a) in unused.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-            esc(&a.rule),
-            esc(&a.file),
-            a.line,
         ));
     }
     out.push_str("\n  ]\n}\n");
     out
+}
+
+fn plural(n: usize) -> &'static str {
+    if n == 1 {
+        ""
+    } else {
+        "s"
+    }
 }

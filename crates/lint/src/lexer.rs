@@ -5,10 +5,9 @@
 //! The output is a *masked* copy of the source — same byte length, same
 //! line structure — where comment bodies and string-literal contents are
 //! blanked out. Rules scan the masked text with plain substring searches
-//! and can never be fooled by a banned name appearing inside a string or
-//! a comment. String literals and comments are also returned as separate
-//! lists (with positions) for the telemetry rules and `lint:allow`
-//! parsing respectively.
+//! and can never be fooled by a rule's token appearing inside a string or
+//! a comment. String literals are also returned as a separate list (with
+//! positions) for the telemetry rules.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -19,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static MASK_CALLS: AtomicUsize = AtomicUsize::new(0);
 
 /// Total number of times `mask` has run in this process.
-#[allow(dead_code)] // read from the lib surface (tests), not the CLI.
+#[allow(dead_code, reason = "read from the lib surface (tests), not the CLI")]
 pub fn mask_calls() -> usize {
     MASK_CALLS.load(Ordering::Relaxed)
 }
@@ -34,14 +33,6 @@ pub struct StrLit {
     pub value: String,
 }
 
-/// A comment found in the source (text without the `//` / `/* */` markers).
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line number on which the comment starts.
-    pub line: u32,
-    pub text: String,
-}
-
 /// Lexed view of one source file.
 #[derive(Debug)]
 pub struct Masked {
@@ -49,7 +40,6 @@ pub struct Masked {
     /// Byte length and newline positions match the original exactly.
     pub text: String,
     pub strings: Vec<StrLit>,
-    pub comments: Vec<Comment>,
 }
 
 impl Masked {
@@ -62,13 +52,12 @@ impl Masked {
     }
 }
 
-/// Lex `src`, producing the masked text plus literal/comment side tables.
+/// Lex `src`, producing the masked text plus the string-literal table.
 pub fn mask(src: &str) -> Masked {
     MASK_CALLS.fetch_add(1, Ordering::Relaxed);
     let bytes = src.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut strings = Vec::new();
-    let mut comments = Vec::new();
     let mut line: u32 = 1;
     let mut i = 0;
 
@@ -86,16 +75,11 @@ pub fn mask(src: &str) -> Masked {
                 i += 1;
             }
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                // Line comment: record text, blank it out.
-                let start_line = line;
+                // Line comment: blank it out.
                 let mut j = i + 2;
                 while j < bytes.len() && bytes[j] != b'\n' {
                     j += 1;
                 }
-                comments.push(Comment {
-                    line: start_line,
-                    text: src[i + 2..j].to_string(),
-                });
                 for &c in &bytes[i..j] {
                     blank(&mut out, c);
                 }
@@ -103,7 +87,6 @@ pub fn mask(src: &str) -> Masked {
             }
             b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
                 // Block comment, possibly nested.
-                let start_line = line;
                 let mut depth = 1usize;
                 let mut j = i + 2;
                 while j < bytes.len() && depth > 0 {
@@ -120,10 +103,6 @@ pub fn mask(src: &str) -> Masked {
                         j += 1;
                     }
                 }
-                comments.push(Comment {
-                    line: start_line,
-                    text: src[(i + 2)..j.saturating_sub(2).max(i + 2)].to_string(),
-                });
                 for &c in &bytes[i..j] {
                     blank(&mut out, c);
                 }
@@ -192,7 +171,6 @@ pub fn mask(src: &str) -> Masked {
     Masked {
         text: String::from_utf8(out).expect("masking preserves utf8 structure"),
         strings,
-        comments,
     }
 }
 

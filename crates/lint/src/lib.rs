@@ -1,8 +1,11 @@
-//! `magma-lint`: the workspace's determinism / telemetry / actor-hygiene /
-//! schedule-safety static-analysis pass. See `docs/DETERMINISM.md` for the
-//! invariants and the full rule list, and `scripts/check.sh` for how it
-//! gates CI. The message-flow graph is not lexed here: its rules are typed
-//! checks over the dispatch consts (`magma_sim::flow`).
+//! `magma-lint`: the workspace's inventory and hygiene pass — what the
+//! compiler cannot check. Six rules: the telemetry-name inventory
+//! (T001–T003), actor dispatch and hot-path panics (A001, A002), and
+//! registry reads across components (S006). The determinism bans are
+//! clippy's (`clippy.toml`), and the message-flow graph's rules are typed
+//! checks over the dispatch consts (`magma_sim::flow`). See
+//! `docs/DETERMINISM.md` for the invariants and `scripts/check.sh` for
+//! how it gates CI.
 //!
 //! Deliberately dependency-free: the gate must always build, even offline
 //! (`rustc --edition 2021 crates/lint/src/main.rs` works in a pinch).
@@ -12,4 +15,4 @@ pub mod lexer;
 pub mod rules;
 
 pub use engine::{json_report, lint_files, lint_workspace, parse_docs, workspace_files, Report};
-pub use rules::{render_rule_list, Finding, ALL_RULES, KNOWN_PREFIXES, RULE_INFO};
+pub use rules::{Finding, ALL_RULES, KNOWN_PREFIXES};

@@ -2,13 +2,10 @@
 //!
 //! With no file arguments, lints the whole workspace (crates/*/src and
 //! examples/) against the docs inventory. With explicit files, lints just
-//! those (used by the fixture tests). Exit code 0 iff no unjustified
-//! violations. `--names` dumps the telemetry names the run captured,
-//! which is how the OBSERVABILITY.md inventory table is regenerated.
-//! `--json` emits the findings as machine-readable JSON (stable field
-//! order).
-//! `--list-rules` prints the rule inventory (id, summary, fixture) so
-//! `lint:allow` reasons can reference something discoverable.
+//! those (used by the fixture tests). Exit code 0 iff no violations.
+//! `--names` dumps the telemetry names the run captured, which is how the
+//! OBSERVABILITY.md inventory table is regenerated. `--json` emits the
+//! findings as machine-readable JSON (stable field order).
 
 mod engine;
 mod lexer;
@@ -33,20 +30,14 @@ fn main() -> ExitCode {
             }
             "--names" => dump_names = true,
             "--json" => json = true,
-            "--list-rules" => {
-                print!("{}", rules::render_rule_list());
-                return ExitCode::SUCCESS;
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: magma-lint [--root DIR] [--names] [--json] [--list-rules] \
-                     [FILES...]\n\
-                     Lints the workspace (or just FILES) for determinism (D),\n\
-                     telemetry naming (T), actor hygiene (A), and\n\
-                     schedule-safety (S) violations. --json emits findings\n\
-                     as JSON; --names prints the captured telemetry names;\n\
-                     --list-rules prints the rule inventory (id, summary,\n\
-                     fixture path)."
+                    "usage: magma-lint [--root DIR] [--names] [--json] [FILES...]\n\
+                     Lints the workspace (or just FILES) for telemetry naming\n\
+                     (T), actor hygiene (A) and registry-read (S)\n\
+                     violations. --json emits findings as JSON; --names\n\
+                     prints the captured telemetry names. The determinism\n\
+                     bans are clippy's (clippy.toml)."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -96,11 +87,8 @@ fn main() -> ExitCode {
         };
     }
 
-    for f in report.violations() {
+    for f in &report.findings {
         println!("{} {}:{} {}", f.rule, f.file, f.line, f.msg);
-    }
-    for (file, line, msg) in &report.malformed {
-        println!("LINT {file}:{line} {msg}");
     }
     for (file, err) in &report.unreadable {
         println!("LINT {file} cannot be read: {err}");

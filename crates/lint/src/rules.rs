@@ -1,12 +1,8 @@
 //! Rule implementations. Each rule scans the masked source of one file
-//! (see `lexer`) and yields findings; the engine applies `lint:allow`
-//! suppressions afterwards.
+//! (see `lexer`) and yields findings; every finding fails the build.
 //!
-//! Rule identifiers (stable — used in `lint:allow(...)` comments):
+//! Rule identifiers:
 //!
-//! - `D001` hash-collections: `HashMap`/`HashSet` in scanned source.
-//! - `D002` ambient-entropy: `Instant::now`/`SystemTime::now`/
-//!   `thread_rng`/`rand::random` outside the DES kernel (`crates/sim`).
 //! - `T001` name-grammar: every captured telemetry name (metric,
 //!   series, scope, trace or event) must be dotted snake_case.
 //! - `T002` metric-prefix: instrument and series names must fall under a
@@ -18,19 +14,19 @@
 //!   `match event`.
 //! - `A002` hot-path-unwrap: `.unwrap()`/`.expect(`/direct `ident[..]`
 //!   indexing in agw/orc8r/rpc.
-//! - `S004` raw-send: `ctx.send(`/`ctx.send_in(` outside the kernel
-//!   bypasses the typed flow layer.
-//! - `S006` schedule-state-read: actor code must not read
-//!   schedule-dependent kernel-global state (heap shape, dispatch
-//!   counter, live traces, RPC edge counters, cross-prefix registry
-//!   reads) — those values are artifacts of the window schedule.
+//! - `S006` registry-read: actor code must not read another
+//!   component's metric-registry namespace — which components already
+//!   drained a racecheck window is an artifact of the schedule.
 //!
-//! The message-flow graph rules (F001–F004, S007) are typed checks over
-//! the dispatch consts, in `magma_sim::flow`, not lexical rules here.
+//! What the compiler can check is not lexed here. The determinism bans
+//! (hash collections, wall clocks, ambient entropy) and the ban on raw
+//! `Ctx::send_in` are clippy's `disallowed_types`/`disallowed_methods`
+//! (`clippy.toml`). The message-flow graph rules (F001–F004, S007) are
+//! typed checks over the dispatch consts, in `magma_sim::flow`.
 
 use crate::lexer::Masked;
 
-/// One rule hit, before suppression.
+/// One rule hit.
 #[derive(Debug, Clone)]
 pub struct Finding {
     pub rule: &'static str,
@@ -38,10 +34,6 @@ pub struct Finding {
     pub file: String,
     pub line: u32,
     pub msg: String,
-    /// Set by the engine when a `lint:allow` covers this finding.
-    pub allowed: bool,
-    /// Justification text from the covering allow, if any.
-    pub reason: Option<String>,
 }
 
 impl Finding {
@@ -51,78 +43,12 @@ impl Finding {
             file: file.to_string(),
             line,
             msg,
-            allowed: false,
-            reason: None,
         }
     }
 }
 
 /// All rule identifiers, for the summary report.
-pub const ALL_RULES: &[&str] = &[
-    "D001", "D002", "T001", "T002", "T003", "A001", "A002", "S004", "S006",
-];
-
-/// One row per rule for `--list-rules`: (id, one-line summary, fixture
-/// demonstrating the violation). Same order as [`ALL_RULES`] — the
-/// rendering is golden-tested so suppression reasons can reference a
-/// stable, discoverable inventory.
-pub const RULE_INFO: &[(&str, &str, &str)] = &[
-    (
-        "D001",
-        "HashMap/HashSet in scanned source — iteration order is nondeterministic",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/d001_hash_state.rs",
-    ),
-    (
-        "D002",
-        "ambient entropy (Instant/SystemTime/thread_rng) outside the DES kernel",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/d002_ambient_entropy.rs",
-    ),
-    (
-        "T001",
-        "telemetry names (metric, series, scope, trace, event) must be dotted snake_case",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/t001_bad_grammar.rs",
-    ),
-    (
-        "T002",
-        "metric names must fall under a known cardinality prefix",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/t002_unknown_prefix.rs",
-    ),
-    (
-        "T003",
-        "telemetry name without a docs/OBSERVABILITY.md inventory row, or a row without a use",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/t003_undocumented.rs",
-    ),
-    (
-        "A001",
-        "catch-all `_ =>` arm in an actor's top-level event match",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/a001_catch_all.rs",
-    ),
-    (
-        "A002",
-        "panicking accessors (unwrap/expect/indexing) on the hot serving path",
-        "crates/lint/tests/fixtures/bad/crates/rpc/src/a002_hot_unwrap.rs",
-    ),
-    (
-        "S004",
-        "raw ctx.send / ctx.send_in outside the kernel bypasses the typed flow layer",
-        "crates/lint/tests/fixtures/bad/crates/feg/src/s004_raw_send.rs",
-    ),
-    (
-        "S006",
-        "actor code reads schedule-dependent kernel-global state",
-        "crates/lint/tests/fixtures/bad/crates/agw/src/s006_schedule_read.rs",
-    ),
-];
-
-/// Render the `--list-rules` inventory (golden-tested byte-for-byte
-/// against `scripts/golden/lint_rules.txt`).
-pub fn render_rule_list() -> String {
-    let mut out = String::new();
-    for (id, summary, fixture) in RULE_INFO {
-        out.push_str(&format!("{id}  {summary}\n      fixture: {fixture}\n"));
-    }
-    out
-}
+pub const ALL_RULES: &[&str] = &["T001", "T002", "T003", "A001", "A002", "S006"];
 
 /// Minimal JSON string escaping for the `--json` report (the lint stays
 /// dependency-free).
@@ -177,10 +103,10 @@ impl<'a> FileCtx<'a> {
         self.skips.iter().any(|&(a, b)| offset >= a && offset < b)
     }
 
-    /// Is this file part of the DES kernel (which owns time and RNG)?
-    /// `contains` rather than `starts_with` so fixture trees that mirror
-    /// the real layout (tests/fixtures/crates/sim/src/...) classify the
-    /// same way regardless of the scan root.
+    /// Is this file part of the DES kernel, whose registry reads are
+    /// its own? `contains` rather than `starts_with` so fixture trees
+    /// that mirror the real layout (tests/fixtures/crates/sim/src/...)
+    /// classify the same way regardless of the scan root.
     fn in_kernel(&self) -> bool {
         self.rel.contains("crates/sim/src")
     }
@@ -294,64 +220,6 @@ fn match_brace(bytes: &[u8], open: usize) -> usize {
         j += 1;
     }
     bytes.len()
-}
-
-// ---------------------------------------------------------------------------
-// D rules — determinism
-// ---------------------------------------------------------------------------
-
-/// D001: hash-ordered collections anywhere in scanned (non-test) source.
-pub fn d001_hash_collections(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let mut seen_lines = Vec::new();
-    for name in ["HashMap", "HashSet"] {
-        for at in find_word(&ctx.masked.text, name) {
-            if ctx.skipped(at) {
-                continue;
-            }
-            let line = ctx.masked.line_of(at);
-            if seen_lines.contains(&(line, name)) {
-                continue;
-            }
-            seen_lines.push((line, name));
-            out.push(Finding::new(
-                "D001",
-                ctx.rel,
-                line,
-                format!(
-                    "{name} iterates in hash order — use BTreeMap/BTreeSet (or justify \
-                     point-lookup-only use with lint:allow)"
-                ),
-            ));
-        }
-    }
-}
-
-/// D002: wall-clock time and ambient RNG outside the kernel.
-pub fn d002_ambient_entropy(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.in_kernel() {
-        return;
-    }
-    for needle in [
-        "Instant::now",
-        "SystemTime::now",
-        "thread_rng",
-        "rand::random",
-    ] {
-        for at in find_word(&ctx.masked.text, needle) {
-            if ctx.skipped(at) {
-                continue;
-            }
-            out.push(Finding::new(
-                "D002",
-                ctx.rel,
-                ctx.masked.line_of(at),
-                format!(
-                    "{needle} breaks same-seed reproducibility — use ctx.now() / the \
-                     kernel-seeded ctx.rng()"
-                ),
-            ));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -754,8 +622,8 @@ pub fn a002_hot_path_unwrap(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 ctx.rel,
                 ctx.masked.line_of(at),
                 format!(
-                    "`{}` on a hot path can panic the gateway — restructure, or \
-                     justify the invariant with lint:allow",
+                    "`{}` on a hot path can panic the gateway — restructure so \
+                     the invariant is in the types",
                     needle.trim_end_matches('(')
                 ),
             ));
@@ -776,51 +644,21 @@ pub fn a002_hot_path_unwrap(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             ctx.rel,
             ctx.masked.line_of(i),
             "direct indexing on a hot path can panic the gateway — use \
-             `.get(..)` and handle the miss, or justify the bound with \
-             lint:allow"
+             `.get(..)` and handle the miss"
                 .to_string(),
         ));
     }
 }
 
-/// S004: raw `ctx.send(` / `ctx.send_in(` outside the kernel. The typed
-/// `send_to` family carries the edge's declared `FlowKind` — what the
-/// flow graph, tracing and the debug delay-class asserts all rely on.
-pub fn s004_raw_sends(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.in_kernel() {
-        return;
-    }
-    let text = &ctx.masked.text;
-    for needle in ["ctx.send(", "ctx.send_in("] {
-        let mut from = 0;
-        while let Some(p) = text[from..].find(needle) {
-            let at = from + p;
-            from = at + 1;
-            if ctx.skipped(at) {
-                continue;
-            }
-            out.push(Finding::new(
-                "S004",
-                ctx.rel,
-                ctx.masked.line_of(at),
-                format!(
-                    "raw `{needle}..)` bypasses the typed flow layer — route through the \
-                     `send_to` family so the edge carries its declared FlowKind"
-                ),
-            ));
-        }
-    }
-}
-
-/// S006: actor code reading schedule-dependent kernel-global state.
+/// S006: actor code reading another component's registry namespace.
 ///
 /// Racecheck's permuted drain makes the component order inside a window
-/// a free parameter, so any value an actor derives from kernel-global
-/// observability state — the event-heap shape, the global dispatch
-/// counter, live trace spans, the RPC edge counters, or another
-/// component's registry namespace — depends on the schedule. Folding it
-/// into actor state is a logical race even on the single-threaded
-/// engine.
+/// a free parameter, so a value an actor reads from another component's
+/// registry namespace depends on which components already drained this
+/// window. Folding it into actor state is a logical race even on the
+/// single-threaded engine. (The other kernel-global observability state
+/// — heap shape, dispatch counter, live traces, RPC edge counters — is
+/// `World`'s alone: `Ctx` exposes none of it.)
 ///
 /// Scope: files that implement a dispatch surface (`impl Actor for`)
 /// outside the kernel; helper fns in the same file count, since the
@@ -829,7 +667,7 @@ pub fn s004_raw_sends(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// folds — and so do reads of the actor's own namespace: exporting it
 /// (`snapshot_prefixed(&self...)`, the metricsd pattern) or reading one
 /// of its counters (`counter(&self...)`, the check-in body).
-pub fn s006_schedule_state_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+pub fn s006_registry_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if ctx.in_kernel() {
         return;
     }
@@ -839,33 +677,6 @@ pub fn s006_schedule_state_reads(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         .any(|&at| !ctx.skipped(at))
     {
         return;
-    }
-    const GLOBALS: &[(&str, &str)] = &[
-        ("heap_stats(", "the event-heap shape"),
-        ("events_processed(", "the global dispatch counter"),
-        ("trace_snapshot(", "live trace spans"),
-        ("shard_snapshot(", "the RPC edge counters"),
-    ];
-    for (needle, what) in GLOBALS {
-        for at in find_word(text, needle) {
-            if ctx.skipped(at) {
-                continue;
-            }
-            if text[..at].trim_end().ends_with("fn") {
-                continue; // a definition, not a call.
-            }
-            out.push(Finding::new(
-                "S006",
-                ctx.rel,
-                ctx.masked.line_of(at),
-                format!(
-                    "actor code reads {what} via `{}` — kernel-global state is an \
-                     artifact of the window schedule, so folding it into actor \
-                     state is a logical race (racecheck would flag the divergence)",
-                    needle.trim_end_matches('('),
-                ),
-            ));
-        }
     }
     // Registry reads: flag read accessors on a `registry()` receiver.
     let bytes = text.as_bytes();

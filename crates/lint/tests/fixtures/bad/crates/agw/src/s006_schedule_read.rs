@@ -1,22 +1,11 @@
-//! S006: actor state folded from schedule-dependent kernel-global reads
-//! — the event-heap shape, the global dispatch counter, live trace
-//! spans, the RPC edge counters, and another gateway's registry
-//! namespace are all artifacts of the window schedule.
+//! S006: actor state folded from another gateway's registry namespace —
+//! which components already drained a window is an artifact of the
+//! schedule.
 
-use magma_sim::{Actor, Ctx, Event, World};
+use magma_sim::{Actor, Ctx, Event};
 
 pub struct PeekingState {
     pub seen: u64,
-}
-
-impl PeekingState {
-    fn kernel_globals(&self, world: &World) -> u64 {
-        let heap = world.heap_stats().peak as u64;
-        let dispatched = world.events_processed();
-        let spans = world.trace_snapshot().stats.started;
-        let rpcs = world.shard_snapshot().edges.len() as u64;
-        heap + dispatched + spans + rpcs
-    }
 }
 
 impl Actor for PeekingState {

@@ -484,15 +484,17 @@ mod tests {
             match event {
                 Event::Start => {
                     let me = ctx.id();
-                    ctx.send(
+                    ctx.send_to(
                         self.stack,
+                        &flows::SOCK_CMD,
                         Box::new(SockCmd::ListenStream {
                             port: self.port,
                             owner: me,
                         }),
                     );
-                    ctx.send(
+                    ctx.send_to(
                         self.stack,
+                        &flows::SOCK_CMD,
                         Box::new(SockCmd::ListenDgram {
                             port: self.port,
                             owner: me,
@@ -504,7 +506,8 @@ mod tests {
                         SockEvent::StreamRecv { handle, bytes } => {
                             let t = ctx.now();
                             ctx.registry().record("server.rx", t, bytes.len() as f64);
-                            ctx.send(self.stack, Box::new(SockCmd::StreamSend { handle, bytes }));
+                            let cmd = SockCmd::StreamSend { handle, bytes };
+                            ctx.send_to(self.stack, &flows::SOCK_CMD, Box::new(cmd));
                         }
                         SockEvent::DgramRecv { bytes, .. } => {
                             let t = ctx.now();
@@ -530,8 +533,9 @@ mod tests {
             match event {
                 Event::Start => {
                     let me = ctx.id();
-                    ctx.send(
+                    ctx.send_to(
                         self.stack,
+                        &flows::SOCK_CMD,
                         Box::new(SockCmd::OpenStream {
                             peer: self.server,
                             owner: me,
@@ -542,8 +546,9 @@ mod tests {
                 Event::Msg { payload, .. } => match downcast::<SockEvent>(payload, "client") {
                     SockEvent::StreamOpened { handle, user, .. } => {
                         assert_eq!(user, 99);
-                        ctx.send(
+                        ctx.send_to(
                             self.stack,
+                            &flows::SOCK_CMD,
                             Box::new(SockCmd::StreamSend {
                                 handle,
                                 bytes: Bytes::from(vec![5u8; self.payload]),
@@ -708,8 +713,9 @@ mod tests {
             fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
                 if let Event::Start = event {
                     for _ in 0..200 {
-                        ctx.send(
+                        ctx.send_to(
                             self.stack,
+                            &flows::SOCK_CMD,
                             Box::new(SockCmd::DgramSend {
                                 src_port: 1111,
                                 dst: self.dst,
@@ -757,8 +763,9 @@ mod tests {
                 match event {
                     Event::Start => {
                         let me = ctx.id();
-                        ctx.send(
+                        ctx.send_to(
                             self.stack,
+                            &flows::SOCK_CMD,
                             Box::new(SockCmd::OpenStream {
                                 peer: self.server,
                                 owner: me,
@@ -768,8 +775,9 @@ mod tests {
                     }
                     Event::Timer { .. } => {
                         if let Some(h) = self.handle {
-                            ctx.send(
+                            ctx.send_to(
                                 self.stack,
+                                &flows::SOCK_CMD,
                                 Box::new(SockCmd::StreamSend {
                                     handle: h,
                                     bytes: Bytes::from_static(b"hi"),

@@ -3,7 +3,7 @@
 //! invariant the gRPC-analog control plane relies on over bad backhaul.
 
 use bytes::Bytes;
-use magma_net::{new_net, Endpoint, LinkProfile, NetStack, SockCmd, SockEvent};
+use magma_net::{flows, new_net, Endpoint, LinkProfile, NetStack, SockCmd, SockEvent};
 use magma_sim::{downcast, Actor, ActorId, Ctx, Event, SimDuration, SimTime, World};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -19,8 +19,9 @@ impl Actor for Server {
         match event {
             Event::Start => {
                 let me = ctx.id();
-                ctx.send(
+                ctx.send_to(
                     self.stack,
+                    &flows::SOCK_CMD,
                     Box::new(SockCmd::ListenStream {
                         port: 8000,
                         owner: me,
@@ -50,8 +51,9 @@ impl Actor for Client {
         match event {
             Event::Start => {
                 let me = ctx.id();
-                ctx.send(
+                ctx.send_to(
                     self.stack,
+                    &flows::SOCK_CMD,
                     Box::new(SockCmd::OpenStream {
                         peer: self.server,
                         owner: me,
@@ -64,8 +66,9 @@ impl Actor for Client {
                     downcast::<SockEvent>(payload, "client")
                 {
                     for c in &self.chunks {
-                        ctx.send(
+                        ctx.send_to(
                             self.stack,
+                            &flows::SOCK_CMD,
                             Box::new(SockCmd::StreamSend {
                                 handle,
                                 bytes: Bytes::from(c.clone()),

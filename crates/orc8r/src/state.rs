@@ -334,8 +334,10 @@ impl Orc8rState {
     }
 
     /// Record a check-in; returns whether the gateway's cert is valid.
-    /// (The argument list mirrors the check-in RPC message.)
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the argument list mirrors the check-in RPC message"
+    )]
     pub fn record_checkin(
         &mut self,
         agw_id: &str,

@@ -788,13 +788,17 @@ impl<'a> Ctx<'a> {
         self.self_id
     }
 
-    /// Send a message delivered at the current instant (after all events
-    /// already scheduled for this instant).
-    pub fn send(&mut self, dst: ActorId, payload: Payload) {
-        self.send_in(dst, SimDuration::ZERO, payload);
-    }
-
-    /// Send a message after a delay.
+    /// Send an untyped message after a delay (zero delivers after every
+    /// event already scheduled for this instant).
+    ///
+    /// The edge carries no [`FlowKind`], so the flow graph, tracing and
+    /// the debug surface checks cannot see it. Actors send through the
+    /// typed family ([`send_to`](Ctx::send_to),
+    /// [`send_to_in`](Ctx::send_to_in), [`send_self`](Ctx::send_self));
+    /// `clippy.toml` bans this method everywhere else. It stays public
+    /// for the benchmark's kernel probe and for tests of the queue
+    /// itself, each of which carries an
+    /// `#[expect(clippy::disallowed_methods, reason = "…")]`.
     pub fn send_in(&mut self, dst: ActorId, delay: SimDuration, payload: Payload) {
         self.kernel.push_msg(self.self_id, dst, delay, payload, None);
     }
@@ -821,7 +825,7 @@ impl<'a> Ctx<'a> {
 
     /// Send on a declared flow edge, delivered at the current instant.
     ///
-    /// The typed wrapper over [`send`](Ctx::send): `kind` must be a
+    /// The typed wrapper over [`send_in`](Ctx::send_in): `kind` must be a
     /// [`FlowKind`] const (see `docs/MESSAGE_FLOW.md`) whose class is
     /// `Zero` (a direct same-instant edge) or `Transport` (an end-to-end
     /// link edge whose first hop hands the payload to the local network

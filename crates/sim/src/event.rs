@@ -9,8 +9,10 @@ use crate::prof::HeapStats;
 use crate::time::SimTime;
 use crate::trace::TraceCtx;
 use std::cmp::Ordering;
-#[allow(clippy::disallowed_types)]
-// lint:allow(D001, reason = "cancellation set is insert/remove/contains only — never iterated, so hash order is unobservable")
+#[expect(
+    clippy::disallowed_types,
+    reason = "cancellation set is insert/remove/contains only — never iterated, so hash order is unobservable"
+)]
 use std::collections::{BinaryHeap, HashSet};
 
 /// Opaque handle to a scheduled event, usable for cancellation.
@@ -54,11 +56,13 @@ impl Ord for Scheduled {
 }
 
 /// Deterministic priority queue of simulation events.
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership checks on the dispatch hot path; never iterated"
+)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
-    // lint:allow(D001, reason = "membership checks on the dispatch hot path; never iterated")
     cancelled: HashSet<u64>,
     /// Always-on heap statistics for simprof: three integer ops per
     /// push/cancel, deterministic by construction.
@@ -75,12 +79,14 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    #[allow(clippy::disallowed_types)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "see the field declaration — membership-only set"
+    )]
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            // lint:allow(D001, reason = "see the field declaration — membership-only set")
             cancelled: HashSet::new(),
             stats: HeapStats::default(),
             cancel_outstanding: 0,
@@ -192,9 +198,7 @@ impl EventQueue {
         (sum, xor, count)
     }
 
-    /// Number of scheduled (possibly cancelled) events; used by tests
-    /// and diagnostics.
-    #[allow(dead_code)]
+    /// Number of scheduled (possibly cancelled) events.
     pub fn len(&self) -> usize {
         self.heap.len()
     }

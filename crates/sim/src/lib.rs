@@ -55,6 +55,17 @@ pub use trace::{
 mod tests {
     use super::*;
 
+    /// The edge between the test actors here, none of which declares a
+    /// dispatch surface.
+    const TEST_MSG: FlowKind = FlowKind {
+        name: "test.msg",
+        sender: "test",
+        receiver: "test",
+        class: DelayClass::Transport,
+        role: Role::Data,
+        retry: None,
+    };
+
     /// Ping-pong actor pair: exercises send/receive and timers.
     struct Ping {
         peer: Option<ActorId>,
@@ -71,7 +82,8 @@ mod tests {
             match event {
                 Event::Start => {
                     if let Some(peer) = self.peer {
-                        ctx.send_in(peer, SimDuration::from_millis(10), Box::new(Ball(0)));
+                        let d = SimDuration::from_millis(10);
+                        ctx.send_to_in(peer, &TEST_MSG, d, Box::new(Ball(0)));
                     }
                 }
                 Event::Msg { payload, .. } => {
@@ -79,7 +91,8 @@ mod tests {
                     self.count = n;
                     if n < 10 {
                         if let Some(peer) = self.peer {
-                            ctx.send_in(peer, SimDuration::from_millis(10), Box::new(Ball(n)));
+                            let d = SimDuration::from_millis(10);
+                            ctx.send_to_in(peer, &TEST_MSG, d, Box::new(Ball(n)));
                         }
                     }
                 }
@@ -95,7 +108,8 @@ mod tests {
         fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
             if let Event::Msg { from, payload } = event {
                 let Ball(n) = downcast::<Ball>(payload, "pong");
-                ctx.send_in(from, SimDuration::from_millis(10), Box::new(Ball(n + 1)));
+                let d = SimDuration::from_millis(10);
+                ctx.send_to_in(from, &TEST_MSG, d, Box::new(Ball(n + 1)));
             }
         }
         fn name(&self) -> String {
@@ -197,7 +211,7 @@ mod tests {
         fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
             if let Event::Start = event {
                 // A message in flight for 1s.
-                ctx.send_in(self.dst, SimDuration::from_secs(1), Box::new(7u8));
+                ctx.send_to_in(self.dst, &TEST_MSG, SimDuration::from_secs(1), Box::new(7u8));
             }
         }
     }
@@ -424,7 +438,9 @@ mod tests {
                 Event::Start => {
                     ctx.timer_in(SimDuration::from_micros(1_000), 0);
                 }
-                Event::Timer { .. } => ctx.send_in(self.dst, self.delay, Box::new(())),
+                Event::Timer { .. } => {
+                    ctx.send_to_in(self.dst, &TEST_MSG, self.delay, Box::new(()));
+                }
                 _ => {}
             }
         }
@@ -463,7 +479,7 @@ mod tests {
             fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
                 if let Event::Start = event {
                     let child = ctx.spawn(Box::new(Once { got: "child" }));
-                    ctx.send(child, Box::new(()));
+                    ctx.send_to(child, &TEST_MSG, Box::new(()));
                 }
             }
         }

@@ -62,7 +62,10 @@ pub(crate) fn kind_index(ev: &Event) -> usize {
 /// profiling clock is a single audited exemption: it measures real
 /// elapsed time for the `host` profile section and never reaches
 /// virtual time, actor state, or any deterministic export.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host profiling clock: measures real elapsed time for the host section, never virtual time or an export"
+)]
 pub fn host_now() -> Instant {
     Instant::now()
 }

@@ -37,10 +37,11 @@
 //! [`RaceExport::window_violations`]; a run with any is not a witness.
 //!
 //! The static half of the gate: magma-lint rule S006 bans actor code
-//! from reading schedule-dependent kernel-global state, and the typed
-//! graph check S007 (`flow::check`) requires multi-sender transport
-//! tie-break keys to incorporate sender identity. See `docs/DETERMINISM.md` § "Logical races and the
-//! window schedule".
+//! from reading another component's registry namespace (`Ctx` exposes
+//! no other kernel-global state), and the typed graph check S007
+//! (`flow::check`) requires multi-sender transport tie-break keys to
+//! incorporate sender identity. See `docs/DETERMINISM.md` § "Logical
+//! races and the window schedule".
 
 use crate::actor::{ActorId, Event};
 use serde::Serialize;

@@ -35,6 +35,10 @@ impl Actor for Burst {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         if let Event::Start = event {
             for (delay_us, tag) in &self.sends {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "tests the queue itself: arbitrary delays, zero included, which no typed send takes"
+                )]
                 ctx.send_in(
                     self.dst,
                     SimDuration::from_micros(*delay_us),

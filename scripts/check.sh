@@ -41,10 +41,10 @@ for RUN in "attach_churn 0" "site_sync_up 0" "config_push_down 0" "fleet_partiti
     fi
 done
 
-echo "==> cargo clippy (deny warnings)"
+echo "==> cargo clippy (deny warnings; the determinism gate, see clippy.toml)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> magma-lint (determinism / telemetry / actor hygiene / schedule safety)"
+echo "==> magma-lint (telemetry inventory / actor hygiene / registry reads)"
 # Capture the report so its summary can be replayed at the very end.
 # The message-flow graph is not the lint's: `cargo test` above runs its
 # typed checks and diffs docs/MESSAGE_FLOW.md (tests/flow_graph.rs).
@@ -119,8 +119,8 @@ echo "==> paper figures (every figure's and ablation's shape assertions)"
 # committed parameters; a shape that no longer holds panics, failing here.
 cargo run --release --example paper_figures >/dev/null
 
-# Replay the lint summary last so the allow/violation counts are the
-# final thing on screen.
+# Replay the lint summary last so the violation counts are the final
+# thing on screen.
 echo "==> lint summary"
 grep -A100 "^magma-lint:" "$LINT_OUT" || true
 

@@ -1,12 +1,13 @@
 //! RAN stand-ins shared by the integration tests.
 
-// Each test binary compiles this module for itself and uses part of it.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary compiles this module for itself and uses part of it")]
 
 use magma::prelude::*;
 use magma::sim::{downcast, Actor, ActorId, Ctx, Event};
 use magma::testbed::Scenario;
-use magma_net::{lp_encode, ports, Endpoint, LpFramer, NetStack, SockCmd, SockEvent, StreamHandle};
+use magma_net::{
+    flows, lp_encode, ports, Endpoint, LpFramer, NetStack, SockCmd, SockEvent, StreamHandle,
+};
 use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::Teid;
 
@@ -29,8 +30,9 @@ impl Actor for TargetEnb {
         match event {
             Event::Start => {
                 let me = ctx.id();
-                ctx.send(
+                ctx.send_to(
                     self.stack,
+                    &flows::SOCK_CMD,
                     Box::new(SockCmd::OpenStream {
                         peer: self.agw,
                         owner: me,
@@ -45,8 +47,9 @@ impl Actor for TargetEnb {
                         new_enb_ue_id: EnbUeId(1),
                         new_enb_teid: TARGET_ENB_TEID,
                     };
-                    ctx.send(
+                    ctx.send_to(
                         self.stack,
+                        &flows::SOCK_CMD,
                         Box::new(SockCmd::StreamSend {
                             handle: conn,
                             bytes: lp_encode(&msg.encode()),
@@ -61,8 +64,9 @@ impl Actor for TargetEnb {
                         enb_id: 99,
                         name: "target-enb".into(),
                     };
-                    ctx.send(
+                    ctx.send_to(
                         self.stack,
+                        &flows::SOCK_CMD,
                         Box::new(SockCmd::StreamSend {
                             handle,
                             bytes: lp_encode(&setup.encode()),
@@ -119,8 +123,9 @@ pub struct SendOnce {
 impl Actor for SendOnce {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         if let Event::Start = event {
-            ctx.send(
+            ctx.send_to(
                 self.stack,
+                &flows::SOCK_CMD,
                 Box::new(SockCmd::DgramSend {
                     src_port: 20001,
                     dst: self.dst,

@@ -1,9 +1,9 @@
 //! Same-seed determinism regression: a mixed attach + traffic scenario
 //! must export byte-identical telemetry across runs.
 //!
-//! This pins the property magma-lint enforces statically (no hash-ordered
-//! state on an export-reachable path, no ambient clocks or entropy — see
-//! docs/DETERMINISM.md). The scenario deliberately crosses every layer
+//! This pins the property clippy's deny-lists enforce statically (no
+//! hash-ordered state on an export-reachable path, no ambient clocks or
+//! entropy — see docs/DETERMINISM.md). The scenario deliberately crosses every layer
 //! that used to hold a `HashMap`: UE contexts and calls in the AGW,
 //! dataplane rule stats/usage and meters under live traffic, RPC client
 //! retry state, and the orchestrator's connection table.
@@ -11,8 +11,8 @@
 use magma::net::LinkProfile;
 use magma::prelude::*;
 use magma::sim::{
-    detect, downcast, first_divergence, Actor, ActorId, Ctx, Event, RaceExport, RunSpec,
-    WindowDigest, World,
+    detect, downcast, first_divergence, Actor, ActorId, Ctx, DelayClass, Event, FlowKind,
+    RaceExport, Role, RunSpec, WindowDigest, World,
 };
 use magma::testbed::orc8r_telemetry_json;
 
@@ -122,6 +122,16 @@ fn mixed_scenario_is_invariant_under_permuted_window_schedules() {
     }
 }
 
+/// The racers' edge to the arbiter.
+const RACE: FlowKind = FlowKind {
+    name: "test.race",
+    sender: "test.racer",
+    receiver: "test.arbiter",
+    class: DelayClass::Transport,
+    role: Role::Data,
+    retry: None,
+};
+
 /// A deliberately racy actor pair for the divergence fixture below: each
 /// racer fires one message at the arbiter, timed to land in the same
 /// 10µs window from two different racecheck components.
@@ -133,7 +143,7 @@ struct Racer {
 impl Actor for Racer {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         if let Event::Start = event {
-            ctx.send_in(self.to, SimDuration::from_micros(1_000), Box::new(self.tag));
+            ctx.send_to_in(self.to, &RACE, SimDuration::from_micros(1_000), Box::new(self.tag));
         }
     }
     fn name(&self) -> String {
