@@ -79,25 +79,38 @@ fn workspace_lints_deny_the_bans_and_reasonless_exceptions() {
     }
 }
 
+fn assert_banned(key: &str, paths: &[&str]) {
+    let listed = banned(&read(&repo_root().join("clippy.toml")), key);
+    for path in paths {
+        assert!(
+            listed.iter().any(|l| l == path),
+            "{path} not in {key}: {listed:?}"
+        );
+    }
+}
+
 #[test]
-fn clippy_toml_bans_hash_order_wall_clocks_and_raw_sends() {
-    let text = read(&repo_root().join("clippy.toml"));
-    let types = banned(&text, "disallowed-types");
-    let methods = banned(&text, "disallowed-methods");
-    for path in ["std::collections::HashMap", "std::collections::HashSet"] {
-        assert!(
-            types.iter().any(|t| t == path),
-            "{path} not banned: {types:?}"
-        );
-    }
-    for path in [
-        "std::time::Instant::now",
-        "std::time::SystemTime::now",
-        "magma_sim::engine::Ctx::send_in",
-    ] {
-        assert!(
-            methods.iter().any(|m| m == path),
-            "{path} not banned: {methods:?}"
-        );
-    }
+fn clippy_toml_bans_hash_collections() {
+    assert_banned(
+        "disallowed-types",
+        &["std::collections::HashMap", "std::collections::HashSet"],
+    );
+}
+
+#[test]
+fn clippy_toml_bans_ambient_entropy() {
+    assert_banned(
+        "disallowed-methods",
+        &[
+            "std::time::Instant::now",
+            "std::time::SystemTime::now",
+            "rand::thread_rng",
+            "rand::random",
+        ],
+    );
+}
+
+#[test]
+fn clippy_toml_bans_raw_sends() {
+    assert_banned("disallowed-methods", &["magma_sim::engine::Ctx::send_in"]);
 }
