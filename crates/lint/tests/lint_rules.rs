@@ -241,6 +241,19 @@ fn workspace_lints_clean() {
 }
 
 #[test]
+fn an_unknown_option_is_a_usage_error_not_a_file() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_magma-lint"))
+        .arg("--list-rules")
+        .current_dir(repo_root())
+        .output()
+        .expect("magma-lint runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: magma-lint"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing was linted: {out:?}");
+}
+
+#[test]
 fn a_named_file_that_cannot_be_read_fails_the_run() {
     let root = fixtures().join("bad");
     let report = lint_files(&root, &[root.join("no/such/file.rs")], Some(&real_docs()));

@@ -5,10 +5,13 @@
 //! flipped, dropped, inserted and keys duplicated, fed in random chunks.
 //! Neither way may panic or buffer past `MAX_FRAME_LEN`, and both must
 //! deliver and refuse exactly the same frames, with the same contents.
+//! The S1AP framer meets a hostile prefix inside a running gateway.
 
 use magma::orc8r::{flows, CheckpointPush};
 use magma::prelude::*;
+use magma::net::{flows as net_flows, ports, Endpoint, LinkProfile, NetStack, SockCmd, SockEvent};
 use magma::rpc::{codec, encode_frame, Framer, RpcFrame, RpcKind, Spare, MAX_FRAME_LEN};
+use magma::sim::{downcast, Actor, ActorId, Ctx, Event};
 use serde_json::{json, Value};
 
 /// splitmix64, seeded per case.
@@ -217,4 +220,66 @@ fn only_a_frame_naming_the_spare_method_takes_it_and_a_refused_one_drops_it() {
         framer.push_with(checkpoint, &mut spare, || ()),
         Framer::new().push(checkpoint)
     );
+}
+
+/// Opens an S1AP stream to a gateway and announces a 4 GiB message.
+struct HostileEnb {
+    stack: ActorId,
+    agw: Endpoint,
+}
+
+impl Actor for HostileEnb {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        match event {
+            Event::Start => {
+                let me = ctx.id();
+                ctx.send_to(
+                    self.stack,
+                    &net_flows::SOCK_CMD,
+                    Box::new(SockCmd::OpenStream {
+                        peer: self.agw,
+                        owner: me,
+                        user: 66,
+                    }),
+                );
+            }
+            Event::Msg { payload, .. } => match downcast::<SockEvent>(payload, "hostile-enb") {
+                SockEvent::StreamOpened { handle, .. } => ctx.send_to(
+                    self.stack,
+                    &net_flows::SOCK_CMD,
+                    Box::new(SockCmd::StreamSend {
+                        handle,
+                        bytes: vec![0xff; 4].into(),
+                    }),
+                ),
+                SockEvent::StreamClosed { .. } => ctx.registry().counter_add("test.hostile_closed", 1.0),
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn the_gateway_closes_an_s1ap_stream_announcing_4_gib_and_keeps_attaching() {
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 12,
+        attach_rate_per_sec: 4.0,
+        ..SiteSpec::typical()
+    };
+    let mut d = magma::deploy(ScenarioConfig::new(5).with_agw(AgwSpec::bare_metal(site)));
+    let node = d.net.add_node("hostile-enb");
+    d.net.connect(node, d.agws[0].node, LinkProfile::lan());
+    let stack = d.world.add_actor(Box::new(NetStack::new(node, d.net.handle())));
+    d.net.bind_stack(node, stack);
+    d.world.add_actor(Box::new(HostileEnb {
+        stack,
+        agw: Endpoint::new(d.agws[0].node, ports::S1AP),
+    }));
+    d.world.run_until(SimTime::from_secs(20));
+    assert_eq!(d.world.registry().counter("test.hostile_closed"), 1.0);
+    let gw = d.agws[0].handle.borrow();
+    assert_eq!(gw.connected_enbs, 1, "the real eNodeB keeps its S1 link");
+    assert_eq!(gw.active_sessions, 12, "every UE of the real eNodeB attached");
 }
