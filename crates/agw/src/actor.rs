@@ -1529,6 +1529,15 @@ impl AgwActor {
             SockEvent::StreamRecv { handle, bytes } => {
                 if let Some(rc) = self.ran_conns.get_mut(&handle) {
                     let msgs = rc.framer.push(&bytes);
+                    if rc.framer.is_poisoned() {
+                        // Framing is lost for good; the close comes back
+                        // as `StreamClosed`, which drops the connection.
+                        ctx.send_to(
+                            self.cfg.stack,
+                            &magma_net::flows::SOCK_CMD,
+                            Box::new(SockCmd::StreamClose { handle }),
+                        );
+                    }
                     for m in msgs {
                         if let Ok(s1ap) = S1apMessage::decode(&m) {
                             self.handle_s1ap(ctx, handle, s1ap);

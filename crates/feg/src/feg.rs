@@ -224,6 +224,15 @@ impl Actor for FegActor {
                         if Some(handle) == self.mno_conn =>
                     {
                         let msgs = self.mno_framer.push(&bytes);
+                        if self.mno_framer.is_poisoned() {
+                            // Framing is lost for good; the close comes
+                            // back as `StreamClosed`, which reconnects.
+                            ctx.send_to(
+                                self.stack,
+                                &magma_net::flows::SOCK_CMD,
+                                Box::new(SockCmd::StreamClose { handle }),
+                            );
+                        }
                         for m in msgs {
                             if let Ok(pkt) = DiameterPacket::decode(&m) {
                                 self.handle_diameter_answer(ctx, pkt);

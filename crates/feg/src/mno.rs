@@ -140,6 +140,15 @@ impl Actor for MnoCoreActor {
                     SockEvent::StreamRecv { handle, bytes } => {
                         if let Some(framer) = self.conns.get_mut(&handle) {
                             let msgs = framer.push(&bytes);
+                            if framer.is_poisoned() {
+                                // Framing is lost for good; the close
+                                // comes back as `StreamClosed`.
+                                ctx.send_to(
+                                    self.stack,
+                                    &magma_net::flows::SOCK_CMD,
+                                    Box::new(SockCmd::StreamClose { handle }),
+                                );
+                            }
                             for m in msgs {
                                 if let Ok(pkt) = DiameterPacket::decode(&m) {
                                     self.handle_diameter(ctx, handle, pkt);

@@ -5,7 +5,8 @@
 //! those (used by the fixture tests). Exit code 0 iff no violations.
 //! `--names` dumps the telemetry names the run captured, which is how the
 //! OBSERVABILITY.md inventory table is regenerated. `--json` emits the
-//! findings as machine-readable JSON (stable field order).
+//! findings as machine-readable JSON (stable field order). Any other
+//! argument starting with `--` prints the usage text and exits 2.
 
 mod engine;
 mod lexer;
@@ -13,6 +14,13 @@ mod rules;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: magma-lint [--root DIR] [--names] [--json] [FILES...]\n\
+     Lints the workspace (or just FILES) for telemetry naming\n\
+     (T), actor hygiene (A) and registry-read (S)\n\
+     violations. --json emits findings as JSON; --names\n\
+     prints the captured telemetry names. The determinism\n\
+     bans are clippy's (clippy.toml).";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
@@ -31,15 +39,12 @@ fn main() -> ExitCode {
             "--names" => dump_names = true,
             "--json" => json = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: magma-lint [--root DIR] [--names] [--json] [FILES...]\n\
-                     Lints the workspace (or just FILES) for telemetry naming\n\
-                     (T), actor hygiene (A) and registry-read (S)\n\
-                     violations. --json emits findings as JSON; --names\n\
-                     prints the captured telemetry names. The determinism\n\
-                     bans are clippy's (clippy.toml)."
-                );
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
+            }
+            other if other.starts_with("--") => {
+                eprintln!("magma-lint: unknown option {other}\n{USAGE}");
+                return ExitCode::from(2);
             }
             _ => files.push(PathBuf::from(a)),
         }

@@ -35,4 +35,4 @@ pub use link::{Link, LinkProfile, TxOutcome};
 pub use stack::{NetStack, SockCmd, SockEvent};
 pub use stream::{ConnKey, StreamConfig, StreamHandle};
 pub use topology::{new_net, LinkStats, NetHandle, Topology};
-pub use util::{lp_encode, LpFramer};
+pub use util::{lp_encode, LpFramer, MAX_LP_LEN};

@@ -11,10 +11,18 @@ pub fn lp_encode(msg: &[u8]) -> Bytes {
     b.freeze()
 }
 
+/// Largest message a peer may announce: 128 KiB. S1AP carries its NAS
+/// container under a u16 length and an S6a answer at most 255 vectors,
+/// so no message these codecs build comes near it. A longer prefix is
+/// hostile or corrupt — four bytes must not make the receiver buffer
+/// 4 GiB.
+pub const MAX_LP_LEN: usize = 128 << 10;
+
 /// Reassembler for length-prefixed messages over arbitrary segmentation.
 #[derive(Debug, Default)]
 pub struct LpFramer {
     buf: BytesMut,
+    poisoned: bool,
 }
 
 impl LpFramer {
@@ -22,16 +30,27 @@ impl LpFramer {
         Self::default()
     }
 
-    /// Feed bytes; returns complete messages.
+    /// Feed bytes; returns complete messages. A length prefix beyond
+    /// [`MAX_LP_LEN`] poisons the framer: framing is lost for good, so it
+    /// drops what it holds and ignores further input until the owner
+    /// closes the stream.
     pub fn push(&mut self, bytes: &[u8]) -> Vec<Bytes> {
-        self.buf.extend_from_slice(bytes);
         let mut out = Vec::new();
+        if self.poisoned {
+            return out;
+        }
+        self.buf.extend_from_slice(bytes);
         loop {
             if self.buf.len() < 4 {
                 break;
             }
             let len =
                 u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+            if len > MAX_LP_LEN {
+                self.poisoned = true;
+                self.buf = BytesMut::new();
+                break;
+            }
             if self.buf.len() < 4 + len {
                 break;
             }
@@ -39,6 +58,11 @@ impl LpFramer {
             out.push(self.buf.split_to(len).freeze());
         }
         out
+    }
+
+    /// True once an over-long prefix was seen; the stream must be closed.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned
     }
 }
 

@@ -601,6 +601,15 @@ impl Actor for EnodebActor {
                     }
                     SockEvent::StreamRecv { handle, bytes } if Some(handle) == self.conn => {
                         let msgs = self.framer.push(&bytes);
+                        if self.framer.is_poisoned() {
+                            // Framing is lost for good; the close comes
+                            // back as `StreamClosed`, which reconnects.
+                            ctx.send_to(
+                                self.cfg.stack,
+                                &magma_net::flows::SOCK_CMD,
+                                Box::new(SockCmd::StreamClose { handle }),
+                            );
+                        }
                         for m in msgs {
                             if let Ok(s1ap) = S1apMessage::decode(&m) {
                                 self.handle_s1ap(ctx, s1ap);
