@@ -22,7 +22,6 @@ use magma_sim::{
 use magma_testbed::measure::{mean_over, overall_csr, throughput_mbps};
 use magma_testbed::scenario::{build, AgwSpec, Scenario, ScenarioConfig, SiteSpec};
 use serde::Serialize;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Bumped whenever the report layout changes; consumers (the smoke
@@ -129,48 +128,7 @@ pub struct BenchRun {
 /// Run a scenario by name; `smoke` is the extra tiny one used by
 /// `scripts/check.sh bench-smoke`.
 pub fn run_scenario(name: &str, seed: u64) -> Option<BenchRun> {
-    match name {
-        "smoke" => Some(smoke(seed)),
-        "attach_storm" => Some(attach_storm(seed)),
-        "scaling_ablation" => Some(scaling_ablation(seed)),
-        "mixed" => Some(mixed(seed)),
-        "partition_recovery" => Some(partition_recovery(seed)),
-        _ => None,
-    }
-}
-
-thread_local! {
-    /// Racecheck plumbing for [`run_scenario_racecheck`]: while armed,
-    /// every world a scenario builds runs under the race observer (and
-    /// the permuted window schedule when the spec asks for one), and
-    /// each world's digest export is collected here in build order.
-    static RACECHECK: RefCell<Option<RacecheckState>> = const { RefCell::new(None) };
-}
-
-struct RacecheckState {
-    spec: RunSpec,
-    exports: Vec<RaceExport>,
-}
-
-/// Enable the race observer on a freshly built world if a racecheck run
-/// is armed. Called right after `build` so the observer sees every
-/// dispatch from `Start` onward.
-fn rc_arm(world: &mut World) {
-    RACECHECK.with(|rc| {
-        if let Some(st) = rc.borrow().as_ref() {
-            world.enable_racecheck(st.spec.schedule);
-            world.set_race_detail_window(st.spec.detail_window);
-        }
-    });
-}
-
-/// Collect a finished world's digest export if a racecheck run is armed.
-fn rc_collect(world: &mut World) {
-    RACECHECK.with(|rc| {
-        if let Some(st) = rc.borrow_mut().as_mut() {
-            st.exports.push(world.race_export());
-        }
-    });
+    run(name, seed, RunAccum::default()).map(|(run, _)| run)
 }
 
 /// Run a scenario under the race observer: the returned exports hold one
@@ -184,17 +142,23 @@ pub fn run_scenario_racecheck(
     seed: u64,
     spec: RunSpec,
 ) -> Option<(BenchRun, Vec<RaceExport>)> {
-    RACECHECK.with(|rc| {
-        *rc.borrow_mut() = Some(RacecheckState {
-            spec,
-            exports: Vec::new(),
-        })
-    });
-    let run = run_scenario(name, seed);
-    let st = RACECHECK
-        .with(|rc| rc.borrow_mut().take())
-        .expect("racecheck state armed for the whole scenario run");
-    run.map(|r| (r, st.exports))
+    let acc = RunAccum {
+        race: Some(spec),
+        ..RunAccum::default()
+    };
+    run(name, seed, acc)
+}
+
+fn run(name: &str, seed: u64, acc: RunAccum) -> Option<(BenchRun, Vec<RaceExport>)> {
+    let scenario = match name {
+        "smoke" => smoke,
+        "attach_storm" => attach_storm,
+        "scaling_ablation" => scaling_ablation,
+        "mixed" => mixed,
+        "partition_recovery" => partition_recovery,
+        _ => return None,
+    };
+    Some(scenario(seed, acc))
 }
 
 /// Accumulates world totals across a scenario's runs (sweeps run
@@ -207,15 +171,41 @@ struct RunAccum {
     profile: Option<ProfileSnapshot>,
     /// Trace snapshot of the same primary run.
     trace: Option<TraceSnapshot>,
+    /// Set for a racecheck run: every world the scenario builds runs
+    /// under the race observer (and the permuted window schedule when
+    /// the spec asks for one).
+    race: Option<RunSpec>,
+    /// Each racechecked world's digest export, in build order.
+    race_exports: Vec<RaceExport>,
+}
+
+impl RunAccum {
+    /// Build a world, under the race observer for a racecheck run, so
+    /// the observer sees every dispatch from `Start` onward.
+    fn build(&self, cfg: ScenarioConfig) -> Scenario {
+        let mut sc = build(cfg);
+        if let Some(spec) = self.race {
+            sc.world.enable_racecheck(spec.schedule);
+            sc.world.set_race_detail_window(spec.detail_window);
+        }
+        sc
+    }
+
+    /// Count a finished world's events and, for a racecheck run,
+    /// collect its digest export.
+    fn collect(&mut self, world: &mut World) {
+        if self.race.is_some() {
+            self.race_exports.push(world.race_export());
+        }
+        self.events += world.events_processed();
+    }
 }
 
 /// Build + run one world to `until`.
 fn run_world(acc: &mut RunAccum, cfg: ScenarioConfig, until: SimTime) -> Scenario {
-    let mut sc = build(cfg);
-    rc_arm(&mut sc.world);
+    let mut sc = acc.build(cfg);
     sc.world.run_until(until);
-    rc_collect(&mut sc.world);
-    acc.events += sc.world.events_processed();
+    acc.collect(&mut sc.world);
     sc
 }
 
@@ -238,7 +228,7 @@ fn finish(
     csr: f64,
     attach_p99_s: f64,
     extra: BTreeMap<String, f64>,
-) -> BenchRun {
+) -> (BenchRun, Vec<RaceExport>) {
     let snap = acc.profile.expect("scenario records a primary profile");
     let trace = acc.trace.expect("scenario records a primary trace snapshot");
     let report = BenchReport {
@@ -255,7 +245,7 @@ fn finish(
             trace: TraceDigest::from_snapshot(&trace),
         },
     };
-    BenchRun { report, trace }
+    (BenchRun { report, trace }, acc.race_exports)
 }
 
 /// The fig6-style "worst case" site: surge attaches while every attached
@@ -273,7 +263,6 @@ fn storm_site(rate: f64, n_ues: usize) -> SiteSpec {
             capacity_bps: 2_000_000_000,
             max_active_ues: 200,
         },
-        ue_attach_timeout: SimDuration::from_secs(10),
         reattach: false,
         session_lifetime_s: None,
     }
@@ -281,8 +270,7 @@ fn storm_site(rate: f64, n_ues: usize) -> SiteSpec {
 
 /// Tiny variant of the storm for `bench-smoke`: small
 /// enough to finish in seconds, big enough that the profile has rows.
-pub fn smoke(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::default();
+fn smoke(seed: u64, mut acc: RunAccum) -> (BenchRun, Vec<RaceExport>) {
     let sim_s = 30.0;
     let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(storm_site(2.0, 30)));
     let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
@@ -296,8 +284,7 @@ pub fn smoke(seed: u64) -> BenchRun {
 /// Attach storm at the bare-metal knee (~2 UE/s, Figure 6): the paper's
 /// worst-case control-plane workload, long enough for the surge plus a
 /// saturated steady state.
-pub fn attach_storm(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::default();
+fn attach_storm(seed: u64, mut acc: RunAccum) -> (BenchRun, Vec<RaceExport>) {
     let sim_s = 90.0;
     let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(storm_site(2.0, 120)));
     let sc = run_world(&mut acc, cfg, SimTime::from_secs(sim_s as u64));
@@ -311,8 +298,7 @@ pub fn attach_storm(seed: u64) -> BenchRun {
 /// Scaling ablation sweep (§4.2's "capacity scales linearly with AGWs"):
 /// N ∈ {1, 2, 4} identical sites; the report's profile describes the
 /// largest point, the sweep lands in `virtual.extra`.
-pub fn scaling_ablation(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::default();
+fn scaling_ablation(seed: u64, mut acc: RunAccum) -> (BenchRun, Vec<RaceExport>) {
     let sim_s = 60.0;
     let mut extra = BTreeMap::new();
     let mut last_csr = 1.0;
@@ -364,8 +350,7 @@ pub fn scaling_ablation(seed: u64) -> BenchRun {
 
 /// Mixed attach + traffic on a typical site with session churn: the
 /// steady-state workload most deployments actually run.
-pub fn mixed(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::default();
+fn mixed(seed: u64, mut acc: RunAccum) -> (BenchRun, Vec<RaceExport>) {
     let sim_s = 120.0;
     let site = SiteSpec {
         enbs: 2,
@@ -391,8 +376,7 @@ pub fn mixed(seed: u64) -> BenchRun {
 /// Backhaul partition and recovery: orchestrator unreachable 20s–70s
 /// while attaches continue (headless operation, §3.2), then telemetry
 /// drains after the link returns.
-pub fn partition_recovery(seed: u64) -> BenchRun {
-    let mut acc = RunAccum::default();
+fn partition_recovery(seed: u64, mut acc: RunAccum) -> (BenchRun, Vec<RaceExport>) {
     let sim_s = 120.0;
     let site = SiteSpec {
         enbs: 1,
@@ -402,8 +386,7 @@ pub fn partition_recovery(seed: u64) -> BenchRun {
         ..SiteSpec::typical()
     };
     let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::bare_metal(site));
-    let mut sc = build(cfg);
-    rc_arm(&mut sc.world);
+    let mut sc = acc.build(cfg);
     let agw_node = sc.agws[0].node;
     let orc8r_node = sc.orc8r_node;
     sc.world.run_until(SimTime::from_secs(20));
@@ -411,8 +394,7 @@ pub fn partition_recovery(seed: u64) -> BenchRun {
     sc.world.run_until(SimTime::from_secs(70));
     sc.net.set_link_up(agw_node, orc8r_node, true);
     sc.world.run_until(SimTime::from_secs(sim_s as u64));
-    rc_collect(&mut sc.world);
-    acc.events += sc.world.events_processed();
+    acc.collect(&mut sc.world);
     acc.profile = Some(sc.world.profile());
     acc.trace = Some(sc.world.trace_snapshot());
     let rec = sc.world.registry();

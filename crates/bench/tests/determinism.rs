@@ -6,7 +6,11 @@
 //!   by the repo benchmark (`benchmark/`), so no host section exists to
 //!   leak into the virtual bytes.
 
-use magma_bench::smoke;
+use magma_bench::{run_scenario, BenchRun};
+
+fn smoke(seed: u64) -> BenchRun {
+    run_scenario("smoke", seed).expect("smoke is a scenario")
+}
 
 #[test]
 fn same_seed_virtual_sections_are_byte_identical() {
