@@ -19,7 +19,7 @@ use crate::checkpoint::{self, AgwCheckpoint};
 use crate::config::AgwConfig;
 use crate::flows;
 use crate::mobilityd::IpPool;
-use crate::msgs::{AgwHandle, FluidDemand, FluidGrant};
+use crate::msgs::{AgwHandle, FluidDemand, FluidGrant, FLUID_TICK};
 use crate::pipelined;
 use crate::sessiond::{AccessTech, SessionManager};
 use magma_dataplane::{DesiredState, Pipeline};
@@ -40,6 +40,15 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// How long a call to the orchestrator (this actor's and metricsd's)
 /// waits for its answer. FeG calls keep the client's default.
 pub(crate) const ORC8R_DEADLINE: SimDuration = SimDuration::from_secs(12);
+
+/// Runtime-state checkpoint cadence (§3.3).
+const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Abort an attach procedure stuck longer than this.
+const UE_PROC_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// User-plane backlog cap, in ticks of work, before excess is dropped.
+const UP_BACKLOG_TICKS: u32 = 3;
 
 // Timer tags.
 const T_FLUID: u64 = 1;
@@ -523,7 +532,7 @@ impl AgwActor {
                 )),
             },
         );
-        ctx.timer_in(self.cfg.ue_proc_timeout, T_UE_BASE + ue as u64);
+        ctx.timer_in(UE_PROC_TIMEOUT, T_UE_BASE + ue as u64);
         self.submit_mme(ctx, MmeWork::Auth(ue));
     }
 
@@ -1095,8 +1104,8 @@ impl AgwActor {
             // dropped (the AGW's NIC/CPU queue overflows).
             let tick_cap = self.cfg.profile.up_bytes_per_core_sec as f64
                 * self.up_cores as f64
-                * self.cfg.fluid_tick.as_secs_f64();
-            let backlog_cap = (tick_cap * self.cfg.up_backlog_ticks as f64) as u64;
+                * FLUID_TICK.as_secs_f64();
+            let backlog_cap = (tick_cap * f64::from(UP_BACKLOG_TICKS)) as u64;
             let mut total: u64 = result.total_ul + result.total_dl;
             let mut scale = 1.0;
             if self.up_inflight_bytes + total > backlog_cap && total > 0 {
@@ -1191,7 +1200,7 @@ impl AgwActor {
             sh.connected_enbs = self.ran_conns.values().filter(|c| c.enb_id.is_some()).count();
             sh.last_db_version = self.db.version;
         }
-        ctx.timer_in(self.cfg.fluid_tick, T_FLUID);
+        ctx.timer_in(FLUID_TICK, T_FLUID);
     }
 
     fn up_chunk_done(&mut self, ctx: &mut Ctx<'_>, chunk: UpChunk) {
@@ -1356,7 +1365,7 @@ impl AgwActor {
             }
         }
         self.shared.borrow_mut().checkpoint = Some(cp);
-        ctx.timer_in(self.cfg.checkpoint_interval, T_CHECKPOINT);
+        ctx.timer_in(CHECKPOINT_INTERVAL, T_CHECKPOINT);
     }
 
     fn handle_rpc_events(&mut self, ctx: &mut Ctx<'_>, peer: Peer, events: Vec<RpcClientEvent>) {
@@ -1618,7 +1627,7 @@ impl Actor for AgwActor {
                     self.orc8r =
                         Some(RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE));
                     self.do_bootstrap(ctx);
-                    ctx.timer_in(self.cfg.checkin_interval, T_CHECKIN);
+                    ctx.timer_in(orc8r_proto::CHECKIN_INTERVAL, T_CHECKIN);
                     ctx.send_self(&flows::AGW_RPC_TICK, SimDuration::from_millis(250), T_RPC);
                 }
                 if let Some(ep) = self.cfg.feg {
@@ -1633,14 +1642,14 @@ impl Actor for AgwActor {
                 self.pipeline.set_desired(&self.desired);
                 let m = self.metric("pipelined.reprogram");
                 ctx.registry().counter_add(&m, 1.0);
-                ctx.timer_in(self.cfg.fluid_tick, T_FLUID);
-                ctx.timer_in(self.cfg.checkpoint_interval, T_CHECKPOINT);
+                ctx.timer_in(FLUID_TICK, T_FLUID);
+                ctx.timer_in(CHECKPOINT_INTERVAL, T_CHECKPOINT);
             }
             Event::Timer { tag } => match tag {
                 T_FLUID => self.fluid_tick(ctx),
                 T_CHECKIN => {
                     self.do_checkin(ctx);
-                    ctx.timer_in(self.cfg.checkin_interval, T_CHECKIN);
+                    ctx.timer_in(orc8r_proto::CHECKIN_INTERVAL, T_CHECKIN);
                 }
                 T_RPC => {
                     if let Some(client) = self.orc8r.as_mut() {

@@ -84,16 +84,6 @@ pub struct AgwConfig {
     /// UE IP pool.
     pub ip_base: u32,
     pub ip_size: u32,
-    /// Fluid data-path tick.
-    pub fluid_tick: SimDuration,
-    /// Orchestrator check-in cadence.
-    pub checkin_interval: SimDuration,
-    /// Runtime-state checkpoint cadence (§3.3).
-    pub checkpoint_interval: SimDuration,
-    /// Abort an attach procedure stuck longer than this.
-    pub ue_proc_timeout: SimDuration,
-    /// User-plane backlog cap, in ticks of work, before excess is dropped.
-    pub up_backlog_ticks: u32,
     /// Hardware identity token used at bootstrap.
     pub hw_token: u64,
 }
@@ -111,11 +101,6 @@ impl AgwConfig {
             profile: CpuProfile::bare_metal(),
             ip_base: 0x0A00_0002, // 10.0.0.2
             ip_size: 4094,
-            fluid_tick: SimDuration::from_millis(100),
-            checkin_interval: SimDuration::from_secs(5),
-            checkpoint_interval: SimDuration::from_secs(1),
-            ue_proc_timeout: SimDuration::from_secs(10),
-            up_backlog_ticks: 3,
             hw_token: 7,
         }
     }

@@ -38,5 +38,5 @@ pub use checkpoint::AgwCheckpoint;
 pub use config::{AgwConfig, CpuProfile};
 pub use metricsd::{MetricsdActor, MetricsdConfig};
 pub use mobilityd::IpPool;
-pub use msgs::{new_agw_handle, AgwHandle, AgwShared, FluidDemand, FluidGrant};
+pub use msgs::{new_agw_handle, AgwHandle, AgwShared, FluidDemand, FluidGrant, FLUID_TICK};
 pub use sessiond::{AccessTech, Session, SessionManager, UsageOutcome};

@@ -5,7 +5,7 @@
 //! where operators observe CSR, throughput, and CPU saturation. This
 //! actor reproduces that loop in the simulation:
 //!
-//! - every `interval` it samples host CPU utilization into gauges and
+//! - every [`METRICS_INTERVAL`] it samples host CPU utilization into gauges and
 //!   snapshots the world registry's `"<agw_id>."` namespace (stripping
 //!   the prefix, so instruments merge across gateways at the orc8r);
 //! - snapshot serialization is charged to the gateway's control-plane
@@ -16,13 +16,13 @@
 //!   backhaul bandwidth;
 //! - pushes are queued FIFO with one in flight; when the orchestrator
 //!   is down or the backhaul partitioned, snapshots accumulate (up to
-//!   `max_queue`, dropping oldest) and drain in order after
+//!   [`MAX_QUEUE`], dropping oldest) and drain in order after
 //!   reconnection — no telemetry gap across a crash window.
 
 use crate::actor::ORC8R_DEADLINE;
 use crate::config::AgwConfig;
 use magma_net::{Endpoint, SockEvent};
-use magma_orc8r::proto as orc8r_proto;
+use magma_orc8r::proto::{self as orc8r_proto, METRICS_INTERVAL};
 use magma_rpc::{RpcClient, RpcClientEvent};
 use magma_sim::{try_downcast, Actor, ActorId, Ctx, Event, HostId, SimDuration};
 use std::collections::VecDeque;
@@ -32,6 +32,17 @@ const T_SAMPLE: u64 = 1;
 const T_RPC: u64 = 2;
 // CPU tags.
 const C_SNAPSHOT: u64 = 1;
+
+/// CPU time to serialize one snapshot.
+const SNAPSHOT_COST: SimDuration = SimDuration::from_millis(2);
+
+/// Max snapshots held while the orchestrator is unreachable: 10 minutes
+/// of pushes.
+const MAX_QUEUE: usize = 120;
+
+/// Max structured events batched into one push; the remainder stays in
+/// the kernel ring for the next push.
+const MAX_EVENTS_PER_PUSH: usize = 256;
 
 /// Configuration for one gateway's metricsd.
 #[derive(Debug, Clone)]
@@ -46,16 +57,6 @@ pub struct MetricsdConfig {
     pub cp_group: String,
     /// Orchestrator endpoint; `None` disables pushing (sampling only).
     pub orc8r: Option<Endpoint>,
-    /// Sampling/push cadence (the paper's orchestrator polls on the
-    /// order of seconds; 5s matches the check-in default).
-    pub interval: SimDuration,
-    /// CPU time to serialize one snapshot.
-    pub snapshot_cost: SimDuration,
-    /// Max snapshots held while the orchestrator is unreachable.
-    pub max_queue: usize,
-    /// Max structured events batched into one push; the remainder stays
-    /// in the kernel ring for the next push.
-    pub max_events_per_push: usize,
 }
 
 impl MetricsdConfig {
@@ -66,10 +67,6 @@ impl MetricsdConfig {
             stack,
             cp_group: "all".to_string(),
             orc8r: None,
-            interval: SimDuration::from_secs(5),
-            snapshot_cost: SimDuration::from_millis(2),
-            max_queue: 120,
-            max_events_per_push: 256,
         }
     }
 
@@ -79,11 +76,6 @@ impl MetricsdConfig {
         md.cp_group = cfg.cp_group.clone();
         md.orc8r = cfg.orc8r;
         md
-    }
-
-    pub fn with_orc8r(mut self, ep: Endpoint) -> Self {
-        self.orc8r = Some(ep);
-        self
     }
 }
 
@@ -159,7 +151,7 @@ impl MetricsdActor {
         let events = ctx.events().since(
             &self.cfg.agw_id,
             self.last_event_id,
-            self.cfg.max_events_per_push,
+            MAX_EVENTS_PER_PUSH,
         );
         if let Some(last) = events.last() {
             self.last_event_id = last.id;
@@ -194,7 +186,7 @@ impl MetricsdActor {
             events,
         };
         self.next_seq += 1;
-        if self.queue.len() >= self.cfg.max_queue {
+        if self.queue.len() >= MAX_QUEUE {
             // Shed the oldest snapshot that is not already in flight.
             let victim = usize::from(self.outstanding.is_some());
             if let Some(shed) = self.queue.remove(victim) {
@@ -273,7 +265,7 @@ impl Actor for MetricsdActor {
                         Some(RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE));
                     ctx.send_self(&crate::flows::METRICSD_RPC_TICK, SimDuration::from_millis(250), T_RPC);
                 }
-                ctx.timer_in(self.cfg.interval, T_SAMPLE);
+                ctx.timer_in(METRICS_INTERVAL, T_SAMPLE);
             }
             Event::Timer { tag } => match tag {
                 T_SAMPLE => {
@@ -295,7 +287,7 @@ impl Actor for MetricsdActor {
                     let submitted = ctx.try_exec(
                         self.cfg.host,
                         &self.cfg.cp_group,
-                        self.cfg.snapshot_cost,
+                        SNAPSHOT_COST,
                         C_SNAPSHOT,
                         Box::new(()),
                     );
@@ -304,7 +296,7 @@ impl Actor for MetricsdActor {
                         ctx.registry().counter_add(&m, 1.0);
                         self.take_snapshot(ctx);
                     }
-                    ctx.timer_in(self.cfg.interval, T_SAMPLE);
+                    ctx.timer_in(METRICS_INTERVAL, T_SAMPLE);
                 }
                 T_RPC => {
                     if let Some(client) = self.orc8r.as_mut() {

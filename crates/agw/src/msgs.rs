@@ -7,10 +7,15 @@
 //! network.
 
 use crate::checkpoint::AgwCheckpoint;
-use magma_sim::ActorId;
+use magma_sim::{ActorId, SimDuration};
 use magma_wire::Teid;
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// The fluid data path's tick: every RAN element offers one
+/// [`FluidDemand`] per tick and its AGW answers with one [`FluidGrant`],
+/// so both sides of the exchange must step at this one cadence.
+pub const FLUID_TICK: SimDuration = SimDuration::from_millis(100);
 
 /// Per-tick offered load from one RAN element, already clipped to its
 /// radio capacity. `(tunnel, uplink_bytes, downlink_bytes)`.

@@ -9,6 +9,7 @@
 //! the registry snapshot) are `layers` rows; see `benchmark/`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use magma::agw::FLUID_TICK;
 use magma::dataplane::{session_rules, DesiredState, FluidEntry, Pipeline, SessionProgram};
 use magma::prelude::*;
 use magma::wire::aka;
@@ -72,7 +73,7 @@ fn dataplane(c: &mut Criterion) {
         let mut p = Pipeline::new();
         p.set_desired(&sessions(288));
         b.iter(|| {
-            now += SimDuration::from_millis(100);
+            now += FLUID_TICK;
             std::hint::black_box(p.fluid_tick(now, &demands).total_dl)
         })
     });
@@ -89,7 +90,7 @@ fn dataplane(c: &mut Criterion) {
                 desired.programs.insert(288, extra.clone());
             }
             p.set_desired_for(&desired, [288]);
-            now += SimDuration::from_millis(100);
+            now += FLUID_TICK;
             std::hint::black_box(p.fluid_tick(now, &demands).total_dl)
         })
     });

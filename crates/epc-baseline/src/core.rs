@@ -3,7 +3,7 @@
 //! One monolithic MME+SGW+PGW placed *across the backhaul* from the RAN
 //! (the architecture Magma's AGW replaces). Control signalling (S1AP)
 //! rides the reliable stream, but the user plane is GTP-U over the
-//! backhaul with 3GPP path management: periodic GTP Echo probes with
+//! backhaul with 3GPP path management: GTP Echo probes every 5 s with
 //! T3 = 3 s and N3 = 3 retries, and a path failure releases every
 //! session behind that eNodeB — the behavior §3.1 blames for wedged
 //! low-end UEs on satellite/microwave backhaul.
@@ -12,7 +12,7 @@
 //! paper's point is architectural placement and protocol choice, not
 //! that a traditional core lacks those functions.
 
-use magma_agw::{AccessTech, FluidDemand, FluidGrant, IpPool, SessionManager};
+use magma_agw::{AccessTech, FluidDemand, FluidGrant, IpPool, SessionManager, FLUID_TICK};
 use magma_net::{lp_encode, ports, Endpoint, LpFramer, NodeAddr, SockCmd, SockEvent, StreamHandle};
 use magma_policy::PolicyRule;
 use crate::flows;
@@ -30,26 +30,15 @@ use std::collections::BTreeMap;
 const T_ECHO: u64 = 1;
 const T_FLUID: u64 = 2;
 
-/// 3GPP GTP path-management parameters (TS 29.281 / 23.007).
-#[derive(Debug, Clone, Copy)]
-pub struct PathMgmt {
-    /// Interval between echo cycles on a healthy path.
-    pub echo_interval: SimDuration,
-    /// T3-RESPONSE: wait before a retry.
-    pub t3: SimDuration,
-    /// N3-REQUESTS: attempts before declaring path failure.
-    pub n3: u32,
-}
+// 3GPP GTP path management (TS 29.281 / 23.007).
 
-impl Default for PathMgmt {
-    fn default() -> Self {
-        PathMgmt {
-            echo_interval: SimDuration::from_secs(10),
-            t3: SimDuration::from_secs(3),
-            n3: 3,
-        }
-    }
-}
+/// Interval between echo cycles on a healthy path. Rural gear commonly
+/// probes aggressively to fail over between backhauls quickly.
+const ECHO_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// T3-RESPONSE: wait before a retry.
+const T3: SimDuration = SimDuration::from_secs(3);
+/// N3-REQUESTS: attempts before declaring path failure.
+const N3: u32 = 3;
 
 struct EnbPath {
     node: NodeAddr,
@@ -89,7 +78,6 @@ pub struct EpcCoreActor {
     ues: BTreeMap<u32, UeCtx>,
     next_ue: u32,
     next_guti: u64,
-    path_mgmt: PathMgmt,
     /// Effective one-way frame loss on the backhaul (applied to GTP-U
     /// goodput at flow level).
     backhaul_loss: f64,
@@ -110,17 +98,11 @@ impl EpcCoreActor {
             ues: BTreeMap::new(),
             next_ue: 1,
             next_guti: 1,
-            path_mgmt: PathMgmt::default(),
             backhaul_loss,
             pending_demands: Vec::new(),
             sessions_released: 0,
             path_failures: 0,
         }
-    }
-
-    pub fn with_path_mgmt(mut self, pm: PathMgmt) -> Self {
-        self.path_mgmt = pm;
-        self
     }
 
     fn send_s1ap(&mut self, ctx: &mut Ctx<'_>, conn: StreamHandle, msg: &S1apMessage) {
@@ -338,26 +320,22 @@ impl EpcCoreActor {
     fn echo_tick(&mut self, ctx: &mut Ctx<'_>) {
         let conns: Vec<StreamHandle> = self.paths.keys().copied().collect();
         for conn in conns {
-            let (tries, n3, up) = {
+            let (tries, up) = {
                 let p = self.paths.get_mut(&conn).unwrap();
                 p.echo_tries += 1;
-                (p.echo_tries, self.path_mgmt.n3, p.path_up)
+                (p.echo_tries, p.path_up)
             };
-            if tries > n3 && up {
+            if tries > N3 && up {
                 self.fail_path(ctx, conn);
                 self.send_echo(ctx, conn);
             } else {
                 self.send_echo(ctx, conn);
             }
         }
-        // Healthy paths probe at echo_interval; a path with outstanding
+        // Healthy paths probe at ECHO_INTERVAL; a path with outstanding
         // retries probes at T3.
         let any_retrying = self.paths.values().any(|p| p.echo_tries > 1);
-        let next = if any_retrying {
-            self.path_mgmt.t3
-        } else {
-            self.path_mgmt.echo_interval
-        };
+        let next = if any_retrying { T3 } else { ECHO_INTERVAL };
         ctx.send_self(&flows::EPC_ECHO_TICK, next, T_ECHO);
     }
 
@@ -380,7 +358,7 @@ impl EpcCoreActor {
             }
             ctx.send_to(d.from_ran, &magma_agw::flows::FLUID_GRANT, Box::new(FluidGrant { grants }));
         }
-        ctx.timer_in(SimDuration::from_millis(100), T_FLUID);
+        ctx.timer_in(FLUID_TICK, T_FLUID);
     }
 }
 
@@ -409,8 +387,8 @@ impl Actor for EpcCoreActor {
                         owner: me,
                     }),
                 );
-                ctx.send_self(&flows::EPC_ECHO_TICK, self.path_mgmt.echo_interval, T_ECHO);
-                ctx.timer_in(SimDuration::from_millis(100), T_FLUID);
+                ctx.send_self(&flows::EPC_ECHO_TICK, ECHO_INTERVAL, T_ECHO);
+                ctx.timer_in(FLUID_TICK, T_FLUID);
             }
             Event::Timer { tag: T_ECHO } => self.echo_tick(ctx),
             Event::Timer { tag: T_FLUID } => self.fluid_tick(ctx),

@@ -13,5 +13,5 @@ pub mod sync;
 /// The dispatch surfaces this crate declares (see `magma_sim::flow`).
 pub const DISPATCHES: &[&magma_sim::Dispatch] = &[&flows::EPC_DISPATCH];
 
-pub use crate::core::{EpcCoreActor, PathMgmt};
+pub use crate::core::EpcCoreActor;
 pub use sync::{render as render_sync, run as run_sync, sweep, SyncParams, SyncReport, SyncStrategy};

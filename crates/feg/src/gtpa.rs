@@ -14,15 +14,12 @@ use serde::Serialize;
 pub struct GtpaParams {
     /// Aggregate forwarding capacity (NIC-bound: 2×10G).
     pub capacity_bps: u64,
-    /// Per-tunnel bookkeeping cost as an effective per-AGW cap, if any.
-    pub per_agw_cap_bps: Option<u64>,
 }
 
 impl Default for GtpaParams {
     fn default() -> Self {
         GtpaParams {
             capacity_bps: 20_000_000_000,
-            per_agw_cap_bps: None,
         }
     }
 }
@@ -54,14 +51,7 @@ impl GtpAggregator {
 
     /// Apply one tick of offered load (bytes per AGW over `tick_secs`).
     pub fn tick(&mut self, offered: &[u64], tick_secs: f64) -> GtpaTick {
-        let mut loads: Vec<u64> = offered.to_vec();
-        if let Some(cap) = self.params.per_agw_cap_bps {
-            let per_cap = (cap as f64 / 8.0 * tick_secs) as u64;
-            for l in &mut loads {
-                *l = (*l).min(per_cap);
-            }
-        }
-        let total: u64 = loads.iter().sum();
+        let total: u64 = offered.iter().sum();
         let cap_bytes = (self.params.capacity_bps as f64 / 8.0 * tick_secs) as u64;
         let clipped = total > cap_bytes;
         let scale = if clipped {
@@ -69,11 +59,11 @@ impl GtpAggregator {
         } else {
             1.0
         };
-        let grants: Vec<u64> = loads
+        let grants: Vec<u64> = offered
             .iter()
             .map(|l| (*l as f64 * scale) as u64)
             .collect();
-        self.total_offered += offered.iter().sum::<u64>();
+        self.total_offered += total;
         self.total_granted += grants.iter().sum::<u64>();
         GtpaTick { grants, clipped }
     }
@@ -116,7 +106,6 @@ mod tests {
     fn over_capacity_scales_fairly() {
         let mut g = GtpAggregator::new(GtpaParams {
             capacity_bps: 8_000_000, // 1 MB/s
-            per_agw_cap_bps: None,
         });
         let t = g.tick(&[1_500_000, 500_000], 1.0);
         assert!(t.clipped);
@@ -124,16 +113,6 @@ mod tests {
         assert!((total as i64 - 1_000_000).abs() < 10);
         // Proportional: 3:1 ratio preserved.
         assert!((t.grants[0] as f64 / t.grants[1] as f64 - 3.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn per_agw_cap_applies_before_aggregate() {
-        let mut g = GtpAggregator::new(GtpaParams {
-            capacity_bps: 1_000_000_000,
-            per_agw_cap_bps: Some(8_000_000),
-        });
-        let t = g.tick(&[10_000_000, 10_000_000], 1.0);
-        assert_eq!(t.grants, vec![1_000_000, 1_000_000]);
     }
 
     #[test]

@@ -89,7 +89,6 @@ struct Conn {
 pub struct NetStack {
     node: NodeAddr,
     net: NetHandle,
-    cfg: StreamConfig,
     conns: BTreeMap<ConnKey, Conn>,
     handles: BTreeMap<StreamHandle, ConnKey>,
     next_handle: u64,
@@ -103,7 +102,6 @@ impl NetStack {
         NetStack {
             node,
             net,
-            cfg: StreamConfig::default(),
             conns: BTreeMap::new(),
             handles: BTreeMap::new(),
             next_handle: 1,
@@ -111,11 +109,6 @@ impl NetStack {
             stream_listeners: BTreeMap::new(),
             dgram_listeners: BTreeMap::new(),
         }
-    }
-
-    pub fn with_config(mut self, cfg: StreamConfig) -> Self {
-        self.cfg = cfg;
-        self
     }
 
     fn alloc_handle(&mut self) -> StreamHandle {
@@ -194,7 +187,7 @@ impl NetStack {
                     responder: peer,
                 };
                 let handle = self.alloc_handle();
-                let mut state = StreamState::new(key, true, self.cfg);
+                let mut state = StreamState::new(key, true, StreamConfig::default());
                 let syn = state.open(ctx.now());
                 let conn = Conn {
                     state,
@@ -321,7 +314,7 @@ impl NetStack {
                     self.conns.insert(
                         key,
                         Conn {
-                            state: StreamState::new(key, false, self.cfg),
+                            state: StreamState::new(key, false, StreamConfig::default()),
                             handle,
                             owner,
                             armed: None,

@@ -96,7 +96,7 @@ impl Orc8rActor {
                 let resp = CheckinResponse {
                     latest_version: latest,
                     sync: st.db.sync_since(req.db_version),
-                    checkin_interval_s: st.checkin_interval_s,
+                    checkin_interval_s: CHECKIN_INTERVAL.as_secs_f64() as u64,
                 };
                 // The reply brings the replica to `latest`, so pushes on
                 // this connection start from there.
@@ -248,7 +248,7 @@ impl Actor for Orc8rActor {
             Event::Start => {
                 self.server.listen(ctx);
                 ctx.timer_in(TICK, 1);
-                ctx.timer_in(SimDuration::from_secs(5), 2);
+                ctx.timer_in(METRICS_INTERVAL, 2);
             }
             Event::Timer { tag: 1 } => {
                 self.push_stale(ctx);
@@ -257,7 +257,7 @@ impl Actor for Orc8rActor {
             Event::Timer { tag: 2 } => {
                 let now = ctx.now();
                 self.state.borrow_mut().sample_fleet(now);
-                ctx.timer_in(SimDuration::from_secs(5), 2);
+                ctx.timer_in(METRICS_INTERVAL, 2);
             }
             Event::Timer { .. } => {}
             Event::Msg { payload, .. } => {

@@ -27,6 +27,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::metrics::MetricsStore;
+use crate::proto::METRICS_INTERVAL;
 
 /// What a rule measures, per gateway.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,14 +90,14 @@ impl AlertRule {
         }
     }
 
-    /// Telemetry staleness beyond `intervals` push intervals — the
-    /// "gateway went dark" page, analogous to the device-management
-    /// 3-missed-check-ins rule.
-    pub fn push_staleness(intervals: u32, interval: SimDuration) -> Self {
+    /// Telemetry staleness beyond `intervals` metricsd push intervals
+    /// ([`METRICS_INTERVAL`]) — the "gateway went dark" page, analogous
+    /// to the device-management 3-missed-check-ins rule.
+    pub fn push_staleness(intervals: u32) -> Self {
         AlertRule {
             name: "push_stale".to_string(),
             metric: AlertMetric::Staleness,
-            threshold: (interval * u64::from(intervals)).as_secs_f64(),
+            threshold: (METRICS_INTERVAL * u64::from(intervals)).as_secs_f64(),
             sustain: SimDuration::ZERO,
             severity: Severity::Warning,
         }
@@ -324,7 +325,7 @@ mod tests {
 
     #[test]
     fn zero_sustain_fires_immediately_and_staleness_uses_orc8r_clock() {
-        let rules = vec![AlertRule::push_staleness(3, SimDuration::from_secs(5))];
+        let rules = vec![AlertRule::push_staleness(3)];
         let mut store = MetricsStore::new();
         let mut eng = AlertEngine::new();
 

@@ -19,8 +19,9 @@ use magma_sim::{BucketHistogram, RegistrySnapshot, SimDuration, SimTime, Structu
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Samples retained per gateway: 10 minutes at the default 5 s push
-/// interval. Bounds orchestrator memory per gateway.
+/// Samples retained per gateway: 10 minutes at the 5 s
+/// [`METRICS_INTERVAL`](crate::METRICS_INTERVAL). Bounds orchestrator
+/// memory per gateway.
 pub const HISTORY_CAP: usize = 120;
 
 /// Structured events retained per gateway (oldest evicted beyond this).
@@ -30,7 +31,7 @@ pub const EVENTS_CAP: usize = 1024;
 pub const WINDOW_1M: SimDuration = SimDuration(60 * 1_000_000);
 
 /// The 10-minute query window — the whole retained history at the
-/// default push interval.
+/// push interval.
 pub const WINDOW_10M: SimDuration = SimDuration(600 * 1_000_000);
 
 /// The scalar part of one accepted push: gauges and counters, stamped

@@ -3,9 +3,20 @@
 //! These are the simulation's "protobuf definitions": serde structs
 //! carried as JSON by `magma-rpc`.
 
+use magma_sim::SimDuration;
 use magma_subscriber::DbSync;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// How often a gateway checks in (§3.1). The orchestrator hands it out
+/// in [`CheckinResponse::checkin_interval_s`] and counts a gateway
+/// offline after three silent intervals.
+pub const CHECKIN_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
+/// How often a gateway's metricsd samples its registry and pushes the
+/// snapshot. The orchestrator samples fleet health at the same cadence,
+/// and staleness alerts count missed pushes in it.
+pub const METRICS_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// Method names on the orchestrator endpoint.
 pub mod methods {

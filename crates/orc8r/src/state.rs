@@ -9,6 +9,7 @@
 
 use crate::alerting::{AlertEngine, AlertRule, AlertTransition};
 use crate::metrics::MetricsStore;
+use crate::proto::CHECKIN_INTERVAL;
 use magma_policy::{OcsServer, PolicyRule};
 use magma_sim::{Severity, SimTime};
 use magma_subscriber::{SubscriberDb, SubscriberProfile};
@@ -104,8 +105,6 @@ pub struct Orc8rState {
     pub checkpoints: BTreeMap<String, serde_json::Value>,
     /// Append-only configuration journal.
     pub journal: Vec<JournalEntry>,
-    /// Gateway check-in cadence handed out in responses.
-    pub checkin_interval_s: u64,
     /// Periodic fleet-health samples (metricsd history).
     pub history: Vec<FleetSample>,
     /// Alert episodes, in raise order: device-offline alerts plus
@@ -129,7 +128,6 @@ impl Orc8rState {
             metrics_store: MetricsStore::new(),
             checkpoints: BTreeMap::new(),
             journal: Vec::new(),
-            checkin_interval_s: 5,
             history: Vec::new(),
             alerts: Vec::new(),
             alert_rules: Vec::new(),
@@ -177,7 +175,7 @@ impl Orc8rState {
     /// three check-in intervals (device management, §3.1: telemetry and
     /// monitoring as first-class responsibilities).
     pub fn offline_gateways(&self, now: SimTime) -> Vec<String> {
-        let horizon = magma_sim::SimDuration::from_secs(self.checkin_interval_s * 3);
+        let horizon = CHECKIN_INTERVAL * 3;
         self.devices
             .iter()
             .filter(|(_, d)| {

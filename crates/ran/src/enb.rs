@@ -9,7 +9,7 @@
 use crate::flows;
 use crate::radio::SectorModel;
 use crate::ue::{UePhase, UeSim};
-use magma_agw::{FluidDemand, FluidGrant};
+use magma_agw::{FluidDemand, FluidGrant, FLUID_TICK};
 use magma_net::{lp_encode, Endpoint, LpFramer, SockCmd, SockEvent, StreamHandle};
 use magma_sim::eventd::kind as event_kind;
 use magma_sim::{try_downcast, Actor, ActorId, Ctx, Event, Severity, SimDuration, SimTime};
@@ -18,6 +18,7 @@ use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::Teid;
 use rand::Rng;
 use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 
 const T_FLUID: u64 = 1;
 const T_ATTACH: u64 = 2;
@@ -31,6 +32,16 @@ const T_HEARTBEAT: u64 = 4;
 /// Consecutive zero-grant fluid ticks (while demanding traffic) before an
 /// attached UE declares radio-link failure ("no service").
 const NO_SERVICE_TICKS: u32 = 100;
+
+/// UE-side attach timeout: an attach not accepted within it counts as
+/// failed (Landslide's success criterion, Figure 6).
+pub const UE_ATTACH_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// Delay after S1 setup before the first attach.
+const ATTACH_START: SimDuration = SimDuration::from_millis(500);
+
+/// Uniform radio-leg delay bounds for NAS messages, milliseconds.
+const RADIO_DELAY_MS: RangeInclusive<u64> = 5..=25;
 
 /// Namespace of the RAN's metrics and events, shared by every eNodeB so
 /// the harness can aggregate. The RAN is the emulator, not a managed
@@ -50,15 +61,8 @@ pub struct EnbConfig {
     /// AGW actor for the fluid data path.
     pub agw_actor: ActorId,
     pub sector: SectorModel,
-    pub tick: SimDuration,
     /// UEs begin attaching at this rate once S1 is up.
     pub attach_rate_per_sec: f64,
-    /// Delay after S1 setup before the first attach.
-    pub attach_start: SimDuration,
-    /// UE-side attach timeout (Landslide's success criterion).
-    pub ue_attach_timeout: SimDuration,
-    /// Uniform radio-leg delay bounds for NAS messages, milliseconds.
-    pub radio_delay_ms: (u64, u64),
     /// Re-attach automatically after failures / unexpected loss.
     pub reattach: bool,
     /// Session churn: once attached, a UE detaches after a uniform-random
@@ -76,11 +80,7 @@ impl EnbConfig {
             agw_ctrl,
             agw_actor,
             sector: SectorModel::typical_enb(),
-            tick: SimDuration::from_millis(100),
             attach_rate_per_sec: 1.0,
-            attach_start: SimDuration::from_millis(500),
-            ue_attach_timeout: SimDuration::from_secs(10),
-            radio_delay_ms: (5, 25),
             reattach: false,
             session_lifetime_s: None,
         }
@@ -184,8 +184,7 @@ impl EnodebActor {
     }
 
     fn radio_delay(&self, ctx: &mut Ctx<'_>) -> SimDuration {
-        let (lo, hi) = self.cfg.radio_delay_ms;
-        SimDuration::from_millis(ctx.rng().gen_range(lo..=hi.max(lo + 1)))
+        SimDuration::from_millis(ctx.rng().gen_range(RADIO_DELAY_MS))
     }
 
     /// Queue a downlink NAS for a UE behind the radio delay.
@@ -235,7 +234,7 @@ impl EnodebActor {
         let _ = epoch;
         ctx.send_self(
             &flows::ENB_ATTACH_TIMEOUT,
-            self.cfg.ue_attach_timeout,
+            UE_ATTACH_TIMEOUT,
             T_UETO_BASE + idx as u64,
         );
         // Root the causal trace *after* arming the timeout: the guard
@@ -262,7 +261,7 @@ impl EnodebActor {
             S1apMessage::S1SetupResponse { .. }
                 if !self.s1_ready => {
                     self.s1_ready = true;
-                    ctx.timer_in(self.cfg.attach_start, T_ATTACH);
+                    ctx.timer_in(ATTACH_START, T_ATTACH);
                     ctx.timer_in(SimDuration::from_secs(10), T_HEARTBEAT);
                     // After an S1 (re-)establishment, kick any UEs that
                     // lost service so they re-attach promptly.
@@ -421,7 +420,7 @@ impl EnodebActor {
     }
 
     fn fluid_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let tick_secs = self.cfg.tick.as_secs_f64();
+        let tick_secs = FLUID_TICK.as_secs_f64();
         let mut demands: Vec<(Teid, u64, u64)> = Vec::new();
         let mut total: u64 = 0;
         let mut active = 0usize;
@@ -477,7 +476,7 @@ impl EnodebActor {
             let m = self.metric("stuck");
             ctx.registry().record(&m, now, stuck as f64);
         }
-        ctx.timer_in(self.cfg.tick, T_FLUID);
+        ctx.timer_in(FLUID_TICK, T_FLUID);
     }
 }
 
@@ -501,7 +500,7 @@ impl Actor for EnodebActor {
                         owner: me,
                     }),
                 );
-                ctx.timer_in(self.cfg.tick, T_FLUID);
+                ctx.timer_in(FLUID_TICK, T_FLUID);
             }
             Event::Timer { tag } => match tag {
                 T_FLUID => self.fluid_tick(ctx),

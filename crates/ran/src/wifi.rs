@@ -5,7 +5,7 @@
 
 use crate::flows;
 use crate::radio::SectorModel;
-use magma_agw::FluidDemand;
+use magma_agw::{FluidDemand, FLUID_TICK};
 use magma_net::{ports, Endpoint, SockCmd, SockEvent};
 use magma_sim::{try_downcast, Actor, ActorId, Ctx, Event, SimDuration};
 use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket};
@@ -34,8 +34,6 @@ pub struct WifiApConfig {
     pub agw_actor: ActorId,
     pub username: String,
     pub password: String,
-    pub sector: SectorModel,
-    pub tick: SimDuration,
     /// Aggregate hotspot demand behind this AP.
     pub dl_bps: u64,
     pub ul_bps: u64,
@@ -117,7 +115,7 @@ impl Actor for WifiApActor {
                     }),
                 );
                 ctx.timer_in(self.cfg.auth_at, T_AUTH);
-                ctx.timer_in(self.cfg.tick, T_FLUID);
+                ctx.timer_in(FLUID_TICK, T_FLUID);
             }
             Event::Timer { tag: T_AUTH } => {
                 if !self.authed {
@@ -129,10 +127,10 @@ impl Actor for WifiApActor {
             Event::Timer { tag: T_FLUID } => {
                 if self.authed {
                     if let Some(teid) = self.teid {
-                        let tick = self.cfg.tick.as_secs_f64();
+                        let tick = FLUID_TICK.as_secs_f64();
                         let mut ul = (self.cfg.ul_bps as f64 / 8.0 * tick) as u64;
                         let mut dl = (self.cfg.dl_bps as f64 / 8.0 * tick) as u64;
-                        let scale = self.cfg.sector.clip_scale(ul + dl, tick);
+                        let scale = SectorModel::cbrs_modem().clip_scale(ul + dl, tick);
                         ul = (ul as f64 * scale) as u64;
                         dl = (dl as f64 * scale) as u64;
                         let me = ctx.id();
@@ -146,7 +144,7 @@ impl Actor for WifiApActor {
                         );
                     }
                 }
-                ctx.timer_in(self.cfg.tick, T_FLUID);
+                ctx.timer_in(FLUID_TICK, T_FLUID);
             }
             Event::Timer { .. } => {}
             Event::Msg { payload, .. } => {

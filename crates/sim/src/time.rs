@@ -64,7 +64,7 @@ impl SimDuration {
         SimDuration(s * MICROS_PER_SEC)
     }
 
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * MICROS_PER_MILLI)
     }
 

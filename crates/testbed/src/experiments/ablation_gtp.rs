@@ -11,10 +11,10 @@
 
 use crate::scenario::SIM_SEED;
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
-use magma_epc_baseline::{EpcCoreActor, PathMgmt};
+use magma_epc_baseline::EpcCoreActor;
 use magma_net::{Endpoint, LinkProfile, NetFabric, NetStack, ports};
 use magma_ran::{ue_fleet_with_quirk, EnbConfig, EnodebActor, TrafficModel};
-use magma_sim::{HostSpec, SimDuration, SimTime, World};
+use magma_sim::{HostSpec, SimTime, World};
 use magma_subscriber::{SubscriberDb, SubscriberProfile};
 use magma_wire::Imsi;
 use serde::Serialize;
@@ -106,14 +106,7 @@ pub fn run_baseline(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
     net.bind_stack(core, core_stack);
     let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle())));
     net.bind_stack(enb_node, enb_stack);
-    let epc = EpcCoreActor::new(core_stack, provision_db(), loss).with_path_mgmt(PathMgmt {
-        // Rural gear commonly probes aggressively to fail over between
-        // backhauls quickly; 5 s echo spacing.
-        echo_interval: SimDuration::from_secs(5),
-        t3: SimDuration::from_secs(3),
-        n3: 3,
-    });
-    let epc = w.add_actor(Box::new(epc));
+    let epc = w.add_actor(Box::new(EpcCoreActor::new(core_stack, provision_db(), loss)));
 
     let ues = ue_fleet_with_quirk(SIM_SEED, 1, N_UES, TrafficModel::http_download(), LOW_END_FRAC);
     let mut enb_cfg = EnbConfig::new(1, enb_stack, Endpoint::new(core, ports::S1AP), epc);

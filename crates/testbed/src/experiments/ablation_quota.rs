@@ -12,7 +12,7 @@
 use crate::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
 use magma_policy::{CreditAnswer, OcsServer, PolicyRule, SessionCredit, UsageTracking};
 use magma_ran::{SectorModel, TrafficModel};
-use magma_sim::{SimDuration, SimTime};
+use magma_sim::SimTime;
 use magma_wire::Imsi;
 use serde::Serialize;
 
@@ -88,7 +88,6 @@ pub fn run_prepaid(seed: u64, balance: u64, quota: u64) -> PrepaidResult {
             ul_bps: 0,
         },
         sector: SectorModel::ideal_enb(),
-        ue_attach_timeout: SimDuration::from_secs(10),
         reattach: false,
         session_lifetime_s: None,
     };

@@ -10,7 +10,6 @@
 
 use crate::measure::{mean_over, median_csr, throughput_mbps};
 use crate::scenario::{build, AgwSpec, CoreLayout, ScenarioConfig, SiteSpec};
-use magma_agw::CpuProfile;
 use magma_ran::{SectorModel, TrafficModel};
 use magma_sim::{SimDuration, SimTime};
 use serde::Serialize;
@@ -51,14 +50,10 @@ pub fn run_point(seed: u64, layout: CoreLayout) -> CupsPoint {
             capacity_bps: 10_000_000_000,
             max_active_ues: 1000,
         },
-        ue_attach_timeout: SimDuration::from_secs(10),
         reattach: true,
         session_lifetime_s: None,
     };
-    let mut spec = AgwSpec::vm(site, layout);
-    spec.speed = 1.0;
-    spec.profile = CpuProfile::vm();
-    let cfg = ScenarioConfig::new(seed).with_agw(spec);
+    let cfg = ScenarioConfig::new(seed).with_agw(AgwSpec::vm(site, layout));
     let mut sc = build(cfg);
     sc.world.run_until(SimTime::from_secs(120));
 

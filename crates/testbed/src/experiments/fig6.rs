@@ -8,7 +8,7 @@
 use crate::measure::overall_csr;
 use crate::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
 use magma_ran::{SectorModel, TrafficModel};
-use magma_sim::{SimDuration, SimTime};
+use magma_sim::SimTime;
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]
@@ -46,7 +46,6 @@ pub fn run_point(seed: u64, rate: f64) -> Fig6Point {
             capacity_bps: 2_000_000_000,
             max_active_ues: 200,
         },
-        ue_attach_timeout: SimDuration::from_secs(10),
         reattach: false,
         session_lifetime_s: None,
     };

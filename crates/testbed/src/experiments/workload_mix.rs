@@ -55,7 +55,6 @@ pub fn run(seed: u64, duration_s: u64) -> Vec<WorkloadPoint> {
         attach_rate_per_sec: 1.0,
         traffic: TrafficModel::http_download(),
         sector: SectorModel::ideal_enb(),
-        ue_attach_timeout: SimDuration::from_secs(10),
         reattach: false,
         session_lifetime_s: None,
     };
@@ -65,7 +64,6 @@ pub fn run(seed: u64, duration_s: u64) -> Vec<WorkloadPoint> {
         attach_rate_per_sec: 2.0,
         traffic: TrafficModel::iot(),
         sector: SectorModel::ideal_enb(),
-        ue_attach_timeout: SimDuration::from_secs(10),
         reattach: true,
         // Devices wake, exchange a few messages, detach — and repeat.
         session_lifetime_s: Some((20, 60)),

@@ -13,7 +13,7 @@ use magma_net::{Endpoint, LinkProfile, NetFabric, NetStack, NodeAddr, ports};
 use magma_orc8r::{new_orc8r, AlertRule, Orc8rActor, Orc8rHandle};
 use magma_policy::PolicyRule;
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor, SectorModel, TrafficModel, UeSim};
-use magma_sim::{ActorId, HostId, HostSpec, SimDuration, World};
+use magma_sim::{ActorId, HostId, HostSpec, World};
 use magma_subscriber::SubscriberProfile;
 use magma_wire::Imsi;
 
@@ -29,7 +29,6 @@ pub struct SiteSpec {
     pub attach_rate_per_sec: f64,
     pub traffic: TrafficModel,
     pub sector: SectorModel,
-    pub ue_attach_timeout: SimDuration,
     pub reattach: bool,
     /// Session churn lifetime range (IoT-style workloads).
     pub session_lifetime_s: Option<(u64, u64)>,
@@ -45,7 +44,6 @@ impl SiteSpec {
             attach_rate_per_sec: 3.0,
             traffic: TrafficModel::http_download(),
             sector: SectorModel::ideal_enb(),
-            ue_attach_timeout: SimDuration::from_secs(10),
             reattach: false,
             session_lifetime_s: None,
         }
@@ -66,8 +64,6 @@ pub enum CoreLayout {
 pub struct AgwSpec {
     pub profile: CpuProfile,
     pub layout: CoreLayout,
-    /// Core speed relative to the reference (bare-metal 1.6 GHz = 1.0).
-    pub speed: f64,
     pub site: SiteSpec,
     pub backhaul: LinkProfile,
 }
@@ -78,18 +74,18 @@ impl AgwSpec {
         AgwSpec {
             profile: CpuProfile::bare_metal(),
             layout: CoreLayout::Shared { cores: 4 },
-            speed: 1.0,
             site,
             backhaul: LinkProfile::fiber(),
         }
     }
 
-    /// The paper's VM AGW (vCPUs at 2.6/1.6 speed).
+    /// The paper's VM AGW. Its cores run at the reference speed like
+    /// every host's; the faster Xeon vCPUs are in [`CpuProfile::vm`]'s
+    /// smaller per-operation costs.
     pub fn vm(site: SiteSpec, layout: CoreLayout) -> Self {
         AgwSpec {
             profile: CpuProfile::vm(),
             layout,
-            speed: 1.0,
             site,
             backhaul: LinkProfile::fiber(),
         }
@@ -107,11 +103,6 @@ pub struct ScenarioConfig {
     /// OCS quota size (bytes) and optional per-subscriber balance.
     pub quota_bytes: u64,
     pub prepaid_balance: Option<u64>,
-    /// Override the AGW fluid tick / checkin cadence if needed.
-    pub checkin_interval: SimDuration,
-    /// Cadence at which each gateway's metricsd samples its registry and
-    /// pushes the snapshot to the orchestrator.
-    pub metrics_interval: SimDuration,
     /// Alert rules evaluated at the orchestrator against the windowed
     /// metric history (empty by default: alerting is opt-in).
     pub alert_rules: Vec<AlertRule>,
@@ -126,8 +117,6 @@ impl ScenarioConfig {
             subscriber_rules: vec!["default".to_string()],
             quota_bytes: 1_000_000,
             prepaid_balance: None,
-            checkin_interval: SimDuration::from_secs(5),
-            metrics_interval: SimDuration::from_secs(5),
             alert_rules: Vec::new(),
         }
     }
@@ -201,8 +190,6 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
     // draws are schedule-independent under racecheck's permuted runs.
     net.set_seed(cfg.seed);
     let orc8r = new_orc8r(cfg.quota_bytes);
-    orc8r.borrow_mut().checkin_interval_s =
-        cfg.checkin_interval.as_secs_f64().max(1.0) as u64;
     orc8r.borrow_mut().alert_rules = cfg.alert_rules.clone();
 
     // Orchestrator node.
@@ -248,8 +235,8 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
     for (a, spec) in cfg.agws.iter().enumerate() {
         let id = format!("agw{a}");
         let host_spec = match spec.layout {
-            CoreLayout::Shared { cores } => HostSpec::uniform(&id, cores, spec.speed),
-            CoreLayout::Pinned { cp, up } => HostSpec::pinned(&id, cp, up, spec.speed),
+            CoreLayout::Shared { cores } => HostSpec::uniform(&id, cores, 1.0),
+            CoreLayout::Pinned { cp, up } => HostSpec::pinned(&id, cp, up, 1.0),
         };
         let host = world.add_host(host_spec);
         let site = format!("agw[{a}]");
@@ -262,7 +249,6 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
         let mut agw_cfg = AgwConfig::new(&id, host, stack)
             .with_orc8r(Endpoint::new(orc8r_node, ports::ORC8R))
             .with_profile(spec.profile);
-        agw_cfg.checkin_interval = cfg.checkin_interval;
         agw_cfg.ip_base = 0x0A00_0002 + (a as u32) * 0x0001_0000;
         if matches!(spec.layout, CoreLayout::Pinned { .. }) {
             agw_cfg = agw_cfg.pinned();
@@ -281,9 +267,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
         // Telemetry daemon: samples the gateway's registry namespace and
         // pushes it to the orchestrator over the same backhaul (its own
         // stream on the shared network stack).
-        let mut md_cfg = MetricsdConfig::for_agw(&agw_cfg);
-        md_cfg.interval = cfg.metrics_interval;
-        let metricsd = world.add_actor(Box::new(MetricsdActor::new(md_cfg)));
+        let metricsd = world.add_actor(Box::new(MetricsdActor::new(MetricsdConfig::for_agw(&agw_cfg))));
         world.set_component(metricsd, &site);
 
         // Per-eNB attach rate splits the site's aggregate rate.
@@ -309,7 +293,6 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
             );
             enb_cfg.sector = spec.site.sector;
             enb_cfg.attach_rate_per_sec = per_enb_rate;
-            enb_cfg.ue_attach_timeout = spec.site.ue_attach_timeout;
             enb_cfg.reattach = spec.site.reattach;
             enb_cfg.session_lifetime_s = spec.site.session_lifetime_s;
             let enb = world.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));

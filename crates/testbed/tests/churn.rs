@@ -5,7 +5,7 @@
 use magma_net::{ports, NetStack};
 use magma_orc8r::Orc8rActor;
 use magma_ran::{SectorModel, TrafficModel};
-use magma_sim::{SimDuration, SimTime};
+use magma_sim::SimTime;
 use magma_subscriber::SubscriberProfile;
 use magma_testbed::scenario::{build, AgwSpec, Scenario, ScenarioConfig, SiteSpec, SIM_SEED};
 use magma_wire::Imsi;
@@ -18,7 +18,6 @@ fn churning_site() -> Scenario {
         attach_rate_per_sec: 2.0,
         traffic: TrafficModel::iot(),
         sector: SectorModel::ideal_enb(),
-        ue_attach_timeout: SimDuration::from_secs(10),
         reattach: true,
         session_lifetime_s: Some((10, 20)),
     };
@@ -74,7 +73,6 @@ fn detach_is_acknowledged_and_ue_goes_idle() {
         attach_rate_per_sec: 2.0,
         traffic: TrafficModel::iot(),
         sector: SectorModel::ideal_enb(),
-        ue_attach_timeout: SimDuration::from_secs(10),
         reattach: false, // single cycle: attach once, detach once, stay idle
         session_lifetime_s: Some((5, 8)),
     };

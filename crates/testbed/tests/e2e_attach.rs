@@ -13,7 +13,6 @@ fn small_site(ues: usize, rate: f64) -> SiteSpec {
         attach_rate_per_sec: rate,
         traffic: TrafficModel::http_download(),
         sector: SectorModel::ideal_enb(),
-        ue_attach_timeout: SimDuration::from_secs(10),
         reattach: false,
         session_lifetime_s: None,
     }

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example accessparks`
 
-use magma::ran::{SectorModel, WifiApActor, WifiApConfig};
+use magma::ran::{WifiApActor, WifiApConfig};
 use magma::sim::{HostSpec, SimDuration, SimTime, World};
 use magma::testbed::trace::{accessparks_trace, summarize, TraceParams};
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
@@ -59,8 +59,6 @@ fn main() {
             agw_actor: agw,
             username: format!("ap-{i}@accessparks"),
             password: "cbrs-modem-psk".to_string(),
-            sector: SectorModel::cbrs_modem(),
-            tick: SimDuration::from_millis(100),
             dl_bps: 25_000_000, // a busy hotspot behind each AP
             ul_bps: 5_000_000,
             auth_at: SimDuration::from_millis(200 + 300 * i as u64),

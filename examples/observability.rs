@@ -33,7 +33,7 @@ fn run(seed: u64) -> (String, String) {
         .with_agw(AgwSpec::vm(site, CoreLayout::Pinned { cp: 2, up: 2 }))
         .with_alert_rules(vec![
             AlertRule::cpu_sustained(85.0, SimDuration::from_secs(30)),
-            AlertRule::push_staleness(3, SimDuration::from_secs(5)),
+            AlertRule::push_staleness(3),
         ]);
     let mut d = magma::deploy(cfg);
 

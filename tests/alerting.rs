@@ -75,7 +75,7 @@ fn staleness_episode_rearms_after_recovery() {
     // recovers, then goes dark again is two distinct pages, not a
     // suppressed continuation of the first.
     let mut st = Orc8rState::new(0);
-    st.alert_rules = vec![AlertRule::push_staleness(3, SimDuration::from_secs(5))];
+    st.alert_rules = vec![AlertRule::push_staleness(3)];
 
     // Push at t=5, then silence: the 15 s staleness threshold is crossed
     // by the t=25 sweep — episode 1 opens.
@@ -121,7 +121,7 @@ fn storm_run(seed: u64) -> (String, Vec<(String, Option<u64>)>, usize, usize) {
     spec.layout = CoreLayout::Shared { cores: 1 };
     let cfg = ScenarioConfig::new(seed).with_agw(spec).with_alert_rules(vec![
         AlertRule::cpu_sustained(85.0, SimDuration::from_secs(30)),
-        AlertRule::push_staleness(3, SimDuration::from_secs(5)),
+        AlertRule::push_staleness(3),
     ]);
     let mut d = magma::deploy(cfg);
 

@@ -13,7 +13,7 @@ use magma::sim::flow;
 use magma::sim::{ActorId, HostSpec};
 use magma::testbed::Scenario;
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
-use magma_epc_baseline::{EpcCoreActor, PathMgmt};
+use magma_epc_baseline::EpcCoreActor;
 use magma_feg::{FegActor, MnoCoreActor};
 use magma_net::{ports, Endpoint, LinkProfile, NetStack, NodeAddr};
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor, Logout, WifiApActor, WifiApConfig};
@@ -102,8 +102,6 @@ fn every_actor() -> Scenario {
         agw_actor: agw0,
         username: "ap".to_string(),
         password: "pw".to_string(),
-        sector: SectorModel::cbrs_modem(),
-        tick: SimDuration::from_millis(100),
         dl_bps: 1_000_000,
         ul_bps: 200_000,
         auth_at: SimDuration::from_secs(2),
@@ -133,12 +131,7 @@ fn every_actor() -> Scenario {
 
     // The EPC baseline probes its eNodeB's GTP-U path.
     let (core_node, core_stack) = node(&mut sc, "epc", core, LinkProfile::fiber());
-    let epc = EpcCoreActor::new(core_stack, epc_db, 0.0).with_path_mgmt(PathMgmt {
-        echo_interval: SimDuration::from_secs(5),
-        t3: SimDuration::from_secs(3),
-        n3: 3,
-    });
-    let epc = sc.world.add_actor(Box::new(epc));
+    let epc = sc.world.add_actor(Box::new(EpcCoreActor::new(core_stack, epc_db, 0.0)));
     let (_, enb_stack) = node(&mut sc, "epc-enb", core_node, LinkProfile::microwave());
     let enb = EnbConfig::new(12, enb_stack, Endpoint::new(core_node, ports::S1AP), epc);
     let ues = ue_fleet(7, 101, 2, TrafficModel::http_download());

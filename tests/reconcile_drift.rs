@@ -146,8 +146,6 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
         agw_actor: sc.agws[0].actor,
         username: HOTSPOT.to_string(),
         password: "right-password".to_string(),
-        sector: SectorModel::cbrs_modem(),
-        tick: SimDuration::from_millis(100),
         dl_bps: 2_000_000,
         ul_bps: 500_000,
         auth_at: SimDuration::from_secs(3),

@@ -9,7 +9,7 @@ use magma::prelude::*;
 use magma::sim::{HostSpec, World};
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
 use magma_net::{new_net, Endpoint, LinkProfile, NetStack, ports};
-use magma_ran::{SectorModel, WifiApActor, WifiApConfig};
+use magma_ran::{WifiApActor, WifiApConfig};
 use magma_subscriber::SubscriberDb;
 
 struct Rig {
@@ -54,8 +54,6 @@ fn build(password_ok: bool) -> Rig {
         } else {
             "wrong".to_string()
         },
-        sector: SectorModel::cbrs_modem(),
-        tick: SimDuration::from_millis(100),
         dl_bps: 10_000_000,
         ul_bps: 2_000_000,
         auth_at: SimDuration::from_millis(500),
