@@ -1539,8 +1539,7 @@ impl AgwActor {
                 if let Some(rc) = self.ran_conns.get_mut(&handle) {
                     let msgs = rc.framer.push(&bytes);
                     if rc.framer.is_poisoned() {
-                        // Framing is lost for good; the close comes back
-                        // as `StreamClosed`, which drops the connection.
+                        // Framing is lost for good: close, and drop it on `StreamClosed`.
                         ctx.send_to(
                             self.cfg.stack,
                             &magma_net::flows::SOCK_CMD,

@@ -36,7 +36,7 @@ pub const DISPATCHES: &[&magma_sim::Dispatch] = &[&flows::AGW_DISPATCH, &flows::
 pub use actor::AgwActor;
 pub use checkpoint::AgwCheckpoint;
 pub use config::{AgwConfig, CpuProfile};
-pub use metricsd::{MetricsdActor, MetricsdConfig};
+pub use metricsd::MetricsdActor;
 pub use mobilityd::IpPool;
 pub use msgs::{new_agw_handle, AgwHandle, AgwShared, FluidDemand, FluidGrant, FLUID_TICK};
 pub use sessiond::{AccessTech, Session, SessionManager, UsageOutcome};

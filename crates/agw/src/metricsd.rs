@@ -5,9 +5,10 @@
 //! where operators observe CSR, throughput, and CPU saturation. This
 //! actor reproduces that loop in the simulation:
 //!
-//! - every [`METRICS_INTERVAL`] it samples host CPU utilization into gauges and
-//!   snapshots the world registry's `"<agw_id>."` namespace (stripping
-//!   the prefix, so instruments merge across gateways at the orc8r);
+//! - every [`METRICS_INTERVAL`] it samples host CPU utilization into
+//!   gauges and snapshots the world registry's `"<agw_id>."` namespace
+//!   (stripping the prefix, so instruments merge across gateways at the
+//!   orc8r);
 //! - snapshot serialization is charged to the gateway's control-plane
 //!   cores via [`Ctx::try_exec`], so telemetry competes with attaches
 //!   for CPU exactly like the real daemon;
@@ -16,15 +17,15 @@
 //!   backhaul bandwidth;
 //! - pushes are queued FIFO with one in flight; when the orchestrator
 //!   is down or the backhaul partitioned, snapshots accumulate (up to
-//!   [`MAX_QUEUE`], dropping oldest) and drain in order after
+//!   `MAX_QUEUE`, dropping oldest) and drain in order after
 //!   reconnection — no telemetry gap across a crash window.
 
 use crate::actor::ORC8R_DEADLINE;
 use crate::config::AgwConfig;
-use magma_net::{Endpoint, SockEvent};
+use magma_net::SockEvent;
 use magma_orc8r::proto::{self as orc8r_proto, METRICS_INTERVAL};
 use magma_rpc::{RpcClient, RpcClientEvent};
-use magma_sim::{try_downcast, Actor, ActorId, Ctx, Event, HostId, SimDuration};
+use magma_sim::{try_downcast, Actor, Ctx, Event, SimDuration};
 use std::collections::VecDeque;
 
 // Timer tags.
@@ -44,44 +45,10 @@ const MAX_QUEUE: usize = 120;
 /// the kernel ring for the next push.
 const MAX_EVENTS_PER_PUSH: usize = 256;
 
-/// Configuration for one gateway's metricsd.
-#[derive(Debug, Clone)]
-pub struct MetricsdConfig {
-    /// Gateway id; also the registry prefix this daemon exports.
-    pub agw_id: String,
-    /// Host whose CPU is sampled and charged.
-    pub host: HostId,
-    /// The AGW's network stack (shared; metricsd owns its own stream).
-    pub stack: ActorId,
-    /// Core group charged for snapshot serialization.
-    pub cp_group: String,
-    /// Orchestrator endpoint; `None` disables pushing (sampling only).
-    pub orc8r: Option<Endpoint>,
-}
-
-impl MetricsdConfig {
-    pub fn new(agw_id: &str, host: HostId, stack: ActorId) -> Self {
-        MetricsdConfig {
-            agw_id: agw_id.to_string(),
-            host,
-            stack,
-            cp_group: "all".to_string(),
-            orc8r: None,
-        }
-    }
-
-    /// Derive a metricsd config matching an AGW's wiring.
-    pub fn for_agw(cfg: &AgwConfig) -> Self {
-        let mut md = MetricsdConfig::new(&cfg.id, cfg.host, cfg.stack);
-        md.cp_group = cfg.cp_group.clone();
-        md.orc8r = cfg.orc8r;
-        md
-    }
-}
-
 /// The metricsd service actor.
 pub struct MetricsdActor {
-    cfg: MetricsdConfig,
+    /// The gateway's wiring; with no `orc8r` metricsd only samples.
+    cfg: AgwConfig,
     orc8r: Option<RpcClient>,
     /// Snapshots awaiting delivery, oldest first.
     queue: VecDeque<orc8r_proto::MetricsPush>,
@@ -98,9 +65,9 @@ pub struct MetricsdActor {
 }
 
 impl MetricsdActor {
-    pub fn new(cfg: MetricsdConfig) -> Self {
+    pub fn new(cfg: &AgwConfig) -> Self {
         MetricsdActor {
-            cfg,
+            cfg: cfg.clone(),
             orc8r: None,
             queue: VecDeque::new(),
             outstanding: None,
@@ -111,7 +78,7 @@ impl MetricsdActor {
     }
 
     fn metric(&self, suffix: &str) -> String {
-        format!("{}.{suffix}", self.cfg.agw_id)
+        format!("{}.{suffix}", self.cfg.id)
     }
 
     /// Sample per-group CPU utilization into gauges. Uses the last
@@ -149,7 +116,7 @@ impl MetricsdActor {
     /// structured events past the cursor, and enqueue the push.
     fn take_snapshot(&mut self, ctx: &mut Ctx<'_>) {
         let events = ctx.events().since(
-            &self.cfg.agw_id,
+            &self.cfg.id,
             self.last_event_id,
             MAX_EVENTS_PER_PUSH,
         );
@@ -176,10 +143,10 @@ impl MetricsdActor {
         }
         let snapshot = {
             let _snap = ctx.profile_scope("metricsd.snapshot");
-            ctx.registry().snapshot_prefixed(&self.cfg.agw_id)
+            ctx.registry().snapshot_prefixed(&self.cfg.id)
         };
         let push = orc8r_proto::MetricsPush {
-            agw_id: self.cfg.agw_id.clone(),
+            agw_id: self.cfg.id.clone(),
             seq: self.next_seq,
             taken_at_us: ctx.now().0,
             snapshot,
@@ -325,6 +292,6 @@ impl Actor for MetricsdActor {
     }
 
     fn name(&self) -> String {
-        format!("{}-metricsd", self.cfg.agw_id)
+        format!("{}-metricsd", self.cfg.id)
     }
 }

@@ -6,16 +6,12 @@
 //!   by the repo benchmark (`benchmark/`), so no host section exists to
 //!   leak into the virtual bytes.
 
-use magma_bench::{run_scenario, BenchRun};
-
-fn smoke(seed: u64) -> BenchRun {
-    run_scenario("smoke", seed).expect("smoke is a scenario")
-}
+use magma_bench::run_scenario;
 
 #[test]
 fn same_seed_virtual_sections_are_byte_identical() {
-    let a = smoke(7).report;
-    let b = smoke(7).report;
+    let a = run_scenario("smoke", 7).unwrap().report;
+    let b = run_scenario("smoke", 7).unwrap().report;
     let va = serde_json::to_string_pretty(&a.virt).unwrap();
     let vb = serde_json::to_string_pretty(&b.virt).unwrap();
     assert_eq!(va, vb, "virtual sections diverged across same-seed runs");
@@ -27,8 +23,8 @@ fn same_seed_virtual_sections_are_byte_identical() {
 
 #[test]
 fn different_seeds_produce_different_virtual_sections() {
-    let a = smoke(7).report;
-    let b = smoke(8).report;
+    let a = run_scenario("smoke", 7).unwrap().report;
+    let b = run_scenario("smoke", 8).unwrap().report;
     // Seeds drive UE identities and timer jitter, so the event count
     // cannot coincide; this keeps the byte-identity test non-vacuous.
     assert_ne!(
@@ -40,7 +36,7 @@ fn different_seeds_produce_different_virtual_sections() {
 
 #[test]
 fn host_fields_are_segregated_from_virtual_bytes() {
-    let report = smoke(7).report;
+    let report = run_scenario("smoke", 7).unwrap().report;
     let full = serde_json::to_value(&report).unwrap();
     let keys: Vec<&str> = full
         .as_object()

@@ -30,10 +30,9 @@ use std::collections::BTreeMap;
 const T_ECHO: u64 = 1;
 const T_FLUID: u64 = 2;
 
-// 3GPP GTP path management (TS 29.281 / 23.007).
-
-/// Interval between echo cycles on a healthy path. Rural gear commonly
-/// probes aggressively to fail over between backhauls quickly.
+/// GTP path management (TS 29.281 / 23.007): interval between echo
+/// cycles on a healthy path. Rural gear commonly probes aggressively to
+/// fail over between backhauls quickly.
 const ECHO_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// T3-RESPONSE: wait before a retry.
 const T3: SimDuration = SimDuration::from_secs(3);
@@ -412,8 +411,7 @@ impl Actor for EpcCoreActor {
                         if let Some(framer) = self.framers.get_mut(&handle) {
                             let msgs = framer.push(&bytes);
                             if framer.is_poisoned() {
-                                // Framing is lost for good; the close
-                                // comes back as `StreamClosed`.
+                                // Framing is lost for good: close.
                                 ctx.send_to(
                                     self.stack,
                                     &magma_net::flows::SOCK_CMD,

@@ -225,8 +225,7 @@ impl Actor for FegActor {
                     {
                         let msgs = self.mno_framer.push(&bytes);
                         if self.mno_framer.is_poisoned() {
-                            // Framing is lost for good; the close comes
-                            // back as `StreamClosed`, which reconnects.
+                            // Framing is lost for good: close, then reconnect.
                             ctx.send_to(
                                 self.stack,
                                 &magma_net::flows::SOCK_CMD,

@@ -141,8 +141,7 @@ impl Actor for MnoCoreActor {
                         if let Some(framer) = self.conns.get_mut(&handle) {
                             let msgs = framer.push(&bytes);
                             if framer.is_poisoned() {
-                                // Framing is lost for good; the close
-                                // comes back as `StreamClosed`.
+                                // Framing is lost for good: close.
                                 ctx.send_to(
                                     self.stack,
                                     &magma_net::flows::SOCK_CMD,

@@ -88,25 +88,18 @@ mod tests {
     }
 
     #[test]
-    fn hostile_prefix_poisons_and_drops_what_follows() {
+    fn prefix_beyond_the_cap_poisons_and_drops_what_follows() {
+        let mut f = LpFramer::new();
+        assert!(f.push(&(MAX_LP_LEN as u32).to_be_bytes()).is_empty());
+        assert!(!f.is_poisoned(), "a prefix at the cap waits for its body");
         let mut f = LpFramer::new();
         let mut stream = lp_encode(b"before").to_vec();
-        stream.extend_from_slice(&[0xff; 4]);
+        stream.extend_from_slice(&(MAX_LP_LEN as u32 + 1).to_be_bytes());
         let got = f.push(&stream);
         assert_eq!(got.len(), 1, "the message ahead of the prefix is delivered");
         assert_eq!(&got[0][..], b"before");
         assert!(f.is_poisoned());
         assert!(f.push(&lp_encode(b"after")).is_empty());
-    }
-
-    #[test]
-    fn largest_allowed_prefix_is_not_poison() {
-        let mut f = LpFramer::new();
-        assert!(f.push(&(MAX_LP_LEN as u32).to_be_bytes()).is_empty());
-        assert!(!f.is_poisoned());
-        let mut f = LpFramer::new();
-        assert!(f.push(&(MAX_LP_LEN as u32 + 1).to_be_bytes()).is_empty());
-        assert!(f.is_poisoned());
     }
 
     #[test]

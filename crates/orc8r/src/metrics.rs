@@ -19,9 +19,8 @@ use magma_sim::{BucketHistogram, RegistrySnapshot, SimDuration, SimTime, Structu
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Samples retained per gateway: 10 minutes at the 5 s
-/// [`METRICS_INTERVAL`](crate::METRICS_INTERVAL). Bounds orchestrator
-/// memory per gateway.
+/// Samples retained per gateway: 10 minutes of pushes. Bounds
+/// orchestrator memory per gateway.
 pub const HISTORY_CAP: usize = 120;
 
 /// Structured events retained per gateway (oldest evicted beyond this).

@@ -18,7 +18,6 @@ use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::Teid;
 use rand::Rng;
 use std::collections::VecDeque;
-use std::ops::RangeInclusive;
 
 const T_FLUID: u64 = 1;
 const T_ATTACH: u64 = 2;
@@ -41,7 +40,7 @@ pub const UE_ATTACH_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 const ATTACH_START: SimDuration = SimDuration::from_millis(500);
 
 /// Uniform radio-leg delay bounds for NAS messages, milliseconds.
-const RADIO_DELAY_MS: RangeInclusive<u64> = 5..=25;
+const RADIO_DELAY_MS: std::ops::RangeInclusive<u64> = 5..=25;
 
 /// Namespace of the RAN's metrics and events, shared by every eNodeB so
 /// the harness can aggregate. The RAN is the emulator, not a managed
@@ -601,8 +600,7 @@ impl Actor for EnodebActor {
                     SockEvent::StreamRecv { handle, bytes } if Some(handle) == self.conn => {
                         let msgs = self.framer.push(&bytes);
                         if self.framer.is_poisoned() {
-                            // Framing is lost for good; the close comes
-                            // back as `StreamClosed`, which reconnects.
+                            // Framing is lost for good: close, then reconnect.
                             ctx.send_to(
                                 self.cfg.stack,
                                 &magma_net::flows::SOCK_CMD,

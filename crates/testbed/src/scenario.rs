@@ -6,9 +6,7 @@
 //! replica before the run, "as is typical for network operator
 //! deployments of Magma".
 
-use magma_agw::{
-    new_agw_handle, AgwActor, AgwConfig, AgwHandle, CpuProfile, MetricsdActor, MetricsdConfig,
-};
+use magma_agw::{new_agw_handle, AgwActor, AgwConfig, AgwHandle, CpuProfile, MetricsdActor};
 use magma_net::{Endpoint, LinkProfile, NetFabric, NetStack, NodeAddr, ports};
 use magma_orc8r::{new_orc8r, AlertRule, Orc8rActor, Orc8rHandle};
 use magma_policy::PolicyRule;
@@ -267,7 +265,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
         // Telemetry daemon: samples the gateway's registry namespace and
         // pushes it to the orchestrator over the same backhaul (its own
         // stream on the shared network stack).
-        let metricsd = world.add_actor(Box::new(MetricsdActor::new(MetricsdConfig::for_agw(&agw_cfg))));
+        let metricsd = world.add_actor(Box::new(MetricsdActor::new(&agw_cfg)));
         world.set_component(metricsd, &site);
 
         // Per-eNB attach rate splits the site's aggregate rate.

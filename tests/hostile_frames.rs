@@ -222,41 +222,31 @@ fn only_a_frame_naming_the_spare_method_takes_it_and_a_refused_one_drops_it() {
     );
 }
 
-/// Opens an S1AP stream to a gateway and announces a 4 GiB message.
-struct HostileEnb {
-    stack: ActorId,
-    agw: Endpoint,
-}
+/// Opens an S1AP stream to a gateway (its stack, the gateway's S1AP
+/// endpoint) and announces a 4 GiB message.
+struct HostileEnb(ActorId, Endpoint);
 
 impl Actor for HostileEnb {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-        match event {
-            Event::Start => {
-                let me = ctx.id();
-                ctx.send_to(
-                    self.stack,
-                    &net_flows::SOCK_CMD,
-                    Box::new(SockCmd::OpenStream {
-                        peer: self.agw,
-                        owner: me,
-                        user: 66,
-                    }),
-                );
-            }
-            Event::Msg { payload, .. } => match downcast::<SockEvent>(payload, "hostile-enb") {
-                SockEvent::StreamOpened { handle, .. } => ctx.send_to(
-                    self.stack,
-                    &net_flows::SOCK_CMD,
-                    Box::new(SockCmd::StreamSend {
-                        handle,
-                        bytes: vec![0xff; 4].into(),
-                    }),
-                ),
-                SockEvent::StreamClosed { .. } => ctx.registry().counter_add("test.hostile_closed", 1.0),
-                _ => {}
+        let cmd = match event {
+            Event::Start => SockCmd::OpenStream {
+                peer: self.1,
+                owner: ctx.id(),
+                user: 66,
             },
-            _ => {}
-        }
+            Event::Msg { payload, .. } => match downcast::<SockEvent>(payload, "hostile-enb") {
+                SockEvent::StreamOpened { handle, .. } => SockCmd::StreamSend {
+                    handle,
+                    bytes: vec![0xff; 4].into(),
+                },
+                SockEvent::StreamClosed { .. } => {
+                    return ctx.registry().counter_add("test.hostile_closed", 1.0)
+                }
+                _ => return,
+            },
+            _ => return,
+        };
+        ctx.send_to(self.0, &net_flows::SOCK_CMD, Box::new(cmd));
     }
 }
 
@@ -273,10 +263,8 @@ fn the_gateway_closes_an_s1ap_stream_announcing_4_gib_and_keeps_attaching() {
     d.net.connect(node, d.agws[0].node, LinkProfile::lan());
     let stack = d.world.add_actor(Box::new(NetStack::new(node, d.net.handle())));
     d.net.bind_stack(node, stack);
-    d.world.add_actor(Box::new(HostileEnb {
-        stack,
-        agw: Endpoint::new(d.agws[0].node, ports::S1AP),
-    }));
+    let agw = Endpoint::new(d.agws[0].node, ports::S1AP);
+    d.world.add_actor(Box::new(HostileEnb(stack, agw)));
     d.world.run_until(SimTime::from_secs(20));
     assert_eq!(d.world.registry().counter("test.hostile_closed"), 1.0);
     let gw = d.agws[0].handle.borrow();
