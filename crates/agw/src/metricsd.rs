@@ -115,11 +115,9 @@ impl MetricsdActor {
     /// Snapshot the gateway's registry namespace, drain this gateway's
     /// structured events past the cursor, and enqueue the push.
     fn take_snapshot(&mut self, ctx: &mut Ctx<'_>) {
-        let events = ctx.events().since(
-            &self.cfg.id,
-            self.last_event_id,
-            MAX_EVENTS_PER_PUSH,
-        );
+        let events = ctx
+            .events()
+            .since(&self.cfg.id, self.last_event_id, MAX_EVENTS_PER_PUSH);
         if let Some(last) = events.last() {
             self.last_event_id = last.id;
         }

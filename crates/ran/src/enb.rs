@@ -34,7 +34,7 @@ const NO_SERVICE_TICKS: u32 = 100;
 
 /// UE-side attach timeout: an attach not accepted within it counts as
 /// failed (Landslide's success criterion, Figure 6).
-pub const UE_ATTACH_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+const UE_ATTACH_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 
 /// Delay after S1 setup before the first attach.
 const ATTACH_START: SimDuration = SimDuration::from_millis(500);

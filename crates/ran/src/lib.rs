@@ -17,7 +17,7 @@ pub mod wifi;
 /// The dispatch surfaces this crate declares (see `magma_sim::flow`).
 pub const DISPATCHES: &[&magma_sim::Dispatch] = &[&flows::ENB_DISPATCH, &flows::WIFI_DISPATCH];
 
-pub use enb::{EnbConfig, EnodebActor, UE_ATTACH_TIMEOUT};
+pub use enb::{EnbConfig, EnodebActor};
 pub use radio::SectorModel;
 pub use ue::{TrafficModel, UePhase, UeSim};
 pub use wifi::{Logout, WifiApActor, WifiApConfig};

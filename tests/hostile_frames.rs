@@ -7,9 +7,9 @@
 //! deliver and refuse exactly the same frames, with the same contents.
 //! The S1AP framer meets a hostile prefix inside a running gateway.
 
+use magma::net::{flows as net_flows, ports, Endpoint, LinkProfile, NetStack, SockCmd, SockEvent};
 use magma::orc8r::{flows, CheckpointPush};
 use magma::prelude::*;
-use magma::net::{flows as net_flows, ports, Endpoint, LinkProfile, NetStack, SockCmd, SockEvent};
 use magma::rpc::{codec, encode_frame, Framer, RpcFrame, RpcKind, Spare, MAX_FRAME_LEN};
 use magma::sim::{downcast, Actor, ActorId, Ctx, Event};
 use serde_json::{json, Value};
