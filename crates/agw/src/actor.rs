@@ -1538,14 +1538,7 @@ impl AgwActor {
             SockEvent::StreamRecv { handle, bytes } => {
                 if let Some(rc) = self.ran_conns.get_mut(&handle) {
                     let msgs = rc.framer.push(&bytes);
-                    if rc.framer.is_poisoned() {
-                        // Framing is lost for good: close, and drop it on `StreamClosed`.
-                        ctx.send_to(
-                            self.cfg.stack,
-                            &magma_net::flows::SOCK_CMD,
-                            Box::new(SockCmd::StreamClose { handle }),
-                        );
-                    }
+                    rc.framer.close_if_poisoned(ctx, self.cfg.stack, handle);
                     for m in msgs {
                         if let Ok(s1ap) = S1apMessage::decode(&m) {
                             self.handle_s1ap(ctx, handle, s1ap);

@@ -410,14 +410,7 @@ impl Actor for EpcCoreActor {
                     SockEvent::StreamRecv { handle, bytes } => {
                         if let Some(framer) = self.framers.get_mut(&handle) {
                             let msgs = framer.push(&bytes);
-                            if framer.is_poisoned() {
-                                // Framing is lost for good: close.
-                                ctx.send_to(
-                                    self.stack,
-                                    &magma_net::flows::SOCK_CMD,
-                                    Box::new(SockCmd::StreamClose { handle }),
-                                );
-                            }
+                            framer.close_if_poisoned(ctx, self.stack, handle);
                             for m in msgs {
                                 if let Ok(s1ap) = S1apMessage::decode(&m) {
                                     self.handle_s1ap(ctx, handle, s1ap);

@@ -9,25 +9,12 @@
 
 use serde::Serialize;
 
-/// Capacity model for the GTP-A box.
-#[derive(Debug, Clone, Copy)]
-pub struct GtpaParams {
-    /// Aggregate forwarding capacity (NIC-bound: 2×10G).
-    pub capacity_bps: u64,
-}
-
-impl Default for GtpaParams {
-    fn default() -> Self {
-        GtpaParams {
-            capacity_bps: 20_000_000_000,
-        }
-    }
-}
+/// Aggregate forwarding capacity of the GTP-A box (NIC-bound: 2×10G).
+const GTPA_CAPACITY_BPS: u64 = 20_000_000_000;
 
 /// Flow-level aggregator: offered per-AGW loads in, granted loads out.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GtpAggregator {
-    pub params: GtpaParams,
     pub total_offered: u64,
     pub total_granted: u64,
 }
@@ -41,18 +28,14 @@ pub struct GtpaTick {
 }
 
 impl GtpAggregator {
-    pub fn new(params: GtpaParams) -> Self {
-        GtpAggregator {
-            params,
-            total_offered: 0,
-            total_granted: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Apply one tick of offered load (bytes per AGW over `tick_secs`).
     pub fn tick(&mut self, offered: &[u64], tick_secs: f64) -> GtpaTick {
         let total: u64 = offered.iter().sum();
-        let cap_bytes = (self.params.capacity_bps as f64 / 8.0 * tick_secs) as u64;
+        let cap_bytes = (GTPA_CAPACITY_BPS as f64 / 8.0 * tick_secs) as u64;
         let clipped = total > cap_bytes;
         let scale = if clipped {
             cap_bytes as f64 / total.max(1) as f64
@@ -74,13 +57,12 @@ impl GtpAggregator {
 /// `(n_agws, home_routed_gbps, local_breakout_gbps)` rows.
 pub fn scaling_comparison(
     per_agw_offered_bps: u64,
-    params: GtpaParams,
     fleet_sizes: &[usize],
 ) -> Vec<(usize, f64, f64)> {
     fleet_sizes
         .iter()
         .map(|&n| {
-            let mut gtpa = GtpAggregator::new(params);
+            let mut gtpa = GtpAggregator::new();
             let offered_bytes = (per_agw_offered_bps as f64 / 8.0) as u64;
             let tick = gtpa.tick(&vec![offered_bytes; n], 1.0);
             let home: u64 = tick.grants.iter().sum();
@@ -96,7 +78,7 @@ mod tests {
 
     #[test]
     fn under_capacity_grants_everything() {
-        let mut g = GtpAggregator::new(GtpaParams::default());
+        let mut g = GtpAggregator::new();
         let t = g.tick(&[1_000_000, 2_000_000], 0.1);
         assert_eq!(t.grants, vec![1_000_000, 2_000_000]);
         assert!(!t.clipped);
@@ -104,10 +86,9 @@ mod tests {
 
     #[test]
     fn over_capacity_scales_fairly() {
-        let mut g = GtpAggregator::new(GtpaParams {
-            capacity_bps: 8_000_000, // 1 MB/s
-        });
-        let t = g.tick(&[1_500_000, 500_000], 1.0);
+        let mut g = GtpAggregator::new();
+        // A 0.4 ms tick of the 20 Gbit/s box carries 1 MB.
+        let t = g.tick(&[1_500_000, 500_000], 0.0004);
         assert!(t.clipped);
         let total: u64 = t.grants.iter().sum();
         assert!((total as i64 - 1_000_000).abs() < 10);
@@ -119,7 +100,6 @@ mod tests {
     fn home_routing_saturates_local_breakout_scales() {
         let rows = scaling_comparison(
             100_000_000, // 100 Mbit/s per AGW
-            GtpaParams::default(),
             &[10, 100, 200, 400, 1000],
         );
         // Local breakout is linear throughout.

@@ -16,5 +16,5 @@ pub mod mno;
 pub const DISPATCHES: &[&magma_sim::Dispatch] = &[&flows::FEG_DISPATCH, &flows::MNO_DISPATCH];
 
 pub use feg::FegActor;
-pub use gtpa::{scaling_comparison, GtpAggregator, GtpaParams, GtpaTick};
+pub use gtpa::{scaling_comparison, GtpAggregator, GtpaTick};
 pub use mno::MnoCoreActor;

@@ -83,11 +83,10 @@ pub const KNOWN_PREFIXES: &[&str] = &[
 ];
 
 /// Known second-segment families under the kernel's `sim.` prefix —
-/// each one observability subsystem (`sim.cpu.*` queueing, `sim.prof.*`
-/// simprof, `sim.trace.*` magma-trace). The T002 sub-check keeps new
-/// kernel instruments from squatting an unreviewed namespace. Grown only
-/// alongside `docs/OBSERVABILITY.md`.
-pub const SIM_FAMILIES: &[&str] = &["cpu", "prof", "trace"];
+/// each one observability subsystem (`sim.cpu.*`: CPU-model queueing).
+/// The T002 sub-check keeps new kernel instruments from squatting an
+/// unreviewed namespace. Grown only alongside `docs/OBSERVABILITY.md`.
+pub const SIM_FAMILIES: &[&str] = &["cpu"];
 
 /// A scanned file plus precomputed skip ranges (`#[cfg(test)]` items).
 /// The engine lexes and scans each file exactly once and shares the

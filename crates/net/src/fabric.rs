@@ -1,48 +1,49 @@
-//! The scenario harness's handle on the physical network.
+//! The world's network: one [`Topology`] behind a cloneable handle.
 //!
-//! [`NetFabric`] owns the one [`Topology`](crate::Topology) of a world
-//! and is the facade the harness builds it through and injects faults
-//! with (partitions, profile swaps). Every node's
-//! [`NetStack`](crate::NetStack) shares the topology through
-//! [`NetFabric::handle`].
+//! The scenario harness builds the network through [`NetFabric`] and
+//! injects faults with it (partitions, profile swaps).
+//! [`NetFabric::add_stack`] puts a node's [`NetStack`] into the world and
+//! binds it to the node; every stack transmits through its own clone of
+//! the handle.
 
 use crate::addr::NodeAddr;
 use crate::link::LinkProfile;
-use crate::topology::{new_net, LinkStats, NetHandle};
-use magma_sim::ActorId;
+use crate::stack::NetStack;
+use crate::topology::{LinkStats, Topology};
+use magma_sim::{ActorId, SimTime, World};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-/// The world's topology behind a building/fault-injection facade. Owned
-/// (not `Rc`-shared) by the scenario harness.
+/// Handle on the world's topology. Clones share it.
+#[derive(Clone, Default)]
 pub struct NetFabric {
-    net: NetHandle,
+    net: Rc<RefCell<Topology>>,
 }
 
 impl NetFabric {
     pub fn new() -> Self {
-        NetFabric { net: new_net() }
+        Self::default()
     }
 
     /// Set the world seed the per-link RNG streams derive from (see
-    /// [`crate::Topology::set_seed`]).
-    pub fn set_seed(&mut self, seed: u64) {
+    /// [`Topology::set_seed`]).
+    pub fn set_seed(&self, seed: u64) {
         self.net.borrow_mut().set_seed(seed);
     }
 
-    /// The shared topology handle — what gets passed to
-    /// [`NetStack::new`](crate::NetStack::new).
-    pub fn handle(&self) -> NetHandle {
-        self.net.clone()
-    }
-
     /// Allocate a node address.
-    pub fn add_node(&mut self, name: &str) -> NodeAddr {
+    pub fn add_node(&self, name: &str) -> NodeAddr {
         self.net.borrow_mut().add_node(name)
     }
 
-    /// Bind a node's stack actor. Must be re-invoked when a stack actor
-    /// is replaced (restart).
-    pub fn bind_stack(&mut self, node: NodeAddr, stack: ActorId) {
+    /// Add `node`'s network stack to `world` and bind it, so frames
+    /// addressed to the node reach it. A stack restarted in place
+    /// (`World::restart` with [`NetStack::new`]) keeps its actor id, and
+    /// so its binding.
+    pub fn add_stack(&self, world: &mut World, node: NodeAddr) -> ActorId {
+        let stack = world.add_actor(Box::new(NetStack::new(node, self.clone())));
         self.net.borrow_mut().bind_stack(node, stack);
+        stack
     }
 
     pub fn stack_of(&self, node: NodeAddr) -> Option<ActorId> {
@@ -50,28 +51,22 @@ impl NetFabric {
     }
 
     /// Connect two nodes symmetrically.
-    pub fn connect(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
+    pub fn connect(&self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
         self.net.borrow_mut().connect(a, b, profile);
     }
 
     /// Connect two nodes with asymmetric profiles.
-    pub fn connect_asym(
-        &mut self,
-        a: NodeAddr,
-        b: NodeAddr,
-        a_to_b: LinkProfile,
-        b_to_a: LinkProfile,
-    ) {
+    pub fn connect_asym(&self, a: NodeAddr, b: NodeAddr, a_to_b: LinkProfile, b_to_a: LinkProfile) {
         self.net.borrow_mut().connect_asym(a, b, a_to_b, b_to_a);
     }
 
     /// Bring both directions of a link up or down (partition injection).
-    pub fn set_link_up(&mut self, a: NodeAddr, b: NodeAddr, up: bool) {
+    pub fn set_link_up(&self, a: NodeAddr, b: NodeAddr, up: bool) {
         self.net.borrow_mut().set_link_up(a, b, up);
     }
 
     /// Replace both directions' profiles (e.g., degrade fiber→satellite).
-    pub fn set_profile(&mut self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
+    pub fn set_profile(&self, a: NodeAddr, b: NodeAddr, profile: LinkProfile) {
         self.net.borrow_mut().set_profile(a, b, profile);
     }
 
@@ -84,58 +79,59 @@ impl NetFabric {
     pub fn stats(&self, a: NodeAddr, b: NodeAddr) -> LinkStats {
         self.net.borrow().stats(a, b)
     }
-}
 
-impl Default for NetFabric {
-    fn default() -> Self {
-        Self::new()
+    /// See [`Topology::transmit`].
+    pub(crate) fn transmit(
+        &self,
+        now: SimTime,
+        src: NodeAddr,
+        dst: NodeAddr,
+        size: usize,
+    ) -> Option<(SimTime, ActorId)> {
+        self.net.borrow_mut().transmit(now, src, dst, size)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magma_sim::SimTime;
 
     #[test]
     fn nodes_get_sequential_addresses_and_stack_bindings() {
-        let mut f = NetFabric::new();
+        let mut w = World::new(1);
+        let f = NetFabric::new();
         let a = f.add_node("a");
         let b = f.add_node("b");
         let c = f.add_node("c");
         assert_eq!((a.0, b.0, c.0), (0, 1, 2));
         assert_eq!(f.stack_of(b), None);
-        f.bind_stack(b, ActorId(8));
-        assert_eq!(f.stack_of(b), Some(ActorId(8)));
-        assert_eq!(f.handle().borrow().stack_of(b), Some(ActorId(8)));
+        let stack = f.add_stack(&mut w, b);
+        assert_eq!(f.stack_of(b), Some(stack));
+        assert_eq!(
+            f.clone().stack_of(b),
+            Some(stack),
+            "clones share the topology"
+        );
     }
 
     #[test]
     fn fault_injection_reaches_the_shared_topology() {
-        let mut f = NetFabric::new();
+        let mut w = World::new(1);
+        let f = NetFabric::new();
         let a = f.add_node("a");
         let b = f.add_node("b");
         f.connect(a, b, LinkProfile::lan());
-        f.bind_stack(a, ActorId(7));
-        f.bind_stack(b, ActorId(8));
-        // Stacks transmit through the handle the fabric hands out.
-        let net = f.handle();
-        assert!(net
-            .borrow_mut()
-            .transmit(SimTime::ZERO, a, b, 100)
-            .is_some());
-        assert!(net
-            .borrow_mut()
-            .transmit(SimTime::ZERO, b, a, 100)
-            .is_some());
+        f.add_stack(&mut w, a);
+        f.add_stack(&mut w, b);
+        // Stacks transmit through clones of the fabric.
+        let net = f.clone();
+        assert!(net.transmit(SimTime::ZERO, a, b, 100).is_some());
+        assert!(net.transmit(SimTime::ZERO, b, a, 100).is_some());
         // A partition reaches both directions.
         f.set_link_up(a, b, false);
         assert!(!f.link_up(a, b));
         assert!(!f.link_up(b, a));
-        assert!(net
-            .borrow_mut()
-            .transmit(SimTime::ZERO, a, b, 100)
-            .is_none());
+        assert!(net.transmit(SimTime::ZERO, a, b, 100).is_none());
         f.set_link_up(a, b, true);
         assert_eq!(f.stats(a, b).dropped, 1);
         assert_eq!(f.stats(a, b).delivered, 1);

@@ -34,5 +34,5 @@ pub use frame::{Frame, FramePayload, FRAME_OVERHEAD, MTU};
 pub use link::{Link, LinkProfile, TxOutcome};
 pub use stack::{NetStack, SockCmd, SockEvent};
 pub use stream::{ConnKey, StreamConfig, StreamHandle};
-pub use topology::{new_net, LinkStats, NetHandle, Topology};
-pub use util::{lp_encode, LpFramer, MAX_LP_LEN};
+pub use topology::{LinkStats, Topology};
+pub use util::{lp_encode, LpFramer, Reassembler, MAX_LP_LEN};

@@ -4,13 +4,14 @@
 //! on the same node talk to it with [`SockCmd`] messages and receive
 //! [`SockEvent`] messages back — the simulation analog of the sockets API.
 //! The stack multiplexes datagram and stream transports over the shared
-//! [`Topology`](crate::topology::Topology).
+//! [`Topology`](crate::topology::Topology), reached through its
+//! [`NetFabric`] handle.
 
 use crate::addr::{ports, Endpoint, NodeAddr};
 use crate::flows;
 use crate::frame::{Frame, FramePayload};
 use crate::stream::{ConnKey, RtoOutcome, StreamConfig, StreamFrame, StreamHandle, StreamState};
-use crate::topology::NetHandle;
+use crate::fabric::NetFabric;
 use bytes::Bytes;
 use magma_sim::{downcast, try_downcast, Actor, ActorId, Ctx, Event, SimTime};
 use std::collections::BTreeMap;
@@ -88,7 +89,7 @@ struct Conn {
 /// The network stack actor for one node.
 pub struct NetStack {
     node: NodeAddr,
-    net: NetHandle,
+    net: NetFabric,
     conns: BTreeMap<ConnKey, Conn>,
     handles: BTreeMap<StreamHandle, ConnKey>,
     next_handle: u64,
@@ -98,7 +99,9 @@ pub struct NetStack {
 }
 
 impl NetStack {
-    pub fn new(node: NodeAddr, net: NetHandle) -> Self {
+    /// A stack for `node`. [`NetFabric::add_stack`] builds and binds a new
+    /// one; this is for restarting one in place (`World::restart`).
+    pub fn new(node: NodeAddr, net: NetFabric) -> Self {
         NetStack {
             node,
             net,
@@ -117,8 +120,6 @@ impl NetStack {
         h
     }
 
-
-
     /// Transmit stream frames toward the peer, scheduling delivery events.
     fn tx_stream(&mut self, ctx: &mut Ctx<'_>, peer: NodeAddr, frames: Vec<StreamFrame>) {
         for sf in frames {
@@ -136,11 +137,7 @@ impl NetStack {
         let size = frame.wire_size();
         let dst = frame.dst;
         let src = frame.src;
-        let outcome = {
-            let mut net = self.net.borrow_mut();
-            net.transmit(now, src, dst, size)
-        };
-        if let Some((arrival, stack)) = outcome {
+        if let Some((arrival, stack)) = self.net.transmit(now, src, dst, size) {
             ctx.send_to_in(
                 stack,
                 &flows::NET_FRAME,
@@ -429,9 +426,6 @@ impl Actor for NetStack {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {
-                // Bind ourselves into the shared topology.
-                let id = ctx.id();
-                self.net.borrow_mut().bind_stack(self.node, id);
                 // A stack that comes up later (its node was replaced)
                 // starts elsewhere in the ephemeral range, one port per
                 // millisecond since time zero. Were it to reuse its
@@ -463,7 +457,6 @@ impl Actor for NetStack {
 mod tests {
     use super::*;
     use crate::link::LinkProfile;
-    use crate::topology::new_net;
     use magma_sim::{HostSpec, SimDuration, World};
 
     /// Test app: echoes received stream bytes back, records datagrams.
@@ -564,37 +557,37 @@ mod tests {
         }
     }
 
-    fn build(
-        profile: LinkProfile,
-        payload: usize,
-    ) -> (World, magma_sim::ActorId) {
+    /// A fresh world with client and server nodes joined by `profile`,
+    /// each with its stack.
+    fn two_nodes(profile: LinkProfile) -> (World, NetFabric, [(NodeAddr, ActorId); 2]) {
         let mut w = World::new(3);
-        let _h = w.add_host(HostSpec::uniform("x", 1, 1.0));
-        let net = new_net();
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("client");
-            let b = t.add_node("server");
-            t.connect(a, b, profile);
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let net = NetFabric::new();
+        let a = net.add_node("client");
+        let b = net.add_node("server");
+        net.connect(a, b, profile);
+        let sa = net.add_stack(&mut w, a);
+        let sb = net.add_stack(&mut w, b);
+        (w, net, [(a, sa), (b, sb)])
+    }
+
+    fn build(profile: LinkProfile, payload: usize) -> World {
+        let (mut w, _, [(_, sa), (b, sb)]) = two_nodes(profile);
+        w.add_host(HostSpec::uniform("x", 1, 1.0));
         w.add_actor(Box::new(EchoServer {
             stack: sb,
             port: 8000,
         }));
-        let client = w.add_actor(Box::new(Client {
+        w.add_actor(Box::new(Client {
             stack: sa,
             server: Endpoint::new(b, 8000),
             payload,
         }));
-        (w, client)
+        w
     }
 
     #[test]
     fn stream_echo_over_clean_link() {
-        let (mut w, _) = build(LinkProfile::lan(), 100);
+        let mut w = build(LinkProfile::lan(), 100);
         w.run_until(SimTime::from_secs(5));
         let echoed: f64 = w.registry().series("client.echo").unwrap().values().sum();
         assert_eq!(echoed, 100.0);
@@ -607,17 +600,7 @@ mod tests {
     /// behind, so its bytes would be acknowledged and discarded.
     #[test]
     fn a_replaced_node_does_not_reuse_its_predecessors_connection() {
-        let mut w = World::new(3);
-        let net = new_net();
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("client");
-            let b = t.add_node("server");
-            t.connect(a, b, LinkProfile::lan());
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let (mut w, net, [(a, sa), (b, sb)]) = two_nodes(LinkProfile::lan());
         w.add_actor(Box::new(EchoServer {
             stack: sb,
             port: 8000,
@@ -641,7 +624,7 @@ mod tests {
         w.crash(app);
         w.crash(sa);
         w.run_until(SimTime::from_secs(7));
-        w.restart(sa, Box::new(NetStack::new(a, net.clone())));
+        w.restart(sa, Box::new(NetStack::new(a, net)));
         w.restart(app, Box::new(client()));
         w.run_until(SimTime::from_secs(12));
         assert_eq!(echoed(&w), 200.0, "the replacement's bytes were echoed too");
@@ -651,7 +634,7 @@ mod tests {
     fn large_transfer_over_lossy_satellite_completes() {
         // 2% loss, 300ms latency: raw datagrams would lose ~segments, the
         // stream layer must recover everything.
-        let (mut w, _) = build(LinkProfile::satellite(), 50_000);
+        let mut w = build(LinkProfile::satellite(), 50_000);
         w.run_until(SimTime::from_secs(120));
         let echoed: f64 = w.registry().series("client.echo").unwrap().values().sum();
         assert_eq!(echoed, 50_000.0, "all bytes echoed despite loss");
@@ -659,17 +642,7 @@ mod tests {
 
     #[test]
     fn stream_to_dead_port_gets_reset() {
-        let mut w = World::new(3);
-        let net = new_net();
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("client");
-            let b = t.add_node("server");
-            t.connect(a, b, LinkProfile::lan());
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let _sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let (mut w, _, [(_, sa), (b, _)]) = two_nodes(LinkProfile::lan());
         w.add_actor(Box::new(Client {
             stack: sa,
             server: Endpoint::new(b, 4444), // nobody listens
@@ -682,17 +655,7 @@ mod tests {
 
     #[test]
     fn dgram_delivery_and_loss() {
-        let mut w = World::new(3);
-        let net = new_net();
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("client");
-            let b = t.add_node("server");
-            t.connect(a, b, LinkProfile::lan().with_loss(0.5));
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let (mut w, _, [(_, sa), (b, sb)]) = two_nodes(LinkProfile::lan().with_loss(0.5));
         w.add_actor(Box::new(EchoServer {
             stack: sb,
             port: 9000,
@@ -730,17 +693,7 @@ mod tests {
 
     #[test]
     fn partition_kills_stream_eventually() {
-        let mut w = World::new(3);
-        let net = new_net();
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("client");
-            let b = t.add_node("server");
-            t.connect(a, b, LinkProfile::lan());
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let (mut w, net, [(a, sa), (b, sb)]) = two_nodes(LinkProfile::lan());
         w.add_actor(Box::new(EchoServer {
             stack: sb,
             port: 8000,
@@ -802,11 +755,7 @@ mod tests {
         }));
         w.run_until(SimTime::from_secs(1));
         // Partition forever: retransmissions exhaust and the conn dies.
-        net.borrow_mut().set_link_up(
-            crate::addr::NodeAddr(0),
-            crate::addr::NodeAddr(1),
-            false,
-        );
+        net.set_link_up(a, b, false);
         w.run_until(SimTime::from_secs(200));
         let dead = w.registry().series("chatty.dead");
         assert!(dead.is_some(), "stream should die after partition");

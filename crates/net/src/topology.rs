@@ -1,30 +1,20 @@
 //! Network topology: nodes, directed links, and frame forwarding.
 //!
-//! The topology is shared (via `Rc<RefCell<..>>`) between all node network
-//! stacks in a single-threaded simulation world. The testbed holds the same
-//! handle to inject faults: taking a backhaul link down, degrading it to a
-//! satellite profile, or partitioning the orchestrator.
+//! All node network stacks of a single-threaded simulation world share
+//! one topology through [`NetFabric`](crate::NetFabric). The testbed holds
+//! the same handle to inject faults: taking a backhaul link down,
+//! degrading it to a satellite profile, or partitioning the orchestrator.
 
 use crate::addr::NodeAddr;
 use crate::link::{Link, LinkProfile, TxOutcome};
 use magma_sim::{ActorId, SimTime};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Per-link RNG seed: a pure function of `(world seed, src, dst)`, so a
 /// link's loss/jitter stream is identical no matter when the link was
 /// connected or re-seeded relative to its siblings.
 fn link_seed(seed: u64, src: NodeAddr, dst: NodeAddr) -> u64 {
     magma_sim::racecheck::splitmix64(seed ^ ((src.0 as u64) << 32) ^ dst.0 as u64)
-}
-
-/// Shared handle to the topology.
-pub type NetHandle = Rc<RefCell<Topology>>;
-
-/// Create a new shared topology handle.
-pub fn new_net() -> NetHandle {
-    Rc::new(RefCell::new(Topology::new()))
 }
 
 /// Aggregate delivery statistics for one direction of a link.

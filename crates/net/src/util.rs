@@ -1,7 +1,13 @@
-//! Length-prefix framing for raw byte protocols carried over the stream
-//! transport (e.g., S1AP messages, which ride SCTP in 3GPP).
+//! Length-prefix framing for messages carried over the stream transport:
+//! S1AP and Diameter (which ride SCTP and TCP in 3GPP) through
+//! [`LpFramer`], and `magma-rpc`'s frames through its `Framer`. Both
+//! reassemble with [`Reassembler`], so every framing rule lives here.
 
+use crate::flows;
+use crate::stack::SockCmd;
+use crate::stream::StreamHandle;
 use bytes::{BufMut, Bytes, BytesMut};
+use magma_sim::{ActorId, Ctx};
 
 /// Prefix a message with its u32 length.
 pub fn lp_encode(msg: &[u8]) -> Bytes {
@@ -18,51 +24,76 @@ pub fn lp_encode(msg: &[u8]) -> Bytes {
 /// 4 GiB.
 pub const MAX_LP_LEN: usize = 128 << 10;
 
-/// Reassembler for length-prefixed messages over arbitrary segmentation.
+/// Reassembler for `[u32 length][body]` messages of at most `CAP` bytes,
+/// over arbitrary segmentation.
+///
+/// A length prefix beyond `CAP` poisons it: framing is lost for good, so
+/// it drops what it holds and ignores further input, and its owner
+/// closes the stream ([`close_if_poisoned`](Self::close_if_poisoned)).
+/// The messages ahead of the bad prefix are still delivered.
 #[derive(Debug, Default)]
-pub struct LpFramer {
-    buf: BytesMut,
+pub struct Reassembler<const CAP: usize> {
+    buf: Vec<u8>,
     poisoned: bool,
 }
 
-impl LpFramer {
+/// The S1AP and Diameter framer.
+pub type LpFramer = Reassembler<MAX_LP_LEN>;
+
+impl<const CAP: usize> Reassembler<CAP> {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Feed bytes; returns complete messages. A length prefix beyond
-    /// [`MAX_LP_LEN`] poisons the framer: framing is lost for good, so it
-    /// drops what it holds and ignores further input until the owner
-    /// closes the stream.
+    /// Feed bytes; returns complete messages.
     pub fn push(&mut self, bytes: &[u8]) -> Vec<Bytes> {
         let mut out = Vec::new();
+        self.push_each(bytes, |m| out.push(Bytes::copy_from_slice(m)));
+        out
+    }
+
+    /// Feed bytes; hands each complete message body to `each`, in order.
+    /// The buffer is walked once and drained once per call.
+    pub fn push_each(&mut self, bytes: &[u8], mut each: impl FnMut(&[u8])) {
         if self.poisoned {
-            return out;
+            return;
         }
         self.buf.extend_from_slice(bytes);
-        loop {
-            if self.buf.len() < 4 {
-                break;
-            }
-            let len =
-                u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-            if len > MAX_LP_LEN {
+        let mut consumed = 0;
+        while let Some(&[b0, b1, b2, b3]) = self.buf.get(consumed..consumed + 4) {
+            let len = u32::from_be_bytes([b0, b1, b2, b3]) as usize;
+            if len > CAP {
                 self.poisoned = true;
-                self.buf = BytesMut::new();
-                break;
+                self.buf = Vec::new();
+                return;
             }
-            if self.buf.len() < 4 + len {
+            let Some(body) = self.buf.get(consumed + 4..consumed + 4 + len) else {
                 break;
-            }
-            let _ = self.buf.split_to(4);
-            out.push(self.buf.split_to(len).freeze());
+            };
+            each(body);
+            consumed += 4 + len;
         }
-        out
+        self.buf.drain(..consumed);
+    }
+
+    /// Bytes currently buffered awaiting more data.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
     }
 
     /// True once an over-long prefix was seen; the stream must be closed.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
+    }
+
+    /// Once poisoned, ask `stack` to close `handle`. The close comes back
+    /// as [`SockEvent::StreamClosed`](crate::SockEvent::StreamClosed),
+    /// where the owner drops the stream's state (and a client reconnects).
+    pub fn close_if_poisoned(&self, ctx: &mut Ctx<'_>, stack: ActorId, handle: StreamHandle) {
+        if self.poisoned {
+            let close = SockCmd::StreamClose { handle };
+            ctx.send_to(stack, &flows::SOCK_CMD, Box::new(close));
+        }
     }
 }
 

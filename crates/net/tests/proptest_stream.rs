@@ -3,7 +3,7 @@
 //! invariant the gRPC-analog control plane relies on over bad backhaul.
 
 use bytes::Bytes;
-use magma_net::{flows, new_net, Endpoint, LinkProfile, NetStack, SockCmd, SockEvent};
+use magma_net::{flows, Endpoint, LinkProfile, NetFabric, SockCmd, SockEvent};
 use magma_sim::{downcast, Actor, ActorId, Ctx, Event, SimDuration, SimTime, World};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -95,7 +95,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut w = World::new(seed);
-        let net = new_net();
+        let net = NetFabric::new();
         let profile = LinkProfile {
             latency: SimDuration::from_millis(20),
             jitter: SimDuration::from_millis(jitter_ms),
@@ -103,15 +103,11 @@ proptest! {
             bandwidth_bps: 50_000_000,
             max_backlog: SimDuration::from_secs(2),
         };
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("a");
-            let b = t.add_node("b");
-            t.connect(a, b, profile);
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        net.connect(a, b, profile);
+        let sa = net.add_stack(&mut w, a);
+        let sb = net.add_stack(&mut w, b);
         let received = Rc::new(RefCell::new(Vec::new()));
         w.add_actor(Box::new(Server {
             stack: sb,

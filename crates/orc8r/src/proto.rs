@@ -42,9 +42,9 @@ pub mod methods {
 
 /// Flow-kind declarations for every RPC edge on the orchestrator and
 /// federation interfaces (see `magma_sim::flow` and the generated
-/// `docs/MESSAGE_FLOW.md`). Kind names double as wire method names — a
-/// unit test pins them to [`methods`] so server-side match arms and
-/// client-side calls can never drift apart.
+/// `docs/MESSAGE_FLOW.md`). Kind names double as wire method names: each
+/// request kind takes its name from [`methods`], so server-side match
+/// arms and client-side calls can never drift apart.
 ///
 /// All edges here are `Transport` class: they ride the RPC stream over
 /// the modeled backhaul. Request kinds name the client tick timer that
@@ -52,11 +52,12 @@ pub mod methods {
 /// which rule F004 (`magma_sim::flow::check`) checks against the
 /// declared timer kinds.
 pub mod flows {
+    use super::methods;
     use magma_sim::{DelayClass, FlowKind, Role};
 
     /// Gateway registration (bootstrapper).
     pub const BOOTSTRAP: FlowKind = FlowKind {
-        name: "orc8r.Bootstrap",
+        name: methods::BOOTSTRAP,
         sender: "agw",
         receiver: "orc8r",
         class: DelayClass::Transport,
@@ -65,7 +66,7 @@ pub mod flows {
     };
     /// Periodic gateway check-in: state report + config pull.
     pub const CHECKIN: FlowKind = FlowKind {
-        name: "orc8r.Checkin",
+        name: methods::CHECKIN,
         sender: "agw",
         receiver: "orc8r",
         class: DelayClass::Transport,
@@ -74,7 +75,7 @@ pub mod flows {
     };
     /// Runtime-state checkpoint upload (backup AGW instance, §3.3).
     pub const CHECKPOINT: FlowKind = FlowKind {
-        name: "orc8r.Checkpoint",
+        name: methods::CHECKPOINT,
         sender: "agw",
         receiver: "orc8r",
         class: DelayClass::Transport,
@@ -83,7 +84,7 @@ pub mod flows {
     };
     /// Online charging: request a quota.
     pub const CREDIT_REQUEST: FlowKind = FlowKind {
-        name: "ocs.CreditRequest",
+        name: methods::CREDIT_REQUEST,
         sender: "agw",
         receiver: "orc8r",
         class: DelayClass::Transport,
@@ -92,7 +93,7 @@ pub mod flows {
     };
     /// Online charging: report usage / release reservation.
     pub const CREDIT_REPORT: FlowKind = FlowKind {
-        name: "ocs.CreditReport",
+        name: methods::CREDIT_REPORT,
         sender: "agw",
         receiver: "orc8r",
         class: DelayClass::Transport,
@@ -101,7 +102,7 @@ pub mod flows {
     };
     /// Telemetry: a gateway `metricsd` registry snapshot.
     pub const METRICS_PUSH: FlowKind = FlowKind {
-        name: "metricsd.Push",
+        name: methods::METRICS_PUSH,
         sender: "agw.metricsd",
         receiver: "orc8r",
         class: DelayClass::Transport,
@@ -112,7 +113,7 @@ pub mod flows {
     /// downhill unprompted; delivery is best-effort per connection). The
     /// body is a [`DbSync`](magma_subscriber::DbSync).
     pub const PUSH_SUBSCRIBERS: FlowKind = FlowKind {
-        name: "sync.Subscribers",
+        name: methods::PUSH_SUBSCRIBERS,
         sender: "orc8r",
         receiver: "agw",
         class: DelayClass::Transport,
@@ -132,7 +133,7 @@ pub mod flows {
     };
     /// Federation: fetch auth vectors from the MNO HSS via the FeG.
     pub const FEG_AUTH: FlowKind = FlowKind {
-        name: "feg.AuthInfo",
+        name: methods::FEG_AUTH,
         sender: "agw",
         receiver: "feg",
         class: DelayClass::Transport,
@@ -321,20 +322,6 @@ pub struct MetricsAck {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flow_kind_names_match_wire_methods() {
-        // Server-side match arms key on `methods::*` strings; clients
-        // send `flows::*.name` as the wire method. Pin them together.
-        assert_eq!(flows::BOOTSTRAP.name, methods::BOOTSTRAP);
-        assert_eq!(flows::CHECKIN.name, methods::CHECKIN);
-        assert_eq!(flows::CHECKPOINT.name, methods::CHECKPOINT);
-        assert_eq!(flows::CREDIT_REQUEST.name, methods::CREDIT_REQUEST);
-        assert_eq!(flows::CREDIT_REPORT.name, methods::CREDIT_REPORT);
-        assert_eq!(flows::METRICS_PUSH.name, methods::METRICS_PUSH);
-        assert_eq!(flows::PUSH_SUBSCRIBERS.name, methods::PUSH_SUBSCRIBERS);
-        assert_eq!(flows::FEG_AUTH.name, methods::FEG_AUTH);
-    }
 
     #[test]
     fn checkin_roundtrips_via_json() {

@@ -97,8 +97,6 @@ struct UeSlot {
     /// Pending downlink NAS waiting out the radio delay.
     pending_nas: VecDeque<NasMessage>,
     attempt_started: Option<SimTime>,
-    /// Attempt counter at timeout arming, to ignore stale timeouts.
-    attempt_epoch: u32,
 }
 
 /// The slot holding `teid`, searched forward from `cursor` and then, on
@@ -137,7 +135,6 @@ impl EnodebActor {
                 ul_teid: None,
                 pending_nas: VecDeque::new(),
                 attempt_started: None,
-                attempt_epoch: 0,
             })
             .collect();
         EnodebActor {
@@ -221,16 +218,16 @@ impl EnodebActor {
         }
         let attach = slot.ue.start_attach();
         slot.attempt_started = Some(now);
-        slot.attempt_epoch = slot.ue.attach_attempts;
         slot.ul_teid = None;
         let msg = S1apMessage::InitialUeMessage {
             enb_ue_id: EnbUeId(idx as u32 + 1),
             nas: attach.encode(),
         };
-        // Uplink also crosses the radio.
-        let d = self.radio_delay(ctx);
-        let epoch = self.slots[idx].attempt_epoch;
-        let _ = epoch;
+        // An uplink radio delay is drawn, but only to advance the RNG: the
+        // InitialUeMessage below leaves with no radio delay. Applying it
+        // would lengthen every attach; dropping the draw would shift every
+        // later radio delay of this eNodeB.
+        self.radio_delay(ctx);
         ctx.send_self(
             &flows::ENB_ATTACH_TIMEOUT,
             UE_ATTACH_TIMEOUT,
@@ -240,13 +237,9 @@ impl EnodebActor {
         // timer is not a hop of the procedure, and a timed-out attach
         // simply leaves its trace unfinished (counted, never exported).
         self.start_attach_trace(ctx);
-        // Model the radio leg as delay before the S1AP send.
         let bytes = lp_encode(&msg.encode());
         if let Some(conn) = self.conn {
             let stack = self.cfg.stack;
-            // Delay the send by scheduling a message to ourselves is
-            // overkill; the radio delay is folded into the send delay.
-            let _ = d;
             ctx.send_to(
                 stack,
                 &magma_agw::flows::RAN_S1AP_UL,
@@ -599,14 +592,7 @@ impl Actor for EnodebActor {
                     }
                     SockEvent::StreamRecv { handle, bytes } if Some(handle) == self.conn => {
                         let msgs = self.framer.push(&bytes);
-                        if self.framer.is_poisoned() {
-                            // Framing is lost for good: close, then reconnect.
-                            ctx.send_to(
-                                self.cfg.stack,
-                                &magma_net::flows::SOCK_CMD,
-                                Box::new(SockCmd::StreamClose { handle }),
-                            );
-                        }
+                        self.framer.close_if_poisoned(ctx, self.cfg.stack, handle);
                         for m in msgs {
                             if let Ok(s1ap) = S1apMessage::decode(&m) {
                                 self.handle_s1ap(ctx, s1ap);
@@ -697,7 +683,6 @@ mod tests {
             ul_teid: t.map(Teid),
             pending_nas: VecDeque::new(),
             attempt_started: None,
-            attempt_epoch: 0,
         };
         teids.iter().enumerate().map(slot).collect()
     }

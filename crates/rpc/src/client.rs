@@ -187,16 +187,9 @@ impl RpcClient {
             {
                 let decode = || ctx.profile_scope("rpc.decode");
                 let frames = self.framer.push_with(&bytes, &mut None, decode);
-                if self.framer.is_poisoned() {
-                    // Framing is lost for good; the close comes back as
-                    // `StreamClosed` and outstanding calls are re-sent on
-                    // a fresh stream.
-                    ctx.send_to(
-                        self.stack,
-                        &flows::SOCK_CMD,
-                        Box::new(SockCmd::StreamClose { handle }),
-                    );
-                }
+                // On `StreamClosed`, outstanding calls are re-sent on a
+                // fresh stream.
+                self.framer.close_if_poisoned(ctx, self.stack, handle);
                 let mut out = Vec::new();
                 for f in frames {
                     match f.kind {

@@ -2,12 +2,15 @@
 //!
 //! The stream transport delivers byte chunks with arbitrary segmentation
 //! (MTU-sized segments, possibly coalesced); the [`Framer`] reassembles
-//! complete `[u32 length][json]` frames.
+//! complete `[u32 length][json]` frames with `magma-net`'s
+//! [`Reassembler`] and parses each.
 
 use crate::msg::{RpcFrame, RpcKind};
 use bytes::Bytes;
+use magma_net::Reassembler;
 use serde::Serialize;
 use serde_json::{Map, Value};
+use std::ops::Deref;
 
 /// Largest frame body a peer may announce: 16 MiB, 80× the largest
 /// checkpoint any scenario sends. A longer prefix is hostile or corrupt —
@@ -59,12 +62,22 @@ pub struct Spare {
     pub body: Value,
 }
 
-/// Streaming reassembler for length-prefixed frames.
+/// Streaming reassembler for length-prefixed frames. Framing (the
+/// [`MAX_FRAME_LEN`] cap, poisoning, [`buffered`](Reassembler::buffered),
+/// [`close_if_poisoned`](Reassembler::close_if_poisoned)) is the
+/// [`Reassembler`]'s, reached through `Deref`; this adds the parse.
 #[derive(Debug, Default)]
 pub struct Framer {
-    buf: Vec<u8>,
+    frames: Reassembler<MAX_FRAME_LEN>,
     rejected: u64,
-    poisoned: bool,
+}
+
+impl Deref for Framer {
+    type Target = Reassembler<MAX_FRAME_LEN>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.frames
+    }
 }
 
 impl Framer {
@@ -92,25 +105,7 @@ impl Framer {
         mut scope: impl FnMut() -> G,
     ) -> Vec<RpcFrame> {
         let mut out = Vec::new();
-        if self.poisoned {
-            return out;
-        }
-        self.buf.extend_from_slice(bytes);
-        let mut consumed = 0;
-        while let Some(rest) = self.buf.get(consumed..) {
-            let Some(&[b0, b1, b2, b3]) = rest.get(..PREFIX_LEN) else {
-                break;
-            };
-            let len = u32::from_be_bytes([b0, b1, b2, b3]) as usize;
-            if len > MAX_FRAME_LEN {
-                self.rejected += 1;
-                self.poisoned = true;
-                self.buf = Vec::new();
-                return out;
-            }
-            let Some(text) = rest.get(PREFIX_LEN..PREFIX_LEN + len) else {
-                break;
-            };
+        self.frames.push_each(bytes, |text| {
             let _scope = scope();
             let names = |s: &mut Spare| {
                 let t = text
@@ -127,26 +122,14 @@ impl Framer {
                 Ok(frame) => out.push(frame),
                 Err(_) => self.rejected += 1,
             }
-            consumed += PREFIX_LEN + len;
-        }
-        self.buf.drain(..consumed);
+        });
         out
-    }
-
-    /// Bytes currently buffered awaiting more data.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
     }
 
     /// Frames refused so far: unparseable bodies plus the over-long
     /// prefix that poisoned the framer, if one did.
     pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// True once an over-long prefix was seen; the stream must be closed.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.rejected + u64::from(self.frames.is_poisoned())
     }
 }
 

@@ -21,7 +21,7 @@ pub use server::{RpcServer, RpcServerEvent};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magma_net::{new_net, Endpoint, LinkProfile, NetStack, SockEvent};
+    use magma_net::{Endpoint, LinkProfile, NetFabric, SockEvent};
     use magma_sim::{downcast, Actor, Ctx, DelayClass, Event, FlowKind, Role, SimDuration, SimTime, World};
     use serde_json::{json, Value};
 
@@ -154,16 +154,12 @@ mod tests {
 
     fn build(profile: LinkProfile, n: u32) -> World {
         let mut w = World::new(11);
-        let net = new_net();
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("client");
-            let b = t.add_node("server");
-            t.connect(a, b, profile);
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let net = NetFabric::new();
+        let a = net.add_node("client");
+        let b = net.add_node("server");
+        net.connect(a, b, profile);
+        let sa = net.add_stack(&mut w, a);
+        let sb = net.add_stack(&mut w, b);
         let server_ep = Endpoint::new(b, 8443);
         w.add_actor(Box::new(EchoService {
             server: RpcServer::new(sb, 8443),
@@ -224,16 +220,12 @@ mod tests {
             }
         }
         let mut w = World::new(5);
-        let net = new_net();
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("c");
-            let b = t.add_node("s");
-            t.connect(a, b, LinkProfile::lan());
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let net = NetFabric::new();
+        let a = net.add_node("c");
+        let b = net.add_node("s");
+        net.connect(a, b, LinkProfile::lan());
+        let sa = net.add_stack(&mut w, a);
+        let sb = net.add_stack(&mut w, b);
         w.add_actor(Box::new(EchoService {
             server: RpcServer::new(sb, 8443),
         }));
@@ -253,18 +245,14 @@ mod tests {
     #[test]
     fn calls_fail_after_deadline_when_partitioned() {
         let mut w = World::new(5);
-        let net = new_net();
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("c");
-            let b = t.add_node("s");
-            t.connect(a, b, LinkProfile::lan());
-            // Partition immediately.
-            t.set_link_up(a, b, false);
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let _sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let net = NetFabric::new();
+        let a = net.add_node("c");
+        let b = net.add_node("s");
+        net.connect(a, b, LinkProfile::lan());
+        // Partition immediately.
+        net.set_link_up(a, b, false);
+        let sa = net.add_stack(&mut w, a);
+        net.add_stack(&mut w, b);
         w.add_actor(Box::new(Caller {
             client: RpcClient::new(sa, Endpoint::new(b, 8443), 1),
             n: 1,
@@ -283,16 +271,12 @@ mod tests {
     #[test]
     fn client_recovers_after_partition_heals() {
         let mut w = World::new(5);
-        let net = new_net();
-        let (a, b) = {
-            let mut t = net.borrow_mut();
-            let a = t.add_node("c");
-            let b = t.add_node("s");
-            t.connect(a, b, LinkProfile::lan());
-            (a, b)
-        };
-        let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-        let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+        let net = NetFabric::new();
+        let a = net.add_node("c");
+        let b = net.add_node("s");
+        net.connect(a, b, LinkProfile::lan());
+        let sa = net.add_stack(&mut w, a);
+        let sb = net.add_stack(&mut w, b);
         w.add_actor(Box::new(EchoService {
             server: RpcServer::new(sb, 8443),
         }));
@@ -304,11 +288,9 @@ mod tests {
             sent: 0,
         }));
         w.run_until(SimTime::from_secs(1));
-        net.borrow_mut()
-            .set_link_up(magma_net::NodeAddr(0), magma_net::NodeAddr(1), false);
+        net.set_link_up(a, b, false);
         w.run_until(SimTime::from_secs(10));
-        net.borrow_mut()
-            .set_link_up(magma_net::NodeAddr(0), magma_net::NodeAddr(1), true);
+        net.set_link_up(a, b, true);
         w.run_until(SimTime::from_secs(140));
         let ok = w.registry().series("rpc.ok").map(|s| s.len()).unwrap_or(0);
         assert!(ok >= 35, "most calls complete after heal, got {ok}");

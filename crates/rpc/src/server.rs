@@ -81,7 +81,6 @@ impl RpcServer {
             }
             SockEvent::StreamRecv { handle, bytes } if self.conns.contains_key(&handle) => {
                 let mut out = Vec::new();
-                let mut poisoned = false;
                 if let Some(framer) = self.conns.get_mut(&handle) {
                     let decode = || ctx.profile_scope("rpc.decode");
                     for f in framer.push_with(&bytes, &mut self.spare, decode) {
@@ -94,16 +93,7 @@ impl RpcServer {
                             });
                         }
                     }
-                    poisoned = framer.is_poisoned();
-                }
-                if poisoned {
-                    // Framing is lost for good; the close comes back as
-                    // `StreamClosed`, which drops the connection.
-                    ctx.send_to(
-                        self.stack,
-                        &flows::SOCK_CMD,
-                        Box::new(SockCmd::StreamClose { handle }),
-                    );
+                    framer.close_if_poisoned(ctx, self.stack, handle);
                 }
                 self.requests_served += out.len() as u64;
                 Ok(out)

@@ -2,7 +2,7 @@
 //! the orchestrator pushes what brings connected gateways current without
 //! being asked.
 
-use magma_net::{new_net, Endpoint, LinkProfile, NetStack, SockEvent};
+use magma_net::{Endpoint, LinkProfile, NetFabric, SockEvent};
 use magma_rpc::{RpcClient, RpcClientEvent, RpcServer, RpcServerEvent};
 use magma_sim::{downcast, Actor, Ctx, DelayClass, Event, FlowKind, Role, SimDuration, SimTime, World};
 use serde_json::json;
@@ -114,16 +114,12 @@ impl Subscriber {
 #[test]
 fn pushes_arrive_in_order_over_lossy_link() {
     let mut w = World::new(91);
-    let net = new_net();
-    let (a, b) = {
-        let mut t = net.borrow_mut();
-        let a = t.add_node("client");
-        let b = t.add_node("server");
-        t.connect(a, b, LinkProfile::microwave().with_loss(0.05));
-        (a, b)
-    };
-    let sa = w.add_actor(Box::new(NetStack::new(a, net.clone())));
-    let sb = w.add_actor(Box::new(NetStack::new(b, net.clone())));
+    let net = NetFabric::new();
+    let a = net.add_node("client");
+    let b = net.add_node("server");
+    net.connect(a, b, LinkProfile::microwave().with_loss(0.05));
+    let sa = net.add_stack(&mut w, a);
+    let sb = net.add_stack(&mut w, b);
     w.add_actor(Box::new(Pusher {
         server: RpcServer::new(sb, 8443),
         seq: 0,

@@ -36,7 +36,6 @@
 //! the repo benchmark's `layers` pass (`benchmark/`).
 
 use crate::actor::Event;
-use crate::registry::Registry;
 use crate::time::SimDuration;
 use serde::Serialize;
 use std::cell::RefCell;
@@ -416,30 +415,6 @@ pub struct ProfileSnapshot {
     #[serde(rename = "virtual")]
     pub virt: VirtualProfile,
     pub host: HostProfile,
-}
-
-impl ProfileSnapshot {
-    /// Export the deterministic profile aggregates into the registry so
-    /// the standard export/golden-diff machinery audits them. Explicit —
-    /// never called automatically — so enabling profiling alone does not
-    /// perturb existing registry exports.
-    pub fn observe_into(&self, reg: &mut Registry) {
-        let dispatches: u64 = self.virt.rows.iter().map(|r| r.dispatches).sum();
-        let scope_enters: u64 = self.virt.scopes.iter().map(|s| s.count).sum();
-        reg.counter_add("sim.prof.dispatch_total", dispatches as f64);
-        reg.counter_add("sim.prof.scope_enter_total", scope_enters as f64);
-        reg.gauge_set("sim.prof.vcpu_attributed_s", self.virt.vcpu_attributed_s);
-        reg.gauge_set("sim.prof.vcpu_total_s", self.virt.vcpu_total_s);
-        reg.gauge_set("sim.prof.heap_peak_depth", self.virt.heap.peak_depth as f64);
-        reg.counter_add(
-            "sim.prof.heap_scheduled_total",
-            self.virt.heap.scheduled_total as f64,
-        );
-        reg.counter_add(
-            "sim.prof.heap_cancelled_total",
-            self.virt.heap.cancelled_total as f64,
-        );
-    }
 }
 
 #[cfg(test)]

@@ -21,9 +21,8 @@
 //! [`Ctx::trace_finish`](crate::Ctx::trace_finish): the **critical
 //! path** is the chain of spans from the finishing span up to the root,
 //! and its per-[`FlowKind`](crate::FlowKind) durations are aggregated
-//! so "attach p99 is
-//! 71% S6a round-trip" is a query (`sim.trace.*` registry rows), not a
-//! guess. Pending-but-irrelevant spans (an attach timeout that never
+//! into each procedure's [`ProcSummary`], so "attach p99 is 71% S6a
+//! round-trip" is a query, not a guess. Pending-but-irrelevant spans (an attach timeout that never
 //! fires) stay off the path automatically.
 //!
 //! Determinism: tracing only observes — it never feeds virtual time or
@@ -35,7 +34,6 @@
 //! contract as simprof).
 
 use crate::actor::ActorId;
-use crate::registry::Registry;
 use crate::time::SimTime;
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
@@ -45,7 +43,7 @@ pub const ROOT_SPAN: u32 = u32::MAX;
 
 /// Per-trace span budget: one procedure tree never grows past this many
 /// spans; further hops stop propagating and are counted in
-/// `sim.trace.span_overflow_total`.
+/// [`TraceStats::span_overflow_total`].
 pub const DEFAULT_SPAN_BUDGET: usize = 512;
 
 /// Maximum causal depth carried by a context; deeper chains stop
@@ -54,7 +52,7 @@ pub const DEFAULT_SPAN_BUDGET: usize = 512;
 pub const MAX_TRACE_DEPTH: u16 = 192;
 
 /// Live (unfinished) traces retained at once; beyond this the oldest is
-/// evicted and counted in `sim.trace.evicted_total`.
+/// evicted and counted in [`TraceStats::evicted_total`].
 pub const DEFAULT_LIVE_TRACE_CAP: usize = 1024;
 
 /// Finished trace trees retained for export (oldest dropped first; the
@@ -481,44 +479,6 @@ pub struct TraceSnapshot {
     pub traces: Vec<TraceExport>,
 }
 
-/// Replace metric-name-hostile characters in an interpolated segment.
-fn metric_seg(s: &str) -> String {
-    s.replace('.', "_")
-}
-
-impl TraceSnapshot {
-    /// Register the tracer's aggregates as `sim.trace.*` rows (see the
-    /// `docs/OBSERVABILITY.md` inventory). Call once per registry, the
-    /// same contract as `ProfileSnapshot::observe_into`.
-    pub fn observe_into(&self, reg: &mut Registry) {
-        reg.counter_add("sim.trace.started_total", self.stats.started_total as f64);
-        reg.counter_add("sim.trace.sampled_total", self.stats.sampled_total as f64);
-        reg.counter_add("sim.trace.finished_total", self.stats.finished_total as f64);
-        reg.counter_add("sim.trace.spans_total", self.stats.spans_total as f64);
-        reg.counter_add(
-            "sim.trace.span_overflow_total",
-            self.stats.span_overflow_total as f64,
-        );
-        reg.counter_add("sim.trace.evicted_total", self.stats.evicted_total as f64);
-        reg.counter_add(
-            "sim.trace.orphan_spans_total",
-            self.stats.orphan_spans_total as f64,
-        );
-        for proc in &self.procs {
-            let label = metric_seg(&proc.label);
-            reg.counter_add(&format!("sim.trace.{label}.count"), proc.count as f64);
-            reg.gauge_set(
-                &format!("sim.trace.{label}.latency_mean_s"),
-                proc.latency_mean_s,
-            );
-            for hop in &proc.hops {
-                let kind = metric_seg(&hop.kind);
-                reg.gauge_set(&format!("sim.trace.{label}.hop.{kind}_s"), hop.total_s);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,25 +560,6 @@ mod tests {
         tr.finish(t1, t(4));
         assert_eq!(tr.orphan_total, 2);
         assert_eq!(tr.finished_total, 0);
-    }
-
-    #[test]
-    fn observe_into_emits_inventory_rows() {
-        let mut tr = Tracer::new();
-        let root = tr.start("attach", A, t(0));
-        let hop = tr.child(root, "net.frame", A, B, t(0)).unwrap();
-        let cur = tr.deliver(hop, t(250));
-        tr.finish(cur, t(250));
-        let snap = tr.snapshot(&[]);
-        let mut reg = Registry::new();
-        snap.observe_into(&mut reg);
-        assert_eq!(reg.counter("sim.trace.started_total"), 1.0);
-        assert_eq!(reg.counter("sim.trace.attach.count"), 1.0);
-        assert_eq!(
-            reg.gauge("sim.trace.attach.hop.net_frame_s"),
-            Some(250e-6)
-        );
-        assert!(reg.gauge("sim.trace.attach.latency_mean_s").is_some());
     }
 
     #[test]

@@ -79,8 +79,8 @@ pub fn run(seed: u64) -> FailoverResult {
     let agw = &sc.agws[0];
     sc.world.restart(
         agw.stack,
-        // The node address is stable; the stack rebinds on Start.
-        Box::new(NetStack::new(agw.node, sc.net.handle())),
+        // The stack keeps its actor id, so its binding survives.
+        Box::new(NetStack::new(agw.node, sc.net.clone())),
     );
     let mut restored = AgwActor::restore_from_wire(agw.cfg.clone(), agw.handle.clone(), stored)
         .expect("the orchestrator stores what the gateway uploaded");

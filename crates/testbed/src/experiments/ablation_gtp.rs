@@ -12,7 +12,7 @@
 use crate::scenario::SIM_SEED;
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
 use magma_epc_baseline::EpcCoreActor;
-use magma_net::{Endpoint, LinkProfile, NetFabric, NetStack, ports};
+use magma_net::{Endpoint, LinkProfile, NetFabric, ports};
 use magma_ran::{ue_fleet_with_quirk, EnbConfig, EnodebActor, TrafficModel};
 use magma_sim::{HostSpec, SimTime, World};
 use magma_subscriber::{SubscriberDb, SubscriberProfile};
@@ -56,7 +56,7 @@ fn backhaul(loss: f64) -> LinkProfile {
 /// standalone mode, lossy backhaul carrying only Internet traffic.
 pub fn run_magma(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
     let mut w = World::new(seed);
-    let mut net = NetFabric::new();
+    let net = NetFabric::new();
     let site = net.add_node("site");
     let enb_node = net.add_node("enb");
     net.connect(enb_node, site, LinkProfile::lan());
@@ -64,10 +64,8 @@ pub fn run_magma(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
     // radio-specific protocol in the Magma architecture.
     let inet = net.add_node("inet");
     net.connect(site, inet, backhaul(loss));
-    let site_stack = w.add_actor(Box::new(NetStack::new(site, net.handle())));
-    net.bind_stack(site, site_stack);
-    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle())));
-    net.bind_stack(enb_node, enb_stack);
+    let site_stack = net.add_stack(&mut w, site);
+    let enb_stack = net.add_stack(&mut w, enb_node);
     let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
     let cfg = AgwConfig::new("agw0", host, site_stack);
     let mut agw = AgwActor::new(cfg, new_agw_handle());
@@ -98,14 +96,12 @@ pub fn run_magma(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
 /// GTP-U path management active.
 pub fn run_baseline(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
     let mut w = World::new(seed);
-    let mut net = NetFabric::new();
+    let net = NetFabric::new();
     let core = net.add_node("core");
     let enb_node = net.add_node("enb");
     net.connect(enb_node, core, backhaul(loss));
-    let core_stack = w.add_actor(Box::new(NetStack::new(core, net.handle())));
-    net.bind_stack(core, core_stack);
-    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle())));
-    net.bind_stack(enb_node, enb_stack);
+    let core_stack = net.add_stack(&mut w, core);
+    let enb_stack = net.add_stack(&mut w, enb_node);
     let epc = w.add_actor(Box::new(EpcCoreActor::new(core_stack, provision_db(), loss)));
 
     let ues = ue_fleet_with_quirk(SIM_SEED, 1, N_UES, TrafficModel::http_download(), LOW_END_FRAC);

@@ -7,7 +7,7 @@
 //! deployments of Magma".
 
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig, AgwHandle, CpuProfile, MetricsdActor};
-use magma_net::{Endpoint, LinkProfile, NetFabric, NetStack, NodeAddr, ports};
+use magma_net::{Endpoint, LinkProfile, NetFabric, NodeAddr, ports};
 use magma_orc8r::{new_orc8r, AlertRule, Orc8rActor, Orc8rHandle};
 use magma_policy::PolicyRule;
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor, SectorModel, TrafficModel, UeSim};
@@ -183,7 +183,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
     // Every actor below gets a racecheck component: `orc8r[0]` for the
     // orchestrator, `agw[i]` for gateway site i (docs/DETERMINISM.md
     // § Logical races).
-    let mut net = NetFabric::new();
+    let net = NetFabric::new();
     // Per-link RNG streams derive from (seed, src, dst): loss/jitter
     // draws are schedule-independent under racecheck's permuted runs.
     net.set_seed(cfg.seed);
@@ -192,8 +192,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
 
     // Orchestrator node.
     let orc8r_node = net.add_node("orc8r");
-    let orc8r_stack = world.add_actor(Box::new(NetStack::new(orc8r_node, net.handle())));
-    net.bind_stack(orc8r_node, orc8r_stack);
+    let orc8r_stack = net.add_stack(&mut world, orc8r_node);
     world.set_component(orc8r_stack, "orc8r[0]");
     let orc8r_actor = world.add_actor(Box::new(Orc8rActor::new(
         orc8r.clone(),
@@ -240,8 +239,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
         let site = format!("agw[{a}]");
         let node = net.add_node(&id);
         net.connect(node, orc8r_node, spec.backhaul);
-        let stack = world.add_actor(Box::new(NetStack::new(node, net.handle())));
-        net.bind_stack(node, stack);
+        let stack = net.add_stack(&mut world, node);
         world.set_component(stack, &site);
 
         let mut agw_cfg = AgwConfig::new(&id, host, stack)
@@ -274,8 +272,7 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
         for e in 0..spec.site.enbs {
             let enb_node = net.add_node(&format!("{id}-enb{e}"));
             net.connect(enb_node, node, LinkProfile::lan());
-            let enb_stack = world.add_actor(Box::new(NetStack::new(enb_node, net.handle())));
-            net.bind_stack(enb_node, enb_stack);
+            let enb_stack = net.add_stack(&mut world, enb_node);
             world.set_component(enb_stack, &site);
             let ues: Vec<UeSim> = ue_fleet(
                 SIM_SEED,

@@ -139,7 +139,7 @@ fn a_checkin_pulled_snapshot_does_not_fail_later_reattaches() {
     sc.world.run_until(SimTime::from_secs(110));
     sc.world.restart(
         orc8r_stack,
-        Box::new(NetStack::new(sc.orc8r_node, sc.net.handle())),
+        Box::new(NetStack::new(sc.orc8r_node, sc.net.clone())),
     );
     sc.world.restart(
         sc.orc8r_actor,

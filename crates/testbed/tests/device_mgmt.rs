@@ -3,7 +3,7 @@
 //! its health, and alerts when a gateway goes dark.
 
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
-use magma_net::{new_net, ports, Endpoint, LinkProfile, NetStack};
+use magma_net::{ports, Endpoint, LinkProfile, NetFabric};
 use magma_orc8r::{new_orc8r, Orc8rActor};
 use magma_ran::TrafficModel;
 use magma_sim::{HostSpec, SimDuration, SimTime, World};
@@ -80,20 +80,16 @@ fn partitioned_gateway_raises_offline_alert_then_recovers() {
 #[test]
 fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
     let mut w = World::new(25);
-    let net = new_net();
-    let (agw_node, orc8r_node) = {
-        let mut t = net.borrow_mut();
-        let a = t.add_node("agw");
-        let o = t.add_node("orc8r");
-        t.connect(
-            a,
-            o,
-            LinkProfile::fiber().with_latency(SimDuration::from_millis(1_500)),
-        );
-        (a, o)
-    };
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
-    let orc8r_stack = w.add_actor(Box::new(NetStack::new(orc8r_node, net.clone())));
+    let net = NetFabric::new();
+    let agw_node = net.add_node("agw");
+    let orc8r_node = net.add_node("orc8r");
+    net.connect(
+        agw_node,
+        orc8r_node,
+        LinkProfile::fiber().with_latency(SimDuration::from_millis(1_500)),
+    );
+    let agw_stack = net.add_stack(&mut w, agw_node);
+    let orc8r_stack = net.add_stack(&mut w, orc8r_node);
     let orc8r = new_orc8r(1 << 30);
     w.add_actor(Box::new(Orc8rActor::new(
         orc8r.clone(),

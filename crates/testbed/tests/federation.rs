@@ -5,7 +5,7 @@
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
 use magma_feg::{FegActor, MnoCoreActor};
 use magma_orc8r::{new_orc8r, Orc8rActor};
-use magma_net::{new_net, Endpoint, LinkProfile, NetStack, ports};
+use magma_net::{Endpoint, LinkProfile, NetFabric, ports};
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor, TrafficModel};
 use magma_sim::{HostSpec, SimDuration, SimTime, World};
 use magma_subscriber::{SubscriberDb, SubscriberProfile};
@@ -14,23 +14,19 @@ use magma_wire::Imsi;
 #[test]
 fn federated_attach_via_mno_hss() {
     let mut w = World::new(17);
-    let net = new_net();
-    let (agw_node, feg_node, mno_node, enb_node) = {
-        let mut t = net.borrow_mut();
-        let a = t.add_node("agw");
-        let f = t.add_node("feg");
-        let m = t.add_node("mno");
-        let e = t.add_node("enb");
-        // AGW reaches the FeG across a WAN; FeG↔MNO is a leased line.
-        t.connect(a, f, LinkProfile::fiber());
-        t.connect(f, m, LinkProfile::fiber());
-        t.connect(e, a, LinkProfile::lan());
-        (a, f, m, e)
-    };
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
-    let feg_stack = w.add_actor(Box::new(NetStack::new(feg_node, net.clone())));
-    let mno_stack = w.add_actor(Box::new(NetStack::new(mno_node, net.clone())));
-    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.clone())));
+    let net = NetFabric::new();
+    let agw_node = net.add_node("agw");
+    let feg_node = net.add_node("feg");
+    let mno_node = net.add_node("mno");
+    let enb_node = net.add_node("enb");
+    // AGW reaches the FeG across a WAN; FeG↔MNO is a leased line.
+    net.connect(agw_node, feg_node, LinkProfile::fiber());
+    net.connect(feg_node, mno_node, LinkProfile::fiber());
+    net.connect(enb_node, agw_node, LinkProfile::lan());
+    let agw_stack = net.add_stack(&mut w, agw_node);
+    let feg_stack = net.add_stack(&mut w, feg_node);
+    let mno_stack = net.add_stack(&mut w, mno_node);
+    let enb_stack = net.add_stack(&mut w, enb_node);
 
     // MNO HSS knows the subscribers (SIM seed 7, indices 1..=4).
     let mut mno_db = SubscriberDb::new();
@@ -78,22 +74,18 @@ fn federated_attach_via_mno_hss() {
 #[test]
 fn federated_attach_fails_for_unknown_roamer() {
     let mut w = World::new(18);
-    let net = new_net();
-    let (agw_node, feg_node, mno_node, enb_node) = {
-        let mut t = net.borrow_mut();
-        let a = t.add_node("agw");
-        let f = t.add_node("feg");
-        let m = t.add_node("mno");
-        let e = t.add_node("enb");
-        t.connect(a, f, LinkProfile::fiber());
-        t.connect(f, m, LinkProfile::fiber());
-        t.connect(e, a, LinkProfile::lan());
-        (a, f, m, e)
-    };
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
-    let feg_stack = w.add_actor(Box::new(NetStack::new(feg_node, net.clone())));
-    let mno_stack = w.add_actor(Box::new(NetStack::new(mno_node, net.clone())));
-    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.clone())));
+    let net = NetFabric::new();
+    let agw_node = net.add_node("agw");
+    let feg_node = net.add_node("feg");
+    let mno_node = net.add_node("mno");
+    let enb_node = net.add_node("enb");
+    net.connect(agw_node, feg_node, LinkProfile::fiber());
+    net.connect(feg_node, mno_node, LinkProfile::fiber());
+    net.connect(enb_node, agw_node, LinkProfile::lan());
+    let agw_stack = net.add_stack(&mut w, agw_node);
+    let feg_stack = net.add_stack(&mut w, feg_node);
+    let mno_stack = net.add_stack(&mut w, mno_node);
+    let enb_stack = net.add_stack(&mut w, enb_node);
 
     // MNO HSS is empty: the roamer is unknown everywhere.
     w.add_actor(Box::new(MnoCoreActor::new(mno_stack, SubscriberDb::new())));
@@ -136,26 +128,22 @@ fn idle_traffic_model_generates_nothing() {
 #[test]
 fn orc8r_and_feg_calls_with_equal_ids_each_get_their_own_answer() {
     let mut w = World::new(19);
-    let net = new_net();
-    let (agw_node, orc8r_node, feg_node, mno_node, enb_node) = {
-        let mut t = net.borrow_mut();
-        let a = t.add_node("agw");
-        let o = t.add_node("orc8r");
-        let f = t.add_node("feg");
-        let m = t.add_node("mno");
-        let e = t.add_node("enb");
-        let slow = LinkProfile::fiber().with_latency(SimDuration::from_millis(600));
-        t.connect(a, o, slow);
-        t.connect(a, f, LinkProfile::fiber());
-        t.connect(f, m, LinkProfile::fiber());
-        t.connect(e, a, LinkProfile::lan());
-        (a, o, f, m, e)
-    };
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
-    let orc8r_stack = w.add_actor(Box::new(NetStack::new(orc8r_node, net.clone())));
-    let feg_stack = w.add_actor(Box::new(NetStack::new(feg_node, net.clone())));
-    let mno_stack = w.add_actor(Box::new(NetStack::new(mno_node, net.clone())));
-    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.clone())));
+    let net = NetFabric::new();
+    let agw_node = net.add_node("agw");
+    let orc8r_node = net.add_node("orc8r");
+    let feg_node = net.add_node("feg");
+    let mno_node = net.add_node("mno");
+    let enb_node = net.add_node("enb");
+    let slow = LinkProfile::fiber().with_latency(SimDuration::from_millis(600));
+    net.connect(agw_node, orc8r_node, slow);
+    net.connect(agw_node, feg_node, LinkProfile::fiber());
+    net.connect(feg_node, mno_node, LinkProfile::fiber());
+    net.connect(enb_node, agw_node, LinkProfile::lan());
+    let agw_stack = net.add_stack(&mut w, agw_node);
+    let orc8r_stack = net.add_stack(&mut w, orc8r_node);
+    let feg_stack = net.add_stack(&mut w, feg_node);
+    let mno_stack = net.add_stack(&mut w, mno_node);
+    let enb_stack = net.add_stack(&mut w, enb_node);
 
     let orc8r = new_orc8r(1 << 30);
     w.add_actor(Box::new(Orc8rActor::new(orc8r.clone(), orc8r_stack, ports::ORC8R)));

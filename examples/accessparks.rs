@@ -11,13 +11,13 @@ use magma::ran::{WifiApActor, WifiApConfig};
 use magma::sim::{HostSpec, SimDuration, SimTime, World};
 use magma::testbed::trace::{accessparks_trace, summarize, TraceParams};
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
-use magma_net::{Endpoint, LinkProfile, NetFabric, NetStack, ports};
+use magma_net::{Endpoint, LinkProfile, NetFabric, ports};
 use magma_subscriber::{SubscriberDb, SubscriberProfile};
 use magma_wire::Imsi;
 
 fn main() {
     let mut w = World::new(2022);
-    let mut net = NetFabric::new();
+    let net = NetFabric::new();
 
     // One site AGW; four WiFi APs (CBRS fixed-wireless modems) behind it.
     let agw_node = net.add_node("agw");
@@ -28,8 +28,7 @@ fn main() {
             n
         })
         .collect();
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.handle())));
-    net.bind_stack(agw_node, agw_stack);
+    let agw_stack = net.add_stack(&mut w, agw_node);
     let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
 
     // Provision the APs as WiFi subscribers (union schema: no SIM, just
@@ -50,8 +49,7 @@ fn main() {
     let agw = w.add_actor(Box::new(agw));
 
     for (i, node) in ap_nodes.iter().enumerate() {
-        let stack = w.add_actor(Box::new(NetStack::new(*node, net.handle())));
-        net.bind_stack(*node, stack);
+        let stack = net.add_stack(&mut w, *node);
         w.add_actor(Box::new(WifiApActor::new(WifiApConfig {
             name: format!("ap-{i}"),
             stack,

@@ -10,10 +10,10 @@
 //!
 //! Run with: `cargo run --release --example neutral_host`
 
-use magma::feg::{scaling_comparison, FegActor, GtpaParams, MnoCoreActor};
+use magma::feg::{scaling_comparison, FegActor, MnoCoreActor};
 use magma::sim::{HostSpec, SimTime, World};
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
-use magma_net::{Endpoint, LinkProfile, NetFabric, NetStack, ports};
+use magma_net::{Endpoint, LinkProfile, NetFabric, ports};
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor, TrafficModel};
 use magma_subscriber::{SubscriberDb, SubscriberProfile};
 use magma_wire::Imsi;
@@ -21,7 +21,7 @@ use magma_wire::Imsi;
 fn main() {
     let mut w = World::new(33);
     // The micro-operator site, the FeG, and the incumbent MNO core.
-    let mut net = NetFabric::new();
+    let net = NetFabric::new();
     let agw_node = net.add_node("micro-operator-agw");
     let feg_node = net.add_node("feg");
     let mno_node = net.add_node("incumbent-mno");
@@ -29,14 +29,10 @@ fn main() {
     net.connect(agw_node, feg_node, LinkProfile::fiber());
     net.connect(feg_node, mno_node, LinkProfile::fiber());
     net.connect(enb_node, agw_node, LinkProfile::lan());
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.handle())));
-    net.bind_stack(agw_node, agw_stack);
-    let feg_stack = w.add_actor(Box::new(NetStack::new(feg_node, net.handle())));
-    net.bind_stack(feg_node, feg_stack);
-    let mno_stack = w.add_actor(Box::new(NetStack::new(mno_node, net.handle())));
-    net.bind_stack(mno_node, mno_stack);
-    let enb_stack = w.add_actor(Box::new(NetStack::new(enb_node, net.handle())));
-    net.bind_stack(enb_node, enb_stack);
+    let agw_stack = net.add_stack(&mut w, agw_node);
+    let feg_stack = net.add_stack(&mut w, feg_node);
+    let mno_stack = net.add_stack(&mut w, mno_node);
+    let enb_stack = net.add_stack(&mut w, enb_node);
 
     // Ten incumbent-MNO subscribers, known only to the MNO's HSS.
     let mut mno_db = SubscriberDb::new();
@@ -74,11 +70,7 @@ fn main() {
 
     println!("== GTP-A scaling (home routing vs local breakout) ==");
     println!("agws  home-routed(Gbps)  local-breakout(Gbps)");
-    for (n, home, local) in scaling_comparison(
-        100_000_000,
-        GtpaParams::default(),
-        &[50, 100, 200, 400, 800, 1600],
-    ) {
+    for (n, home, local) in scaling_comparison(100_000_000, &[50, 100, 200, 400, 800, 1600]) {
         println!("{n:4} {home:17.1} {local:20.1}");
     }
     println!(

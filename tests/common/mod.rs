@@ -6,7 +6,7 @@ use magma::prelude::*;
 use magma::sim::{downcast, Actor, ActorId, Ctx, Event};
 use magma::testbed::Scenario;
 use magma_net::{
-    flows, lp_encode, ports, Endpoint, LpFramer, NetStack, SockCmd, SockEvent, StreamHandle,
+    flows, lp_encode, ports, Endpoint, LpFramer, SockCmd, SockEvent, StreamHandle,
 };
 use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::Teid;
@@ -99,10 +99,7 @@ pub fn add_target_enb(sc: &mut Scenario, switch_at: SimTime, target_ue: MmeUeId)
     let target_node = sc.net.add_node("target-enb");
     sc.net
         .connect(target_node, sc.agws[0].node, magma_net::LinkProfile::lan());
-    let target_stack = sc
-        .world
-        .add_actor(Box::new(NetStack::new(target_node, sc.net.handle())));
-    sc.net.bind_stack(target_node, target_stack);
+    let target_stack = sc.net.add_stack(&mut sc.world, target_node);
     sc.world.add_actor(Box::new(TargetEnb {
         stack: target_stack,
         agw: Endpoint::new(sc.agws[0].node, ports::S1AP),

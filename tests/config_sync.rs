@@ -14,7 +14,7 @@ use magma::rpc::{RpcServer, RpcServerEvent};
 use magma::sim::{downcast, Actor, Ctx, DelayClass, Event, FlowKind, HostSpec, Role, World};
 use magma::subscriber::{DbSnapshot, DbSync, SubscriberDb};
 use magma::testbed::scenario::{AgwInstance, Scenario, SIM_SEED};
-use magma_net::{new_net, ports, Endpoint, LinkProfile, NetStack, SockEvent, StreamHandle};
+use magma_net::{ports, Endpoint, LinkProfile, NetFabric, NetStack, SockEvent, StreamHandle};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -182,7 +182,7 @@ fn a_fresh_gateway_and_a_restored_backup_pull_the_full_snapshot() {
     for (gw, mut actor) in sc.agws.iter().zip([fresh, backup]) {
         sc.world.restart(
             gw.stack,
-            Box::new(NetStack::new(gw.node, sc.net.handle())),
+            Box::new(NetStack::new(gw.node, sc.net.clone())),
         );
         actor.set_up_cores(gw.up_cores);
         sc.world.restart(gw.actor, Box::new(actor));
@@ -293,16 +293,12 @@ impl Actor for GappyOrc8r {
 #[test]
 fn a_gapped_push_is_ignored_and_the_next_checkin_pulls_the_state() {
     let mut w = World::new(31);
-    let net = new_net();
-    let (agw_node, orc8r_node) = {
-        let mut t = net.borrow_mut();
-        let a = t.add_node("agw");
-        let o = t.add_node("orc8r");
-        t.connect(a, o, LinkProfile::fiber());
-        (a, o)
-    };
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
-    let orc8r_stack = w.add_actor(Box::new(NetStack::new(orc8r_node, net.clone())));
+    let net = NetFabric::new();
+    let agw_node = net.add_node("agw");
+    let orc8r_node = net.add_node("orc8r");
+    net.connect(agw_node, orc8r_node, LinkProfile::fiber());
+    let agw_stack = net.add_stack(&mut w, agw_node);
+    let orc8r_stack = net.add_stack(&mut w, orc8r_node);
 
     // Gateway and orchestrator both start at v3.
     let mut db = SubscriberDb::new();

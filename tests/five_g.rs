@@ -8,23 +8,19 @@
 use magma::prelude::*;
 use magma::sim::{HostSpec, World};
 use magma_agw::{new_agw_handle, AccessTech, AgwActor, AgwConfig};
-use magma_net::{new_net, Endpoint, LinkProfile, NetStack, ports};
+use magma_net::{Endpoint, LinkProfile, NetFabric, ports};
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor};
 use magma_subscriber::SubscriberDb;
 
 #[test]
 fn gnb_attach_over_ngap_creates_5g_session() {
     let mut w = World::new(55);
-    let net = new_net();
-    let (agw_node, gnb_node) = {
-        let mut t = net.borrow_mut();
-        let a = t.add_node("agw");
-        let g = t.add_node("gnb");
-        t.connect(g, a, LinkProfile::lan());
-        (a, g)
-    };
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
-    let gnb_stack = w.add_actor(Box::new(NetStack::new(gnb_node, net.clone())));
+    let net = NetFabric::new();
+    let agw_node = net.add_node("agw");
+    let gnb_node = net.add_node("gnb");
+    net.connect(gnb_node, agw_node, LinkProfile::lan());
+    let agw_stack = net.add_stack(&mut w, agw_node);
+    let gnb_stack = net.add_stack(&mut w, gnb_node);
 
     // Subscribers upgraded to 5G (same SIM, union schema).
     let mut db = SubscriberDb::new();
@@ -82,16 +78,12 @@ fn gnb_attach_over_ngap_creates_5g_session() {
 #[test]
 fn lte_only_subscriber_rejected_on_5g() {
     let mut w = World::new(56);
-    let net = new_net();
-    let (agw_node, gnb_node) = {
-        let mut t = net.borrow_mut();
-        let a = t.add_node("agw");
-        let g = t.add_node("gnb");
-        t.connect(g, a, LinkProfile::lan());
-        (a, g)
-    };
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
-    let gnb_stack = w.add_actor(Box::new(NetStack::new(gnb_node, net.clone())));
+    let net = NetFabric::new();
+    let agw_node = net.add_node("agw");
+    let gnb_node = net.add_node("gnb");
+    net.connect(gnb_node, agw_node, LinkProfile::lan());
+    let agw_stack = net.add_stack(&mut w, agw_node);
+    let gnb_stack = net.add_stack(&mut w, gnb_node);
 
     // LTE-only subscription: 5G access must be refused.
     let mut db = SubscriberDb::new();

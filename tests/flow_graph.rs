@@ -15,7 +15,7 @@ use magma::testbed::Scenario;
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
 use magma_epc_baseline::EpcCoreActor;
 use magma_feg::{FegActor, MnoCoreActor};
-use magma_net::{ports, Endpoint, LinkProfile, NetStack, NodeAddr};
+use magma_net::{ports, Endpoint, LinkProfile, NodeAddr};
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor, Logout, WifiApActor, WifiApConfig};
 use magma_subscriber::SubscriberDb;
 use std::collections::BTreeSet;
@@ -64,8 +64,7 @@ fn message_flow_doc_is_generated_and_byte_deterministic() {
 fn node(sc: &mut Scenario, name: &str, peer: NodeAddr, link: LinkProfile) -> (NodeAddr, ActorId) {
     let node = sc.net.add_node(name);
     sc.net.connect(node, peer, link);
-    let stack = sc.world.add_actor(Box::new(NetStack::new(node, sc.net.handle())));
-    sc.net.bind_stack(node, stack);
+    let stack = sc.net.add_stack(&mut sc.world, node);
     (node, stack)
 }
 

@@ -5,13 +5,18 @@
 //! flipped, dropped, inserted and keys duplicated, fed in random chunks.
 //! Neither way may panic or buffer past `MAX_FRAME_LEN`, and both must
 //! deliver and refuse exactly the same frames, with the same contents.
-//! The S1AP framer meets a hostile prefix inside a running gateway.
+//! The S1AP and Diameter framers meet a hostile prefix inside a running
+//! gateway and inside every other owner of such a stream.
 
-use magma::net::{flows as net_flows, ports, Endpoint, LinkProfile, NetStack, SockCmd, SockEvent};
-use magma::orc8r::{flows, CheckpointPush};
+use magma::feg::{FegActor, MnoCoreActor};
+use magma::net::{flows as net_flows, ports, Endpoint, LinkProfile, NetFabric, SockCmd, SockEvent};
+use magma::orc8r::{flows, methods, CheckpointPush};
 use magma::prelude::*;
+use magma::ran::{EnbConfig, EnodebActor};
 use magma::rpc::{codec, encode_frame, Framer, RpcFrame, RpcKind, Spare, MAX_FRAME_LEN};
-use magma::sim::{downcast, Actor, ActorId, Ctx, Event};
+use magma::sim::{try_downcast, Actor, ActorId, Ctx, Event, World};
+use magma::subscriber::SubscriberDb;
+use magma_epc_baseline::EpcCoreActor;
 use serde_json::{json, Value};
 
 /// splitmix64, seeded per case.
@@ -32,7 +37,7 @@ impl Rng {
 }
 
 /// The methods a spare may be handed back for (`Spare` wants `'static`).
-const METHODS: [&str; 3] = [flows::CHECKPOINT.name, "orc8r.Checkin", "sync.Subscribers"];
+const METHODS: [&str; 3] = [methods::CHECKPOINT, methods::CHECKIN, methods::PUSH_SUBSCRIBERS];
 
 /// The frames `codec.rs` pins byte for byte, plus a real checkpoint
 /// upload from a small site, as sent.
@@ -222,24 +227,38 @@ fn only_a_frame_naming_the_spare_method_takes_it_and_a_refused_one_drops_it() {
     );
 }
 
-/// Opens an S1AP stream to a gateway (its stack, the gateway's S1AP
-/// endpoint) and announces a 4 GiB message.
-struct HostileEnb(ActorId, Endpoint);
+/// Which end of the stream the hostile peer is.
+#[derive(Clone, Copy)]
+enum Hostile {
+    /// Opens a stream to this endpoint.
+    Dials(Endpoint),
+    /// Accepts streams on this port.
+    Listens(u16),
+}
 
-impl Actor for HostileEnb {
+/// A peer (its stack, its end) that announces a 4 GiB message on every
+/// stream it opens or accepts, and counts the streams closed under it.
+struct HostilePeer(ActorId, Hostile);
+
+impl Actor for HostilePeer {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-        let cmd = match event {
-            Event::Start => SockCmd::OpenStream {
-                peer: self.1,
-                owner: ctx.id(),
+        let owner = ctx.id();
+        let cmd = match (event, self.1) {
+            (Event::Start, Hostile::Dials(peer)) => SockCmd::OpenStream {
+                peer,
+                owner,
                 user: 66,
             },
-            Event::Msg { payload, .. } => match downcast::<SockEvent>(payload, "hostile-enb") {
-                SockEvent::StreamOpened { handle, .. } => SockCmd::StreamSend {
+            (Event::Start, Hostile::Listens(port)) => SockCmd::ListenStream { port, owner },
+            (Event::Msg { payload, .. }, _) => match try_downcast::<SockEvent>(payload) {
+                Ok(
+                    SockEvent::StreamOpened { handle, .. }
+                    | SockEvent::StreamAccepted { handle, .. },
+                ) => SockCmd::StreamSend {
                     handle,
                     bytes: vec![0xff; 4].into(),
                 },
-                SockEvent::StreamClosed { .. } => {
+                Ok(SockEvent::StreamClosed { .. }) => {
                     return ctx.registry().counter_add("test.hostile_closed", 1.0)
                 }
                 _ => return,
@@ -261,13 +280,58 @@ fn the_gateway_closes_an_s1ap_stream_announcing_4_gib_and_keeps_attaching() {
     let mut d = magma::deploy(ScenarioConfig::new(5).with_agw(AgwSpec::bare_metal(site)));
     let node = d.net.add_node("hostile-enb");
     d.net.connect(node, d.agws[0].node, LinkProfile::lan());
-    let stack = d.world.add_actor(Box::new(NetStack::new(node, d.net.handle())));
-    d.net.bind_stack(node, stack);
+    let stack = d.net.add_stack(&mut d.world, node);
     let agw = Endpoint::new(d.agws[0].node, ports::S1AP);
-    d.world.add_actor(Box::new(HostileEnb(stack, agw)));
+    d.world.add_actor(Box::new(HostilePeer(stack, Hostile::Dials(agw))));
     d.world.run_until(SimTime::from_secs(20));
     assert_eq!(d.world.registry().counter("test.hostile_closed"), 1.0);
     let gw = d.agws[0].handle.borrow();
     assert_eq!(gw.connected_enbs, 1, "the real eNodeB keeps its S1 link");
     assert_eq!(gw.active_sessions, 12, "every UE of the real eNodeB attached");
+}
+
+/// Every other owner of a length-prefixed S1AP or Diameter stream, each
+/// against a peer that announces 4 GiB: the eNodeB and the FeG dial
+/// theirs, the EPC core and the MNO core accept theirs. Each closes the
+/// stream.
+#[test]
+fn every_lp_stream_owner_closes_a_stream_announcing_4_gib() {
+    /// Builds the owner from its stack, the hostile peer's endpoint (for
+    /// owners that dial) and the hostile peer's actor.
+    type Owner = fn(ActorId, Endpoint, ActorId) -> Box<dyn Actor>;
+    let cases: [(&str, u16, bool, Owner); 4] = [
+        ("enodeb", ports::S1AP, true, |stack, mme, mme_actor| {
+            let cfg = EnbConfig::new(1, stack, mme, mme_actor);
+            Box::new(EnodebActor::new(cfg, Vec::new()))
+        }),
+        ("epc core", ports::S1AP, false, |stack, _, _| {
+            Box::new(EpcCoreActor::new(stack, SubscriberDb::new(), 0.0))
+        }),
+        ("mno core", ports::DIAMETER, false, |stack, _, _| {
+            Box::new(MnoCoreActor::new(stack, SubscriberDb::new()))
+        }),
+        ("feg", ports::DIAMETER, true, |stack, mno, _| {
+            Box::new(FegActor::new(stack, mno))
+        }),
+    ];
+    for (name, port, owner_dials, owner) in cases {
+        let mut w = World::new(3);
+        let net = NetFabric::new();
+        let owner_node = net.add_node(name);
+        let hostile_node = net.add_node("hostile");
+        net.connect(owner_node, hostile_node, LinkProfile::lan());
+        let owner_stack = net.add_stack(&mut w, owner_node);
+        let hostile_stack = net.add_stack(&mut w, hostile_node);
+        let hostile = if owner_dials {
+            Hostile::Listens(port)
+        } else {
+            Hostile::Dials(Endpoint::new(owner_node, port))
+        };
+        let hostile = w.add_actor(Box::new(HostilePeer(hostile_stack, hostile)));
+        w.add_actor(owner(owner_stack, Endpoint::new(hostile_node, port), hostile));
+        w.run_until(SimTime::from_secs(1));
+        // The owners that dial reconnect, and meet the prefix again.
+        let closed = w.registry().counter("test.hostile_closed");
+        assert!(closed >= 1.0, "{name} closes the stream");
+    }
 }

@@ -285,7 +285,7 @@ fn a_session_id_reused_after_a_cold_restart_is_granted_anew() {
     sc.world.run_until(SimTime::from_secs(25));
     let agw = &sc.agws[0];
     sc.world
-        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.handle())));
+        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.clone())));
     let mut fresh = magma_agw::AgwActor::new(agw.cfg.clone(), agw.handle.clone());
     fresh.preprovision(sc.orc8r.borrow().db.snapshot());
     fresh.set_up_cores(agw.up_cores);

@@ -135,10 +135,7 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
     // WiFi: a hotspot authenticates at 3 s …
     let ap_node = sc.net.add_node("ap");
     sc.net.connect(ap_node, sc.agws[0].node, LinkProfile::lan());
-    let ap_stack = sc
-        .world
-        .add_actor(Box::new(NetStack::new(ap_node, sc.net.handle())));
-    sc.net.bind_stack(ap_node, ap_stack);
+    let ap_stack = sc.net.add_stack(&mut sc.world, ap_node);
     sc.world.add_actor(Box::new(WifiApActor::new(WifiApConfig {
         name: "hotspot-1-session".to_string(),
         stack: ap_stack,
@@ -209,7 +206,7 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
     sc.world.run_until(SimTime::from_millis(32_500));
     sc.world.restart(
         sc.agws[0].stack,
-        Box::new(NetStack::new(sc.agws[0].node, sc.net.handle())),
+        Box::new(NetStack::new(sc.agws[0].node, sc.net.clone())),
     );
     let restored =
         AgwActor::restore_from_wire(sc.agws[0].cfg.clone(), sc.agws[0].handle.clone(), stored)

@@ -41,7 +41,7 @@ fn orc8r_crash_and_restart_preserves_state_and_resyncs() {
     let stack_actor = sc.net.stack_of(sc.orc8r_node).unwrap();
     sc.world.restart(
         stack_actor,
-        Box::new(NetStack::new(sc.orc8r_node, sc.net.handle())),
+        Box::new(NetStack::new(sc.orc8r_node, sc.net.clone())),
     );
     sc.world.restart(
         sc.orc8r_actor,
@@ -120,7 +120,7 @@ fn metricsd_queues_pushes_across_orc8r_crash_window() {
     let stack_actor = sc.net.stack_of(sc.orc8r_node).unwrap();
     sc.world.restart(
         stack_actor,
-        Box::new(NetStack::new(sc.orc8r_node, sc.net.handle())),
+        Box::new(NetStack::new(sc.orc8r_node, sc.net.clone())),
     );
     sc.world.restart(
         sc.orc8r_actor,
@@ -176,7 +176,7 @@ fn agw_restart_without_checkpoint_forces_reattach() {
     sc.world.run_until(SimTime::from_secs(25));
     let agw = &sc.agws[0];
     sc.world
-        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.handle())));
+        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.clone())));
     let mut fresh = magma_agw::AgwActor::new(agw.cfg.clone(), agw.handle.clone());
     fresh.preprovision(sc.orc8r.borrow().db.snapshot());
     fresh.set_up_cores(agw.up_cores);
@@ -290,7 +290,7 @@ fn headless_restart_from_the_local_checkpoint_keeps_sessions_and_sqns() {
     sc.world.run_for(SimDuration::from_secs(2));
     let agw = &sc.agws[0];
     sc.world
-        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.handle())));
+        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.clone())));
     let sessions = local.sessions.len();
     let mut backup = AgwActor::restore(agw.cfg.clone(), agw.handle.clone(), local);
     backup.set_up_cores(agw.up_cores);

@@ -8,7 +8,7 @@ mod common;
 use magma::prelude::*;
 use magma::sim::{HostSpec, World};
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
-use magma_net::{new_net, Endpoint, LinkProfile, NetStack, ports};
+use magma_net::{Endpoint, LinkProfile, NetFabric, ports};
 use magma_ran::{WifiApActor, WifiApConfig};
 use magma_subscriber::SubscriberDb;
 
@@ -19,16 +19,12 @@ struct Rig {
 
 fn build(password_ok: bool) -> Rig {
     let mut w = World::new(77);
-    let net = new_net();
-    let (agw_node, ap_node) = {
-        let mut t = net.borrow_mut();
-        let a = t.add_node("agw");
-        let p = t.add_node("ap");
-        t.connect(p, a, LinkProfile::lan());
-        (a, p)
-    };
-    let agw_stack = w.add_actor(Box::new(NetStack::new(agw_node, net.clone())));
-    let ap_stack = w.add_actor(Box::new(NetStack::new(ap_node, net.clone())));
+    let net = NetFabric::new();
+    let agw_node = net.add_node("agw");
+    let ap_node = net.add_node("ap");
+    net.connect(ap_node, agw_node, LinkProfile::lan());
+    let agw_stack = net.add_stack(&mut w, agw_node);
+    let ap_stack = net.add_stack(&mut w, ap_node);
 
     let mut db = SubscriberDb::new();
     db.upsert_rule(magma_policy::PolicyRule::unrestricted("unrestricted"));
