@@ -4,9 +4,9 @@
 //! magma-bench                   run the full suite, write BENCH_<name>.json
 //! magma-bench --scenario NAME   run one scenario (smoke | attach_storm |
 //!                               scaling_ablation | mixed | partition_recovery)
-//! magma-bench --smoke           smoke scenario + schema validation + golden
-//!                               diff of the virtual section (installs the
-//!                               golden on first run)
+//! magma-bench --smoke           smoke and partition_recovery + schema
+//!                               validation + golden diff of each virtual
+//!                               section (installs a golden on first run)
 //! magma-bench --list            print the scenario suite with descriptions
 //! magma-bench --out DIR         where BENCH_*.json and TRACE_*.json land
 //!                               (default "."; created if missing)
@@ -288,32 +288,41 @@ fn racecheck_mode(out: &Path, k: u64, only: Option<&str>) -> Result<(), String> 
     Ok(())
 }
 
-/// Smoke mode: run, validate, and diff the virtual section against the
+/// The scenarios `--smoke` runs, each with the golden its virtual
+/// section must match byte for byte. `partition_recovery` pins the RPC
+/// clients' reconnect timing across a partition and its heal.
+const SMOKE_GOLDENS: [(&str, &str); 2] = [
+    ("smoke", "scripts/golden/bench_smoke_virtual.json"),
+    ("partition_recovery", "scripts/golden/bench_partition_recovery_virtual.json"),
+];
+
+/// Smoke mode: run, validate, and diff each virtual section against its
 /// committed golden (installed on first run, like the observability
 /// golden in scripts/check.sh).
 fn smoke_mode(out: &Path) -> Result<(), String> {
-    let report = run_and_write("smoke", out)?;
-    validate(&report)?;
-    let virt = serde_json::to_string_pretty(&report.virt)
-        .map_err(|e| format!("serialize virtual: {e}"))?;
-    let golden_path = Path::new("scripts/golden/bench_smoke_virtual.json");
-    if !golden_path.exists() {
-        if let Some(dir) = golden_path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("mkdir golden: {e}"))?;
+    for (name, golden) in SMOKE_GOLDENS {
+        let report = run_and_write(name, out)?;
+        validate(&report)?;
+        let virt = serde_json::to_string_pretty(&report.virt)
+            .map_err(|e| format!("serialize virtual: {e}"))?;
+        let golden_path = Path::new(golden);
+        if !golden_path.exists() {
+            if let Some(dir) = golden_path.parent() {
+                std::fs::create_dir_all(dir).map_err(|e| format!("mkdir golden: {e}"))?;
+            }
+            std::fs::write(golden_path, &virt).map_err(|e| format!("install golden: {e}"))?;
+            eprintln!("bench-smoke: installed golden at {golden}");
+            continue;
         }
-        std::fs::write(golden_path, &virt).map_err(|e| format!("install golden: {e}"))?;
-        eprintln!("bench-smoke: installed golden at {}", golden_path.display());
-        return Ok(());
+        let pinned =
+            std::fs::read_to_string(golden_path).map_err(|e| format!("read golden: {e}"))?;
+        if pinned != virt {
+            return Err(format!(
+                "{name}: virtual section drifted from {golden} — if intended, delete the golden and re-run"
+            ));
+        }
+        eprintln!("bench-smoke: {name} virtual section matches golden");
     }
-    let golden =
-        std::fs::read_to_string(golden_path).map_err(|e| format!("read golden: {e}"))?;
-    if golden != virt {
-        return Err(format!(
-            "virtual section drifted from {} — if intended, delete the golden and re-run",
-            golden_path.display()
-        ));
-    }
-    eprintln!("bench-smoke: virtual section matches golden");
     Ok(())
 }
 

@@ -83,10 +83,12 @@ else
 fi
 
 echo "==> bench-smoke (BENCH schema + virtual-column golden diff)"
-# Runs the smallest magma-bench scenario, validates the report schema
-# (no host field in the virtual section, >=90% vCPU attribution), and
-# byte-diffs the virtual section against
-# scripts/golden/bench_smoke_virtual.json (installed on first run).
+# Runs the smallest magma-bench scenario and partition_recovery,
+# validates each report's schema (no host field in the virtual section,
+# >=90% vCPU attribution), and byte-diffs each virtual section against
+# scripts/golden/bench_smoke_virtual.json and
+# scripts/golden/bench_partition_recovery_virtual.json (installed on
+# first run).
 # Host time is not magma-bench's job; `benchmark/ compare` tracks it
 # across commits. See docs/PROFILING.md.
 BENCH_OUT="$(mktemp -d)"
