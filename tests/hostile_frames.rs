@@ -237,7 +237,8 @@ enum Hostile {
 }
 
 /// A peer (its stack, its end) that announces a 4 GiB message on every
-/// stream it opens or accepts, and counts the streams closed under it.
+/// stream it opens or accepts, and counts the streams opened and closed
+/// under it.
 struct HostilePeer(ActorId, Hostile);
 
 impl Actor for HostilePeer {
@@ -254,10 +255,13 @@ impl Actor for HostilePeer {
                 Ok(
                     SockEvent::StreamOpened { handle, .. }
                     | SockEvent::StreamAccepted { handle, .. },
-                ) => SockCmd::StreamSend {
-                    handle,
-                    bytes: vec![0xff; 4].into(),
-                },
+                ) => {
+                    ctx.registry().counter_add("test.hostile_opened", 1.0);
+                    SockCmd::StreamSend {
+                        handle,
+                        bytes: vec![0xff; 4].into(),
+                    }
+                }
                 Ok(SockEvent::StreamClosed { .. }) => {
                     return ctx.registry().counter_add("test.hostile_closed", 1.0)
                 }
@@ -315,23 +319,55 @@ fn every_lp_stream_owner_closes_a_stream_announcing_4_gib() {
         }),
     ];
     for (name, port, owner_dials, owner) in cases {
-        let mut w = World::new(3);
-        let net = NetFabric::new();
-        let owner_node = net.add_node(name);
-        let hostile_node = net.add_node("hostile");
-        net.connect(owner_node, hostile_node, LinkProfile::lan());
-        let owner_stack = net.add_stack(&mut w, owner_node);
-        let hostile_stack = net.add_stack(&mut w, hostile_node);
-        let hostile = if owner_dials {
-            Hostile::Listens(port)
-        } else {
-            Hostile::Dials(Endpoint::new(owner_node, port))
-        };
-        let hostile = w.add_actor(Box::new(HostilePeer(hostile_stack, hostile)));
-        w.add_actor(owner(owner_stack, Endpoint::new(hostile_node, port), hostile));
-        w.run_until(SimTime::from_secs(1));
+        let w = against_hostile(name, port, owner_dials, owner, SimTime::from_secs(1));
         // The owners that dial reconnect, and meet the prefix again.
         let closed = w.registry().counter("test.hostile_closed");
         assert!(closed >= 1.0, "{name} closes the stream");
     }
+}
+
+/// Runs `owner` (built from its stack, the hostile peer's endpoint and
+/// the hostile peer's actor) on a LAN against a [`HostilePeer`] on
+/// `port` until `until`: the peer listens when the owner dials, and
+/// dials otherwise.
+fn against_hostile(
+    name: &str,
+    port: u16,
+    owner_dials: bool,
+    owner: fn(ActorId, Endpoint, ActorId) -> Box<dyn Actor>,
+    until: SimTime,
+) -> World {
+    let mut w = World::new(3);
+    let net = NetFabric::new();
+    let owner_node = net.add_node(name);
+    let hostile_node = net.add_node("hostile");
+    net.connect(owner_node, hostile_node, LinkProfile::lan());
+    let owner_stack = net.add_stack(&mut w, owner_node);
+    let hostile_stack = net.add_stack(&mut w, hostile_node);
+    let hostile = if owner_dials {
+        Hostile::Listens(port)
+    } else {
+        Hostile::Dials(Endpoint::new(owner_node, port))
+    };
+    let hostile = w.add_actor(Box::new(HostilePeer(hostile_stack, hostile)));
+    w.add_actor(owner(owner_stack, Endpoint::new(hostile_node, port), hostile));
+    w.run_until(until);
+    w
+}
+
+/// A Diameter peer that poisons every stream gets one dial per redial
+/// interval from the FeG, not one per round trip: ten seconds hold the
+/// first dial and at most five redials.
+#[test]
+fn the_feg_waits_before_redialing_a_diameter_peer_that_announces_4_gib() {
+    let w = against_hostile(
+        "feg",
+        ports::DIAMETER,
+        true,
+        |stack, mno, _| Box::new(FegActor::new(stack, mno)),
+        SimTime::from_secs(10),
+    );
+    let opened = w.registry().counter("test.hostile_opened");
+    assert!(opened >= 1.0, "the FeG dials");
+    assert!(opened <= 6.0, "the FeG opened {opened} streams in 10 s");
 }

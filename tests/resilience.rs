@@ -4,10 +4,16 @@
 //! reconnect and keep syncing.
 
 use magma::prelude::*;
+use magma::ran::{EnbConfig, EnodebActor};
+use magma::sim::{try_downcast, Actor, ActorId, Ctx, Event, World};
 use magma::testbed::{overall_csr, Scenario};
 use magma_agw::AgwActor;
 use magma_orc8r::Orc8rActor;
-use magma_net::{ports, LinkProfile, NetStack};
+use magma_net::{
+    flows, lp_encode, ports, Endpoint, LinkProfile, LpFramer, NetFabric, NetStack, SockCmd,
+    SockEvent,
+};
+use magma_wire::s1ap::S1apMessage;
 
 #[test]
 fn orc8r_crash_and_restart_preserves_state_and_resyncs() {
@@ -451,5 +457,77 @@ fn a_partitioned_gateway_records_no_orc8r_connected_inside_the_partition() {
     assert!(
         connected.iter().any(|t| *t > heal),
         "no orc8r_connected after the heal: {connected:?}"
+    );
+}
+
+/// An MME that refuses every S1 Setup, and counts the S1 streams it
+/// accepts and sees closed.
+struct RefusingMme {
+    stack: ActorId,
+    framer: LpFramer,
+}
+
+impl Actor for RefusingMme {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        let Event::Msg { payload, .. } = event else {
+            if let Event::Start = event {
+                let owner = ctx.id();
+                let listen = SockCmd::ListenStream {
+                    port: ports::S1AP,
+                    owner,
+                };
+                ctx.send_to(self.stack, &flows::SOCK_CMD, Box::new(listen));
+            }
+            return;
+        };
+        match try_downcast::<SockEvent>(payload) {
+            Ok(SockEvent::StreamAccepted { .. }) => {
+                ctx.registry().counter_add("test.s1_accepted", 1.0);
+            }
+            Ok(SockEvent::StreamClosed { .. }) => {
+                ctx.registry().counter_add("test.s1_closed", 1.0);
+            }
+            Ok(SockEvent::StreamRecv { handle, bytes }) => {
+                for m in self.framer.push(&bytes) {
+                    if let Ok(S1apMessage::S1SetupRequest { .. }) = S1apMessage::decode(&m) {
+                        let refusal = S1apMessage::S1SetupFailure { cause: 1 };
+                        let send = SockCmd::StreamSend {
+                            handle,
+                            bytes: lp_encode(&refusal.encode()),
+                        };
+                        ctx.send_to(self.stack, &flows::SOCK_CMD, Box::new(send));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// An eNodeB whose S1 Setup is refused closes that stream before it
+/// dials again, so the MME never holds more than one of its streams.
+#[test]
+fn a_refused_s1_setup_closes_its_stream_before_the_enodeb_redials() {
+    let mut w = World::new(3);
+    let net = NetFabric::new();
+    let enb_node = net.add_node("enb");
+    let mme_node = net.add_node("mme");
+    net.connect(enb_node, mme_node, LinkProfile::lan());
+    let enb_stack = net.add_stack(&mut w, enb_node);
+    let mme_stack = net.add_stack(&mut w, mme_node);
+    let mme = w.add_actor(Box::new(RefusingMme {
+        stack: mme_stack,
+        framer: LpFramer::new(),
+    }));
+    let mme_ep = Endpoint::new(mme_node, ports::S1AP);
+    let cfg = EnbConfig::new(1, enb_stack, mme_ep, mme);
+    w.add_actor(Box::new(EnodebActor::new(cfg, Vec::new())));
+    w.run_until(SimTime::from_secs(21));
+    let accepted = w.registry().counter("test.s1_accepted");
+    let closed = w.registry().counter("test.s1_closed");
+    assert!(accepted >= 2.0, "the eNodeB dials again after a refusal");
+    assert!(
+        accepted - closed <= 1.0,
+        "{accepted} S1 streams accepted, {closed} closed"
     );
 }
