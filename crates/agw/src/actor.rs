@@ -23,7 +23,7 @@ use crate::msgs::{AgwHandle, FluidDemand, FluidGrant, FLUID_TICK};
 use crate::pipelined;
 use crate::sessiond::{AccessTech, SessionManager};
 use magma_dataplane::{DesiredState, Pipeline};
-use magma_net::{lp_encode, ports, LpFramer, SockCmd, SockEvent, StreamHandle};
+use magma_net::{lp_encode, ports, Acceptor, Edge, SockCmd, SockEvent, StreamHandle, MAX_LP_LEN};
 use magma_orc8r::proto as orc8r_proto;
 use magma_rpc::{RpcClient, RpcClientEvent};
 use magma_sim::eventd::kind as event_kind;
@@ -142,8 +142,8 @@ struct PathSwitchJob {
     span: Span,
 }
 
+/// What the gateway knows of one eNodeB's (or gNB's) S1/NGAP stream.
 struct RanConn {
-    framer: LpFramer,
     enb_id: Option<u32>,
     tech: AccessTech,
 }
@@ -165,7 +165,7 @@ pub struct AgwActor {
     by_guti: BTreeMap<u64, u32>,
     next_mme_ue_id: u32,
     next_guti: u64,
-    ran_conns: BTreeMap<StreamHandle, RanConn>,
+    ran_conns: Acceptor<MAX_LP_LEN, RanConn>,
     mme_inflight: u32,
     mme_queue: VecDeque<MmeWork>,
     // User plane.
@@ -262,6 +262,7 @@ impl AgwActor {
         sessions: SessionManager,
         cert: Option<u64>,
     ) -> Self {
+        let ran_conns = Acceptor::new(cfg.stack);
         AgwActor {
             cfg,
             shared,
@@ -274,7 +275,7 @@ impl AgwActor {
             by_guti: BTreeMap::new(),
             next_mme_ue_id: 1,
             next_guti: 1,
-            ran_conns: BTreeMap::new(),
+            ran_conns,
             mme_inflight: 0,
             mme_queue: VecDeque::new(),
             pending_demands: Vec::new(),
@@ -351,14 +352,8 @@ impl AgwActor {
     // ---- S1AP/NAS handling ----
 
     fn send_s1ap(&mut self, ctx: &mut Ctx<'_>, conn: StreamHandle, msg: &S1apMessage) {
-        ctx.send_to(
-            self.cfg.stack,
-            &flows::AGW_S1AP_DL,
-            Box::new(SockCmd::StreamSend {
-                handle: conn,
-                bytes: lp_encode(&msg.encode()),
-            }),
-        );
+        let bytes = lp_encode(&msg.encode());
+        self.ran_conns.send(ctx, conn, &flows::AGW_S1AP_DL, bytes);
     }
 
     fn send_nas(&mut self, ctx: &mut Ctx<'_>, ue: u32, nas: NasMessage) {
@@ -382,7 +377,7 @@ impl AgwActor {
     fn handle_s1ap(&mut self, ctx: &mut Ctx<'_>, conn: StreamHandle, msg: S1apMessage) {
         match msg {
             S1apMessage::S1SetupRequest { enb_id, .. } => {
-                if let Some(rc) = self.ran_conns.get_mut(&conn) {
+                if let Some(rc) = self.ran_conns.get_mut(conn) {
                     rc.enb_id = Some(enb_id);
                 }
                 let name = self.cfg.id.clone();
@@ -461,7 +456,7 @@ impl AgwActor {
         ctx.registry().counter_add(&m, 1.0);
         let tech = self
             .ran_conns
-            .get(&conn)
+            .get(conn)
             .map(|rc| rc.tech)
             .unwrap_or(AccessTech::Lte);
 
@@ -1197,7 +1192,7 @@ impl AgwActor {
         {
             let mut sh = self.shared.borrow_mut();
             sh.active_sessions = self.sessions.len();
-            sh.connected_enbs = self.ran_conns.values().filter(|c| c.enb_id.is_some()).count();
+            sh.connected_enbs = self.ran_conns.iter().filter(|(_, c)| c.enb_id.is_some()).count();
             sh.last_db_version = self.db.version;
         }
         ctx.timer_in(FLUID_TICK, T_FLUID);
@@ -1290,8 +1285,8 @@ impl AgwActor {
         };
         let enbs: Vec<u32> = self
             .ran_conns
-            .values()
-            .filter_map(|c| c.enb_id)
+            .iter()
+            .filter_map(|(_, c)| c.enb_id)
             .collect();
         let mut metrics = std::collections::BTreeMap::new();
         for (key, counter) in [
@@ -1515,73 +1510,60 @@ impl AgwActor {
             ev
         };
 
-        match ev {
-            SockEvent::StreamAccepted {
-                handle,
-                local_port,
-                ..
-            } if local_port == ports::S1AP || local_port == ports::NGAP => {
-                let tech = if local_port == ports::NGAP {
-                    AccessTech::Nr5g
-                } else {
-                    AccessTech::Lte
-                };
-                self.ran_conns.insert(
-                    handle,
-                    RanConn {
-                        framer: LpFramer::new(),
-                        enb_id: None,
-                        tech,
-                    },
-                );
+        let mut msgs = Vec::new();
+        let accept = |port, _| {
+            let tech = match port {
+                ports::S1AP => AccessTech::Lte,
+                ports::NGAP => AccessTech::Nr5g,
+                _ => return None,
+            };
+            Some(RanConn { enb_id: None, tech })
+        };
+        let edge = self.ran_conns.on_event(ctx, ev, accept, |_, m| {
+            msgs.extend(S1apMessage::decode(m).ok());
+        });
+        match edge {
+            Ok(Edge::Opened(_)) => {}
+            Ok(Edge::Recv(conn)) => {
+                for s1ap in msgs {
+                    self.handle_s1ap(ctx, conn, s1ap);
+                }
             }
-            SockEvent::StreamRecv { handle, bytes } => {
-                if let Some(rc) = self.ran_conns.get_mut(&handle) {
-                    let msgs = rc.framer.push(&bytes);
-                    rc.framer.close_if_poisoned(ctx, self.cfg.stack, handle);
-                    for m in msgs {
-                        if let Ok(s1ap) = S1apMessage::decode(&m) {
-                            self.handle_s1ap(ctx, handle, s1ap);
+            Ok(Edge::Closed(handle, _)) => {
+                // Drop volatile UE contexts riding that connection.
+                let mut gone: Vec<u32> = self
+                    .ue_ctxs
+                    .iter()
+                    .filter(|(_, u)| u.conn == handle)
+                    .map(|(id, _)| *id)
+                    .collect();
+                gone.sort_unstable();
+                let gw = self.cfg.id.clone();
+                for ue in gone {
+                    if let Some(uectx) = self.ue_ctxs.remove(&ue) {
+                        if let Some(sid) = uectx.session_id {
+                            ctx.emit_event(
+                                &gw,
+                                event_kind::BEARER_DROP,
+                                Severity::Warning,
+                                &[
+                                    ("imsi", uectx.imsi.0.to_string()),
+                                    ("session_id", sid.to_string()),
+                                    ("reason", "s1_conn_lost".to_string()),
+                                ],
+                            );
                         }
                     }
                 }
             }
-            SockEvent::StreamClosed { handle, .. }
-                if self.ran_conns.remove(&handle).is_some() => {
-                    // Drop volatile UE contexts riding that connection.
-                    let mut gone: Vec<u32> = self
-                        .ue_ctxs
-                        .iter()
-                        .filter(|(_, u)| u.conn == handle)
-                        .map(|(id, _)| *id)
-                        .collect();
-                    gone.sort_unstable();
-                    let gw = self.cfg.id.clone();
-                    for ue in gone {
-                        if let Some(uectx) = self.ue_ctxs.remove(&ue) {
-                            if let Some(sid) = uectx.session_id {
-                                ctx.emit_event(
-                                    &gw,
-                                    event_kind::BEARER_DROP,
-                                    Severity::Warning,
-                                    &[
-                                        ("imsi", uectx.imsi.0.to_string()),
-                                        ("session_id", sid.to_string()),
-                                        ("reason", "s1_conn_lost".to_string()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                }
-            SockEvent::DgramRecv {
+            Err(SockEvent::DgramRecv {
                 local_port,
                 src,
                 bytes,
-            } => {
+            }) => {
                 self.handle_radius(ctx, local_port, src, bytes);
             }
-            _ => {}
+            Err(_) => {}
         }
     }
 }
@@ -1602,11 +1584,7 @@ impl Actor for AgwActor {
                 // report show the truth. Callers can widen via
                 // `set_up_cores` before adding the actor.
                 for port in [ports::S1AP, ports::NGAP] {
-                    ctx.send_to(
-                        self.cfg.stack,
-                        &magma_net::flows::SOCK_CMD,
-                        Box::new(SockCmd::ListenStream { port, owner: me }),
-                    );
+                    self.ran_conns.listen(ctx, port);
                 }
                 for port in [ports::RADIUS_AUTH, ports::RADIUS_ACCT] {
                     ctx.send_to(
@@ -1617,13 +1595,13 @@ impl Actor for AgwActor {
                 }
                 if let Some(ep) = self.cfg.orc8r {
                     self.orc8r =
-                        Some(RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE));
+                        Some(RpcClient::new(self.cfg.stack, ep).with_deadline(ORC8R_DEADLINE));
                     self.do_bootstrap(ctx);
                     ctx.timer_in(orc8r_proto::CHECKIN_INTERVAL, T_CHECKIN);
                     ctx.send_self(&flows::AGW_RPC_TICK, SimDuration::from_millis(250), T_RPC);
                 }
                 if let Some(ep) = self.cfg.feg {
-                    self.feg = Some(RpcClient::new(self.cfg.stack, ep, 2));
+                    self.feg = Some(RpcClient::new(self.cfg.stack, ep));
                     if self.cfg.orc8r.is_none() {
                         ctx.send_self(&flows::AGW_RPC_TICK, SimDuration::from_millis(250), T_RPC);
                     }

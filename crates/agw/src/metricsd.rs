@@ -227,7 +227,7 @@ impl Actor for MetricsdActor {
             Event::Start => {
                 if let Some(ep) = self.cfg.orc8r {
                     self.orc8r =
-                        Some(RpcClient::new(self.cfg.stack, ep, 1).with_deadline(ORC8R_DEADLINE));
+                        Some(RpcClient::new(self.cfg.stack, ep).with_deadline(ORC8R_DEADLINE));
                     ctx.send_self(&crate::flows::METRICSD_RPC_TICK, SimDuration::from_millis(250), T_RPC);
                 }
                 ctx.timer_in(METRICS_INTERVAL, T_SAMPLE);

@@ -156,7 +156,7 @@ fn rpc(c: &mut Criterion) {
         b.iter(|| {
             let mut frames = Vec::new();
             for segment in wire.chunks(1400) {
-                frames.extend(framer.push_with(segment, &mut spare, || ()));
+                frames.extend(framer.push_with(segment, &mut spare));
             }
             let body = frames.pop().expect("one frame").body;
             spare = Some(Spare {

@@ -13,7 +13,9 @@
 //! that a traditional core lacks those functions.
 
 use magma_agw::{AccessTech, FluidDemand, FluidGrant, IpPool, SessionManager, FLUID_TICK};
-use magma_net::{lp_encode, ports, Endpoint, LpFramer, NodeAddr, SockCmd, SockEvent, StreamHandle};
+use magma_net::{
+    lp_encode, ports, Acceptor, Edge, Endpoint, NodeAddr, SockCmd, SockEvent, StreamHandle, MAX_LP_LEN,
+};
 use magma_policy::PolicyRule;
 use crate::flows;
 use magma_sim::{try_downcast, Actor, ActorId, Ctx, Event, SimDuration};
@@ -72,8 +74,7 @@ pub struct EpcCoreActor {
     pub db: SubscriberDb,
     pool: IpPool,
     sessions: SessionManager,
-    paths: BTreeMap<StreamHandle, EnbPath>,
-    framers: BTreeMap<StreamHandle, LpFramer>,
+    paths: Acceptor<MAX_LP_LEN, EnbPath>,
     ues: BTreeMap<u32, UeCtx>,
     next_ue: u32,
     next_guti: u64,
@@ -92,8 +93,7 @@ impl EpcCoreActor {
             db,
             pool: IpPool::new(0x0A80_0002, 65_000),
             sessions: SessionManager::new(),
-            paths: BTreeMap::new(),
-            framers: BTreeMap::new(),
+            paths: Acceptor::new(stack),
             ues: BTreeMap::new(),
             next_ue: 1,
             next_guti: 1,
@@ -105,14 +105,8 @@ impl EpcCoreActor {
     }
 
     fn send_s1ap(&mut self, ctx: &mut Ctx<'_>, conn: StreamHandle, msg: &S1apMessage) {
-        ctx.send_to(
-            self.stack,
-            &magma_agw::flows::AGW_S1AP_DL,
-            Box::new(SockCmd::StreamSend {
-                handle: conn,
-                bytes: lp_encode(&msg.encode()),
-            }),
-        );
+        let bytes = lp_encode(&msg.encode());
+        self.paths.send(ctx, conn, &magma_agw::flows::AGW_S1AP_DL, bytes);
     }
 
     fn send_nas(&mut self, ctx: &mut Ctx<'_>, ue: u32, nas: NasMessage) {
@@ -132,7 +126,7 @@ impl EpcCoreActor {
                 // Learn the eNB's node address from the connection peer —
                 // the stack doesn't expose it, so we derive the GTP path
                 // from the S1AP peer via StreamAccepted (recorded there).
-                if let Some(p) = self.paths.get_mut(&conn) {
+                if let Some(p) = self.paths.get_mut(conn) {
                     p.enb_id = enb_id;
                 }
                 self.send_s1ap(
@@ -270,7 +264,7 @@ impl EpcCoreActor {
 
     /// Send a GTP echo request to an eNB's GTP-U port over the backhaul.
     fn send_echo(&mut self, ctx: &mut Ctx<'_>, conn: StreamHandle) {
-        let Some(p) = self.paths.get_mut(&conn) else { return };
+        let Some(p) = self.paths.get_mut(conn) else { return };
         p.echo_seq = p.echo_seq.wrapping_add(1);
         let pkt = GtpUPacket::echo_request(p.echo_seq);
         let dst = Endpoint::new(p.node, ports::GTPU);
@@ -310,17 +304,17 @@ impl EpcCoreActor {
                 self.send_s1ap(ctx, conn, &msg);
             }
         }
-        if let Some(p) = self.paths.get_mut(&conn) {
+        if let Some(p) = self.paths.get_mut(conn) {
             p.path_up = false;
             p.echo_tries = 0;
         }
     }
 
     fn echo_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let conns: Vec<StreamHandle> = self.paths.keys().copied().collect();
+        let conns: Vec<StreamHandle> = self.paths.iter().map(|(conn, _)| conn).collect();
         for conn in conns {
             let (tries, up) = {
-                let p = self.paths.get_mut(&conn).unwrap();
+                let p = self.paths.get_mut(conn).unwrap();
                 p.echo_tries += 1;
                 (p.echo_tries, p.path_up)
             };
@@ -333,7 +327,7 @@ impl EpcCoreActor {
         }
         // Healthy paths probe at ECHO_INTERVAL; a path with outstanding
         // retries probes at T3.
-        let any_retrying = self.paths.values().any(|p| p.echo_tries > 1);
+        let any_retrying = self.paths.iter().any(|(_, p)| p.echo_tries > 1);
         let next = if any_retrying { T3 } else { ECHO_INTERVAL };
         ctx.send_self(&flows::EPC_ECHO_TICK, next, T_ECHO);
     }
@@ -369,15 +363,8 @@ impl Actor for EpcCoreActor {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {
+                self.paths.listen(ctx, ports::S1AP);
                 let me = ctx.id();
-                ctx.send_to(
-                    self.stack,
-                    &magma_net::flows::SOCK_CMD,
-                    Box::new(SockCmd::ListenStream {
-                        port: ports::S1AP,
-                        owner: me,
-                    }),
-                );
                 ctx.send_to(
                     self.stack,
                     &magma_net::flows::SOCK_CMD,
@@ -393,51 +380,44 @@ impl Actor for EpcCoreActor {
             Event::Timer { tag: T_FLUID } => self.fluid_tick(ctx),
             Event::Timer { .. } => {}
             Event::Msg { payload, .. } => match try_downcast::<SockEvent>(payload) {
-                Ok(ev) => match ev {
-                    SockEvent::StreamAccepted { handle, peer, .. } => {
-                        self.paths.insert(
-                            handle,
-                            EnbPath {
-                                node: peer.node,
-                                enb_id: 0,
-                                echo_tries: 0,
-                                echo_seq: 0,
-                                path_up: true,
-                            },
-                        );
-                        self.framers.insert(handle, LpFramer::new());
-                    }
-                    SockEvent::StreamRecv { handle, bytes } => {
-                        if let Some(framer) = self.framers.get_mut(&handle) {
-                            let msgs = framer.push(&bytes);
-                            framer.close_if_poisoned(ctx, self.stack, handle);
-                            for m in msgs {
-                                if let Ok(s1ap) = S1apMessage::decode(&m) {
-                                    self.handle_s1ap(ctx, handle, s1ap);
-                                }
+                Ok(ev) => {
+                    let mut msgs = Vec::new();
+                    let accept = |_, peer: Endpoint| {
+                        Some(EnbPath {
+                            node: peer.node,
+                            enb_id: 0,
+                            echo_tries: 0,
+                            echo_seq: 0,
+                            path_up: true,
+                        })
+                    };
+                    let edge = self.paths.on_event(ctx, ev, accept, |_, m| {
+                        msgs.extend(S1apMessage::decode(m).ok());
+                    });
+                    match edge {
+                        Ok(Edge::Recv(conn)) => {
+                            for s1ap in msgs {
+                                self.handle_s1ap(ctx, conn, s1ap);
                             }
                         }
-                    }
-                    SockEvent::StreamClosed { handle, .. } => {
-                        self.paths.remove(&handle);
-                        self.framers.remove(&handle);
-                    }
-                    SockEvent::DgramRecv { src, bytes, .. } => {
-                        if let Ok(pkt) = GtpUPacket::decode(&bytes) {
-                            if pkt.msg_type == gtpu_type::ECHO_RESPONSE {
-                                // Clear the retry counter for the path to
-                                // the responding node.
-                                for p in self.paths.values_mut() {
-                                    if p.node == src.node {
-                                        p.echo_tries = 0;
-                                        p.path_up = true;
+                        Ok(Edge::Opened(_) | Edge::Closed(..)) => {}
+                        Err(SockEvent::DgramRecv { src, bytes, .. }) => {
+                            if let Ok(pkt) = GtpUPacket::decode(&bytes) {
+                                if pkt.msg_type == gtpu_type::ECHO_RESPONSE {
+                                    // Clear the retry counter for the path
+                                    // to the responding node.
+                                    for (_, p) in self.paths.iter_mut() {
+                                        if p.node == src.node {
+                                            p.echo_tries = 0;
+                                            p.path_up = true;
+                                        }
                                     }
                                 }
                             }
                         }
+                        Err(_) => {}
                     }
-                    _ => {}
-                },
+                }
                 Err(payload) => {
                     if let Ok(d) = try_downcast::<FluidDemand>(payload) {
                         self.pending_demands.push(d);

@@ -5,9 +5,9 @@
 //! require a single point of interconnection with "extension" networks.
 //! All AGWs' federation traffic funnels through it.
 
-use magma_net::{lp_encode, ports, Endpoint, LpFramer, SockCmd, SockEvent, StreamHandle};
+use magma_net::{lp_encode, ports, Dialer, Edge, Endpoint, SockEvent, StreamHandle, MAX_LP_LEN, REDIAL};
 use magma_orc8r::proto::{self as proto, FegAuthRequest, FegAuthResponse, FegVector};
-use magma_rpc::{RpcServer, RpcServerEvent};
+use magma_rpc::{RpcRequest, RpcServer};
 use crate::flows;
 use magma_sim::{downcast, Actor, ActorId, Ctx, Event, SimDuration, SimTime};
 use magma_wire::diameter::{DiameterPacket, ResultCode, S6aMessage};
@@ -24,6 +24,7 @@ struct PendingProxy {
 }
 
 const T_S6A: u64 = 1;
+const T_REDIAL: u64 = 2;
 /// How long an S6a request may stay unanswered before the FeG gives up
 /// and errors the waiting AGW (whose own RPC retry then kicks in).
 const S6A_TIMEOUT: SimDuration = SimDuration(10_000_000); // 10s
@@ -31,27 +32,22 @@ const S6A_TICK: SimDuration = SimDuration(3_000_000); // 3s
 
 /// The FeG actor.
 pub struct FegActor {
-    stack: ActorId,
     server: RpcServer,
-    mno: Endpoint,
-    mno_conn: Option<StreamHandle>,
-    mno_framer: LpFramer,
+    /// The Diameter stream to the MNO core.
+    mno: Dialer<MAX_LP_LEN>,
     next_hbh: u32,
     pending: BTreeMap<u32, PendingProxy>,
     tick_armed: bool,
-    /// Requests queued while the Diameter connection establishes.
-    queued: Vec<(StreamHandle, u64, DiameterPacket)>,
+    /// Requests queued while the Diameter stream is down, sent once it opens.
+    queued: Vec<DiameterPacket>,
     pub proxied: u64,
 }
 
 impl FegActor {
     pub fn new(stack: ActorId, mno: Endpoint) -> Self {
         FegActor {
-            stack,
             server: RpcServer::new(stack, ports::FEG),
-            mno,
-            mno_conn: None,
-            mno_framer: LpFramer::new(),
+            mno: Dialer::new(stack, mno),
             next_hbh: 1,
             pending: BTreeMap::new(),
             tick_armed: false,
@@ -60,30 +56,9 @@ impl FegActor {
         }
     }
 
-    fn open_mno(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.id();
-        ctx.send_to(
-            self.stack,
-            &magma_net::flows::SOCK_CMD,
-            Box::new(SockCmd::OpenStream {
-                peer: self.mno,
-                owner: me,
-                user: 77,
-            }),
-        );
-    }
-
     fn send_diameter(&mut self, ctx: &mut Ctx<'_>, pkt: &DiameterPacket) {
-        if let Some(conn) = self.mno_conn {
-            ctx.send_to(
-                self.stack,
-                &flows::FEG_S6A_REQUEST,
-                Box::new(SockCmd::StreamSend {
-                    handle: conn,
-                    bytes: lp_encode(&pkt.encode()),
-                }),
-            );
-        }
+        let bytes = lp_encode(&pkt.encode());
+        self.mno.send(ctx, &flows::FEG_S6A_REQUEST, bytes);
     }
 
     fn proxy(&mut self, ctx: &mut Ctx<'_>, conn: StreamHandle, rpc_id: u64, msg: S6aMessage) {
@@ -101,10 +76,10 @@ impl FegActor {
             self.tick_armed = true;
             ctx.send_self(&flows::FEG_S6A_TICK, S6A_TICK, T_S6A);
         }
-        if self.mno_conn.is_some() {
+        if self.mno.is_open() {
             self.send_diameter(ctx, &pkt);
         } else {
-            self.queued.push((conn, rpc_id, pkt));
+            self.queued.push(pkt);
         }
     }
 
@@ -207,60 +182,49 @@ impl Actor for FegActor {
         match event {
             Event::Start => {
                 self.server.listen(ctx);
-                self.open_mno(ctx);
+                self.mno.open(ctx);
             }
             Event::Msg { payload, .. } => {
                 let ev = downcast::<SockEvent>(payload, "feg");
                 // Diameter client connection events first.
-                match ev {
-                    SockEvent::StreamOpened { handle, user: 77, .. } => {
-                        self.mno_conn = Some(handle);
-                        let queued = std::mem::take(&mut self.queued);
-                        for (_conn, _id, pkt) in queued {
+                let mut answers = Vec::new();
+                let edge = self.mno.on_event(ctx, ev, |_, m| {
+                    answers.extend(DiameterPacket::decode(m).ok());
+                });
+                match edge {
+                    Ok(Edge::Opened(_)) => {
+                        for pkt in std::mem::take(&mut self.queued) {
                             self.send_diameter(ctx, &pkt);
                         }
                     }
-                    SockEvent::StreamRecv { handle, bytes }
-                        if Some(handle) == self.mno_conn =>
-                    {
-                        let msgs = self.mno_framer.push(&bytes);
-                        self.mno_framer.close_if_poisoned(ctx, self.stack, handle);
-                        for m in msgs {
-                            if let Ok(pkt) = DiameterPacket::decode(&m) {
-                                self.handle_diameter_answer(ctx, pkt);
-                            }
+                    Ok(Edge::Recv(_)) => {
+                        for pkt in answers {
+                            self.handle_diameter_answer(ctx, pkt);
                         }
                     }
-                    SockEvent::StreamClosed { handle, .. }
-                        if Some(handle) == self.mno_conn =>
-                    {
-                        self.mno_conn = None;
-                        self.mno_framer = LpFramer::new();
+                    Ok(Edge::Closed(..)) => {
                         // Fail all pending proxies: the AGWs will retry.
                         let pending = std::mem::take(&mut self.pending);
                         for (_, p) in pending {
                             self.server
                                 .reply_err(ctx, p.conn, p.rpc_id, &proto::flows::FEG_REPLY, "mno unreachable");
                         }
-                        self.open_mno(ctx);
+                        ctx.timer_in(REDIAL, T_REDIAL);
                     }
-                    other => {
-                        if let Ok(events) = self.server.try_handle(ctx, other) {
-                            for e in events {
-                                if let RpcServerEvent::Request {
-                                    conn,
-                                    id,
-                                    method,
-                                    body,
-                                } = e
-                                {
-                                    self.handle_request(ctx, conn, id, method, body);
-                                }
-                            }
+                    Err(other) => {
+                        for RpcRequest {
+                            conn,
+                            id,
+                            method,
+                            body,
+                        } in self.server.try_handle(ctx, other).unwrap_or_default()
+                        {
+                            self.handle_request(ctx, conn, id, method, body);
                         }
                     }
                 }
             }
+            Event::Timer { tag: T_REDIAL } => self.mno.open(ctx),
             Event::Timer { tag: T_S6A } => {
                 let now = ctx.now();
                 let stale: Vec<u32> = self

@@ -2,7 +2,7 @@
 //! with (§3.6). Hosts an HSS speaking Diameter S6a and tracks serving-
 //! node registrations.
 
-use magma_net::{lp_encode, ports, LpFramer, SockCmd, SockEvent, StreamHandle};
+use magma_net::{lp_encode, ports, Acceptor, Edge, SockEvent, StreamHandle, MAX_LP_LEN};
 use crate::flows;
 use magma_sim::{downcast, Actor, ActorId, Ctx, Event};
 use magma_subscriber::SubscriberDb;
@@ -14,9 +14,8 @@ use std::collections::BTreeMap;
 
 /// The MNO's HSS (plus location registry) actor.
 pub struct MnoCoreActor {
-    stack: ActorId,
     pub db: SubscriberDb,
-    conns: BTreeMap<StreamHandle, LpFramer>,
+    conns: Acceptor<MAX_LP_LEN, ()>,
     /// IMSI → serving node registered via ULR.
     locations: BTreeMap<Imsi, u32>,
     pub air_served: u64,
@@ -26,9 +25,8 @@ pub struct MnoCoreActor {
 impl MnoCoreActor {
     pub fn new(stack: ActorId, db: SubscriberDb) -> Self {
         MnoCoreActor {
-            stack,
             db,
-            conns: BTreeMap::new(),
+            conns: Acceptor::new(stack),
             locations: BTreeMap::new(),
             air_served: 0,
             ulr_served: 0,
@@ -36,14 +34,8 @@ impl MnoCoreActor {
     }
 
     fn reply(&mut self, ctx: &mut Ctx<'_>, conn: StreamHandle, pkt: DiameterPacket) {
-        ctx.send_to(
-            self.stack,
-            &flows::MNO_S6A_ANSWER,
-            Box::new(SockCmd::StreamSend {
-                handle: conn,
-                bytes: lp_encode(&pkt.encode()),
-            }),
-        );
+        let bytes = lp_encode(&pkt.encode());
+        self.conns.send(ctx, conn, &flows::MNO_S6A_ANSWER, bytes);
     }
 
     fn handle_diameter(&mut self, ctx: &mut Ctx<'_>, conn: StreamHandle, pkt: DiameterPacket) {
@@ -121,37 +113,17 @@ impl Actor for MnoCoreActor {
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
-            Event::Start => {
-                let me = ctx.id();
-                ctx.send_to(
-                    self.stack,
-                    &magma_net::flows::SOCK_CMD,
-                    Box::new(SockCmd::ListenStream {
-                        port: ports::DIAMETER,
-                        owner: me,
-                    }),
-                );
-            }
+            Event::Start => self.conns.listen(ctx, ports::DIAMETER),
             Event::Msg { payload, .. } => {
-                match downcast::<SockEvent>(payload, "mno-core") {
-                    SockEvent::StreamAccepted { handle, .. } => {
-                        self.conns.insert(handle, LpFramer::new());
+                let ev = downcast::<SockEvent>(payload, "mno-core");
+                let mut msgs = Vec::new();
+                let edge = self.conns.on_event(ctx, ev, |_, _| Some(()), |_, m| {
+                    msgs.extend(DiameterPacket::decode(m).ok());
+                });
+                if let Ok(Edge::Recv(conn)) = edge {
+                    for pkt in msgs {
+                        self.handle_diameter(ctx, conn, pkt);
                     }
-                    SockEvent::StreamRecv { handle, bytes } => {
-                        if let Some(framer) = self.conns.get_mut(&handle) {
-                            let msgs = framer.push(&bytes);
-                            framer.close_if_poisoned(ctx, self.stack, handle);
-                            for m in msgs {
-                                if let Ok(pkt) = DiameterPacket::decode(&m) {
-                                    self.handle_diameter(ctx, handle, pkt);
-                                }
-                            }
-                        }
-                    }
-                    SockEvent::StreamClosed { handle, .. } => {
-                        self.conns.remove(&handle);
-                    }
-                    _ => {}
                 }
             }
             Event::Timer { .. } | Event::CpuDone { .. } => {}

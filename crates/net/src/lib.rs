@@ -35,4 +35,4 @@ pub use link::{Link, LinkProfile, TxOutcome};
 pub use stack::{NetStack, SockCmd, SockEvent};
 pub use stream::{ConnKey, StreamConfig, StreamHandle};
 pub use topology::{LinkStats, Topology};
-pub use util::{lp_encode, LpFramer, Reassembler, MAX_LP_LEN};
+pub use util::{lp_encode, Acceptor, Dialer, Edge, Reassembler, MAX_LP_LEN, REDIAL};

@@ -23,13 +23,9 @@ pub enum SockCmd {
     ListenStream { port: u16, owner: ActorId },
     /// Register as the receiver for datagrams to `port`.
     ListenDgram { port: u16, owner: ActorId },
-    /// Open a stream to a remote endpoint. `user` is an opaque cookie
-    /// echoed back in [`SockEvent::StreamOpened`].
-    OpenStream {
-        peer: Endpoint,
-        owner: ActorId,
-        user: u64,
-    },
+    /// Open a stream to a remote endpoint; [`SockEvent::StreamOpened`]
+    /// names the peer back.
+    OpenStream { peer: Endpoint, owner: ActorId },
     /// Send bytes on an open stream.
     StreamSend { handle: StreamHandle, bytes: Bytes },
     /// Close a stream (sends a reset to the peer).
@@ -46,11 +42,7 @@ pub enum SockCmd {
 #[derive(Debug)]
 pub enum SockEvent {
     /// An `OpenStream` completed locally; the stream is usable immediately.
-    StreamOpened {
-        handle: StreamHandle,
-        user: u64,
-        peer: Endpoint,
-    },
+    StreamOpened { handle: StreamHandle, peer: Endpoint },
     /// A remote initiator opened a stream to a listening port.
     StreamAccepted {
         handle: StreamHandle,
@@ -176,7 +168,7 @@ impl NetStack {
             SockCmd::ListenDgram { port, owner } => {
                 self.dgram_listeners.insert(port, owner);
             }
-            SockCmd::OpenStream { peer, owner, user } => {
+            SockCmd::OpenStream { peer, owner } => {
                 let local_port = self.next_ephemeral;
                 self.next_ephemeral = self.next_ephemeral.checked_add(1).unwrap_or(ports::EPHEMERAL_BASE);
                 let key = ConnKey {
@@ -201,7 +193,7 @@ impl NetStack {
                 ctx.send_to(
                     owner,
                     &flows::SOCK_EVENT,
-                    Box::new(SockEvent::StreamOpened { handle, user, peer }),
+                    Box::new(SockEvent::StreamOpened { handle, peer }),
                 );
             }
             SockCmd::StreamSend { handle, bytes } => {
@@ -525,13 +517,12 @@ mod tests {
                         Box::new(SockCmd::OpenStream {
                             peer: self.server,
                             owner: me,
-                            user: 99,
                         }),
                     );
                 }
                 Event::Msg { payload, .. } => match downcast::<SockEvent>(payload, "client") {
-                    SockEvent::StreamOpened { handle, user, .. } => {
-                        assert_eq!(user, 99);
+                    SockEvent::StreamOpened { handle, peer } => {
+                        assert_eq!(peer, self.server);
                         ctx.send_to(
                             self.stack,
                             &flows::SOCK_CMD,
@@ -715,7 +706,6 @@ mod tests {
                             Box::new(SockCmd::OpenStream {
                                 peer: self.server,
                                 owner: me,
-                                user: 0,
                             }),
                         );
                     }

@@ -132,7 +132,9 @@ fn stream(msgs: &[Vec<u8>], at: usize, hostile: u8, cap: usize) -> Vec<u8> {
 fn outcomes<const CAP: usize>(stream: &[u8], chunks: &[usize]) -> [Outcome; 3] {
     let mut shared = Reassembler::<CAP>::new();
     let got = feed(stream, chunks, |c| {
-        shared.push(c).iter().map(|m| m.to_vec()).collect()
+        let mut out = Vec::new();
+        shared.push_each(c, |m| out.push(m.to_vec()));
+        out
     });
     let shared = (got, shared.is_poisoned(), shared.buffered());
     let mut front = SplitFront {

@@ -57,7 +57,6 @@ impl Actor for Client {
                     Box::new(SockCmd::OpenStream {
                         peer: self.server,
                         owner: me,
-                        user: 0,
                     }),
                 );
             }

@@ -10,7 +10,7 @@
 use crate::proto::*;
 use crate::state::Orc8rHandle;
 use magma_net::{SockEvent, StreamHandle};
-use magma_rpc::{RpcServer, RpcServerEvent};
+use magma_rpc::{RpcRequest, RpcServer};
 use magma_sim::{downcast, flow_dispatch, Actor, ActorId, Ctx, Event, SimDuration};
 use serde_json::{json, Map, Value};
 use std::collections::BTreeMap;
@@ -38,10 +38,9 @@ flow_dispatch! {
 /// The orchestrator service actor.
 pub struct Orc8rActor {
     state: Orc8rHandle,
-    server: RpcServer,
     /// Per connection, the config version the gateway on it holds, once
     /// a check-in has said so: what it reported, then what it was sent.
-    conns: BTreeMap<StreamHandle, Option<u64>>,
+    server: RpcServer<Option<u64>>,
 }
 
 impl Orc8rActor {
@@ -49,7 +48,6 @@ impl Orc8rActor {
         Orc8rActor {
             state,
             server: RpcServer::new(stack, port),
-            conns: BTreeMap::new(),
         }
     }
 
@@ -100,7 +98,7 @@ impl Orc8rActor {
                 };
                 // The reply brings the replica to `latest`, so pushes on
                 // this connection start from there.
-                if let Some(held) = self.conns.get_mut(&conn) {
+                if let Some(held) = self.server.conn_mut(conn) {
                     *held = Some(latest.max(req.db_version));
                 }
                 drop(st);
@@ -216,9 +214,9 @@ impl Orc8rActor {
         let state = self.state.borrow();
         let version = state.db.version;
         let mut by_held: BTreeMap<u64, Vec<StreamHandle>> = BTreeMap::new();
-        for (conn, held) in &self.conns {
+        for (conn, held) in self.server.conns() {
             if let Some(held) = held {
-                by_held.entry(*held).or_default().push(*conn);
+                by_held.entry(*held).or_default().push(conn);
             }
         }
         for (held, conns) in by_held {
@@ -231,7 +229,9 @@ impl Orc8rActor {
                 .server
                 .push(ctx, &conns, version, &flows::PUSH_SUBSCRIBERS, &sync);
             for conn in pushed {
-                self.conns.insert(conn, Some(version));
+                if let Some(held) = self.server.conn_mut(conn) {
+                    *held = Some(version);
+                }
                 ctx.registry().counter_add("orc8r.pushes", 1.0);
             }
         }
@@ -262,26 +262,14 @@ impl Actor for Orc8rActor {
             Event::Timer { .. } => {}
             Event::Msg { payload, .. } => {
                 let ev = downcast::<SockEvent>(payload, "orc8r");
-                match self.server.try_handle(ctx, ev) {
-                    Ok(events) => {
-                        for e in events {
-                            match e {
-                                RpcServerEvent::Request {
-                                    conn,
-                                    id,
-                                    method,
-                                    body,
-                                } => self.handle_request(ctx, conn, id, method, body),
-                                RpcServerEvent::ClientConnected { conn } => {
-                                    self.conns.insert(conn, None);
-                                }
-                                RpcServerEvent::ClientGone { conn } => {
-                                    self.conns.remove(&conn);
-                                }
-                            }
-                        }
-                    }
-                    Err(_other) => {}
+                for RpcRequest {
+                    conn,
+                    id,
+                    method,
+                    body,
+                } in self.server.try_handle(ctx, ev).unwrap_or_default()
+                {
+                    self.handle_request(ctx, conn, id, method, body);
                 }
             }
             Event::CpuDone { .. } => {}

@@ -10,7 +10,7 @@ use crate::flows;
 use crate::radio::SectorModel;
 use crate::ue::{UePhase, UeSim};
 use magma_agw::{FluidDemand, FluidGrant, FLUID_TICK};
-use magma_net::{lp_encode, Endpoint, LpFramer, SockCmd, SockEvent, StreamHandle};
+use magma_net::{lp_encode, Dialer, Edge, Endpoint, SockCmd, SockEvent, MAX_LP_LEN, REDIAL};
 use magma_sim::eventd::kind as event_kind;
 use magma_sim::{try_downcast, Actor, ActorId, Ctx, Event, Severity, SimDuration, SimTime};
 use magma_wire::nas::NasMessage;
@@ -118,8 +118,7 @@ fn slot_of(slots: &[UeSlot], cursor: &mut usize, teid: Teid) -> Option<usize> {
 pub struct EnodebActor {
     cfg: EnbConfig,
     slots: Vec<UeSlot>,
-    conn: Option<StreamHandle>,
-    framer: LpFramer,
+    s1: Dialer<MAX_LP_LEN>,
     s1_ready: bool,
     next_attach: usize,
 }
@@ -137,11 +136,11 @@ impl EnodebActor {
                 attempt_started: None,
             })
             .collect();
+        let s1 = Dialer::new(cfg.stack, cfg.agw_ctrl);
         EnodebActor {
             cfg,
             slots,
-            conn: None,
-            framer: LpFramer::new(),
+            s1,
             s1_ready: false,
             next_attach: 0,
         }
@@ -154,29 +153,8 @@ impl EnodebActor {
     }
 
     fn send_s1ap(&mut self, ctx: &mut Ctx<'_>, msg: &S1apMessage) {
-        if let Some(conn) = self.conn {
-            ctx.send_to(
-                self.cfg.stack,
-                &magma_agw::flows::RAN_S1AP_UL,
-                Box::new(SockCmd::StreamSend {
-                    handle: conn,
-                    bytes: lp_encode(&msg.encode()),
-                }),
-            );
-        }
-    }
-
-    fn open_s1(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.id();
-        ctx.send_to(
-            self.cfg.stack,
-            &magma_net::flows::SOCK_CMD,
-            Box::new(SockCmd::OpenStream {
-                peer: self.cfg.agw_ctrl,
-                owner: me,
-                user: 10,
-            }),
-        );
+        let bytes = lp_encode(&msg.encode());
+        self.s1.send(ctx, &magma_agw::flows::RAN_S1AP_UL, bytes);
     }
 
     fn radio_delay(&self, ctx: &mut Ctx<'_>) -> SimDuration {
@@ -237,15 +215,7 @@ impl EnodebActor {
         // timer is not a hop of the procedure, and a timed-out attach
         // simply leaves its trace unfinished (counted, never exported).
         self.start_attach_trace(ctx);
-        let bytes = lp_encode(&msg.encode());
-        if let Some(conn) = self.conn {
-            let stack = self.cfg.stack;
-            ctx.send_to(
-                stack,
-                &magma_agw::flows::RAN_S1AP_UL,
-                Box::new(SockCmd::StreamSend { handle: conn, bytes }),
-            );
-        }
+        self.send_s1ap(ctx, &msg);
     }
 
     fn handle_s1ap(&mut self, ctx: &mut Ctx<'_>, msg: S1apMessage) {
@@ -271,10 +241,8 @@ impl EnodebActor {
                         }
                     }
                 }
-            S1apMessage::S1SetupFailure { .. } => {
-                // Try again later.
-                ctx.timer_in(SimDuration::from_secs(5), T_RECONNECT);
-            }
+            // Close the refused stream; the redial rule reopens it.
+            S1apMessage::S1SetupFailure { .. } => self.s1.close(ctx),
             S1apMessage::DownlinkNasTransport {
                 enb_ue_id,
                 mme_ue_id,
@@ -480,7 +448,7 @@ impl Actor for EnodebActor {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {
-                self.open_s1(ctx);
+                self.s1.open(ctx);
                 // GTP-U endpoint: the traditional-EPC baseline probes the
                 // eNB's user-plane path with GTP echo requests.
                 let me = ctx.id();
@@ -506,7 +474,7 @@ impl Actor for EnodebActor {
                         );
                         ctx.timer_in(gap, T_ATTACH);
                     }
-                T_RECONNECT => self.open_s1(ctx),
+                T_RECONNECT => self.s1.open(ctx),
                 T_HEARTBEAT
                     // SCTP-heartbeat analog: periodic traffic on the S1
                     // association so a dead AGW is detected even when no
@@ -581,52 +549,52 @@ impl Actor for EnodebActor {
                 _ => {}
             },
             Event::Msg { payload, .. } => match try_downcast::<SockEvent>(payload) {
-                Ok(ev) => match ev {
-                    SockEvent::StreamOpened { handle, user: 10, .. } => {
-                        self.conn = Some(handle);
-                        let msg = S1apMessage::S1SetupRequest {
-                            enb_id: self.cfg.enb_id,
-                            name: self.cfg.name.clone(),
-                        };
-                        self.send_s1ap(ctx, &msg);
-                    }
-                    SockEvent::StreamRecv { handle, bytes } if Some(handle) == self.conn => {
-                        let msgs = self.framer.push(&bytes);
-                        self.framer.close_if_poisoned(ctx, self.cfg.stack, handle);
-                        for m in msgs {
-                            if let Ok(s1ap) = S1apMessage::decode(&m) {
+                Ok(ev) => {
+                    let mut msgs = Vec::new();
+                    let edge = self.s1.on_event(ctx, ev, |_, m| {
+                        msgs.extend(S1apMessage::decode(m).ok());
+                    });
+                    match edge {
+                        Ok(Edge::Opened(_)) => {
+                            let msg = S1apMessage::S1SetupRequest {
+                                enb_id: self.cfg.enb_id,
+                                name: self.cfg.name.clone(),
+                            };
+                            self.send_s1ap(ctx, &msg);
+                        }
+                        Ok(Edge::Recv(_)) => {
+                            for s1ap in msgs {
                                 self.handle_s1ap(ctx, s1ap);
                             }
                         }
-                    }
-                    SockEvent::DgramRecv { src, bytes, .. } => {
-                        use magma_wire::gtp::{gtpu_type, GtpUPacket};
-                        if let Ok(pkt) = GtpUPacket::decode(&bytes) {
-                            if pkt.msg_type == gtpu_type::ECHO_REQUEST {
-                                let mut resp = GtpUPacket::echo_request(pkt.seq.unwrap_or(0));
-                                resp.msg_type = gtpu_type::ECHO_RESPONSE;
-                                ctx.send_to(
-                                    self.cfg.stack,
-                                    &magma_agw::flows::ENB_GTPU_ECHO_REPLY,
-                                    Box::new(SockCmd::DgramSend {
-                                        src_port: magma_net::ports::GTPU,
-                                        dst: src,
-                                        bytes: resp.encode(),
-                                    }),
-                                );
+                        Ok(Edge::Closed(..)) => {
+                            // The AGW died, the link failed or S1 Setup
+                            // was refused: all UE sessions on this eNB are
+                            // in doubt.
+                            self.s1_ready = false;
+                            ctx.timer_in(REDIAL, T_RECONNECT);
+                        }
+                        Err(SockEvent::DgramRecv { src, bytes, .. }) => {
+                            use magma_wire::gtp::{gtpu_type, GtpUPacket};
+                            if let Ok(pkt) = GtpUPacket::decode(&bytes) {
+                                if pkt.msg_type == gtpu_type::ECHO_REQUEST {
+                                    let mut resp = GtpUPacket::echo_request(pkt.seq.unwrap_or(0));
+                                    resp.msg_type = gtpu_type::ECHO_RESPONSE;
+                                    ctx.send_to(
+                                        self.cfg.stack,
+                                        &magma_agw::flows::ENB_GTPU_ECHO_REPLY,
+                                        Box::new(SockCmd::DgramSend {
+                                            src_port: magma_net::ports::GTPU,
+                                            dst: src,
+                                            bytes: resp.encode(),
+                                        }),
+                                    );
+                                }
                             }
                         }
+                        Err(_) => {}
                     }
-                    SockEvent::StreamClosed { handle, .. } if Some(handle) == self.conn => {
-                        // The AGW died or the link failed: all UE
-                        // sessions on this eNB are in doubt.
-                        self.conn = None;
-                        self.s1_ready = false;
-                        self.framer = LpFramer::new();
-                        ctx.timer_in(SimDuration::from_secs(2), T_RECONNECT);
-                    }
-                    _ => {}
-                },
+                }
                 Err(payload) => {
                     if let Ok(grant) = try_downcast::<FluidGrant>(payload) {
                         // Per-UE no-service detection: a session whose

@@ -1,5 +1,11 @@
 //! RPC client: unary calls with deadlines and transparent reconnection.
 //!
+//! The client holds its one stream in a `magma_net::Dialer`, which frames
+//! it and closes it on a hostile length prefix. It dials only while a
+//! call is waiting: at [`call`](RpcClient::call), or at the owner's next
+//! tick after a close — never on a timer of its own, and not at all
+//! while nothing is outstanding.
+//!
 //! The stream under the client is the one loss-recovery layer: it
 //! retransmits on its own RTO and closes after its retry budget. So the
 //! client never re-sends on an open stream — a second copy there could
@@ -18,10 +24,10 @@
 //! per-gateway sequence number the store dedupes on, and credit calls a
 //! per-session request number the OCS answers once (RFC 4006 §8.2).
 
-use crate::codec::{self, Framer};
+use crate::codec::{self, MAX_FRAME_LEN};
 use crate::msg::RpcKind;
 use bytes::Bytes;
-use magma_net::{flows, Endpoint, SockCmd, SockEvent, StreamHandle};
+use magma_net::{flows, Dialer, Edge, Endpoint, SockEvent};
 use magma_sim::{ActorId, Ctx, FlowKind, Role, SimDuration, SimTime};
 use serde::Serialize;
 use serde_json::Value;
@@ -47,13 +53,6 @@ pub enum RpcClientEvent {
     Disconnected,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ConnState {
-    Idle,
-    Opening,
-    Open(StreamHandle),
-}
-
 struct Pending {
     method: &'static str,
     /// The encoded request. The id is fixed per call, so the reconnect
@@ -66,28 +65,18 @@ struct Pending {
 /// `SockEvent`s via [`try_handle`](RpcClient::try_handle) and arm a
 /// periodic tick calling [`on_tick`](RpcClient::on_tick).
 pub struct RpcClient {
-    stack: ActorId,
-    server: Endpoint,
-    cookie: u64,
+    stream: Dialer<MAX_FRAME_LEN>,
     /// How long after `call` an unanswered call fails.
     deadline: SimDuration,
-    conn: ConnState,
-    framer: Framer,
     next_id: u64,
     outstanding: BTreeMap<u64, Pending>,
 }
 
 impl RpcClient {
-    /// `cookie` must be unique among helpers embedded in the same actor —
-    /// it disambiguates `StreamOpened` events.
-    pub fn new(stack: ActorId, server: Endpoint, cookie: u64) -> Self {
+    pub fn new(stack: ActorId, server: Endpoint) -> Self {
         RpcClient {
-            stack,
-            server,
-            cookie,
+            stream: Dialer::new(stack, server),
             deadline: DEFAULT_DEADLINE,
-            conn: ConnState::Idle,
-            framer: Framer::new(),
             next_id: 1,
             outstanding: BTreeMap::new(),
         }
@@ -99,28 +88,8 @@ impl RpcClient {
         self
     }
 
-    pub fn server(&self) -> Endpoint {
-        self.server
-    }
-
     pub fn is_connected(&self) -> bool {
-        matches!(self.conn, ConnState::Open(_))
-    }
-
-    fn ensure_conn(&mut self, ctx: &mut Ctx<'_>) {
-        if self.conn == ConnState::Idle {
-            self.conn = ConnState::Opening;
-            let owner = ctx.id();
-            ctx.send_to(
-                self.stack,
-                &flows::SOCK_CMD,
-                Box::new(SockCmd::OpenStream {
-                    peer: self.server,
-                    owner,
-                    user: self.cookie,
-                }),
-            );
-        }
+        self.stream.is_open()
     }
 
     /// Issue a unary call. Returns the call id; the owner will receive a
@@ -157,10 +126,11 @@ impl RpcClient {
             frame,
             deadline: ctx.now() + self.deadline,
         };
-        match self.conn {
-            ConnState::Open(h) => send(ctx, self.stack, h, &pending),
-            // The `StreamOpened` flush sends it.
-            _ => self.ensure_conn(ctx),
+        if self.stream.is_open() {
+            send(ctx, &self.stream, &pending);
+        } else {
+            // The `Opened` flush sends it.
+            self.stream.open(ctx);
         }
         self.outstanding.insert(id, pending);
         id
@@ -172,24 +142,21 @@ impl RpcClient {
         ctx: &mut Ctx<'_>,
         ev: SockEvent,
     ) -> Result<Vec<RpcClientEvent>, SockEvent> {
-        match ev {
-            SockEvent::StreamOpened { handle, user, .. } if user == self.cookie => {
-                self.conn = ConnState::Open(handle);
+        let mut frames = Vec::new();
+        let edge = self.stream.on_event(ctx, ev, |ctx, text| {
+            let _decode = ctx.profile_scope("rpc.decode");
+            frames.extend(codec::parse(text, &mut None));
+        })?;
+        Ok(match edge {
+            Edge::Opened(_) => {
                 // The one re-send path: whatever the old stream carried
                 // may never have reached the server.
                 for p in self.outstanding.values() {
-                    send(ctx, self.stack, handle, p);
+                    send(ctx, &self.stream, p);
                 }
-                Ok(vec![RpcClientEvent::Connected])
+                vec![RpcClientEvent::Connected]
             }
-            SockEvent::StreamRecv { handle, bytes }
-                if self.conn == ConnState::Open(handle) =>
-            {
-                let decode = || ctx.profile_scope("rpc.decode");
-                let frames = self.framer.push_with(&bytes, &mut None, decode);
-                // On `StreamClosed`, outstanding calls are re-sent on a
-                // fresh stream.
-                self.framer.close_if_poisoned(ctx, self.stack, handle);
+            Edge::Recv(_) => {
                 let mut out = Vec::new();
                 for f in frames {
                     match f.kind {
@@ -217,18 +184,11 @@ impl RpcClient {
                         RpcKind::Request => {} // clients don't serve
                     }
                 }
-                Ok(out)
+                out
             }
-            SockEvent::StreamClosed { handle, .. }
-                if self.conn == ConnState::Open(handle) =>
-            {
-                self.conn = ConnState::Idle;
-                self.framer = Framer::new();
-                // The next tick reconnects if calls are outstanding.
-                Ok(vec![RpcClientEvent::Disconnected])
-            }
-            other => Err(other),
-        }
+            // The next tick reconnects if calls are outstanding.
+            Edge::Closed(..) => vec![RpcClientEvent::Disconnected],
+        })
     }
 
     /// Periodic maintenance: fail calls past their deadline, and reconnect
@@ -248,21 +208,16 @@ impl RpcClient {
             live
         });
         if !self.outstanding.is_empty() {
-            self.ensure_conn(ctx);
+            self.stream.open(ctx);
         }
         out
     }
 }
 
 /// Hand one call's held frame to the stream.
-fn send(ctx: &mut Ctx<'_>, stack: ActorId, handle: StreamHandle, p: &Pending) {
+fn send(ctx: &mut Ctx<'_>, stream: &Dialer<MAX_FRAME_LEN>, p: &Pending) {
     // The method rides inside the stream payload, so it is counted here,
     // once per send.
     ctx.count_rpc(p.method, p.frame.len());
-    let bytes = p.frame.clone();
-    ctx.send_to(
-        stack,
-        &flows::SOCK_CMD,
-        Box::new(SockCmd::StreamSend { handle, bytes }),
-    );
+    stream.send(ctx, &flows::SOCK_CMD, p.frame.clone());
 }

@@ -1,9 +1,9 @@
 //! Length-prefixed framing over the byte stream.
 //!
 //! The stream transport delivers byte chunks with arbitrary segmentation
-//! (MTU-sized segments, possibly coalesced); the [`Framer`] reassembles
-//! complete `[u32 length][json]` frames with `magma-net`'s
-//! [`Reassembler`] and parses each.
+//! (MTU-sized segments, possibly coalesced); `magma-net`'s
+//! [`Reassembler`] cuts out complete `[u32 length][json]` frames and
+//! [`parse`] reads each.
 
 use crate::msg::{RpcFrame, RpcKind};
 use bytes::Bytes;
@@ -62,10 +62,32 @@ pub struct Spare {
     pub body: Value,
 }
 
-/// Streaming reassembler for length-prefixed frames. Framing (the
-/// [`MAX_FRAME_LEN`] cap, poisoning, [`buffered`](Reassembler::buffered),
-/// [`close_if_poisoned`](Reassembler::close_if_poisoned)) is the
-/// [`Reassembler`]'s, reached through `Deref`; this adds the parse.
+/// Parse one frame's text (its length prefix stripped). A frame ending
+/// `,"method":<spare's method>}` (as [`encode`] ends it) takes the spare
+/// and is parsed into its tree: the same frame, reused. `None` if the
+/// text is not a valid `RpcFrame`; a spare it took is dropped.
+pub fn parse(text: &[u8], spare: &mut Option<Spare>) -> Option<RpcFrame> {
+    let names = |s: &mut Spare| {
+        let t = text
+            .strip_suffix(b"\"}")
+            .and_then(|t| t.strip_suffix(s.method.as_bytes()));
+        t.is_some_and(|t| t.ends_with(b",\"method\":\""))
+    };
+    let mut tree = spare.take_if(names).map_or(Value::Null, |s| {
+        Value::Object(Map::from([("body".to_string(), s.body)]))
+    });
+    serde_json::from_slice_into(&mut tree, text)
+        .and_then(|()| serde_json::from_value::<RpcFrame>(tree))
+        .ok()
+}
+
+/// Streaming reassembler for length-prefixed frames, for code that reads
+/// frames without a world (benches, tools, tests). Framing (the
+/// [`MAX_FRAME_LEN`] cap, poisoning, [`buffered`](Reassembler::buffered))
+/// is the [`Reassembler`]'s, reached through `Deref`; this adds the
+/// [`parse`]. [`RpcClient`](crate::RpcClient) and
+/// [`RpcServer`](crate::RpcServer) parse through their stream's
+/// `Dialer` and `Acceptor` instead.
 #[derive(Debug, Default)]
 pub struct Framer {
     frames: Reassembler<MAX_FRAME_LEN>,
@@ -89,39 +111,17 @@ impl Framer {
     /// A complete frame that is not a valid `RpcFrame` is skipped and
     /// counted in [`rejected`](Self::rejected). A length prefix beyond
     /// [`MAX_FRAME_LEN`] poisons the framer: framing is lost for good, so
-    /// it drops what it holds and ignores further input until the owner
-    /// closes the stream.
+    /// it drops what it holds and ignores further input.
     pub fn push(&mut self, bytes: &[u8]) -> Vec<RpcFrame> {
-        self.push_with(bytes, &mut None, || ())
+        self.push_with(bytes, &mut None)
     }
 
-    /// [`push`](Self::push), holding `scope` around each frame's parse. A
-    /// frame ending `,"method":<spare's method>}` (as [`encode`] ends it)
-    /// takes the spare and is parsed into its tree: the same frame, reused.
-    pub fn push_with<G>(
-        &mut self,
-        bytes: &[u8],
-        spare: &mut Option<Spare>,
-        mut scope: impl FnMut() -> G,
-    ) -> Vec<RpcFrame> {
+    /// [`push`](Self::push), parsing into `spare` (see [`parse`]).
+    pub fn push_with(&mut self, bytes: &[u8], spare: &mut Option<Spare>) -> Vec<RpcFrame> {
         let mut out = Vec::new();
-        self.frames.push_each(bytes, |text| {
-            let _scope = scope();
-            let names = |s: &mut Spare| {
-                let t = text
-                    .strip_suffix(b"\"}")
-                    .and_then(|t| t.strip_suffix(s.method.as_bytes()));
-                t.is_some_and(|t| t.ends_with(b",\"method\":\""))
-            };
-            let mut tree = spare.take_if(names).map_or(Value::Null, |s| {
-                Value::Object(Map::from([("body".to_string(), s.body)]))
-            });
-            match serde_json::from_slice_into(&mut tree, text)
-                .and_then(|()| serde_json::from_value::<RpcFrame>(tree))
-            {
-                Ok(frame) => out.push(frame),
-                Err(_) => self.rejected += 1,
-            }
+        self.frames.push_each(bytes, |text| match parse(text, spare) {
+            Some(frame) => out.push(frame),
+            None => self.rejected += 1,
         });
         out
     }
@@ -162,7 +162,8 @@ mod tests {
     }
 
     /// The owner's scope (`rpc.decode`) is held once per completed frame,
-    /// not once per pushed segment, refused frames included.
+    /// not once per pushed segment, refused frames included: the stream's
+    /// reassembler hands [`parse`] one frame per call.
     #[test]
     fn scope_is_entered_once_per_completed_frame() {
         let mut wire = BytesMut::new();
@@ -174,13 +175,19 @@ mod tests {
         }
         wire.put_u32(3);
         wire.put_slice(b"???");
-        let mut fr = Framer::new();
-        let (mut entered, mut got) = (0, 0);
+        let mut frames = Reassembler::<MAX_FRAME_LEN>::new();
+        let (mut entered, mut got, mut rejected) = (0, 0, 0);
         for chunk in wire.chunks(7) {
-            got += fr.push_with(chunk, &mut None, || entered += 1).len();
+            frames.push_each(chunk, |text| {
+                entered += 1;
+                match parse(text, &mut None) {
+                    Some(_) => got += 1,
+                    None => rejected += 1,
+                }
+            });
         }
         assert!(wire.len() / 7 > 3, "more segments than frames");
-        assert_eq!((got, fr.rejected(), entered), (2, 1, 3));
+        assert_eq!((got, rejected, entered), (2, 1, 3));
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod server;
 pub use client::{RpcClient, RpcClientEvent};
 pub use codec::{encode_frame, Framer, Spare, MAX_FRAME_LEN};
 pub use msg::{RpcFrame, RpcKind};
-pub use server::{RpcServer, RpcServerEvent};
+pub use server::{RpcRequest, RpcServer};
 
 #[cfg(test)]
 mod tests {
@@ -64,27 +64,23 @@ mod tests {
                 Event::Start => self.server.listen(ctx),
                 Event::Msg { payload, .. } => {
                     let ev = downcast::<SockEvent>(payload, "echo-service");
-                    if let Ok(events) = self.server.try_handle(ctx, ev) {
-                        for e in events {
-                            if let RpcServerEvent::Request {
-                                conn,
-                                id,
-                                method,
-                                body,
-                            } = e
-                            {
-                                match method.as_str() {
-                                    "echo.Echo" => {
-                                        self.server.reply(ctx, conn, id, &ECHO_REPLY, body)
-                                    }
-                                    _ => self.server.reply_err(
-                                        ctx,
-                                        conn,
-                                        id,
-                                        &ECHO_REPLY,
-                                        "no such method",
-                                    ),
-                                }
+                    if let Ok(requests) = self.server.try_handle(ctx, ev) {
+                        for RpcRequest {
+                            conn,
+                            id,
+                            method,
+                            body,
+                        } in requests
+                        {
+                            match method.as_str() {
+                                "echo.Echo" => self.server.reply(ctx, conn, id, &ECHO_REPLY, body),
+                                _ => self.server.reply_err(
+                                    ctx,
+                                    conn,
+                                    id,
+                                    &ECHO_REPLY,
+                                    "no such method",
+                                ),
                             }
                         }
                     }
@@ -165,7 +161,7 @@ mod tests {
             server: RpcServer::new(sb, 8443),
         }));
         w.add_actor(Box::new(Caller {
-            client: RpcClient::new(sa, server_ep, 1),
+            client: RpcClient::new(sa, server_ep),
             n,
             interval: SimDuration::from_millis(50),
             sent: 0,
@@ -230,7 +226,7 @@ mod tests {
             server: RpcServer::new(sb, 8443),
         }));
         w.add_actor(Box::new(BadCaller {
-            client: RpcClient::new(sa, Endpoint::new(b, 8443), 1),
+            client: RpcClient::new(sa, Endpoint::new(b, 8443)),
         }));
         w.run_until(SimTime::from_secs(5));
         assert_eq!(
@@ -254,7 +250,7 @@ mod tests {
         let sa = net.add_stack(&mut w, a);
         net.add_stack(&mut w, b);
         w.add_actor(Box::new(Caller {
-            client: RpcClient::new(sa, Endpoint::new(b, 8443), 1),
+            client: RpcClient::new(sa, Endpoint::new(b, 8443)),
             n: 1,
             interval: SimDuration::from_millis(50),
             sent: 0,
@@ -281,7 +277,7 @@ mod tests {
             server: RpcServer::new(sb, 8443),
         }));
         w.add_actor(Box::new(Caller {
-            client: RpcClient::new(sa, Endpoint::new(b, 8443), 1)
+            client: RpcClient::new(sa, Endpoint::new(b, 8443))
                 .with_deadline(SimDuration::from_secs(62)),
             n: 40,
             interval: SimDuration::from_millis(100),

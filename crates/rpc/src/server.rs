@@ -1,69 +1,66 @@
 //! RPC server: accepts connections on a port, surfaces requests to the
 //! owning actor, and sends responses / push frames back.
+//!
+//! The accepted streams live in a `magma_net::Acceptor`, which frames
+//! them, closes one on a hostile length prefix and forgets it once
+//! closed. Each carries the owner's per-connection state `T` (the
+//! orchestrator's is the replica version the gateway holds), created
+//! with `T::default()` on accept.
 
-use crate::codec::{self, Framer, Spare};
+use crate::codec::{self, Spare, MAX_FRAME_LEN};
 use crate::msg::RpcKind;
 use bytes::Bytes;
-use magma_net::{flows, SockCmd, SockEvent, StreamHandle};
+use magma_net::{flows, Acceptor, Edge, SockEvent, StreamHandle};
 use magma_sim::{ActorId, Ctx, FlowKind, Role};
 use serde::Serialize;
 use serde_json::Value;
-use std::collections::BTreeMap;
 
-/// Events the server surfaces to its owning actor.
+/// A unary request for the owning actor to answer via
+/// [`RpcServer::reply`] / [`RpcServer::reply_err`].
 #[derive(Debug)]
-pub enum RpcServerEvent {
-    /// A unary request to answer via [`RpcServer::reply`] /
-    /// [`RpcServer::reply_err`].
-    Request {
-        conn: StreamHandle,
-        id: u64,
-        method: String,
-        body: Value,
-    },
-    /// A client connected (useful for push-stream registration).
-    ClientConnected { conn: StreamHandle },
-    /// A client connection went away; any push streams to it are dead.
-    ClientGone { conn: StreamHandle },
+pub struct RpcRequest {
+    pub conn: StreamHandle,
+    pub id: u64,
+    pub method: String,
+    pub body: Value,
 }
 
-/// An RPC server bound to one listening port. Embed in an actor and
-/// forward `SockEvent`s through [`try_handle`](RpcServer::try_handle).
-pub struct RpcServer {
-    stack: ActorId,
+/// An RPC server bound to one listening port, holding a `T` per client
+/// connection. Embed in an actor and forward `SockEvent`s through
+/// [`try_handle`](RpcServer::try_handle).
+pub struct RpcServer<T = ()> {
     port: u16,
-    conns: BTreeMap<StreamHandle, Framer>,
+    conns: Acceptor<MAX_FRAME_LEN, T>,
     /// One body tree, for the next request whose method it names.
     spare: Option<Spare>,
-    pub requests_served: u64,
 }
 
-impl RpcServer {
+impl<T: Default> RpcServer<T> {
     pub fn new(stack: ActorId, port: u16) -> Self {
         RpcServer {
-            stack,
             port,
-            conns: BTreeMap::new(),
+            conns: Acceptor::new(stack),
             spare: None,
-            requests_served: 0,
         }
     }
 
     /// Register the listening port; call from the owner's `Start` event.
-    pub fn listen(&mut self, ctx: &mut Ctx<'_>) {
-        let owner = ctx.id();
-        ctx.send_to(
-            self.stack,
-            &flows::SOCK_CMD,
-            Box::new(SockCmd::ListenStream {
-                port: self.port,
-                owner,
-            }),
-        );
+    pub fn listen(&self, ctx: &mut Ctx<'_>) {
+        self.conns.listen(ctx, self.port);
     }
 
     pub fn port(&self) -> u16 {
         self.port
+    }
+
+    /// The live client connections and their state, in handle order.
+    pub fn conns(&self) -> impl Iterator<Item = (StreamHandle, &T)> {
+        self.conns.iter()
+    }
+
+    /// The state of a live connection.
+    pub fn conn_mut(&mut self, conn: StreamHandle) -> Option<&mut T> {
+        self.conns.get_mut(conn)
     }
 
     /// Offer a `SockEvent`; `Err` hands it back if it isn't ours.
@@ -71,39 +68,31 @@ impl RpcServer {
         &mut self,
         ctx: &mut Ctx<'_>,
         ev: SockEvent,
-    ) -> Result<Vec<RpcServerEvent>, SockEvent> {
-        match ev {
-            SockEvent::StreamAccepted {
-                handle, local_port, ..
-            } if local_port == self.port => {
-                self.conns.insert(handle, Framer::new());
-                Ok(vec![RpcServerEvent::ClientConnected { conn: handle }])
-            }
-            SockEvent::StreamRecv { handle, bytes } if self.conns.contains_key(&handle) => {
-                let mut out = Vec::new();
-                if let Some(framer) = self.conns.get_mut(&handle) {
-                    let decode = || ctx.profile_scope("rpc.decode");
-                    for f in framer.push_with(&bytes, &mut self.spare, decode) {
-                        if f.kind == RpcKind::Request {
-                            out.push(RpcServerEvent::Request {
-                                conn: handle,
-                                id: f.id,
-                                method: f.method,
-                                body: f.body,
-                            });
-                        }
-                    }
-                    framer.close_if_poisoned(ctx, self.stack, handle);
-                }
-                self.requests_served += out.len() as u64;
-                Ok(out)
-            }
-            SockEvent::StreamClosed { handle, .. } if self.conns.contains_key(&handle) => {
-                self.conns.remove(&handle);
-                Ok(vec![RpcServerEvent::ClientGone { conn: handle }])
-            }
-            other => Err(other),
-        }
+    ) -> Result<Vec<RpcRequest>, SockEvent> {
+        let port = self.port;
+        let spare = &mut self.spare;
+        let mut out = Vec::new();
+        let edge = self.conns.on_event(
+            ctx,
+            ev,
+            |local_port, _| (local_port == port).then(T::default),
+            |ctx, text| {
+                let _decode = ctx.profile_scope("rpc.decode");
+                out.extend(codec::parse(text, spare).filter(|f| f.kind == RpcKind::Request));
+            },
+        )?;
+        Ok(match edge {
+            Edge::Recv(conn) => out
+                .into_iter()
+                .map(|f| RpcRequest {
+                    conn,
+                    id: f.id,
+                    method: f.method,
+                    body: f.body,
+                })
+                .collect(),
+            Edge::Opened(_) | Edge::Closed(..) => Vec::new(),
+        })
     }
 
     /// Send a successful response. The flow kind declares the reply edge
@@ -160,7 +149,7 @@ impl RpcServer {
         let live: Vec<StreamHandle> = conns
             .iter()
             .copied()
-            .filter(|c| self.conns.contains_key(c))
+            .filter(|&c| self.conns.get(c).is_some())
             .collect();
         if !live.is_empty() {
             let frame = Self::encode(ctx, RpcKind::Push, stream_id, kind.name, &body);
@@ -175,11 +164,6 @@ impl RpcServer {
     /// parsed into its tree. Only the latest one handed back is kept.
     pub fn recycle(&mut self, method: &'static str, body: Value) {
         self.spare = Some(Spare { method, body });
-    }
-
-    /// Handles of all live client connections.
-    pub fn clients(&self) -> impl Iterator<Item = StreamHandle> + '_ {
-        self.conns.keys().copied()
     }
 
     fn encode<B: Serialize + ?Sized>(
@@ -203,13 +187,6 @@ impl RpcServer {
         // Replies and pushes ride inside the stream payload, so they
         // are counted here, once per send.
         ctx.count_rpc(kind.name, bytes.len());
-        ctx.send_to(
-            self.stack,
-            &flows::SOCK_CMD,
-            Box::new(SockCmd::StreamSend {
-                handle: conn,
-                bytes,
-            }),
-        );
+        self.conns.send(ctx, conn, &flows::SOCK_CMD, bytes);
     }
 }

@@ -3,7 +3,7 @@
 //! being asked.
 
 use magma_net::{Endpoint, LinkProfile, NetFabric, SockEvent};
-use magma_rpc::{RpcClient, RpcClientEvent, RpcServer, RpcServerEvent};
+use magma_rpc::{RpcClient, RpcClientEvent, RpcServer};
 use magma_sim::{downcast, Actor, Ctx, DelayClass, Event, FlowKind, Role, SimDuration, SimTime, World};
 use serde_json::json;
 
@@ -49,7 +49,7 @@ impl Actor for Pusher {
             }
             Event::Timer { tag: 1 } => {
                 self.seq += 1;
-                let conns: Vec<_> = self.server.clients().collect();
+                let conns: Vec<_> = self.server.conns().map(|(conn, ())| conn).collect();
                 self.server
                     .push(ctx, &conns, 1, &SYNC_TICK, json!({ "seq": self.seq }));
                 ctx.timer_in(SimDuration::from_millis(100), 1);
@@ -57,11 +57,9 @@ impl Actor for Pusher {
             Event::Timer { .. } => {}
             Event::Msg { payload, .. } => {
                 let ev = downcast::<SockEvent>(payload, "pusher");
-                if let Ok(events) = self.server.try_handle(ctx, ev) {
-                    for e in events {
-                        if let RpcServerEvent::Request { conn, id, .. } = e {
-                            self.server.reply(ctx, conn, id, &HELLO_REPLY, json!("ok"));
-                        }
+                if let Ok(requests) = self.server.try_handle(ctx, ev) {
+                    for r in requests {
+                        self.server.reply(ctx, r.conn, r.id, &HELLO_REPLY, json!("ok"));
                     }
                 }
             }
@@ -125,7 +123,7 @@ fn pushes_arrive_in_order_over_lossy_link() {
         seq: 0,
     }));
     w.add_actor(Box::new(Subscriber {
-        client: RpcClient::new(sa, Endpoint::new(b, 8443), 1),
+        client: RpcClient::new(sa, Endpoint::new(b, 8443)),
     }));
     w.run_until(SimTime::from_secs(30));
 

@@ -46,15 +46,18 @@ struct Report {
 #[derive(Default)]
 struct Wire {
     opens: u32,
+    /// When each `OpenStream` arrived.
+    opened_at: Vec<SimTime>,
     sends: Vec<(StreamHandle, Bytes)>,
     closes: Vec<StreamHandle>,
 }
 
 /// Stands where the net stack would: opens succeed at once, sent bytes
-/// go nowhere (a partition), and at `drop_at` the open stream is reset.
+/// go nowhere (a partition), and at each of `drop_at` the latest stream
+/// is reset.
 struct ScriptedStack {
     wire: Rc<RefCell<Wire>>,
-    drop_at: Option<SimDuration>,
+    drop_at: Vec<SimDuration>,
     owner: Option<ActorId>,
 }
 
@@ -62,7 +65,7 @@ impl Actor for ScriptedStack {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Start => {
-                if let Some(at) = self.drop_at {
+                for &at in &self.drop_at {
                     ctx.timer_in(at, 1);
                 }
             }
@@ -80,17 +83,18 @@ impl Actor for ScriptedStack {
                 }
             }
             Event::Msg { payload, .. } => match downcast::<SockCmd>(payload, "scripted-stack") {
-                SockCmd::OpenStream { peer, owner, user } => {
+                SockCmd::OpenStream { peer, owner } => {
                     self.owner = Some(owner);
                     let handle = {
                         let mut wire = self.wire.borrow_mut();
                         wire.opens += 1;
+                        wire.opened_at.push(ctx.now());
                         StreamHandle(u64::from(wire.opens))
                     };
                     ctx.send_to(
                         owner,
                         &flows::SOCK_EVENT,
-                        Box::new(SockEvent::StreamOpened { handle, user, peer }),
+                        Box::new(SockEvent::StreamOpened { handle, peer }),
                     );
                 }
                 SockCmd::StreamSend { handle, bytes } => {
@@ -166,12 +170,12 @@ fn first_send_and_the_reconnect_flush_carry_one_encoding() {
     // next tick reopens and the connect flush re-sends it.
     let stack = w.add_actor(Box::new(ScriptedStack {
         wire: wire.clone(),
-        drop_at: Some(SimDuration::from_millis(2600)),
+        drop_at: vec![SimDuration::from_millis(2600)],
         owner: None,
     }));
     let peer = Endpoint::new(NodeAddr(9), 8443);
     w.add_actor(Box::new(Caller {
-        client: RpcClient::new(stack, peer, 1),
+        client: RpcClient::new(stack, peer),
         failed_at: Rc::default(),
     }));
     w.run_until(SimTime::from_millis(3500));
@@ -198,12 +202,12 @@ fn an_unanswered_call_on_an_open_stream_is_sent_once_and_fails_at_its_deadline()
     let wire = Rc::new(RefCell::new(Wire::default()));
     let stack = w.add_actor(Box::new(ScriptedStack {
         wire: wire.clone(),
-        drop_at: None,
+        drop_at: Vec::new(),
         owner: None,
     }));
     let failed_at = Rc::new(RefCell::new(Vec::new()));
     w.add_actor(Box::new(Caller {
-        client: RpcClient::new(stack, Endpoint::new(NodeAddr(9), 8443), 1)
+        client: RpcClient::new(stack, Endpoint::new(NodeAddr(9), 8443))
             .with_deadline(SimDuration::from_secs(12)),
         failed_at: failed_at.clone(),
     }));
@@ -215,6 +219,35 @@ fn an_unanswered_call_on_an_open_stream_is_sent_once_and_fails_at_its_deadline()
     // Made at 0 s; the 250 ms tick at 12 s is the first at or past the
     // deadline.
     assert_eq!(*failed_at.borrow(), [SimTime::from_secs(12)]);
+}
+
+/// After a close the client dials again at the first tick of its owner
+/// that finds a call outstanding, and not at all while none is: the
+/// stream is reset at 2.6 s with the call waiting, so the 2.75 s tick
+/// dials; the call fails at its 5 s deadline, and the reset at 6.1 s
+/// leaves nothing to dial for.
+#[test]
+fn after_a_close_the_client_dials_at_the_next_tick_with_a_call_waiting_and_only_then() {
+    let mut w = World::new(3);
+    let wire = Rc::new(RefCell::new(Wire::default()));
+    let stack = w.add_actor(Box::new(ScriptedStack {
+        wire: wire.clone(),
+        drop_at: vec![SimDuration::from_millis(2600), SimDuration::from_millis(6100)],
+        owner: None,
+    }));
+    let failed_at = Rc::new(RefCell::new(Vec::new()));
+    w.add_actor(Box::new(Caller {
+        client: RpcClient::new(stack, Endpoint::new(NodeAddr(9), 8443))
+            .with_deadline(SimDuration::from_secs(5)),
+        failed_at: failed_at.clone(),
+    }));
+    w.run_until(SimTime::from_secs(10));
+
+    assert_eq!(*failed_at.borrow(), [SimTime::from_secs(5)]);
+    assert_eq!(
+        wire.borrow().opened_at,
+        [SimTime::ZERO, SimTime::from_millis(2750)]
+    );
 }
 
 /// Accepts three connections, then pushes one body to all of them.
@@ -255,7 +288,7 @@ fn push_to_three_connections_encodes_once() {
     let wire = Rc::new(RefCell::new(Wire::default()));
     let stack = w.add_actor(Box::new(ScriptedStack {
         wire: wire.clone(),
-        drop_at: None,
+        drop_at: Vec::new(),
         owner: None,
     }));
     w.add_actor(Box::new(Pusher {
@@ -313,7 +346,7 @@ fn push_to_connections_at_two_acked_versions_encodes_once_per_version() {
     let wire = Rc::new(RefCell::new(Wire::default()));
     let stack = w.add_actor(Box::new(ScriptedStack {
         wire: wire.clone(),
-        drop_at: None,
+        drop_at: Vec::new(),
         owner: None,
     }));
     w.add_actor(Box::new(VersionedPusher {
@@ -349,40 +382,46 @@ struct Victim {
 
 impl Actor for Victim {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-        if let Event::Start = event {
-            let hostile = Bytes::from((MAX_FRAME_LEN as u32 + 1).to_be_bytes().to_vec());
+        match event {
+            // The client dials for its call; the hostile bytes follow the
+            // open.
+            Event::Start => {
+                self.client.call(ctx, &REPORT, 0u8);
+            }
+            Event::Msg { payload, .. } => {
+                let hostile = Bytes::from((MAX_FRAME_LEN as u32 + 1).to_be_bytes().to_vec());
 
-            let handle = StreamHandle(1);
-            let opened = SockEvent::StreamOpened {
-                handle,
-                user: 1,
-                peer: self.client.server(),
-            };
-            assert!(self.client.try_handle(ctx, opened).is_ok());
-            let recv = SockEvent::StreamRecv {
-                handle,
-                bytes: hostile.clone(),
-            };
-            assert!(self
-                .client
-                .try_handle(ctx, recv)
-                .is_ok_and(|evs| evs.is_empty()));
+                let opened = downcast::<SockEvent>(payload, "victim");
+                let SockEvent::StreamOpened { handle, .. } = opened else {
+                    return;
+                };
+                assert!(self.client.try_handle(ctx, opened).is_ok());
+                let recv = SockEvent::StreamRecv {
+                    handle,
+                    bytes: hostile.clone(),
+                };
+                assert!(self
+                    .client
+                    .try_handle(ctx, recv)
+                    .is_ok_and(|evs| evs.is_empty()));
 
-            let conn = StreamHandle(50);
-            let accepted = SockEvent::StreamAccepted {
-                handle: conn,
-                local_port: self.server.port(),
-                peer: Endpoint::new(NodeAddr(2), 40_000),
-            };
-            assert!(self.server.try_handle(ctx, accepted).is_ok());
-            let recv = SockEvent::StreamRecv {
-                handle: conn,
-                bytes: hostile,
-            };
-            assert!(self
-                .server
-                .try_handle(ctx, recv)
-                .is_ok_and(|evs| evs.is_empty()));
+                let conn = StreamHandle(50);
+                let accepted = SockEvent::StreamAccepted {
+                    handle: conn,
+                    local_port: self.server.port(),
+                    peer: Endpoint::new(NodeAddr(2), 40_000),
+                };
+                assert!(self.server.try_handle(ctx, accepted).is_ok());
+                let recv = SockEvent::StreamRecv {
+                    handle: conn,
+                    bytes: hostile,
+                };
+                assert!(self
+                    .server
+                    .try_handle(ctx, recv)
+                    .is_ok_and(|evs| evs.is_empty()));
+            }
+            _ => {}
         }
     }
 }
@@ -393,11 +432,11 @@ fn an_over_long_prefix_gets_the_stream_closed() {
     let wire = Rc::new(RefCell::new(Wire::default()));
     let stack = w.add_actor(Box::new(ScriptedStack {
         wire: wire.clone(),
-        drop_at: None,
+        drop_at: Vec::new(),
         owner: None,
     }));
     w.add_actor(Box::new(Victim {
-        client: RpcClient::new(stack, Endpoint::new(NodeAddr(9), 8443), 1),
+        client: RpcClient::new(stack, Endpoint::new(NodeAddr(9), 8443)),
         server: RpcServer::new(stack, 8443),
     }));
     w.run_until(SimTime::from_secs(1));

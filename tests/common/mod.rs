@@ -5,9 +5,7 @@
 use magma::prelude::*;
 use magma::sim::{downcast, Actor, ActorId, Ctx, Event};
 use magma::testbed::Scenario;
-use magma_net::{
-    flows, lp_encode, ports, Endpoint, LpFramer, SockCmd, SockEvent, StreamHandle,
-};
+use magma_net::{flows, lp_encode, ports, Dialer, Edge, Endpoint, SockCmd, SockEvent, MAX_LP_LEN};
 use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::Teid;
 
@@ -17,77 +15,48 @@ pub const TARGET_ENB_TEID: Teid = Teid(0xBEEF);
 /// A bare-bones target eNodeB: S1-Setup, then a PathSwitchRequest for an
 /// already-attached UE.
 struct TargetEnb {
-    stack: ActorId,
-    agw: Endpoint,
-    conn: Option<StreamHandle>,
-    framer: LpFramer,
+    s1: Dialer<MAX_LP_LEN>,
     switch_at: SimTime,
     target_ue: MmeUeId,
+}
+
+impl TargetEnb {
+    fn send(&self, ctx: &mut Ctx<'_>, msg: &S1apMessage) {
+        self.s1.send(ctx, &flows::SOCK_CMD, lp_encode(&msg.encode()));
+    }
 }
 
 impl Actor for TargetEnb {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
-            Event::Start => {
-                let me = ctx.id();
-                ctx.send_to(
-                    self.stack,
-                    &flows::SOCK_CMD,
-                    Box::new(SockCmd::OpenStream {
-                        peer: self.agw,
-                        owner: me,
-                        user: 50,
-                    }),
-                );
-            }
+            Event::Start => self.s1.open(ctx),
             Event::Timer { tag: 1 } => {
-                if let Some(conn) = self.conn {
-                    let msg = S1apMessage::PathSwitchRequest {
-                        mme_ue_id: self.target_ue,
-                        new_enb_ue_id: EnbUeId(1),
-                        new_enb_teid: TARGET_ENB_TEID,
-                    };
-                    ctx.send_to(
-                        self.stack,
-                        &flows::SOCK_CMD,
-                        Box::new(SockCmd::StreamSend {
-                            handle: conn,
-                            bytes: lp_encode(&msg.encode()),
-                        }),
-                    );
-                }
+                let msg = S1apMessage::PathSwitchRequest {
+                    mme_ue_id: self.target_ue,
+                    new_enb_ue_id: EnbUeId(1),
+                    new_enb_teid: TARGET_ENB_TEID,
+                };
+                self.send(ctx, &msg);
             }
-            Event::Msg { payload, .. } => match downcast::<SockEvent>(payload, "target-enb") {
-                SockEvent::StreamOpened { handle, .. } => {
-                    self.conn = Some(handle);
+            Event::Msg { payload, .. } => {
+                let ev = downcast::<SockEvent>(payload, "target-enb");
+                let edge = self.s1.on_event(ctx, ev, |ctx, m| {
+                    if let Ok(S1apMessage::PathSwitchAck { mme_ue_id }) = S1apMessage::decode(m) {
+                        let t = ctx.now();
+                        ctx.registry()
+                            .record("test.path_switch_ack", t, mme_ue_id.0 as f64);
+                    }
+                });
+                if let Ok(Edge::Opened(_)) = edge {
                     let setup = S1apMessage::S1SetupRequest {
                         enb_id: 99,
                         name: "target-enb".into(),
                     };
-                    ctx.send_to(
-                        self.stack,
-                        &flows::SOCK_CMD,
-                        Box::new(SockCmd::StreamSend {
-                            handle,
-                            bytes: lp_encode(&setup.encode()),
-                        }),
-                    );
+                    self.send(ctx, &setup);
                     let delay = self.switch_at.since(ctx.now());
                     ctx.timer_in(delay, 1);
                 }
-                SockEvent::StreamRecv { bytes, .. } => {
-                    for m in self.framer.push(&bytes) {
-                        if let Ok(S1apMessage::PathSwitchAck { mme_ue_id }) =
-                            S1apMessage::decode(&m)
-                        {
-                            let t = ctx.now();
-                            ctx.registry()
-                                .record("test.path_switch_ack", t, mme_ue_id.0 as f64);
-                        }
-                    }
-                }
-                _ => {}
-            },
+            }
             _ => {}
         }
     }
@@ -101,10 +70,7 @@ pub fn add_target_enb(sc: &mut Scenario, switch_at: SimTime, target_ue: MmeUeId)
         .connect(target_node, sc.agws[0].node, magma_net::LinkProfile::lan());
     let target_stack = sc.net.add_stack(&mut sc.world, target_node);
     sc.world.add_actor(Box::new(TargetEnb {
-        stack: target_stack,
-        agw: Endpoint::new(sc.agws[0].node, ports::S1AP),
-        conn: None,
-        framer: LpFramer::new(),
+        s1: Dialer::new(target_stack, Endpoint::new(sc.agws[0].node, ports::S1AP)),
         switch_at,
         target_ue,
     }));

@@ -10,7 +10,7 @@
 use magma::agw::{new_agw_handle, AgwActor, AgwConfig};
 use magma::orc8r::{methods, BootstrapResponse, CheckinRequest, CheckinResponse};
 use magma::prelude::*;
-use magma::rpc::{RpcServer, RpcServerEvent};
+use magma::rpc::{RpcRequest, RpcServer};
 use magma::sim::{downcast, Actor, Ctx, DelayClass, Event, FlowKind, HostSpec, Role, World};
 use magma::subscriber::{DbSnapshot, DbSync, SubscriberDb};
 use magma::testbed::scenario::{AgwInstance, Scenario, SIM_SEED};
@@ -254,16 +254,13 @@ impl Actor for GappyOrc8r {
             }
             Event::Msg { payload, .. } => {
                 let ev = downcast::<SockEvent>(payload, "gappy-orc8r");
-                for e in self.server.try_handle(ctx, ev).unwrap_or_default() {
-                    let RpcServerEvent::Request {
-                        conn,
-                        id,
-                        method,
-                        body,
-                    } = e
-                    else {
-                        continue;
-                    };
+                for RpcRequest {
+                    conn,
+                    id,
+                    method,
+                    body,
+                } in self.server.try_handle(ctx, ev).unwrap_or_default()
+                {
                     self.conn = Some(conn);
                     match method.as_str() {
                         methods::BOOTSTRAP => {

@@ -1,6 +1,7 @@
 //! Hostile bytes through the RPC framer, both ways a frame can be parsed:
-//! fresh (`Framer::push`) and into a spare body tree (`push_with`, as the
-//! orchestrator's server does for checkpoint uploads). The frames are
+//! fresh (`Framer::push`) and into a spare body tree (`push_with`, the
+//! `codec::parse` path the orchestrator's server takes for checkpoint
+//! uploads). The frames are
 //! the ones `codec.rs` pins and a real checkpoint upload, with bytes
 //! flipped, dropped, inserted and keys duplicated, fed in random chunks.
 //! Neither way may panic or buffer past `MAX_FRAME_LEN`, and both must
@@ -140,7 +141,7 @@ fn feed(stream: &[u8], chunks: &[usize], primer: Option<&Value>) -> Outcome {
         rest = tail;
         let got = match primer {
             None => framer.push(chunk),
-            Some(_) => framer.push_with(chunk, &mut spare, || ()),
+            Some(_) => framer.push_with(chunk, &mut spare),
         };
         assert!(
             framer.buffered() <= MAX_FRAME_LEN + 4,
@@ -211,18 +212,18 @@ fn only_a_frame_naming_the_spare_method_takes_it_and_a_refused_one_drops_it() {
         body: json!({"state": [1, 2]}),
     });
     // Another method's request leaves the spare where it is.
-    assert_eq!(framer.push_with(&frames[1], &mut spare, || ()).len(), 1);
+    assert_eq!(framer.push_with(&frames[1], &mut spare).len(), 1);
     assert!(spare.is_some());
     // A checkpoint upload with a garbled state still ends naming the
     // method: it takes the spare, fails, and both are dropped.
     let mut broken = checkpoint.clone();
     let state_at = broken.windows(8).position(|w| w == b"\"state\":").unwrap();
     broken[state_at + 8] = b'!';
-    assert!(framer.push_with(&broken, &mut spare, || ()).is_empty());
+    assert!(framer.push_with(&broken, &mut spare).is_empty());
     assert_eq!(framer.rejected(), 1);
     assert!(spare.is_none());
     assert_eq!(
-        framer.push_with(checkpoint, &mut spare, || ()),
+        framer.push_with(checkpoint, &mut spare),
         Framer::new().push(checkpoint)
     );
 }
@@ -245,11 +246,7 @@ impl Actor for HostilePeer {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         let owner = ctx.id();
         let cmd = match (event, self.1) {
-            (Event::Start, Hostile::Dials(peer)) => SockCmd::OpenStream {
-                peer,
-                owner,
-                user: 66,
-            },
+            (Event::Start, Hostile::Dials(peer)) => SockCmd::OpenStream { peer, owner },
             (Event::Start, Hostile::Listens(port)) => SockCmd::ListenStream { port, owner },
             (Event::Msg { payload, .. }, _) => match try_downcast::<SockEvent>(payload) {
                 Ok(

@@ -5,13 +5,13 @@
 
 use magma::prelude::*;
 use magma::ran::{EnbConfig, EnodebActor};
-use magma::sim::{try_downcast, Actor, ActorId, Ctx, Event, World};
+use magma::sim::{downcast, Actor, Ctx, Event, World};
 use magma::testbed::{overall_csr, Scenario};
 use magma_agw::AgwActor;
 use magma_orc8r::Orc8rActor;
 use magma_net::{
-    flows, lp_encode, ports, Endpoint, LinkProfile, LpFramer, NetFabric, NetStack, SockCmd,
-    SockEvent,
+    flows, lp_encode, ports, Acceptor, Edge, Endpoint, LinkProfile, NetFabric, NetStack,
+    SockEvent, MAX_LP_LEN,
 };
 use magma_wire::s1ap::S1apMessage;
 
@@ -463,40 +463,32 @@ fn a_partitioned_gateway_records_no_orc8r_connected_inside_the_partition() {
 /// An MME that refuses every S1 Setup, and counts the S1 streams it
 /// accepts and sees closed.
 struct RefusingMme {
-    stack: ActorId,
-    framer: LpFramer,
+    conns: Acceptor<MAX_LP_LEN, ()>,
 }
 
 impl Actor for RefusingMme {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-        let Event::Msg { payload, .. } = event else {
-            if let Event::Start = event {
-                let owner = ctx.id();
-                let listen = SockCmd::ListenStream {
-                    port: ports::S1AP,
-                    owner,
-                };
-                ctx.send_to(self.stack, &flows::SOCK_CMD, Box::new(listen));
-            }
-            return;
-        };
-        match try_downcast::<SockEvent>(payload) {
-            Ok(SockEvent::StreamAccepted { .. }) => {
-                ctx.registry().counter_add("test.s1_accepted", 1.0);
-            }
-            Ok(SockEvent::StreamClosed { .. }) => {
-                ctx.registry().counter_add("test.s1_closed", 1.0);
-            }
-            Ok(SockEvent::StreamRecv { handle, bytes }) => {
-                for m in self.framer.push(&bytes) {
-                    if let Ok(S1apMessage::S1SetupRequest { .. }) = S1apMessage::decode(&m) {
-                        let refusal = S1apMessage::S1SetupFailure { cause: 1 };
-                        let send = SockCmd::StreamSend {
-                            handle,
-                            bytes: lp_encode(&refusal.encode()),
-                        };
-                        ctx.send_to(self.stack, &flows::SOCK_CMD, Box::new(send));
+        match event {
+            Event::Start => self.conns.listen(ctx, ports::S1AP),
+            Event::Msg { payload, .. } => {
+                let ev = downcast::<SockEvent>(payload, "refusing-mme");
+                let mut setups = 0;
+                let edge = self.conns.on_event(ctx, ev, |_, _| Some(()), |_, m| {
+                    if let Ok(S1apMessage::S1SetupRequest { .. }) = S1apMessage::decode(m) {
+                        setups += 1;
                     }
+                });
+                match edge {
+                    Ok(Edge::Opened(_)) => ctx.registry().counter_add("test.s1_accepted", 1.0),
+                    Ok(Edge::Closed(..)) => ctx.registry().counter_add("test.s1_closed", 1.0),
+                    Ok(Edge::Recv(handle)) => {
+                        for _ in 0..setups {
+                            let refusal = S1apMessage::S1SetupFailure { cause: 1 };
+                            let bytes = lp_encode(&refusal.encode());
+                            self.conns.send(ctx, handle, &flows::SOCK_CMD, bytes);
+                        }
+                    }
+                    Err(_) => {}
                 }
             }
             _ => {}
@@ -516,8 +508,7 @@ fn a_refused_s1_setup_closes_its_stream_before_the_enodeb_redials() {
     let enb_stack = net.add_stack(&mut w, enb_node);
     let mme_stack = net.add_stack(&mut w, mme_node);
     let mme = w.add_actor(Box::new(RefusingMme {
-        stack: mme_stack,
-        framer: LpFramer::new(),
+        conns: Acceptor::new(mme_stack),
     }));
     let mme_ep = Endpoint::new(mme_node, ports::S1AP);
     let cfg = EnbConfig::new(1, enb_stack, mme_ep, mme);
