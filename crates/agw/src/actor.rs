@@ -175,6 +175,7 @@ pub struct AgwActor {
     /// session index, so a plan whose TEIDs match a demand resolves it.
     up_plans: BTreeMap<ActorId, Vec<(Teid, u64)>>,
     up_inflight_bytes: u64,
+    /// Cores of the user-plane group, read from the host at `Start`.
     up_cores: u32,
     /// In-flight per-tick forwarding batches, keyed by batch id. The
     /// per-core chunks reference entries here instead of sharing an
@@ -1577,12 +1578,12 @@ impl Actor for AgwActor {
         match event {
             Event::Start => {
                 let me = ctx.id();
-                // Discover how many cores serve the user plane (for the
-                // backlog cap).
-                // The host spec isn't directly readable here; default to
-                // a conservative single core and let the utilization
-                // report show the truth. Callers can widen via
-                // `set_up_cores` before adding the actor.
+                // The backlog cap scales with the user-plane group's cores.
+                self.up_cores = ctx
+                    .host_groups(self.cfg.host)
+                    .into_iter()
+                    .find(|(group, _)| *group == self.cfg.up_group)
+                    .map_or(1, |(_, cores)| cores.max(1));
                 for port in [ports::S1AP, ports::NGAP] {
                     self.ran_conns.listen(ctx, port);
                 }
@@ -1689,13 +1690,5 @@ impl Actor for AgwActor {
 
     fn name(&self) -> String {
         self.cfg.id.clone()
-    }
-}
-
-impl AgwActor {
-    /// Tell the AGW how many cores serve its user-plane group, so the
-    /// backlog cap matches the host. Call before adding the actor.
-    pub fn set_up_cores(&mut self, cores: u32) {
-        self.up_cores = cores.max(1);
     }
 }

@@ -11,7 +11,6 @@
 
 use crate::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
 use magma_agw::AgwActor;
-use magma_net::NetStack;
 use magma_ran::TrafficModel;
 use magma_sim::{SimDuration, SimTime};
 use serde::Serialize;
@@ -68,8 +67,7 @@ pub fn run(seed: u64) -> FailoverResult {
         .get(&agw.id)
         .cloned()
         .expect("checkpoints are uploaded every second");
-    sc.world.crash(agw.actor);
-    sc.world.crash(agw.stack);
+    sc.crash_agw(0);
 
     // Outage window.
     sc.world
@@ -77,15 +75,9 @@ pub fn run(seed: u64) -> FailoverResult {
 
     // Bring up the backup instance from the orchestrator's copy.
     let agw = &sc.agws[0];
-    sc.world.restart(
-        agw.stack,
-        // The stack keeps its actor id, so its binding survives.
-        Box::new(NetStack::new(agw.node, sc.net.clone())),
-    );
-    let mut restored = AgwActor::restore_from_wire(agw.cfg.clone(), agw.handle.clone(), stored)
+    let restored = AgwActor::restore_from_wire(agw.cfg.clone(), agw.handle.clone(), stored)
         .expect("the orchestrator stores what the gateway uploaded");
-    restored.set_up_cores(agw.up_cores);
-    sc.world.restart(agw.actor, Box::new(restored));
+    sc.restart_agw(0, restored);
 
     // Measure recovery.
     let restore_at = sc.world.now();

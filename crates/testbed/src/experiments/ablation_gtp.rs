@@ -70,7 +70,6 @@ pub fn run_magma(seed: u64, loss: f64, duration: SimTime) -> GtpPoint {
     let cfg = AgwConfig::new("agw0", host, site_stack);
     let mut agw = AgwActor::new(cfg, new_agw_handle());
     agw.preprovision(provision_db().snapshot());
-    agw.set_up_cores(4);
     let agw = w.add_actor(Box::new(agw));
 
     let ues = ue_fleet_with_quirk(SIM_SEED, 1, N_UES, TrafficModel::http_download(), LOW_END_FRAC);

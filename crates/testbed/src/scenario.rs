@@ -5,14 +5,26 @@
 //! Emulated SIMs are pre-provisioned into the orchestrator and every AGW
 //! replica before the run, "as is typical for network operator
 //! deployments of Magma".
+//!
+//! Every deployment is composed on a [`Scenario`]. [`build`] adds the
+//! orchestrator and the configured gateways with their sites; then
+//! [`Scenario::add_agw`] adds a gateway from the orchestrator's database
+//! as it stands, [`Scenario::add_node`] a linked node with its stack, and
+//! [`Scenario::add_behind`] any actor (a gNB, a WiFi AP, a test peer) on
+//! a new node behind a gateway. [`Scenario::crash_agw`] /
+//! [`Scenario::restart_agw`] and [`Scenario::crash_orc8r`] /
+//! [`Scenario::restart_orc8r`] take a machine down and bring it back.
+//! [`Scenario::add_feg`] puts a FeG beside the orchestrator, with the MNO
+//! core behind it; a gateway whose [`AgwSpec::feg`] names it federates.
 
 use magma_agw::{new_agw_handle, AgwActor, AgwConfig, AgwHandle, CpuProfile, MetricsdActor};
-use magma_net::{Endpoint, LinkProfile, NetFabric, NodeAddr, ports};
+use magma_feg::{FegActor, MnoCoreActor};
+use magma_net::{Endpoint, LinkProfile, NetFabric, NetStack, NodeAddr, ports};
 use magma_orc8r::{new_orc8r, AlertRule, Orc8rActor, Orc8rHandle};
 use magma_policy::PolicyRule;
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor, SectorModel, TrafficModel, UeSim};
-use magma_sim::{ActorId, HostId, HostSpec, World};
-use magma_subscriber::SubscriberProfile;
+use magma_sim::{Actor, ActorId, HostId, HostSpec, World};
+use magma_subscriber::{DbSnapshot, SubscriberDb, SubscriberProfile};
 use magma_wire::Imsi;
 
 /// SIM provisioning seed shared by UEs and subscriber profiles.
@@ -64,6 +76,10 @@ pub struct AgwSpec {
     pub layout: CoreLayout,
     pub site: SiteSpec,
     pub backhaul: LinkProfile,
+    /// The FeG a federated gateway authenticates subscribers it does not
+    /// hold through (§3.6); [`Scenario::add_agw`] links the gateway to
+    /// the FeG's node over fiber.
+    pub feg: Option<Endpoint>,
 }
 
 impl AgwSpec {
@@ -74,6 +90,7 @@ impl AgwSpec {
             layout: CoreLayout::Shared { cores: 4 },
             site,
             backhaul: LinkProfile::fiber(),
+            feg: None,
         }
     }
 
@@ -86,6 +103,7 @@ impl AgwSpec {
             layout,
             site,
             backhaul: LinkProfile::fiber(),
+            feg: None,
         }
     }
 }
@@ -149,7 +167,14 @@ pub struct AgwInstance {
     pub metricsd: ActorId,
     /// Configuration used, for restarts.
     pub cfg: AgwConfig,
-    pub up_cores: u32,
+}
+
+impl AgwInstance {
+    /// A new AGW process for this gateway's machine that holds nothing
+    /// yet: no sessions, no replica, no cert.
+    pub fn fresh(&self) -> AgwActor {
+        AgwActor::new(self.cfg.clone(), self.handle.clone())
+    }
 }
 
 /// A fully built scenario.
@@ -159,6 +184,7 @@ pub struct Scenario {
     pub net: NetFabric,
     pub orc8r: Orc8rHandle,
     pub orc8r_node: NodeAddr,
+    pub orc8r_stack: ActorId,
     pub orc8r_actor: ActorId,
     pub agws: Vec<AgwInstance>,
     /// All provisioned IMSIs.
@@ -170,7 +196,9 @@ pub fn msin_for(agw: usize, enb: usize, ue: usize) -> u64 {
     (agw as u64) * 100_000 + (enb as u64) * 1_000 + ue as u64 + 1
 }
 
-/// Build a scenario from its configuration.
+/// Build a scenario from its configuration: the orchestrator, then every
+/// policy and site subscriber, then the gateways in order, all holding
+/// one snapshot of the orchestrator's database.
 pub fn build(cfg: ScenarioConfig) -> Scenario {
     let mut world = World::new(cfg.seed);
     // Experiments want attribution: simprof is on for every testbed world
@@ -228,94 +256,178 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
     let snapshot = orc8r.borrow().db.snapshot();
 
     // Build AGWs and their sites.
-    let mut agws = Vec::new();
-    for (a, spec) in cfg.agws.iter().enumerate() {
+    let mut sc = Scenario {
+        world,
+        net,
+        orc8r,
+        orc8r_node,
+        orc8r_stack,
+        orc8r_actor,
+        agws: Vec::new(),
+        imsis,
+    };
+    for spec in &cfg.agws {
+        sc.push_agw(spec, &snapshot);
+    }
+    sc
+}
+
+impl Scenario {
+    /// Add a node named `name`, link it to `peer` over `link`, and put a
+    /// network stack on it.
+    pub fn add_node(
+        &mut self,
+        name: &str,
+        peer: NodeAddr,
+        link: LinkProfile,
+    ) -> (NodeAddr, ActorId) {
+        let node = self.net.add_node(name);
+        self.net.connect(node, peer, link);
+        let stack = self.net.add_stack(&mut self.world, node);
+        (node, stack)
+    }
+
+    /// Add an orchestrated AGW, its metricsd and its site (UEs numbered
+    /// by [`msin_for`] under the new gateway's index), holding the
+    /// orchestrator's database as it stands: upsert the site's
+    /// subscribers first.
+    pub fn add_agw(&mut self, spec: &AgwSpec) {
+        let snapshot = self.orc8r.borrow().db.snapshot();
+        self.push_agw(spec, &snapshot);
+    }
+
+    fn push_agw(&mut self, spec: &AgwSpec, snapshot: &DbSnapshot) {
+        let a = self.agws.len();
         let id = format!("agw{a}");
         let host_spec = match spec.layout {
             CoreLayout::Shared { cores } => HostSpec::uniform(&id, cores, 1.0),
             CoreLayout::Pinned { cp, up } => HostSpec::pinned(&id, cp, up, 1.0),
         };
-        let host = world.add_host(host_spec);
+        let host = self.world.add_host(host_spec);
         let site = format!("agw[{a}]");
-        let node = net.add_node(&id);
-        net.connect(node, orc8r_node, spec.backhaul);
-        let stack = net.add_stack(&mut world, node);
-        world.set_component(stack, &site);
+        let (node, stack) = self.add_node(&id, self.orc8r_node, spec.backhaul);
+        self.world.set_component(stack, &site);
 
         let mut agw_cfg = AgwConfig::new(&id, host, stack)
-            .with_orc8r(Endpoint::new(orc8r_node, ports::ORC8R))
+            .with_orc8r(Endpoint::new(self.orc8r_node, ports::ORC8R))
             .with_profile(spec.profile);
         agw_cfg.ip_base = 0x0A00_0002 + (a as u32) * 0x0001_0000;
         if matches!(spec.layout, CoreLayout::Pinned { .. }) {
             agw_cfg = agw_cfg.pinned();
         }
+        if let Some(feg) = spec.feg {
+            self.net.connect(node, feg.node, LinkProfile::fiber());
+            agw_cfg = agw_cfg.with_feg(feg);
+        }
         let handle = new_agw_handle();
         let mut actor = AgwActor::new(agw_cfg.clone(), handle.clone());
         actor.preprovision(snapshot.clone());
-        let up_cores = match spec.layout {
-            CoreLayout::Shared { cores } => cores,
-            CoreLayout::Pinned { up, .. } => up,
-        };
-        actor.set_up_cores(up_cores);
-        let agw_actor = world.add_actor(Box::new(actor));
-        world.set_component(agw_actor, &site);
+        let agw_actor = self.world.add_actor(Box::new(actor));
+        self.world.set_component(agw_actor, &site);
 
         // Telemetry daemon: samples the gateway's registry namespace and
         // pushes it to the orchestrator over the same backhaul (its own
         // stream on the shared network stack).
-        let metricsd = world.add_actor(Box::new(MetricsdActor::new(&agw_cfg)));
-        world.set_component(metricsd, &site);
-
-        // Per-eNB attach rate splits the site's aggregate rate.
-        let per_enb_rate = spec.site.attach_rate_per_sec / spec.site.enbs.max(1) as f64;
-        let mut enbs = Vec::new();
-        for e in 0..spec.site.enbs {
-            let enb_node = net.add_node(&format!("{id}-enb{e}"));
-            net.connect(enb_node, node, LinkProfile::lan());
-            let enb_stack = net.add_stack(&mut world, enb_node);
-            world.set_component(enb_stack, &site);
-            let ues: Vec<UeSim> = ue_fleet(
-                SIM_SEED,
-                msin_for(a, e, 0),
-                spec.site.ues_per_enb,
-                spec.site.traffic,
-            );
-            let mut enb_cfg = EnbConfig::new(
-                (a as u32) << 8 | e as u32,
-                enb_stack,
-                Endpoint::new(node, ports::S1AP),
-                agw_actor,
-            );
-            enb_cfg.sector = spec.site.sector;
-            enb_cfg.attach_rate_per_sec = per_enb_rate;
-            enb_cfg.reattach = spec.site.reattach;
-            enb_cfg.session_lifetime_s = spec.site.session_lifetime_s;
-            let enb = world.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));
-            world.set_component(enb, &site);
-            enbs.push(enb);
-        }
-
-        agws.push(AgwInstance {
-            id,
+        let metricsd = self.world.add_actor(Box::new(MetricsdActor::new(&agw_cfg)));
+        self.world.set_component(metricsd, &site);
+        self.agws.push(AgwInstance {
+            id: id.clone(),
             actor: agw_actor,
             host,
             node,
             stack,
             handle,
-            enbs,
+            enbs: Vec::new(),
             metricsd,
             cfg: agw_cfg,
-            up_cores,
         });
+
+        // Per-eNB attach rate splits the site's aggregate rate.
+        let per_enb_rate = spec.site.attach_rate_per_sec / spec.site.enbs.max(1) as f64;
+        for e in 0..spec.site.enbs {
+            let enb = self.add_behind(a, &format!("{id}-enb{e}"), |enb_stack| {
+                let ues: Vec<UeSim> = ue_fleet(
+                    SIM_SEED,
+                    msin_for(a, e, 0),
+                    spec.site.ues_per_enb,
+                    spec.site.traffic,
+                );
+                let mut enb_cfg = EnbConfig::new(
+                    (a as u32) << 8 | e as u32,
+                    enb_stack,
+                    Endpoint::new(node, ports::S1AP),
+                    agw_actor,
+                );
+                enb_cfg.sector = spec.site.sector;
+                enb_cfg.attach_rate_per_sec = per_enb_rate;
+                enb_cfg.reattach = spec.site.reattach;
+                enb_cfg.session_lifetime_s = spec.site.session_lifetime_s;
+                EnodebActor::new(enb_cfg, ues)
+            });
+            self.agws[a].enbs.push(enb);
+        }
     }
 
-    Scenario {
-        world,
-        net,
-        orc8r,
-        orc8r_node,
-        orc8r_actor,
-        agws,
-        imsis,
+    /// Add a Federation Gateway beside the orchestrator and, behind it,
+    /// an MNO core whose HSS holds `mno` (§3.6), both over fiber. Returns
+    /// the FeG's endpoint, for [`AgwSpec::feg`].
+    pub fn add_feg(&mut self, mno: SubscriberDb) -> Endpoint {
+        let (feg_node, feg_stack) = self.add_node("feg", self.orc8r_node, LinkProfile::fiber());
+        let (mno_node, mno_stack) = self.add_node("mno", feg_node, LinkProfile::fiber());
+        self.world.add_actor(Box::new(MnoCoreActor::new(mno_stack, mno)));
+        let diameter = Endpoint::new(mno_node, ports::DIAMETER);
+        self.world.add_actor(Box::new(FegActor::new(feg_stack, diameter)));
+        Endpoint::new(feg_node, ports::FEG)
+    }
+
+    /// Put the actor `make` builds from its stack on a new node behind
+    /// gateway `i` (a LAN link), under gateway `i`'s racecheck component.
+    pub fn add_behind<A: Actor + 'static>(
+        &mut self,
+        i: usize,
+        name: &str,
+        make: impl FnOnce(ActorId) -> A,
+    ) -> ActorId {
+        let site = format!("agw[{i}]");
+        let gateway = self.agws[i].node;
+        let (_, stack) = self.add_node(name, gateway, LinkProfile::lan());
+        self.world.set_component(stack, &site);
+        let actor = self.world.add_actor(Box::new(make(stack)));
+        self.world.set_component(actor, &site);
+        actor
+    }
+
+    /// Crash gateway `i`'s machine: its AGW process and its network
+    /// stack. The handle, and the local checkpoint in it, survive.
+    pub fn crash_agw(&mut self, i: usize) {
+        self.world.crash(self.agws[i].actor);
+        self.world.crash(self.agws[i].stack);
+    }
+
+    /// Bring gateway `i`'s machine back with a new network stack (same
+    /// actor id, so its binding holds) and `agw` as its process: a
+    /// [`AgwInstance::fresh`] one, or one from `AgwActor::restore` or
+    /// `AgwActor::restore_from_wire`.
+    pub fn restart_agw(&mut self, i: usize, agw: impl Actor + 'static) {
+        let gw = &self.agws[i];
+        let stack = NetStack::new(gw.node, self.net.clone());
+        self.world.restart(gw.stack, Box::new(stack));
+        self.world.restart(gw.actor, Box::new(agw));
+    }
+
+    /// Crash the orchestrator's machine: its process and its network
+    /// stack. Its durable store (the handle) survives.
+    pub fn crash_orc8r(&mut self) {
+        self.world.crash(self.orc8r_actor);
+        self.world.crash(self.orc8r_stack);
+    }
+
+    /// Bring the orchestrator's machine back: a new stack and a new
+    /// process on the same durable store.
+    pub fn restart_orc8r(&mut self) {
+        let stack = NetStack::new(self.orc8r_node, self.net.clone());
+        self.world.restart(self.orc8r_stack, Box::new(stack));
+        let process = Orc8rActor::new(self.orc8r.clone(), self.orc8r_stack, ports::ORC8R);
+        self.world.restart(self.orc8r_actor, Box::new(process));
     }
 }

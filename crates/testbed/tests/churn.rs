@@ -2,8 +2,6 @@
 //! Verifies the full detach path (NAS Detach → sessiond teardown →
 //! data-plane removal → IP release) leaks nothing over many cycles.
 
-use magma_net::{ports, NetStack};
-use magma_orc8r::Orc8rActor;
 use magma_ran::{SectorModel, TrafficModel};
 use magma_sim::SimTime;
 use magma_subscriber::SubscriberProfile;
@@ -129,22 +127,13 @@ fn a_northbound_write_does_not_fail_later_reattaches() {
 fn a_checkin_pulled_snapshot_does_not_fail_later_reattaches() {
     let mut sc = churning_site();
     sc.world.run_until(SimTime::from_secs(100));
-    let orc8r_stack = sc.net.stack_of(sc.orc8r_node).expect("orc8r stack bound");
-    sc.world.crash(sc.orc8r_actor);
-    sc.world.crash(orc8r_stack);
+    sc.crash_orc8r();
     for k in 0..300 {
         sc.orc8r.borrow_mut().upsert_subscriber(unrelated_subscriber(k));
     }
     assert!(sc.orc8r.borrow().db.changes_since(13).is_none(), "past the horizon");
     sc.world.run_until(SimTime::from_secs(110));
-    sc.world.restart(
-        orc8r_stack,
-        Box::new(NetStack::new(sc.orc8r_node, sc.net.clone())),
-    );
-    sc.world.restart(
-        sc.orc8r_actor,
-        Box::new(Orc8rActor::new(sc.orc8r.clone(), orc8r_stack, ports::ORC8R)),
-    );
+    sc.restart_orc8r();
     sc.world.run_until(SimTime::from_secs(300));
 
     let rec = sc.world.registry();

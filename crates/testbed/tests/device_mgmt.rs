@@ -2,11 +2,9 @@
 //! equivalent" rows): the orchestrator tracks the gateway fleet, samples
 //! its health, and alerts when a gateway goes dark.
 
-use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
-use magma_net::{ports, Endpoint, LinkProfile, NetFabric};
-use magma_orc8r::{new_orc8r, Orc8rActor};
+use magma_net::LinkProfile;
 use magma_ran::TrafficModel;
-use magma_sim::{HostSpec, SimDuration, SimTime, World};
+use magma_sim::{SimDuration, SimTime};
 use magma_testbed::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
 
 fn site() -> SiteSpec {
@@ -79,27 +77,10 @@ fn partitioned_gateway_raises_offline_alert_then_recovers() {
 /// orchestrator holds and the first check-in is accepted.
 #[test]
 fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
-    let mut w = World::new(25);
-    let net = NetFabric::new();
-    let agw_node = net.add_node("agw");
-    let orc8r_node = net.add_node("orc8r");
-    net.connect(
-        agw_node,
-        orc8r_node,
-        LinkProfile::fiber().with_latency(SimDuration::from_millis(1_500)),
-    );
-    let agw_stack = net.add_stack(&mut w, agw_node);
-    let orc8r_stack = net.add_stack(&mut w, orc8r_node);
-    let orc8r = new_orc8r(1 << 30);
-    w.add_actor(Box::new(Orc8rActor::new(
-        orc8r.clone(),
-        orc8r_stack,
-        ports::ORC8R,
-    )));
-    let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
-    let cfg =
-        AgwConfig::new("agw0", host, agw_stack).with_orc8r(Endpoint::new(orc8r_node, ports::ORC8R));
-    w.add_actor(Box::new(AgwActor::new(cfg, new_agw_handle())));
+    let mut agw = AgwSpec::bare_metal(SiteSpec { enbs: 0, ..site() });
+    agw.backhaul = LinkProfile::fiber().with_latency(SimDuration::from_millis(1_500));
+    let mut sc = build(ScenarioConfig::new(25).with_agw(agw));
+    let w = &mut sc.world;
 
     w.run_until(SimTime::from_secs(20));
     let rpc = w.shard_snapshot();
@@ -109,7 +90,7 @@ fn retried_bootstrap_keeps_the_cert_an_earlier_try_delivers() {
         Some(1),
         "one bootstrap sent"
     );
-    let mut st = orc8r.borrow_mut();
+    let mut st = sc.orc8r.borrow_mut();
     let dev = &st.devices["agw0"];
     assert!(dev.checkins >= 1, "no check-in within 20 s: {dev:?}");
     // The orchestrator mints certs from 1000 upward and each mint

@@ -3,7 +3,7 @@
 
 use magma_ran::{SectorModel, TrafficModel};
 use magma_sim::{SimDuration, SimTime};
-use magma_testbed::scenario::{build, AgwSpec, ScenarioConfig, SiteSpec};
+use magma_testbed::scenario::{build, AgwSpec, CoreLayout, ScenarioConfig, SiteSpec};
 use magma_testbed::{overall_csr, throughput_mbps};
 
 fn small_site(ues: usize, rate: f64) -> SiteSpec {
@@ -95,4 +95,32 @@ fn deterministic_across_runs() {
         )
     };
     assert_eq!(run(), run());
+}
+
+/// The AGW sizes its user-plane backlog cap from its host's user-plane
+/// cores: the same 1 Gbit/s offered to a VM AGW with one pinned
+/// user-plane core and with four (each 550 Mbit/s) overflows the first
+/// and fits the second.
+#[test]
+fn the_user_plane_backlog_cap_follows_the_hosts_cores() {
+    let dropped = |up| {
+        let site = SiteSpec {
+            traffic: TrafficModel {
+                dl_bps: 100_000_000,
+                ul_bps: 0,
+            },
+            sector: SectorModel {
+                capacity_bps: 10_000_000_000,
+                max_active_ues: 1000,
+            },
+            ..small_site(10, 5.0)
+        };
+        let agw = AgwSpec::vm(site, CoreLayout::Pinned { cp: 2, up });
+        let mut sc = build(ScenarioConfig::new(4).with_agw(agw));
+        sc.world.run_until(SimTime::from_secs(20));
+        sc.world.registry().counter("agw0.dataplane.dropped_bytes")
+    };
+    let (one, four) = (dropped(1), dropped(4));
+    assert!(one > 100_000_000.0, "one core overflows: {one} B dropped");
+    assert!(four < one / 10.0, "four cores drop {four} B, one core {one} B");
 }

@@ -7,66 +7,50 @@
 //!
 //! Run with: `cargo run --release --example accessparks`
 
+use magma::prelude::*;
 use magma::ran::{WifiApActor, WifiApConfig};
-use magma::sim::{HostSpec, SimDuration, SimTime, World};
 use magma::testbed::trace::{accessparks_trace, summarize, TraceParams};
-use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
-use magma_net::{Endpoint, LinkProfile, NetFabric, ports};
-use magma_subscriber::{SubscriberDb, SubscriberProfile};
-use magma_wire::Imsi;
+use magma_net::{ports, Endpoint};
 
 fn main() {
-    let mut w = World::new(2022);
-    let net = NetFabric::new();
-
-    // One site AGW; four WiFi APs (CBRS fixed-wireless modems) behind it.
-    let agw_node = net.add_node("agw");
-    let ap_nodes: Vec<_> = (0..4)
-        .map(|i| {
-            let n = net.add_node(&format!("ap{i}"));
-            net.connect(n, agw_node, LinkProfile::lan());
-            n
-        })
-        .collect();
-    let agw_stack = net.add_stack(&mut w, agw_node);
-    let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
-
     // Provision the APs as WiFi subscribers (union schema: no SIM, just
     // RADIUS credentials; unrestricted policy).
-    let mut db = SubscriberDb::new();
-    db.upsert_rule(magma::policy::PolicyRule::unrestricted("unrestricted"));
-    for i in 0..4u64 {
-        db.upsert(SubscriberProfile::wifi(
-            Imsi::new(310, 26, 9000 + i),
-            &format!("ap-{i}@accessparks"),
-            "cbrs-modem-psk",
-        ));
+    let mut d = magma::deploy(ScenarioConfig::new(2022));
+    {
+        let mut orc8r = d.orc8r.borrow_mut();
+        orc8r.upsert_policy(PolicyRule::unrestricted("unrestricted"));
+        for i in 0..4u64 {
+            orc8r.upsert_subscriber(SubscriberProfile::wifi(
+                Imsi::new(310, 26, 9000 + i),
+                &format!("ap-{i}@accessparks"),
+                "cbrs-modem-psk",
+            ));
+        }
     }
-    let cfg = AgwConfig::new("agw0", host, agw_stack);
-    let mut agw = AgwActor::new(cfg, new_agw_handle());
-    agw.preprovision(db.snapshot());
-    agw.set_up_cores(4);
-    let agw = w.add_actor(Box::new(agw));
 
-    for (i, node) in ap_nodes.iter().enumerate() {
-        let stack = net.add_stack(&mut w, *node);
-        w.add_actor(Box::new(WifiApActor::new(WifiApConfig {
-            name: format!("ap-{i}"),
-            stack,
-            agw_aaa: Endpoint::new(agw_node, ports::RADIUS_AUTH),
-            agw_actor: agw,
-            username: format!("ap-{i}@accessparks"),
-            password: "cbrs-modem-psk".to_string(),
-            dl_bps: 25_000_000, // a busy hotspot behind each AP
-            ul_bps: 5_000_000,
-            auth_at: SimDuration::from_millis(200 + 300 * i as u64),
-        })));
+    // One site AGW; four WiFi APs (CBRS fixed-wireless modems) behind it.
+    d.add_agw(&AgwSpec::bare_metal(SiteSpec { enbs: 0, ..SiteSpec::typical() }));
+    let (agw_node, agw) = (d.agws[0].node, d.agws[0].actor);
+    for i in 0..4u64 {
+        d.add_behind(0, &format!("ap{i}"), |stack| {
+            WifiApActor::new(WifiApConfig {
+                name: format!("ap-{i}"),
+                stack,
+                agw_aaa: Endpoint::new(agw_node, ports::RADIUS_AUTH),
+                agw_actor: agw,
+                username: format!("ap-{i}@accessparks"),
+                password: "cbrs-modem-psk".to_string(),
+                dl_bps: 25_000_000, // a busy hotspot behind each AP
+                ul_bps: 5_000_000,
+                auth_at: SimDuration::from_millis(200 + 300 * i),
+            })
+        });
     }
 
     println!("AccessParks-style site: 4 WiFi APs backhauled by one AGW\n");
-    w.run_until(SimTime::from_secs(60));
+    d.world.run_until(SimTime::from_secs(60));
 
-    let rec = w.registry();
+    let rec = d.world.registry();
     let authed = rec
         .series("ran.wifi.ap_authed")
         .map(|s| s.len())
@@ -80,11 +64,13 @@ fn main() {
         .series("agw0.dataplane.tp_bytes")
         .map(|s| s.values().sum())
         .unwrap_or(0.0);
+    let mbps = total_bytes * 8.0 / 60.0 / 1e6;
     println!(
-        "backhauled in 60s            : {:.1} MB ({:.0} Mbit/s avg)",
-        total_bytes / 1e6,
-        total_bytes * 8.0 / 60.0 / 1e6
+        "backhauled in 60s            : {:.1} MB ({mbps:.0} Mbit/s avg)",
+        total_bytes / 1e6
     );
+    assert_eq!(authed, 4, "every AP authenticates");
+    assert!(mbps > 100.0, "the hotspots' traffic flows through the AGW");
 
     // The two-month synthetic usage trace (Figure 9's series).
     println!("\n== Figure 9 (synthetic production trace) ==");

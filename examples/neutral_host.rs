@@ -10,63 +10,53 @@
 //!
 //! Run with: `cargo run --release --example neutral_host`
 
-use magma::feg::{scaling_comparison, FegActor, MnoCoreActor};
-use magma::sim::{HostSpec, SimTime, World};
-use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
-use magma_net::{Endpoint, LinkProfile, NetFabric, ports};
-use magma_ran::{ue_fleet, EnbConfig, EnodebActor, TrafficModel};
-use magma_subscriber::{SubscriberDb, SubscriberProfile};
-use magma_wire::Imsi;
+use magma::feg::scaling_comparison;
+use magma::prelude::*;
+use magma::subscriber::SubscriberDb;
 
 fn main() {
-    let mut w = World::new(33);
-    // The micro-operator site, the FeG, and the incumbent MNO core.
-    let net = NetFabric::new();
-    let agw_node = net.add_node("micro-operator-agw");
-    let feg_node = net.add_node("feg");
-    let mno_node = net.add_node("incumbent-mno");
-    let enb_node = net.add_node("enb");
-    net.connect(agw_node, feg_node, LinkProfile::fiber());
-    net.connect(feg_node, mno_node, LinkProfile::fiber());
-    net.connect(enb_node, agw_node, LinkProfile::lan());
-    let agw_stack = net.add_stack(&mut w, agw_node);
-    let feg_stack = net.add_stack(&mut w, feg_node);
-    let mno_stack = net.add_stack(&mut w, mno_node);
-    let enb_stack = net.add_stack(&mut w, enb_node);
-
-    // Ten incumbent-MNO subscribers, known only to the MNO's HSS.
+    // The micro-operator's AGW and eNodeB, the FeG, and the incumbent
+    // MNO's core. Ten incumbent-MNO subscribers, known only to the MNO's
+    // HSS: the gateway's site, whose UEs they are, is added after the
+    // orchestrator was provisioned, so its replica holds none of them.
+    let mut d = magma::deploy(ScenarioConfig::new(33));
     let mut mno_db = SubscriberDb::new();
     for i in 1..=10u64 {
         mno_db.upsert(SubscriberProfile::lte(Imsi::new(310, 26, i), 7, i));
     }
-    w.add_actor(Box::new(MnoCoreActor::new(mno_stack, mno_db)));
-    w.add_actor(Box::new(FegActor::new(
-        feg_stack,
-        Endpoint::new(mno_node, ports::DIAMETER),
-    )));
-
-    let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
-    let cfg = AgwConfig::new("agw0", host, agw_stack)
-        .with_feg(Endpoint::new(feg_node, ports::FEG));
-    let agw = w.add_actor(Box::new(AgwActor::new(cfg, new_agw_handle())));
-
-    let ues = ue_fleet(7, 1, 10, TrafficModel::http_download());
-    let mut enb_cfg = EnbConfig::new(1, enb_stack, Endpoint::new(agw_node, ports::S1AP), agw);
-    enb_cfg.attach_rate_per_sec = 1.0;
-    w.add_actor(Box::new(EnodebActor::new(enb_cfg, ues)));
+    let site = SiteSpec {
+        enbs: 1,
+        ues_per_enb: 10,
+        attach_rate_per_sec: 1.0,
+        traffic: TrafficModel::http_download(),
+        ..SiteSpec::typical()
+    };
+    let mut agw = AgwSpec::bare_metal(site);
+    agw.feg = Some(d.add_feg(mno_db));
+    d.add_agw(&agw);
 
     println!("neutral host: micro-operator AGW ↔ FeG ↔ incumbent MNO HSS\n");
-    w.run_until(SimTime::from_secs(45));
-    let rec = w.registry();
-    println!(
-        "roaming attaches accepted (auth proxied over S6a): {}",
-        rec.counter("agw0.mme.attach_accept")
-    );
+    d.world.run_until(SimTime::from_secs(45));
+    let rec = d.world.registry();
+    let accepted = rec.counter("agw0.mme.attach_accept");
+    println!("roaming attaches accepted (auth proxied over S6a): {accepted}");
+    let proxied: u64 = d
+        .world
+        .shard_snapshot()
+        .edges
+        .iter()
+        .filter(|e| e.kind == "feg.AuthInfo")
+        .map(|e| e.messages)
+        .sum();
+    println!("S6a authentication requests through the FeG: {proxied}");
     let mb: f64 = rec
         .series("agw0.dataplane.tp_bytes")
         .map(|s| s.values().sum::<f64>() / 1e6)
         .unwrap_or(0.0);
     println!("user traffic broken out locally at the AGW: {mb:.1} MB\n");
+    assert_eq!(accepted, 10.0, "every roamer attaches");
+    assert!(proxied >= 10, "every roamer's authentication crossed the FeG");
+    assert!(mb > 50.0, "the roamers' traffic broke out at the AGW");
 
     println!("== GTP-A scaling (home routing vs local breakout) ==");
     println!("agws  home-routed(Gbps)  local-breakout(Gbps)");

@@ -121,6 +121,15 @@ echo "==> paper figures (every figure's and ablation's shape assertions)"
 # committed parameters; a shape that no longer holds panics, failing here.
 cargo run --release --example paper_figures >/dev/null
 
+echo "==> deployment examples"
+# Each composes its deployment on testbed::Scenario and must run to the
+# end; neutral_host and accessparks also panic when what they print no
+# longer holds (every roamer attaches through the FeG, every AP
+# authenticates, traffic flows).
+for EXAMPLE in neutral_host accessparks rural_isp quickstart; do
+    cargo run --release --example "$EXAMPLE" >/dev/null
+done
+
 # Replay the lint summary last so the violation counts are the final
 # thing on screen.
 echo "==> lint summary"

@@ -1,11 +1,9 @@
-//! RAN stand-ins shared by the integration tests.
-
-#![allow(dead_code, reason = "each test binary compiles this module for itself and uses part of it")]
+//! A RAN stand-in shared by the integration tests.
 
 use magma::prelude::*;
-use magma::sim::{downcast, Actor, ActorId, Ctx, Event};
+use magma::sim::{downcast, Actor, Ctx, Event};
 use magma::testbed::Scenario;
-use magma_net::{flows, lp_encode, ports, Dialer, Edge, Endpoint, SockCmd, SockEvent, MAX_LP_LEN};
+use magma_net::{flows, lp_encode, ports, Dialer, Edge, Endpoint, SockEvent, MAX_LP_LEN};
 use magma_wire::s1ap::{EnbUeId, MmeUeId, S1apMessage};
 use magma_wire::Teid;
 
@@ -62,39 +60,13 @@ impl Actor for TargetEnb {
     }
 }
 
-/// Put a [`TargetEnb`] on a new node at gateway 0's site; at `switch_at`
-/// it asks for `target_ue`'s path.
+/// Put a [`TargetEnb`] on a new node behind gateway 0; at `switch_at` it
+/// asks for `target_ue`'s path.
 pub fn add_target_enb(sc: &mut Scenario, switch_at: SimTime, target_ue: MmeUeId) {
-    let target_node = sc.net.add_node("target-enb");
-    sc.net
-        .connect(target_node, sc.agws[0].node, magma_net::LinkProfile::lan());
-    let target_stack = sc.net.add_stack(&mut sc.world, target_node);
-    sc.world.add_actor(Box::new(TargetEnb {
-        s1: Dialer::new(target_stack, Endpoint::new(sc.agws[0].node, ports::S1AP)),
+    let mme = Endpoint::new(sc.agws[0].node, ports::S1AP);
+    sc.add_behind(0, "target-enb", |stack| TargetEnb {
+        s1: Dialer::new(stack, mme),
         switch_at,
         target_ue,
-    }));
-}
-
-/// Sends one datagram from `stack` when started.
-pub struct SendOnce {
-    pub stack: ActorId,
-    pub dst: Endpoint,
-    pub bytes: bytes::Bytes,
-}
-
-impl Actor for SendOnce {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-        if let Event::Start = event {
-            ctx.send_to(
-                self.stack,
-                &flows::SOCK_CMD,
-                Box::new(SockCmd::DgramSend {
-                    src_port: 20001,
-                    dst: self.dst,
-                    bytes: self.bytes.clone(),
-                }),
-            );
-        }
-    }
+    });
 }

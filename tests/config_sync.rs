@@ -7,14 +7,14 @@
 //! does not follow from what it holds — its replica ends up equal to the
 //! orchestrator's database.
 
-use magma::agw::{new_agw_handle, AgwActor, AgwConfig};
+use magma::agw::AgwActor;
 use magma::orc8r::{methods, BootstrapResponse, CheckinRequest, CheckinResponse};
 use magma::prelude::*;
 use magma::rpc::{RpcRequest, RpcServer};
-use magma::sim::{downcast, Actor, Ctx, DelayClass, Event, FlowKind, HostSpec, Role, World};
+use magma::sim::{downcast, Actor, Ctx, DelayClass, Event, FlowKind, Role};
 use magma::subscriber::{DbSnapshot, DbSync, SubscriberDb};
 use magma::testbed::scenario::{AgwInstance, Scenario, SIM_SEED};
-use magma_net::{ports, Endpoint, LinkProfile, NetFabric, NetStack, SockEvent, StreamHandle};
+use magma_net::{ports, LinkProfile, SockEvent, StreamHandle};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -163,30 +163,22 @@ fn a_fresh_gateway_and_a_restored_backup_pull_the_full_snapshot() {
     let stored = sc.orc8r.borrow().checkpoints[&sc.agws[1].id].clone();
     let sessions_before = sc.agws[1].handle.borrow().active_sessions;
     assert_eq!(sessions_before, 6);
-    for gw in &sc.agws {
-        sc.world.crash(gw.actor);
-        sc.world.crash(gw.stack);
-    }
+    sc.crash_agw(0);
+    sc.crash_agw(1);
     sc.world.run_until(SimTime::from_secs(22));
     assert!(
         sc.orc8r.borrow().db.changes_since(0).is_none(),
         "version 0 is past the log horizon"
     );
-    let fresh = AgwActor::new(sc.agws[0].cfg.clone(), sc.agws[0].handle.clone());
+    let fresh = sc.agws[0].fresh();
     let backup = AgwActor::restore_from_wire(
         sc.agws[1].cfg.clone(),
         sc.agws[1].handle.clone(),
         stored,
     )
     .expect("the stored checkpoint parses");
-    for (gw, mut actor) in sc.agws.iter().zip([fresh, backup]) {
-        sc.world.restart(
-            gw.stack,
-            Box::new(NetStack::new(gw.node, sc.net.clone())),
-        );
-        actor.set_up_cores(gw.up_cores);
-        sc.world.restart(gw.actor, Box::new(actor));
-    }
+    sc.restart_agw(0, fresh);
+    sc.restart_agw(1, backup);
     sc.world.run_until(SimTime::from_millis(30_500));
 
     assert_replicas_equal_orc8r(&sc);
@@ -289,34 +281,27 @@ impl Actor for GappyOrc8r {
 
 #[test]
 fn a_gapped_push_is_ignored_and_the_next_checkin_pulls_the_state() {
-    let mut w = World::new(31);
-    let net = NetFabric::new();
-    let agw_node = net.add_node("agw");
-    let orc8r_node = net.add_node("orc8r");
-    net.connect(agw_node, orc8r_node, LinkProfile::fiber());
-    let agw_stack = net.add_stack(&mut w, agw_node);
-    let orc8r_stack = net.add_stack(&mut w, orc8r_node);
-
-    // Gateway and orchestrator both start at v3.
-    let mut db = SubscriberDb::new();
+    // Gateway and orchestrator both start at v3; then the orchestrator's
+    // process is a `GappyOrc8r` on the same database.
+    let mut sc = magma::deploy(ScenarioConfig::new(31).with_policies(Vec::new(), Vec::new()));
     for k in 0..3 {
-        db.upsert(extra_subscriber(k, 0));
+        sc.orc8r.borrow_mut().upsert_subscriber(extra_subscriber(k, 0));
     }
+    let db = sc.orc8r.borrow().db.clone();
     let provisioned = db.snapshot();
-    let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
-    let handle = new_agw_handle();
-    let cfg = AgwConfig::new("agw0", host, agw_stack)
-        .with_orc8r(Endpoint::new(orc8r_node, ports::ORC8R));
-    let mut agw = AgwActor::new(cfg, handle.clone());
-    agw.preprovision(provisioned.clone());
-    w.add_actor(Box::new(agw));
+    sc.add_agw(&AgwSpec::bare_metal(SiteSpec { enbs: 0, ..small_site() }));
     let reported = Rc::new(RefCell::new(Vec::new()));
-    w.add_actor(Box::new(GappyOrc8r {
-        server: RpcServer::new(orc8r_stack, ports::ORC8R),
-        db,
-        conn: None,
-        reported: reported.clone(),
-    }));
+    let server = RpcServer::new(sc.orc8r_stack, ports::ORC8R);
+    sc.world.restart(
+        sc.orc8r_actor,
+        Box::new(GappyOrc8r {
+            server,
+            db,
+            conn: None,
+            reported: reported.clone(),
+        }),
+    );
+    let (w, handle) = (&mut sc.world, &sc.agws[0].handle);
     let replica = || handle.borrow().checkpoint.clone().expect("checkpointed").db;
 
     // The push at 2 s starts at v302; the gateway holds v3. Applying it

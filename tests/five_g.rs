@@ -6,38 +6,37 @@
 //! identical.
 
 use magma::prelude::*;
-use magma::sim::{HostSpec, World};
-use magma_agw::{new_agw_handle, AccessTech, AgwActor, AgwConfig};
-use magma_net::{Endpoint, LinkProfile, NetFabric, ports};
+use magma::testbed::Scenario;
+use magma_agw::AccessTech;
+use magma_net::{ports, Endpoint};
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor};
-use magma_subscriber::SubscriberDb;
+
+/// A gateway holding `subscribers` and, behind it, a gNB — the RAN actor
+/// an eNodeB is, pointed at the NGAP port — whose UEs are MSINs 1, 2, ….
+fn gnb_site(seed: u64, subscribers: &[SubscriberProfile], traffic: TrafficModel) -> Scenario {
+    let mut sc = magma::deploy(ScenarioConfig::new(seed));
+    for p in subscribers {
+        sc.orc8r.borrow_mut().upsert_subscriber(p.clone());
+    }
+    sc.add_agw(&AgwSpec::bare_metal(SiteSpec { enbs: 0, ..SiteSpec::typical() }));
+    let (amf, agw) = (Endpoint::new(sc.agws[0].node, ports::NGAP), sc.agws[0].actor);
+    let ues = ue_fleet(7, 1, subscribers.len(), traffic);
+    sc.add_behind(0, "gnb", |stack| {
+        let mut cfg = EnbConfig::new(1, stack, amf, agw);
+        cfg.attach_rate_per_sec = 1.0;
+        EnodebActor::new(cfg, ues)
+    });
+    sc
+}
 
 #[test]
 fn gnb_attach_over_ngap_creates_5g_session() {
-    let mut w = World::new(55);
-    let net = NetFabric::new();
-    let agw_node = net.add_node("agw");
-    let gnb_node = net.add_node("gnb");
-    net.connect(gnb_node, agw_node, LinkProfile::lan());
-    let agw_stack = net.add_stack(&mut w, agw_node);
-    let gnb_stack = net.add_stack(&mut w, gnb_node);
-
     // Subscribers upgraded to 5G (same SIM, union schema).
-    let mut db = SubscriberDb::new();
-    for i in 1..=3u64 {
-        db.upsert(SubscriberProfile::lte(Imsi::new(310, 26, i), 7, i).with_5g());
-    }
-    let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
-    let handle = new_agw_handle();
-    let mut agw = AgwActor::new(AgwConfig::new("agw0", host, agw_stack), handle.clone());
-    agw.preprovision(db.snapshot());
-    let agw = w.add_actor(Box::new(agw));
-
-    // The "gNB": identical RAN actor pointed at the NGAP port.
-    let ues = ue_fleet(7, 1, 3, TrafficModel::http_download());
-    let mut cfg = EnbConfig::new(1, gnb_stack, Endpoint::new(agw_node, ports::NGAP), agw);
-    cfg.attach_rate_per_sec = 1.0;
-    w.add_actor(Box::new(EnodebActor::new(cfg, ues)));
+    let subscribers: Vec<_> = (1..=3u64)
+        .map(|i| SubscriberProfile::lte(Imsi::new(310, 26, i), 7, i).with_5g())
+        .collect();
+    let mut sc = gnb_site(55, &subscribers, TrafficModel::http_download());
+    let (w, handle) = (&mut sc.world, &sc.agws[0].handle);
 
     w.run_until(SimTime::from_secs(30));
     let rec = w.registry();
@@ -77,26 +76,10 @@ fn gnb_attach_over_ngap_creates_5g_session() {
 
 #[test]
 fn lte_only_subscriber_rejected_on_5g() {
-    let mut w = World::new(56);
-    let net = NetFabric::new();
-    let agw_node = net.add_node("agw");
-    let gnb_node = net.add_node("gnb");
-    net.connect(gnb_node, agw_node, LinkProfile::lan());
-    let agw_stack = net.add_stack(&mut w, agw_node);
-    let gnb_stack = net.add_stack(&mut w, gnb_node);
-
     // LTE-only subscription: 5G access must be refused.
-    let mut db = SubscriberDb::new();
-    db.upsert(SubscriberProfile::lte(Imsi::new(310, 26, 1), 7, 1));
-    let host = w.add_host(HostSpec::uniform("agw", 4, 1.0));
-    let mut agw = AgwActor::new(AgwConfig::new("agw0", host, agw_stack), new_agw_handle());
-    agw.preprovision(db.snapshot());
-    let agw = w.add_actor(Box::new(agw));
-
-    let ues = ue_fleet(7, 1, 1, TrafficModel::idle());
-    let mut cfg = EnbConfig::new(1, gnb_stack, Endpoint::new(agw_node, ports::NGAP), agw);
-    cfg.attach_rate_per_sec = 1.0;
-    w.add_actor(Box::new(EnodebActor::new(cfg, ues)));
+    let lte_only = [SubscriberProfile::lte(Imsi::new(310, 26, 1), 7, 1)];
+    let mut sc = gnb_site(56, &lte_only, TrafficModel::idle());
+    let w = &mut sc.world;
 
     w.run_until(SimTime::from_secs(20));
     let rec = w.registry();

@@ -10,12 +10,9 @@
 use magma::prelude::*;
 use magma::policy::UsageTracking;
 use magma::sim::flow;
-use magma::sim::{ActorId, HostSpec};
-use magma::testbed::Scenario;
-use magma_agw::{new_agw_handle, AgwActor, AgwConfig};
+use magma::testbed::scenario::{msin_for, Scenario};
 use magma_epc_baseline::EpcCoreActor;
-use magma_feg::{FegActor, MnoCoreActor};
-use magma_net::{ports, Endpoint, LinkProfile, NodeAddr};
+use magma_net::{ports, Endpoint, LinkProfile};
 use magma_ran::{ue_fleet, EnbConfig, EnodebActor, Logout, WifiApActor, WifiApConfig};
 use magma_subscriber::SubscriberDb;
 use std::collections::BTreeSet;
@@ -60,14 +57,6 @@ fn message_flow_doc_is_generated_and_byte_deterministic() {
     }
 }
 
-/// A node on `sc`'s network, linked to `peer`, with its stack.
-fn node(sc: &mut Scenario, name: &str, peer: NodeAddr, link: LinkProfile) -> (NodeAddr, ActorId) {
-    let node = sc.net.add_node(name);
-    sc.net.connect(node, peer, link);
-    let stack = sc.net.add_stack(&mut sc.world, node);
-    (node, stack)
-}
-
 /// One deployment running every production actor: a prepaid gateway
 /// under the orchestrator (metricsd, an eNodeB whose sessions end, a
 /// WiFi AP that logs out), a gateway federating through the FeG to an
@@ -93,45 +82,41 @@ fn every_actor() -> Scenario {
         orc8r.upsert_policy(PolicyRule::unrestricted("unrestricted"));
         orc8r.upsert_subscriber(SubscriberProfile::wifi(Imsi::new(310, 26, 9001), "ap", "pw"));
     }
-    let (_, ap_stack) = node(&mut sc, "ap", agw0_node, LinkProfile::lan());
-    let ap = sc.world.add_actor(Box::new(WifiApActor::new(WifiApConfig {
-        name: "ap-session".to_string(),
-        stack: ap_stack,
-        agw_aaa: Endpoint::new(agw0_node, ports::RADIUS_AUTH),
-        agw_actor: agw0,
-        username: "ap".to_string(),
-        password: "pw".to_string(),
-        dl_bps: 1_000_000,
-        ul_bps: 200_000,
-        auth_at: SimDuration::from_secs(2),
-    })));
+    let ap = sc.add_behind(0, "ap", |stack| {
+        WifiApActor::new(WifiApConfig {
+            name: "ap-session".to_string(),
+            stack,
+            agw_aaa: Endpoint::new(agw0_node, ports::RADIUS_AUTH),
+            agw_actor: agw0,
+            username: "ap".to_string(),
+            password: "pw".to_string(),
+            dl_bps: 1_000_000,
+            ul_bps: 200_000,
+            auth_at: SimDuration::from_secs(2),
+        })
+    });
 
-    // Federation: the gateway knows no subscriber; the MNO's HSS does.
-    let (mno_node, mno_stack) = node(&mut sc, "mno", core, LinkProfile::fiber());
-    let (feg_node, feg_stack) = node(&mut sc, "feg", mno_node, LinkProfile::fiber());
+    // Federation: gateway 1 holds no subscriber of its site; the MNO's
+    // HSS does.
     let mut mno_db = SubscriberDb::new();
     let mut epc_db = SubscriberDb::new();
     for i in 1..=2u64 {
-        mno_db.upsert(SubscriberProfile::lte(Imsi::new(310, 26, i), 7, i));
+        let roamer = msin_for(1, 0, i as usize - 1);
+        mno_db.upsert(SubscriberProfile::lte(Imsi::new(310, 26, roamer), 7, roamer));
         epc_db.upsert(SubscriberProfile::lte(Imsi::new(310, 26, 100 + i), 7, 100 + i));
     }
-    sc.world.add_actor(Box::new(MnoCoreActor::new(mno_stack, mno_db)));
-    let feg = FegActor::new(feg_stack, Endpoint::new(mno_node, ports::DIAMETER));
-    sc.world.add_actor(Box::new(feg));
-    let (agw1_node, agw1_stack) = node(&mut sc, "agw1", feg_node, LinkProfile::fiber());
-    let host = sc.world.add_host(HostSpec::uniform("agw1", 4, 1.0));
-    let agw1_cfg = AgwConfig::new("agw1", host, agw1_stack)
-        .with_feg(Endpoint::new(feg_node, ports::FEG));
-    let agw1 = sc.world.add_actor(Box::new(AgwActor::new(agw1_cfg, new_agw_handle())));
-    let (_, enb_stack) = node(&mut sc, "agw1-enb", agw1_node, LinkProfile::lan());
-    let enb = EnbConfig::new(11, enb_stack, Endpoint::new(agw1_node, ports::S1AP), agw1);
-    let ues = ue_fleet(7, 1, 2, TrafficModel::http_download());
-    sc.world.add_actor(Box::new(EnodebActor::new(enb, ues)));
+    let mut agw1 = AgwSpec::bare_metal(SiteSpec {
+        enbs: 1,
+        ues_per_enb: 2,
+        ..SiteSpec::typical()
+    });
+    agw1.feg = Some(sc.add_feg(mno_db));
+    sc.add_agw(&agw1);
 
     // The EPC baseline probes its eNodeB's GTP-U path.
-    let (core_node, core_stack) = node(&mut sc, "epc", core, LinkProfile::fiber());
+    let (core_node, core_stack) = sc.add_node("epc", core, LinkProfile::fiber());
     let epc = sc.world.add_actor(Box::new(EpcCoreActor::new(core_stack, epc_db, 0.0)));
-    let (_, enb_stack) = node(&mut sc, "epc-enb", core_node, LinkProfile::microwave());
+    let (_, enb_stack) = sc.add_node("epc-enb", core_node, LinkProfile::microwave());
     let enb = EnbConfig::new(12, enb_stack, Endpoint::new(core_node, ports::S1AP), epc);
     let ues = ue_fleet(7, 101, 2, TrafficModel::http_download());
     sc.world.add_actor(Box::new(EnodebActor::new(enb, ues)));

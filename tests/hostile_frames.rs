@@ -279,11 +279,8 @@ fn the_gateway_closes_an_s1ap_stream_announcing_4_gib_and_keeps_attaching() {
         ..SiteSpec::typical()
     };
     let mut d = magma::deploy(ScenarioConfig::new(5).with_agw(AgwSpec::bare_metal(site)));
-    let node = d.net.add_node("hostile-enb");
-    d.net.connect(node, d.agws[0].node, LinkProfile::lan());
-    let stack = d.net.add_stack(&mut d.world, node);
     let agw = Endpoint::new(d.agws[0].node, ports::S1AP);
-    d.world.add_actor(Box::new(HostilePeer(stack, Hostile::Dials(agw))));
+    d.add_behind(0, "hostile-enb", |stack| HostilePeer(stack, Hostile::Dials(agw)));
     d.world.run_until(SimTime::from_secs(20));
     assert_eq!(d.world.registry().counter("test.hostile_closed"), 1.0);
     let gw = d.agws[0].handle.borrow();

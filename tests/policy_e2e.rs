@@ -6,7 +6,7 @@
 
 use magma::prelude::*;
 use magma::testbed::{mean_over, throughput_mbps};
-use magma_net::{LinkProfile, NetStack};
+use magma_net::LinkProfile;
 use magma_policy::{SessionCredit, UsageTracking};
 
 #[test]
@@ -279,17 +279,11 @@ fn a_session_id_reused_after_a_cold_restart_is_granted_anew() {
     };
     let reserved_before = reserved(&sc);
 
-    let agw = &sc.agws[0];
-    sc.world.crash(agw.actor);
-    sc.world.crash(agw.stack);
+    sc.crash_agw(0);
     sc.world.run_until(SimTime::from_secs(25));
-    let agw = &sc.agws[0];
-    sc.world
-        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.clone())));
-    let mut fresh = magma_agw::AgwActor::new(agw.cfg.clone(), agw.handle.clone());
+    let mut fresh = sc.agws[0].fresh();
     fresh.preprovision(sc.orc8r.borrow().db.snapshot());
-    fresh.set_up_cores(agw.up_cores);
-    sc.world.restart(agw.actor, Box::new(fresh));
+    sc.restart_agw(0, fresh);
     sc.world.run_until(SimTime::from_secs(120));
 
     let cp = sc.agws[0].handle.borrow().checkpoint.clone().expect("checkpoint taken");

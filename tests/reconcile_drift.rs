@@ -17,10 +17,9 @@ use magma::prelude::*;
 use magma::subscriber::SubscriberDb;
 use magma::sim::{Actor, Ctx, Event};
 use magma::testbed::Scenario;
-use magma_net::{ports, Endpoint, LinkProfile, NetStack};
+use magma_net::{ports, Endpoint};
 use magma_policy::{Qci, UsageTracking};
-use magma_ran::{WifiApActor, WifiApConfig};
-use magma_wire::radius::{acct_status, attr, Attribute, RadiusCode, RadiusPacket};
+use magma_ran::{Logout, WifiApActor, WifiApConfig};
 use magma_wire::s1ap::MmeUeId;
 use magma_wire::Teid;
 use std::cell::RefCell;
@@ -41,12 +40,10 @@ impl Actor for Watched {
 
 const HOTSPOT: &str = "hotspot-1";
 
-/// Swap gateway 0's (crashed) actor slot for a watched instance.
-fn install(sc: &mut Scenario, mut agw: AgwActor) -> Rc<RefCell<AgwActor>> {
-    agw.set_up_cores(sc.agws[0].up_cores);
+/// Bring gateway 0's (crashed) machine back with a watched instance.
+fn install(sc: &mut Scenario, agw: AgwActor) -> Rc<RefCell<AgwActor>> {
     let agw = Rc::new(RefCell::new(agw));
-    sc.world
-        .restart(sc.agws[0].actor, Box::new(Watched(agw.clone())));
+    sc.restart_agw(0, Watched(agw.clone()));
     agw
 }
 
@@ -124,8 +121,8 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
     ));
 
     // Gateway 0 runs as a watched instance from the first event on.
-    sc.world.crash(sc.agws[0].actor);
-    let mut agw = AgwActor::new(sc.agws[0].cfg.clone(), sc.agws[0].handle.clone());
+    sc.crash_agw(0);
+    let mut agw = sc.agws[0].fresh();
     agw.preprovision(sc.orc8r.borrow().db.snapshot());
     let agw = install(&mut sc, agw);
 
@@ -133,34 +130,28 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
     common::add_target_enb(&mut sc, SimTime::from_secs(6), MmeUeId(1));
 
     // WiFi: a hotspot authenticates at 3 s …
-    let ap_node = sc.net.add_node("ap");
-    sc.net.connect(ap_node, sc.agws[0].node, LinkProfile::lan());
-    let ap_stack = sc.net.add_stack(&mut sc.world, ap_node);
-    sc.world.add_actor(Box::new(WifiApActor::new(WifiApConfig {
-        name: "hotspot-1-session".to_string(),
-        stack: ap_stack,
-        agw_aaa: Endpoint::new(sc.agws[0].node, ports::RADIUS_AUTH),
-        agw_actor: sc.agws[0].actor,
-        username: HOTSPOT.to_string(),
-        password: "right-password".to_string(),
-        dl_bps: 2_000_000,
-        ul_bps: 500_000,
-        auth_at: SimDuration::from_secs(3),
-    })));
+    let (agw_node, agw_actor) = (sc.agws[0].node, sc.agws[0].actor);
+    let ap = sc.add_behind(0, "ap", |stack| {
+        WifiApActor::new(WifiApConfig {
+            name: "hotspot-1-session".to_string(),
+            stack,
+            agw_aaa: Endpoint::new(agw_node, ports::RADIUS_AUTH),
+            agw_actor,
+            username: HOTSPOT.to_string(),
+            password: "right-password".to_string(),
+            dl_bps: 2_000_000,
+            ul_bps: 500_000,
+            auth_at: SimDuration::from_secs(3),
+        })
+    });
 
     let mut seen = Seen::default();
     run_watching(&mut sc, &agw, 20, &mut seen);
     assert!(seen.wifi, "hotspot session admitted");
 
-    // … and its captive portal logs the user out at 20 s.
-    let stop = RadiusPacket::new(RadiusCode::AccountingRequest, 9)
-        .with_attr(Attribute::u32(attr::ACCT_STATUS_TYPE, acct_status::STOP))
-        .with_attr(Attribute::string(attr::ACCT_SESSION_ID, "hotspot-1-session"));
-    sc.world.add_actor(Box::new(common::SendOnce {
-        stack: ap_stack,
-        dst: Endpoint::new(sc.agws[0].node, ports::RADIUS_ACCT),
-        bytes: stop.encode(),
-    }));
+    // … and its captive portal logs the user out at 20 s: the AP sends
+    // Accounting Stop.
+    sc.world.inject(ap, Box::new(Logout));
     run_watching(&mut sc, &agw, 30, &mut seen);
     assert!(
         !agw.borrow_mut()
@@ -200,14 +191,9 @@ fn live_dataplane_equals_a_fresh_compile_after_every_kind_of_change() {
         Ok((runtime_only, sqn_marks))
     );
     let attached_before_crash = sc.world.registry().counter("agw0.mme.attach_accept");
-    sc.world.crash(sc.agws[0].actor);
-    sc.world.crash(sc.agws[0].stack);
+    sc.crash_agw(0);
     drop(agw);
     sc.world.run_until(SimTime::from_millis(32_500));
-    sc.world.restart(
-        sc.agws[0].stack,
-        Box::new(NetStack::new(sc.agws[0].node, sc.net.clone())),
-    );
     let restored =
         AgwActor::restore_from_wire(sc.agws[0].cfg.clone(), sc.agws[0].handle.clone(), stored)
             .expect("the stored checkpoint parses");

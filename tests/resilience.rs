@@ -8,10 +8,9 @@ use magma::ran::{EnbConfig, EnodebActor};
 use magma::sim::{downcast, Actor, Ctx, Event, World};
 use magma::testbed::{overall_csr, Scenario};
 use magma_agw::AgwActor;
-use magma_orc8r::Orc8rActor;
 use magma_net::{
-    flows, lp_encode, ports, Acceptor, Edge, Endpoint, LinkProfile, NetFabric, NetStack,
-    SockEvent, MAX_LP_LEN,
+    flows, lp_encode, ports, Acceptor, Edge, Endpoint, LinkProfile, NetFabric, SockEvent,
+    MAX_LP_LEN,
 };
 use magma_wire::s1ap::S1apMessage;
 
@@ -31,32 +30,11 @@ fn orc8r_crash_and_restart_preserves_state_and_resyncs() {
     let version_before = sc.orc8r.borrow().db.version;
     let journal_before = sc.orc8r.borrow().journal.len();
 
-    // Orchestrator process dies (its durable store survives: the handle).
-    sc.world.crash(sc.orc8r_actor);
-    // Its network stack also restarts (full VM replacement).
-    sc.world.crash({
-        // The stack is the first actor added in build(); recover it from
-        // the topology binding instead of relying on construction order.
-        sc.net
-            .stack_of(sc.orc8r_node)
-            .expect("orc8r stack bound")
-    });
+    // The orchestrator's machine dies (its durable store survives: the
+    // handle), and a replacement attaches to the same durable state.
+    sc.crash_orc8r();
     sc.world.run_until(SimTime::from_secs(30));
-
-    // Replacement instances attach to the same durable state.
-    let stack_actor = sc.net.stack_of(sc.orc8r_node).unwrap();
-    sc.world.restart(
-        stack_actor,
-        Box::new(NetStack::new(sc.orc8r_node, sc.net.clone())),
-    );
-    sc.world.restart(
-        sc.orc8r_actor,
-        Box::new(Orc8rActor::new(
-            sc.orc8r.clone(),
-            stack_actor,
-            ports::ORC8R,
-        )),
-    );
+    sc.restart_orc8r();
 
     // Config change after restart must propagate to the AGW.
     sc.orc8r
@@ -109,8 +87,7 @@ fn metricsd_queues_pushes_across_orc8r_crash_window() {
         .unwrap_or(0);
     assert!(seq_before > 0, "pushes landed before the crash");
 
-    sc.world.crash(sc.orc8r_actor);
-    sc.world.crash(sc.net.stack_of(sc.orc8r_node).unwrap());
+    sc.crash_orc8r();
     sc.world.run_until(SimTime::from_secs(50));
 
     // Nothing lands while the orchestrator is down…
@@ -123,19 +100,7 @@ fn metricsd_queues_pushes_across_orc8r_crash_window() {
         .unwrap_or(0);
     assert_eq!(seq_during, seq_before);
 
-    let stack_actor = sc.net.stack_of(sc.orc8r_node).unwrap();
-    sc.world.restart(
-        stack_actor,
-        Box::new(NetStack::new(sc.orc8r_node, sc.net.clone())),
-    );
-    sc.world.restart(
-        sc.orc8r_actor,
-        Box::new(Orc8rActor::new(
-            sc.orc8r.clone(),
-            stack_actor,
-            ports::ORC8R,
-        )),
-    );
+    sc.restart_orc8r();
     sc.world.run_until(SimTime::from_secs(80));
 
     // …and after restart the queued outage snapshots drain in order:
@@ -176,17 +141,11 @@ fn agw_restart_without_checkpoint_forces_reattach() {
     sc.world.run_until(SimTime::from_secs(20));
     assert_eq!(sc.agws[0].handle.borrow().active_sessions, 10);
 
-    let agw = &sc.agws[0];
-    sc.world.crash(agw.actor);
-    sc.world.crash(agw.stack);
+    sc.crash_agw(0);
     sc.world.run_until(SimTime::from_secs(25));
-    let agw = &sc.agws[0];
-    sc.world
-        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.clone())));
-    let mut fresh = magma_agw::AgwActor::new(agw.cfg.clone(), agw.handle.clone());
+    let mut fresh = sc.agws[0].fresh();
     fresh.preprovision(sc.orc8r.borrow().db.snapshot());
-    fresh.set_up_cores(agw.up_cores);
-    sc.world.restart(agw.actor, Box::new(fresh));
+    sc.restart_agw(0, fresh);
 
     // Sessions are gone immediately after the cold restart…
     sc.world.run_until(SimTime::from_secs(26));
@@ -290,17 +249,12 @@ fn headless_restart_from_the_local_checkpoint_keeps_sessions_and_sqns() {
 
     // The machine dies; 2 s later the backup comes up from the local
     // checkpoint, with the backhaul still down.
-    let agw = &sc.agws[0];
-    sc.world.crash(agw.actor);
-    sc.world.crash(agw.stack);
+    sc.crash_agw(0);
     sc.world.run_for(SimDuration::from_secs(2));
-    let agw = &sc.agws[0];
-    sc.world
-        .restart(agw.stack, Box::new(NetStack::new(agw.node, sc.net.clone())));
     let sessions = local.sessions.len();
-    let mut backup = AgwActor::restore(agw.cfg.clone(), agw.handle.clone(), local);
-    backup.set_up_cores(agw.up_cores);
-    sc.world.restart(agw.actor, Box::new(backup));
+    let agw = &sc.agws[0];
+    let backup = AgwActor::restore(agw.cfg.clone(), agw.handle.clone(), local);
+    sc.restart_agw(0, backup);
     let restored_at = sc.world.now();
     sc.world.run_for(SimDuration::from_millis(100));
     assert_eq!(
