@@ -78,6 +78,13 @@ fn federated_attach_fails_for_unknown_roamer() {
     assert!(rec.counter("agw0.mme.attach_reject") >= 2.0);
 }
 
+#[test]
+fn idle_traffic_model_generates_nothing() {
+    // Sanity on the traffic model the roamer helper takes.
+    let t = TrafficModel::idle();
+    assert_eq!(t.demand(1.0), (0, 0));
+}
+
 /// A federated gateway talks to two peers whose RPC clients number their
 /// calls independently, both from 1. With the orchestrator behind a slow
 /// backhaul, its bootstrap call (id 1) is still in flight when the first
